@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core operations: tree
 // construction, exact lookup, Search_CS, distance evaluation, Rank_CS
-// end-to-end, and query-cache hits. Not a paper figure — operational
-// cost data for library users.
+// end-to-end, query-cache hits, and a cache hit vs miss pair for one
+// whole query. Not a paper figure — operational cost data for library
+// users.
 
 #include <benchmark/benchmark.h>
 
@@ -10,11 +11,13 @@
 #include "context/parser.h"
 #include "context/resilient_source.h"
 #include "preference/contextual_query.h"
+#include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
 #include "preference/qualitative.h"
 #include "preference/query_cache.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
+#include "workload/default_profiles.h"
 #include "workload/poi_dataset.h"
 #include "workload/profile_generator.h"
 #include "workload/query_generator.h"
@@ -167,6 +170,75 @@ void BM_QueryCacheHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueryCacheHit);
+
+/// A 3-state exact query over `pois` POIs at top_k = 10 with a default
+/// demographic profile: the same request answered uncached (Rank_CS
+/// over the flat tree) and by CachedRankCS with every state cached.
+/// CI gates Miss/Hit >= 2x: a cache hit must beat recomputing.
+struct ThreeStateQueryRig {
+  explicit ThreeStateQueryRig(size_t pois) {
+    StatusOr<workload::PoiDatabase> db = workload::MakePoiDatabase(pois, 11);
+    StatusOr<Profile> profile = workload::MakeDefaultProfile(
+        db->env, workload::AgeGroup::kUnder30, workload::Sex::kFemale,
+        workload::Taste::kMainstream);
+    if (!db.ok() || !profile.ok()) {
+      std::fprintf(stderr, "rig setup failed\n");
+      std::abort();
+    }
+    poi = std::make_unique<workload::PoiDatabase>(std::move(*db));
+    StatusOr<ProfileTree> tree = ProfileTree::Build(*profile);
+    flat = std::make_unique<FlatProfileTree>(FlatProfileTree::Build(*tree));
+    const std::vector<std::vector<std::string>> states = {
+        {"Plaka", "warm", "friends"},
+        {"Kifisia", "hot", "family"},
+        {"Monastiraki", "cold", "alone"},
+    };
+    for (const std::vector<std::string>& names : states) {
+      StatusOr<ContextState> s = ContextState::FromNames(*poi->env, names);
+      StatusOr<CompositeDescriptor> cod =
+          CompositeDescriptor::ForState(*poi->env, *s);
+      query.context.AddDisjunct(std::move(*cod));
+    }
+    options.top_k = 10;
+  }
+
+  std::unique_ptr<workload::PoiDatabase> poi;
+  std::unique_ptr<FlatProfileTree> flat;
+  ContextualQuery query;
+  QueryOptions options;
+};
+
+void BM_ThreeStateQuery_Miss(benchmark::State& state) {
+  ThreeStateQueryRig rig(static_cast<size_t>(state.range(0)));
+  FlatResolver resolver(rig.flat.get());
+  for (auto _ : state) {
+    StatusOr<QueryResult> result =
+        RankCS(rig.poi->relation, rig.query, resolver, rig.options);
+    benchmark::DoNotOptimize(result->tuples);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ThreeStateQuery_Miss)->Arg(500);
+
+void BM_ThreeStateQuery_Hit(benchmark::State& state) {
+  ThreeStateQueryRig rig(static_cast<size_t>(state.range(0)));
+  FlatResolver resolver(rig.flat.get());
+  ContextQueryTree cache(rig.poi->env,
+                         Ordering::Identity(rig.poi->env->size()));
+  // Warm every state; the timed loop then only hits.
+  StatusOr<QueryResult> warm = CachedRankCS(
+      rig.poi->relation, rig.query, resolver, "u", 1, cache, rig.options);
+  benchmark::DoNotOptimize(warm->tuples);
+  for (auto _ : state) {
+    StatusOr<QueryResult> result = CachedRankCS(
+        rig.poi->relation, rig.query, resolver, "u", 1, cache, rig.options);
+    benchmark::DoNotOptimize(result->tuples);
+  }
+  state.counters["hit_ratio"] = static_cast<double>(cache.hits()) /
+                                static_cast<double>(cache.Stats().lookups);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ThreeStateQuery_Hit)->Arg(500);
 
 void BM_TreeInsertRemoveCycle(benchmark::State& state) {
   workload::SyntheticProfile gen = MakeProfile(1000, 0.0);

@@ -16,8 +16,9 @@
 #                                 # -Werror=thread-safety (CI job)
 #   scripts/check.sh --bench-gate # Release bench_resolution run with
 #                                 # the flat-vs-pointer Search_CS
-#                                 # speedup gate + advisory baseline
-#                                 # diff (CI job)
+#                                 # speedup gate, the cache hit-vs-miss
+#                                 # gate + advisory baseline diffs
+#                                 # (CI job)
 #   scripts/check.sh --scenarios  # Release scenario_runner over every
 #                                 # scenarios/*.cfg: each must be
 #                                 # deterministic (two runs, identical
@@ -158,7 +159,7 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
   bench_build_status=0
   cmake --build build-bench -j "${JOBS}" \
     --target bench_resolution --target bench_overload \
-    --target bench_coherence \
+    --target bench_coherence --target bench_micro \
     -- --no-print-directory > build-bench/check-build.log 2>&1 \
     || bench_build_status=$?
   grep -E "error|warning" build-bench/check-build.log || true
@@ -175,6 +176,19 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     --min-ratio 5 --pair-filter '/5000$'
   python3 scripts/compare_bench.py BENCH_resolution_baseline.json \
     build-bench/bench_resolution.json
+
+  echo "==== bench gate (cache hit vs miss, 3-state query) ===="
+  # A CachedRankCS answer with every state cached must beat recomputing
+  # the same query uncached by >= 2x in wall time (same-run ratio).
+  ./build-bench/bench/bench_micro \
+    --benchmark_filter='BM_ThreeStateQuery' \
+    --benchmark_min_time=0.2 \
+    --benchmark_out=build-bench/bench_cache_hit.json
+  python3 scripts/compare_bench.py \
+    --speedup build-bench/bench_cache_hit.json \
+    --base-prefix BM_ThreeStateQuery_Miss \
+    --target-prefix BM_ThreeStateQuery_Hit \
+    --min-ratio 2 --pair-filter '/500$'
 
   echo "==== bench gate (overload goodput, shed vs noshed) ===="
   # The binary's own bars (torn == 0, shed retains >= 80% of peak

@@ -95,7 +95,19 @@ double Ranker::Finalize(const Entry& e) const {
   return 0.0;
 }
 
-std::vector<ScoredTuple> Ranker::Ranked() const {
+namespace {
+
+/// The ranking order: descending score, ties broken by ascending row
+/// id. A total order over distinct rows, so any algorithm that sorts
+/// by it produces the same sequence.
+bool RanksBefore(const ScoredTuple& a, const ScoredTuple& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.row_id < b.row_id;
+}
+
+}  // namespace
+
+std::vector<ScoredTuple> Ranker::Unsorted() const {
   std::vector<ScoredTuple> out;
   out.reserve(size());
   for (const auto& [row_id, e] : entries_) {
@@ -104,23 +116,33 @@ std::vector<ScoredTuple> Ranker::Ranked() const {
   for (const RowId id : touched_) {
     out.push_back(ScoredTuple{id, Finalize(dense_[id])});
   }
-  std::sort(out.begin(), out.end(),
-            [](const ScoredTuple& a, const ScoredTuple& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.row_id < b.row_id;
-            });
+  return out;
+}
+
+std::vector<ScoredTuple> Ranker::Ranked() const {
+  std::vector<ScoredTuple> out = Unsorted();
+  std::sort(out.begin(), out.end(), RanksBefore);
   return out;
 }
 
 std::vector<ScoredTuple> Ranker::TopK(size_t k) const {
-  std::vector<ScoredTuple> ranked = Ranked();
-  if (k == 0 || ranked.size() <= k) return ranked;
-  // Extend past k while tied with the k-th score.
-  size_t end = k;
-  const double kth = ranked[k - 1].score;
-  while (end < ranked.size() && ranked[end].score == kth) ++end;
-  ranked.resize(end);
-  return ranked;
+  std::vector<ScoredTuple> out = Unsorted();
+  if (k == 0 || out.size() <= k) {
+    std::sort(out.begin(), out.end(), RanksBefore);
+    return out;
+  }
+  // Select the k-th place, pull the tail rows tied with its score up
+  // behind it (tie extension), and sort only that prefix. Equal to the
+  // full sort's prefix because RanksBefore is a total order.
+  const auto kth = out.begin() + static_cast<ptrdiff_t>(k - 1);
+  std::nth_element(out.begin(), kth, out.end(), RanksBefore);
+  const double kth_score = kth->score;
+  const auto end = std::partition(
+      kth + 1, out.end(),
+      [kth_score](const ScoredTuple& t) { return t.score == kth_score; });
+  std::sort(out.begin(), end, RanksBefore);
+  out.erase(end, out.end());
+  return out;
 }
 
 }  // namespace ctxpref::db

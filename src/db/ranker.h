@@ -65,7 +65,9 @@ class Ranker {
   /// Top-k by score. When the k-th place is tied, *all* tuples with the
   /// k-th score are included (the paper's user study does the same for
   /// its top-20 lists: "when there are ties in the ranking, we consider
-  /// all results with the same score").
+  /// all results with the same score"). Equal to `Ranked()` cut after
+  /// that tie run, but sorts only the kept prefix. `k` = 0 returns
+  /// `Ranked()`.
   std::vector<ScoredTuple> TopK(size_t k) const;
 
   void Clear();
@@ -78,6 +80,8 @@ class Ranker {
   };
 
   void Combine(Entry& e, double score, double weight);
+  /// Every annotated row with its final score, in no particular order.
+  std::vector<ScoredTuple> Unsorted() const;
   double Finalize(const Entry& e) const;
 
   CombinePolicy policy_;

@@ -18,15 +18,16 @@ Status Profile::CheckConflict(const ContextualPreference& pref,
   for (const ContextState& s : states) {
     auto it = state_index_.find(s);
     if (it == state_index_.end()) continue;
-    for (const StateEntry& e : it->second) {
-      if (e.clause.attribute == pref.clause().attribute &&
-          e.clause.op == pref.clause().op &&
-          e.clause.value == pref.clause().value &&
-          e.score != pref.score()) {
+    for (const size_t i : it->second) {
+      const AttributeClause& clause = prefs_[i].clause();
+      if (clause.attribute == pref.clause().attribute &&
+          clause.op == pref.clause().op &&
+          clause.value == pref.clause().value &&
+          prefs_[i].score() != pref.score()) {
         return Status::Conflict(
             "preference conflicts (Def. 6) at state " + s.ToString(*env_) +
             ": clause '" + pref.clause().ToString() + "' already scored " +
-            FormatDouble(e.score) + ", new score " +
+            FormatDouble(prefs_[i].score()) + ", new score " +
             FormatDouble(pref.score()));
       }
     }
@@ -39,7 +40,7 @@ Status Profile::Insert(ContextualPreference pref) {
   CTXPREF_RETURN_IF_ERROR(CheckConflict(pref, states));
   const size_t idx = prefs_.size();
   for (const ContextState& s : states) {
-    state_index_[s].push_back(StateEntry{pref.clause(), pref.score(), idx});
+    state_index_[s].push_back(idx);
   }
   prefs_.push_back(std::move(pref));
   ++version_;
@@ -123,8 +124,7 @@ void Profile::RebuildIndex() {
   state_index_.clear();
   for (size_t i = 0; i < prefs_.size(); ++i) {
     for (const ContextState& s : prefs_[i].States(*env_)) {
-      state_index_[s].push_back(
-          StateEntry{prefs_[i].clause(), prefs_[i].score(), i});
+      state_index_[s].push_back(i);
     }
   }
 }

@@ -31,9 +31,9 @@ enum class ConflictPolicy {
 ///
 /// Conflicts (Def. 6) are detected at insertion time, as the paper
 /// prescribes: the profile maintains a state-level inverted map
-/// (context state -> clauses & scores), so checking a new preference
-/// costs O(|Context(cod)|) lookups instead of comparing against every
-/// stored preference.
+/// (context state -> indices of the preferences covering it), so
+/// checking a new preference costs O(|Context(cod)|) lookups instead
+/// of comparing against every stored preference.
 ///
 /// Mutations bump `version()`, which dependent structures (ProfileTree,
 /// ContextQueryTree) use to detect staleness.
@@ -99,12 +99,6 @@ class Profile {
                                     const db::Schema* schema = nullptr);
 
  private:
-  struct StateEntry {
-    AttributeClause clause;
-    double score;
-    size_t pref_index;
-  };
-
   /// Rebuilds state_index_ from prefs_ (used after removal).
   void RebuildIndex();
 
@@ -114,7 +108,10 @@ class Profile {
 
   EnvironmentPtr env_;
   std::vector<ContextualPreference> prefs_;
-  std::unordered_map<ContextState, std::vector<StateEntry>, ContextStateHash>
+  /// State -> indices into `prefs_` of the preferences covering it.
+  /// Indices, not clause copies, keep the index small; unlike pointers
+  /// they stay valid when a `Profile` is copied.
+  std::unordered_map<ContextState, std::vector<size_t>, ContextStateHash>
       state_index_;
   uint64_t version_ = 0;
 };

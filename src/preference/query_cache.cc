@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <exception>
 
 #include "util/metrics.h"
@@ -278,11 +279,18 @@ void ContextQueryTree::Put(const std::string& user, const ContextState& state,
                            uint64_t profile_version,
                            std::vector<db::ScoredTuple> tuples,
                            CandidateSetPtr candidates) {
+  PutEntry(user, state, profile_version,
+           std::make_shared<const Entry>(
+               Entry{std::move(tuples), std::move(candidates)}));
+}
+
+void ContextQueryTree::PutEntry(const std::string& user,
+                                const ContextState& state,
+                                uint64_t profile_version,
+                                std::shared_ptr<const Entry> entry) {
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.put");
   ScopedLatency latency(&metrics.put_latency);
-  auto entry = std::make_shared<const Entry>(
-      Entry{std::move(tuples), std::move(candidates)});
   Shard& shard = ShardFor(user, state);
   util::MutexLock lock(shard.mu);
   Node* node = Descend(shard, user, state, /*create=*/true, nullptr);
@@ -425,17 +433,110 @@ HistogramSnapshot ContextQueryTree::ShardLookupLatency(
   return shards_[shard_index]->lookup_latency.Snapshot();
 }
 
+Status CheckCacheableOptions(const QueryOptions& options) {
+  if (options.combine != db::CombinePolicy::kMax &&
+      options.combine != db::CombinePolicy::kMin) {
+    return Status::InvalidArgument(
+        "CachedRankCS requires an associative combine policy (max or min)");
+  }
+  if (options.discount != ScoreDiscount::kNone) {
+    return Status::InvalidArgument(
+        std::string("CachedRankCS serves undiscounted per-state lists; "
+                    "score discount '") +
+        ScoreDiscountToString(options.discount) + "' needs uncached RankCS");
+  }
+  return Status::OK();
+}
+
+std::vector<db::ScoredTuple> MergeStateLists(
+    const db::Relation& relation,
+    std::span<const std::vector<db::ScoredTuple>* const> lists,
+    const std::vector<db::Predicate>& selections, db::CombinePolicy combine,
+    size_t top_k) {
+  assert(combine == db::CombinePolicy::kMax ||
+         combine == db::CombinePolicy::kMin);
+  auto eligible = [&](db::RowId row) {
+    for (const db::Predicate& sel : selections) {
+      if (!sel.Eval(relation.row(row))) return false;
+    }
+    return true;
+  };
+
+  if (combine == db::CombinePolicy::kMin) {
+    db::Ranker ranker(combine);
+    ranker.ReserveDense(relation.size());
+    for (const std::vector<db::ScoredTuple>* list : lists) {
+      for (const db::ScoredTuple& t : *list) {
+        if (eligible(t.row_id)) ranker.Add(t.row_id, t.score);
+      }
+    }
+    return top_k > 0 ? ranker.TopK(top_k) : ranker.Ranked();
+  }
+
+  // kMax: pop list heads in ranking order (score desc, row asc). Equal
+  // (score, row) heads pop lowest list first, so a row keeps the score
+  // of its earliest list among its maxima — what Ranker's kMax keeps.
+  struct Head {
+    double score;
+    db::RowId row;
+    size_t list;
+    size_t pos;
+  };
+  auto pops_after = [](const Head& a, const Head& b) {
+    if (a.score != b.score) return a.score < b.score;
+    if (a.row != b.row) return a.row > b.row;
+    return a.list > b.list;
+  };
+  std::vector<Head> heap;
+  heap.reserve(lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) {
+    if (!lists[i]->empty()) {
+      heap.push_back(Head{lists[i]->front().score, lists[i]->front().row_id,
+                          i, 0});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), pops_after);
+  // Rows are unique within a list, so one list needs no seen set.
+  const bool dedupe = heap.size() > 1;
+  std::vector<uint8_t> seen(dedupe ? relation.size() : 0);
+
+  std::vector<db::ScoredTuple> out;
+  while (!heap.empty()) {
+    const Head top = heap.front();
+    // Threshold: k rows out and the next head below the k-th score
+    // (every row emitted past k ties the k-th, so out.back() holds it).
+    if (top_k > 0 && out.size() >= top_k && top.score != out.back().score) {
+      break;
+    }
+    std::pop_heap(heap.begin(), heap.end(), pops_after);
+    const std::vector<db::ScoredTuple>& list = *lists[top.list];
+    if (top.pos + 1 < list.size()) {
+      const db::ScoredTuple& next = list[top.pos + 1];
+      heap.back() = Head{next.score, next.row_id, top.list, top.pos + 1};
+      std::push_heap(heap.begin(), heap.end(), pops_after);
+    } else {
+      heap.pop_back();
+    }
+    if (dedupe) {
+      if (top.row >= seen.size()) seen.resize(top.row + 1, 0);
+      if (seen[top.row]) continue;
+      seen[top.row] = 1;
+    }
+    if (eligible(top.row)) out.push_back(db::ScoredTuple{top.row, top.score});
+  }
+  return out;
+}
+
 namespace {
 
 /// Outcome of evaluating one query state: either served from cache or
-/// recomputed (and cached); `candidates` carries the resolution trace
-/// in both cases so hits and misses are indistinguishable downstream.
-/// The set is shared with the cache entry, not copied, so hits cost one
-/// refcount bump instead of a deep copy of states + clause strings.
+/// recomputed (and cached). A hit and a miss both hold the entry the
+/// cache holds — ranked tuples plus the resolution trace — by shared
+/// pointer, so a hit costs one refcount bump, not a copy of its tuples
+/// or candidates, and hits and misses are indistinguishable downstream.
 struct PerStateResult {
   Status status = Status::OK();
-  std::vector<db::ScoredTuple> tuples;
-  ContextQueryTree::CandidateSetPtr candidates;
+  std::shared_ptr<const ContextQueryTree::Entry> entry;
 };
 
 PerStateResult EvaluateState(const db::Relation& relation,
@@ -454,13 +555,8 @@ PerStateResult EvaluateState(const db::Relation& relation,
         Status::DeadlineExceeded("cached_rank_cs: deadline expired at state");
     return out;
   }
-  std::shared_ptr<const ContextQueryTree::Entry> cached =
-      cache.Lookup(cache_user, s, profile_version, counter);
-  if (cached != nullptr) {
-    out.tuples = cached->tuples;
-    out.candidates = cached->candidates;
-    return out;
-  }
+  out.entry = cache.Lookup(cache_user, s, profile_version, counter);
+  if (out.entry != nullptr) return out;
   // Compute this state's contribution with plain Rank_CS, then
   // populate the cache.
   std::vector<CandidatePath> best = resolve(s, options.resolution, counter);
@@ -491,10 +587,11 @@ PerStateResult EvaluateState(const db::Relation& relation,
       }
     }
   }
-  out.tuples = state_ranker.Ranked();
-  out.candidates =
-      std::make_shared<const std::vector<CandidatePath>>(std::move(best));
-  cache.Put(cache_user, s, profile_version, out.tuples, out.candidates);
+  out.entry = std::make_shared<const ContextQueryTree::Entry>(
+      ContextQueryTree::Entry{
+          state_ranker.Ranked(),
+          std::make_shared<const std::vector<CandidatePath>>(std::move(best))});
+  cache.PutEntry(cache_user, s, profile_version, out.entry);
   return out;
 }
 
@@ -512,11 +609,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
                                        ContextQueryTree& cache,
                                        const QueryOptions& options,
                                        AccessCounter* counter) {
-  if (options.combine != db::CombinePolicy::kMax &&
-      options.combine != db::CombinePolicy::kMin) {
-    return Status::InvalidArgument(
-        "CachedRankCS requires an associative combine policy (max or min)");
-  }
+  CTXPREF_RETURN_IF_ERROR(CheckCacheableOptions(options));
   RankMetrics& metrics = RankMetrics::Get();
   TraceSpan span("cached_rank_cs");
   ScopedLatency latency(&metrics.latency);
@@ -590,9 +683,10 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
   }
 
   QueryResult result;
-  db::Ranker ranker(options.combine);
+  std::vector<const std::vector<db::ScoredTuple>*> lists;
+  lists.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
-    PerStateResult& ps = per_state[i];
+    const PerStateResult& ps = per_state[i];
     if (!ps.status.ok()) {
       if (ps.status.IsDeadlineExceeded()) {
         // Partial-work accounting: how many states completed before
@@ -610,28 +704,20 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
       }
       return ps.status;
     }
-    for (const db::ScoredTuple& t : ps.tuples) {
-      // Re-apply the query's restricting selections: cached lists are
-      // selection-agnostic (keyed by context state only).
-      bool eligible = true;
-      for (const db::Predicate& sel : query.selections) {
-        if (!sel.Eval(relation.row(t.row_id))) {
-          eligible = false;
-          break;
-        }
-      }
-      if (eligible) ranker.Add(t.row_id, t.score);
-    }
+    lists.push_back(&ps.entry->tuples);
     // Traces expose plain vectors (explain/CLI consumers mutate and
     // move them), so the shared set is copied out here — once per
     // state, same as the pre-sharing cache-hit cost.
     result.traces.push_back(QueryResult::Trace{
-        states[i], ps.candidates != nullptr ? *ps.candidates
-                                            : std::vector<CandidatePath>{}});
+        states[i], ps.entry->candidates != nullptr
+                       ? *ps.entry->candidates
+                       : std::vector<CandidatePath>{}});
   }
 
-  result.tuples =
-      options.top_k > 0 ? ranker.TopK(options.top_k) : ranker.Ranked();
+  // Cached lists are selection-agnostic (keyed by context state only),
+  // so the merge re-applies the query's restricting selections.
+  result.tuples = MergeStateLists(relation, lists, query.selections,
+                                  options.combine, options.top_k);
   metrics.cached_queries.Increment();
   metrics.states.Increment(states.size());
   if (span.active()) {

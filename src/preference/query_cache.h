@@ -4,6 +4,7 @@
 #include <atomic>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -159,6 +160,12 @@ class ContextQueryTree {
            uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
            CandidateSetPtr candidates = nullptr);
 
+  /// Caches an already-built `entry` — the miss path of `CachedRankCS`
+  /// builds the entry once and shares the same pointer with its merge,
+  /// so caching an answer copies no tuples.
+  void PutEntry(const std::string& user, const ContextState& state,
+                uint64_t profile_version, std::shared_ptr<const Entry> entry);
+
   /// Single-user sugar: `Put("", state, ...)`.
   void Put(const ContextState& state, uint64_t profile_version,
            std::vector<db::ScoredTuple> tuples,
@@ -283,12 +290,45 @@ class ContextQueryTree {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
+/// Whether `options` can be answered from per-state cached lists: the
+/// combine policy must be associative (kMax or kMin), and the score
+/// discount must be kNone — cached lists hold undiscounted scores and
+/// are keyed without the discount. InvalidArgument otherwise.
+/// `CachedRankCS` returns this status up front; the serving ladder's
+/// stale rung skips itself on it.
+Status CheckCacheableOptions(const QueryOptions& options);
+
+/// Merges per-state cached lists into one ranked answer: the combined
+/// score of a row under `combine` (kMax or kMin), rows failing any of
+/// `selections` dropped, cut to `top_k` with the k-th score's ties
+/// kept (0 = all rows) — exactly `db::Ranker` over every listed tuple
+/// followed by `TopK`/`Ranked`. Each list must be sorted by descending
+/// score, then ascending row id, with each row at most once (what
+/// `Ranker::Ranked` produces).
+///
+/// Under kMax this is a threshold merge (the no-random-access variant
+/// of Fagin–Lotem–Naor's threshold algorithm): a k-way heap merge in
+/// ranking order, where a row's first occurrence carries its final
+/// score, so it is emitted at once (if it passes the selections, which
+/// are evaluated only on rows the merge reaches). The merge stops once
+/// `top_k` rows are out and the next head scores below the k-th; the
+/// output comes out already in order. kMin keeps a dense `db::Ranker`
+/// (a row's first occurrence is not its minimum there).
+std::vector<db::ScoredTuple> MergeStateLists(
+    const db::Relation& relation,
+    std::span<const std::vector<db::ScoredTuple>* const> lists,
+    const std::vector<db::Predicate>& selections, db::CombinePolicy combine,
+    size_t top_k);
+
 /// Rank_CS with per-state caching through a `ContextQueryTree`.
 ///
 /// Each query state's ranked tuples are cached independently and the
 /// final answer combines the per-state lists under `options.combine`.
 /// Correctness therefore requires an *associative* combine policy —
-/// kMax or kMin; kAvg/kWeighted return InvalidArgument.
+/// kMax or kMin; kAvg/kWeighted return InvalidArgument, as does any
+/// score discount other than kNone (see `CheckCacheableOptions`). The
+/// lists are merged by `MergeStateLists`; a hit shares the cached
+/// entry and copies no tuples.
 ///
 /// With `options.num_threads` > 1 the states are evaluated on a worker
 /// pool and merged in state-enumeration order, so the result (tuples

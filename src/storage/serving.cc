@@ -139,10 +139,9 @@ namespace {
 /// Ladder rung 1: a cached answer with every query state at ONE
 /// consistent older serving version — mixed versions would be exactly
 /// the torn answer the serving layer promises never to produce. The
-/// merge replicates CachedRankCS's (selections re-applied, associative
-/// combine, top-k last), so the result is bit-identical to a direct
-/// ServeQuery pinned at that version — the differential test's
-/// property.
+/// lists go through CachedRankCS's own merge (`MergeStateLists`), so
+/// the result is bit-identical to a direct ServeQuery pinned at that
+/// version — the differential test's property.
 bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    const ContextualQuery& query,
                    const std::vector<ContextState>& states,
@@ -151,12 +150,9 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    AccessCounter* counter, QueryResult* out,
                    uint64_t* served_version) {
   if (states.empty()) return false;
-  // Same associativity rule as CachedRankCS: per-state lists only
-  // merge correctly under kMax/kMin.
-  if (options.combine != db::CombinePolicy::kMax &&
-      options.combine != db::CombinePolicy::kMin) {
-    return false;
-  }
+  // Same rule as CachedRankCS: per-state lists answer only an
+  // associative combine with undiscounted scores.
+  if (!CheckCacheableOptions(options).ok()) return false;
   const uint64_t min_version = current_version > max_stale_versions
                                    ? current_version - max_stale_versions
                                    : 0;
@@ -177,25 +173,17 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
   }
 
   QueryResult result;
-  db::Ranker ranker(options.combine);
+  std::vector<const std::vector<db::ScoredTuple>*> lists;
+  lists.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
-    for (const db::ScoredTuple& t : entries[i]->tuples) {
-      bool eligible = true;
-      for (const db::Predicate& sel : query.selections) {
-        if (!sel.Eval(relation.row(t.row_id))) {
-          eligible = false;
-          break;
-        }
-      }
-      if (eligible) ranker.Add(t.row_id, t.score);
-    }
+    lists.push_back(&entries[i]->tuples);
     result.traces.push_back(QueryResult::Trace{
         states[i], entries[i]->candidates != nullptr
                        ? *entries[i]->candidates
                        : std::vector<CandidatePath>{}});
   }
-  result.tuples =
-      options.top_k > 0 ? ranker.TopK(options.top_k) : ranker.Ranked();
+  result.tuples = MergeStateLists(relation, lists, query.selections,
+                                  options.combine, options.top_k);
   *out = std::move(result);
   *served_version = version;
   return true;

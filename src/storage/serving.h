@@ -123,8 +123,9 @@ struct ServeOptions {
   AdmissionController* admission = nullptr;
   QueryPriority priority = QueryPriority::kInteractive;
   /// Ladder rung 1: serve a cached answer at an older serving version.
-  /// Requires a cache in retain-stale mode to be useful, an associative
-  /// combine (kMax/kMin, same rule as CachedRankCS), and every query
+  /// Requires a cache in retain-stale mode to be useful, options the
+  /// cache can answer (`CheckCacheableOptions`: kMax/kMin, no score
+  /// discount — the rung is skipped otherwise), and every query
   /// state cached at ONE consistent version — mixed versions would be a
   /// torn answer, the thing this whole layer exists to prevent.
   bool allow_stale = true;

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -23,6 +25,7 @@
 #include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
 #include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "preference/resolution.h"
 #include "storage/profile_store.h"
 #include "storage/serving.h"
@@ -550,6 +553,197 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
       store, "u", relation, query, &cache, tight);
   ASSERT_FALSE(off.ok());
   EXPECT_TRUE(off.status().IsUnavailable()) << off.status().ToString();
+}
+
+// ---- Options sweep: score discount x combine x cache path ---------
+//
+// Cached per-state lists hold undiscounted scores and merge only under
+// an associative combine, so every serving path must either answer
+// exactly what RankCS answers — same rows, bit-identical scores — or
+// refuse the options with InvalidArgument. Never a quietly different
+// answer (cached kInverseDistance once served 0.70 where RankCS gave
+// 0.35).
+
+/// Bit-for-bit tuple equality (`==` on doubles would let -0.0 pass for
+/// 0.0).
+void ExpectBitEqual(const std::vector<db::ScoredTuple>& got,
+                    const std::vector<db::ScoredTuple>& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].row_id, want[i].row_id) << label << " tuple " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+              std::bit_cast<uint64_t>(want[i].score))
+        << label << " tuple " << i << ": " << got[i].score << " vs "
+        << want[i].score;
+  }
+}
+
+/// A random extended query of 1..3 world states.
+ContextualQuery RandomMultiStateQuery(Rng& rng, const ContextEnvironment& env,
+                                      const std::vector<ContextState>& world) {
+  ExtendedDescriptor ecod;
+  const size_t disjuncts = 1 + rng.Uniform(3);
+  for (size_t d = 0; d < disjuncts; ++d) {
+    StatusOr<CompositeDescriptor> cod =
+        CompositeDescriptor::ForState(env, world[rng.Uniform(world.size())]);
+    EXPECT_OK(cod.status());
+    ecod.AddDisjunct(std::move(*cod));
+  }
+  ContextualQuery query;
+  query.context = std::move(ecod);
+  return query;
+}
+
+TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 71);
+  const Profile profile = RandomProfile(rng, env, world);
+  if (profile.empty()) GTEST_SKIP() << "empty draw";
+
+  size_t discounted_differs = 0;
+  for (DistanceKind kind :
+       {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
+    for (ScoreDiscount discount :
+         {ScoreDiscount::kNone, ScoreDiscount::kInverseDistance,
+          ScoreDiscount::kExponential}) {
+      for (db::CombinePolicy combine :
+           {db::CombinePolicy::kMax, db::CombinePolicy::kMin,
+            db::CombinePolicy::kAvg, db::CombinePolicy::kWeighted}) {
+        QueryOptions options;
+        options.resolution.distance = kind;
+        options.discount = discount;
+        options.combine = combine;
+        const bool cacheable = CheckCacheableOptions(options).ok();
+        EXPECT_EQ(cacheable, discount == ScoreDiscount::kNone &&
+                                 (combine == db::CombinePolicy::kMax ||
+                                  combine == db::CombinePolicy::kMin));
+
+        // Cache keys carry (user, state, version) only, so — as with
+        // the distance kind — each options combination gets its own
+        // caches, the way one deployment serves one configuration.
+        storage::ProfileStore store(env);
+        ContextQueryTree cache(env, Ordering::Identity(env->size()));
+        ReplicatedQueryCache::Options ropt;
+        ropt.num_replicas = 2;
+        ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+        ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()),
+                                      ropt);
+        store.AttachCoherenceLog(&replicas.log());
+        ASSERT_OK(store.CreateUser("u", profile));
+        StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot("u");
+        ASSERT_OK(pin.status());
+        const FlatResolver resolver((*pin)->flat_tree());
+
+        for (int trial = 0; trial < 8; ++trial) {
+          ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+          options.top_k = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(4);
+          std::string label = DistanceKindToString(kind);
+          label += " ";
+          label += ScoreDiscountToString(discount);
+          label += " ";
+          label += db::CombinePolicyToString(combine);
+          label += " trial ";
+          label += std::to_string(trial);
+
+          StatusOr<QueryResult> oracle =
+              RankCS(relation, query, resolver, options);
+          ASSERT_OK(oracle.status());
+          if (discount != ScoreDiscount::kNone) {
+            QueryOptions plain = options;
+            plain.discount = ScoreDiscount::kNone;
+            StatusOr<QueryResult> undiscounted =
+                RankCS(relation, query, resolver, plain);
+            ASSERT_OK(undiscounted.status());
+            if (undiscounted->tuples != oracle->tuples) ++discounted_differs;
+          }
+
+          StatusOr<QueryResult> uncached = storage::ServeQuery(
+              **pin, relation, query, /*cache=*/nullptr, options);
+          ASSERT_OK(uncached.status());
+          ExpectBitEqual(uncached->tuples, oracle->tuples,
+                         label + " uncached");
+
+          // Miss pass, then hit pass, through each cache path.
+          for (int pass = 0; pass < 2; ++pass) {
+            const std::string pass_label =
+                label + " pass " + std::to_string(pass);
+            StatusOr<QueryResult> cached =
+                storage::ServeQuery(**pin, relation, query, &cache, options);
+            if (cacheable) {
+              ASSERT_OK(cached.status());
+              ExpectBitEqual(cached->tuples, oracle->tuples,
+                             pass_label + " cached");
+            } else {
+              EXPECT_TRUE(cached.status().IsInvalidArgument())
+                  << pass_label << " cached: " << cached.status().ToString();
+            }
+            for (size_t r = 0; r < replicas.num_replicas(); ++r) {
+              const std::string replica_label =
+                  pass_label + " replica " + std::to_string(r);
+              StatusOr<storage::ServedQuery> replicated =
+                  storage::ServeQueryReplicated(store, "u", relation, query,
+                                                replicas, options, nullptr, r);
+              if (cacheable) {
+                ASSERT_OK(replicated.status());
+                ExpectBitEqual(replicated->result.tuples, oracle->tuples,
+                               replica_label);
+              } else {
+                EXPECT_TRUE(replicated.status().IsInvalidArgument())
+                    << replica_label << ": "
+                    << replicated.status().ToString();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep only means something if discounting changed answers.
+  EXPECT_GT(discounted_differs, 0u);
+}
+
+// The stale rung answers from the same per-state lists, so it must
+// refuse discounted queries too: with entries for the query retained
+// at an older version, a shed discounted query falls off the ladder
+// instead of being served undiscounted scores.
+TEST_P(ServingDifferentialTest, StaleRungSkipsDiscountedQueries) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 97);
+
+  storage::ProfileStore store(env);
+  ContextQueryTree cache(env, Ordering::Identity(env->size()));
+  cache.SetRetainStale(true);
+  store.AttachQueryCache(&cache);
+  ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
+  const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+  ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query, &cache)
+                .status());  // Caches every state at the current version.
+  ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
+
+  storage::AdmissionController shed_all(
+      storage::AdmissionPolicy{.max_in_flight = 0});
+  storage::ServeOptions opts;
+  opts.admission = &shed_all;
+  opts.allow_truncated = false;
+  StatusOr<storage::ServedQuery> stale =
+      storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+  ASSERT_OK(stale.status());
+  EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
+
+  for (ScoreDiscount discount :
+       {ScoreDiscount::kInverseDistance, ScoreDiscount::kExponential}) {
+    opts.query.discount = discount;
+    StatusOr<storage::ServedQuery> refused =
+        storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+    EXPECT_TRUE(refused.status().IsUnavailable())
+        << ScoreDiscountToString(discount) << ": "
+        << refused.status().ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServingDifferentialTest,

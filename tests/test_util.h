@@ -2,7 +2,9 @@
 #define CTXPREF_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,28 @@ namespace ctxpref::testing {
   lhs = std::move(*var)
 #define CONCAT_NAME(a, b) CONCAT_NAME_IMPL(a, b)
 #define CONCAT_NAME_IMPL(a, b) a##b
+
+/// A scratch directory path no other test shares: `TempDir()` plus
+/// `prefix`, the running test's full name and the process id. ctest
+/// runs every TEST in its own process and `ctest -j` runs them side by
+/// side, so a fixed path would be created and `remove_all`ed by
+/// concurrent tests. The caller creates and removes it.
+inline std::string UniqueTempDir(const std::string& prefix) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = prefix;
+  if (info != nullptr) {
+    name += "_";
+    name += info->test_suite_name();
+    name += "_";
+    name += info->name();
+  }
+  name += "_";
+  name += std::to_string(::getpid());
+  // Parameterized names carry '/'; keep the path one level deep.
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + "/" + name;
+}
 
 /// The paper's Fig. 2 environment (location, temperature,
 /// accompanying_people). Asserts success.

@@ -7,12 +7,13 @@
 //     cache cold, warm, and disabled, under a repeating query mix.
 //  3. Conflict-check cost: profile insertion throughput with the
 //     state-level index vs. the naive pairwise Def. 6 check.
+//  4. Rank_CS selections: the relation's own posting lists and truth
+//     tables (`Relation::Select`) vs. a `Predicate::Eval` row scan.
 
 #include <chrono>
 #include <cstdio>
 
 #include "context/parser.h"
-#include "db/index.h"
 #include "preference/qualitative.h"
 #include "preference/contextual_query.h"
 #include "preference/ordering.h"
@@ -205,7 +206,8 @@ int AblateConflictCheck() {
 }
 
 int AblateSelectionIndex() {
-  std::printf("Ablation 4: equality indexes under Rank_CS\n\n");
+  std::printf("Ablation 4: Rank_CS selections, relation posting lists vs "
+              "Predicate::Eval scan\n\n");
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(5000, 77);
   if (!poi.ok()) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
@@ -230,41 +232,45 @@ int AblateSelectionIndex() {
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   TreeResolver resolver(&*tree);
 
-  db::IndexSet indexes(&poi->relation);
-  if (Status st = indexes.AddIndex("type"); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-
-  std::vector<ContextState> queries =
-      workload::RandomQueryBatch(*poi->env, 200, 55, 0.2);
-  auto run = [&](const db::IndexSet* idx) {
-    QueryOptions options;
-    options.indexes = idx;
-    options.top_k = 20;
-    auto start = std::chrono::steady_clock::now();
-    size_t total = 0;
-    for (const ContextState& state : queries) {
-      StatusOr<CompositeDescriptor> cod =
-          CompositeDescriptor::ForState(*poi->env, state);
-      ContextualQuery q;
-      q.context = ExtendedDescriptor::FromComposite(std::move(*cod));
-      StatusOr<QueryResult> r = RankCS(poi->relation, q, resolver, options);
-      if (r.ok()) total += r->tuples.size();
+  // The selections Rank_CS runs for 200 random queries: every clause of
+  // every winning candidate, bound once outside the timed loops.
+  std::vector<db::Predicate> clauses;
+  for (const ContextState& state :
+       workload::RandomQueryBatch(*poi->env, 200, 55, 0.2)) {
+    for (const CandidatePath& cand : resolver.ResolveBest(state, {})) {
+      for (const ProfileTree::LeafEntry& entry : cand.entries) {
+        StatusOr<db::Predicate> pred = db::Predicate::Create(
+            poi->relation.schema(), entry.clause.attribute, entry.clause.op,
+            entry.clause.value);
+        if (pred.ok()) clauses.push_back(std::move(*pred));
+      }
     }
+  }
+  const db::Relation& relation = poi->relation;
+  auto time_rows = [&](auto select) {
+    auto start = std::chrono::steady_clock::now();
+    size_t rows = 0;
+    for (const db::Predicate& pred : clauses) rows += select(pred);
     auto end = std::chrono::steady_clock::now();
     return std::pair<double, size_t>(
-        std::chrono::duration<double, std::milli>(end - start).count(),
-        total);
+        std::chrono::duration<double, std::milli>(end - start).count(), rows);
   };
-  auto [ms_scan, n1] = run(nullptr);
-  auto [ms_index, n2] = run(&indexes);
-  std::printf("%-28s %12s %14s\n", "configuration", "time (ms)",
-              "tuples ranked");
-  std::printf("%-28s %12.2f %14zu\n", "selection scans", ms_scan, n1);
-  std::printf("%-28s %12.2f %14zu\n", "type equality index", ms_index, n2);
-  std::printf("(identical answers: %s; relation has %zu rows)\n\n",
-              n1 == n2 ? "yes" : "NO — BUG", poi->relation.size());
+  auto [ms_scan, n1] = time_rows([&](const db::Predicate& pred) {
+    size_t n = 0;
+    for (db::RowId id = 0; id < relation.size(); ++id) {
+      if (pred.Eval(relation.row(id))) ++n;
+    }
+    return n;
+  });
+  auto [ms_posting, n2] = time_rows([&](const db::Predicate& pred) {
+    return relation.Select(pred).size();
+  });
+  std::printf("%-28s %12s %14s\n", "selection path", "time (ms)",
+              "rows selected");
+  std::printf("%-28s %12.2f %14zu\n", "Predicate::Eval scan", ms_scan, n1);
+  std::printf("%-28s %12.2f %14zu\n", "Relation::Select", ms_posting, n2);
+  std::printf("(identical row counts: %s; %zu selections over %zu rows)\n\n",
+              n1 == n2 ? "yes" : "NO — BUG", clauses.size(), relation.size());
   return 0;
 }
 

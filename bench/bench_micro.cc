@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core operations: tree
 // construction, exact lookup, Search_CS, distance evaluation, Rank_CS
-// end-to-end, query-cache hits, and a cache hit vs miss pair for one
-// whole query. Not a paper figure — operational cost data for library
+// end-to-end, query-cache hits, a cache hit vs miss pair for one
+// whole query, and an Eval-scan vs relation-index pair for Rank_CS's
+// selections. Not a paper figure — operational cost data for library
 // users.
 
 #include <benchmark/benchmark.h>
@@ -239,6 +240,59 @@ void BM_ThreeStateQuery_Hit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ThreeStateQuery_Hit)->Arg(500);
+
+/// Rank_CS's selections over `pois` POIs, `type = museum` and
+/// `open_air = true`, answered two ways: a `Predicate::Eval` loop over
+/// the rows (written here, the pre-index scan) and `Relation::Select`
+/// (the relation's own posting lists). CI gates Eval/Relation >= 10x at
+/// 20 000 POIs.
+struct SelectRig {
+  explicit SelectRig(size_t pois) {
+    StatusOr<workload::PoiDatabase> db = workload::MakePoiDatabase(pois, 11);
+    if (!db.ok()) {
+      std::fprintf(stderr, "rig setup failed\n");
+      std::abort();
+    }
+    poi = std::make_unique<workload::PoiDatabase>(std::move(*db));
+    preds.push_back(*db::Predicate::Create(poi->relation.schema(), "type",
+                                           db::CompareOp::kEq,
+                                           db::Value("museum")));
+    preds.push_back(*db::Predicate::Create(poi->relation.schema(),
+                                           "open_air", db::CompareOp::kEq,
+                                           db::Value(true)));
+  }
+
+  std::unique_ptr<workload::PoiDatabase> poi;
+  std::vector<db::Predicate> preds;
+};
+
+void BM_Select_EvalScan(benchmark::State& state) {
+  SelectRig rig(static_cast<size_t>(state.range(0)));
+  const db::Relation& relation = rig.poi->relation;
+  for (auto _ : state) {
+    for (const db::Predicate& pred : rig.preds) {
+      std::vector<db::RowId> rows;
+      for (db::RowId id = 0; id < relation.size(); ++id) {
+        if (pred.Eval(relation.row(id))) rows.push_back(id);
+      }
+      benchmark::DoNotOptimize(rows);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Select_EvalScan)->Arg(2000)->Arg(20000);
+
+void BM_Select_Relation(benchmark::State& state) {
+  SelectRig rig(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (const db::Predicate& pred : rig.preds) {
+      std::vector<db::RowId> rows = rig.poi->relation.Select(pred);
+      benchmark::DoNotOptimize(rows);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Select_Relation)->Arg(2000)->Arg(20000);
 
 void BM_TreeInsertRemoveCycle(benchmark::State& state) {
   workload::SyntheticProfile gen = MakeProfile(1000, 0.0);

@@ -27,7 +27,6 @@
 #include "context/parser.h"
 #include "util/string_util.h"
 #include "db/csv.h"
-#include "db/index.h"
 #include "preference/contextual_query.h"
 #include "preference/profile_tree.h"
 #include "preference/tree_dot.h"
@@ -44,16 +43,12 @@ struct Session {
   EnvironmentPtr env;
   Profile profile;
   db::Relation relation;
-  db::IndexSet indexes;
   std::optional<ProfileTree> tree;
 
   Session(EnvironmentPtr e, Profile p, db::Relation r)
-      : env(std::move(e)),
-        profile(std::move(p)),
-        relation(std::move(r)),
-        indexes(&relation) {}
+      : env(std::move(e)), profile(std::move(p)), relation(std::move(r)) {}
 
-  Status Reindex() {
+  Status RebuildTree() {
     StatusOr<ProfileTree> t = ProfileTree::Build(profile);
     if (!t.ok()) return t.status();
     tree.emplace(std::move(*t));
@@ -87,7 +82,6 @@ void HandleQuery(Session& s, const std::string& arg) {
   q.context = *ecod;
   QueryOptions options;
   options.top_k = 20;
-  options.indexes = &s.indexes;
   TreeResolver resolver(&*s.tree);
   StatusOr<QueryResult> result = RankCS(s.relation, q, resolver, options);
   if (!result.ok()) {
@@ -145,8 +139,8 @@ void HandlePref(Session& s, const std::string& arg) {
       return;
     }
   }
-  if (Status st = s.Reindex(); !st.ok()) {
-    std::printf("reindex failed: %s\n", st.ToString().c_str());
+  if (Status st = s.RebuildTree(); !st.ok()) {
+    std::printf("tree rebuild failed: %s\n", st.ToString().c_str());
     return;
   }
   std::printf("ok (%zu preferences)\n", s.profile.size());
@@ -271,15 +265,7 @@ int main(int argc, char** argv) {
   }
 
   Session session(env, std::move(*profile), std::move(*relation));
-  if (Status st = session.indexes.AddIndex("type"); !st.ok()) {
-    std::fprintf(stderr, "index: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  if (Status st = session.indexes.AddIndex("name"); !st.ok()) {
-    std::fprintf(stderr, "index: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  if (Status st = session.Reindex(); !st.ok()) {
+  if (Status st = session.RebuildTree(); !st.ok()) {
     std::fprintf(stderr, "tree: %s\n", st.ToString().c_str());
     return 1;
   }

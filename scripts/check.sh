@@ -190,6 +190,19 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     --target-prefix BM_ThreeStateQuery_Hit \
     --min-ratio 2 --pair-filter '/500$'
 
+  echo "==== bench gate (relation selection vs Eval scan) ===="
+  # Rank_CS's selections through the relation's posting lists must beat
+  # a plain Predicate::Eval row loop by >= 10x at 20 000 POIs.
+  ./build-bench/bench/bench_micro \
+    --benchmark_filter='BM_Select_' \
+    --benchmark_min_time=0.2 \
+    --benchmark_out=build-bench/bench_select.json
+  python3 scripts/compare_bench.py \
+    --speedup build-bench/bench_select.json \
+    --base-prefix BM_Select_EvalScan \
+    --target-prefix BM_Select_Relation \
+    --min-ratio 10 --pair-filter '/20000$'
+
   echo "==== bench gate (overload goodput, shed vs noshed) ===="
   # The binary's own bars (torn == 0, shed retains >= 80% of peak
   # goodput at 2x) fail via its exit code; bars self-skip on one

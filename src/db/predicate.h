@@ -10,6 +10,12 @@
 
 namespace ctxpref::db {
 
+/// Binds `column_name` for a constant of type `type`: the column's index
+/// in `schema`. NotFound for an unknown column, InvalidArgument when
+/// the column's type is not `type`.
+StatusOr<size_t> BindColumn(const Schema& schema, std::string_view column_name,
+                            ColumnType type);
+
 /// A selection predicate `A θ a` over one column (the attribute-clause
 /// shape of paper Def. 5 and the σ of Rank_CS).
 class Predicate {

@@ -102,29 +102,17 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
       // the expensive part — not yet).
       if (options.deadline.Expired()) return deadline_exceeded();
       for (const ProfileTree::LeafEntry& entry : cand.entries) {
-        StatusOr<db::Predicate> pred =
-            db::Predicate::Create(relation.schema(), entry.clause.attribute,
-                                  entry.clause.op, entry.clause.value);
-        if (!pred.ok()) return pred.status();
-        std::vector<db::RowId> rows =
-            options.indexes != nullptr ? options.indexes->Select(*pred)
-            : options.columns != nullptr ? options.columns->Select(*pred)
-                                         : relation.Select(*pred);
-        for (db::RowId row : rows) {
-          // Restricting selections, if any, must all pass.
-          bool eligible = true;
-          for (const db::Predicate& sel : query.selections) {
-            if (!sel.Eval(relation.row(row))) {
-              eligible = false;
-              break;
-            }
-          }
-          if (eligible) {
-            ranker.Add(row, ApplyDiscount(options.discount, entry.score,
-                                          cand.distance));
-            ++tuples_scored;
-          }
-        }
+        const double score =
+            ApplyDiscount(options.discount, entry.score, cand.distance);
+        CTXPREF_RETURN_IF_ERROR(
+            SelectClause(relation, entry.clause, [&](db::RowId row) {
+              // Restricting selections, if any, must all pass.
+              for (const db::Predicate& sel : query.selections) {
+                if (!sel.Eval(relation.row(row))) return;
+              }
+              ranker.Add(row, score);
+              ++tuples_scored;
+            }));
       }
     }
     result.traces.push_back(QueryResult::Trace{s, std::move(best)});

@@ -3,10 +3,10 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "context/descriptor.h"
-#include "db/index.h"
 #include "db/ranker.h"
 #include "db/relation.h"
 #include "preference/resolution.h"
@@ -65,7 +65,8 @@ const char* ScoreDiscountToString(ScoreDiscount d);
 /// Applies `discount` to `score` for a candidate at `distance`.
 double ApplyDiscount(ScoreDiscount discount, double score, double distance);
 
-/// Options for Rank_CS.
+/// Options for Rank_CS. Selection has no switch here: every clause runs
+/// through the relation's own selection structures (`SelectClause`).
 struct QueryOptions {
   ResolutionOptions resolution;
   /// Distance-based score discounting (kNone = the paper's semantics).
@@ -75,15 +76,6 @@ struct QueryOptions {
   db::CombinePolicy combine = db::CombinePolicy::kMax;
   /// 0 = return all scored tuples.
   size_t top_k = 0;
-  /// Optional equality indexes over the queried relation; when set,
-  /// Rank_CS's selections use them instead of scanning (must have been
-  /// built against the same relation).
-  const db::IndexSet* indexes = nullptr;
-  /// Optional columnar projection of the queried relation; when set
-  /// (and `indexes` is not), Rank_CS's selections scan it attribute-
-  /// major instead of walking the row-store tuples. Must have been
-  /// built against the same relation contents.
-  const db::ColumnarProjection* columns = nullptr;
   /// Worker threads for `CachedRankCS`'s per-state loop. 1 = evaluate
   /// states inline (the historical behavior); > 1 spreads the states of
   /// the extended descriptor over a `ThreadPool`. The merge order is
@@ -117,6 +109,23 @@ struct QueryOptions {
   /// compiling.
   util::Deadline deadline;
 };
+
+/// σ_{A θ a}(relation) for one resolved attribute clause, the one
+/// selection call of `RankCS` and of `CachedRankCS`'s miss path: calls
+/// `visit(row)` for every matching row id, in row order, read in place
+/// from the relation's own selection structures (the clause's constant
+/// is not copied). NotFound / InvalidArgument when the clause does not
+/// bind against the relation's schema (see `db::BindColumn`).
+template <typename Visit>
+Status SelectClause(const db::Relation& relation, const AttributeClause& clause,
+                    Visit&& visit) {
+  StatusOr<size_t> column =
+      db::BindColumn(relation.schema(), clause.attribute, clause.value.type());
+  if (!column.ok()) return column.status();
+  relation.ForEachMatch(*column, clause.op, clause.value,
+                        std::forward<Visit>(visit));
+  return Status::OK();
+}
 
 /// Result of Rank_CS: scored tuples plus resolution diagnostics
 /// (which preference states were used — the paper's usability study

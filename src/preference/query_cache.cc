@@ -164,7 +164,8 @@ void ContextQueryTree::RemovePath(Shard& shard, const std::string& user,
 
 std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
     const std::string& user, const ContextState& state,
-    uint64_t profile_version, AccessCounter* counter) {
+    uint64_t profile_version, const CacheConfig& config,
+    AccessCounter* counter) {
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.lookup");
   // One clock pair serves both the outcome-dependent hit/miss
@@ -179,7 +180,11 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
     util::MutexLock lock(shard.mu);
     ++shard.lookups;
     Node* node = Descend(shard, user, state, /*create=*/false, counter);
-    if (node == nullptr || node->leaf == nullptr) {
+    if (node == nullptr || node->leaf == nullptr ||
+        (node->leaf->version == profile_version &&
+         node->leaf->entry->config != config)) {
+      // Absent, or computed under other options: the caller recomputes
+      // and its Put replaces the entry.
       ++shard.misses;
       ++shard.pending_misses;
     } else if (node->leaf->version != profile_version) {
@@ -235,6 +240,7 @@ std::shared_ptr<const ContextQueryTree::Entry>
 ContextQueryTree::LookupAtOrBefore(const std::string& user,
                                    const ContextState& state,
                                    uint64_t max_version, uint64_t min_version,
+                                   const CacheConfig& config,
                                    uint64_t* entry_version,
                                    AccessCounter* counter) {
   CacheMetrics& metrics = CacheMetrics::Get();
@@ -247,14 +253,16 @@ ContextQueryTree::LookupAtOrBefore(const std::string& user,
     Node* node = Descend(shard, user, state, /*create=*/false, counter);
     if (node != nullptr && node->leaf != nullptr &&
         node->leaf->version <= max_version &&
-        node->leaf->version >= min_version) {
+        node->leaf->version >= min_version &&
+        node->leaf->entry->config == config) {
       shard.lru.splice(shard.lru.begin(), shard.lru, node->leaf->lru_it);
       ++shard.hits;
       ++shard.pending_hits;
       if (entry_version != nullptr) *entry_version = node->leaf->version;
       result = node->leaf->entry;
     } else {
-      // Absent or outside the window: plain miss, nothing dropped.
+      // Absent, outside the window or of other options: plain miss,
+      // nothing dropped.
       ++shard.misses;
       ++shard.pending_misses;
     }
@@ -281,7 +289,7 @@ void ContextQueryTree::Put(const std::string& user, const ContextState& state,
                            CandidateSetPtr candidates) {
   PutEntry(user, state, profile_version,
            std::make_shared<const Entry>(
-               Entry{std::move(tuples), std::move(candidates)}));
+               Entry{std::move(tuples), std::move(candidates), CacheConfig{}}));
 }
 
 void ContextQueryTree::PutEntry(const std::string& user,
@@ -473,56 +481,41 @@ std::vector<db::ScoredTuple> MergeStateLists(
     return top_k > 0 ? ranker.TopK(top_k) : ranker.Ranked();
   }
 
-  // kMax: pop list heads in ranking order (score desc, row asc). Equal
-  // (score, row) heads pop lowest list first, so a row keeps the score
+  // kMax: take list heads in ranking order (score desc, row asc). Equal
+  // (score, row) heads go lowest list first, so a row keeps the score
   // of its earliest list among its maxima — what Ranker's kMax keeps.
-  struct Head {
-    double score;
-    db::RowId row;
-    size_t list;
-    size_t pos;
-  };
-  auto pops_after = [](const Head& a, const Head& b) {
-    if (a.score != b.score) return a.score < b.score;
-    if (a.row != b.row) return a.row > b.row;
-    return a.list > b.list;
-  };
-  std::vector<Head> heap;
-  heap.reserve(lists.size());
-  for (size_t i = 0; i < lists.size(); ++i) {
-    if (!lists[i]->empty()) {
-      heap.push_back(Head{lists[i]->front().score, lists[i]->front().row_id,
-                          i, 0});
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), pops_after);
+  // A query has a handful of states, so a scan over the heads finds the
+  // best one for less than keeping a heap of them in order costs.
+  std::vector<size_t> pos(lists.size(), 0);
   // Rows are unique within a list, so one list needs no seen set.
-  const bool dedupe = heap.size() > 1;
-  std::vector<uint8_t> seen(dedupe ? relation.size() : 0);
+  std::vector<uint8_t> seen(lists.size() > 1 ? relation.size() : 0);
 
   std::vector<db::ScoredTuple> out;
-  while (!heap.empty()) {
-    const Head top = heap.front();
-    // Threshold: k rows out and the next head below the k-th score
+  for (;;) {
+    const db::ScoredTuple* best = nullptr;
+    size_t best_list = 0;
+    for (size_t i = 0; i < lists.size(); ++i) {
+      if (pos[i] == lists[i]->size()) continue;
+      const db::ScoredTuple& head = (*lists[i])[pos[i]];
+      if (best == nullptr || head.score > best->score ||
+          (head.score == best->score && head.row_id < best->row_id)) {
+        best = &head;
+        best_list = i;
+      }
+    }
+    if (best == nullptr) break;
+    // Threshold: k rows out and the best head below the k-th score
     // (every row emitted past k ties the k-th, so out.back() holds it).
-    if (top_k > 0 && out.size() >= top_k && top.score != out.back().score) {
+    if (top_k > 0 && out.size() >= top_k && best->score != out.back().score) {
       break;
     }
-    std::pop_heap(heap.begin(), heap.end(), pops_after);
-    const std::vector<db::ScoredTuple>& list = *lists[top.list];
-    if (top.pos + 1 < list.size()) {
-      const db::ScoredTuple& next = list[top.pos + 1];
-      heap.back() = Head{next.score, next.row_id, top.list, top.pos + 1};
-      std::push_heap(heap.begin(), heap.end(), pops_after);
-    } else {
-      heap.pop_back();
+    ++pos[best_list];
+    if (lists.size() > 1) {
+      if (best->row_id >= seen.size()) seen.resize(best->row_id + 1, 0);
+      if (seen[best->row_id]) continue;
+      seen[best->row_id] = 1;
     }
-    if (dedupe) {
-      if (top.row >= seen.size()) seen.resize(top.row + 1, 0);
-      if (seen[top.row]) continue;
-      seen[top.row] = 1;
-    }
-    if (eligible(top.row)) out.push_back(db::ScoredTuple{top.row, top.score});
+    if (eligible(best->row_id)) out.push_back(*best);
   }
   return out;
 }
@@ -555,7 +548,8 @@ PerStateResult EvaluateState(const db::Relation& relation,
         Status::DeadlineExceeded("cached_rank_cs: deadline expired at state");
     return out;
   }
-  out.entry = cache.Lookup(cache_user, s, profile_version, counter);
+  const CacheConfig config = CacheConfig::Of(options);
+  out.entry = cache.Lookup(cache_user, s, profile_version, config, counter);
   if (out.entry != nullptr) return out;
   // Compute this state's contribution with plain Rank_CS, then
   // populate the cache.
@@ -571,26 +565,17 @@ PerStateResult EvaluateState(const db::Relation& relation,
   state_ranker.ReserveDense(relation.size());
   for (const CandidatePath& cand : best) {
     for (const ProfileTree::LeafEntry& entry : cand.entries) {
-      StatusOr<db::Predicate> pred =
-          db::Predicate::Create(relation.schema(), entry.clause.attribute,
-                                entry.clause.op, entry.clause.value);
-      if (!pred.ok()) {
-        out.status = pred.status();
-        return out;
-      }
-      std::vector<db::RowId> rows =
-          options.indexes != nullptr ? options.indexes->Select(*pred)
-          : options.columns != nullptr ? options.columns->Select(*pred)
-                                       : relation.Select(*pred);
-      for (db::RowId row : rows) {
+      out.status = SelectClause(relation, entry.clause, [&](db::RowId row) {
         state_ranker.Add(row, entry.score);
-      }
+      });
+      if (!out.status.ok()) return out;
     }
   }
   out.entry = std::make_shared<const ContextQueryTree::Entry>(
       ContextQueryTree::Entry{
           state_ranker.Ranked(),
-          std::make_shared<const std::vector<CandidatePath>>(std::move(best))});
+          std::make_shared<const std::vector<CandidatePath>>(std::move(best)),
+          config});
   cache.PutEntry(cache_user, s, profile_version, out.entry);
   return out;
 }

@@ -40,6 +40,19 @@ struct CacheStats {
   friend bool operator==(const CacheStats&, const CacheStats&) = default;
 };
 
+/// The query options a cached per-state list depends on beyond its key
+/// (user, state, version): the combine policy that merged the state's
+/// clauses and the resolution options that picked its candidates.
+struct CacheConfig {
+  db::CombinePolicy combine = db::CombinePolicy::kMax;
+  ResolutionOptions resolution;
+
+  static CacheConfig Of(const QueryOptions& options) {
+    return CacheConfig{options.combine, options.resolution};
+  }
+  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
+};
+
 /// The context query tree: the paper's second index structure,
 /// announced in the contribution list ("caching the results of queries
 /// based on their context", §1/§7; the dedicated section is elided in
@@ -58,10 +71,11 @@ struct CacheStats {
 /// — for server-side multi-user serving that is the `ProfileStore`
 /// *serving* version of the published `ProfileSnapshot`, which is
 /// monotone across reloads and user re-creation (`Profile::version()`
-/// restarts on reload and can collide; see docs/serving.md) — and are
-/// dropped on touch when the version moved, or eagerly by
-/// `InvalidateUser` when a new profile version is published. Beyond the
-/// shard capacity, entries are evicted LRU.
+/// restarts on reload and can collide; see docs/serving.md) — and carry
+/// the `CacheConfig` they were computed under (a lookup under other
+/// options misses). They are dropped on touch when the version moved,
+/// or eagerly by `InvalidateUser` when a new profile version is
+/// published. Beyond the shard capacity, entries are evicted LRU.
 ///
 /// The single-user entry points (no user id) are sugar for the empty
 /// user id "".
@@ -88,6 +102,9 @@ class ContextQueryTree {
     std::vector<db::ScoredTuple> tuples;
     /// Null means "no candidates recorded" (treated as empty).
     CandidateSetPtr candidates;
+    /// The options `tuples` were computed under; a lookup under other
+    /// options misses (and the recomputed entry replaces this one).
+    CacheConfig config;
   };
 
   /// `capacity` = target number of cached states across all shards
@@ -123,39 +140,45 @@ class ContextQueryTree {
   uint64_t evictions() const { return Stats().evictions; }
   uint64_t invalidations() const { return Stats().invalidations; }
 
-  /// Returns the cached entry for `user`'s `state` if present and
-  /// computed at `profile_version`; stale entries are dropped on touch
-  /// (counted as both a miss and an invalidation). Ticks `counter` per
-  /// inspected cell (the cache costs cells too). The returned snapshot
-  /// stays valid after concurrent mutations.
+  /// Returns the cached entry for `user`'s `state` if present, computed
+  /// at `profile_version` and under `config`; stale entries are dropped
+  /// on touch (counted as both a miss and an invalidation), an entry of
+  /// another config is a plain miss. Ticks `counter` per inspected cell
+  /// (the cache costs cells too). The returned snapshot stays valid
+  /// after concurrent mutations.
   std::shared_ptr<const Entry> Lookup(const std::string& user,
                                       const ContextState& state,
                                       uint64_t profile_version,
+                                      const CacheConfig& config = {},
                                       AccessCounter* counter = nullptr);
 
   /// Single-user sugar: `Lookup("", state, ...)`.
   std::shared_ptr<const Entry> Lookup(const ContextState& state,
                                       uint64_t profile_version,
                                       AccessCounter* counter = nullptr) {
-    return Lookup(std::string(), state, profile_version, counter);
+    return Lookup(std::string(), state, profile_version, CacheConfig{},
+                  counter);
   }
 
   /// Bounded-staleness lookup for the degradation ladder: returns the
   /// cached entry for `user`'s `state` if its stored version lies in
-  /// `[min_version, max_version]`, writing the actual version to
-  /// `*entry_version`. Unlike `Lookup` it never drops an entry — an
-  /// out-of-window version is simply a miss (the entry may serve a
-  /// different staleness window later). Requires retain-stale mode (or
-  /// luck) for entries older than the current serving version to still
-  /// be present. Counted as a lookup plus hit/miss in the shard stats.
+  /// `[min_version, max_version]` and it was computed under `config`,
+  /// writing the actual version to `*entry_version`. Unlike `Lookup` it
+  /// never drops an entry — an out-of-window version is simply a miss
+  /// (the entry may serve a different staleness window later). Requires
+  /// retain-stale mode (or luck) for entries older than the current
+  /// serving version to still be present. Counted as a lookup plus
+  /// hit/miss in the shard stats.
   std::shared_ptr<const Entry> LookupAtOrBefore(
       const std::string& user, const ContextState& state,
       uint64_t max_version, uint64_t min_version,
-      uint64_t* entry_version = nullptr, AccessCounter* counter = nullptr);
+      const CacheConfig& config = {}, uint64_t* entry_version = nullptr,
+      AccessCounter* counter = nullptr);
 
   /// Caches `tuples` (and the resolution `candidates` that produced
-  /// them) for `user`'s `state` at `profile_version`, evicting the
-  /// shard's least-recently-used entry beyond the shard capacity.
+  /// them) for `user`'s `state` at `profile_version`, under the default
+  /// `CacheConfig`, evicting the shard's least-recently-used entry
+  /// beyond the shard capacity.
   void Put(const std::string& user, const ContextState& state,
            uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
            CandidateSetPtr candidates = nullptr);
@@ -293,7 +316,7 @@ class ContextQueryTree {
 /// Whether `options` can be answered from per-state cached lists: the
 /// combine policy must be associative (kMax or kMin), and the score
 /// discount must be kNone — cached lists hold undiscounted scores and
-/// are keyed without the discount. InvalidArgument otherwise.
+/// their `CacheConfig` does not record a discount. InvalidArgument otherwise.
 /// `CachedRankCS` returns this status up front; the serving ladder's
 /// stale rung skips itself on it.
 Status CheckCacheableOptions(const QueryOptions& options);
@@ -307,8 +330,9 @@ Status CheckCacheableOptions(const QueryOptions& options);
 /// `Ranker::Ranked` produces).
 ///
 /// Under kMax this is a threshold merge (the no-random-access variant
-/// of Fagin–Lotem–Naor's threshold algorithm): a k-way heap merge in
-/// ranking order, where a row's first occurrence carries its final
+/// of Fagin–Lotem–Naor's threshold algorithm): a k-way merge in ranking
+/// order (the best list head found by a scan over the heads, one per
+/// query state), where a row's first occurrence carries its final
 /// score, so it is emitted at once (if it passes the selections, which
 /// are evaluated only on rows the merge reaches). The merge stops once
 /// `top_k` rows are out and the next head scores below the k-th; the

@@ -23,6 +23,9 @@ struct ResolutionOptions {
   /// Exists as an ablation switch for the scenario harness; leave on
   /// everywhere else.
   bool jaccard_tie_break = true;
+
+  friend bool operator==(const ResolutionOptions&,
+                         const ResolutionOptions&) = default;
 };
 
 /// One candidate produced by Search_CS: a stored context state that

@@ -159,15 +159,18 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
   // The first state picks the consistent version V (newest available
   // within the window); every other state must then hit exactly V.
   uint64_t version = 0;
+  // Lists computed under other options (combine, resolution) miss.
+  const CacheConfig config = CacheConfig::Of(options);
   std::vector<std::shared_ptr<const ContextQueryTree::Entry>> entries;
   entries.reserve(states.size());
-  std::shared_ptr<const ContextQueryTree::Entry> first = cache.LookupAtOrBefore(
-      user_id, states[0], current_version, min_version, &version, counter);
+  std::shared_ptr<const ContextQueryTree::Entry> first =
+      cache.LookupAtOrBefore(user_id, states[0], current_version, min_version,
+                             config, &version, counter);
   if (first == nullptr) return false;
   entries.push_back(std::move(first));
   for (size_t i = 1; i < states.size(); ++i) {
     std::shared_ptr<const ContextQueryTree::Entry> e = cache.LookupAtOrBefore(
-        user_id, states[i], version, version, nullptr, counter);
+        user_id, states[i], version, version, config, nullptr, counter);
     if (e == nullptr) return false;
     entries.push_back(std::move(e));
   }

@@ -485,7 +485,7 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
   EXPECT_TRUE(replicas.Covers(0, now));
   uint64_t found_version = 0;
   EXPECT_EQ(replicas.replica(0).LookupAtOrBefore("u", world[0], now,
-                                                 /*min_version=*/0,
+                                                 /*min_version=*/0, {},
                                                  &found_version, nullptr),
             nullptr)
       << "v" << v1 << " entry should be reclaimed, got v" << found_version;

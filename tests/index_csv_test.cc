@@ -1,119 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "db/csv.h"
-#include "db/index.h"
-#include "preference/contextual_query.h"
-#include "preference/profile_tree.h"
 #include "tests/test_util.h"
 #include "workload/poi_dataset.h"
 
 namespace ctxpref::db {
 namespace {
-
-using ::ctxpref::testing::Pref;
-
-class IndexTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    StatusOr<Schema> schema = Schema::Create({{"id", ColumnType::kInt64},
-                                              {"type", ColumnType::kString}});
-    ASSERT_OK(schema.status());
-    relation_ = std::make_unique<Relation>(std::move(*schema));
-    const char* types[] = {"museum", "park", "museum", "zoo", "park",
-                           "museum"};
-    for (int64_t i = 0; i < 6; ++i) {
-      ASSERT_OK(relation_->Append({Value(i), Value(types[i])}));
-    }
-  }
-  std::unique_ptr<Relation> relation_;
-};
-
-TEST_F(IndexTest, LookupMatchesScan) {
-  StatusOr<HashIndex> index = HashIndex::Build(*relation_, "type");
-  ASSERT_OK(index.status());
-  EXPECT_EQ(index->distinct_values(), 3u);
-  EXPECT_EQ(index->row_count(), 6u);
-  for (const char* t : {"museum", "park", "zoo", "absent"}) {
-    StatusOr<Predicate> pred =
-        Predicate::Create(relation_->schema(), "type", CompareOp::kEq,
-                          Value(t));
-    ASSERT_OK(pred.status());
-    EXPECT_EQ(index->Lookup(Value(t)), relation_->Select(*pred)) << t;
-  }
-}
-
-TEST_F(IndexTest, BuildRejectsUnknownColumn) {
-  EXPECT_TRUE(HashIndex::Build(*relation_, "nope").status().IsNotFound());
-}
-
-TEST_F(IndexTest, IndexSetSelectsViaIndexForEquality) {
-  IndexSet indexes(&*relation_);
-  ASSERT_OK(indexes.AddIndex("type"));
-  StatusOr<Predicate> eq = Predicate::Create(relation_->schema(), "type",
-                                             CompareOp::kEq, Value("park"));
-  bool used = false;
-  EXPECT_EQ(indexes.Select(*eq, &used), relation_->Select(*eq));
-  EXPECT_TRUE(used);
-  // Non-equality predicates fall back to scans.
-  StatusOr<Predicate> ne = Predicate::Create(relation_->schema(), "type",
-                                             CompareOp::kNe, Value("park"));
-  EXPECT_EQ(indexes.Select(*ne, &used), relation_->Select(*ne));
-  EXPECT_FALSE(used);
-  // Unindexed columns too.
-  StatusOr<Predicate> id_eq = Predicate::Create(relation_->schema(), "id",
-                                                CompareOp::kEq,
-                                                Value(int64_t{3}));
-  EXPECT_EQ(indexes.Select(*id_eq, &used), relation_->Select(*id_eq));
-  EXPECT_FALSE(used);
-}
-
-TEST_F(IndexTest, StaleIndexIsBypassed) {
-  IndexSet indexes(&*relation_);
-  ASSERT_OK(indexes.AddIndex("type"));
-  ASSERT_OK(relation_->Append({Value(int64_t{6}), Value("park")}));
-  EXPECT_EQ(indexes.For(1), nullptr);  // Stale.
-  StatusOr<Predicate> eq = Predicate::Create(relation_->schema(), "type",
-                                             CompareOp::kEq, Value("park"));
-  bool used = true;
-  std::vector<RowId> rows = indexes.Select(*eq, &used);
-  EXPECT_FALSE(used);                      // Fell back to the scan...
-  EXPECT_EQ(rows, relation_->Select(*eq)); // ...with correct results.
-  ASSERT_OK(indexes.AddIndex("type"));     // Rebuild.
-  EXPECT_NE(indexes.For(1), nullptr);
-}
-
-TEST_F(IndexTest, RankCSWithIndexesMatchesWithout) {
-  StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(100, 9);
-  ASSERT_OK(poi.status());
-  Profile profile(poi->env);
-  ASSERT_OK(profile.Insert(Pref(*poi->env, "accompanying_people = friends",
-                                "type", "brewery", 0.9)));
-  ASSERT_OK(profile.Insert(
-      Pref(*poi->env, "temperature = hot", "type", "park", 0.8)));
-  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
-  ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
-
-  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
-      *poi->env,
-      "temperature = hot and accompanying_people = friends");
-  ASSERT_OK(ecod.status());
-  ContextualQuery q;
-  q.context = *ecod;
-
-  IndexSet indexes(&poi->relation);
-  ASSERT_OK(indexes.AddIndex("type"));
-  QueryOptions indexed;
-  indexed.indexes = &indexes;
-
-  StatusOr<QueryResult> plain = RankCS(poi->relation, q, resolver);
-  StatusOr<QueryResult> fast = RankCS(poi->relation, q, resolver, indexed);
-  ASSERT_OK(plain.status());
-  ASSERT_OK(fast.status());
-  EXPECT_EQ(plain->tuples, fast->tuples);
-}
-
-// ---------------------------------------------------------------------
 
 class CsvTest : public ::testing::Test {
  protected:

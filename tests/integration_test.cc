@@ -11,7 +11,6 @@
 #include "context/parser.h"
 #include "context/source.h"
 #include "db/csv.h"
-#include "db/index.h"
 #include "preference/continuous.h"
 #include "preference/explain.h"
 #include "preference/profile_stats.h"
@@ -62,10 +61,6 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_OK(relation.status());
   ASSERT_EQ(relation->size(), poi->relation.size());
 
-  db::IndexSet indexes(&*relation);
-  ASSERT_OK(indexes.AddIndex("type"));
-  ASSERT_OK(indexes.AddIndex("name"));
-
   // ---- 3. Users: default profiles in a store; one user edits.
   storage::ProfileStore store(*env);
   StatusOr<std::vector<Profile>> defaults = workload::AllDefaultProfiles(*env);
@@ -94,7 +89,7 @@ TEST_F(IntegrationTest, FullPipeline) {
   EXPECT_GT(stats.num_preferences, 10u);
   EXPECT_GT(stats.coverage_estimate, 0.5);  // Defaults are broad.
 
-  // ---- 4. Query with index + cache; explanations line up.
+  // ---- 4. Query with the cache; explanations line up.
   StatusOr<const ProfileTree*> tree = store.GetTree("user0");
   ASSERT_OK(tree.status());
   TreeResolver resolver(*tree);
@@ -109,7 +104,6 @@ TEST_F(IntegrationTest, FullPipeline) {
   query.context = *ecod;
   QueryOptions options;
   options.top_k = 10;
-  options.indexes = &indexes;
 
   StatusOr<QueryResult> direct = RankCS(*relation, query, resolver, options);
   ASSERT_OK(direct.status());

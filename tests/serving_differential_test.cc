@@ -168,7 +168,10 @@ std::map<db::RowId, double> BruteForceRank(
             relation.schema(), e.clause->attribute, e.clause->op,
             e.clause->value);
         EXPECT_TRUE(pred.ok());
-        for (db::RowId row : relation.Select(*pred)) {
+        // A plain Eval loop, independent of the relation's selection
+        // path under test.
+        for (db::RowId row = 0; row < relation.size(); ++row) {
+          if (!pred->Eval(relation.row(row))) continue;
           auto [it, inserted] = scores.try_emplace(row, e.score);
           if (!inserted) it->second = std::max(it->second, e.score);
         }
@@ -345,7 +348,6 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
   TreeResolver pointer_resolver(&*tree);
   FlatResolver flat_resolver(&flat);
   const db::Relation relation = MakeRelation();
-  const db::ColumnarProjection columns(relation);
 
   for (DistanceKind kind :
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
@@ -371,12 +373,10 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
             << label << " exact-lookup presence";
       }
     }
-    // Full Rank_CS, pointer/row-store vs flat/columnar: layout *and*
-    // scan path both swapped, answers still identical.
+    // Full Rank_CS, pointer vs flat: layout swapped, answers still
+    // identical.
     QueryOptions options;
     options.resolution.distance = kind;
-    QueryOptions flat_options = options;
-    flat_options.columns = &columns;
     for (const ContextState& q : world) {
       StatusOr<CompositeDescriptor> cod =
           CompositeDescriptor::ForState(*env, q);
@@ -386,7 +386,7 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
       StatusOr<QueryResult> via_pointer =
           RankCS(relation, query, pointer_resolver, options);
       StatusOr<QueryResult> via_flat =
-          RankCS(relation, query, flat_resolver, flat_options);
+          RankCS(relation, query, flat_resolver, options);
       ASSERT_OK(via_pointer.status());
       ASSERT_OK(via_flat.status());
       EXPECT_EQ(via_pointer->tuples, via_flat->tuples)
@@ -621,9 +621,9 @@ TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
                                  (combine == db::CombinePolicy::kMax ||
                                   combine == db::CombinePolicy::kMin));
 
-        // Cache keys carry (user, state, version) only, so — as with
-        // the distance kind — each options combination gets its own
-        // caches, the way one deployment serves one configuration.
+        // Fresh caches per options combination, so pass 0 misses and
+        // pass 1 hits (InterleavedConfigsShareOneCacheExactly shares
+        // one cache across combinations).
         storage::ProfileStore store(env);
         ContextQueryTree cache(env, Ordering::Identity(env->size()));
         ReplicatedQueryCache::Options ropt;
@@ -703,6 +703,131 @@ TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
   }
   // The sweep only means something if discounting changed answers.
   EXPECT_GT(discounted_differs, 0u);
+}
+
+// Cache entries are keyed (user, state, version); the combine policy
+// and resolution options they were computed under ride along in the
+// entry, and a lookup under other options misses. One shared cache and
+// one replica serve queries that interleave kMax/kMin x hierarchy/
+// Jaccard, every answer bit-equal to RankCS under its own options.
+TEST_P(ServingDifferentialTest, InterleavedConfigsShareOneCacheExactly) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 131);
+  const Profile profile = RandomProfile(rng, env, world);
+  if (profile.empty()) GTEST_SKIP() << "empty draw";
+
+  storage::ProfileStore store(env);
+  ContextQueryTree cache(env, Ordering::Identity(env->size()));
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;
+  ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+  ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
+  store.AttachCoherenceLog(&replicas.log());
+  ASSERT_OK(store.CreateUser("u", profile));
+  StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot("u");
+  ASSERT_OK(pin.status());
+  const FlatResolver resolver((*pin)->flat_tree());
+
+  std::vector<QueryOptions> configs;
+  for (db::CombinePolicy combine :
+       {db::CombinePolicy::kMax, db::CombinePolicy::kMin}) {
+    for (DistanceKind kind :
+         {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
+      QueryOptions options;
+      options.combine = combine;
+      options.resolution.distance = kind;
+      configs.push_back(options);
+    }
+  }
+  size_t config_sensitive = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+    std::vector<std::vector<db::ScoredTuple>> oracles;
+    // Two rounds through every config: each lookup may find entries
+    // that any config before it left for the same states.
+    for (int round = 0; round < 2; ++round) {
+      for (const QueryOptions& options : configs) {
+        std::string label = db::CombinePolicyToString(options.combine);
+        label += " ";
+        label += DistanceKindToString(options.resolution.distance);
+        label += " trial " + std::to_string(trial);
+        label += " round " + std::to_string(round);
+        StatusOr<QueryResult> oracle =
+            RankCS(relation, query, resolver, options);
+        ASSERT_OK(oracle.status());
+        if (round == 0) oracles.push_back(oracle->tuples);
+        StatusOr<QueryResult> cached =
+            storage::ServeQuery(**pin, relation, query, &cache, options);
+        ASSERT_OK(cached.status());
+        ExpectBitEqual(cached->tuples, oracle->tuples, label + " shared");
+        StatusOr<storage::ServedQuery> replicated =
+            storage::ServeQueryReplicated(store, "u", relation, query,
+                                          replicas, options, nullptr, 0);
+        ASSERT_OK(replicated.status());
+        ExpectBitEqual(replicated->result.tuples, oracle->tuples,
+                       label + " replica");
+      }
+    }
+    for (const std::vector<db::ScoredTuple>& answer : oracles) {
+      if (answer != oracles.front()) {
+        ++config_sensitive;
+        break;
+      }
+    }
+  }
+  // The interleaving only tests something if the configs disagree.
+  EXPECT_GT(config_sensitive, 0u);
+}
+
+// The stale rung reads the same entries: lists retained from a kMax /
+// hierarchy query serve that configuration stale, never another one.
+TEST_P(ServingDifferentialTest, StaleRungServesOnlyTheEntriesConfig) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 151);
+
+  storage::ProfileStore store(env);
+  ContextQueryTree cache(env, Ordering::Identity(env->size()));
+  cache.SetRetainStale(true);
+  store.AttachQueryCache(&cache);
+  ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
+  StatusOr<storage::SnapshotPtr> old_pin = store.GetSnapshot("u");
+  ASSERT_OK(old_pin.status());
+  const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+  storage::ServeOptions opts;  // kMax, hierarchy distance.
+  ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query, &cache,
+                                         opts)
+                .status());  // Caches every state at the current version.
+  ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
+
+  storage::AdmissionController shed_all(
+      storage::AdmissionPolicy{.max_in_flight = 0});
+  opts.admission = &shed_all;
+  opts.allow_truncated = false;
+  StatusOr<storage::ServedQuery> stale =
+      storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+  ASSERT_OK(stale.status());
+  EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
+  StatusOr<QueryResult> at_old = RankCS(
+      relation, query, FlatResolver((*old_pin)->flat_tree()), opts.query);
+  ASSERT_OK(at_old.status());
+  ExpectBitEqual(stale->result.tuples, at_old->tuples, "stale kMax");
+
+  for (const auto& [combine, kind] :
+       {std::pair{db::CombinePolicy::kMin, DistanceKind::kHierarchy},
+        std::pair{db::CombinePolicy::kMax, DistanceKind::kJaccard}}) {
+    storage::ServeOptions other = opts;
+    other.query.combine = combine;
+    other.query.resolution.distance = kind;
+    StatusOr<storage::ServedQuery> refused = storage::ServeQueryResilient(
+        store, "u", relation, query, &cache, other);
+    EXPECT_TRUE(refused.status().IsUnavailable())
+        << db::CombinePolicyToString(combine) << " "
+        << DistanceKindToString(kind) << ": " << refused.status().ToString();
+  }
 }
 
 // The stale rung answers from the same per-state lists, so it must

@@ -119,9 +119,9 @@ int AblateQueryCache() {
       q.context = ExtendedDescriptor::FromComposite(
           *CompositeDescriptor::Create(*poi->env, std::move(parts)));
       if (cache != nullptr) {
-        StatusOr<QueryResult> r = CachedRankCS(poi->relation, q, resolver,
-                                               profile, *cache, options,
-                                               &counter);
+        StatusOr<QueryResult> r =
+            CachedRankCS(poi->relation, q, resolver, "", profile.version(),
+                         *cache, options, &counter);
         if (!r.ok()) std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
       } else {
         StatusOr<QueryResult> r =

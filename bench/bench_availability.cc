@@ -104,7 +104,7 @@ StatusOr<SweepPoint> RunCell(
     const std::vector<std::unordered_set<db::RowId>>& truth_top,
     const std::string& mode, double rate) {
   const ContextEnvironment& env = *poi.env;
-  FakeClock clock;
+  util::FakeClock clock;
   SourcePolicy policy;
   policy.max_attempts = 2;
   policy.failure_threshold = 6;

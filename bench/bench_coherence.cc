@@ -5,12 +5,12 @@
 // hammer a small hot set of context states (75% of accesses on one
 // state), all hits, against two configurations:
 //
-//   single   one shared ContextQueryTree (the deployed default shard
-//            count): every reader takes the hot state's shard lock
+//   single   one shared ContextQueryTree (the default shard count):
+//            every reader takes the hot state's shard lock
 //            and bumps the same LRU + entry refcount
 //   repl     a ReplicatedQueryCache, one private single-shard tree
 //            per reader; each lookup first pays the coherence gate
-//            (the Covers acquire load) like ServeQueryReplicated does
+//            (the Covers acquire load) like storage::ServeQuery does
 //
 // The rows BM_CoherenceHitRate_{SingleShared,Replicated}/<N>r
 // (real_time = ns per hit) feed scripts/compare_bench.py --speedup,
@@ -21,7 +21,7 @@
 // Phase B — invalidation lag vs write rate. A real ProfileStore with
 // AttachCoherenceLog publishes profile versions at a swept rate while
 // an interval consumer drains every replica each --consume_interval_us
-// and pinned readers serve through ServeQueryReplicated in kBackground
+// and pinned readers serve through storage::ServeQuery in kBackground
 // mode. Between drains the clocks trail the store, so the gate refuses
 // and the serve falls through uncached — the table reports appended/s,
 // served/s, max/avg invalidation lag (versions), and stale refuses per
@@ -266,8 +266,8 @@ LagResult RunLagPhase(const Flags& flags, workload::PoiDatabase& poi,
       threads.emplace_back([&, t] {
         uint64_t local_served = 0, local_torn = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          StatusOr<storage::ServedQuery> s = storage::ServeQueryReplicated(
-              store, "u", poi.relation, query, replicas, {}, nullptr, t);
+          StatusOr<storage::ServedQuery> s = storage::ServeQuery(
+              store, "u", poi.relation, query, &replicas, {}, nullptr, t);
           if (!s.ok()) {
             std::fprintf(stderr, "%s\n", s.status().ToString().c_str());
             std::abort();
@@ -461,8 +461,8 @@ int Run(const Flags& flags) {
       return 1;
     }
     for (size_t t = 0; t < flags.readers; ++t) {
-      StatusOr<storage::ServedQuery> s = storage::ServeQueryReplicated(
-          store, "u", poi->relation, query, replicas, {}, nullptr, t);
+      StatusOr<storage::ServedQuery> s = storage::ServeQuery(
+          store, "u", poi->relation, query, &replicas, {}, nullptr, t);
       if (!s.ok()) {
         std::fprintf(stderr, "%s\n", s.status().ToString().c_str());
         return 1;

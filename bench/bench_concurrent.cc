@@ -205,8 +205,8 @@ int RunRankScaling() {
     auto start = Clock::now();
     for (int i = 0; i < kRepeats; ++i) {
       cache.InvalidateAll();  // Keep every repeat cold: measure compute.
-      StatusOr<QueryResult> r = CachedRankCS(poi->relation, q, resolver,
-                                             profile, cache, options);
+      StatusOr<QueryResult> r = CachedRankCS(
+          poi->relation, q, resolver, "", profile.version(), cache, options);
       if (!r.ok()) {
         std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
         return 1;

@@ -338,7 +338,7 @@ void BM_ContextSnapshot(benchmark::State& state) {
   // Resilient acquisition rig on a FakeClock: deterministic, no real
   // sleeps, and the injected failure every 16th backend read walks the
   // snapshot through retried/stale provenances, not just fresh.
-  static FakeClock clock;
+  static util::FakeClock clock;
   auto fault = std::make_unique<FaultInjectingSource>(
       0, *poi->env->parameter(0).hierarchy().FindAnyLevel("Plaka"), &clock);
   FaultInjectingSource* fault_raw = fault.get();

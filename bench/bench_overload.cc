@@ -45,7 +45,7 @@
 
 #include "bench_metrics.h"
 #include "context/parser.h"
-#include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/admission.h"
 #include "storage/profile_store.h"
 #include "storage/serving.h"
@@ -153,18 +153,29 @@ struct PhaseResult {
   uint64_t torn = 0;
 };
 
+/// One cache replica per server thread (picked by thread), consumed
+/// inline; the default staleness window keeps the stale rung's reach.
+ReplicatedQueryCache::Options CacheOptions(size_t threads) {
+  ReplicatedQueryCache::Options o;
+  o.num_replicas = threads;
+  o.capacity_per_replica = 1024;
+  return o;
+}
+
 struct World {
   std::unique_ptr<workload::PoiDatabase> poi;
   storage::ProfileStore store;
-  ContextQueryTree cache;
+  ReplicatedQueryCache cache;
   ContextualQuery query;
   std::atomic<uint64_t> step{1};
 
-  explicit World(workload::PoiDatabase db)
+  World(workload::PoiDatabase db, size_t threads)
       : poi(std::make_unique<workload::PoiDatabase>(std::move(db))),
         store(poi->env),
         cache(poi->env, Ordering::Identity(poi->env->size()),
-              /*capacity=*/1024, /*num_shards=*/8) {}
+              CacheOptions(threads)) {
+    store.AttachCoherenceLog(&cache.log());
+  }
 };
 
 /// One offered-load phase at `rate` requests/s.
@@ -344,7 +355,7 @@ int Run(const Flags& flags) {
     std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
     return 1;
   }
-  World w(std::move(*poi));
+  World w(std::move(*poi), flags.threads);
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
       *w.poi->env, "location = Plaka or location = Kifisia");
   if (!ecod.ok()) {
@@ -352,8 +363,6 @@ int Run(const Flags& flags) {
     return 1;
   }
   w.query.context = *ecod;
-  w.cache.SetRetainStale(true);
-  w.store.AttachQueryCache(&w.cache);
   Status created = w.store.CreateUser("u", VersionedProfile(w.poi->env, 1));
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.ToString().c_str());

@@ -36,7 +36,7 @@
 #include "bench_metrics.h"
 #include "context/parser.h"
 #include "harness/scenario_config.h"
-#include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "workload/poi_dataset.h"
@@ -152,7 +152,7 @@ struct PhaseResult {
 /// One measured phase: `readers` threads serve round-robin over the
 /// users for `duration_ms`; a writer publishes at `swaps_per_sec`
 /// (0 = no writer, infinity = unthrottled).
-PhaseResult RunPhase(storage::ProfileStore& store, ContextQueryTree& cache,
+PhaseResult RunPhase(storage::ProfileStore& store, ReplicatedQueryCache& cache,
                      const workload::PoiDatabase& poi,
                      const ContextualQuery& query, const Flags& flags,
                      double swaps_per_sec, std::atomic<uint64_t>& step) {
@@ -201,8 +201,8 @@ PhaseResult RunPhase(storage::ProfileStore& store, ContextQueryTree& cache,
           const bool sample = i % 8 == 0;
           Clock::time_point op_start;
           if (sample) op_start = Clock::now();
-          StatusOr<storage::ServedQuery> served =
-              storage::ServeQuery(store, user, poi.relation, query, &cache);
+          StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+              store, user, poi.relation, query, &cache, {}, nullptr, r);
           if (sample) {
             lat.push_back(std::chrono::duration<double, std::nano>(
                               Clock::now() - op_start)
@@ -273,10 +273,15 @@ int Run(const Flags& flags) {
   ContextualQuery query;
   query.context = *ecod;
 
+  // One cache replica per reader, consumed inline: readers never share
+  // a cache lock, and a publish reaches each replica through the log.
   storage::ProfileStore store(poi->env);
-  ContextQueryTree cache(poi->env, Ordering::Identity(poi->env->size()),
-                         /*capacity=*/1024, /*num_shards=*/8);
-  store.AttachQueryCache(&cache);
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = flags.readers;
+  ropt.capacity_per_replica = 1024;
+  ReplicatedQueryCache cache(poi->env, Ordering::Identity(poi->env->size()),
+                             ropt);
+  store.AttachCoherenceLog(&cache.log());
   std::atomic<uint64_t> step{0};
   for (size_t u = 0; u < flags.users; ++u) {
     Status st = store.CreateUser(UserName(u),

@@ -55,7 +55,7 @@ int main() {
   NoisySensorSource* location_raw = location_sensor.get();
   NoisySensorSource* weather_raw = weather_sensor.get();
 
-  FakeClock clock;  // Scripted time: two hours pass between readings.
+  util::FakeClock clock;  // Scripted time: two hours pass between readings.
   SourcePolicy policy;
   policy.max_attempts = 2;
   policy.stale_ttl_micros = 3'000'000;

@@ -103,12 +103,13 @@ int main() {
   }
 
   // ---- 3. The context query tree: repeated exploratory queries hit
-  //         the cache; profile edits invalidate it.
+  //         the cache; a profile edit makes its entries miss.
   ContextQueryTree cache(poi->env, Ordering::Identity(env.size()),
                          /*capacity=*/64);
   for (int round = 0; round < 3; ++round) {
-    StatusOr<QueryResult> cached = CachedRankCS(
-        poi->relation, query, resolver, *profile, cache, options);
+    StatusOr<QueryResult> cached =
+        CachedRankCS(poi->relation, query, resolver, "", profile->version(),
+                     cache, options);
     if (!cached.ok()) {
       std::fprintf(stderr, "cached: %s\n",
                    cached.status().ToString().c_str());
@@ -133,14 +134,14 @@ int main() {
   // Rebuild the index for the new profile version.
   tree = ProfileTree::Build(*profile);
   TreeResolver fresh_resolver(&*tree);
-  StatusOr<QueryResult> after = CachedRankCS(
-      poi->relation, query, fresh_resolver, *profile, cache, options);
+  StatusOr<QueryResult> after =
+      CachedRankCS(poi->relation, query, fresh_resolver, "",
+                   profile->version(), cache, options);
   const CacheStats edited = cache.Stats();
-  std::printf("After a profile edit: %llu hits, %llu misses, "
-              "%llu invalidations (stale entries recomputed)\n",
+  std::printf("After a profile edit: %llu hits, %llu misses "
+              "(entries of the old version miss and are recomputed)\n",
               static_cast<unsigned long long>(edited.hits),
-              static_cast<unsigned long long>(edited.misses),
-              static_cast<unsigned long long>(edited.invalidations));
+              static_cast<unsigned long long>(edited.misses));
 
   // ---- 4. Where did the time go? Trace one cached query (a warm run:
   //         every state is served from the cache) and render the span
@@ -149,8 +150,9 @@ int main() {
   MetricsRegistry::SetTimingEnabled(true);
   TraceRecorder recorder(/*capacity=*/256);
   recorder.Install();
-  StatusOr<QueryResult> traced = CachedRankCS(
-      poi->relation, query, fresh_resolver, *profile, cache, options);
+  StatusOr<QueryResult> traced =
+      CachedRankCS(poi->relation, query, fresh_resolver, "",
+                   profile->version(), cache, options);
   recorder.Uninstall();
   MetricsRegistry::SetTimingEnabled(false);
   if (!traced.ok()) {

@@ -22,7 +22,9 @@
 #   scripts/check.sh --scenarios  # Release scenario_runner over every
 #                                 # scenarios/*.cfg: each must be
 #                                 # deterministic (two runs, identical
-#                                 # CSV) and the cache + shed ablation
+#                                 # CSV) and serve its pinned answer
+#                                 # CRC (scenarios/expected_crc.txt),
+#                                 # and the cache + shed ablation
 #                                 # ratio gates must hold (CI job)
 #
 # The static-analysis modes auto-detect clang/clang-tidy and print a
@@ -251,8 +253,10 @@ fi
 if [[ "${RUN_SCENARIOS}" == 1 ]]; then
   # Scenario matrix: every committed scenario must run deterministically
   # (two same-seed runs, bit-identical CSV — the CSV carries only
-  # virtual-time fields, so this holds on any machine), then the two
-  # ablation ratio gates. Both gates compare deterministic virtual-time
+  # virtual-time fields, so this holds on any machine) and serve the
+  # answer CRC pinned in scenarios/expected_crc.txt (so a change that
+  # alters what is served fails here, across commits, not just across
+  # two runs of one build), then the two ablation ratio gates. Both gates compare deterministic virtual-time
   # figures (/vop, /goodop) from the same run, so they are immune to
   # shared-runner noise; wall time is advisory (see docs/scenarios.md).
   echo "==== scenario harness (determinism + ablation gates) ===="
@@ -283,6 +287,8 @@ if [[ "${RUN_SCENARIOS}" == 1 ]]; then
            "produced different CSV)" >&2
       exit 1
     fi
+    scripts/check_scenario_crc.sh "${name}" \
+      "build-bench/scenarios/${name}.1.csv"
   done
 
   echo "---- cache ablation gate (virtual ns/op, same run) ----"

@@ -38,7 +38,7 @@ const char* BreakerStateToString(BreakerState s) {
 
 ResilientSource::ResilientSource(const ContextEnvironment& env,
                                  std::unique_ptr<ContextSource> inner,
-                                 SourcePolicy policy, Clock* clock,
+                                 SourcePolicy policy, util::Clock* clock,
                                  uint64_t seed)
     : env_(&env),
       inner_(std::move(inner)),

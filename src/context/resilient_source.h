@@ -25,13 +25,6 @@ namespace ctxpref {
 /// degradation ladder fresh → retried → stale → stale-lifted-k →
 /// `all` — so query serving keeps answering, just more coarsely.
 
-/// The clock family moved to `src/util/clock.h` (PR 8) so that the
-/// deadline plumbing in util/storage can reuse it without a layering
-/// cycle. These aliases keep the PR-3 spellings working.
-using Clock = util::Clock;
-using SystemClock = util::SystemClock;
-using FakeClock = util::FakeClock;
-
 /// Per-source resilience policy. Defaults are tuned for an interactive
 /// sensor (tens of milliseconds budget); see docs/robustness.md.
 struct SourcePolicy {
@@ -80,10 +73,11 @@ const char* BreakerStateToString(BreakerState s);
 class ResilientSource : public ContextSource {
  public:
   /// `env` must outlive the source; `clock` is borrowed (use
-  /// `SystemClock::Instance()` in production, a `FakeClock` in tests).
+  /// `util::SystemClock::Instance()` in production, a `util::FakeClock`
+  /// in tests).
   ResilientSource(const ContextEnvironment& env,
                   std::unique_ptr<ContextSource> inner, SourcePolicy policy,
-                  Clock* clock, uint64_t seed);
+                  util::Clock* clock, uint64_t seed);
 
   size_t param_index() const override { return inner_->param_index(); }
   StatusOr<ValueRef> Read() override;
@@ -126,7 +120,7 @@ class ResilientSource : public ContextSource {
   /// itself is set once at construction).
   std::unique_ptr<ContextSource> inner_ PT_GUARDED_BY(mu_);
   SourcePolicy policy_;
-  Clock* clock_;
+  util::Clock* clock_;
 
   mutable util::Mutex mu_{util::LockRank::kResilientSource,
                           "ResilientSource.mu"};
@@ -148,7 +142,7 @@ class ResilientSource : public ContextSource {
 class FaultInjectingSource : public ContextSource {
  public:
   FaultInjectingSource(size_t param_index, ValueRef value,
-                       FakeClock* clock = nullptr)
+                       util::FakeClock* clock = nullptr)
       : param_index_(param_index), clock_(clock), value_(value) {}
 
   size_t param_index() const override { return param_index_; }
@@ -181,7 +175,7 @@ class FaultInjectingSource : public ContextSource {
   };
 
   size_t param_index_;
-  FakeClock* clock_;  ///< Set at construction, never reseated.
+  util::FakeClock* clock_;  ///< Set at construction, never reseated.
   mutable util::Mutex mu_{util::LockRank::kFaultInjector,
                           "FaultInjectingSource.mu"};
   ValueRef value_ GUARDED_BY(mu_);

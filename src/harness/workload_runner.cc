@@ -250,39 +250,26 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     if (!st.ok()) return st;
   }
 
-  // cache=off: serve uncached. Retain-stale mode keeps superseded
-  // entries so the resilient ladder's stale rung has something to find.
-  //
-  // coherence=on (the default): the cache is a ReplicatedQueryCache
-  // kept coherent by the log-based scheme — the store appends one
-  // invalidation record per publish instead of touching cache locks,
-  // and each query drains the log into its replica (inline consume)
-  // before serving through that replica's tree. Queries round-robin
-  // across `coherence_replicas` deterministically, so the CSV contract
-  // holds; with 1 replica the hit stream matches the single shared
-  // cache. coherence=off: the pre-log eager-invalidation wiring.
-  std::optional<ContextQueryTree> cache;
-  std::optional<ReplicatedQueryCache> replicas;
+  // cache=off: serve uncached. cache=on: a ReplicatedQueryCache kept
+  // coherent by the log-based scheme — the store appends one
+  // invalidation record per publish, and each query's serve drains the
+  // log into its replica (inline consume) before the gate lets it read
+  // that replica's tree. Queries round-robin across
+  // `coherence_replicas` deterministically, so the CSV contract holds.
+  std::optional<ReplicatedQueryCache> cache;
   if (cfg.ablation.cache) {
-    if (cfg.ablation.coherence) {
-      ReplicatedQueryCache::Options ropt;
-      ropt.num_replicas = cfg.coherence_replicas;
-      ropt.capacity_per_replica = cfg.cache_capacity;
-      // Retention matches the resilient ladder's default stale reach,
-      // so consume-step reclamation never drops an entry the stale
-      // rung could still serve.
-      ropt.staleness_window = storage::ServeOptions{}.max_stale_versions;
-      ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
-      replicas.emplace(poi->env, Ordering::Identity(env.size()), ropt);
-      store.AttachCoherenceLog(&replicas->log());
-    } else {
-      cache.emplace(poi->env, Ordering::Identity(env.size()),
-                    cfg.cache_capacity);
-      cache->SetRetainStale(true);
-      store.AttachQueryCache(&*cache);
-    }
+    ReplicatedQueryCache::Options ropt;
+    ropt.num_replicas = cfg.coherence_replicas;
+    ropt.capacity_per_replica = cfg.cache_capacity;
+    // Retention matches the resilient ladder's default stale reach, so
+    // consume-step reclamation never drops an entry the stale rung
+    // could still serve.
+    ropt.staleness_window = storage::ServeOptions{}.max_stale_versions;
+    ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+    cache.emplace(poi->env, Ordering::Identity(env.size()), ropt);
+    store.AttachCoherenceLog(&cache->log());
   }
-  ContextQueryTree* cache_ptr = cache.has_value() ? &*cache : nullptr;
+  ReplicatedQueryCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
 
   // parallel=off: single-threaded evaluation, no shared pool.
   const bool parallel = cfg.ablation.parallel && cfg.threads > 1;
@@ -300,15 +287,13 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   base.top_k = cfg.top_k;
   base.num_threads = parallel ? cfg.threads : 1;
   base.pool = parallel ? &*pool : nullptr;
-  // flat=off: resolve on the pointer tree instead of the arena.
-  base.prefer_flat = cfg.ablation.flat;
 
   // Sensor rig (bench_availability's failing-prefix scripting). With
   // resilience=off a failed read degrades the parameter to `all`
   // directly — no retries, breaker, or stale/lift ladder.
   const bool sensors =
       cfg.sensor_dropout > 0.0 || cfg.outage_fraction > 0.0;
-  FakeClock acq_clock;
+  util::FakeClock acq_clock;
   SourcePolicy policy;
   policy.max_attempts = 2;
   policy.failure_threshold = 6;
@@ -336,7 +321,7 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   // degraded (ladder) serve for `degraded_service_micros`. Deadlines
   // live on the same FakeClock, so overload behavior — backlog, door
   // shedding, goodput collapse — is bit-for-bit reproducible.
-  FakeClock serve_clock(1'000'000);
+  util::FakeClock serve_clock(1'000'000);
   const int64_t t0 = serve_clock.NowMicros();
   int64_t server_free_at = t0;
 
@@ -442,10 +427,9 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
         if (idx < copy.size()) (void)copy.UpdateScore(idx, score);
         Status st = store.PublishProfile(uid, std::move(copy));
         if (!st.ok()) return st;
-        if (cache_ptr != nullptr) cache_ptr->InvalidateAll();
-        if (replicas.has_value()) {
-          for (size_t r = 0; r < replicas->num_replicas(); ++r) {
-            replicas->replica(r).InvalidateAll();
+        if (cache_ptr != nullptr) {
+          for (size_t r = 0; r < cache_ptr->num_replicas(); ++r) {
+            cache_ptr->replica(r).InvalidateAll();
           }
         }
       }
@@ -525,24 +509,17 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     const bool doomed =
         deadline_at > 0 && start_service + cfg.service_micros > deadline_at;
 
-    // Replicated serving: queries round-robin across replicas; the
-    // inline consume step drains the coherence log into this replica
-    // (advancing its clock past every published version) before the
-    // serve reads through its tree — the harness-shaped form of
-    // ServeQueryReplicated's consume-then-gate flow, kept deterministic
-    // by indexing on the query count instead of the thread.
-    ContextQueryTree* qcache = cache_ptr;
-    if (replicas.has_value()) {
-      const size_t r = (res.queries - 1) % replicas->num_replicas();
-      replicas->Consume(r);
-      qcache = &replicas->replica(r);
-    }
+    // Queries round-robin across the replicas, indexed on the query
+    // count instead of the thread so the run stays deterministic.
+    const size_t replica =
+        cache_ptr != nullptr ? (res.queries - 1) % cache_ptr->num_replicas()
+                             : 0;
 
     // Cache-stat deltas across this serve, for the hit-aware virtual
     // cost below. Per-query states are distinct, so the counts are
     // deterministic even with a worker pool.
     const CacheStats cache_before =
-        qcache != nullptr ? qcache->Stats() : CacheStats{};
+        cache_ptr != nullptr ? cache_ptr->Stats() : CacheStats{};
 
     const uint64_t q_start = MonotonicNanos();
     storage::ServedVia via = storage::ServedVia::kShed;
@@ -557,7 +534,7 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
       so.admission = &admission;
       so.truncated_top_k = cfg.top_k;
       StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-          store, uid, poi->relation, cq, qcache, so);
+          store, uid, poi->relation, cq, cache_ptr, so, nullptr, replica);
       if (served.ok()) {
         via = served->provenance.via;
         if (served->provenance.deadline_hit) ++res.deadline_hits;
@@ -577,8 +554,8 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     } else {
       // shed=off: no admission, no deadline — every request grinds
       // through a full evaluation even when its deadline has passed.
-      StatusOr<storage::ServedQuery> served =
-          storage::ServeQuery(store, uid, poi->relation, cq, qcache, base);
+      StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+          store, uid, poi->relation, cq, cache_ptr, base, nullptr, replica);
       if (!served.ok()) return served.status();
       via = storage::ServedVia::kFresh;
       held = std::move(*served);
@@ -598,8 +575,8 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     int64_t cost = cfg.degraded_service_micros;
     if (via == storage::ServedVia::kFresh) {
       cost = cfg.service_micros;
-      if (qcache != nullptr && cfg.cache_hit_service_micros > 0) {
-        const CacheStats after = qcache->Stats();
+      if (cache_ptr != nullptr && cfg.cache_hit_service_micros > 0) {
+        const CacheStats after = cache_ptr->Stats();
         const uint64_t lookups = after.lookups - cache_before.lookups;
         const uint64_t hits = after.hits - cache_before.hits;
         if (lookups > 0) {
@@ -673,10 +650,6 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   res.virtual_micros = serve_clock.NowMicros() - t0;
   if (cache_ptr != nullptr) {
     const CacheStats stats = cache_ptr->Stats();
-    res.cache_hits = stats.hits;
-    res.cache_misses = stats.misses;
-  } else if (replicas.has_value()) {
-    const CacheStats stats = replicas->Stats();
     res.cache_hits = stats.hits;
     res.cache_misses = stats.misses;
   }

@@ -86,18 +86,6 @@ struct QueryOptions {
   /// pool per call — fine for exploratory queries, wasteful under
   /// server-style traffic). The pool may be shared by many queries.
   ThreadPool* pool = nullptr;
-  /// Cache namespace for `CachedRankCS`'s `Profile&` overload: entries
-  /// are tagged `{cache_user, profile.version()}` in the
-  /// `ContextQueryTree`, so one shared cache can serve several users
-  /// without mixing their results. The serving layer
-  /// (`storage::ServeQuery`) ignores this and tags entries with the
-  /// pinned snapshot's user id and serving version instead.
-  std::string cache_user;
-  /// When false, `storage::ServeQuery` resolves against the snapshot's
-  /// pointer tree even when an arena-flattened tree is available.
-  /// Ablation switch for the scenario harness (`flat = off`); both
-  /// paths produce identical results, so this only changes cost.
-  bool prefer_flat = true;
   /// Cancellation budget for the whole evaluation. Checked at cheap
   /// cancellation points — the per-state loops of `RankCS` /
   /// `CachedRankCS` and `ThreadPool` task dequeue (an expired queued

@@ -34,9 +34,9 @@ struct CacheMetrics {
         reg.GetCounter("ctxpref_query_cache_hits_total",
                        "ContextQueryTree lookup hits"),
         reg.GetCounter("ctxpref_query_cache_misses_total",
-                       "ContextQueryTree lookup misses (incl. stale drops)"),
+                       "ContextQueryTree lookup misses"),
         reg.GetCounter("ctxpref_query_cache_invalidations_total",
-                       "Entries dropped on touch for profile-version skew"),
+                       "Entries dropped by InvalidateUser(Below)"),
         reg.GetCounter("ctxpref_query_cache_evictions_total",
                        "LRU evictions beyond shard capacity"),
         reg.GetHistogram("ctxpref_query_cache_hit_latency_ns",
@@ -175,35 +175,19 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
   const uint64_t start_nanos = timed ? MonotonicNanos() : 0;
   Shard& shard = ShardFor(user, state);
   std::shared_ptr<const Entry> result;
-  bool invalidated = false;
   {
     util::MutexLock lock(shard.mu);
     ++shard.lookups;
     Node* node = Descend(shard, user, state, /*create=*/false, counter);
     if (node == nullptr || node->leaf == nullptr ||
-        (node->leaf->version == profile_version &&
-         node->leaf->entry->config != config)) {
-      // Absent, or computed under other options: the caller recomputes
-      // and its Put replaces the entry.
+        node->leaf->version != profile_version ||
+        node->leaf->entry->config != config) {
+      // Absent, at another version, or computed under other options:
+      // the caller recomputes and its Put replaces the entry. A skewed
+      // entry stays reachable for LookupAtOrBefore's staleness window
+      // until then.
       ++shard.misses;
       ++shard.pending_misses;
-    } else if (node->leaf->version != profile_version) {
-      if (retain_stale_.load(std::memory_order_relaxed)) {
-        // Retain-stale mode: a miss for the fresh path, but the entry
-        // stays reachable for LookupAtOrBefore's staleness window.
-        ++shard.misses;
-        ++shard.pending_misses;
-      } else {
-        // Stale: computed against an older profile. Drop on touch.
-        shard.lru.erase(node->leaf->lru_it);
-        RemovePath(shard, user, state);
-        --shard.size;
-        ++shard.misses;
-        ++shard.invalidations;
-        ++shard.pending_misses;
-        ++shard.pending_invalidations;
-        invalidated = true;
-      }
     } else {
       // Refresh LRU position.
       shard.lru.splice(shard.lru.begin(), shard.lru, node->leaf->lru_it);
@@ -215,11 +199,9 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
       metrics.lookups.Increment(shard.pending_lookups);
       metrics.hits.Increment(shard.pending_hits);
       metrics.misses.Increment(shard.pending_misses);
-      metrics.invalidations.Increment(shard.pending_invalidations);
       shard.pending_lookups = 0;
       shard.pending_hits = 0;
       shard.pending_misses = 0;
-      shard.pending_invalidations = 0;
     }
   }
   if (timed) {
@@ -229,9 +211,7 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
     shard.lookup_latency.Record(elapsed);
   }
   if (span.active()) {
-    span.Tag("outcome", result != nullptr ? "hit"
-                        : invalidated     ? "invalidated"
-                                          : "miss");
+    span.Tag("outcome", result != nullptr ? "hit" : "miss");
   }
   return result;
 }
@@ -270,11 +250,9 @@ ContextQueryTree::LookupAtOrBefore(const std::string& user,
       metrics.lookups.Increment(shard.pending_lookups);
       metrics.hits.Increment(shard.pending_hits);
       metrics.misses.Increment(shard.pending_misses);
-      metrics.invalidations.Increment(shard.pending_invalidations);
       shard.pending_lookups = 0;
       shard.pending_hits = 0;
       shard.pending_misses = 0;
-      shard.pending_invalidations = 0;
     }
   }
   if (span.active()) {
@@ -534,7 +512,7 @@ struct PerStateResult {
 
 PerStateResult EvaluateState(const db::Relation& relation,
                              const ContextState& s, const ResolveFn& resolve,
-                             const std::string& cache_user,
+                             const std::string& user,
                              uint64_t profile_version, ContextQueryTree& cache,
                              const QueryOptions& options,
                              AccessCounter* counter) {
@@ -549,7 +527,7 @@ PerStateResult EvaluateState(const db::Relation& relation,
     return out;
   }
   const CacheConfig config = CacheConfig::Of(options);
-  out.entry = cache.Lookup(cache_user, s, profile_version, config, counter);
+  out.entry = cache.Lookup(user, s, profile_version, config, counter);
   if (out.entry != nullptr) return out;
   // Compute this state's contribution with plain Rank_CS, then
   // populate the cache.
@@ -576,7 +554,7 @@ PerStateResult EvaluateState(const db::Relation& relation,
           state_ranker.Ranked(),
           std::make_shared<const std::vector<CandidatePath>>(std::move(best)),
           config});
-  cache.PutEntry(cache_user, s, profile_version, out.entry);
+  cache.PutEntry(user, s, profile_version, out.entry);
   return out;
 }
 
@@ -589,7 +567,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
                                        const ContextualQuery& query,
                                        const ContextEnvironment& env,
                                        const ResolveFn& resolve,
-                                       const std::string& cache_user,
+                                       const std::string& user,
                                        uint64_t profile_version,
                                        ContextQueryTree& cache,
                                        const QueryOptions& options,
@@ -613,7 +591,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
   const size_t threads = std::min(options.num_threads, states.size());
   if (options.pool == nullptr && threads <= 1) {
     for (size_t i = 0; i < states.size(); ++i) {
-      per_state[i] = EvaluateState(relation, states[i], resolve, cache_user,
+      per_state[i] = EvaluateState(relation, states[i], resolve, user,
                                    profile_version, cache, options, counter);
     }
   } else {
@@ -642,7 +620,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
           [&, i] {
             PerStateResult r;
             try {
-              r = EvaluateState(relation, states[i], resolve, cache_user,
+              r = EvaluateState(relation, states[i], resolve, user,
                                 profile_version, cache, options, counter);
             } catch (const std::exception& e) {
               r.status = Status::Internal(e.what());
@@ -717,7 +695,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,
                                    const TreeResolver& resolver,
-                                   const std::string& cache_user,
+                                   const std::string& user,
                                    uint64_t profile_version,
                                    ContextQueryTree& cache,
                                    const QueryOptions& options,
@@ -726,27 +704,13 @@ StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
       relation, query, resolver.tree().env(),
       [&resolver](const ContextState& s, const ResolutionOptions& opts,
                   AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      cache_user, profile_version, cache, options, counter);
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const Profile& profile,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  // Single-tenant form: the profile's own mutation counter is the
-  // version tag. Sound only while this same Profile object is both
-  // served and edited in place — see the header comment.
-  return CachedRankCS(relation, query, resolver, options.cache_user,
-                      profile.version(), cache, options, counter);
+      user, profile_version, cache, options, counter);
 }
 
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,
                                    const FlatResolver& resolver,
-                                   const std::string& cache_user,
+                                   const std::string& user,
                                    uint64_t profile_version,
                                    ContextQueryTree& cache,
                                    const QueryOptions& options,
@@ -755,18 +719,7 @@ StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
       relation, query, resolver.tree().env(),
       [&resolver](const ContextState& s, const ResolutionOptions& opts,
                   AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      cache_user, profile_version, cache, options, counter);
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const Profile& profile,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  return CachedRankCS(relation, query, resolver, options.cache_user,
-                      profile.version(), cache, options, counter);
+      user, profile_version, cache, options, counter);
 }
 
 }  // namespace ctxpref

@@ -1,7 +1,6 @@
 #ifndef CTXPREF_PREFERENCE_QUERY_CACHE_H_
 #define CTXPREF_PREFERENCE_QUERY_CACHE_H_
 
-#include <atomic>
 #include <list>
 #include <memory>
 #include <span>
@@ -29,11 +28,9 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// Version-skew drops: entries removed on touch because the profile
-  /// moved past the version they were computed at (each such drop is
-  /// also counted as a miss — the caller still has to recompute), plus
-  /// entries dropped eagerly by `InvalidateUser` when a user's profile
-  /// is swapped (those are not misses; no lookup happened).
+  /// Entries dropped by `InvalidateUser` / `InvalidateUserBelow` — the
+  /// coherence consume step's reclamation (docs/coherence.md). Lookups
+  /// never drop entries: a version-skewed entry is a plain miss.
   uint64_t invalidations = 0;
   size_t size = 0;
 
@@ -73,9 +70,12 @@ struct CacheConfig {
 /// monotone across reloads and user re-creation (`Profile::version()`
 /// restarts on reload and can collide; see docs/serving.md) — and carry
 /// the `CacheConfig` they were computed under (a lookup under other
-/// options misses). They are dropped on touch when the version moved,
-/// or eagerly by `InvalidateUser` when a new profile version is
-/// published. Beyond the shard capacity, entries are evicted LRU.
+/// options misses). A lookup at another version is a plain miss that
+/// leaves the entry in place — reachable for the degradation ladder's
+/// `LookupAtOrBefore` — until the next `Put` for the same state
+/// overwrites it, the coherence consume step reclaims it
+/// (`InvalidateUserBelow`, docs/coherence.md), or LRU evicts it beyond
+/// the shard capacity.
 ///
 /// The single-user entry points (no user id) are sugar for the empty
 /// user id "".
@@ -141,11 +141,11 @@ class ContextQueryTree {
   uint64_t invalidations() const { return Stats().invalidations; }
 
   /// Returns the cached entry for `user`'s `state` if present, computed
-  /// at `profile_version` and under `config`; stale entries are dropped
-  /// on touch (counted as both a miss and an invalidation), an entry of
-  /// another config is a plain miss. Ticks `counter` per inspected cell
-  /// (the cache costs cells too). The returned snapshot stays valid
-  /// after concurrent mutations.
+  /// at `profile_version` and under `config`. An entry at another
+  /// version or of another config is a plain miss and stays in place
+  /// (the caller's recompute `Put`s over it). Ticks `counter` per
+  /// inspected cell (the cache costs cells too). The returned snapshot
+  /// stays valid after concurrent mutations.
   std::shared_ptr<const Entry> Lookup(const std::string& user,
                                       const ContextState& state,
                                       uint64_t profile_version,
@@ -163,12 +163,10 @@ class ContextQueryTree {
   /// Bounded-staleness lookup for the degradation ladder: returns the
   /// cached entry for `user`'s `state` if its stored version lies in
   /// `[min_version, max_version]` and it was computed under `config`,
-  /// writing the actual version to `*entry_version`. Unlike `Lookup` it
-  /// never drops an entry — an out-of-window version is simply a miss
-  /// (the entry may serve a different staleness window later). Requires
-  /// retain-stale mode (or luck) for entries older than the current
-  /// serving version to still be present. Counted as a lookup plus
-  /// hit/miss in the shard stats.
+  /// writing the actual version to `*entry_version`. An out-of-window
+  /// version is simply a miss (the entry may serve a different
+  /// staleness window later). Counted as a lookup plus hit/miss in the
+  /// shard stats.
   std::shared_ptr<const Entry> LookupAtOrBefore(
       const std::string& user, const ContextState& state,
       uint64_t max_version, uint64_t min_version,
@@ -197,13 +195,12 @@ class ContextQueryTree {
         std::move(candidates));
   }
 
-  /// Eagerly drops every cached entry of `user` — the invalidation hook
-  /// `ProfileStore` fires when it publishes a new profile version for
-  /// that user (stale entries would otherwise linger until touched,
-  /// holding memory for results no published profile can produce).
-  /// Returns the number of entries dropped; each is counted as an
-  /// invalidation (but not a miss). Safe to call concurrently with
-  /// lookups: readers holding entry snapshots keep them.
+  /// Drops every cached entry of `user` — what the coherence consume
+  /// step applies for a user removal (a `drop_all` record), whatever
+  /// the staleness window. Returns the number of entries dropped; each
+  /// is counted as an invalidation (but not a miss). Safe to call
+  /// concurrently with lookups: readers holding entry snapshots keep
+  /// them.
   size_t InvalidateUser(const std::string& user);
 
   /// Drops `user`'s cached entries whose version tag is strictly below
@@ -218,23 +215,6 @@ class ContextQueryTree {
 
   /// Drops every cached entry of every user (counters are kept).
   void InvalidateAll();
-
-  /// Retain-stale mode, for serving stacks that use the degradation
-  /// ladder (`storage::ServeQueryResilient`): when on, (a) `Lookup`
-  /// still *misses* on a version-skewed entry but leaves it in place
-  /// instead of dropping it (it remains reachable for
-  /// `LookupAtOrBefore`), and (b) `ProfileStore::BuildAndPublish`
-  /// skips its eager `InvalidateUser` — version tags alone keep fresh
-  /// serving correct, LRU keeps memory bounded. `RemoveUser` still
-  /// invalidates unconditionally: a deleted user's results must never
-  /// be served at any staleness. Off by default (eager invalidation,
-  /// the PR 5 behavior).
-  void SetRetainStale(bool on) {
-    retain_stale_.store(on, std::memory_order_relaxed);
-  }
-  bool retain_stale() const {
-    return retain_stale_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Node;
@@ -259,9 +239,9 @@ class ContextQueryTree {
   };
 
   /// One lock stripe: per-user tries + LRU + counters. The stripe
-  /// mutex ranks `kCacheShard` — below the store locks (publish paths
-  /// invalidate entries while holding the per-user write lock), above
-  /// nothing this code takes (metric flushes under the lock are
+  /// mutex ranks `kCacheShard` — below the coherence locks (a replica's
+  /// consume step invalidates entries while holding its consume mutex),
+  /// above nothing this code takes (metric flushes under the lock are
   /// lock-free atomics). Stripes are independent: no operation holds
   /// two shard locks at once.
   struct Shard {
@@ -288,7 +268,6 @@ class ContextQueryTree {
     uint64_t pending_lookups GUARDED_BY(mu) = 0;
     uint64_t pending_hits GUARDED_BY(mu) = 0;
     uint64_t pending_misses GUARDED_BY(mu) = 0;
-    uint64_t pending_invalidations GUARDED_BY(mu) = 0;
     /// Lookup latency (hit + miss): internally atomic, deliberately
     /// not guarded — recorded outside the shard lock and only while
     /// timing is enabled.
@@ -309,7 +288,6 @@ class ContextQueryTree {
   EnvironmentPtr env_;
   Ordering order_;
   size_t shard_capacity_;  ///< Per shard; 0 = unbounded.
-  std::atomic<bool> retain_stale_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
@@ -358,28 +336,19 @@ std::vector<db::ScoredTuple> MergeStateLists(
 /// pool and merged in state-enumeration order, so the result (tuples
 /// and traces) is bit-identical to the single-threaded run.
 ///
-/// The multi-user serving layer (`storage::ServeQuery`) calls the
-/// explicit-version overload with the user id and the *serving*
-/// version of a pinned `ProfileSnapshot`, so cache entries are tagged
-/// `{user, serving version}` and can never be confused across users or
-/// across profile swaps. The `Profile&` overload is the single-tenant
-/// form: it tags entries with `options.cache_user` (default "") and
-/// the profile's own mutation counter `profile.version()` — fine while
-/// the same `Profile` object serves and is edited in place, unsound
-/// across wholesale profile replacement (see docs/serving.md).
+/// Entries are tagged `{user, profile_version}`. The multi-user
+/// serving layer (`storage::ServeQuery`) passes the user id and the
+/// *serving* version of a pinned `ProfileSnapshot`, so they can never
+/// be confused across users or across profile swaps. A caller that
+/// ranks one in-place-edited `Profile` may pass `("",
+/// profile.version())`, which is sound only as long as that same object
+/// is never replaced wholesale (its counter restarts on reload; see
+/// docs/serving.md).
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,
                                    const TreeResolver& resolver,
-                                   const std::string& cache_user,
+                                   const std::string& user,
                                    uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const Profile& profile,
                                    ContextQueryTree& cache,
                                    const QueryOptions& options = {},
                                    AccessCounter* counter = nullptr);
@@ -387,20 +356,12 @@ StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
 /// CachedRankCS over the arena-flattened tree — the serving hot path
 /// (`storage::ServeQuery` resolves against the snapshot's
 /// `FlatProfileTree`). Identical semantics to the `TreeResolver`
-/// overloads: same candidate sets, same traces, same cache entries.
+/// overload: same candidate sets, same traces, same cache entries.
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,
                                    const FlatResolver& resolver,
-                                   const std::string& cache_user,
+                                   const std::string& user,
                                    uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const Profile& profile,
                                    ContextQueryTree& cache,
                                    const QueryOptions& options = {},
                                    AccessCounter* counter = nullptr);

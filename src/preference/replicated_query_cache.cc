@@ -73,18 +73,27 @@ void CoherenceLog::Append(const std::string& user, uint64_t version,
     util::MutexLock lock(buffer.mu);
     buffer.records.push_back(Record{user, version, drop_all});
   }
-  // Watermark advance is a release fetch-max: a consumer that observes
-  // version W with acquire sees every record this writer appended up
-  // to (and including) the one that published W.
+  RaiseWatermark(version);
+  depth_.fetch_add(1, std::memory_order_relaxed);
+  metrics.appended.Increment();
+  metrics.log_depth.Set(static_cast<int64_t>(depth()));
+  if (listener_) listener_();
+}
+
+void CoherenceLog::AdvanceWatermark(uint64_t version) {
+  RaiseWatermark(version);
+  if (listener_) listener_();
+}
+
+void CoherenceLog::RaiseWatermark(uint64_t version) {
+  // A release fetch-max: a consumer that observes version W with
+  // acquire sees every record this writer appended up to (and
+  // including) the one that published W.
   uint64_t seen = max_appended_.load(std::memory_order_relaxed);
   while (seen < version && !max_appended_.compare_exchange_weak(
                                seen, version, std::memory_order_release,
                                std::memory_order_relaxed)) {
   }
-  depth_.fetch_add(1, std::memory_order_relaxed);
-  metrics.appended.Increment();
-  metrics.log_depth.Set(static_cast<int64_t>(depth()));
-  if (listener_) listener_();
 }
 
 size_t CoherenceLog::Consume(size_t id,
@@ -136,13 +145,7 @@ size_t CoherenceLog::Consume(size_t id,
 
 ReplicatedQueryCache::Replica::Replica(EnvironmentPtr env, Ordering order,
                                        size_t capacity, size_t num_shards)
-    : tree(std::move(env), order, capacity, num_shards) {
-  // Replica trees keep skewed entries on touch: the consume step (not
-  // the lookup path) is what reclaims them, bounded by the staleness
-  // window, and the degradation ladder's stale rung reads them through
-  // `LookupAtOrBefore`.
-  tree.SetRetainStale(true);
-}
+    : tree(std::move(env), order, capacity, num_shards) {}
 
 ReplicatedQueryCache::ReplicatedQueryCache(EnvironmentPtr env, Ordering order)
     : ReplicatedQueryCache(std::move(env), order, Options()) {}

@@ -15,21 +15,16 @@ namespace ctxpref {
 
 class ThreadPool;
 
-/// Log-based cache coherence for replicated query caches
-/// (docs/coherence.md; ROADMAP item 2).
-///
-/// The eager scheme (`ProfileStore` calling
-/// `ContextQueryTree::InvalidateUser` on every publish) makes every
-/// writer take every cache's shard locks — fine for one shared cache,
-/// a global serialization point once the query tree is replicated
-/// across serving threads. `CoherenceLog` decouples them: a writer
-/// appends one `{user, serving_version}` invalidation record to its
-/// own append-only log buffer (one mutex, no cache locks), and each
+/// Log-based cache coherence — the one way a query cache hears about a
+/// publish (docs/coherence.md). A writer appends one
+/// `{user, serving_version}` invalidation record to its own
+/// append-only log buffer (one mutex, no cache locks), and each
 /// replica *consumes* the logs on its own schedule — dropping dead
 /// entries from its private tree and advancing a consumed-version
 /// clock. A replica may serve a cache hit iff its clock covers the
 /// pinned snapshot's serving version; otherwise the read falls through
-/// to the uncached miss path.
+/// to the uncached miss path. A single shared cache is a
+/// `ReplicatedQueryCache` with one replica.
 ///
 /// Correctness splits into two independent guarantees:
 ///
@@ -83,6 +78,14 @@ class CoherenceLog {
   /// (`ReplicatedQueryCache` holds the replica's consume mutex).
   size_t Consume(size_t id, const std::function<void(const Record&)>& apply);
 
+  /// Raises the append watermark to at least `version` without a
+  /// record, then runs the append listener. `ProfileStore::
+  /// AttachCoherenceLog` seeds it with the store's serving version:
+  /// what was published before the log was attached has nothing to
+  /// invalidate in caches that never saw it, and without the seed no
+  /// replica clock could cover those snapshots until the next publish.
+  void AdvanceWatermark(uint64_t version);
+
   /// The highest version whose append has completed (release order:
   /// reading W here means every record of the writer that published W
   /// is visible). The clock target a consume step may advance to.
@@ -118,6 +121,8 @@ class CoherenceLog {
   };
 
   Buffer& BufferForThisThread();
+  /// Release fetch-max of the watermark to `version`.
+  void RaiseWatermark(uint64_t version);
 
   size_t num_consumers_;
   std::atomic<uint64_t> max_appended_{0};
@@ -130,12 +135,16 @@ class CoherenceLog {
 /// `CoherenceLog`: serving threads read their own replica with no
 /// cross-thread cache contention, writers append one log record per
 /// publish, and each replica's consume step applies the records and
-/// advances its clock. `storage::ServeQueryReplicated` is the serving
-/// entry point; the gate is `Covers(replica, pinned_version)`.
+/// advances its clock. `storage::ServeQuery` and
+/// `storage::ServeQueryResilient` are the serving entry points; the
+/// gate is `Covers(replica, pinned_version)`. Replica trees never drop
+/// an entry on lookup: a version-skewed entry stays (reachable by the
+/// ladder's stale rung) until a `Put` overwrites it, the consume step
+/// reclaims it, or LRU evicts it.
 class ReplicatedQueryCache {
  public:
-  /// When the consume step runs. `kInlineAtLookup`:
-  /// `ServeQueryReplicated` drains the log before every gate check, so
+  /// When the consume step runs. `kInlineAtLookup`: the serving entry
+  /// points drain the log before every gate check, so
   /// the clock always covers the pinned version (the refuse path never
   /// fires) at the cost of a log-drain per query — the deterministic
   /// mode the harness and the differential tests use. `kBackground`:

@@ -71,10 +71,8 @@ ProfileStore::~ProfileStore() {
 ProfileStore::ProfileStore(ProfileStore&& other) noexcept
     : env_(std::move(other.env_)), users_(std::move(other.users_)) {
   version_counter_.store(other.version_counter_.load());
-  cache_.store(other.cache_.load());
   coherence_log_.store(other.coherence_log_.load());
   other.users_.clear();
-  other.cache_.store(nullptr);
   other.coherence_log_.store(nullptr);
 }
 
@@ -86,12 +84,17 @@ ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
   env_ = std::move(other.env_);
   users_ = std::move(other.users_);
   version_counter_.store(other.version_counter_.load());
-  cache_.store(other.cache_.load());
   coherence_log_.store(other.coherence_log_.load());
   other.users_.clear();
-  other.cache_.store(nullptr);
   other.coherence_log_.store(nullptr);
   return *this;
+}
+
+void ProfileStore::AttachCoherenceLog(CoherenceLog* log) {
+  coherence_log_.store(log, std::memory_order_release);
+  // Publishes from here on append; everything published before is
+  // covered by the seeded watermark.
+  if (log != nullptr) log->AdvanceWatermark(serving_version());
 }
 
 Status ProfileStore::ValidateUserId(const std::string& user_id) {
@@ -137,24 +140,13 @@ Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
     metrics.snapshot_age.Set(
         static_cast<int64_t>(MonotonicNanos() - old->publish_nanos()));
   }
-  // Invalidation, log-based when a coherence log is attached: the
-  // writer appends one `{user, serving_version}` record — touching only
-  // its own log buffer, never a cache lock — and replicated caches
-  // drain it on their own schedule (docs/coherence.md). Either way a
-  // lookup racing ahead cannot be served stale data: entries are
-  // version-tagged and the new serving version never equals the old.
+  // The writer appends one `{user, serving_version}` record — touching
+  // only its own log buffer, never a cache lock — and replicated caches
+  // drain it on their own schedule (docs/coherence.md). A lookup racing
+  // ahead cannot be served stale data: entries are version-tagged and
+  // the new serving version never equals the old.
   if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
     log->Append(user_id, version);
-    return Status::OK();
-  }
-  // Eager invalidation: entries computed from the retired snapshot are
-  // dropped now rather than lingering until touched.
-  // In retain-stale mode the old entries are deliberately KEPT: they
-  // are the degradation ladder's bounded-staleness rung (version tags
-  // keep fresh serving correct, LRU bounds the memory). A *removed*
-  // user is still invalidated unconditionally — see RemoveUser.
-  if (ContextQueryTree* cache = cache_.load(std::memory_order_acquire)) {
-    if (!cache->retain_stale()) cache->InvalidateUser(user_id);
   }
   return Status::OK();
 }
@@ -272,17 +264,13 @@ Status ProfileStore::RemoveUser(const std::string& user_id) {
     }
   }
   ServingMetrics::Get().users.Add(-1);
-  // Drop the removed user's cached results; a later user with the same
-  // id gets fresh serving versions anyway (the counter never reuses
-  // values), so this is hygiene, not correctness. With a coherence log
-  // attached, the removal becomes a `drop_all` record — replicas drop
-  // every entry of the user when they consume it, staleness window
-  // notwithstanding.
+  // The removal becomes a `drop_all` record: replicas drop every entry
+  // of the user when they consume it, staleness window notwithstanding.
+  // A later user with the same id gets fresh serving versions anyway
+  // (the counter never reuses values), so this is hygiene, not
+  // correctness.
   if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
     log->Append(user_id, serving_version(), /*drop_all=*/true);
-  } else if (ContextQueryTree* cache =
-                 cache_.load(std::memory_order_acquire)) {
-    cache->InvalidateUser(user_id);
   }
   return Status::OK();
 }

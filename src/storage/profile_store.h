@@ -11,7 +11,6 @@
 #include "preference/flat_profile_tree.h"
 #include "preference/profile.h"
 #include "preference/profile_tree.h"
-#include "preference/query_cache.h"
 #include "util/mutex.h"
 #include "util/status.h"
 
@@ -40,7 +39,7 @@ class ProfileSnapshot {
   ProfileSnapshot(std::string user_id, uint64_t serving_version,
                   std::shared_ptr<const Profile> profile,
                   std::shared_ptr<const ProfileTree> tree,
-                  std::shared_ptr<const FlatProfileTree> flat = nullptr);
+                  std::shared_ptr<const FlatProfileTree> flat);
   ~ProfileSnapshot();
 
   ProfileSnapshot(const ProfileSnapshot&) = delete;
@@ -58,10 +57,10 @@ class ProfileSnapshot {
   const std::shared_ptr<const ProfileTree>& tree_ptr() const { return tree_; }
   /// The arena-flattened read-optimized form of `tree()`, built once at
   /// publish time; the serving layer resolves against it (see
-  /// docs/serving.md). Null only for snapshots constructed manually
-  /// without one — `ProfileStore` always publishes with the arena.
-  /// Immutable after publish like everything else in the snapshot, so
-  /// readers need no lock (and it introduces no lock rank).
+  /// docs/serving.md). Never null: every snapshot is built with its
+  /// arena. Immutable after publish like everything else in the
+  /// snapshot, so readers need no lock (and it introduces no lock
+  /// rank).
   const FlatProfileTree* flat_tree() const { return flat_.get(); }
   const std::shared_ptr<const FlatProfileTree>& flat_tree_ptr() const {
     return flat_;
@@ -99,11 +98,12 @@ using SnapshotPtr = std::shared_ptr<const ProfileSnapshot>;
 /// serialize on a per-user mutex; writers to different users proceed
 /// in parallel.
 ///
-/// When a `ContextQueryTree` is attached (`AttachQueryCache`), every
-/// publish and removal eagerly invalidates that user's cached entries,
-/// and all entries written on behalf of a snapshot are tagged with its
-/// serving version — so a cached result can never outlive the profile
-/// version that produced it.
+/// Query caches hear about publishes only through an attached
+/// `CoherenceLog` (`AttachCoherenceLog`): every publish and removal
+/// appends one record that `ReplicatedQueryCache` replicas consume on
+/// their own schedule. All entries written on behalf of a snapshot are
+/// tagged with its serving version, so a cached result can never be
+/// served for another profile version.
 ///
 /// Persistence maps each user to `<dir>/<user_id>.profile` in the
 /// binary format of `profile_io.h`.
@@ -193,31 +193,15 @@ class ProfileStore {
   static StatusOr<ProfileStore> LoadDir(EnvironmentPtr env,
                                         const std::string& dir);
 
-  /// Attaches the query cache this store invalidates on publish and
-  /// removal. The cache must outlive the store (or be detached first);
-  /// pass nullptr to detach. Entries the serving layer writes through
-  /// `CachedRankCS` are tagged `{user_id, serving version}`, so
-  /// invalidation is eager *and* version tags make any straggler
-  /// lookups miss.
-  void AttachQueryCache(ContextQueryTree* cache) {
-    cache_.store(cache, std::memory_order_release);
-  }
-  ContextQueryTree* query_cache() const {
-    return cache_.load(std::memory_order_acquire);
-  }
-
   /// Attaches a coherence log (`preference/replicated_query_cache.h`):
-  /// publishes and removals then *append* one invalidation record
-  /// instead of eagerly pruning an attached cache — the log-based
-  /// scheme replicated caches consume on their own schedule
-  /// (docs/coherence.md). When both a cache and a log are attached the
-  /// log wins: the writer takes no cache lock at all, and a directly
-  /// attached shared cache would go stale (version tags still make its
-  /// exact-match lookups miss). The log must outlive the store (or be
-  /// detached first); pass nullptr to detach.
-  void AttachCoherenceLog(CoherenceLog* log) {
-    coherence_log_.store(log, std::memory_order_release);
-  }
+  /// publishes and removals then append one invalidation record, which
+  /// replicated caches consume on their own schedule
+  /// (docs/coherence.md); the writer takes no cache lock at all. The
+  /// log's watermark is raised to the current `serving_version()`, so
+  /// a store that already has users (e.g. from `LoadDir`) serves cache
+  /// hits before its next publish. The log must outlive the store (or
+  /// be detached first); pass nullptr to detach.
+  void AttachCoherenceLog(CoherenceLog* log);
   CoherenceLog* coherence_log() const {
     return coherence_log_.load(std::memory_order_acquire);
   }
@@ -232,7 +216,7 @@ class ProfileStore {
   struct User {
     /// Serializes writers to this user (rank `kPerUserWrite`): held
     /// across the whole copy-edit-rebuild, around the slot swap and
-    /// the cache invalidation below it in the hierarchy.
+    /// the coherence-log append below it in the hierarchy.
     util::Mutex write_mu{util::LockRank::kPerUserWrite,
                          "ProfileStore.User.write_mu"};
     /// Guards only the `current` pointer slot (rank `kStoreSlot`).
@@ -264,8 +248,8 @@ class ProfileStore {
   static Status ValidateUserId(const std::string& user_id);
 
   /// Builds `profile`'s tree, wraps everything into a snapshot with a
-  /// fresh serving version, stores it into `user.current`, and
-  /// invalidates `user_id`'s cache entries. The writer lock is the
+  /// fresh serving version, stores it into `user.current`, and appends
+  /// the publish to the coherence log. The writer lock is the
   /// publish serialization point; creation takes it too (uncontended —
   /// the exclusive map lock hides the new user) so the contract is
   /// uniform and machine-checkable.
@@ -282,7 +266,6 @@ class ProfileStore {
   std::map<std::string, std::unique_ptr<User>> users_ GUARDED_BY(users_mu_);
   /// Store-wide monotone serving version; see `ProfileSnapshot`.
   std::atomic<uint64_t> version_counter_{0};
-  std::atomic<ContextQueryTree*> cache_{nullptr};
   std::atomic<CoherenceLog*> coherence_log_{nullptr};
 };
 

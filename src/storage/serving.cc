@@ -1,6 +1,5 @@
 #include "storage/serving.h"
 
-#include "preference/replicated_query_cache.h"
 #include "preference/resolution.h"
 #include "util/metrics.h"
 
@@ -89,49 +88,75 @@ StatusOr<QueryResult> ServeQuery(const ProfileSnapshot& snapshot,
                                  ContextQueryTree* cache,
                                  const QueryOptions& options,
                                  AccessCounter* counter) {
-  // Resolve against the snapshot's arena-flattened tree when it has
-  // one (ProfileStore always publishes with it); the pointer tree is
-  // the fallback for manually-built snapshots. Both produce identical
-  // results — the differential tests pin that down — so this is purely
-  // a hot-path choice. `options.prefer_flat = false` (the harness's
-  // `flat = off` ablation) forces the pointer-tree fallback.
-  const FlatProfileTree* flat =
-      options.prefer_flat ? snapshot.flat_tree() : nullptr;
-  if (flat != nullptr) {
-    FlatResolver resolver(flat);
-    if (cache != nullptr) {
-      // Tag entries with the snapshot's own identity, never
-      // options.cache_user / Profile::version(): the serving version is
-      // unique across swaps, so a stale entry can never be mistaken for
-      // a current one.
-      return CachedRankCS(relation, query, resolver, snapshot.user_id(),
-                          snapshot.serving_version(), *cache, options,
-                          counter);
-    }
-    return RankCS(relation, query, resolver, options, counter);
-  }
-  TreeResolver resolver(&snapshot.tree());
+  FlatResolver resolver(snapshot.flat_tree());
   if (cache != nullptr) {
+    // Tag entries with the snapshot's own identity: the serving version
+    // is unique across swaps, so a stale entry can never be mistaken
+    // for a current one.
     return CachedRankCS(relation, query, resolver, snapshot.user_id(),
                         snapshot.serving_version(), *cache, options, counter);
   }
   return RankCS(relation, query, resolver, options, counter);
 }
 
+namespace {
+
+/// The read side of the cache protocol, shared by every store-level
+/// entry point: picks the replica, runs its inline consume step, and
+/// returns its tree iff the replica's clock covers the pinned
+/// `version`. `Covers` reads the clock with acquire, pairing with the
+/// consume step's release store: a covered replica has applied every
+/// invalidation record at or below the pinned version (modulo appends
+/// still in flight — harmless, their versions exceed any tag a hit
+/// could match; see docs/coherence.md). A refused read counts a stale
+/// refuse and gets null: it serves uncached and skips the stale rung.
+ContextQueryTree* GateReplica(ReplicatedQueryCache* cache, size_t replica,
+                              uint64_t version) {
+  if (cache == nullptr) return nullptr;
+  const size_t r =
+      replica == kAnyReplica ? cache->ReplicaForThisThread() : replica;
+  if (cache->options().mode ==
+      ReplicatedQueryCache::ConsumeMode::kInlineAtLookup) {
+    cache->Consume(r);
+  }
+  if (cache->Covers(r, version)) return &cache->replica(r);
+  ReplicatedQueryCache::RecordStaleRefuse();
+  return nullptr;
+}
+
+}  // namespace
+
 StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
                                  const std::string& user_id,
                                  const db::Relation& relation,
                                  const ContextualQuery& query,
-                                 ContextQueryTree* cache,
+                                 ReplicatedQueryCache* cache,
                                  const QueryOptions& options,
-                                 AccessCounter* counter) {
+                                 AccessCounter* counter, size_t replica) {
   StatusOr<SnapshotPtr> snapshot = store.GetSnapshot(user_id);
   if (!snapshot.ok()) return snapshot.status();
   SnapshotPin pin(*snapshot);
+  const uint64_t version = pin->serving_version();
   StatusOr<QueryResult> result =
-      ServeQuery(*pin, relation, query, cache, options, counter);
+      ServeQuery(*pin, relation, query, GateReplica(cache, replica, version),
+                 options, counter);
   if (!result.ok()) return result.status();
-  return ServedQuery{std::move(*result), pin.snapshot(), ServingProvenance{}};
+  ServingProvenance provenance;
+  provenance.served_version = version;
+  provenance.current_version = version;
+  return ServedQuery{std::move(*result), pin.snapshot(), provenance};
+}
+
+StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
+                                           const std::string& user_id,
+                                           const db::Relation& relation,
+                                           const ContextualQuery& query,
+                                           ReplicatedQueryCache& replicas,
+                                           const QueryOptions& options,
+                                           AccessCounter* counter,
+                                           size_t replica) {
+  return ServeQuery(store, user_id, relation, query, &replicas, options,
+                    counter, replica);
 }
 
 namespace {
@@ -198,9 +223,10 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
                                           const std::string& user_id,
                                           const db::Relation& relation,
                                           const ContextualQuery& query,
-                                          ContextQueryTree* cache,
+                                          ReplicatedQueryCache* cache,
                                           const ServeOptions& opts,
-                                          AccessCounter* counter) {
+                                          AccessCounter* counter,
+                                          size_t replica) {
   ServingMetrics& metrics = ServingMetrics::Get();
   metrics.requests.Increment();
 
@@ -212,6 +238,10 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
 
   ServingProvenance provenance;
   provenance.current_version = pin->serving_version();
+  // The one gate of this request: fresh and stale rungs both read only
+  // this replica, and only if its clock covers the pinned version.
+  ContextQueryTree* tree =
+      GateReplica(cache, replica, provenance.current_version);
 
   // Front door: admit or shed, never queue. An expired deadline sheds
   // here too (kShedDeadline) — one clock read instead of a full pin +
@@ -235,7 +265,7 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
   // every cancellation point along the way.
   if (admitted) {
     StatusOr<QueryResult> result =
-        ServeQuery(*pin, relation, query, cache, opts.query, counter);
+        ServeQuery(*pin, relation, query, tree, opts.query, counter);
     if (result.ok()) {
       metrics.fresh.Increment();
       provenance.via = ServedVia::kFresh;
@@ -261,10 +291,10 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
   }
 
   // Rung 1: bounded-staleness cached answer at one older version.
-  if (cache != nullptr && opts.allow_stale && opts.max_stale_versions > 0) {
+  if (tree != nullptr && opts.allow_stale && opts.max_stale_versions > 0) {
     QueryResult stale;
     uint64_t served_version = 0;
-    if (TryServeStale(user_id, relation, query, states, *cache,
+    if (TryServeStale(user_id, relation, query, states, *tree,
                       pin->serving_version(), opts.max_stale_versions,
                       opts.query, counter, &stale, &served_version)) {
       metrics.stale.Increment();
@@ -308,46 +338,6 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
       AdmissionDecisionToString(provenance.admission) +
       (provenance.deadline_hit ? ", deadline expired" : "") +
       "), no degraded answer available");
-}
-
-StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
-                                           const std::string& user_id,
-                                           const db::Relation& relation,
-                                           const ContextualQuery& query,
-                                           ReplicatedQueryCache& replicas,
-                                           const QueryOptions& options,
-                                           AccessCounter* counter,
-                                           size_t replica) {
-  StatusOr<SnapshotPtr> snapshot = store.GetSnapshot(user_id);
-  if (!snapshot.ok()) return snapshot.status();
-  SnapshotPin pin(*snapshot);
-  const uint64_t pinned_version = pin->serving_version();
-
-  const size_t r =
-      replica == kAnyReplica ? replicas.ReplicaForThisThread() : replica;
-  if (replicas.options().mode ==
-      ReplicatedQueryCache::ConsumeMode::kInlineAtLookup) {
-    replicas.Consume(r);
-  }
-  // The coherence gate. `Covers` reads the clock with acquire, pairing
-  // with the consume step's release store: a covered replica has
-  // applied every invalidation record at or below the pinned version
-  // (modulo appends still in flight — harmless, their versions exceed
-  // any tag a hit could match; see docs/coherence.md).
-  ContextQueryTree* tree = nullptr;
-  if (replicas.Covers(r, pinned_version)) {
-    tree = &replicas.replica(r);
-  } else {
-    ReplicatedQueryCache::RecordStaleRefuse();
-  }
-  StatusOr<QueryResult> result =
-      ServeQuery(*pin, relation, query, tree, options, counter);
-  if (!result.ok()) return result.status();
-  ServingProvenance provenance;
-  provenance.via = ServedVia::kFresh;
-  provenance.served_version = pinned_version;
-  provenance.current_version = pinned_version;
-  return ServedQuery{std::move(*result), pin.snapshot(), provenance};
 }
 
 }  // namespace ctxpref::storage

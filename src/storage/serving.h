@@ -7,14 +7,11 @@
 
 #include "preference/contextual_query.h"
 #include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/admission.h"
 #include "storage/profile_store.h"
 #include "util/counters.h"
 #include "util/status.h"
-
-namespace ctxpref {
-class ReplicatedQueryCache;
-}
 
 namespace ctxpref::storage {
 
@@ -80,32 +77,52 @@ struct ServingProvenance {
 /// A ranked answer plus the exact snapshot it was computed from, so
 /// callers can attribute every tuple and trace to one published
 /// profile version (the zero-torn-reads property bench_serving and the
-/// concurrency tests check). `provenance` is filled by
-/// `ServeQueryResilient`; the plain `ServeQuery` always serves fresh.
+/// concurrency tests check). `provenance` says which ladder rung of
+/// `ServeQueryResilient` served it; the plain `ServeQuery` always
+/// serves fresh.
 struct ServedQuery {
   QueryResult result;
   SnapshotPtr snapshot;
   ServingProvenance provenance;
 };
 
+/// "Pick the replica by thread" sentinel for the `replica` argument of
+/// the serving entry points.
+inline constexpr size_t kAnyReplica = ~static_cast<size_t>(0);
+
 /// The multi-user serving entry point: pins `user_id`'s current
-/// snapshot, ranks `query` against that one immutable profile-tree
-/// version, and returns the answer together with the snapshot it came
-/// from. With `cache` non-null the per-state results go through
-/// `CachedRankCS`, tagged `{user_id, serving version}` — safe across
-/// concurrent profile swaps (see docs/serving.md); with `cache` null
-/// it is a plain uncached `RankCS`. `options.cache_user` is ignored:
-/// the snapshot's user id is authoritative here.
+/// snapshot (version V), ranks `query` against that one immutable
+/// profile version, and returns the answer together with the snapshot
+/// it came from. With `cache` null it is a plain uncached `RankCS`.
+/// With `cache` non-null the read follows the cache protocol
+/// (docs/coherence.md):
+///
+///   1. Pick a replica — `replica` if given, else a stable hash of the
+///      calling thread (`kAnyReplica`).
+///   2. In `kInlineAtLookup` mode, run the replica's consume step so
+///      its clock catches up to the log's append watermark.
+///   3. **Gate**: if the replica's clock covers V, serve through the
+///      replica's tree (`CachedRankCS`, entries tagged
+///      `{user_id, V}`). Otherwise count a stale refuse and serve
+///      *uncached* rather than read a replica that may still hold
+///      entries the log says are dead.
+///
+/// Either branch ranks against the same pinned snapshot, so the answer
+/// is byte-identical to an uncached serve at the same serving version;
+/// the gate only decides whether the replica's cache may participate.
 StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
                                  const std::string& user_id,
                                  const db::Relation& relation,
                                  const ContextualQuery& query,
-                                 ContextQueryTree* cache = nullptr,
+                                 ReplicatedQueryCache* cache = nullptr,
                                  const QueryOptions& options = {},
-                                 AccessCounter* counter = nullptr);
+                                 AccessCounter* counter = nullptr,
+                                 size_t replica = kAnyReplica);
 
 /// Ranks against an already-pinned snapshot — the form for callers
-/// that run several queries against one consistent version.
+/// that run several queries against one consistent version — through
+/// `cache` (one replica tree, already gated by the caller) or uncached
+/// when it is null.
 StatusOr<QueryResult> ServeQuery(const ProfileSnapshot& snapshot,
                                  const db::Relation& relation,
                                  const ContextualQuery& query,
@@ -123,11 +140,14 @@ struct ServeOptions {
   AdmissionController* admission = nullptr;
   QueryPriority priority = QueryPriority::kInteractive;
   /// Ladder rung 1: serve a cached answer at an older serving version.
-  /// Requires a cache in retain-stale mode to be useful, options the
-  /// cache can answer (`CheckCacheableOptions`: kMax/kMin, no score
-  /// discount — the rung is skipped otherwise), and every query
-  /// state cached at ONE consistent version — mixed versions would be a
-  /// torn answer, the thing this whole layer exists to prevent.
+  /// Needs a cache replica the coherence gate covered (a refused
+  /// replica skips the rung), options the cache can answer
+  /// (`CheckCacheableOptions`: kMax/kMin, no score discount — the rung
+  /// is skipped otherwise), and every query state cached at ONE
+  /// consistent version — mixed versions would be a torn answer, the
+  /// thing this whole layer exists to prevent. The cache's
+  /// `staleness_window` bounds how far back entries survive the
+  /// consume step.
   bool allow_stale = true;
   /// How far back (in serving versions) rung 1 may reach.
   uint64_t max_stale_versions = 8;
@@ -148,35 +168,22 @@ struct ServeOptions {
 /// every answer carries a `ServingProvenance` saying which rung served
 /// it. Errors other than deadline/shed (unknown user, bad predicate)
 /// return unchanged — the ladder only absorbs overload, not bugs.
+///
+/// `cache` and `replica` work as in `ServeQuery`: the replica is picked,
+/// consumed and gated once, right after the pin, and both the fresh
+/// rung and the stale rung read only a replica the gate covered.
 StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
                                           const std::string& user_id,
                                           const db::Relation& relation,
                                           const ContextualQuery& query,
-                                          ContextQueryTree* cache = nullptr,
+                                          ReplicatedQueryCache* cache = nullptr,
                                           const ServeOptions& opts = {},
-                                          AccessCounter* counter = nullptr);
+                                          AccessCounter* counter = nullptr,
+                                          size_t replica = kAnyReplica);
 
-/// "Pick the replica by thread" sentinel for `ServeQueryReplicated`.
-inline constexpr size_t kAnyReplica = ~static_cast<size_t>(0);
-
-/// `ServeQuery` through one replica of a `ReplicatedQueryCache` kept
-/// coherent by the log-based scheme (docs/coherence.md). The flow:
-///
-///   1. Pin `user_id`'s current snapshot (version V).
-///   2. Pick a replica — `replica` if given, else a stable hash of the
-///      calling thread (`kAnyReplica`).
-///   3. In `kInlineAtLookup` mode, run the replica's consume step so
-///      its clock catches up to the append watermark.
-///   4. **Gate**: if the replica's clock covers V, serve through the
-///      replica's tree (exact-version hits; misses recompute and Put).
-///      Otherwise count a stale refuse and serve *uncached* — the miss
-///      path — rather than read through a replica that may still hold
-///      entries the log says are dead beyond the staleness window.
-///
-/// Either branch ranks against the same pinned snapshot, so the answer
-/// is byte-identical to a single-cache or uncached `ServeQuery` at the
-/// same serving version (the differential suite's property); the gate
-/// only decides whether the replica's cache may *participate*.
+/// `ServeQuery(store, user_id, relation, query, &replicas, options,
+/// counter, replica)`, under its older name (perfbench/serve_bench.cc
+/// still calls it).
 StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
                                            const std::string& user_id,
                                            const db::Relation& relation,

@@ -73,8 +73,8 @@ enum class LockRank : int {
   /// store's publish path (under write_mu), drains from a replica's
   /// consume step (under consume_mu); never two buffers at once.
   kCoherenceLog = 35,
-  /// ContextQueryTree shard mutexes; acquired under the store's write
-  /// path via InvalidateUser, never two shards at once.
+  /// ContextQueryTree shard mutexes; acquired under a replica's
+  /// consume step via InvalidateUser(Below), never two shards at once.
   kCacheShard = 40,
   /// ResilientSource::mu_ — held across a backend read, so it ranks
   /// below (acquired before) the fault injector's script lock.

@@ -434,7 +434,7 @@ StatusOr<std::vector<UserStudyRow>> RunUserStudy(
     // tracks the user's true context. Failed reads retry, then serve
     // the previous query's value (stale), lifting it toward `all` as
     // it ages on the fake clock.
-    FakeClock clock;
+    util::FakeClock clock;
     CurrentContext sensed(poi->env);
     std::vector<NoisySensorSource*> sensors;
     if (config.sensor_dropout > 0.0) {

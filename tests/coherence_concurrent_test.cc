@@ -74,9 +74,9 @@ class CoherenceConcurrentTest : public ::testing::Test {
                 const std::atomic<bool>& stop, std::atomic<uint64_t>& torn,
                 std::atomic<uint64_t>& answered, bool tolerate_not_found) {
     while (!stop.load(std::memory_order_relaxed)) {
-      StatusOr<storage::ServedQuery> served = storage::ServeQueryReplicated(
-          store, "u", poi_->relation, query_, replicas, QueryOptions{},
-          /*counter=*/nullptr, r);
+      StatusOr<storage::ServedQuery> served =
+          storage::ServeQuery(store, "u", poi_->relation, query_, &replicas,
+                              QueryOptions{}, /*counter=*/nullptr, r);
       if (!served.ok()) {
         EXPECT_TRUE(tolerate_not_found && served.status().IsNotFound())
             << served.status().ToString();

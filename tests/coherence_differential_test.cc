@@ -173,12 +173,12 @@ class CoherenceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 // Two stores are driven through the SAME sequence of >= 12 profile
 // swaps (half PublishProfile, half ReloadUser from a directory the
 // publishing store saved), so their serving-version counters stay in
-// lockstep. Store A uses the eager single-shared-cache wiring; store B
-// publishes through the coherence log into a replicated cache. At
-// every version, for both distance kinds, every replica must serve
-// byte-identically to the shared cache and to the uncached oracle —
-// and the second (hit) pass through each cache must be byte-identical
-// to the first (miss) pass that populated it.
+// lockstep. Store A publishes into a one-replica cache (the single
+// shared cache); store B into a three-replica cache. At every version,
+// for both distance kinds, every replica must serve byte-identically
+// to the shared cache and to the uncached oracle — and the second
+// (hit) pass through each cache must be byte-identical to the first
+// (miss) pass that populated it.
 TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
@@ -202,27 +202,29 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
     fs::remove_all(dir);
     fs::create_directories(dir);
 
-    storage::ProfileStore eager_store(env);
-    ContextQueryTree shared_cache(env, Ordering::Identity(env->size()));
-    shared_cache.SetRetainStale(true);
-    eager_store.AttachQueryCache(&shared_cache);
-
-    storage::ProfileStore log_store(env);
     ReplicatedQueryCache::Options ropt;
     ropt.num_replicas = 3;
     ropt.staleness_window = 64;  // Retain everything this test ages.
     ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
     ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
+    ReplicatedQueryCache::Options shared_opt = ropt;
+    shared_opt.num_replicas = 1;
+    ReplicatedQueryCache shared_cache(env, Ordering::Identity(env->size()),
+                                      shared_opt);
+
+    storage::ProfileStore shared_store(env);
+    shared_store.AttachCoherenceLog(&shared_cache.log());
+    storage::ProfileStore log_store(env);
     log_store.AttachCoherenceLog(&replicas.log());
 
     {
       Profile initial = NonEmptyRandomProfile(rng, env, world);
-      ASSERT_OK(eager_store.CreateUser("u", initial));
+      ASSERT_OK(shared_store.CreateUser("u", initial));
       ASSERT_OK(log_store.CreateUser("u", std::move(initial)));
     }
 
     for (int swap = 0; swap < 13; ++swap) {
-      ASSERT_EQ(eager_store.serving_version(), log_store.serving_version());
+      ASSERT_EQ(shared_store.serving_version(), log_store.serving_version());
       StatusOr<storage::SnapshotPtr> pin = log_store.GetSnapshot("u");
       ASSERT_OK(pin.status());
       const uint64_t version = (*pin)->serving_version();
@@ -245,10 +247,11 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
 
         // Shared-cache path: miss pass then hit pass.
         for (int pass = 0; pass < 2; ++pass) {
-          StatusOr<QueryResult> got = storage::ServeQuery(
-              **pin, relation, query, &shared_cache, options);
+          StatusOr<storage::ServedQuery> got = storage::ServeQuery(
+              shared_store, "u", relation, query, &shared_cache, options);
           ASSERT_OK(got.status());
-          ExpectSameResult(*got, *oracle,
+          ASSERT_EQ(got->snapshot->serving_version(), version) << label;
+          ExpectSameResult(got->result, *oracle,
                            label + " shared pass " + std::to_string(pass));
         }
         // Every replica, miss pass then hit pass, through the real
@@ -256,9 +259,9 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
         for (size_t r = 0; r < replicas.num_replicas(); ++r) {
           for (int pass = 0; pass < 2; ++pass) {
             StatusOr<storage::ServedQuery> got =
-                storage::ServeQueryReplicated(log_store, "u", relation, query,
-                                              replicas, options,
-                                              /*counter=*/nullptr, r);
+                storage::ServeQuery(log_store, "u", relation, query,
+                                    &replicas, options, /*counter=*/nullptr,
+                                    r);
             ASSERT_OK(got.status());
             ASSERT_EQ(got->snapshot->serving_version(), version) << label;
             EXPECT_TRUE(replicas.Covers(r, version)) << label;
@@ -269,9 +272,8 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
           // The hit really is a hit: a third serve must not miss.
           const CacheStats before = replicas.replica(r).Stats();
           StatusOr<storage::ServedQuery> again =
-              storage::ServeQueryReplicated(log_store, "u", relation, query,
-                                            replicas, options,
-                                            /*counter=*/nullptr, r);
+              storage::ServeQuery(log_store, "u", relation, query, &replicas,
+                                  options, /*counter=*/nullptr, r);
           ASSERT_OK(again.status());
           const CacheStats after = replicas.replica(r).Stats();
           EXPECT_GT(after.hits, before.hits) << label;
@@ -281,14 +283,14 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
 
       // Advance both stores through the same swap: even rounds publish
       // a fresh random profile, odd rounds reload from disk (saved by
-      // the eager store, republished by both).
+      // the shared-cache store, republished by both).
       if (swap % 2 == 0) {
         Profile next = NonEmptyRandomProfile(rng, env, world);
-        ASSERT_OK(eager_store.PublishProfile("u", next));
+        ASSERT_OK(shared_store.PublishProfile("u", next));
         ASSERT_OK(log_store.PublishProfile("u", std::move(next)));
       } else {
-        ASSERT_OK(eager_store.SaveAll(dir));
-        ASSERT_OK(eager_store.ReloadUser("u", dir));
+        ASSERT_OK(shared_store.SaveAll(dir));
+        ASSERT_OK(shared_store.ReloadUser("u", dir));
         ASSERT_OK(log_store.ReloadUser("u", dir));
       }
     }
@@ -348,9 +350,9 @@ TEST_P(CoherenceDifferentialTest, ChaosChurnNeverServesTornAnswers) {
       const size_t r = rng.Uniform(replicas.num_replicas());
       const ContextualQuery query =
           QueryForState(*env, world[rng.Uniform(world.size())]);
-      StatusOr<storage::ServedQuery> got = storage::ServeQueryReplicated(
-          store, uid, relation, query, replicas, QueryOptions{},
-          /*counter=*/nullptr, r);
+      StatusOr<storage::ServedQuery> got =
+          storage::ServeQuery(store, uid, relation, query, &replicas,
+                              QueryOptions{}, /*counter=*/nullptr, r);
       ASSERT_OK(got.status());
       if (replicas.Covers(r, got->snapshot->serving_version())) {
         ++covered_serves;
@@ -446,9 +448,9 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
   EXPECT_FALSE(replicas.Covers(0, v1));
   const uint64_t refuses_before = StaleRefuses();
   const ContextualQuery query = QueryForState(*env, world[0]);
-  StatusOr<storage::ServedQuery> gated = storage::ServeQueryReplicated(
-      store, "u", relation, query, replicas, QueryOptions{},
-      /*counter=*/nullptr, 0);
+  StatusOr<storage::ServedQuery> gated =
+      storage::ServeQuery(store, "u", relation, query, &replicas,
+                          QueryOptions{}, /*counter=*/nullptr, 0);
   ASSERT_OK(gated.status());
   EXPECT_EQ(StaleRefuses() - refuses_before, 1u);
   EXPECT_EQ(replicas.replica(0).Stats().size, 0u)
@@ -460,9 +462,8 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
   EXPECT_TRUE(replicas.Covers(0, v1));
   EXPECT_FALSE(replicas.Covers(1, v1));
   for (int pass = 0; pass < 2; ++pass) {
-    ASSERT_OK(storage::ServeQueryReplicated(store, "u", relation, query,
-                                            replicas, QueryOptions{},
-                                            /*counter=*/nullptr, 0)
+    ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &replicas,
+                                  QueryOptions{}, /*counter=*/nullptr, 0)
                   .status());
   }
   const CacheStats stats = replicas.replica(0).Stats();
@@ -474,7 +475,7 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
   // Age the entry beyond the staleness window (> 2 publishes), then
   // consume: the v1-tagged entry is reclaimed — not even reachable via
   // the bounded-staleness lookup — while entries inside the window
-  // survive in retain-stale mode.
+  // survive.
   for (int i = 0; i < 4; ++i) {
     ASSERT_OK(
         store.PublishProfile("u", NonEmptyRandomProfile(rng, env, world)));
@@ -491,15 +492,66 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
       << "v" << v1 << " entry should be reclaimed, got v" << found_version;
 
   // drop_all: a removal kills even in-window entries at consume time.
-  ASSERT_OK(storage::ServeQueryReplicated(store, "u", relation, query,
-                                          replicas, QueryOptions{},
-                                          /*counter=*/nullptr, 0)
+  ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &replicas,
+                                QueryOptions{}, /*counter=*/nullptr, 0)
                 .status());  // Re-populate at the current version.
   ASSERT_GT(replicas.replica(0).Stats().size, 0u);
   ASSERT_OK(store.RemoveUser("u"));
   replicas.Consume(0);
   EXPECT_EQ(replicas.replica(0).Stats().size, 0u)
       << "drop_all must ignore the staleness window";
+}
+
+// A log attached to a store that already has users (`LoadDir` always
+// returns one) must cover those users' snapshots right away: the
+// attach seeds the log's watermark with the store's serving version,
+// so the first serve populates the replica and every later one hits.
+TEST(ReplicatedQueryCacheTest, AttachAfterPublishServesHits) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(5151);
+
+  const std::string dir = testing::UniqueTempDir("ctxpref_attach_after");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    storage::ProfileStore saved(env);
+    ASSERT_OK(saved.CreateUser("u", NonEmptyRandomProfile(rng, env, world)));
+    ASSERT_OK(saved.CreateUser("w", NonEmptyRandomProfile(rng, env, world)));
+    ASSERT_OK(saved.SaveAll(dir));
+  }
+  StatusOr<storage::ProfileStore> loaded =
+      storage::ProfileStore::LoadDir(env, dir);
+  ASSERT_OK(loaded.status());
+  storage::ProfileStore& store = *loaded;
+  ASSERT_GT(store.serving_version(), 0u);
+
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;
+  ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+  ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
+  store.AttachCoherenceLog(&replicas.log());
+  EXPECT_EQ(replicas.log().max_appended(), store.serving_version());
+
+  const ContextualQuery query = QueryForState(*env, world[0]);
+  const uint64_t refuses_before = StaleRefuses();
+  for (int i = 0; i < 5; ++i) {
+    StatusOr<storage::ServedQuery> got =
+        storage::ServeQuery(store, "u", relation, query, &replicas,
+                            QueryOptions{}, /*counter=*/nullptr, 0);
+    ASSERT_OK(got.status());
+    StatusOr<QueryResult> oracle = storage::ServeQuery(
+        *got->snapshot, relation, query, /*cache=*/nullptr);
+    ASSERT_OK(oracle.status());
+    ExpectSameResult(got->result, *oracle, "serve " + std::to_string(i));
+  }
+  EXPECT_EQ(StaleRefuses() - refuses_before, 0u);
+  const CacheStats stats = replicas.Stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 4u);
+  store.AttachCoherenceLog(nullptr);
+  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceDifferentialTest,

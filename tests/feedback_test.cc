@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "preference/explain.h"
-#include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/profile_store.h"
 #include "tests/test_util.h"
 #include "workload/poi_dataset.h"
@@ -169,9 +169,15 @@ TEST_F(FeedbackTest, FeedbackFlowsThroughCopyOnWriteStore) {
   // Feedback is a store writer like any other: routed through
   // `UpdateUser` it rescores a copy off to the side, publishes a new
   // serving version, and never disturbs readers pinned on the old one.
+  // One replica with no staleness window: consuming a publish drops
+  // the user's older entries.
+  ReplicatedQueryCache::Options options = testing::SharedCache();
+  options.staleness_window = 0;
+  ReplicatedQueryCache replicas(env_, Ordering::Identity(env_->size()),
+                                options);
+  ContextQueryTree& cache = replicas.replica(0);
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&replicas.log());
   Profile seed(env_);
   ASSERT_OK(seed.Insert(
       Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.5)));
@@ -195,8 +201,9 @@ TEST_F(FeedbackTest, FeedbackFlowsThroughCopyOnWriteStore) {
   EXPECT_DOUBLE_EQ((*after)->profile().preference(0).score(), 0.6);
   EXPECT_GT((*after)->serving_version(), (*before)->serving_version());
   // ...and the publish dropped alice's cached answers.
+  replicas.ConsumeAll();
   EXPECT_EQ(cache.Lookup("alice", ctx, (*before)->serving_version()), nullptr);
-  store.AttachQueryCache(nullptr);
+  store.AttachCoherenceLog(nullptr);
 }
 
 TEST_F(FeedbackTest, FeedbackImprovesRankingForTheUser) {

@@ -15,6 +15,7 @@
 #include "preference/explain.h"
 #include "preference/profile_stats.h"
 #include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/env_spec.h"
 #include "storage/profile_store.h"
 #include "storage/serving.h"
@@ -109,10 +110,10 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_OK(direct.status());
   ASSERT_FALSE(direct->tuples.empty());
 
-  StatusOr<QueryResult> cached1 = CachedRankCS(*relation, query, resolver,
-                                               **alice, cache, options);
-  StatusOr<QueryResult> cached2 = CachedRankCS(*relation, query, resolver,
-                                               **alice, cache, options);
+  StatusOr<QueryResult> cached1 = CachedRankCS(
+      *relation, query, resolver, "", (*alice)->version(), cache, options);
+  StatusOr<QueryResult> cached2 = CachedRankCS(
+      *relation, query, resolver, "", (*alice)->version(), cache, options);
   ASSERT_OK(cached1.status());
   ASSERT_OK(cached2.status());
   EXPECT_EQ(cached1->tuples, direct->tuples);
@@ -120,13 +121,23 @@ TEST_F(IntegrationTest, FullPipeline) {
   EXPECT_GE(cache.hits(), 1u);
 
   // The serving layer answers the same query by pinning user0's
-  // current snapshot; its cache entries are tagged with the snapshot's
-  // serving version, so they never mix with the Profile&-overload ones
-  // above.
-  StatusOr<storage::ServedQuery> served =
-      storage::ServeQuery(store, "user0", *relation, query, &cache, options);
+  // current snapshot, through a one-replica cache the store feeds via
+  // its coherence log (attached to an already populated store); its
+  // entries are tagged with the snapshot's serving version. A second
+  // serve hits.
+  ReplicatedQueryCache replicas(*env, Ordering::Identity((*env)->size()),
+                                testing::SharedCache());
+  store.AttachCoherenceLog(&replicas.log());
+  StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+      store, "user0", *relation, query, &replicas, options);
   ASSERT_OK(served.status());
   EXPECT_EQ(served->result.tuples, direct->tuples);
+  StatusOr<storage::ServedQuery> served_again = storage::ServeQuery(
+      store, "user0", *relation, query, &replicas, options);
+  ASSERT_OK(served_again.status());
+  EXPECT_EQ(served_again->result.tuples, direct->tuples);
+  EXPECT_GE(replicas.Stats().hits, 1u);
+  store.AttachCoherenceLog(nullptr);
   EXPECT_EQ(served->snapshot->user_id(), "user0");
 
   // The top tuple has at least one contribution whose clause it

@@ -33,11 +33,8 @@ class ReferenceLru {
                                              uint64_t version) {
     auto it = entries_.find(s);
     if (it == entries_.end()) return nullptr;
-    if (it->second.version != version) {
-      recency_.remove(s);
-      entries_.erase(it);
-      return nullptr;
-    }
+    // A version-skewed entry is a plain miss: kept, recency untouched.
+    if (it->second.version != version) return nullptr;
     Touch(s);
     return &entries_.find(s)->second.tuples;
   }
@@ -124,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheModelTest,
 // ---------------------------------------------------------------------
 
 /// The multi-tenant reference: one recency list over (user, state)
-/// pairs, per-entry version tags, and an eager per-user purge.
+/// pairs, per-entry version tags, and a per-user purge.
 class MultiUserReferenceLru {
  public:
   using Key = std::pair<std::string, ContextState>;
@@ -137,11 +134,8 @@ class MultiUserReferenceLru {
     const Key k{user, s};
     auto it = entries_.find(k);
     if (it == entries_.end()) return nullptr;
-    if (it->second.version != version) {
-      recency_.remove(k);
-      entries_.erase(it);
-      return nullptr;
-    }
+    // A version-skewed entry is a plain miss: kept, recency untouched.
+    if (it->second.version != version) return nullptr;
     Touch(k);
     return &entries_.find(k)->second.tuples;
   }
@@ -232,9 +226,9 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
       cache.Put(users[u], s, versions[u], tuples);
       reference.Put(users[u], s, versions[u], tuples);
     } else if (roll < 0.95) {
-      ++versions[u];  // Publish without eager invalidation: lazy drops.
+      ++versions[u];  // Publish, not yet consumed: old entries miss.
     } else {
-      // Publish with the eager hook: both must drop the same entries.
+      // Publish plus a drop_all consume: both drop the same entries.
       ++versions[u];
       ASSERT_EQ(cache.InvalidateUser(users[u]),
                 reference.InvalidateUser(users[u]))

@@ -116,10 +116,10 @@ TEST_F(OverloadChaosTest, ResolverLatencySpikeTripsRankCsDeadline) {
 
 TEST_F(OverloadChaosTest, PoolStallDropsExpiredStateTasksAtDequeue) {
   util::FakeClock clock;
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(64));
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/64);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
   StatusOr<storage::SnapshotPtr> snap = store.GetSnapshot("u");
   ASSERT_OK(snap.status());
@@ -137,8 +137,8 @@ TEST_F(OverloadChaosTest, PoolStallDropsExpiredStateTasksAtDequeue) {
 
   StatusOr<QueryResult> result = Status::Internal("not served yet");
   std::thread server([&] {
-    result = storage::ServeQuery(**snap, poi_->relation, query_, &cache,
-                                 options);
+    result = storage::ServeQuery(**snap, poi_->relation, query_,
+                                 &cache.replica(0), options);
   });
   // Wait until both state tasks queue behind the stalled worker, then
   // let the deadline pass before releasing it.
@@ -158,15 +158,14 @@ TEST_F(OverloadChaosTest, PoolStallDropsExpiredStateTasksAtDequeue) {
 // ---- Admission + the degradation ladder ----------------------------
 
 TEST_F(OverloadChaosTest, CapacityShedFallsBackToStaleThenTruncated) {
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(64));
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/64);
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
 
-  // Warm the cache at the current version, then publish a new one; in
-  // retain-stale mode the old entries survive the publish.
+  // Warm the cache at the current version, then publish a new one; the
+  // old entries survive the publish inside the staleness window.
   StatusOr<storage::ServedQuery> warm = storage::ServeQueryResilient(
       store, "u", poi_->relation, query_, &cache);
   ASSERT_OK(warm.status());
@@ -289,11 +288,10 @@ TEST_F(OverloadChaosTest, StaleRungRefusesTornMixedVersionJoins) {
   // Force the pathological case: state A cached at v_new, state B only
   // at v_old. The stale rung must refuse the mixed join (fall to
   // truncated) rather than stitch two versions into one answer.
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(64));
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/64);
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
 
   // Warm BOTH states at v1 via the two-state query.
@@ -334,11 +332,10 @@ TEST_F(OverloadChaosTest, StaleRungRefusesTornMixedVersionJoins) {
 TEST_F(OverloadChaosTest, SeededBurstsServeUntornAnswersWithProvenance) {
   Rng rng(20260808);
   util::FakeClock clock;
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(256, 4));
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/256, /*num_shards=*/4);
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   uint64_t step = 1;
   ASSERT_OK(store.CreateUser("u", VersionedProfile(step)));
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "preference/replicated_query_cache.h"
 #include "tests/test_util.h"
 #include "workload/default_profiles.h"
 
@@ -164,9 +165,15 @@ TEST_F(ProfileStoreTest, FailedUpdatePublishesNothing) {
 }
 
 TEST_F(ProfileStoreTest, PublishInvalidatesAttachedCache) {
+  // One replica with no staleness window: consuming a publish drops
+  // every older entry of that user.
+  ReplicatedQueryCache::Options options = testing::SharedCache();
+  options.staleness_window = 0;
+  ReplicatedQueryCache replicas(env_, Ordering::Identity(env_->size()),
+                                options);
+  ContextQueryTree& cache = replicas.replica(0);
   ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&replicas.log());
   ASSERT_OK(store.CreateUser("alice"));
   ASSERT_OK(store.CreateUser("bob"));
 
@@ -180,9 +187,11 @@ TEST_F(ProfileStoreTest, PublishInvalidatesAttachedCache) {
   cache.Put("bob", state, (*bob)->serving_version(), {});
   EXPECT_EQ(cache.size(), 2u);
 
-  // Publishing for alice drops exactly alice's entries.
+  // Publishing for alice drops exactly alice's entries once the
+  // replica consumes the log.
   ASSERT_OK(InsertPref(store, "alice",
                        Pref(*env_, "location = Plaka", "name", "X", 0.5)));
+  replicas.ConsumeAll();
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.Lookup("bob", state, (*bob)->serving_version()), nullptr);
   EXPECT_EQ(cache.Lookup("alice", state, (*alice)->serving_version()),
@@ -190,8 +199,9 @@ TEST_F(ProfileStoreTest, PublishInvalidatesAttachedCache) {
 
   // Removing bob drops bob's entries too.
   ASSERT_OK(store.RemoveUser("bob"));
+  replicas.ConsumeAll();
   EXPECT_EQ(cache.size(), 0u);
-  store.AttachQueryCache(nullptr);
+  store.AttachCoherenceLog(nullptr);
 }
 
 TEST_F(ProfileStoreTest, RemoveUser) {

@@ -153,8 +153,8 @@ TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
 }
 
 /// Per-user writers and readers race a dedicated invalidator thread
-/// calling InvalidateUser round-robin — the eager invalidation path a
-/// ProfileStore publish fires concurrently with serving traffic. Run
+/// calling InvalidateUser round-robin — the drop a replica's consume
+/// step applies concurrently with serving traffic. Run
 /// under TSan; afterwards the shard accounting must still be exact.
 TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
   ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
@@ -307,14 +307,16 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
   serial.num_threads = 1;
   ContextQueryTree cold1(env_, Ordering::Identity(env_->size()), 64);
   StatusOr<QueryResult> one =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold1, serial);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cold1, serial);
   ASSERT_OK(one.status());
 
   QueryOptions parallel = serial;
   parallel.num_threads = 8;
   ContextQueryTree cold8(env_, Ordering::Identity(env_->size()), 64);
   StatusOr<QueryResult> eight =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold8, parallel);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cold8, parallel);
   ASSERT_OK(eight.status());
 
   EXPECT_EQ(eight->tuples, one->tuples);
@@ -333,7 +335,8 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
 
   // And a warm parallel run over the now-populated cache agrees too.
   StatusOr<QueryResult> warm =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold8, parallel);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cold8, parallel);
   ASSERT_OK(warm.status());
   EXPECT_EQ(warm->tuples, one->tuples);
   EXPECT_GE(cold8.Stats().hits, 1u);
@@ -344,7 +347,8 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
   pooled.pool = &shared;
   ContextQueryTree cold_pool(env_, Ordering::Identity(env_->size()), 64);
   StatusOr<QueryResult> via_pool =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold_pool, pooled);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cold_pool, pooled);
   ASSERT_OK(via_pool.status());
   EXPECT_EQ(via_pool->tuples, one->tuples);
 }

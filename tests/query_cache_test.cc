@@ -50,18 +50,24 @@ TEST_F(QueryCacheTest, MissOnAbsentState) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST_F(QueryCacheTest, StaleVersionInvalidatesOnTouch) {
+TEST_F(QueryCacheTest, StaleVersionMissesAndIsKeptUntilPut) {
   ContextQueryTree cache = MakeCache();
   ContextState s = State(*env_, {"Plaka", "warm", "friends"});
   cache.Put(s, 1, {{3, 0.9}});
   EXPECT_EQ(cache.Lookup(s, 2), nullptr);  // Profile moved to version 2.
-  EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.misses(), 1u);
-  // A stale drop is an invalidation, not just a miss.
-  EXPECT_EQ(cache.invalidations(), 1u);
-  // Re-populate at the new version.
-  cache.Put(s, 2, {{3, 0.9}});
-  EXPECT_NE(cache.Lookup(s, 2), nullptr);
+  // A skewed lookup is a plain miss: the entry stays in place (the
+  // stale rung can still reach it), nothing is invalidated.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.invalidations(), 0u);
+  EXPECT_NE(cache.LookupAtOrBefore("", s, 2, 1), nullptr);
+  // Re-populating at the new version overwrites it in place.
+  cache.Put(s, 2, {{4, 0.8}});
+  EXPECT_EQ(cache.size(), 1u);
+  std::shared_ptr<const ContextQueryTree::Entry> hit = cache.Lookup(s, 2);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->tuples[0].row_id, 4u);
+  EXPECT_EQ(cache.Lookup(s, 1), nullptr) << "the v1 entry is gone";
 }
 
 TEST_F(QueryCacheTest, StatsSnapshotAggregatesAllCounters) {
@@ -73,7 +79,8 @@ TEST_F(QueryCacheTest, StatsSnapshotAggregatesAllCounters) {
   EXPECT_EQ(cache.Lookup(b, 1), nullptr);  // miss
   cache.Put(b, 1, {{2, 0.5}});             // evicts a
   cache.Put(a, 2, {{1, 0.5}});             // evicts b
-  EXPECT_EQ(cache.Lookup(a, 3), nullptr);  // stale drop: miss + invalidation
+  EXPECT_EQ(cache.Lookup(a, 3), nullptr);  // skewed: miss, entry kept
+  EXPECT_EQ(cache.InvalidateUser(""), 1u);  // drops a
 
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -217,7 +224,7 @@ TEST_F(QueryCacheTest, InvalidateUserDropsOnlyThatUser) {
   EXPECT_EQ(cache.Lookup("alice", a, 1), nullptr);
   EXPECT_EQ(cache.Lookup("alice", b, 1), nullptr);
   EXPECT_NE(cache.Lookup("bob", a, 1), nullptr);
-  // Eager drops count as invalidations.
+  // Explicit drops count as invalidations.
   EXPECT_GE(cache.invalidations(), 2u);
   // Invalidating an unknown user is a no-op.
   EXPECT_EQ(cache.InvalidateUser("carol"), 0u);
@@ -242,11 +249,16 @@ TEST_F(QueryCacheTest, VersionTagsAreScopedPerUser) {
   cache.Put("alice", s, 7, {{1, 0.5}});
   cache.Put("bob", s, 9, {{2, 0.5}});
   // Bob's newer version does not disturb alice's tag, and a stale
-  // lookup drops only the touched user's entry.
+  // lookup misses only for the touched user.
   EXPECT_NE(cache.Lookup("alice", s, 7), nullptr);
-  EXPECT_EQ(cache.Lookup("alice", s, 8), nullptr);  // stale drop
+  EXPECT_EQ(cache.Lookup("alice", s, 8), nullptr);  // skewed: miss
   EXPECT_NE(cache.Lookup("bob", s, 9), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
+  // A new Put for alice replaces her v7 entry; bob's is untouched.
+  cache.Put("alice", s, 8, {{3, 0.5}});
+  EXPECT_NE(cache.Lookup("alice", s, 8), nullptr);
+  EXPECT_EQ(cache.Lookup("alice", s, 7), nullptr);
+  EXPECT_NE(cache.Lookup("bob", s, 9), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST_F(QueryCacheTest, LookupCountsCellAccesses) {
@@ -281,13 +293,15 @@ TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
   ASSERT_OK(uncached.status());
 
   StatusOr<QueryResult> first =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cache);
   ASSERT_OK(first.status());
   EXPECT_EQ(first->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 0u);
 
   StatusOr<QueryResult> second =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cache);
   ASSERT_OK(second.status());
   EXPECT_EQ(second->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 1u);
@@ -311,10 +325,12 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
   q.context = *ecod;
 
   StatusOr<QueryResult> miss =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cache);
   ASSERT_OK(miss.status());
   StatusOr<QueryResult> hit =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                   cache);
   ASSERT_OK(hit.status());
   EXPECT_GE(cache.hits(), 1u);
 
@@ -355,7 +371,8 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
   q.context = *ecod;
 
   ASSERT_OK(
-      CachedRankCS(poi_->relation, q, resolver, profile, cache).status());
+      CachedRankCS(poi_->relation, q, resolver, "", profile.version(), cache)
+          .status());
   // Mutate the profile: the cached state is now stale.
   ASSERT_OK(profile.Insert(
       Pref(*env_, "temperature = hot", "type", "museum", 0.8)));
@@ -363,7 +380,8 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
   ASSERT_OK(tree2.status());
   TreeResolver resolver2(&*tree2);
   StatusOr<QueryResult> fresh =
-      CachedRankCS(poi_->relation, q, resolver2, profile, cache);
+      CachedRankCS(poi_->relation, q, resolver2, "", profile.version(),
+                   cache);
   ASSERT_OK(fresh.status());
   // The new museum preference must show up (stale entry not served).
   const size_t type_col = *poi_->relation.schema().IndexOf("type");
@@ -373,7 +391,11 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
         poi_->relation.row(t.row_id)[type_col].AsString() == "museum";
   }
   EXPECT_TRUE(saw_museum);
-  EXPECT_GE(cache.invalidations(), 1u);
+  // The version-1 entry missed and was overwritten in place by the
+  // version-2 recompute; nothing was invalidated.
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.invalidations(), 0u);
 }
 
 TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
@@ -388,8 +410,8 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
       ParseExtendedDescriptor(*env_, "temperature = hot");
   ContextualQuery unrestricted;
   unrestricted.context = *ecod;
-  ASSERT_OK(CachedRankCS(poi_->relation, unrestricted, resolver, profile,
-                         cache)
+  ASSERT_OK(CachedRankCS(poi_->relation, unrestricted, resolver, "",
+                         profile.version(), cache)
                 .status());
 
   // Same context state, now with a selection: served from cache but
@@ -401,7 +423,8 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
   ASSERT_OK(sel.status());
   restricted.selections.push_back(*sel);
   StatusOr<QueryResult> result =
-      CachedRankCS(poi_->relation, restricted, resolver, profile, cache);
+      CachedRankCS(poi_->relation, restricted, resolver, "",
+                   profile.version(), cache);
   ASSERT_OK(result.status());
   EXPECT_GE(cache.hits(), 1u);
   const size_t loc_col = *poi_->relation.schema().IndexOf("location");
@@ -419,8 +442,8 @@ TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
   ContextualQuery q;
   QueryOptions options;
   options.combine = db::CombinePolicy::kAvg;
-  EXPECT_TRUE(CachedRankCS(poi_->relation, q, resolver, profile, cache,
-                           options)
+  EXPECT_TRUE(CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+                           cache, options)
                   .status()
                   .IsInvalidArgument());
 }

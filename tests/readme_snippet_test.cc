@@ -115,7 +115,7 @@ TEST(ReadmeSnippetTest, ResilienceSnippetWorksAsAdvertised) {
   // the sensor is scripted (and the clock fake) so the promised
   // stale-serving behavior is actually demonstrated.
   const Hierarchy& weather = env->parameter(1).hierarchy();
-  FakeClock clock;
+  util::FakeClock clock;
   auto flaky_sensor = std::make_unique<FaultInjectingSource>(
       1, *weather.Find(0, "warm"), &clock);
   FaultInjectingSource* raw = flaky_sensor.get();
@@ -169,9 +169,11 @@ TEST(ReadmeSnippetTest, ServingSnippetWorksAsAdvertised) {
   query.context = ExtendedDescriptor::FromComposite(std::move(*qcod));
 
   // --- the README snippet, ASSERTs in place of *-deref ---
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;                   // one replica: a shared cache
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()), ropt);
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()));
-  store.AttachQueryCache(&cache);          // publishes invalidate per user
+  store.AttachCoherenceLog(&cache.log());  // publishes reach the cache here
 
   ASSERT_OK(store.CreateUser("alice", std::move(profile)));
   ASSERT_OK(store.UpdateUser("alice", [&](Profile& p) {  // copy-on-write
@@ -234,8 +236,8 @@ TEST(ReadmeSnippetTest, ReplicatedCacheSnippetWorksAsAdvertised) {
 
   ASSERT_OK(store.CreateUser("alice", std::move(profile)));
 
-  StatusOr<storage::ServedQuery> served = storage::ServeQueryReplicated(
-      store, "alice", relation, query, replicas);
+  StatusOr<storage::ServedQuery> served =
+      storage::ServeQuery(store, "alice", relation, query, &replicas);
   ASSERT_OK(served.status());
   EXPECT_EQ(served->snapshot->user_id(), "alice");
 
@@ -249,12 +251,11 @@ TEST(ReadmeSnippetTest, ReplicatedCacheSnippetWorksAsAdvertised) {
   const size_t r = replicas.ReplicaForThisThread();
   EXPECT_TRUE(replicas.Covers(r, served->snapshot->serving_version()));
   const uint64_t hits_before = replicas.Stats().hits;
-  ASSERT_OK(storage::ServeQueryReplicated(store, "alice", relation, query,
-                                          replicas)
+  ASSERT_OK(storage::ServeQuery(store, "alice", relation, query, &replicas)
                 .status());
   EXPECT_GT(replicas.Stats().hits, hits_before);
-  // And a publish flows through the log, not the eager hook: the lag
-  // gauge closes again once the replicas consume.
+  // And a publish flows through the log: the lag gauge closes again
+  // once the replicas consume.
   ASSERT_OK(store.PublishProfile("alice", Profile(env)));
   EXPECT_GT(replicas.log().max_appended(), 0u);
   replicas.ConsumeAll();
@@ -285,15 +286,18 @@ TEST(ReadmeSnippetTest, OverloadSnippetWorksAsAdvertised) {
   ASSERT_OK(qcod.status());
   query.context = ExtendedDescriptor::FromComposite(std::move(*qcod));
 
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()), ropt);
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()));
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("alice", std::move(profile)));
 
   // --- the README snippet, ASSERTs in place of Log/assert ---
+  // The cache's staleness_window (default 8 versions) is how long the
+  // consume step keeps old versions around for the stale rung.
   storage::AdmissionController admission(
       {.max_in_flight = 64, .maintenance_max_in_flight = 16});
-  cache.SetRetainStale(true);   // keep old versions for the stale rung
 
   storage::ServeOptions opts;
   opts.admission = &admission;

@@ -24,7 +24,7 @@ using ::ctxpref::testing::State;
 class ResilientSourceTest : public ::testing::Test {
  protected:
   EnvironmentPtr env_ = PaperEnv();
-  FakeClock clock_;
+  util::FakeClock clock_;
 
   ValueRef Loc(const char* name) {
     return *env_->parameter(0).hierarchy().FindAnyLevel(name);
@@ -293,7 +293,7 @@ TEST_F(ResilientSourceTest, BreakerOpenAppliesStalenessLadder) {
 }
 
 TEST_F(ResilientSourceTest, DeterministicUnderFixedSeed) {
-  auto run = [&](FakeClock& clock) {
+  auto run = [&](util::FakeClock& clock) {
     auto fault = std::make_unique<FaultInjectingSource>(0, Loc("Plaka"),
                                                         &clock);
     FaultInjectingSource* raw = fault.get();
@@ -308,7 +308,7 @@ TEST_F(ResilientSourceTest, DeterministicUnderFixedSeed) {
     }
     return times;
   };
-  FakeClock c1, c2;
+  util::FakeClock c1, c2;
   EXPECT_EQ(run(c1), run(c2));  // Identical backoff/jitter schedules.
 }
 

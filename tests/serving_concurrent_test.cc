@@ -74,10 +74,10 @@ class ServingConcurrentTest : public ::testing::Test {
 };
 
 TEST_F(ServingConcurrentTest, AnswersConsistentWithOnePublishedVersion) {
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(256, 4));
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/256, /*num_shards=*/4);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(0)));
 
   std::atomic<bool> stop{false};
@@ -136,11 +136,10 @@ TEST_F(ServingConcurrentTest, ResilientServingUnderOverloadStaysUntorn) {
   // while a writer churns versions and an invalidator races the stale
   // rung's cache lookups. Whatever rung answers, every tuple must be
   // consistent with the ONE version the answer's provenance names.
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(256, 4));
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/256, /*num_shards=*/4);
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
   // One user, one sequential writer: serving version == publish step,
   // so the expected score of ANY version is ScoreForStep(version).
@@ -165,7 +164,7 @@ TEST_F(ServingConcurrentTest, ResilientServingUnderOverloadStaysUntorn) {
   // the stale rung's LookupAtOrBefore.
   std::thread invalidator([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      cache.InvalidateUser("u");
+      cache.replica(0).InvalidateUser("u");
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -255,9 +254,10 @@ TEST_F(ServingConcurrentTest, PinnedSnapshotsSurviveChurnAndRemoval) {
 }
 
 TEST_F(ServingConcurrentTest, ConcurrentWritersToDistinctUsersProceed) {
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache());
   storage::ProfileStore store(env_);
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   constexpr int kUsers = 4;
   for (int u = 0; u < kUsers; ++u) {
     ASSERT_OK(store.CreateUser(UserName(u), VersionedProfile(0)));

@@ -30,6 +30,7 @@
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "tests/test_util.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace ctxpref {
@@ -252,10 +253,10 @@ TEST_P(ServingDifferentialTest, CachedEqualsUncachedAcrossProfileSwaps) {
   const db::Relation relation = MakeRelation();
   Rng rng(GetParam());
 
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()),
+                             testing::SharedCache(64));
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()),
-                         /*capacity=*/64);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
 
   for (int swap = 0; swap < 12; ++swap) {
@@ -277,14 +278,15 @@ TEST_P(ServingDifferentialTest, CachedEqualsUncachedAcrossProfileSwaps) {
 
       // Twice through the cache: a cold miss, then a hit.
       for (int pass = 0; pass < 2; ++pass) {
-        StatusOr<QueryResult> cached =
-            storage::ServeQuery(**snapshot, relation, query, &cache);
+        StatusOr<storage::ServedQuery> cached =
+            storage::ServeQuery(store, "u", relation, query, &cache);
         ASSERT_OK(cached.status());
-        EXPECT_EQ(cached->tuples, uncached->tuples)
+        ASSERT_EQ(cached->snapshot, *snapshot);
+        EXPECT_EQ(cached->result.tuples, uncached->tuples)
             << "swap " << swap << " trial " << trial << " pass " << pass;
-        ASSERT_EQ(cached->traces.size(), uncached->traces.size());
-        for (size_t i = 0; i < cached->traces.size(); ++i) {
-          EXPECT_EQ(cached->traces[i].candidates.size(),
+        ASSERT_EQ(cached->result.traces.size(), uncached->traces.size());
+        for (size_t i = 0; i < cached->result.traces.size(); ++i) {
+          EXPECT_EQ(cached->result.traces[i].candidates.size(),
                     uncached->traces[i].candidates.size());
         }
       }
@@ -477,11 +479,10 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
   const db::Relation relation = MakeRelation();
   Rng rng(GetParam() + 53);
 
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()),
+                             testing::SharedCache(256));
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()),
-                         /*capacity=*/256);
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   Profile initial = RandomProfile(rng, env, world);
   if (initial.empty()) GTEST_SKIP() << "empty draw";
   ASSERT_OK(store.CreateUser("u", std::move(initial)));
@@ -684,8 +685,8 @@ TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
               const std::string replica_label =
                   pass_label + " replica " + std::to_string(r);
               StatusOr<storage::ServedQuery> replicated =
-                  storage::ServeQueryReplicated(store, "u", relation, query,
-                                                replicas, options, nullptr, r);
+                  storage::ServeQuery(store, "u", relation, query, &replicas,
+                                      options, nullptr, r);
               if (cacheable) {
                 ASSERT_OK(replicated.status());
                 ExpectBitEqual(replicated->result.tuples, oracle->tuples,
@@ -762,9 +763,8 @@ TEST_P(ServingDifferentialTest, InterleavedConfigsShareOneCacheExactly) {
             storage::ServeQuery(**pin, relation, query, &cache, options);
         ASSERT_OK(cached.status());
         ExpectBitEqual(cached->tuples, oracle->tuples, label + " shared");
-        StatusOr<storage::ServedQuery> replicated =
-            storage::ServeQueryReplicated(store, "u", relation, query,
-                                          replicas, options, nullptr, 0);
+        StatusOr<storage::ServedQuery> replicated = storage::ServeQuery(
+            store, "u", relation, query, &replicas, options, nullptr, 0);
         ASSERT_OK(replicated.status());
         ExpectBitEqual(replicated->result.tuples, oracle->tuples,
                        label + " replica");
@@ -789,10 +789,10 @@ TEST_P(ServingDifferentialTest, StaleRungServesOnlyTheEntriesConfig) {
   const db::Relation relation = MakeRelation();
   Rng rng(GetParam() + 151);
 
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()),
+                             testing::SharedCache());
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()));
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
   StatusOr<storage::SnapshotPtr> old_pin = store.GetSnapshot("u");
   ASSERT_OK(old_pin.status());
@@ -840,10 +840,10 @@ TEST_P(ServingDifferentialTest, StaleRungSkipsDiscountedQueries) {
   const db::Relation relation = MakeRelation();
   Rng rng(GetParam() + 97);
 
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()),
+                             testing::SharedCache());
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()));
-  cache.SetRetainStale(true);
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
   const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
   ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query, &cache)
@@ -868,6 +868,95 @@ TEST_P(ServingDifferentialTest, StaleRungSkipsDiscountedQueries) {
     EXPECT_TRUE(refused.status().IsUnavailable())
         << ScoreDiscountToString(discount) << ": "
         << refused.status().ToString();
+  }
+}
+
+// The ladder over a two-replica cache. Each round warms both replicas
+// at the current version, publishes, and lets only replica 0 consume
+// the publish. Shed requests through replica 0 (covered by the gate)
+// get the stale rung: one consistent older version, bit-equal to the
+// uncached oracle at that version. Replica 1 trails the publish, so
+// its gate refuses: it never serves stale, and falls to the truncated
+// rung (or off the ladder when that is disabled).
+TEST_P(ServingDifferentialTest, LadderOverReplicasServesStaleOnlyWhenCovered) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 173);
+
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 2;
+  // Background mode with no pool: a replica consumes only when this
+  // test says so.
+  ropt.mode = ReplicatedQueryCache::ConsumeMode::kBackground;
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()), ropt);
+  storage::ProfileStore store(env);
+  store.AttachCoherenceLog(&cache.log());
+  Profile initial = RandomProfile(rng, env, world);
+  if (initial.empty()) GTEST_SKIP() << "empty draw";
+  ASSERT_OK(store.CreateUser("u", std::move(initial)));
+  cache.ConsumeAll();
+
+  Counter& refuses = MetricsRegistry::Global().GetCounter(
+      "ctxpref_coherence_stale_refuses_total");
+  storage::AdmissionController shed_all(
+      storage::AdmissionPolicy{.max_in_flight = 0});
+  storage::ServeOptions shed;
+  shed.admission = &shed_all;
+  storage::ServeOptions shed_no_truncation = shed;
+  shed_no_truncation.allow_truncated = false;
+
+  for (int round = 0; round < 8; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+    storage::SnapshotPtr pinned;
+    for (size_t r = 0; r < cache.num_replicas(); ++r) {
+      StatusOr<storage::ServedQuery> warm = storage::ServeQueryResilient(
+          store, "u", relation, query, &cache, {}, nullptr, r);
+      ASSERT_OK(warm.status());
+      ASSERT_EQ(warm->provenance.via, storage::ServedVia::kFresh) << label;
+      pinned = warm->snapshot;
+    }
+
+    ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
+    const uint64_t current = store.serving_version();
+    cache.Consume(0);
+    ASSERT_TRUE(cache.Covers(0, current));
+    ASSERT_FALSE(cache.Covers(1, current));
+
+    // Covered replica: the stale rung, at the one pinned older version.
+    StatusOr<storage::ServedQuery> stale = storage::ServeQueryResilient(
+        store, "u", relation, query, &cache, shed, nullptr, 0);
+    ASSERT_OK(stale.status());
+    ASSERT_EQ(stale->provenance.via, storage::ServedVia::kStale) << label;
+    EXPECT_EQ(stale->provenance.served_version, pinned->serving_version());
+    EXPECT_EQ(stale->provenance.current_version, current);
+    StatusOr<QueryResult> oracle =
+        storage::ServeQuery(*pinned, relation, query, /*cache=*/nullptr);
+    ASSERT_OK(oracle.status());
+    ExpectBitEqual(stale->result.tuples, oracle->tuples, label + " stale");
+    ASSERT_EQ(stale->result.traces.size(), oracle->traces.size());
+    for (size_t i = 0; i < oracle->traces.size(); ++i) {
+      ExpectSameCandidates(*env, oracle->traces[i].candidates,
+                           stale->result.traces[i].candidates,
+                           label + " trace");
+    }
+
+    // Refused replica: never stale, even though it holds the entries.
+    const uint64_t refuses_before = refuses.value();
+    StatusOr<storage::ServedQuery> truncated = storage::ServeQueryResilient(
+        store, "u", relation, query, &cache, shed, nullptr, 1);
+    ASSERT_OK(truncated.status());
+    EXPECT_EQ(truncated->provenance.via, storage::ServedVia::kTruncated)
+        << label;
+    EXPECT_EQ(truncated->provenance.served_version, current);
+    EXPECT_EQ(truncated->result.traces.size(), 1u) << "first state only";
+    EXPECT_EQ(refuses.value() - refuses_before, 1u);
+    StatusOr<storage::ServedQuery> off = storage::ServeQueryResilient(
+        store, "u", relation, query, &cache, shed_no_truncation, nullptr, 1);
+    EXPECT_TRUE(off.status().IsUnavailable()) << off.status().ToString();
+
+    cache.ConsumeAll();  // Replica 1 catches up for the next round.
   }
 }
 

@@ -9,29 +9,21 @@
 //
 // The fix is the copy-on-write serving layer: `ProfileStore` publishes
 // immutable snapshots under a store-owned *serving* version that is
-// monotone across reloads and never reused, `storage::ServeQuery` tags
-// cache entries with it, and every publish eagerly invalidates the
-// user's entries. `serving.h` only exists on the fixed tree, so this
-// file gates on it: without the fix it compiles against the legacy
-// API and FAILS at runtime (the stale hit below); with the fix it
-// exercises the serving path and passes.
+// monotone across reloads and never reused, and `storage::ServeQuery`
+// tags cache entries with it, so an entry of the retired profile can
+// only miss.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "context/parser.h"
-#include "preference/query_cache.h"
-#include "preference/resolution.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/profile_io.h"
 #include "storage/profile_store.h"
+#include "storage/serving.h"
 #include "tests/test_util.h"
 #include "workload/poi_dataset.h"
-
-#if __has_include("storage/serving.h")
-#include "storage/serving.h"
-#define CTXPREF_HAS_SERVING_LAYER 1
-#endif
 
 namespace ctxpref {
 namespace {
@@ -75,6 +67,11 @@ class StaleCacheReproTest : public ::testing::Test {
     return result.tuples.empty() ? -1.0 : result.tuples.front().score;
   }
 
+  ReplicatedQueryCache MakeCache() {
+    return ReplicatedQueryCache(env_, Ordering::Identity(env_->size()),
+                                testing::SharedCache());
+  }
+
   std::unique_ptr<workload::PoiDatabase> poi_;
   EnvironmentPtr env_;
   std::string dir_;
@@ -82,30 +79,16 @@ class StaleCacheReproTest : public ::testing::Test {
 };
 
 TEST_F(StaleCacheReproTest, ReloadUserMustNotServeStaleCachedResults) {
+  ReplicatedQueryCache cache = MakeCache();
   storage::ProfileStore store(env_);
   ASSERT_OK(store.CreateUser("u", MuseumProfile(0.9)));
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
-
-#ifdef CTXPREF_HAS_SERVING_LAYER
-  store.AttachQueryCache(&cache);
+  store.AttachCoherenceLog(&cache.log());
   auto serve = [&]() -> StatusOr<QueryResult> {
     StatusOr<storage::ServedQuery> served =
         storage::ServeQuery(store, "u", poi_->relation, query_, &cache);
     if (!served.ok()) return served.status();
     return std::move(served->result);
   };
-#else
-  // Legacy path: rank through the store's mutable profile + tree, with
-  // entries tagged by Profile::version().
-  auto serve = [&]() -> StatusOr<QueryResult> {
-    auto profile = store.GetProfile("u");
-    CTXPREF_RETURN_IF_ERROR(profile.status());
-    auto tree = store.GetTree("u");
-    CTXPREF_RETURN_IF_ERROR(tree.status());
-    TreeResolver resolver(*tree);
-    return CachedRankCS(poi_->relation, query_, resolver, **profile, cache);
-  };
-#endif
 
   StatusOr<QueryResult> before = serve();
   ASSERT_OK(before.status());
@@ -130,25 +113,27 @@ TEST_F(StaleCacheReproTest, ReloadUserMustNotServeStaleCachedResults) {
       << "cache served a result from a retired profile version";
 }
 
-#ifdef CTXPREF_HAS_SERVING_LAYER
 TEST_F(StaleCacheReproTest, VersionTagsProtectEvenWithoutEagerInvalidation) {
-  // Defense in depth: with no cache attached to the store (so no
-  // InvalidateUser on publish), the serving-version tag alone must
-  // make post-swap lookups miss — the store-wide counter never reuses
-  // a version.
+  // Defense in depth: the consume step keeps entries inside the
+  // staleness window (nothing is invalidated on publish), so the
+  // serving-version tag alone must make post-swap lookups miss — the
+  // store-wide counter never reuses a version.
+  ReplicatedQueryCache cache = MakeCache();
   storage::ProfileStore store(env_);
+  store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", MuseumProfile(0.9)));
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
 
   StatusOr<storage::ServedQuery> before =
       storage::ServeQuery(store, "u", poi_->relation, query_, &cache);
   ASSERT_OK(before.status());
   EXPECT_DOUBLE_EQ(TopScore(before->result), 0.9);
-  EXPECT_GT(cache.size(), 0u);
+  const size_t cached = cache.Stats().size;
+  EXPECT_GT(cached, 0u);
 
   ASSERT_OK(store.PublishProfile("u", MuseumProfile(0.2)));
   // Entries are still in the cache (nobody invalidated)…
-  EXPECT_GT(cache.size(), 0u);
+  cache.ConsumeAll();
+  EXPECT_EQ(cache.Stats().size, cached);
 
   StatusOr<storage::ServedQuery> after =
       storage::ServeQuery(store, "u", poi_->relation, query_, &cache);
@@ -157,9 +142,11 @@ TEST_F(StaleCacheReproTest, VersionTagsProtectEvenWithoutEagerInvalidation) {
   EXPECT_DOUBLE_EQ(TopScore(after->result), 0.2);
   EXPECT_GT(after->snapshot->serving_version(),
             before->snapshot->serving_version());
-  EXPECT_GE(cache.invalidations(), 1u);  // Dropped on touch.
+  // The retired entries missed and were overwritten in place by the
+  // recompute: same size, nothing invalidated.
+  EXPECT_EQ(cache.Stats().size, cached);
+  EXPECT_EQ(cache.Stats().invalidations, 0u);
 }
-#endif
 
 }  // namespace
 }  // namespace ctxpref

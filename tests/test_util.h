@@ -14,6 +14,7 @@
 #include "context/state.h"
 #include "preference/preference.h"
 #include "preference/profile.h"
+#include "preference/replicated_query_cache.h"
 #include "util/status.h"
 #include "workload/poi_dataset.h"
 
@@ -82,6 +83,18 @@ inline ContextualPreference Pref(const ContextEnvironment& env,
       AttributeClause{attr, db::CompareOp::kEq, db::Value(value)}, score);
   EXPECT_TRUE(pref.ok()) << pref.status().ToString();
   return *pref;
+}
+
+/// Options of a one-replica `ReplicatedQueryCache` — the single shared
+/// cache — consumed inline at lookup, with `capacity` entries (0 =
+/// unbounded) over `num_shards` shards.
+inline ReplicatedQueryCache::Options SharedCache(size_t capacity = 0,
+                                                 size_t num_shards = 1) {
+  ReplicatedQueryCache::Options options;
+  options.num_replicas = 1;
+  options.capacity_per_replica = capacity;
+  options.num_shards = num_shards;
+  return options;
 }
 
 }  // namespace ctxpref::testing

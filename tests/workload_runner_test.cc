@@ -164,37 +164,22 @@ ScenarioConfig CoherenceConfig() {
   return *cfg;
 }
 
-TEST(WorkloadRunnerTest, CoherenceAblationIsResultTransparent) {
+TEST(WorkloadRunnerTest, ReplicaCountIsResultTransparent) {
   ScenarioConfig cfg = CoherenceConfig();
-  StatusOr<ScenarioResult> on = WorkloadRunner(cfg).Run("coherence_on");
-  cfg.ablation.coherence = false;
-  StatusOr<ScenarioResult> off = WorkloadRunner(cfg).Run("coherence_off");
-  ASSERT_TRUE(on.ok() && off.ok());
-  // Replicated caches + log consume must serve the same tuples as the
-  // eagerly invalidated shared cache...
-  EXPECT_EQ(on->result_crc, off->result_crc);
-  // ...while splitting the hit stream across 4 replicas (each replica
-  // must re-miss states the others already cached, so the aggregate
-  // hit count drops strictly below the shared cache's).
-  EXPECT_GT(on->cache_hits, 0u);
-  EXPECT_LT(on->cache_hits, off->cache_hits);
-  EXPECT_EQ(on->cache_hits + on->cache_misses,
-            off->cache_hits + off->cache_misses);
-}
-
-TEST(WorkloadRunnerTest, CoherenceSingleReplicaMatchesSharedCache) {
-  // One replica with inline consume is behaviorally the shared cache:
-  // same answers AND the same hit/miss stream (the log drains before
-  // every lookup, and retain-stale keeps the same entries alive).
-  ScenarioConfig cfg = CoherenceConfig();
+  StatusOr<ScenarioResult> four = WorkloadRunner(cfg).Run("replicas_4");
   cfg.coherence_replicas = 1;
-  StatusOr<ScenarioResult> on = WorkloadRunner(cfg).Run("coherence_on");
-  cfg.ablation.coherence = false;
-  StatusOr<ScenarioResult> off = WorkloadRunner(cfg).Run("coherence_off");
-  ASSERT_TRUE(on.ok() && off.ok());
-  EXPECT_EQ(on->result_crc, off->result_crc);
-  EXPECT_EQ(on->cache_hits, off->cache_hits);
-  EXPECT_EQ(on->cache_misses, off->cache_misses);
+  StatusOr<ScenarioResult> one = WorkloadRunner(cfg).Run("replicas_1");
+  ASSERT_TRUE(four.ok() && one.ok());
+  // Four replicas kept coherent by the log must serve the same tuples
+  // as the single shared cache (one replica)...
+  EXPECT_EQ(four->result_crc, one->result_crc);
+  // ...while splitting the hit stream across them (each replica must
+  // re-miss states the others already cached, so the aggregate hit
+  // count drops strictly below the shared cache's).
+  EXPECT_GT(four->cache_hits, 0u);
+  EXPECT_LT(four->cache_hits, one->cache_hits);
+  EXPECT_EQ(four->cache_hits + four->cache_misses,
+            one->cache_hits + one->cache_misses);
 }
 
 TEST(WorkloadRunnerTest, CoherenceRunIsDeterministic) {
@@ -212,7 +197,6 @@ TEST(WorkloadRunnerTest, CoherenceReplicasKnobRoundTrips) {
       ParseScenarioConfig(FormatScenarioConfig(cfg));
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(reparsed->coherence_replicas, 7u);
-  EXPECT_TRUE(reparsed->ablation.coherence);
 }
 
 // ---- Shed/served accounting at the admission edge ------------------

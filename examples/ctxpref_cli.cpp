@@ -91,7 +91,7 @@ void HandleQuery(Session& s, const std::string& arg) {
   for (const QueryResult::Trace& trace : result->traces) {
     std::printf("state %s -> %zu candidate(s)\n",
                 trace.query_state.ToString(*s.env).c_str(),
-                trace.candidates.size());
+                trace.candidates->size());
   }
   PrintRanked(s, *result, 20);
 }

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   // Traceability (§5.1): show which preference states were applied.
   for (const QueryResult::Trace& trace : result->traces) {
     std::printf("Resolved %s via:\n", trace.query_state.ToString(env).c_str());
-    for (const CandidatePath& c : trace.candidates) {
+    for (const CandidatePath& c : *trace.candidates) {
       std::printf("  %s (dist %.2f)\n", c.state.ToString(env).c_str(),
                   c.distance);
       for (const ProfileTree::LeafEntry& e : c.entries) {

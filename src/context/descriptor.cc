@@ -1,7 +1,7 @@
 #include "context/descriptor.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstddef>
 
 namespace ctxpref {
 
@@ -141,29 +141,40 @@ size_t CompositeDescriptor::NumStates() const {
 
 std::vector<ContextState> CompositeDescriptor::EnumerateStates(
     const ContextEnvironment& env) const {
-  // Per-parameter candidate lists; {all} where unspecified (Def. 4).
-  std::vector<std::vector<ValueRef>> choices(env.size());
-  for (size_t i = 0; i < env.size(); ++i) {
-    choices[i] = {env.parameter(i).hierarchy().AllValue()};
-  }
-  for (const ParameterDescriptor& pd : parts_) {
-    choices[pd.param_index()] = pd.ContextOf();
-  }
-
   std::vector<ContextState> out;
   out.reserve(NumStates());
-  std::vector<size_t> idx(env.size(), 0);
+  AppendStates(env, out);
+  return out;
+}
+
+void CompositeDescriptor::AppendStates(const ContextEnvironment& env,
+                                       std::vector<ContextState>& out) const {
+  // Start from every parameter's first choice: its part's first value,
+  // or `all` where it has no part (Def. 4).
+  std::vector<ValueRef> values(env.size());
+  for (size_t i = 0; i < env.size(); ++i) {
+    values[i] = env.parameter(i).hierarchy().AllValue();
+  }
+  for (const ParameterDescriptor& pd : parts_) {
+    values[pd.param_index()] = pd.ContextOf().front();
+  }
+  // Odometer over the parts, last parameter fastest (a parameter
+  // without a part has one choice and never turns).
+  std::vector<size_t> at(parts_.size(), 0);
   for (;;) {
-    std::vector<ValueRef> values(env.size());
-    for (size_t i = 0; i < env.size(); ++i) values[i] = choices[i][idx[i]];
-    out.emplace_back(std::move(values));
-    // Odometer increment, last parameter fastest.
-    size_t i = env.size();
-    while (i > 0) {
+    out.emplace_back(values);
+    size_t i = parts_.size();
+    for (;;) {
+      if (i == 0) return;
       --i;
-      if (++idx[i] < choices[i].size()) break;
-      idx[i] = 0;
-      if (i == 0) return out;
+      const std::vector<ValueRef>& choices = parts_[i].ContextOf();
+      ValueRef& value = values[parts_[i].param_index()];
+      if (++at[i] < choices.size()) {
+        value = choices[at[i]];
+        break;
+      }
+      at[i] = 0;
+      value = choices[0];
     }
   }
 }
@@ -182,12 +193,33 @@ std::string CompositeDescriptor::ToString(
 std::vector<ContextState> ExtendedDescriptor::EnumerateStates(
     const ContextEnvironment& env) const {
   std::vector<ContextState> out;
-  std::unordered_set<ContextState, ContextStateHash> seen;
-  for (const CompositeDescriptor& cod : disjuncts_) {
-    for (ContextState& s : cod.EnumerateStates(env)) {
-      if (seen.insert(s).second) out.push_back(std::move(s));
+  size_t total = 0;
+  for (const CompositeDescriptor& cod : disjuncts_) total += cod.NumStates();
+  out.reserve(total);
+  for (const CompositeDescriptor& cod : disjuncts_) cod.AppendStates(env, out);
+  // One disjunct's states are distinct; across disjuncts keep each
+  // state's first occurrence. Positions sorted by (state, position) put
+  // every repeat right after its first occurrence.
+  if (disjuncts_.size() < 2) return out;
+  std::vector<size_t> order(out.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (out[a].values() != out[b].values()) {
+      return out[a].values() < out[b].values();
     }
+    return a < b;
+  });
+  std::vector<bool> repeat(out.size(), false);
+  for (size_t i = 1; i < order.size(); ++i) {
+    repeat[order[i]] = out[order[i]] == out[order[i - 1]];
   }
+  size_t kept = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (repeat[i]) continue;
+    if (kept != i) out[kept] = std::move(out[i]);
+    ++kept;
+  }
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end());
   return out;
 }
 

@@ -97,8 +97,14 @@ class CompositeDescriptor {
   std::string ToString(const ContextEnvironment& env) const;
 
  private:
+  friend class ExtendedDescriptor;
+
   explicit CompositeDescriptor(std::vector<ParameterDescriptor> parts)
       : parts_(std::move(parts)) {}
+
+  /// `EnumerateStates`, appended to `out`.
+  void AppendStates(const ContextEnvironment& env,
+                    std::vector<ContextState>& out) const;
 
   /// Sorted by param_index; at most one entry per parameter.
   std::vector<ParameterDescriptor> parts_;

@@ -1,7 +1,9 @@
 #include "preference/contextual_query.h"
 
 #include <cmath>
+#include <memory>
 
+#include "preference/threshold_merge.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -17,7 +19,8 @@ RankMetrics& RankMetrics::Get() {
       reg.GetCounter("ctxpref_rank_cs_states_total",
                      "Query context states evaluated across Rank_CS runs"),
       reg.GetCounter("ctxpref_rank_cs_tuples_scored_total",
-                     "Tuples scored (ranker additions) across Rank_CS runs"),
+                     "Source rows read by the Rank_CS merge (ranker additions "
+                     "under min/avg/weighted)"),
       reg.GetCounter("ctxpref_rank_cs_deadline_exceeded_total",
                      "Rank_CS evaluations aborted at a cancellation point"),
       reg.GetCounter("ctxpref_rank_cs_states_abandoned_total",
@@ -62,8 +65,6 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
   TraceSpan span("rank_cs");
   ScopedLatency latency(&metrics.latency);
   QueryResult result;
-  db::Ranker ranker(options.combine);
-  ranker.ReserveDense(relation.size());
 
   std::vector<ContextState> states = query.context.EnumerateStates(env);
   if (states.empty()) {
@@ -71,6 +72,7 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
     // non-contextual preferences (empty descriptors) still apply.
     states.push_back(ContextState::AllState(env));
   }
+  result.traces.reserve(states.size());
 
   // Ticked per query, not per tuple: one relaxed add in the inner loop
   // per scored tuple would be measurable in the benches.
@@ -88,39 +90,38 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
         "/" + std::to_string(states.size()) + " states (" +
         std::to_string(tuples_scored) + " tuples scored)");
   };
-  for (const ContextState& s : states) {
+  // One constant-score source per resolved leaf entry, in state,
+  // candidate, entry order; each reads its clause out of the trace's
+  // candidate set.
+  std::vector<ScoredSource> sources;
+  for (ContextState& s : states) {
     // Cancellation point: one null check when no deadline is set, one
-    // injected-clock read otherwise. Per state, not per tuple — the
-    // selection inner loop is the hot path.
+    // injected-clock read otherwise.
     if (options.deadline.Expired()) return deadline_exceeded();
     CTXPREF_RETURN_IF_ERROR(s.Validate(env));
     TraceSpan state_span("rank_cs.state");
-    std::vector<CandidatePath> best = resolve(s, options.resolution, counter);
-    for (const CandidatePath& cand : best) {
-      // Cancellation point: before each candidate's selections run
-      // against the relation (resolution already paid for, selection —
-      // the expensive part — not yet).
-      if (options.deadline.Expired()) return deadline_exceeded();
+    CandidateSetPtr best = std::make_shared<const std::vector<CandidatePath>>(
+        resolve(s, options.resolution, counter));
+    for (const CandidatePath& cand : *best) {
       for (const ProfileTree::LeafEntry& entry : cand.entries) {
-        const double score =
-            ApplyDiscount(options.discount, entry.score, cand.distance);
-        CTXPREF_RETURN_IF_ERROR(
-            SelectClause(relation, entry.clause, [&](db::RowId row) {
-              // Restricting selections, if any, must all pass.
-              for (const db::Predicate& sel : query.selections) {
-                if (!sel.Eval(relation.row(row))) return;
-              }
-              ranker.Add(row, score);
-              ++tuples_scored;
-            }));
+        StatusOr<ScoredSource> source = ScoredSource::Clause(
+            relation, entry.clause,
+            ApplyDiscount(options.discount, entry.score, cand.distance));
+        if (!source.ok()) return source.status();
+        sources.push_back(*source);
       }
     }
-    result.traces.push_back(QueryResult::Trace{s, std::move(best)});
+    result.traces.push_back(QueryResult::Trace{std::move(s), std::move(best)});
     ++states_done;
   }
-
-  result.tuples =
-      options.top_k > 0 ? ranker.TopK(options.top_k) : ranker.Ranked();
+  // Cancellation point: resolution paid for, the selections and the
+  // merge — the expensive part — not yet.
+  if (options.deadline.Expired()) return deadline_exceeded();
+  {
+    TraceSpan merge_span("rank_cs.merge");
+    result.tuples = RankSources(relation, sources, query.selections,
+                                options.combine, options.top_k, &tuples_scored);
+  }
   metrics.queries.Increment();
   metrics.states.Increment(states.size());
   metrics.tuples_scored.Increment(tuples_scored);

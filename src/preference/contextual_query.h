@@ -2,6 +2,7 @@
 #define CTXPREF_PREFERENCE_CONTEXTUAL_QUERY_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,7 +67,7 @@ const char* ScoreDiscountToString(ScoreDiscount d);
 double ApplyDiscount(ScoreDiscount discount, double score, double distance);
 
 /// Options for Rank_CS. Selection has no switch here: every clause runs
-/// through the relation's own selection structures (`SelectClause`).
+/// through the relation's own selection structures (`ScoredSource`).
 struct QueryOptions {
   ResolutionOptions resolution;
   /// Distance-based score discounting (kNone = the paper's semantics).
@@ -98,22 +99,10 @@ struct QueryOptions {
   util::Deadline deadline;
 };
 
-/// σ_{A θ a}(relation) for one resolved attribute clause, the one
-/// selection call of `RankCS` and of `CachedRankCS`'s miss path: calls
-/// `visit(row)` for every matching row id, in row order, read in place
-/// from the relation's own selection structures (the clause's constant
-/// is not copied). NotFound / InvalidArgument when the clause does not
-/// bind against the relation's schema (see `db::BindColumn`).
-template <typename Visit>
-Status SelectClause(const db::Relation& relation, const AttributeClause& clause,
-                    Visit&& visit) {
-  StatusOr<size_t> column =
-      db::BindColumn(relation.schema(), clause.attribute, clause.value.type());
-  if (!column.ok()) return column.status();
-  relation.ForEachMatch(*column, clause.op, clause.value,
-                        std::forward<Visit>(visit));
-  return Status::OK();
-}
+/// A shared immutable set of winning candidate paths. A query trace
+/// and the cache entry it was served from hold the same set, so a hit
+/// copies no candidates (states, entries, clause strings).
+using CandidateSetPtr = std::shared_ptr<const std::vector<CandidatePath>>;
 
 /// Result of Rank_CS: scored tuples plus resolution diagnostics
 /// (which preference states were used — the paper's usability study
@@ -121,10 +110,11 @@ Status SelectClause(const db::Relation& relation, const AttributeClause& clause,
 struct QueryResult {
   std::vector<db::ScoredTuple> tuples;
   /// Per query state: the chosen candidate paths (min distance, ties
-  /// kept). Empty candidates = no covering preference for that state.
+  /// kept), never null. An empty set = no covering preference for that
+  /// state.
   struct Trace {
     ContextState query_state;
-    std::vector<CandidatePath> candidates;
+    CandidateSetPtr candidates;
   };
   std::vector<Trace> traces;
 };
@@ -139,7 +129,10 @@ using ResolveFn = std::function<std::vector<CandidatePath>(
 /// extended descriptor, resolve the most relevant preferences, run each
 /// resulting attribute clause as a selection over `relation`, annotate
 /// qualifying tuples with the clause's score, combine duplicates under
-/// `options.combine`, and return the ranked answer.
+/// `options.combine`, and return the ranked answer. Every resolved leaf
+/// entry is one constant-score `ScoredSource`; the sources are combined
+/// by `RankSources` — under kMax a threshold merge that reads only the
+/// levels down to the k-th score's tie run.
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const ContextEnvironment& env,

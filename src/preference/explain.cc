@@ -14,7 +14,7 @@ std::vector<Contribution> ExplainTuple(const QueryResult& result,
   if (row >= relation.size()) return out;
   const db::Tuple& tuple = relation.row(row);
   for (const QueryResult::Trace& trace : result.traces) {
-    for (const CandidatePath& cand : trace.candidates) {
+    for (const CandidatePath& cand : *trace.candidates) {
       for (const ProfileTree::LeafEntry& entry : cand.entries) {
         StatusOr<db::Predicate> pred = db::Predicate::Create(
             relation.schema(), entry.clause.attribute, entry.clause.op,

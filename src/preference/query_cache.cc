@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <exception>
 
+#include "preference/threshold_merge.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
@@ -265,6 +266,9 @@ void ContextQueryTree::Put(const std::string& user, const ContextState& state,
                            uint64_t profile_version,
                            std::vector<db::ScoredTuple> tuples,
                            CandidateSetPtr candidates) {
+  if (candidates == nullptr) {
+    candidates = std::make_shared<const std::vector<CandidatePath>>();
+  }
   PutEntry(user, state, profile_version,
            std::make_shared<const Entry>(
                Entry{std::move(tuples), std::move(candidates), CacheConfig{}}));
@@ -441,61 +445,12 @@ std::vector<db::ScoredTuple> MergeStateLists(
     size_t top_k) {
   assert(combine == db::CombinePolicy::kMax ||
          combine == db::CombinePolicy::kMin);
-  auto eligible = [&](db::RowId row) {
-    for (const db::Predicate& sel : selections) {
-      if (!sel.Eval(relation.row(row))) return false;
-    }
-    return true;
-  };
-
-  if (combine == db::CombinePolicy::kMin) {
-    db::Ranker ranker(combine);
-    ranker.ReserveDense(relation.size());
-    for (const std::vector<db::ScoredTuple>* list : lists) {
-      for (const db::ScoredTuple& t : *list) {
-        if (eligible(t.row_id)) ranker.Add(t.row_id, t.score);
-      }
-    }
-    return top_k > 0 ? ranker.TopK(top_k) : ranker.Ranked();
+  std::vector<ScoredSource> sources;
+  sources.reserve(lists.size());
+  for (const std::vector<db::ScoredTuple>* list : lists) {
+    sources.push_back(ScoredSource::List(*list));
   }
-
-  // kMax: take list heads in ranking order (score desc, row asc). Equal
-  // (score, row) heads go lowest list first, so a row keeps the score
-  // of its earliest list among its maxima — what Ranker's kMax keeps.
-  // A query has a handful of states, so a scan over the heads finds the
-  // best one for less than keeping a heap of them in order costs.
-  std::vector<size_t> pos(lists.size(), 0);
-  // Rows are unique within a list, so one list needs no seen set.
-  std::vector<uint8_t> seen(lists.size() > 1 ? relation.size() : 0);
-
-  std::vector<db::ScoredTuple> out;
-  for (;;) {
-    const db::ScoredTuple* best = nullptr;
-    size_t best_list = 0;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (pos[i] == lists[i]->size()) continue;
-      const db::ScoredTuple& head = (*lists[i])[pos[i]];
-      if (best == nullptr || head.score > best->score ||
-          (head.score == best->score && head.row_id < best->row_id)) {
-        best = &head;
-        best_list = i;
-      }
-    }
-    if (best == nullptr) break;
-    // Threshold: k rows out and the best head below the k-th score
-    // (every row emitted past k ties the k-th, so out.back() holds it).
-    if (top_k > 0 && out.size() >= top_k && best->score != out.back().score) {
-      break;
-    }
-    ++pos[best_list];
-    if (lists.size() > 1) {
-      if (best->row_id >= seen.size()) seen.resize(best->row_id + 1, 0);
-      if (seen[best->row_id]) continue;
-      seen[best->row_id] = 1;
-    }
-    if (eligible(best->row_id)) out.push_back(*best);
-  }
-  return out;
+  return RankSources(relation, sources, selections, combine, top_k);
 }
 
 namespace {
@@ -539,21 +494,26 @@ PerStateResult EvaluateState(const db::Relation& relation,
         "cached_rank_cs: deadline expired before selections");
     return out;
   }
-  db::Ranker state_ranker(options.combine);
-  state_ranker.ReserveDense(relation.size());
-  for (const CandidatePath& cand : best) {
+  CandidateSetPtr candidates =
+      std::make_shared<const std::vector<CandidatePath>>(std::move(best));
+  std::vector<ScoredSource> sources;
+  for (const CandidatePath& cand : *candidates) {
     for (const ProfileTree::LeafEntry& entry : cand.entries) {
-      out.status = SelectClause(relation, entry.clause, [&](db::RowId row) {
-        state_ranker.Add(row, entry.score);
-      });
-      if (!out.status.ok()) return out;
+      StatusOr<ScoredSource> source =
+          ScoredSource::Clause(relation, entry.clause, entry.score);
+      if (!source.ok()) {
+        out.status = source.status();
+        return out;
+      }
+      sources.push_back(*source);
     }
   }
+  // The cached list is the state's whole ranking: no cut, and no
+  // selections (a list is keyed by context state only).
   out.entry = std::make_shared<const ContextQueryTree::Entry>(
       ContextQueryTree::Entry{
-          state_ranker.Ranked(),
-          std::make_shared<const std::vector<CandidatePath>>(std::move(best)),
-          config});
+          RankSources(relation, sources, {}, options.combine, /*top_k=*/0),
+          std::move(candidates), config});
   cache.PutEntry(user, s, profile_version, out.entry);
   return out;
 }
@@ -646,6 +606,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
   }
 
   QueryResult result;
+  result.traces.reserve(states.size());
   std::vector<const std::vector<db::ScoredTuple>*> lists;
   lists.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
@@ -668,13 +629,8 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
       return ps.status;
     }
     lists.push_back(&ps.entry->tuples);
-    // Traces expose plain vectors (explain/CLI consumers mutate and
-    // move them), so the shared set is copied out here — once per
-    // state, same as the pre-sharing cache-hit cost.
-    result.traces.push_back(QueryResult::Trace{
-        states[i], ps.entry->candidates != nullptr
-                       ? *ps.entry->candidates
-                       : std::vector<CandidatePath>{}});
+    result.traces.push_back(
+        QueryResult::Trace{std::move(states[i]), ps.entry->candidates});
   }
 
   // Cached lists are selection-agnostic (keyed by context state only),

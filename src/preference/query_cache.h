@@ -88,19 +88,12 @@ class ContextQueryTree {
  public:
   static constexpr size_t kDefaultShards = 8;
 
-  /// A shared immutable set of winning candidate paths. Entries hold
-  /// the set behind one pointer so cache hits share it instead of
-  /// deep-copying the candidate vectors (states + entries + clause
-  /// strings) — the flat candidate sets of the arena-backed serving
-  /// path are cached this way.
-  using CandidateSetPtr = std::shared_ptr<const std::vector<CandidatePath>>;
-
   /// What a leaf caches for one context state: the ranked tuples plus
   /// the winning candidate paths that produced them, so cache hits can
   /// reconstruct the same resolution trace as the original miss.
   struct Entry {
     std::vector<db::ScoredTuple> tuples;
-    /// Null means "no candidates recorded" (treated as empty).
+    /// Never null; a hit's trace shares it.
     CandidateSetPtr candidates;
     /// The options `tuples` were computed under; a lookup under other
     /// options misses (and the recomputed entry replaces this one).
@@ -174,16 +167,17 @@ class ContextQueryTree {
       AccessCounter* counter = nullptr);
 
   /// Caches `tuples` (and the resolution `candidates` that produced
-  /// them) for `user`'s `state` at `profile_version`, under the default
-  /// `CacheConfig`, evicting the shard's least-recently-used entry
-  /// beyond the shard capacity.
+  /// them; null = none) for `user`'s `state` at `profile_version`, under
+  /// the default `CacheConfig`, evicting the shard's least-recently-used
+  /// entry beyond the shard capacity.
   void Put(const std::string& user, const ContextState& state,
            uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
            CandidateSetPtr candidates = nullptr);
 
   /// Caches an already-built `entry` — the miss path of `CachedRankCS`
   /// builds the entry once and shares the same pointer with its merge,
-  /// so caching an answer copies no tuples.
+  /// so caching an answer copies no tuples. `entry->candidates` must not
+  /// be null.
   void PutEntry(const std::string& user, const ContextState& state,
                 uint64_t profile_version, std::shared_ptr<const Entry> entry);
 
@@ -305,17 +299,9 @@ Status CheckCacheableOptions(const QueryOptions& options);
 /// kept (0 = all rows) — exactly `db::Ranker` over every listed tuple
 /// followed by `TopK`/`Ranked`. Each list must be sorted by descending
 /// score, then ascending row id, with each row at most once (what
-/// `Ranker::Ranked` produces).
-///
-/// Under kMax this is a threshold merge (the no-random-access variant
-/// of Fagin–Lotem–Naor's threshold algorithm): a k-way merge in ranking
-/// order (the best list head found by a scan over the heads, one per
-/// query state), where a row's first occurrence carries its final
-/// score, so it is emitted at once (if it passes the selections, which
-/// are evaluated only on rows the merge reaches). The merge stops once
-/// `top_k` rows are out and the next head scores below the k-th; the
-/// output comes out already in order. kMin keeps a dense `db::Ranker`
-/// (a row's first occurrence is not its minimum there).
+/// `Ranker::Ranked` produces). Every list is one list `ScoredSource`
+/// of `RankSources`, so under kMax this is the same threshold merge
+/// that answers a miss; the hit path and the stale rung both call it.
 std::vector<db::ScoredTuple> MergeStateLists(
     const db::Relation& relation,
     std::span<const std::vector<db::ScoredTuple>* const> lists,

@@ -205,10 +205,8 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
   lists.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
     lists.push_back(&entries[i]->tuples);
-    result.traces.push_back(QueryResult::Trace{
-        states[i], entries[i]->candidates != nullptr
-                       ? *entries[i]->candidates
-                       : std::vector<CandidatePath>{}});
+    result.traces.push_back(
+        QueryResult::Trace{states[i], entries[i]->candidates});
   }
   result.tuples = MergeStateLists(relation, lists, query.selections,
                                   options.combine, options.top_k);
@@ -283,7 +281,7 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
 
   // The ladder needs the enumerated query states (the stale rung joins
   // per-state cache entries; the truncated rung keeps only the first).
-  const ContextEnvironment& env = pin->tree().env();
+  const ContextEnvironment& env = pin->flat_tree()->env();
   std::vector<ContextState> states = query.context.EnumerateStates(env);
   if (states.empty()) states.push_back(ContextState::AllState(env));
   for (const ContextState& s : states) {

@@ -24,7 +24,7 @@
 ///     i.e. a potential deadlock — naming both locks involved. Rank
 ///     checking is compiled out unless CTXPREF_LOCK_RANK_CHECKS is 1
 ///     (CMake: -DCTXPREF_LOCK_RANK=ON|OFF|AUTO; AUTO enables it in
-///     every build type except Release).
+///     every build type except Release; exported by ctxpref_util).
 ///
 /// The static annotations prove *what lock guards what*; the rank
 /// checker proves *in which order locks nest*, which annotations
@@ -32,12 +32,10 @@
 /// mistakes — unguarded access and lock-order inversion — before or
 /// at the first test run instead of in production.
 
+// The setting changes Mutex's layout, so a translation unit must not
+// guess it: linking ctxpref_util supplies the library's value.
 #ifndef CTXPREF_LOCK_RANK_CHECKS
-#ifdef NDEBUG
-#define CTXPREF_LOCK_RANK_CHECKS 0
-#else
-#define CTXPREF_LOCK_RANK_CHECKS 1
-#endif
+#error "CTXPREF_LOCK_RANK_CHECKS undefined: link ctxpref_util, which exports it"
 #endif
 
 namespace ctxpref::util {

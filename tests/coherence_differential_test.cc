@@ -143,8 +143,8 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
   EXPECT_EQ(got.tuples, want.tuples) << label;
   ASSERT_EQ(got.traces.size(), want.traces.size()) << label;
   for (size_t i = 0; i < got.traces.size(); ++i) {
-    const std::vector<CandidatePath>& g = got.traces[i].candidates;
-    const std::vector<CandidatePath>& w = want.traces[i].candidates;
+    const std::vector<CandidatePath>& g = *got.traces[i].candidates;
+    const std::vector<CandidatePath>& w = *want.traces[i].candidates;
     ASSERT_EQ(g.size(), w.size()) << label << " trace " << i;
     for (size_t j = 0; j < g.size(); ++j) {
       EXPECT_TRUE(g[j].state == w[j].state) << label << " candidate " << j;

@@ -60,7 +60,7 @@ TEST_F(ContextualQueryTest, RankCSScoresMatchingTuples) {
   EXPECT_EQ(result->tuples[0].row_id, RowByName("Acropolis"));
   EXPECT_DOUBLE_EQ(result->tuples[0].score, 0.8);
   ASSERT_EQ(result->traces.size(), 1u);
-  EXPECT_EQ(result->traces[0].candidates.size(), 1u);
+  EXPECT_EQ(result->traces[0].candidates->size(), 1u);
 }
 
 TEST_F(ContextualQueryTest, CoverResolutionAppliesGeneralPreference) {
@@ -189,7 +189,7 @@ TEST_F(ContextualQueryTest, NoApplicablePreferenceYieldsEmpty) {
   ASSERT_OK(result.status());
   EXPECT_TRUE(result->tuples.empty());
   ASSERT_EQ(result->traces.size(), 1u);
-  EXPECT_TRUE(result->traces[0].candidates.empty());
+  EXPECT_TRUE(result->traces[0].candidates->empty());
 }
 
 TEST_F(ContextualQueryTest, TopKCapsResults) {

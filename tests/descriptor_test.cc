@@ -164,6 +164,11 @@ TEST_F(DescriptorTest, ExtendedDescriptorUnionsAndDeduplicates) {
   ecod.AddDisjunct(*CompositeDescriptor::Create(*env_, std::move(p2)));
   std::vector<ContextState> states = ecod.EnumerateStates(*env_);
   EXPECT_EQ(states.size(), 3u);  // warm, hot, mild — hot deduplicated.
+  // First-seen order: the second disjunct's copy of hot is the one dropped.
+  const char* want[] = {"warm", "hot", "mild"};
+  for (size_t i = 0; i < states.size() && i < 3; ++i) {
+    EXPECT_EQ(states[i].value(1), *temp().Find(0, want[i])) << i;
+  }
 }
 
 TEST_F(DescriptorTest, ExtendedDescriptorToString) {
@@ -184,7 +189,13 @@ TEST_F(DescriptorTest, NumStatesMatchesEnumerationOnBigProduct) {
       CompositeDescriptor::Create(*env_, std::move(parts));
   ASSERT_OK(cod.status());
   EXPECT_EQ(cod->NumStates(), 15u);
-  EXPECT_EQ(cod->EnumerateStates(*env_).size(), 15u);
+  const std::vector<ContextState> states = cod->EnumerateStates(*env_);
+  ASSERT_EQ(states.size(), 15u);
+  // Odometer order: the last parameter turns fastest.
+  for (size_t i = 0; i < states.size(); ++i) {
+    EXPECT_EQ(states[i].value(1), cod->parts()[0].ContextOf()[i / 3]) << i;
+    EXPECT_EQ(states[i].value(2), cod->parts()[1].ContextOf()[i % 3]) << i;
+  }
 }
 
 }  // namespace

@@ -101,8 +101,8 @@ TEST_F(OverloadChaosTest, ResolverLatencySpikeTripsRankCsDeadline) {
   EXPECT_EQ(resolves.load(), 2);
 
   // Budget smaller than one spike: the first state's resolution burns
-  // it, so the candidate-level cancellation point must abort with
-  // partial-work accounting before the second state is ever resolved.
+  // it, so the second state's cancellation point must abort with
+  // partial-work accounting before that state is ever resolved.
   resolves.store(0);
   options.deadline = util::Deadline::AfterMicros(50, &clock);
   StatusOr<QueryResult> cut =

@@ -323,13 +323,13 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
   ASSERT_EQ(eight->traces.size(), one->traces.size());
   for (size_t i = 0; i < one->traces.size(); ++i) {
     EXPECT_EQ(eight->traces[i].query_state, one->traces[i].query_state);
-    ASSERT_EQ(eight->traces[i].candidates.size(),
-              one->traces[i].candidates.size());
-    for (size_t c = 0; c < one->traces[i].candidates.size(); ++c) {
-      EXPECT_EQ(eight->traces[i].candidates[c].state,
-                one->traces[i].candidates[c].state);
-      EXPECT_EQ(eight->traces[i].candidates[c].distance,
-                one->traces[i].candidates[c].distance);
+    ASSERT_EQ(eight->traces[i].candidates->size(),
+              one->traces[i].candidates->size());
+    for (size_t c = 0; c < one->traces[i].candidates->size(); ++c) {
+      EXPECT_EQ((*eight->traces[i].candidates)[c].state,
+                (*one->traces[i].candidates)[c].state);
+      EXPECT_EQ((*eight->traces[i].candidates)[c].distance,
+                (*one->traces[i].candidates)[c].distance);
     }
   }
 

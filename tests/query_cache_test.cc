@@ -338,13 +338,13 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
   ASSERT_EQ(hit->traces.size(), miss->traces.size());
   for (size_t i = 0; i < miss->traces.size(); ++i) {
     EXPECT_EQ(hit->traces[i].query_state, miss->traces[i].query_state);
-    ASSERT_EQ(hit->traces[i].candidates.size(),
-              miss->traces[i].candidates.size());
-    EXPECT_FALSE(miss->traces[i].candidates.empty())
+    ASSERT_EQ(hit->traces[i].candidates->size(),
+              miss->traces[i].candidates->size());
+    EXPECT_FALSE(miss->traces[i].candidates->empty())
         << "trace " << i << " resolved no candidates; test is vacuous";
-    for (size_t c = 0; c < miss->traces[i].candidates.size(); ++c) {
-      const CandidatePath& m = miss->traces[i].candidates[c];
-      const CandidatePath& h = hit->traces[i].candidates[c];
+    for (size_t c = 0; c < miss->traces[i].candidates->size(); ++c) {
+      const CandidatePath& m = (*miss->traces[i].candidates)[c];
+      const CandidatePath& h = (*hit->traces[i].candidates)[c];
       EXPECT_EQ(h.state, m.state);
       EXPECT_EQ(h.distance, m.distance);
       ASSERT_EQ(h.entries.size(), m.entries.size());

@@ -20,6 +20,7 @@
 #include "db/relation.h"
 #include "preference/contextual_query.h"
 #include "preference/profile_tree.h"
+#include "preference/threshold_merge.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "workload/poi_dataset.h"
@@ -239,16 +240,21 @@ TEST_F(IndexTest, BuildRejectsUnknownColumn) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_EQ(*BindColumn(relation_->schema(), "type", ColumnType::kString), 1u);
-  // Rank_CS's selection call binds the clause the same way.
-  size_t visited = 0;
-  EXPECT_TRUE(SelectClause(*relation_,
-                           AttributeClause{"nope", CompareOp::kEq,
-                                           Value("park")},
-                           [&](RowId) { ++visited; })
+  // Rank_CS's clause sources bind the clause the same way.
+  EXPECT_TRUE(ScoredSource::Clause(*relation_,
+                                   AttributeClause{"nope", CompareOp::kEq,
+                                                   Value("park")},
+                                   0.5)
+                  .status()
                   .IsNotFound());
-  EXPECT_OK(SelectClause(*relation_,
-                         AttributeClause{"type", CompareOp::kEq, Value("park")},
-                         [&](RowId) { ++visited; }));
+  const AttributeClause park{"type", CompareOp::kEq, Value("park")};
+  StatusOr<ScoredSource> source = ScoredSource::Clause(*relation_, park, 0.5);
+  ASSERT_OK(source.status());
+  size_t visited = 0;
+  source->ForEach(*relation_, [&](RowId, double score) {
+    EXPECT_EQ(score, 0.5);
+    ++visited;
+  });
   EXPECT_EQ(visited, 2u);
 }
 
@@ -296,7 +302,7 @@ TEST_F(IndexTest, RankCSMatchesEvalScanOracle) {
   // The same clauses scored by Eval scans, combined under max.
   std::map<RowId, double> want;
   for (const QueryResult::Trace& trace : ranked->traces) {
-    for (const CandidatePath& cand : trace.candidates) {
+    for (const CandidatePath& cand : *trace.candidates) {
       for (const ProfileTree::LeafEntry& entry : cand.entries) {
         StatusOr<Predicate> pred = Predicate::Create(
             poi->relation.schema(), entry.clause.attribute, entry.clause.op,

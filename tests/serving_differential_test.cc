@@ -286,8 +286,8 @@ TEST_P(ServingDifferentialTest, CachedEqualsUncachedAcrossProfileSwaps) {
             << "swap " << swap << " trial " << trial << " pass " << pass;
         ASSERT_EQ(cached->result.traces.size(), uncached->traces.size());
         for (size_t i = 0; i < cached->result.traces.size(); ++i) {
-          EXPECT_EQ(cached->result.traces[i].candidates.size(),
-                    uncached->traces[i].candidates.size());
+          EXPECT_EQ(cached->result.traces[i].candidates->size(),
+                    uncached->traces[i].candidates->size());
         }
       }
       // And against the brute-force oracle, closing the loop.
@@ -395,8 +395,8 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
           << q.ToString(*env) << " kind " << DistanceKindToString(kind);
       ASSERT_EQ(via_pointer->traces.size(), via_flat->traces.size());
       for (size_t i = 0; i < via_pointer->traces.size(); ++i) {
-        ExpectSameCandidates(*env, via_pointer->traces[i].candidates,
-                             via_flat->traces[i].candidates,
+        ExpectSameCandidates(*env, *via_pointer->traces[i].candidates,
+                             *via_flat->traces[i].candidates,
                              q.ToString(*env) + " trace");
       }
     }
@@ -528,8 +528,8 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
     EXPECT_EQ(stale->result.tuples, direct->tuples) << "round " << round;
     ASSERT_EQ(stale->result.traces.size(), direct->traces.size());
     for (size_t i = 0; i < stale->result.traces.size(); ++i) {
-      ExpectSameCandidates(*env, direct->traces[i].candidates,
-                           stale->result.traces[i].candidates,
+      ExpectSameCandidates(*env, *direct->traces[i].candidates,
+                           *stale->result.traces[i].candidates,
                            "round " + std::to_string(round) + " trace");
     }
   }
@@ -937,8 +937,8 @@ TEST_P(ServingDifferentialTest, LadderOverReplicasServesStaleOnlyWhenCovered) {
     ExpectBitEqual(stale->result.tuples, oracle->tuples, label + " stale");
     ASSERT_EQ(stale->result.traces.size(), oracle->traces.size());
     for (size_t i = 0; i < oracle->traces.size(); ++i) {
-      ExpectSameCandidates(*env, oracle->traces[i].candidates,
-                           stale->result.traces[i].candidates,
+      ExpectSameCandidates(*env, *oracle->traces[i].candidates,
+                           *stale->result.traces[i].candidates,
                            label + " trace");
     }
 

@@ -25,7 +25,10 @@ if [ -z "$cxx" ]; then
   exit 77
 fi
 
+# util/mutex.h requires the lock-rank ABI define; either value works
+# for a syntax-only check.
 flags="-std=c++20 -fsyntax-only -Wthread-safety -Werror=thread-safety"
+flags="$flags -DCTXPREF_LOCK_RANK_CHECKS=1"
 err_log="$(mktemp)"
 trap 'rm -f "$err_log"' EXIT
 

@@ -16,6 +16,7 @@
 #include "context/parser.h"
 #include "preference/qualitative.h"
 #include "preference/contextual_query.h"
+#include "preference/flat_profile_tree.h"
 #include "preference/ordering.h"
 #include "preference/profile_tree.h"
 #include "preference/query_cache.h"
@@ -94,8 +95,11 @@ int AblateQueryCache() {
     add("accompanying_people = family", "type", db::Value("zoo"), 0.85);
     add("location = Athens", "type", db::Value("museum"), 0.7);
   }
+  // Both configurations resolve through the arena-flattened tree (the
+  // cached path's only resolver), so the rows differ by the cache alone.
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
 
   // A repeating workload: 200 queries over 20 distinct context states.
   std::vector<ContextState> states =

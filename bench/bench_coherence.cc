@@ -29,15 +29,27 @@
 // version implies (torn must stay 0), and a final publish-then-serve
 // round with no consumer proves the refuse path deterministically.
 //
+// Churn rows come first, on their own store with replicas consumed
+// inline at lookup (each serve drains the log before the gate, so a
+// publish costs a replica a miss, rarely a refuse): three interleaved
+// pairs of a no-writer row and a 100 publishes/s row. The median
+// 100 wps row must keep >= 90% of the median no-writer row's served/s
+// — copy-on-write publishing does not stall readers. Medians, because
+// one window on a shared host swings by more than the 10% margin. The
+// bar is a parallelism claim, so it is enforced only with more than
+// one hardware thread.
+//
 // Acceptance bars (exit code):
 //   phase A lookups all hit                       (exit 3)
 //   torn answers over phase B                == 0 (exit 2)
 //   stale refuses over phase B               >  0 (exit 4)
 //   lag after ConsumeAll quiesce             == 0 (exit 5)
+//   served/s at 100 wps >= 0.9 x no writer        (exit 6, nproc > 1)
 //
 // Flags: --readers=N --duration_ms=D --consume_interval_us=C
 // --json_out=FILE plus the shared --metrics family.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -207,9 +219,34 @@ struct LagResult {
   uint64_t torn = 0;
 };
 
+/// Phase B's replica set: one single-shard replica per reader.
+ReplicatedQueryCache::Options ReplicaOptions(
+    const Flags& flags, ReplicatedQueryCache::ConsumeMode mode) {
+  ReplicatedQueryCache::Options opts;
+  opts.num_replicas = flags.readers;
+  opts.capacity_per_replica = 1024;
+  opts.num_shards = 1;
+  opts.mode = mode;
+  return opts;
+}
+
+void PrintLagRow(const LagResult& r) {
+  std::printf("%10.0f %12.0f %12.0f %9llu %9.1f %10llu %6llu\n",
+              r.target_rate, r.appended_per_sec, r.served_per_sec,
+              static_cast<unsigned long long>(r.max_lag), r.avg_lag,
+              static_cast<unsigned long long>(r.refuses),
+              static_cast<unsigned long long>(r.torn));
+}
+
+double MedianOfThree(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[1];
+}
+
 /// Phase B: one write-rate point. The writer publishes through the
-/// store (the real append hook), the consumer drains on an interval,
-/// pinned readers serve through the gate.
+/// store (the real append hook) at `rate` per second (0 = no writer),
+/// the consumer drains on an interval, pinned readers serve through
+/// the gate.
 LagResult RunLagPhase(const Flags& flags, workload::PoiDatabase& poi,
                       storage::ProfileStore& store,
                       ReplicatedQueryCache& replicas,
@@ -229,21 +266,24 @@ LagResult RunLagPhase(const Flags& flags, workload::PoiDatabase& poi,
     std::vector<std::jthread> threads;
     // Writer: paced publishes; sleep_until granularity is fine at
     // these rates (>= 125 us intervals).
-    threads.emplace_back([&] {
-      const auto interval = std::chrono::duration_cast<SteadyClock::duration>(
-          std::chrono::duration<double>(1.0 / rate));
-      SteadyClock::time_point next = SteadyClock::now();
-      while (!stop.load(std::memory_order_relaxed)) {
-        const uint64_t k = step.fetch_add(1, std::memory_order_relaxed) + 1;
-        Status st = store.PublishProfile("u", VersionedProfile(poi.env, k));
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s\n", st.ToString().c_str());
-          std::abort();
+    if (rate > 0) {
+      threads.emplace_back([&] {
+        const auto interval =
+            std::chrono::duration_cast<SteadyClock::duration>(
+                std::chrono::duration<double>(1.0 / rate));
+        SteadyClock::time_point next = SteadyClock::now();
+        while (!stop.load(std::memory_order_relaxed)) {
+          const uint64_t k = step.fetch_add(1, std::memory_order_relaxed) + 1;
+          Status st = store.PublishProfile("u", VersionedProfile(poi.env, k));
+          if (!st.ok()) {
+            std::fprintf(stderr, "%s\n", st.ToString().c_str());
+            std::abort();
+          }
+          next += interval;
+          std::this_thread::sleep_until(next);
         }
-        next += interval;
-        std::this_thread::sleep_until(next);
-      }
-    });
+      });
+    }
     // Interval consumer: the "each replica runs a consume step on its
     // own schedule" agent; also samples the headline lag gauge.
     threads.emplace_back([&] {
@@ -380,7 +420,11 @@ int Run(const Flags& flags) {
                  replicas.replica(t).Lookup(s, 1) != nullptr;
         });
   }
-  const std::string suffix = "/" + std::to_string(flags.readers) + "r";
+  // += not operator+: GCC 12's -Wrestrict misfires on
+  // `literal + std::to_string(...)` at -O2.
+  std::string suffix("/");
+  suffix += std::to_string(flags.readers);
+  suffix += "r";
   rows.push_back(Row{"BM_CoherenceHitRate_SingleShared" + suffix,
                      shared_rate});
   rows.push_back(Row{"BM_CoherenceHitRate_Replicated" + suffix, repl_rate});
@@ -393,16 +437,7 @@ int Run(const Flags& flags) {
               "compare_bench.py when nproc > 1)\n\n",
               ratio);
 
-  // ---- Phase B: invalidation lag vs write rate ----
-  storage::ProfileStore store(env);
-  ReplicatedQueryCache::Options lag_opts;
-  lag_opts.num_replicas = flags.readers;
-  lag_opts.capacity_per_replica = 1024;
-  lag_opts.num_shards = 1;
-  lag_opts.mode = ReplicatedQueryCache::ConsumeMode::kBackground;
-  ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()),
-                                lag_opts);
-  store.AttachCoherenceLog(&replicas.log());
+  // ---- Phase B: serving under a swept write rate ----
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
       *env, "location = Plaka or location = Kifisia");
   if (!ecod.ok()) {
@@ -411,6 +446,54 @@ int Run(const Flags& flags) {
   }
   ContextualQuery query;
   query.context = *ecod;
+  auto serve_name = [](double rate) {
+    std::string name("BM_CoherenceServe_");
+    name += std::to_string(static_cast<int>(rate));
+    name += "wps";
+    return name;
+  };
+  uint64_t total_torn = 0, total_refuses = 0;
+
+  std::printf("Serving under churn (%zu replicas, inline consume; "
+              "3 interleaved pairs):\n",
+              flags.readers);
+  std::printf("%10s %12s %12s %9s %9s %10s %6s\n", "target/s", "appended/s",
+              "served/s", "max lag", "avg lag", "refuses", "torn");
+  double no_writer_served = 0, churn_served = 0;
+  {
+    ReplicatedQueryCache replicas(
+        env, Ordering::Identity(env->size()),
+        ReplicaOptions(flags,
+                       ReplicatedQueryCache::ConsumeMode::kInlineAtLookup));
+    storage::ProfileStore store(env);
+    store.AttachCoherenceLog(&replicas.log());
+    Status created = store.CreateUser("u", VersionedProfile(env, 1));
+    if (!created.ok()) {
+      std::fprintf(stderr, "%s\n", created.ToString().c_str());
+      return 1;
+    }
+    std::atomic<uint64_t> step{1};
+    std::vector<double> served[2];
+    for (int pair = 0; pair < 3; ++pair) {
+      for (const double rate : {0.0, 100.0}) {
+        LagResult r =
+            RunLagPhase(flags, *poi, store, replicas, query, step, rate);
+        PrintLagRow(r);
+        served[rate > 0 ? 1 : 0].push_back(r.served_per_sec);
+        total_torn += r.torn;
+      }
+    }
+    no_writer_served = MedianOfThree(served[0]);
+    churn_served = MedianOfThree(served[1]);
+    rows.push_back(Row{serve_name(0), no_writer_served});
+    rows.push_back(Row{serve_name(100), churn_served});
+  }
+
+  ReplicatedQueryCache replicas(
+      env, Ordering::Identity(env->size()),
+      ReplicaOptions(flags, ReplicatedQueryCache::ConsumeMode::kBackground));
+  storage::ProfileStore store(env);
+  store.AttachCoherenceLog(&replicas.log());
   Status created = store.CreateUser("u", VersionedProfile(env, 1));
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.ToString().c_str());
@@ -418,24 +501,16 @@ int Run(const Flags& flags) {
   }
   std::atomic<uint64_t> step{1};
 
-  std::printf("Invalidation lag vs write rate (%zu replicas, consume every "
+  std::printf("\nInvalidation lag vs write rate (%zu replicas, consume every "
               "%zu us, background mode):\n",
               flags.readers, flags.consume_interval_us);
   std::printf("%10s %12s %12s %9s %9s %10s %6s\n", "target/s", "appended/s",
               "served/s", "max lag", "avg lag", "refuses", "torn");
-  uint64_t total_torn = 0, total_refuses = 0;
   for (const double rate : {500.0, 2000.0, 8000.0}) {
     LagResult r =
         RunLagPhase(flags, *poi, store, replicas, query, step, rate);
-    std::printf("%10.0f %12.0f %12.0f %9llu %9.1f %10llu %6llu\n",
-                r.target_rate, r.appended_per_sec, r.served_per_sec,
-                static_cast<unsigned long long>(r.max_lag), r.avg_lag,
-                static_cast<unsigned long long>(r.refuses),
-                static_cast<unsigned long long>(r.torn));
-    std::string name("BM_CoherenceServe_");
-    name += std::to_string(static_cast<int>(rate));
-    name += "wps";
-    rows.push_back(Row{name, r.served_per_sec});
+    PrintLagRow(r);
+    rows.push_back(Row{serve_name(rate), r.served_per_sec});
     total_torn += r.torn;
     total_refuses += r.refuses;
     // Quiesce between rates: a full drain must zero the lag.
@@ -483,7 +558,19 @@ int Run(const Flags& flags) {
 
   if (!flags.json_out.empty()) WriteJson(flags.json_out, rows);
 
-  std::printf("\nphase A gate/lookup failures: %llu (bar: 0)\n",
+  // On one hardware thread the writer time-slices the readers' core,
+  // so the ratio measures scheduling, not copy-on-write overhead.
+  const bool multi_core = std::thread::hardware_concurrency() > 1;
+  const double churn_ratio =
+      no_writer_served > 0 ? churn_served / no_writer_served : 0.0;
+  const bool churn_ok = !multi_core || churn_ratio >= 0.9;
+  std::printf("\nmedian served/s at 100 wps / no writer: %.1f%% "
+              "(bar: >= 90%%%s)\n",
+              100 * churn_ratio,
+              !multi_core ? " SKIPPED: single hardware thread"
+                          : (churn_ok ? "" : " FAILED"));
+
+  std::printf("phase A gate/lookup failures: %llu (bar: 0)\n",
               static_cast<unsigned long long>(bad.load()));
   std::printf("torn answers: %llu (bar: 0)\n",
               static_cast<unsigned long long>(total_torn));
@@ -492,6 +579,7 @@ int Run(const Flags& flags) {
   if (total_torn != 0) return 2;
   if (bad.load() != 0) return 3;
   if (total_refuses == 0) return 4;
+  if (!churn_ok) return 6;
   return 0;
 }
 

@@ -13,13 +13,22 @@
 // Passing any of the three enables `MetricsRegistry::SetTimingEnabled`,
 // so histograms fill; without them the benches measure the default
 // (timing-off) configuration, which is the overhead claim CI checks.
+//
+// Parsing also prints the build context to stderr — hardware threads,
+// build type and lock-rank checker state — and warns unless the bench
+// was built Release, so a wall-clock figure never travels without it.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "util/metrics.h"
+
+#ifndef CTXPREF_BENCH_BUILD_TYPE
+#error "CTXPREF_BENCH_BUILD_TYPE undefined: bench/CMakeLists.txt sets it"
+#endif
 
 namespace ctxpref {
 namespace bench {
@@ -31,8 +40,20 @@ struct MetricsFlags {
 };
 
 /// Consumes the metrics flags from argv (compacting it in place and
-/// updating argc) and, when any was present, turns timing on.
+/// updating argc) and, when any was present, turns timing on. Prints
+/// the build context line (and the non-Release warning) to stderr.
 inline MetricsFlags ParseMetricsFlags(int& argc, char** argv) {
+  const std::string build_type = CTXPREF_BENCH_BUILD_TYPE;
+  std::fprintf(stderr,
+               "bench context: nproc=%u build_type=%s "
+               "lock_rank_checks=%d\n",
+               std::thread::hardware_concurrency(), build_type.c_str(),
+               CTXPREF_LOCK_RANK_CHECKS);
+  if (build_type != "Release") {
+    std::fprintf(stderr,
+                 "warning: not a Release build; wall-clock figures are not "
+                 "comparable to Release ones\n");
+  }
   MetricsFlags flags;
   int out = 1;
   for (int i = 1; i < argc; ++i) {

@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the core operations: tree
-// construction, exact lookup, Search_CS, distance evaluation, Rank_CS
-// end-to-end, query-cache hits, a cache hit vs miss pair for one
-// whole query, and an Eval-scan vs relation-index pair for Rank_CS's
-// selections. Not a paper figure — operational cost data for library
-// users.
+// construction, the sequential baseline's covering scan, distance
+// evaluation, Rank_CS end-to-end, query-cache hits, a cache hit vs
+// miss pair for one whole query, and an Eval-scan vs relation-index
+// pair for Rank_CS's selections. Exact lookup and Search_CS over both
+// tree backends are `bench_resolution`'s. Not a paper figure —
+// operational cost data for library users.
 
 #include <benchmark/benchmark.h>
 
@@ -55,36 +56,6 @@ void BM_ProfileTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ProfileTreeBuild)->Arg(500)->Arg(5000);
-
-void BM_ExactLookup(benchmark::State& state) {
-  workload::SyntheticProfile gen =
-      MakeProfile(static_cast<size_t>(state.range(0)), 0.0);
-  StatusOr<ProfileTree> tree = ProfileTree::Build(gen.profile);
-  std::vector<ContextState> queries =
-      workload::ExactQueryBatch(gen.profile, 64, 1);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree->ExactLookup(queries[i++ % queries.size()]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ExactLookup)->Arg(500)->Arg(5000);
-
-void BM_SearchCS_Tree(benchmark::State& state) {
-  workload::SyntheticProfile gen =
-      MakeProfile(static_cast<size_t>(state.range(0)), 0.0);
-  StatusOr<ProfileTree> tree = ProfileTree::Build(gen.profile);
-  TreeResolver resolver(&*tree);
-  std::vector<ContextState> queries =
-      workload::RandomQueryBatch(*gen.env, 64, 2, 0.3);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resolver.SearchCS(queries[i++ % queries.size()]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SearchCS_Tree)->Arg(500)->Arg(5000);
 
 void BM_SearchCovering_Sequential(benchmark::State& state) {
   workload::SyntheticProfile gen =

@@ -15,6 +15,7 @@
 #include "context/parser.h"
 #include "preference/contextual_query.h"
 #include "preference/explain.h"
+#include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
 #include "preference/query_cache.h"
 #include "util/metrics.h"
@@ -104,12 +105,16 @@ int main() {
 
   // ---- 3. The context query tree: repeated exploratory queries hit
   //         the cache; a profile edit makes its entries miss.
+  //         The cached path resolves through the arena-flattened
+  //         form of the same tree.
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache(poi->env, Ordering::Identity(env.size()),
                          /*capacity=*/64);
   for (int round = 0; round < 3; ++round) {
     StatusOr<QueryResult> cached =
-        CachedRankCS(poi->relation, query, resolver, "", profile->version(),
-                     cache, options);
+        CachedRankCS(poi->relation, query, flat_resolver, "",
+                     profile->version(), cache, options);
     if (!cached.ok()) {
       std::fprintf(stderr, "cached: %s\n",
                    cached.status().ToString().c_str());
@@ -133,7 +138,8 @@ int main() {
   }
   // Rebuild the index for the new profile version.
   tree = ProfileTree::Build(*profile);
-  TreeResolver fresh_resolver(&*tree);
+  const FlatProfileTree fresh_flat = FlatProfileTree::Build(*tree);
+  FlatResolver fresh_resolver(&fresh_flat);
   StatusOr<QueryResult> after =
       CachedRankCS(poi->relation, query, fresh_resolver, "",
                    profile->version(), cache, options);

@@ -36,11 +36,23 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               in docs/scenarios.md's ablation table — same
               single-source-of-truth contract as lock-rank.
 
-Suppress a single line with  // lint:allow(<check>)  and a short reason.
+  bench-doc   Every `bench_<name>` token in README.md, EXPERIMENTS.md,
+              docs/*.md, scripts/*.sh, the CI workflow and the verify
+              skill must name a target declared in bench/CMakeLists.txt
+              (a `bench_<prefix>*` glob must match one). Exempt:
+              bench_metrics (a header), output files (`bench_x.json`),
+              flags (`--bench_json`) and shell variables. It reads
+              files where a C++ comment cannot sit, so it takes no
+              lint:allow; CHANGES.md and ROADMAP.md (history) are not
+              read.
+
+Suppress a single C++ line with  // lint:allow(<check>)  and a short
+reason.
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 import argparse
+import glob
 import os
 import re
 import sys
@@ -80,6 +92,15 @@ LOCK_RANK_USE = re.compile(r"\bLockRank::(k\w+)")
 
 ABLATION_HEADER = "src/harness/scenario_config.h"
 ABLATION_DOC = "docs/scenarios.md"
+
+BENCH_CMAKE = "bench/CMakeLists.txt"
+BENCH_DOC_FILES = ["README.md", "EXPERIMENTS.md", "docs/*.md", "scripts/*.sh",
+                   ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"]
+# A bench_ token with an optional glob star or file extension. Not
+# matched: flags (--bench_json), hidden paths (.bench_build/), shell
+# variables (${bench_x}, bench_x=...).
+BENCH_TOKEN = re.compile(r"(?<![\w.{$-])(bench_\w+)\b(?!=)(\*|\.\w+)?")
+BENCH_TOKEN_EXEMPT = {"bench_metrics"}
 
 
 def declared_ablation_flags():
@@ -276,6 +297,49 @@ def check_ablation_doc(findings):
                          "ablation table")
 
 
+def declared_bench_targets():
+    """Executable names declared in bench/CMakeLists.txt, or None."""
+    try:
+        with open(BENCH_CMAKE, encoding="utf-8") as f:
+            text = f.read()
+    except OSError:
+        return None
+    targets = set(re.findall(r"add_executable\((\w+)", text))
+    for names in re.findall(r"foreach\(\w+\s+([^)]*)\)", text):
+        targets.update(names.split())
+    return targets
+
+
+def check_bench_doc(findings):
+    """Docs, scripts and CI must name only bench targets that exist."""
+    targets = declared_bench_targets()
+    if targets is None:
+        print(f"lint.py: warning: cannot read {BENCH_CMAKE}; "
+              "bench-doc check skipped", file=sys.stderr)
+        return
+    paths = sorted({p for pattern in BENCH_DOC_FILES
+                    for p in glob.glob(pattern)})
+    for path in paths:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines, 1):
+            for m in BENCH_TOKEN.finditer(line):
+                name, suffix = m.group(1), m.group(2) or ""
+                if name in BENCH_TOKEN_EXEMPT:
+                    continue
+                if suffix == "*":
+                    if not any(t.startswith(name) for t in targets):
+                        findings.add(path, i, "bench-doc",
+                                     f"{name}* matches no target in "
+                                     f"{BENCH_CMAKE}")
+                    continue
+                if suffix and suffix != ".cc":
+                    continue  # An output file such as bench_smoke.json.
+                if name not in targets:
+                    findings.add(path, i, "bench-doc",
+                                 f"{name} is not a target in {BENCH_CMAKE}")
+
+
 def lint_file(path, ranks, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         lines = f.read().splitlines()
@@ -315,6 +379,7 @@ def main():
         lint_file(os.path.normpath(path), ranks, findings)
     check_lock_rank_doc(ranks, findings)
     check_ablation_doc(findings)
+    check_bench_doc(findings)
 
     for path, lineno, check, message in findings.items:
         print(f"{path}:{lineno}: [{check}] {message}")

@@ -1,6 +1,7 @@
 #include "harness/scenario_config.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -40,7 +41,7 @@ struct SizeKey {
 struct RateKey {
   const char* key;
   double* out;
-  double max;  ///< 1.0 for probabilities, +inf for rates/exponents.
+  double max;  ///< 1.0 for probabilities, 1e9 for rates/exponents.
 };
 struct MicrosKey {
   const char* key;
@@ -230,9 +231,15 @@ StatusOr<ScenarioConfig> ParseScenarioConfig(std::string_view text) {
       if (!ParseDouble(value, &v)) {
         return BadValue(lineno, key, value, "expected a number");
       }
+      // NaN compares false against both bounds, so test it first.
+      if (!std::isfinite(v)) {
+        return BadValue(lineno, key, value, "must be a finite number");
+      }
       if (v < 0.0) return BadValue(lineno, key, value, "must be >= 0");
       if (v > k.max) {
-        return BadValue(lineno, key, value, "must be <= 1 (a probability)");
+        return BadValue(lineno, key, value,
+                        k.max == 1.0 ? "must be <= 1 (a probability)"
+                                     : "must be <= 1e9");
       }
       *k.out = v;
       handled = true;

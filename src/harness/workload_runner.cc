@@ -41,8 +41,8 @@ constexpr uint64_t kProfileSeedMix = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kMigrationSeedMix = 0xda3e39cb94b95bdbull;
 constexpr uint64_t kChaosSeedOffset = 17;
 
-// Build with +=, not operator+ on a literal (GCC 12 -Wrestrict misfire,
-// see bench_serving.cc).
+// Build with +=, not operator+ on a literal: GCC 12's -Wrestrict
+// misfires on `literal + std::to_string(...)` at -O2.
 std::string UserName(size_t u) {
   std::string name = "user";
   name += std::to_string(u);

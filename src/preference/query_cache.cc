@@ -466,7 +466,8 @@ struct PerStateResult {
 };
 
 PerStateResult EvaluateState(const db::Relation& relation,
-                             const ContextState& s, const ResolveFn& resolve,
+                             const ContextState& s,
+                             const FlatResolver& resolver,
                              const std::string& user,
                              uint64_t profile_version, ContextQueryTree& cache,
                              const QueryOptions& options,
@@ -486,7 +487,8 @@ PerStateResult EvaluateState(const db::Relation& relation,
   if (out.entry != nullptr) return out;
   // Compute this state's contribution with plain Rank_CS, then
   // populate the cache.
-  std::vector<CandidatePath> best = resolve(s, options.resolution, counter);
+  std::vector<CandidatePath> best =
+      resolver.ResolveBest(s, options.resolution, counter);
   // Cancellation point: resolution paid for, selections (the expensive
   // part) not yet.
   if (options.deadline.Expired()) {
@@ -518,25 +520,22 @@ PerStateResult EvaluateState(const db::Relation& relation,
   return out;
 }
 
-/// Shared body of the `TreeResolver` / `FlatResolver` overloads: the
-/// cache protocol only needs the environment and a way to resolve one
-/// state, so both resolvers funnel through here and produce identical
-/// cache entries (interchangeable across backends at the same
-/// profile version).
-StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
-                                       const ContextualQuery& query,
-                                       const ContextEnvironment& env,
-                                       const ResolveFn& resolve,
-                                       const std::string& user,
-                                       uint64_t profile_version,
-                                       ContextQueryTree& cache,
-                                       const QueryOptions& options,
-                                       AccessCounter* counter) {
+}  // namespace
+
+StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
+                                   const ContextualQuery& query,
+                                   const FlatResolver& resolver,
+                                   const std::string& user,
+                                   uint64_t profile_version,
+                                   ContextQueryTree& cache,
+                                   const QueryOptions& options,
+                                   AccessCounter* counter) {
   CTXPREF_RETURN_IF_ERROR(CheckCacheableOptions(options));
   RankMetrics& metrics = RankMetrics::Get();
   TraceSpan span("cached_rank_cs");
   ScopedLatency latency(&metrics.latency);
 
+  const ContextEnvironment& env = resolver.tree().env();
   std::vector<ContextState> states = query.context.EnumerateStates(env);
   if (states.empty()) states.push_back(ContextState::AllState(env));
   for (const ContextState& s : states) {
@@ -551,7 +550,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
   const size_t threads = std::min(options.num_threads, states.size());
   if (options.pool == nullptr && threads <= 1) {
     for (size_t i = 0; i < states.size(); ++i) {
-      per_state[i] = EvaluateState(relation, states[i], resolve, user,
+      per_state[i] = EvaluateState(relation, states[i], resolver, user,
                                    profile_version, cache, options, counter);
     }
   } else {
@@ -580,7 +579,7 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
           [&, i] {
             PerStateResult r;
             try {
-              r = EvaluateState(relation, states[i], resolve, user,
+              r = EvaluateState(relation, states[i], resolver, user,
                                 profile_version, cache, options, counter);
             } catch (const std::exception& e) {
               r.status = Status::Internal(e.what());
@@ -644,38 +643,6 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
     span.Tag("tuples", static_cast<uint64_t>(result.tuples.size()));
   }
   return result;
-}
-
-}  // namespace
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const std::string& user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  return CachedRankCSImpl(
-      relation, query, resolver.tree().env(),
-      [&resolver](const ContextState& s, const ResolutionOptions& opts,
-                  AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      user, profile_version, cache, options, counter);
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const std::string& user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  return CachedRankCSImpl(
-      relation, query, resolver.tree().env(),
-      [&resolver](const ContextState& s, const ResolutionOptions& opts,
-                  AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      user, profile_version, cache, options, counter);
 }
 
 }  // namespace ctxpref

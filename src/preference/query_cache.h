@@ -330,19 +330,10 @@ std::vector<db::ScoredTuple> MergeStateLists(
 /// profile.version())`, which is sound only as long as that same object
 /// is never replaced wholesale (its counter restarts on reload; see
 /// docs/serving.md).
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const std::string& user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
-
-/// CachedRankCS over the arena-flattened tree — the serving hot path
-/// (`storage::ServeQuery` resolves against the snapshot's
-/// `FlatProfileTree`). Identical semantics to the `TreeResolver`
-/// overload: same candidate sets, same traces, same cache entries.
+///
+/// States resolve through the arena-flattened tree (`FlatResolver`),
+/// the serving path's only resolver; `RankCS` over a `TreeResolver` or
+/// `SequentialStore` answers the same query and is the tests' oracle.
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,
                                    const FlatResolver& resolver,

@@ -203,13 +203,6 @@ StatusOr<const Profile*> ProfileStore::GetProfile(
   return &(*snapshot)->profile();
 }
 
-StatusOr<const ProfileTree*> ProfileStore::GetTree(
-    const std::string& user_id) const {
-  StatusOr<SnapshotPtr> snapshot = GetSnapshot(user_id);
-  if (!snapshot.ok()) return snapshot.status();
-  return &(*snapshot)->tree();
-}
-
 Status ProfileStore::UpdateUser(const std::string& user_id,
                                 const std::function<Status(Profile&)>& edit) {
   util::ReaderLock lock(users_mu_);

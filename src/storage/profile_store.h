@@ -150,11 +150,6 @@ class ProfileStore {
   /// snapshot with `GetSnapshot`. NotFound for unknown users.
   StatusOr<const Profile*> GetProfile(const std::string& user_id) const;
 
-  /// The user's current profile tree (always built — publishing a
-  /// snapshot builds it eagerly). Same lifetime contract as
-  /// `GetProfile`.
-  StatusOr<const ProfileTree*> GetTree(const std::string& user_id) const;
-
   /// Copy-on-write edit: copies the user's current profile, applies
   /// `edit` to the copy, builds the new tree, and publishes the result
   /// as a new snapshot. Nothing is published — and concurrent readers

@@ -76,8 +76,8 @@ struct ServingProvenance {
 
 /// A ranked answer plus the exact snapshot it was computed from, so
 /// callers can attribute every tuple and trace to one published
-/// profile version (the zero-torn-reads property bench_serving and the
-/// concurrency tests check). `provenance` says which ladder rung of
+/// profile version (the zero-torn-reads property `bench_coherence` and
+/// `ServingConcurrentTest` check). `provenance` says which ladder rung of
 /// `ServeQueryResilient` served it; the plain `ServeQuery` always
 /// serves fresh.
 struct ServedQuery {

@@ -79,7 +79,8 @@ std::vector<ContextState> AllExtendedStates(const ContextEnvironment& env) {
 
 constexpr size_t kAttrPool = 10;
 
-// += not operator+ (GCC 12 -Wrestrict misfire, see bench_serving.cc).
+// += not operator+: GCC 12's -Wrestrict misfires on
+// `literal + std::to_string(...)` at -O2.
 std::string ValueName(size_t k) {
   std::string v("v");
   v += std::to_string(k);

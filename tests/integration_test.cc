@@ -90,10 +90,13 @@ TEST_F(IntegrationTest, FullPipeline) {
   EXPECT_GT(stats.num_preferences, 10u);
   EXPECT_GT(stats.coverage_estimate, 0.5);  // Defaults are broad.
 
-  // ---- 4. Query with the cache; explanations line up.
-  StatusOr<const ProfileTree*> tree = store.GetTree("user0");
-  ASSERT_OK(tree.status());
-  TreeResolver resolver(*tree);
+  // ---- 4. Query with the cache; explanations line up. The pinned
+  // snapshot's pointer tree answers uncached (the oracle) and its flat
+  // arena serves the cached path.
+  StatusOr<storage::SnapshotPtr> pinned = store.GetSnapshot("user0");
+  ASSERT_OK(pinned.status());
+  TreeResolver resolver(&(*pinned)->tree());
+  FlatResolver flat_resolver((*pinned)->flat_tree());
   ContextQueryTree cache(*env, Ordering::Identity((*env)->size()), 32);
 
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
@@ -110,10 +113,12 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_OK(direct.status());
   ASSERT_FALSE(direct->tuples.empty());
 
-  StatusOr<QueryResult> cached1 = CachedRankCS(
-      *relation, query, resolver, "", (*alice)->version(), cache, options);
-  StatusOr<QueryResult> cached2 = CachedRankCS(
-      *relation, query, resolver, "", (*alice)->version(), cache, options);
+  StatusOr<QueryResult> cached1 =
+      CachedRankCS(*relation, query, flat_resolver, "", (*alice)->version(),
+                   cache, options);
+  StatusOr<QueryResult> cached2 =
+      CachedRankCS(*relation, query, flat_resolver, "", (*alice)->version(),
+                   cache, options);
   ASSERT_OK(cached1.status());
   ASSERT_OK(cached2.status());
   EXPECT_EQ(cached1->tuples, direct->tuples);
@@ -171,9 +176,9 @@ TEST_F(IntegrationTest, FullPipeline) {
       storage::ProfileStore::LoadDir(*env, dir_);
   ASSERT_OK(reloaded.status());
   ASSERT_EQ(reloaded->size(), 12u);
-  StatusOr<const ProfileTree*> reloaded_tree = reloaded->GetTree("user0");
-  ASSERT_OK(reloaded_tree.status());
-  TreeResolver reloaded_resolver(*reloaded_tree);
+  StatusOr<storage::SnapshotPtr> reloaded_pin = reloaded->GetSnapshot("user0");
+  ASSERT_OK(reloaded_pin.status());
+  TreeResolver reloaded_resolver(&(*reloaded_pin)->tree());
   StatusOr<QueryResult> after =
       RankCS(*relation, query, reloaded_resolver, options);
   ASSERT_OK(after.status());

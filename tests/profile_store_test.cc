@@ -120,20 +120,22 @@ TEST_F(ProfileStoreTest, TreeIsRebuiltOnPublish) {
   ASSERT_OK(InsertPref(store, "alice",
                        Pref(*env_, "location = Plaka", "name", "X", 0.5)));
 
-  StatusOr<const ProfileTree*> t1 = store.GetTree("alice");
-  ASSERT_OK(t1.status());
-  EXPECT_EQ((*t1)->PathCount(), 1u);
+  // Each pin is held to the end, so no tree below is freed (and its
+  // address reused) while the test compares them.
+  StatusOr<SnapshotPtr> s1 = store.GetSnapshot("alice");
+  ASSERT_OK(s1.status());
+  EXPECT_EQ((*s1)->tree().PathCount(), 1u);
   // Unchanged profile: same published tree object.
-  StatusOr<const ProfileTree*> t2 = store.GetTree("alice");
-  ASSERT_OK(t2.status());
-  EXPECT_EQ(*t1, *t2);
+  StatusOr<SnapshotPtr> s2 = store.GetSnapshot("alice");
+  ASSERT_OK(s2.status());
+  EXPECT_EQ(&(*s1)->tree(), &(*s2)->tree());
   // An edit publishes a new snapshot with a freshly built tree.
   ASSERT_OK(InsertPref(store, "alice",
                        Pref(*env_, "location = Athens", "name", "Y", 0.5)));
-  StatusOr<const ProfileTree*> t3 = store.GetTree("alice");
-  ASSERT_OK(t3.status());
-  EXPECT_EQ((*t3)->PathCount(), 2u);
-  EXPECT_NE(*t1, *t3);
+  StatusOr<SnapshotPtr> s3 = store.GetSnapshot("alice");
+  ASSERT_OK(s3.status());
+  EXPECT_EQ((*s3)->tree().PathCount(), 2u);
+  EXPECT_NE(&(*s1)->tree(), &(*s3)->tree());
 }
 
 TEST_F(ProfileStoreTest, FailedUpdatePublishesNothing) {
@@ -301,9 +303,9 @@ TEST_F(ProfileStoreTest, ReloadUserPicksUpOnDiskChanges) {
   StatusOr<const Profile*> fresh = store.GetProfile("alice");
   ASSERT_OK(fresh.status());
   EXPECT_EQ((*fresh)->size(), 2u);
-  StatusOr<const ProfileTree*> tree = store.GetTree("alice");
-  ASSERT_OK(tree.status());
-  EXPECT_EQ((*tree)->PathCount(), 2u);
+  StatusOr<SnapshotPtr> fresh_pin = store.GetSnapshot("alice");
+  ASSERT_OK(fresh_pin.status());
+  EXPECT_EQ((*fresh_pin)->tree().PathCount(), 2u);
 
   EXPECT_TRUE(store.ReloadUser("nobody", dir).IsNotFound());
   fs::remove_all(dir);

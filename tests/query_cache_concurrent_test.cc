@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "context/parser.h"
+#include "preference/flat_profile_tree.h"
 #include "preference/query_cache.h"
 #include "tests/test_util.h"
 #include "util/metrics.h"
@@ -291,7 +292,8 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
       Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
 
   // An exploratory descriptor that enumerates several states, so the
   // worker pool actually has parallel work.
@@ -310,6 +312,11 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
       CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
                    cold1, serial);
   ASSERT_OK(one.status());
+  // The serial answer matches uncached Rank_CS over the pointer tree.
+  StatusOr<QueryResult> oracle =
+      RankCS(poi_->relation, q, TreeResolver(&*tree), serial);
+  ASSERT_OK(oracle.status());
+  EXPECT_EQ(one->tuples, oracle->tuples);
 
   QueryOptions parallel = serial;
   parallel.num_threads = 8;

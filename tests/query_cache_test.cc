@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "context/parser.h"
+#include "preference/flat_profile_tree.h"
 #include "tests/test_util.h"
 #include "workload/poi_dataset.h"
 
@@ -279,6 +280,8 @@ TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
@@ -292,15 +295,16 @@ TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
   StatusOr<QueryResult> uncached = RankCS(poi_->relation, q, resolver);
   ASSERT_OK(uncached.status());
 
+  // Cached answers (flat arena) against the pointer-tree oracle.
   StatusOr<QueryResult> first =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+      CachedRankCS(poi_->relation, q, flat_resolver, "", profile.version(),
                    cache);
   ASSERT_OK(first.status());
   EXPECT_EQ(first->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 0u);
 
   StatusOr<QueryResult> second =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
+      CachedRankCS(poi_->relation, q, flat_resolver, "", profile.version(),
                    cache);
   ASSERT_OK(second.status());
   EXPECT_EQ(second->tuples, uncached->tuples);
@@ -315,7 +319,8 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
       Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.7)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
@@ -362,7 +367,8 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
       Pref(*env_, "temperature = hot", "type", "park", 0.9)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod =
@@ -378,7 +384,8 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
       Pref(*env_, "temperature = hot", "type", "museum", 0.8)));
   StatusOr<ProfileTree> tree2 = ProfileTree::Build(profile);
   ASSERT_OK(tree2.status());
-  TreeResolver resolver2(&*tree2);
+  const FlatProfileTree flat2 = FlatProfileTree::Build(*tree2);
+  FlatResolver resolver2(&flat2);
   StatusOr<QueryResult> fresh =
       CachedRankCS(poi_->relation, q, resolver2, "", profile.version(),
                    cache);
@@ -403,7 +410,8 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
   ASSERT_OK(profile.Insert(Pref(*env_, "*", "type", "park", 0.9)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod =
@@ -437,7 +445,8 @@ TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
   Profile profile(env_);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
   ContextQueryTree cache = MakeCache();
   ContextualQuery q;
   QueryOptions options;

@@ -73,6 +73,18 @@ TEST(ScenarioConfigTest, RejectsNegativeRate) {
   ASSERT_FALSE(cfg.ok());
   EXPECT_TRUE(cfg.status().IsInvalidArgument());
   EXPECT_NE(cfg.status().message().find(">= 0"), std::string::npos);
+  // Non-finite values fail closed on a probability and on a 1e9-capped
+  // rate alike (NaN passes both range comparisons).
+  for (const char* key : {"update_rate", "arrival_rate_qps"}) {
+    for (const char* value : {"nan", "-nan", "inf"}) {
+      const std::string text = std::string(key) + " = " + value + "\n";
+      StatusOr<ScenarioConfig> bad = ParseScenarioConfig(text);
+      ASSERT_FALSE(bad.ok()) << text;
+      EXPECT_TRUE(bad.status().IsInvalidArgument()) << text;
+      EXPECT_NE(bad.status().message().find("finite"), std::string::npos)
+          << text;
+    }
+  }
 }
 
 TEST(ScenarioConfigTest, RejectsProbabilityAboveOne) {
@@ -80,6 +92,19 @@ TEST(ScenarioConfigTest, RejectsProbabilityAboveOne) {
       ParseScenarioConfig("sensor_dropout = 1.5\n");
   ASSERT_FALSE(cfg.ok());
   EXPECT_NE(cfg.status().message().find("probability"), std::string::npos);
+  for (const char* value : {"nan", "-nan", "inf"}) {
+    const std::string text = std::string("sensor_dropout = ") + value + "\n";
+    StatusOr<ScenarioConfig> bad = ParseScenarioConfig(text);
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_NE(bad.status().message().find("finite"), std::string::npos)
+        << text;
+  }
+  // A rate capped at 1e9 is not a probability; its message says so.
+  StatusOr<ScenarioConfig> rate =
+      ParseScenarioConfig("arrival_rate_qps = 2e9\n");
+  ASSERT_FALSE(rate.ok());
+  EXPECT_NE(rate.status().message().find("<= 1e9"), std::string::npos);
+  EXPECT_EQ(rate.status().message().find("probability"), std::string::npos);
 }
 
 TEST(ScenarioConfigTest, RejectsDuplicateKey) {

@@ -8,8 +8,8 @@
 // and beyond the row count, one and several query states, every
 // `ScoreDiscount`, and scores of both 0.0 and -0.0 — answers are
 // compared bit for bit, since a kMax Ranker keeps the first-added
-// source's bits among equal maxima. `CachedRankCS` (miss, then hit)
-// must equal `RankCS` too.
+// source's bits among equal maxima. `CachedRankCS` over the flat arena
+// (miss, then hit) must equal `RankCS` over the pointer tree too.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "db/relation.h"
 #include "db/schema.h"
 #include "preference/contextual_query.h"
+#include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
 #include "preference/query_cache.h"
 #include "preference/resolution.h"
@@ -253,6 +254,8 @@ TEST_P(ThresholdMergeTest, CachedMissAndHitEqualRankCs) {
     StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
     ASSERT_OK(tree.status());
     TreeResolver resolver(&*tree);
+    const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+    FlatResolver flat_resolver(&flat);
     for (int q = 0; q < 6; ++q) {
       const ContextualQuery query = RandomQuery(rng, relation, *env, world);
       for (db::CombinePolicy combine :
@@ -267,7 +270,7 @@ TEST_P(ThresholdMergeTest, CachedMissAndHitEqualRankCs) {
           ContextQueryTree cache(env, Ordering::Identity(env->size()));
           for (const char* pass : {"miss", "hit"}) {
             StatusOr<QueryResult> got = CachedRankCS(
-                relation, query, resolver, "u", 1, cache, options);
+                relation, query, flat_resolver, "u", 1, cache, options);
             ASSERT_OK(got.status());
             EXPECT_EQ(Bits(got->tuples), Bits(want->tuples))
                 << pass << " trial " << trial << " query " << q << " "
@@ -310,6 +313,8 @@ TEST(ThresholdMergeFixedTest, SignedZeroKeepsTheFirstSourcesBits) {
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
 
   for (bool a_first : {true, false}) {
     ContextualQuery query;
@@ -337,7 +342,8 @@ TEST(ThresholdMergeFixedTest, SignedZeroKeepsTheFirstSourcesBits) {
       ContextQueryTree cache(env, Ordering::Identity(env->size()));
       for (int pass = 0; pass < 2; ++pass) {
         StatusOr<QueryResult> cached =
-            CachedRankCS(relation, query, resolver, "u", 1, cache, options);
+            CachedRankCS(relation, query, flat_resolver, "u", 1, cache,
+                         options);
         ASSERT_OK(cached.status());
         EXPECT_EQ(Bits(cached->tuples), Bits(got->tuples)) << "pass " << pass;
       }

@@ -5,12 +5,13 @@
 // hammer a small hot set of context states (75% of accesses on one
 // state), all hits, against two configurations:
 //
-//   single   one shared ContextQueryTree (the default shard count):
-//            every reader takes the hot state's shard lock
-//            and bumps the same LRU + entry refcount
-//   repl     a ReplicatedQueryCache, one private single-shard tree
-//            per reader; each lookup first pays the coherence gate
-//            (the Covers acquire load) like storage::ServeQuery does
+//   single   one shared cache striped over 8 single-lock
+//            ContextQueryTrees (capacity 128 each), a state routed by
+//            ContextStateHash % 8: every reader takes the hot state's
+//            tree lock and bumps the same LRU + entry refcount
+//   repl     a ReplicatedQueryCache, one private tree per reader; each
+//            lookup first pays the coherence gate (the Covers acquire
+//            load) like storage::ServeQuery does
 //
 // The rows BM_CoherenceHitRate_{SingleShared,Replicated}/<N>r
 // (real_time = ns per hit) feed scripts/compare_bench.py --speedup,
@@ -57,6 +58,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,7 +162,7 @@ uint64_t StaleRefuses() {
 
 /// The hot set: a handful of fully-specified context states. Accesses
 /// are skewed 3-in-4 onto the first — replication's best case (each
-/// reader owns its copy) and shared sharding's worst (one shard's lock
+/// reader owns its copy) and shared striping's worst (one stripe's lock
 /// and one entry's refcount take most of the traffic).
 std::vector<ContextState> HotStates(const ContextEnvironment& env) {
   std::vector<ContextState> hot;
@@ -219,13 +221,12 @@ struct LagResult {
   uint64_t torn = 0;
 };
 
-/// Phase B's replica set: one single-shard replica per reader.
+/// Phase B's replica set: one replica per reader.
 ReplicatedQueryCache::Options ReplicaOptions(
     const Flags& flags, ReplicatedQueryCache::ConsumeMode mode) {
   ReplicatedQueryCache::Options opts;
   opts.num_replicas = flags.readers;
   opts.capacity_per_replica = 1024;
-  opts.num_shards = 1;
   opts.mode = mode;
   return opts;
 }
@@ -390,21 +391,26 @@ int Run(const Flags& flags) {
 
   double shared_rate = 0, repl_rate = 0;
   {
-    ContextQueryTree shared(env, Ordering::Identity(env->size()),
-                            /*capacity=*/1024,
-                            ContextQueryTree::kDefaultShards);
-    for (const ContextState& s : hot) shared.Put(s, 1, tuples);
+    // The striped baseline: 1024 entries over 8 lock stripes.
+    constexpr size_t kStripes = 8;
+    std::vector<std::unique_ptr<ContextQueryTree>> stripes;
+    for (size_t i = 0; i < kStripes; ++i) {
+      stripes.push_back(std::make_unique<ContextQueryTree>(
+          env, Ordering::Identity(env->size()), /*capacity=*/128));
+    }
+    auto stripe_for = [&stripes](const ContextState& s) -> ContextQueryTree& {
+      return *stripes[ContextStateHash{}(s) % kStripes];
+    };
+    for (const ContextState& s : hot) stripe_for(s).Put(s, 1, tuples);
     shared_rate = MeasureHitRate(
-        flags, hot, bad,
-        [&shared](size_t, const ContextState& s) {
-          return shared.Lookup(s, 1) != nullptr;
+        flags, hot, bad, [&stripe_for](size_t, const ContextState& s) {
+          return stripe_for(s).Lookup(s, 1) != nullptr;
         });
   }
   {
     ReplicatedQueryCache::Options opts;
     opts.num_replicas = flags.readers;
     opts.capacity_per_replica = 1024;
-    opts.num_shards = 1;
     ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), opts);
     // One appended-and-consumed record brings every clock to 1, the
     // version the warm entries carry, so the gate is open and honest.
@@ -429,7 +435,7 @@ int Run(const Flags& flags) {
                      shared_rate});
   rows.push_back(Row{"BM_CoherenceHitRate_Replicated" + suffix, repl_rate});
   const double ratio = shared_rate > 0 ? repl_rate / shared_rate : 0.0;
-  std::printf("%-28s %14.0f hits/s\n", "single shared (8 shards)",
+  std::printf("%-28s %14.0f hits/s\n", "single shared (8 stripes)",
               shared_rate);
   std::printf("%-28s %14.0f hits/s\n", "replicated (1 tree/reader)",
               repl_rate);

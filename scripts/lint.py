@@ -30,11 +30,17 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               docs/static_analysis.md — the enum is the single source
               of truth and the doc must not drift from it.
 
-  ablation-doc  Every ablation flag declared in the
+  ablation-doc  The rows of docs/scenarios.md's ablation table must
+              name exactly the flags declared in the
               CTXPREF_ABLATION_FLAGS X-macro
-              (src/harness/scenario_config.h) must appear, backticked,
-              in docs/scenarios.md's ablation table — same
-              single-source-of-truth contract as lock-rank.
+              (src/harness/scenario_config.h): a declared flag without
+              a row, or a row for a flag that is not declared (say, a
+              deleted one), is a finding — same single-source-of-truth
+              contract as lock-rank.
+
+  scenario-key-doc  The backticked keys in docs/scenarios.md's knob
+              table must equal the keys ParseScenarioConfig accepts
+              (src/harness/scenario_config.cc), in both directions.
 
   bench-doc   Every `bench_<name>` token in README.md, EXPERIMENTS.md,
               docs/*.md, scripts/*.sh, the CI workflow and the verify
@@ -92,6 +98,7 @@ LOCK_RANK_USE = re.compile(r"\bLockRank::(k\w+)")
 
 ABLATION_HEADER = "src/harness/scenario_config.h"
 ABLATION_DOC = "docs/scenarios.md"
+SCENARIO_PARSER = "src/harness/scenario_config.cc"
 
 BENCH_CMAKE = "bench/CMakeLists.txt"
 BENCH_DOC_FILES = ["README.md", "EXPERIMENTS.md", "docs/*.md", "scripts/*.sh",
@@ -275,26 +282,96 @@ def check_lock_rank_doc(ranks, findings):
                          "missing from the lock-hierarchy table")
 
 
+def doc_table_keys(doc_lines, heading):
+    """(line number, name) of each row of the first table under the
+    markdown `heading` whose first cell is one backticked name."""
+    rows, in_section, in_table = [], False, False
+    for i, line in enumerate(doc_lines, 1):
+        if line.startswith("#"):
+            if in_section:
+                break
+            in_section = line.strip() == heading
+            continue
+        if not in_section:
+            continue
+        if line.startswith("|"):
+            in_table = True
+            m = re.match(r"\|\s*`([\w.]+)`\s*\|", line)
+            if m:
+                rows.append((i, m.group(1)))
+        elif in_table:
+            break
+    return rows
+
+
+def accepted_scenario_keys():
+    """Keys ParseScenarioConfig accepts (outside `ablation.*`), or None."""
+    try:
+        with open(SCENARIO_PARSER, encoding="utf-8") as f:
+            text = f.read()
+    except OSError:
+        return None
+    m = re.search(r"ParseScenarioConfig\(std::string_view text\) \{"
+                  r"(?P<body>.*?)\n\}", text, re.DOTALL)
+    if not m:
+        return None
+    body = m.group("body")
+    keys = set(re.findall(r'\{"(\w+)", &cfg\.', body))
+    keys |= set(re.findall(r'\bkey == "(\w+)"', body))
+    return keys or None
+
+
+def read_doc_lines(path, check, findings):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().splitlines()
+    except OSError:
+        findings.add(path, 1, check, "cannot read the scenario-harness doc")
+        return None
+
+
+def check_table_matches(findings, check, rows, declared, what, source):
+    """Two-way: every declared name has a row, every row is declared."""
+    documented = {name for _, name in rows}
+    for name in sorted(declared - documented):
+        findings.add(ABLATION_DOC, 1, check,
+                     f"{what} '{name}' (declared in {source}) has no row "
+                     "in the table")
+    for lineno, name in rows:
+        if name not in declared:
+            findings.add(ABLATION_DOC, lineno, check,
+                         f"{what} '{name}' has a row but is not declared "
+                         f"in {source}")
+
+
 def check_ablation_doc(findings):
-    """docs/scenarios.md must document every declared ablation flag."""
+    """docs/scenarios.md's ablation table lists exactly the declared flags."""
     flags = declared_ablation_flags()
     if flags is None:
         print(f"lint.py: warning: cannot parse {ABLATION_HEADER}; "
               "ablation-doc check skipped", file=sys.stderr)
         return
-    try:
-        with open(ABLATION_DOC, encoding="utf-8") as f:
-            doc = f.read()
-    except OSError:
-        findings.add(ABLATION_DOC, 1, "ablation-doc",
-                     "cannot read the scenario-harness doc")
+    doc_lines = read_doc_lines(ABLATION_DOC, "ablation-doc", findings)
+    if doc_lines is None:
         return
-    for name in sorted(flags):
-        if not re.search(rf"`{name}`", doc):
-            findings.add(ABLATION_DOC, 1, "ablation-doc",
-                         f"ablation flag '{name}' (declared in "
-                         f"{ABLATION_HEADER}) is missing from the "
-                         "ablation table")
+    rows = doc_table_keys(doc_lines, "## Ablation flags")
+    check_table_matches(findings, "ablation-doc", rows, flags,
+                        "ablation flag", ABLATION_HEADER)
+
+
+def check_scenario_key_doc(findings):
+    """docs/scenarios.md's knob table lists exactly the accepted keys."""
+    keys = accepted_scenario_keys()
+    if keys is None:
+        print(f"lint.py: warning: cannot parse {SCENARIO_PARSER}; "
+              "scenario-key-doc check skipped", file=sys.stderr)
+        return
+    doc_lines = read_doc_lines(ABLATION_DOC, "scenario-key-doc", findings)
+    if doc_lines is None:
+        return
+    rows = doc_table_keys(doc_lines, "## Knob table")
+    check_table_matches(findings, "scenario-key-doc", rows, keys,
+                        "scenario key", SCENARIO_PARSER)
 
 
 def declared_bench_targets():
@@ -379,6 +456,7 @@ def main():
         lint_file(os.path.normpath(path), ranks, findings)
     check_lock_rank_doc(ranks, findings)
     check_ablation_doc(findings)
+    check_scenario_key_doc(findings)
     check_bench_doc(findings)
 
     for path, lineno, check, message in findings.items:

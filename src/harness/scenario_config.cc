@@ -112,7 +112,6 @@ StatusOr<ScenarioConfig> ParseScenarioConfig(std::string_view text) {
       {"max_in_flight", &cfg.max_in_flight, 1},
       {"cache_capacity", &cfg.cache_capacity, 0},
       {"coherence_replicas", &cfg.coherence_replicas, 1},
-      {"threads", &cfg.threads, 1},
   };
   const RateKey rate_keys[] = {
       {"profile_zipf_a", &cfg.profile_zipf_a, 1e9},
@@ -319,7 +318,6 @@ std::string FormatScenarioConfig(const ScenarioConfig& cfg) {
        FormatDoubleRoundTrip(cfg.flash_crowd_fraction));
   emit("outage_fraction", FormatDoubleRoundTrip(cfg.outage_fraction));
   emit("migration_fraction", FormatDoubleRoundTrip(cfg.migration_fraction));
-  emit("threads", std::to_string(cfg.threads));
   emit("seed", std::to_string(cfg.seed));
 #define CTXPREF_HARNESS_EMIT_FLAG(name) \
   emit("ablation." #name, cfg.ablation.name ? "on" : "off");

@@ -21,7 +21,6 @@ namespace ctxpref::harness {
 /// semantics of each flag; every name listed here must appear there.
 #define CTXPREF_ABLATION_FLAGS(X) \
   X(cache)                        \
-  X(parallel)                     \
   X(cow)                          \
   X(tie_break)                    \
   X(resilience)                   \
@@ -109,10 +108,7 @@ struct ScenarioConfig {
   size_t max_in_flight = 64;      ///< Admission policy when shed is on.
 
   // ---- Cache --------------------------------------------------------
-  size_t cache_capacity = 0;  ///< Entries; 0 = unbounded. Bounded
-                              ///< capacities + parallel=on can make
-                              ///< eviction order (and hence hit counts)
-                              ///< nondeterministic — see docs/scenarios.md.
+  size_t cache_capacity = 0;  ///< Entries per replica; 0 = unbounded.
   /// Query-cache replicas when `ablation.cache` is on: the runner
   /// builds a `ReplicatedQueryCache` with this many replicas kept
   /// coherent by the log-based scheme (docs/coherence.md), serving each
@@ -132,7 +128,6 @@ struct ScenarioConfig {
   double migration_fraction = 0.0;
 
   // ---- Execution ----------------------------------------------------
-  size_t threads = 4;    ///< Pool size when ablation.parallel is on.
   uint64_t seed = 42;    ///< Master seed; same config + seed => same CSV.
 
   AblationFlags ablation;

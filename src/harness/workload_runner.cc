@@ -28,7 +28,6 @@
 #include "util/deadline.h"
 #include "util/metrics.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/poi_dataset.h"
 #include "workload/query_generator.h"
 
@@ -271,11 +270,6 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   }
   ReplicatedQueryCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
 
-  // parallel=off: single-threaded evaluation, no shared pool.
-  const bool parallel = cfg.ablation.parallel && cfg.threads > 1;
-  std::optional<ThreadPool> pool;
-  if (parallel) pool.emplace(cfg.threads);
-
   storage::AdmissionController admission(
       storage::AdmissionPolicy{.max_in_flight = cfg.max_in_flight});
 
@@ -285,8 +279,6 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   base.resolution.jaccard_tie_break = cfg.ablation.tie_break;
   base.combine = db::CombinePolicy::kMax;  // Stale rung needs kMax/kMin.
   base.top_k = cfg.top_k;
-  base.num_threads = parallel ? cfg.threads : 1;
-  base.pool = parallel ? &*pool : nullptr;
 
   // Sensor rig (bench_availability's failing-prefix scripting). With
   // resilience=off a failed read degrades the parameter to `all`
@@ -403,9 +395,10 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
       // Profile update (churn). Draw the edit up front so cow=on and
       // cow=off consume identical randomness.
       ++res.updates;
-      StatusOr<const Profile*> pp = store.GetProfile(uid);
-      if (!pp.ok()) return pp.status();
-      const size_t psize = (*pp)->size();
+      StatusOr<storage::SnapshotPtr> pinned = store.GetSnapshot(uid);
+      if (!pinned.ok()) return pinned.status();
+      const Profile& profile = (*pinned)->profile();
+      const size_t psize = profile.size();
       if (psize == 0) continue;
       const size_t idx = rng.Uniform(psize);
       const double score = GridScore(rng);
@@ -423,7 +416,7 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
         // cow=off: the pre-COW write path — copy the whole profile,
         // publish it wholesale, and clobber the entire query cache
         // instead of relying on per-user version-tagged invalidation.
-        Profile copy = **pp;
+        Profile copy = profile;
         if (idx < copy.size()) (void)copy.UpdateScore(idx, score);
         Status st = store.PublishProfile(uid, std::move(copy));
         if (!st.ok()) return st;
@@ -438,15 +431,16 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
 
     // ---- Query op ---------------------------------------------------
     ++res.queries;
-    StatusOr<const Profile*> pp = store.GetProfile(uid);
-    if (!pp.ok()) return pp.status();
+    StatusOr<storage::SnapshotPtr> pinned = store.GetSnapshot(uid);
+    if (!pinned.ok()) return pinned.status();
+    const Profile& profile = (*pinned)->profile();
 
     std::vector<ContextState> truth_states;
     truth_states.reserve(cfg.states_per_query);
     for (size_t s = 0; s < cfg.states_per_query; ++s) {
-      const bool exact = !(*pp)->empty() && rng.Bernoulli(cfg.exact_fraction);
+      const bool exact = !profile.empty() && rng.Bernoulli(cfg.exact_fraction);
       truth_states.push_back(
-          exact ? workload::ExactQuery(**pp, rng)
+          exact ? workload::ExactQuery(profile, rng)
                 : workload::RandomQuery(env, rng, cfg.lift_probability));
     }
 
@@ -516,8 +510,7 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
                              : 0;
 
     // Cache-stat deltas across this serve, for the hit-aware virtual
-    // cost below. Per-query states are distinct, so the counts are
-    // deterministic even with a worker pool.
+    // cost below.
     const CacheStats cache_before =
         cache_ptr != nullptr ? cache_ptr->Stats() : CacheStats{};
 
@@ -630,11 +623,9 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
       }
       ContextualQuery truth_q;
       truth_q.context = ExtendedDescriptor(std::move(truth_parts));
-      QueryOptions truth_opt = base;
-      truth_opt.pool = nullptr;  // Keep the truth probe off the pool and
-      truth_opt.num_threads = 1;  // out of the cache.
+      // Uncached, so the truth probe leaves the cache untouched.
       StatusOr<QueryResult> truth = storage::ServeQuery(
-          **snap, poi->relation, truth_q, nullptr, truth_opt);
+          **snap, poi->relation, truth_q, nullptr, base);
       if (!truth.ok()) return truth.status();
       const std::vector<db::RowId> want = TopIds(*truth, cfg.top_k);
       if (!want.empty()) {

@@ -18,7 +18,6 @@
 
 namespace ctxpref {
 
-class ThreadPool;  // util/thread_pool.h
 class Counter;           // util/metrics.h
 class LatencyHistogram;  // util/histogram.h
 
@@ -77,25 +76,13 @@ struct QueryOptions {
   db::CombinePolicy combine = db::CombinePolicy::kMax;
   /// 0 = return all scored tuples.
   size_t top_k = 0;
-  /// Worker threads for `CachedRankCS`'s per-state loop. 1 = evaluate
-  /// states inline (the historical behavior); > 1 spreads the states of
-  /// the extended descriptor over a `ThreadPool`. The merge order is
-  /// fixed, so results do not depend on this value.
-  size_t num_threads = 1;
-  /// Optional shared worker pool for `CachedRankCS`. When set it takes
-  /// precedence over `num_threads` (whose > 1 case spins up a transient
-  /// pool per call — fine for exploratory queries, wasteful under
-  /// server-style traffic). The pool may be shared by many queries.
-  ThreadPool* pool = nullptr;
   /// Cancellation budget for the whole evaluation. Checked at cheap
   /// cancellation points — the per-state loops of `RankCS` /
-  /// `CachedRankCS` and `ThreadPool` task dequeue (an expired queued
-  /// state task is dropped, not run) — so an overloaded server stops
-  /// spending cycles on answers nobody is waiting for. Expiry surfaces
-  /// as `kDeadlineExceeded` with partial-work accounting in the
-  /// message. Default: infinite (one null check per cancellation
-  /// point). Declared last so existing designated initializers keep
-  /// compiling.
+  /// `CachedRankCS` — so an overloaded server stops spending cycles on
+  /// answers nobody is waiting for. Expiry surfaces as
+  /// `kDeadlineExceeded` with partial-work accounting in the message.
+  /// Default: infinite (one null check per cancellation point).
+  /// Declared last so existing designated initializers keep compiling.
   util::Deadline deadline;
 };
 

@@ -1,22 +1,19 @@
 #include "preference/query_cache.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <exception>
 
 #include "preference/threshold_merge.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace ctxpref {
 
 namespace {
 
-/// Global (cross-instance) cache metrics; per-shard exactness lives in
-/// `ShardStats`/`ShardLookupLatency` on each tree.
+/// Global (cross-instance) cache metrics; each tree's exact counters
+/// are its `Stats()`.
 struct CacheMetrics {
   Counter& lookups;
   Counter& hits;
@@ -39,7 +36,7 @@ struct CacheMetrics {
         reg.GetCounter("ctxpref_query_cache_invalidations_total",
                        "Entries dropped by InvalidateUser(Below)"),
         reg.GetCounter("ctxpref_query_cache_evictions_total",
-                       "LRU evictions beyond shard capacity"),
+                       "LRU evictions beyond tree capacity"),
         reg.GetHistogram("ctxpref_query_cache_hit_latency_ns",
                          "Lookup latency when the entry was served"),
         reg.GetHistogram("ctxpref_query_cache_miss_latency_ns",
@@ -51,55 +48,29 @@ struct CacheMetrics {
   }
 };
 
-/// Lookup-path registry counters are flushed from the shard-local
-/// accumulators every this many lookups (per shard), so the hot path
-/// costs plain increments under the shard lock, not global atomic
-/// RMWs. The registry lags exact per-shard stats by < one stride.
+/// Lookup-path registry counters are flushed from the tree-local
+/// accumulators every this many lookups (per tree), so the hot path
+/// costs plain increments under the tree lock, not global atomic
+/// RMWs. The registry lags a tree's exact stats by < one stride.
 constexpr uint64_t kMetricsFlushStride = 64;
 
 }  // namespace
 
 ContextQueryTree::ContextQueryTree(EnvironmentPtr env, Ordering order,
-                                   size_t capacity, size_t num_shards)
-    : env_(std::move(env)), order_(std::move(order)) {
+                                   size_t capacity)
+    : env_(std::move(env)), order_(std::move(order)), capacity_(capacity) {
   assert(order_.size() == env_->size());
-  if (num_shards == 0) num_shards = 1;
-  // More shards than capacity would give every shard a budget of 1 and
-  // let the global bound balloon to num_shards; clamp instead.
-  if (capacity > 0 && num_shards > capacity) num_shards = capacity;
-  // Split the budget evenly; rounding up keeps at least the requested
-  // total (a bounded cache must never become unbounded per shard), at
-  // the cost of overshooting `capacity` by up to num_shards - 1.
-  shard_capacity_ =
-      capacity == 0 ? 0 : (capacity + num_shards - 1) / num_shards;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
-ContextQueryTree::Shard& ContextQueryTree::ShardFor(const std::string& user,
-                                                    const ContextState& state) {
-  size_t h = ContextStateHash{}(state);
-  if (!user.empty()) {
-    // Boost-style combine so (user, state) pairs spread across shards
-    // even when many users query the same few states.
-    h ^= std::hash<std::string>{}(user) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-  }
-  return *shards_[h % shards_.size()];
-}
-
-ContextQueryTree::Node* ContextQueryTree::Descend(Shard& shard,
-                                                  const std::string& user,
+ContextQueryTree::Node* ContextQueryTree::Descend(const std::string& user,
                                                   const ContextState& state,
                                                   bool create,
                                                   AccessCounter* counter) {
   Node* node;
-  auto root_it = shard.roots.find(user);
-  if (root_it == shard.roots.end()) {
+  auto root_it = roots_.find(user);
+  if (root_it == roots_.end()) {
     if (!create) return nullptr;
-    root_it = shard.roots.emplace(user, std::make_unique<Node>()).first;
+    root_it = roots_.emplace(user, std::make_unique<Node>()).first;
   }
   node = root_it->second.get();
   for (size_t level = 0; level < env_->size(); ++level) {
@@ -122,10 +93,10 @@ ContextQueryTree::Node* ContextQueryTree::Descend(Shard& shard,
   return node;
 }
 
-void ContextQueryTree::RemovePath(Shard& shard, const std::string& user,
+void ContextQueryTree::RemovePath(const std::string& user,
                                   const ContextState& state) {
-  auto root_it = shard.roots.find(user);
-  if (root_it == shard.roots.end()) return;
+  auto root_it = roots_.find(user);
+  if (root_it == roots_.end()) return;
   // Collect the node chain, then erase the deepest link whose subtree
   // becomes empty.
   std::vector<Node*> chain = {root_it->second.get()};
@@ -159,7 +130,7 @@ void ContextQueryTree::RemovePath(Shard& shard, const std::string& user,
   // nothing in the roots map.
   Node* root = root_it->second.get();
   if (root->cells.empty() && root->leaf == nullptr) {
-    shard.roots.erase(root_it);
+    roots_.erase(root_it);
   }
 }
 
@@ -169,17 +140,15 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
     AccessCounter* counter) {
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.lookup");
-  // One clock pair serves both the outcome-dependent hit/miss
-  // histograms and the per-shard histogram; reads happen only while
-  // timing is enabled.
+  // One clock pair serves the outcome-dependent hit/miss histograms;
+  // reads happen only while timing is enabled.
   const bool timed = MetricsRegistry::TimingEnabled();
   const uint64_t start_nanos = timed ? MonotonicNanos() : 0;
-  Shard& shard = ShardFor(user, state);
   std::shared_ptr<const Entry> result;
   {
-    util::MutexLock lock(shard.mu);
-    ++shard.lookups;
-    Node* node = Descend(shard, user, state, /*create=*/false, counter);
+    util::MutexLock lock(mu_);
+    ++lookups_;
+    Node* node = Descend(user, state, /*create=*/false, counter);
     if (node == nullptr || node->leaf == nullptr ||
         node->leaf->version != profile_version ||
         node->leaf->entry->config != config) {
@@ -187,29 +156,27 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
       // the caller recomputes and its Put replaces the entry. A skewed
       // entry stays reachable for LookupAtOrBefore's staleness window
       // until then.
-      ++shard.misses;
-      ++shard.pending_misses;
+      ++misses_;
+      ++pending_misses_;
     } else {
       // Refresh LRU position.
-      shard.lru.splice(shard.lru.begin(), shard.lru, node->leaf->lru_it);
-      ++shard.hits;
-      ++shard.pending_hits;
+      lru_.splice(lru_.begin(), lru_, node->leaf->lru_it);
+      ++hits_;
+      ++pending_hits_;
       result = node->leaf->entry;
     }
-    if (++shard.pending_lookups >= kMetricsFlushStride) {
-      metrics.lookups.Increment(shard.pending_lookups);
-      metrics.hits.Increment(shard.pending_hits);
-      metrics.misses.Increment(shard.pending_misses);
-      shard.pending_lookups = 0;
-      shard.pending_hits = 0;
-      shard.pending_misses = 0;
+    if (++pending_lookups_ >= kMetricsFlushStride) {
+      metrics.lookups.Increment(pending_lookups_);
+      metrics.hits.Increment(pending_hits_);
+      metrics.misses.Increment(pending_misses_);
+      pending_lookups_ = 0;
+      pending_hits_ = 0;
+      pending_misses_ = 0;
     }
   }
   if (timed) {
-    const uint64_t elapsed = MonotonicNanos() - start_nanos;
     (result != nullptr ? metrics.hit_latency : metrics.miss_latency)
-        .Record(elapsed);
-    shard.lookup_latency.Record(elapsed);
+        .Record(MonotonicNanos() - start_nanos);
   }
   if (span.active()) {
     span.Tag("outcome", result != nullptr ? "hit" : "miss");
@@ -226,34 +193,33 @@ ContextQueryTree::LookupAtOrBefore(const std::string& user,
                                    AccessCounter* counter) {
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.lookup_at_or_before");
-  Shard& shard = ShardFor(user, state);
   std::shared_ptr<const Entry> result;
   {
-    util::MutexLock lock(shard.mu);
-    ++shard.lookups;
-    Node* node = Descend(shard, user, state, /*create=*/false, counter);
+    util::MutexLock lock(mu_);
+    ++lookups_;
+    Node* node = Descend(user, state, /*create=*/false, counter);
     if (node != nullptr && node->leaf != nullptr &&
         node->leaf->version <= max_version &&
         node->leaf->version >= min_version &&
         node->leaf->entry->config == config) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, node->leaf->lru_it);
-      ++shard.hits;
-      ++shard.pending_hits;
+      lru_.splice(lru_.begin(), lru_, node->leaf->lru_it);
+      ++hits_;
+      ++pending_hits_;
       if (entry_version != nullptr) *entry_version = node->leaf->version;
       result = node->leaf->entry;
     } else {
       // Absent, outside the window or of other options: plain miss,
       // nothing dropped.
-      ++shard.misses;
-      ++shard.pending_misses;
+      ++misses_;
+      ++pending_misses_;
     }
-    if (++shard.pending_lookups >= kMetricsFlushStride) {
-      metrics.lookups.Increment(shard.pending_lookups);
-      metrics.hits.Increment(shard.pending_hits);
-      metrics.misses.Increment(shard.pending_misses);
-      shard.pending_lookups = 0;
-      shard.pending_hits = 0;
-      shard.pending_misses = 0;
+    if (++pending_lookups_ >= kMetricsFlushStride) {
+      metrics.lookups.Increment(pending_lookups_);
+      metrics.hits.Increment(pending_hits_);
+      metrics.misses.Increment(pending_misses_);
+      pending_lookups_ = 0;
+      pending_hits_ = 0;
+      pending_misses_ = 0;
     }
   }
   if (span.active()) {
@@ -281,29 +247,28 @@ void ContextQueryTree::PutEntry(const std::string& user,
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.put");
   ScopedLatency latency(&metrics.put_latency);
-  Shard& shard = ShardFor(user, state);
-  util::MutexLock lock(shard.mu);
-  Node* node = Descend(shard, user, state, /*create=*/true, nullptr);
+  util::MutexLock lock(mu_);
+  Node* node = Descend(user, state, /*create=*/true, nullptr);
   if (node->leaf != nullptr) {
     // Overwrite in place; readers holding the old snapshot keep it.
     node->leaf->entry = std::move(entry);
     node->leaf->version = profile_version;
-    shard.lru.splice(shard.lru.begin(), shard.lru, node->leaf->lru_it);
+    lru_.splice(lru_.begin(), lru_, node->leaf->lru_it);
     return;
   }
-  shard.lru.push_front(EntryKey{user, state});
+  lru_.push_front(EntryKey{user, state});
   node->leaf = std::make_unique<Leaf>();
   node->leaf->entry = std::move(entry);
   node->leaf->version = profile_version;
-  node->leaf->lru_it = shard.lru.begin();
-  ++shard.size;
+  node->leaf->lru_it = lru_.begin();
+  ++size_;
 
-  if (shard_capacity_ > 0 && shard.size > shard_capacity_) {
-    const EntryKey victim = shard.lru.back();
-    shard.lru.pop_back();
-    RemovePath(shard, victim.user, victim.state);
-    --shard.size;
-    ++shard.evictions;
+  if (capacity_ > 0 && size_ > capacity_) {
+    const EntryKey victim = lru_.back();
+    lru_.pop_back();
+    RemovePath(victim.user, victim.state);
+    --size_;
+    ++evictions_;
     metrics.evictions.Increment();
   }
 }
@@ -312,26 +277,26 @@ size_t ContextQueryTree::InvalidateUser(const std::string& user) {
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.invalidate_user");
   size_t dropped = 0;
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    auto root_it = shard->roots.find(user);
-    if (root_it == shard->roots.end()) continue;
-    // Dropping the user's whole trie frees every leaf at once; the LRU
-    // list is then swept of the user's keys (each leaf owns exactly one
-    // LRU node, so the sweep count equals the leaves dropped).
-    shard->roots.erase(root_it);
-    size_t in_shard = 0;
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->user == user) {
-        it = shard->lru.erase(it);
-        ++in_shard;
-      } else {
-        ++it;
+  {
+    util::MutexLock lock(mu_);
+    auto root_it = roots_.find(user);
+    if (root_it != roots_.end()) {
+      // Dropping the user's whole trie frees every leaf at once; the
+      // LRU list is then swept of the user's keys (each leaf owns
+      // exactly one LRU node, so the sweep count equals the leaves
+      // dropped).
+      roots_.erase(root_it);
+      for (auto it = lru_.begin(); it != lru_.end();) {
+        if (it->user == user) {
+          it = lru_.erase(it);
+          ++dropped;
+        } else {
+          ++it;
+        }
       }
+      size_ -= dropped;
+      invalidations_ += dropped;
     }
-    shard->size -= in_shard;
-    shard->invalidations += in_shard;
-    dropped += in_shard;
   }
   if (dropped > 0) {
     metrics.invalidations.Increment(dropped);
@@ -347,28 +312,27 @@ size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.invalidate_user_below");
   size_t dropped = 0;
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    if (shard->roots.find(user) == shard->roots.end()) continue;
-    // The LRU list is the only flat enumeration of a user's cached
-    // states (trie leaves do not store their own path), so collect the
-    // user's keys first, then check each leaf's version tag.
-    std::vector<ContextState> states;
-    for (const EntryKey& key : shard->lru) {
-      if (key.user == user) states.push_back(key.state);
+  {
+    util::MutexLock lock(mu_);
+    if (roots_.find(user) != roots_.end()) {
+      // The LRU list is the only flat enumeration of a user's cached
+      // states (trie leaves do not store their own path), so collect
+      // the user's keys first, then check each leaf's version tag.
+      std::vector<ContextState> states;
+      for (const EntryKey& key : lru_) {
+        if (key.user == user) states.push_back(key.state);
+      }
+      for (const ContextState& state : states) {
+        Node* node = Descend(user, state, /*create=*/false, nullptr);
+        if (node == nullptr || node->leaf == nullptr) continue;
+        if (node->leaf->version >= version) continue;  // Inside the window.
+        lru_.erase(node->leaf->lru_it);
+        RemovePath(user, state);
+        --size_;
+        ++dropped;
+      }
+      invalidations_ += dropped;
     }
-    size_t in_shard = 0;
-    for (const ContextState& state : states) {
-      Node* node = Descend(*shard, user, state, /*create=*/false, nullptr);
-      if (node == nullptr || node->leaf == nullptr) continue;
-      if (node->leaf->version >= version) continue;  // Inside the window.
-      shard->lru.erase(node->leaf->lru_it);
-      RemovePath(*shard, user, state);
-      --shard->size;
-      ++in_shard;
-    }
-    shard->invalidations += in_shard;
-    dropped += in_shard;
   }
   if (dropped > 0) {
     metrics.invalidations.Increment(dropped);
@@ -380,47 +344,22 @@ size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
 }
 
 void ContextQueryTree::InvalidateAll() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    shard->roots.clear();
-    shard->lru.clear();
-    shard->size = 0;
-  }
+  util::MutexLock lock(mu_);
+  roots_.clear();
+  lru_.clear();
+  size_ = 0;
 }
 
 CacheStats ContextQueryTree::Stats() const {
+  util::MutexLock lock(mu_);
   CacheStats stats;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    stats.lookups += shard->lookups;
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.evictions += shard->evictions;
-    stats.invalidations += shard->invalidations;
-    stats.size += shard->size;
-  }
+  stats.lookups = lookups_;
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.evictions = evictions_;
+  stats.invalidations = invalidations_;
+  stats.size = size_;
   return stats;
-}
-
-CacheStats ContextQueryTree::ShardStats(size_t shard_index) const {
-  assert(shard_index < shards_.size());
-  const Shard& shard = *shards_[shard_index];
-  util::MutexLock lock(shard.mu);
-  CacheStats stats;
-  stats.lookups = shard.lookups;
-  stats.hits = shard.hits;
-  stats.misses = shard.misses;
-  stats.evictions = shard.evictions;
-  stats.invalidations = shard.invalidations;
-  stats.size = shard.size;
-  return stats;
-}
-
-HistogramSnapshot ContextQueryTree::ShardLookupLatency(
-    size_t shard_index) const {
-  assert(shard_index < shards_.size());
-  // The histogram is internally atomic; no shard lock needed.
-  return shards_[shard_index]->lookup_latency.Snapshot();
 }
 
 Status CheckCacheableOptions(const QueryOptions& options) {
@@ -455,36 +394,27 @@ std::vector<db::ScoredTuple> MergeStateLists(
 
 namespace {
 
-/// Outcome of evaluating one query state: either served from cache or
-/// recomputed (and cached). A hit and a miss both hold the entry the
-/// cache holds — ranked tuples plus the resolution trace — by shared
-/// pointer, so a hit costs one refcount bump, not a copy of its tuples
-/// or candidates, and hits and misses are indistinguishable downstream.
-struct PerStateResult {
-  Status status = Status::OK();
-  std::shared_ptr<const ContextQueryTree::Entry> entry;
-};
-
-PerStateResult EvaluateState(const db::Relation& relation,
-                             const ContextState& s,
-                             const FlatResolver& resolver,
-                             const std::string& user,
-                             uint64_t profile_version, ContextQueryTree& cache,
-                             const QueryOptions& options,
-                             AccessCounter* counter) {
-  PerStateResult out;
+/// Evaluates one query state: served from cache or recomputed (and
+/// cached). A hit and a miss both return the entry the cache holds —
+/// ranked tuples plus the resolution trace — by shared pointer, so a
+/// hit costs one refcount bump, not a copy of its tuples or
+/// candidates, and hits and misses are indistinguishable downstream.
+StatusOr<std::shared_ptr<const ContextQueryTree::Entry>> EvaluateState(
+    const db::Relation& relation, const ContextState& s,
+    const FlatResolver& resolver, const std::string& user,
+    uint64_t profile_version, ContextQueryTree& cache,
+    const QueryOptions& options, AccessCounter* counter) {
   TraceSpan span("cached_rank_cs.state");
   // Cancellation point: at state entry, before any resolution work.
   // (A cache hit below is cheap enough that it is not worth a second
   // clock read to allow it through after expiry.)
   if (options.deadline.Expired()) {
-    out.status =
-        Status::DeadlineExceeded("cached_rank_cs: deadline expired at state");
-    return out;
+    return Status::DeadlineExceeded("cached_rank_cs: deadline expired at state");
   }
   const CacheConfig config = CacheConfig::Of(options);
-  out.entry = cache.Lookup(user, s, profile_version, config, counter);
-  if (out.entry != nullptr) return out;
+  std::shared_ptr<const ContextQueryTree::Entry> hit =
+      cache.Lookup(user, s, profile_version, config, counter);
+  if (hit != nullptr) return hit;
   // Compute this state's contribution with plain Rank_CS, then
   // populate the cache.
   std::vector<CandidatePath> best =
@@ -492,9 +422,8 @@ PerStateResult EvaluateState(const db::Relation& relation,
   // Cancellation point: resolution paid for, selections (the expensive
   // part) not yet.
   if (options.deadline.Expired()) {
-    out.status = Status::DeadlineExceeded(
+    return Status::DeadlineExceeded(
         "cached_rank_cs: deadline expired before selections");
-    return out;
   }
   CandidateSetPtr candidates =
       std::make_shared<const std::vector<CandidatePath>>(std::move(best));
@@ -503,21 +432,18 @@ PerStateResult EvaluateState(const db::Relation& relation,
     for (const ProfileTree::LeafEntry& entry : cand.entries) {
       StatusOr<ScoredSource> source =
           ScoredSource::Clause(relation, entry.clause, entry.score);
-      if (!source.ok()) {
-        out.status = source.status();
-        return out;
-      }
+      if (!source.ok()) return source.status();
       sources.push_back(*source);
     }
   }
   // The cached list is the state's whole ranking: no cut, and no
   // selections (a list is keyed by context state only).
-  out.entry = std::make_shared<const ContextQueryTree::Entry>(
+  auto entry = std::make_shared<const ContextQueryTree::Entry>(
       ContextQueryTree::Entry{
           RankSources(relation, sources, {}, options.combine, /*top_k=*/0),
           std::move(candidates), config});
-  cache.PutEntry(user, s, profile_version, out.entry);
-  return out;
+  cache.PutEntry(user, s, profile_version, entry);
+  return entry;
 }
 
 }  // namespace
@@ -542,94 +468,34 @@ StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
     CTXPREF_RETURN_IF_ERROR(s.Validate(env));
   }
 
-  // Evaluate every state, either inline or on a worker pool. Workers
-  // write disjoint slots; the merge below runs serially in
-  // state-enumeration order, so the ranked output and traces are
-  // independent of the thread count.
-  std::vector<PerStateResult> per_state(states.size());
-  const size_t threads = std::min(options.num_threads, states.size());
-  if (options.pool == nullptr && threads <= 1) {
-    for (size_t i = 0; i < states.size(); ++i) {
-      per_state[i] = EvaluateState(relation, states[i], resolver, user,
-                                   profile_version, cache, options, counter);
-    }
-  } else {
-    // A shared pool may be running other queries' tasks, so completion
-    // is tracked per call rather than with pool Wait(). `pending` is a
-    // plain count decremented under `done_mu`: the waiter only checks
-    // it while holding the mutex, so it cannot observe 0 (and destroy
-    // the sync state on scope exit) while a worker still holds
-    // references to it. `transient` is declared after the sync state
-    // so its destructor joins the workers before that state goes away.
-    size_t pending = states.size();
-    util::Mutex done_mu(util::LockRank::kCompletion, "CachedRankCS.done_mu");
-    util::CondVar done_cv;
-    std::unique_ptr<ThreadPool> transient;
-    ThreadPool* pool = options.pool;
-    if (pool == nullptr) {
-      transient = std::make_unique<ThreadPool>(threads);
-      pool = transient.get();
-    }
-    for (size_t i = 0; i < states.size(); ++i) {
-      // The task carries the query deadline: if it passes while the
-      // task is still queued behind other queries' states, the pool
-      // drops the body and runs `on_expired` instead — which must
-      // still count the completion down, or the wait below would hang.
-      pool->Submit(
-          [&, i] {
-            PerStateResult r;
-            try {
-              r = EvaluateState(relation, states[i], resolver, user,
-                                profile_version, cache, options, counter);
-            } catch (const std::exception& e) {
-              r.status = Status::Internal(e.what());
-            } catch (...) {
-              r.status = Status::Internal("unknown exception in EvaluateState");
-            }
-            per_state[i] = std::move(r);
-            // The decrement must happen in every path, or the waiter
-            // below would block forever.
-            util::MutexLock lock(done_mu);
-            if (--pending == 0) done_cv.NotifyOne();
-          },
-          options.deadline,
-          /*on_expired=*/[&, i] {
-            per_state[i].status = Status::DeadlineExceeded(
-                "cached_rank_cs: state task expired in pool queue");
-            util::MutexLock lock(done_mu);
-            if (--pending == 0) done_cv.NotifyOne();
-          });
-    }
-    util::MutexLock lock(done_mu);
-    done_cv.Wait(done_mu, [&] { return pending == 0; });
-  }
-
+  // Evaluate the states inline, in enumeration order. `entries` holds
+  // each state's cache entry, so the merge below reads the lists in
+  // place and copies no tuples.
   QueryResult result;
   result.traces.reserve(states.size());
+  std::vector<std::shared_ptr<const ContextQueryTree::Entry>> entries;
+  entries.reserve(states.size());
   std::vector<const std::vector<db::ScoredTuple>*> lists;
   lists.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
-    const PerStateResult& ps = per_state[i];
-    if (!ps.status.ok()) {
-      if (ps.status.IsDeadlineExceeded()) {
-        // Partial-work accounting: how many states completed before
-        // the budget ran out (states may finish out of order on the
-        // pool, so count across the whole array, not the prefix).
-        size_t done = 0;
-        for (const PerStateResult& r : per_state) {
-          if (r.status.ok()) ++done;
-        }
+    StatusOr<std::shared_ptr<const ContextQueryTree::Entry>> entry =
+        EvaluateState(relation, states[i], resolver, user, profile_version,
+                      cache, options, counter);
+    if (!entry.ok()) {
+      if (entry.status().IsDeadlineExceeded()) {
+        // Partial-work accounting: states [0, i) completed.
         metrics.deadline_exceeded.Increment();
-        metrics.states_abandoned.Increment(states.size() - done);
+        metrics.states_abandoned.Increment(states.size() - i);
         return Status::DeadlineExceeded(
-            "cached_rank_cs: deadline exceeded after " + std::to_string(done) +
+            "cached_rank_cs: deadline exceeded after " + std::to_string(i) +
             "/" + std::to_string(states.size()) + " states");
       }
-      return ps.status;
+      return entry.status();
     }
-    lists.push_back(&ps.entry->tuples);
     result.traces.push_back(
-        QueryResult::Trace{std::move(states[i]), ps.entry->candidates});
+        QueryResult::Trace{std::move(states[i]), (*entry)->candidates});
+    lists.push_back(&(*entry)->tuples);
+    entries.push_back(std::move(*entry));
   }
 
   // Cached lists are selection-agnostic (keyed by context state only),

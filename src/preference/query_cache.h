@@ -12,18 +12,15 @@
 #include "preference/contextual_query.h"
 #include "preference/ordering.h"
 #include "util/counters.h"
-#include "util/histogram.h"
 #include "util/mutex.h"
 
 namespace ctxpref {
 
-/// Point-in-time counter snapshot of a `ContextQueryTree` (aggregated
-/// over all shards). Taken shard-by-shard, so under concurrent traffic
-/// the fields are each exact per shard but the total is not a single
-/// linearization point — fine for benchmarks and monitoring.
+/// Point-in-time counter snapshot of a `ContextQueryTree`, taken under
+/// its lock.
 struct CacheStats {
   /// Total `Lookup` calls; every lookup is exactly one hit or miss, so
-  /// `lookups == hits + misses` holds per shard and in aggregate.
+  /// `lookups == hits + misses` always holds.
   uint64_t lookups = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -56,14 +53,12 @@ struct CacheConfig {
 /// the published text — this is our documented reconstruction, see
 /// DESIGN.md).
 ///
-/// Structure: `num_shards` collections of tries; within a shard every
-/// *user* owns one trie isomorphic to the profile tree and keyed by
-/// *query* context states. A `(user, state)` pair's shard is chosen by
-/// hashing the user id with the state's component values, so concurrent
-/// queries over different users/states mostly touch different locks
-/// (striped-lock pattern). Each shard holds its own mutex, LRU list and
-/// capacity slice; each leaf caches the ranked tuples and winning
-/// resolution candidates previously computed for that `(user, state)`.
+/// Structure: every *user* owns one trie isomorphic to the profile tree
+/// and keyed by *query* context states, under one mutex and one LRU
+/// list; each leaf caches the ranked tuples and winning resolution
+/// candidates previously computed for that `(user, state)`. A serving
+/// thread reads its own tree (one `ReplicatedQueryCache` replica), so
+/// the lock is uncontended on the serving path.
 /// Entries are tagged with the profile version they were computed from
 /// — for server-side multi-user serving that is the `ProfileStore`
 /// *serving* version of the published `ProfileSnapshot`, which is
@@ -75,7 +70,7 @@ struct CacheConfig {
 /// `LookupAtOrBefore` — until the next `Put` for the same state
 /// overwrites it, the coherence consume step reclaims it
 /// (`InvalidateUserBelow`, docs/coherence.md), or LRU evicts it beyond
-/// the shard capacity.
+/// the capacity.
 ///
 /// The single-user entry points (no user id) are sugar for the empty
 /// user id "".
@@ -86,8 +81,6 @@ struct CacheConfig {
 /// removed it from the tree. See docs/concurrency.md.
 class ContextQueryTree {
  public:
-  static constexpr size_t kDefaultShards = 8;
-
   /// What a leaf caches for one context state: the ranked tuples plus
   /// the winning candidate paths that produced them, so cache hits can
   /// reconstruct the same resolution trace as the original miss.
@@ -100,32 +93,14 @@ class ContextQueryTree {
     CacheConfig config;
   };
 
-  /// `capacity` = target number of cached states across all shards
-  /// (0 = unbounded). It is split evenly over `num_shards` (rounded
-  /// up, with `num_shards` clamped to `capacity` when the latter is
-  /// smaller), so the effective global bound can exceed `capacity` by
-  /// up to `num_shards - 1` entries, and the LRU order is exact per
-  /// shard but only approximate globally. Pass `num_shards` = 1 for an
-  /// exact bound and a single LRU domain.
-  ContextQueryTree(EnvironmentPtr env, Ordering order, size_t capacity = 0,
-                   size_t num_shards = kDefaultShards);
+  /// `capacity` = number of cached states (0 = unbounded); the LRU
+  /// order spans every user's trie.
+  ContextQueryTree(EnvironmentPtr env, Ordering order, size_t capacity = 0);
 
   const ContextEnvironment& env() const { return *env_; }
-  size_t num_shards() const { return shards_.size(); }
 
-  /// Aggregated counters; see the individual accessors below for the
-  /// legacy one-at-a-time view.
+  /// The counters, read under the tree's lock.
   CacheStats Stats() const;
-
-  /// Counters of one shard (index < `num_shards()`), exact under its
-  /// lock — the per-shard view behind the aggregate `Stats()`.
-  CacheStats ShardStats(size_t shard) const;
-
-  /// Per-shard lookup-latency histogram (hits and misses together;
-  /// the registry's global `ctxpref_query_cache_{hit,miss}_latency_ns`
-  /// split by outcome instead). Populated only while
-  /// `MetricsRegistry::TimingEnabled()`.
-  HistogramSnapshot ShardLookupLatency(size_t shard) const;
 
   size_t size() const { return Stats().size; }
   uint64_t hits() const { return Stats().hits; }
@@ -158,8 +133,8 @@ class ContextQueryTree {
   /// `[min_version, max_version]` and it was computed under `config`,
   /// writing the actual version to `*entry_version`. An out-of-window
   /// version is simply a miss (the entry may serve a different
-  /// staleness window later). Counted as a lookup plus hit/miss in the
-  /// shard stats.
+  /// staleness window later). Counted as a lookup plus hit/miss in
+  /// `Stats()`.
   std::shared_ptr<const Entry> LookupAtOrBefore(
       const std::string& user, const ContextState& state,
       uint64_t max_version, uint64_t min_version,
@@ -168,8 +143,8 @@ class ContextQueryTree {
 
   /// Caches `tuples` (and the resolution `candidates` that produced
   /// them; null = none) for `user`'s `state` at `profile_version`, under
-  /// the default `CacheConfig`, evicting the shard's least-recently-used
-  /// entry beyond the shard capacity.
+  /// the default `CacheConfig`, evicting the least-recently-used entry
+  /// beyond the capacity.
   void Put(const std::string& user, const ContextState& state,
            uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
            CandidateSetPtr candidates = nullptr);
@@ -232,57 +207,43 @@ class ContextQueryTree {
     std::unique_ptr<Leaf> leaf;  // Set on leaf nodes only.
   };
 
-  /// One lock stripe: per-user tries + LRU + counters. The stripe
-  /// mutex ranks `kCacheShard` — below the coherence locks (a replica's
-  /// consume step invalidates entries while holding its consume mutex),
-  /// above nothing this code takes (metric flushes under the lock are
-  /// lock-free atomics). Stripes are independent: no operation holds
-  /// two shard locks at once.
-  struct Shard {
-    mutable util::Mutex mu{util::LockRank::kCacheShard,
-                           "ContextQueryTree.shard_mu"};
-    /// One trie per user whose entries hashed into this shard; a
-    /// user's trie is erased when its last entry goes (so an inactive
-    /// user costs nothing).
-    std::unordered_map<std::string, std::unique_ptr<Node>> roots
-        GUARDED_BY(mu);
-    /// Front = most recently used.
-    std::list<EntryKey> lru GUARDED_BY(mu);
-    size_t size GUARDED_BY(mu) = 0;
-    uint64_t lookups GUARDED_BY(mu) = 0;
-    uint64_t hits GUARDED_BY(mu) = 0;
-    uint64_t misses GUARDED_BY(mu) = 0;
-    uint64_t evictions GUARDED_BY(mu) = 0;
-    uint64_t invalidations GUARDED_BY(mu) = 0;
-    /// Deltas not yet flushed to the process-wide registry counters.
-    /// Flushed together every kMetricsFlushStride lookups so the hot
-    /// path pays plain increments under the already-held lock instead
-    /// of global atomic RMWs; the registry may therefore lag the exact
-    /// per-shard counters above by up to one stride per shard.
-    uint64_t pending_lookups GUARDED_BY(mu) = 0;
-    uint64_t pending_hits GUARDED_BY(mu) = 0;
-    uint64_t pending_misses GUARDED_BY(mu) = 0;
-    /// Lookup latency (hit + miss): internally atomic, deliberately
-    /// not guarded — recorded outside the shard lock and only while
-    /// timing is enabled.
-    LatencyHistogram lookup_latency;  // lint:allow(unguarded) lock-free
-  };
-
-  Shard& ShardFor(const std::string& user, const ContextState& state);
-
-  /// Shard-local trie walk within `user`'s trie.
-  Node* Descend(Shard& shard, const std::string& user,
-                const ContextState& state, bool create,
-                AccessCounter* counter) REQUIRES(shard.mu);
+  /// Walks `user`'s trie along `state`.
+  Node* Descend(const std::string& user, const ContextState& state,
+                bool create, AccessCounter* counter) REQUIRES(mu_);
   /// Removes the path for `state` from `user`'s trie, pruning empty
   /// nodes (and the trie itself once empty).
-  void RemovePath(Shard& shard, const std::string& user,
-                  const ContextState& state) REQUIRES(shard.mu);
+  void RemovePath(const std::string& user, const ContextState& state)
+      REQUIRES(mu_);
 
   EnvironmentPtr env_;
   Ordering order_;
-  size_t shard_capacity_;  ///< Per shard; 0 = unbounded.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  size_t capacity_;  ///< 0 = unbounded.
+  /// Ranks `kCacheShard` — below the coherence locks (a replica's
+  /// consume step invalidates entries while holding its consume mutex),
+  /// above nothing this code takes (metric flushes under the lock are
+  /// lock-free atomics).
+  mutable util::Mutex mu_{util::LockRank::kCacheShard,
+                          "ContextQueryTree.mu"};
+  /// One trie per user with cached entries; a user's trie is erased
+  /// when its last entry goes (so an inactive user costs nothing).
+  std::unordered_map<std::string, std::unique_ptr<Node>> roots_
+      GUARDED_BY(mu_);
+  /// Front = most recently used.
+  std::list<EntryKey> lru_ GUARDED_BY(mu_);
+  size_t size_ GUARDED_BY(mu_) = 0;
+  uint64_t lookups_ GUARDED_BY(mu_) = 0;
+  uint64_t hits_ GUARDED_BY(mu_) = 0;
+  uint64_t misses_ GUARDED_BY(mu_) = 0;
+  uint64_t evictions_ GUARDED_BY(mu_) = 0;
+  uint64_t invalidations_ GUARDED_BY(mu_) = 0;
+  /// Deltas not yet flushed to the process-wide registry counters.
+  /// Flushed together every kMetricsFlushStride lookups so the hot
+  /// path pays plain increments under the already-held lock instead
+  /// of global atomic RMWs; the registry may therefore lag the exact
+  /// counters above by up to one stride.
+  uint64_t pending_lookups_ GUARDED_BY(mu_) = 0;
+  uint64_t pending_hits_ GUARDED_BY(mu_) = 0;
+  uint64_t pending_misses_ GUARDED_BY(mu_) = 0;
 };
 
 /// Whether `options` can be answered from per-state cached lists: the
@@ -318,9 +279,9 @@ std::vector<db::ScoredTuple> MergeStateLists(
 /// lists are merged by `MergeStateLists`; a hit shares the cached
 /// entry and copies no tuples.
 ///
-/// With `options.num_threads` > 1 the states are evaluated on a worker
-/// pool and merged in state-enumeration order, so the result (tuples
-/// and traces) is bit-identical to the single-threaded run.
+/// The states are evaluated inline, in enumeration order; like
+/// `RankCS`, the loop returns at the first state that fails (a deadline
+/// expiry reports how many states completed before it).
 ///
 /// Entries are tagged `{user, profile_version}`. The multi-user
 /// serving layer (`storage::ServeQuery`) passes the user id and the

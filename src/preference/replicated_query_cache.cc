@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 namespace ctxpref {
 
@@ -77,12 +76,10 @@ void CoherenceLog::Append(const std::string& user, uint64_t version,
   depth_.fetch_add(1, std::memory_order_relaxed);
   metrics.appended.Increment();
   metrics.log_depth.Set(static_cast<int64_t>(depth()));
-  if (listener_) listener_();
 }
 
 void CoherenceLog::AdvanceWatermark(uint64_t version) {
   RaiseWatermark(version);
-  if (listener_) listener_();
 }
 
 void CoherenceLog::RaiseWatermark(uint64_t version) {
@@ -125,9 +122,9 @@ size_t CoherenceLog::Consume(size_t id,
         truncated += drop;
       }
     }
-    // Apply outside the log lock: the callback takes cache shard locks
-    // (kCacheShard > kCoherenceLog, but no reason to hold the buffer
-    // against writers while trees are pruned).
+    // Apply outside the log lock: the callback takes the replica
+    // tree's lock (kCacheShard > kCoherenceLog, but no reason to hold
+    // the buffer against writers while trees are pruned).
     for (const Record& record : pending) {
       apply(record);
     }
@@ -144,8 +141,8 @@ size_t CoherenceLog::Consume(size_t id,
 }
 
 ReplicatedQueryCache::Replica::Replica(EnvironmentPtr env, Ordering order,
-                                       size_t capacity, size_t num_shards)
-    : tree(std::move(env), order, capacity, num_shards) {}
+                                       size_t capacity)
+    : tree(std::move(env), std::move(order), capacity) {}
 
 ReplicatedQueryCache::ReplicatedQueryCache(EnvironmentPtr env, Ordering order)
     : ReplicatedQueryCache(std::move(env), order, Options()) {}
@@ -159,10 +156,7 @@ ReplicatedQueryCache::ReplicatedQueryCache(EnvironmentPtr env, Ordering order,
   replicas_.reserve(n);
   for (size_t r = 0; r < n; ++r) {
     replicas_.push_back(std::make_unique<Replica>(
-        env, order, options.capacity_per_replica, options.num_shards));
-  }
-  if (options_.mode == ConsumeMode::kBackground) {
-    log_.SetAppendListener([this] { KickBackgroundConsume(); });
+        env, order, options.capacity_per_replica));
   }
 }
 
@@ -234,29 +228,6 @@ uint64_t ReplicatedQueryCache::InvalidationLagVersions() const {
 
 void ReplicatedQueryCache::RecordStaleRefuse() {
   CoherenceMetrics::Get().stale_refuses.Increment();
-}
-
-void ReplicatedQueryCache::SetBackgroundPool(ThreadPool* pool) {
-  pool_.store(pool, std::memory_order_release);
-}
-
-void ReplicatedQueryCache::KickBackgroundConsume() {
-  ThreadPool* pool = pool_.load(std::memory_order_acquire);
-  if (pool == nullptr) return;
-  const uint64_t watermark = log_.max_appended();
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    Replica& replica = *replicas_[r];
-    if (replica.clock.load(std::memory_order_acquire) >= watermark) continue;
-    // One in-flight task per replica: the latch is released before the
-    // consume runs, so an append that lands mid-consume re-kicks.
-    if (replica.consume_queued.exchange(true, std::memory_order_acq_rel)) {
-      continue;
-    }
-    pool->Submit([this, r] {
-      replicas_[r]->consume_queued.store(false, std::memory_order_release);
-      Consume(r);
-    });
-  }
 }
 
 }  // namespace ctxpref

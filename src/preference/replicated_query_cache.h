@@ -13,8 +13,6 @@
 
 namespace ctxpref {
 
-class ThreadPool;
-
 /// Log-based cache coherence — the one way a query cache hears about a
 /// publish (docs/coherence.md). A writer appends one
 /// `{user, serving_version}` invalidation record to its own
@@ -73,17 +71,17 @@ class CoherenceLog {
   /// Consumer side: drains every buffer past consumer `id`'s cursor,
   /// invoking `apply` per record in buffer order, and truncates
   /// records every consumer has passed. Returns the number of records
-  /// applied. `apply` runs with no log lock held (it takes cache shard
-  /// locks). The caller must serialize calls per consumer id
+  /// applied. `apply` runs with no log lock held (it takes a replica
+  /// tree's lock). The caller must serialize calls per consumer id
   /// (`ReplicatedQueryCache` holds the replica's consume mutex).
   size_t Consume(size_t id, const std::function<void(const Record&)>& apply);
 
   /// Raises the append watermark to at least `version` without a
-  /// record, then runs the append listener. `ProfileStore::
-  /// AttachCoherenceLog` seeds it with the store's serving version:
-  /// what was published before the log was attached has nothing to
-  /// invalidate in caches that never saw it, and without the seed no
-  /// replica clock could cover those snapshots until the next publish.
+  /// record. `ProfileStore::AttachCoherenceLog` seeds it with the
+  /// store's serving version: what was published before the log was
+  /// attached has nothing to invalidate in caches that never saw it,
+  /// and without the seed no replica clock could cover those snapshots
+  /// until the next publish.
   void AdvanceWatermark(uint64_t version);
 
   /// The highest version whose append has completed (release order:
@@ -99,14 +97,6 @@ class CoherenceLog {
 
   size_t num_consumers() const { return num_consumers_; }
   size_t num_buffers() const { return buffers_.size(); }
-
-  /// Registers a hook invoked after every append (outside the buffer
-  /// lock) — `ReplicatedQueryCache` uses it to kick background
-  /// consume tasks onto a `util::ThreadPool`. Must be set before
-  /// writers start appending; pass nullptr to clear.
-  void SetAppendListener(std::function<void()> listener) {
-    listener_ = std::move(listener);
-  }
 
  private:
   /// One per-writer append-only buffer. `base` is the logical index of
@@ -127,7 +117,6 @@ class CoherenceLog {
   size_t num_consumers_;
   std::atomic<uint64_t> max_appended_{0};
   std::atomic<size_t> depth_{0};
-  std::function<void()> listener_;  ///< Set before writers start.
   std::vector<std::unique_ptr<Buffer>> buffers_;
 };
 
@@ -148,19 +137,16 @@ class ReplicatedQueryCache {
   /// the clock always covers the pinned version (the refuse path never
   /// fires) at the cost of a log-drain per query — the deterministic
   /// mode the harness and the differential tests use. `kBackground`:
-  /// consume tasks are kicked onto a `util::ThreadPool` by appends
-  /// (and by `Consume` calls the owner schedules); lookups between
-  /// kicks may find the clock behind the pinned version and refuse —
-  /// the bounded-staleness path `bench_coherence` measures.
+  /// the owner schedules `Consume`/`ConsumeAll` (an interval consumer
+  /// thread, say); lookups between consumes may find the clock behind
+  /// the pinned version and refuse — the bounded-staleness path
+  /// `bench_coherence` measures.
   enum class ConsumeMode { kInlineAtLookup, kBackground };
 
   struct Options {
     size_t num_replicas = 2;
-    /// Per-replica `ContextQueryTree` capacity (0 = unbounded) and
-    /// shard count. Replicas default to one shard: the tree is
-    /// per-serving-thread already, so striping buys nothing.
+    /// Per-replica `ContextQueryTree` capacity (0 = unbounded).
     size_t capacity_per_replica = 0;
-    size_t num_shards = 1;
     size_t num_writer_buffers = CoherenceLog::kDefaultWriterBuffers;
     /// How many serving versions behind a record's version an entry
     /// may be and still survive the consume step — the retention the
@@ -231,20 +217,12 @@ class ReplicatedQueryCache {
   /// the gate fails and the read falls through to the miss path.
   static void RecordStaleRefuse();
 
-  /// Enables background mode kicks: every append (and any caller)
-  /// may schedule consume tasks for lagging replicas onto `pool`.
-  /// At most one task per replica is in flight. The pool must outlive
-  /// this object (or be detached with nullptr first).
-  void SetBackgroundPool(ThreadPool* pool);
-
  private:
   struct Replica {
-    explicit Replica(EnvironmentPtr env, Ordering order, size_t capacity,
-                     size_t num_shards);
+    explicit Replica(EnvironmentPtr env, Ordering order, size_t capacity);
 
     ContextQueryTree tree;           ///< Internally synchronized.
     std::atomic<uint64_t> clock{0};  ///< Consumed-version clock.
-    std::atomic<bool> consume_queued{false};  ///< Background-kick latch.
     /// Serializes this replica's consume step: watermark read, drain,
     /// apply, clock advance happen atomically with respect to other
     /// consumers of the same replica — the clock never claims coverage
@@ -254,11 +232,8 @@ class ReplicatedQueryCache {
                            "ReplicatedQueryCache.Replica.consume_mu"};
   };
 
-  void KickBackgroundConsume();
-
   Options options_;
   CoherenceLog log_;
-  std::atomic<ThreadPool*> pool_{nullptr};
   std::vector<std::unique_ptr<Replica>> replicas_;
 };
 

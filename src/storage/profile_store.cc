@@ -194,15 +194,6 @@ StatusOr<SnapshotPtr> ProfileStore::GetSnapshot(
   return it->second->Pin();
 }
 
-StatusOr<const Profile*> ProfileStore::GetProfile(
-    const std::string& user_id) const {
-  StatusOr<SnapshotPtr> snapshot = GetSnapshot(user_id);
-  if (!snapshot.ok()) return snapshot.status();
-  // The store keeps the current snapshot alive until the next publish,
-  // so handing out the raw pointer honors the documented lifetime.
-  return &(*snapshot)->profile();
-}
-
 Status ProfileStore::UpdateUser(const std::string& user_id,
                                 const std::function<Status(Profile&)>& edit) {
   util::ReaderLock lock(users_mu_);

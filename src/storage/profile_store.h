@@ -144,12 +144,6 @@ class ProfileStore {
   /// users.
   StatusOr<SnapshotPtr> GetSnapshot(const std::string& user_id) const;
 
-  /// The user's current profile, read-only. The pointer is a view into
-  /// the current snapshot: it stays valid until the *next* publish for
-  /// this user (or user removal) — for anything longer-lived, pin the
-  /// snapshot with `GetSnapshot`. NotFound for unknown users.
-  StatusOr<const Profile*> GetProfile(const std::string& user_id) const;
-
   /// Copy-on-write edit: copies the user's current profile, applies
   /// `edit` to the copy, builds the new tree, and publishes the result
   /// as a new snapshot. Nothing is published — and concurrent readers

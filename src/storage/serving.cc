@@ -110,9 +110,15 @@ namespace {
 /// still in flight — harmless, their versions exceed any tag a hit
 /// could match; see docs/coherence.md). A refused read counts a stale
 /// refuse and gets null: it serves uncached and skips the stale rung.
-ContextQueryTree* GateReplica(ReplicatedQueryCache* cache, size_t replica,
-                              uint64_t version) {
-  if (cache == nullptr) return nullptr;
+/// A `replica` index the cache does not have is InvalidArgument.
+StatusOr<ContextQueryTree*> GateReplica(ReplicatedQueryCache* cache,
+                                        size_t replica, uint64_t version) {
+  if (cache == nullptr) return static_cast<ContextQueryTree*>(nullptr);
+  if (replica != kAnyReplica && replica >= cache->num_replicas()) {
+    return Status::InvalidArgument(
+        "serving: replica " + std::to_string(replica) + " out of range (" +
+        std::to_string(cache->num_replicas()) + " replicas)");
+  }
   const size_t r =
       replica == kAnyReplica ? cache->ReplicaForThisThread() : replica;
   if (cache->options().mode ==
@@ -137,9 +143,10 @@ StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
   if (!snapshot.ok()) return snapshot.status();
   SnapshotPin pin(*snapshot);
   const uint64_t version = pin->serving_version();
+  StatusOr<ContextQueryTree*> tree = GateReplica(cache, replica, version);
+  if (!tree.ok()) return tree.status();
   StatusOr<QueryResult> result =
-      ServeQuery(*pin, relation, query, GateReplica(cache, replica, version),
-                 options, counter);
+      ServeQuery(*pin, relation, query, *tree, options, counter);
   if (!result.ok()) return result.status();
   ServingProvenance provenance;
   provenance.served_version = version;
@@ -238,8 +245,10 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
   provenance.current_version = pin->serving_version();
   // The one gate of this request: fresh and stale rungs both read only
   // this replica, and only if its clock covers the pinned version.
-  ContextQueryTree* tree =
+  StatusOr<ContextQueryTree*> gated =
       GateReplica(cache, replica, provenance.current_version);
+  if (!gated.ok()) return gated.status();
+  ContextQueryTree* tree = *gated;
 
   // Front door: admit or shed, never queue. An expired deadline sheds
   // here too (kShedDeadline) — one clock read instead of a full pin +
@@ -314,8 +323,6 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
           query.selections};
       QueryOptions truncated_options = opts.query;
       truncated_options.top_k = opts.truncated_top_k;
-      truncated_options.num_threads = 1;
-      truncated_options.pool = nullptr;
       StatusOr<QueryResult> result =
           ServeQuery(*pin, relation, truncated_query, /*cache=*/nullptr,
                      truncated_options, counter);

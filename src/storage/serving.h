@@ -98,7 +98,8 @@ inline constexpr size_t kAnyReplica = ~static_cast<size_t>(0);
 /// (docs/coherence.md):
 ///
 ///   1. Pick a replica — `replica` if given, else a stable hash of the
-///      calling thread (`kAnyReplica`).
+///      calling thread (`kAnyReplica`). A `replica` at or beyond
+///      `cache->num_replicas()` is InvalidArgument.
 ///   2. In `kInlineAtLookup` mode, run the replica's consume step so
 ///      its clock catches up to the log's append watermark.
 ///   3. **Gate**: if the replica's clock covers V, serve through the

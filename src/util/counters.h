@@ -15,9 +15,9 @@ namespace ctxpref {
 /// data structures tick it on every cell inspected, so the benchmark
 /// measures the real traversal rather than estimating it.
 ///
-/// The counters are relaxed atomics so one counter can be shared by the
-/// worker threads of a parallel `CachedRankCS` run; totals are exact,
-/// but reads concurrent with ticks are only a snapshot.
+/// The counters are relaxed atomics so one counter can be shared by
+/// several serving threads; totals are exact, but reads concurrent with
+/// ticks are only a snapshot.
 class AccessCounter {
  public:
   AccessCounter() = default;

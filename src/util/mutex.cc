@@ -33,8 +33,6 @@ const char* LockRankName(LockRank rank) {
       return "trace-recorder";
     case LockRank::kPoolQueue:
       return "pool-queue";
-    case LockRank::kCompletion:
-      return "completion";
   }
   return "invalid";
 }

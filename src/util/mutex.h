@@ -65,14 +65,16 @@ enum class LockRank : int {
   kStoreSlot = 30,
   /// ReplicatedQueryCache::Replica::consume_mu — serializes the
   /// consume step of one replica; held across the coherence-log drain
-  /// (kCoherenceLog) and the dead-entry drops (kCacheShard) below it.
+  /// (kCoherenceLog) and the replica tree's dead-entry drops
+  /// (kCacheShard) below it.
   kCoherenceConsume = 32,
   /// CoherenceLog per-writer buffer mutexes — appends come from the
   /// store's publish path (under write_mu), drains from a replica's
   /// consume step (under consume_mu); never two buffers at once.
   kCoherenceLog = 35,
-  /// ContextQueryTree shard mutexes; acquired under a replica's
-  /// consume step via InvalidateUser(Below), never two shards at once.
+  /// ContextQueryTree::mu_ — one lock per tree (each replica's tree is
+  /// its own shard of the serving cache); acquired under a replica's
+  /// consume step via InvalidateUser(Below), never two trees at once.
   kCacheShard = 40,
   /// ResilientSource::mu_ — held across a backend read, so it ranks
   /// below (acquired before) the fault injector's script lock.
@@ -89,9 +91,6 @@ enum class LockRank : int {
   /// ThreadPool::mu_ — task-queue lock; never held while a task body
   /// (which may take any of the above) runs.
   kPoolQueue = 90,
-  /// Function-local completion latches (e.g. CachedRankCS's
-  /// done-counter): acquired last, hold nothing beneath.
-  kCompletion = 100,
 };
 
 const char* LockRankName(LockRank rank);

@@ -2,7 +2,7 @@
 // N reader threads, each serving through its own cache replica, race a
 // writer publishing new profile versions (appending to the coherence
 // log) and log-consumer churn (inline drains, a roaming consumer
-// thread, and background consume tasks on a ThreadPool). Every answer
+// thread, and a background ConsumeAll thread). Every answer
 // must be consistent with exactly ONE published version — zero torn
 // answers — and after quiescing, every replica's clock must cover the
 // store and the log must drain empty. Suite names match the
@@ -23,7 +23,6 @@
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "tests/test_util.h"
-#include "util/thread_pool.h"
 #include "workload/poi_dataset.h"
 
 namespace ctxpref {
@@ -167,10 +166,11 @@ TEST_F(CoherenceConcurrentTest, InlineConsumeNeverTearsUnderWriterChurn) {
   ExpectQuiesced(store, replicas);
 }
 
-// Background mode: appends kick consume tasks onto a real ThreadPool,
-// so drains race lookups on other threads and the coverage gate
-// genuinely refuses when a replica lags. Refused reads must fall
-// through to the miss path — never serve through the stale replica.
+// Background mode: the owner's consumer thread drains every replica
+// with ConsumeAll, so drains race lookups on other threads and the
+// coverage gate genuinely refuses when a replica lags. Refused reads
+// must fall through to the miss path — never serve through the stale
+// replica.
 TEST_F(CoherenceConcurrentTest, BackgroundConsumersRefuseButNeverLie) {
   storage::ProfileStore store(env_);
   ReplicatedQueryCache::Options ropt;
@@ -181,12 +181,6 @@ TEST_F(CoherenceConcurrentTest, BackgroundConsumersRefuseButNeverLie) {
   store.AttachCoherenceLog(&replicas.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(0)));
 
-  // Destroyed before `replicas` (declared later), so queued consume
-  // tasks still have a live cache to drain into while the pool shuts
-  // down.
-  ThreadPool pool(2);
-  replicas.SetBackgroundPool(&pool);
-
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> answered{0};
@@ -194,6 +188,12 @@ TEST_F(CoherenceConcurrentTest, BackgroundConsumersRefuseButNeverLie) {
   std::thread writer([&] {
     for (uint64_t step = 1; !stop.load(std::memory_order_relaxed); ++step) {
       EXPECT_OK(store.PublishProfile("u", VersionedProfile(step)));
+      std::this_thread::yield();
+    }
+  });
+  std::thread consumer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      replicas.ConsumeAll();
       std::this_thread::yield();
     }
   });
@@ -209,8 +209,8 @@ TEST_F(CoherenceConcurrentTest, BackgroundConsumersRefuseButNeverLie) {
   std::this_thread::sleep_for(std::chrono::milliseconds(800));
   stop.store(true, std::memory_order_relaxed);
   writer.join();
+  consumer.join();
   for (std::thread& t : readers) t.join();
-  replicas.SetBackgroundPool(nullptr);
 
   EXPECT_EQ(torn.load(), 0u) << "version-inconsistent answers observed";
   EXPECT_GT(answered.load(), 0u);

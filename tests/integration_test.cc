@@ -83,18 +83,18 @@ TEST_F(IntegrationTest, FullPipeline) {
         **env, "location = Kolonaki and accompanying_people = friends",
         "type", "gallery", 0.95));
   }));
-  StatusOr<const Profile*> alice = store.GetProfile("user0");
-  ASSERT_OK(alice.status());
+  // The profile lives in user0's snapshot: hold a pin on it.
+  StatusOr<storage::SnapshotPtr> pinned = store.GetSnapshot("user0");
+  ASSERT_OK(pinned.status());
+  const Profile& alice = (*pinned)->profile();
 
-  ProfileStats stats = ComputeProfileStats(**alice, 300);
+  ProfileStats stats = ComputeProfileStats(alice, 300);
   EXPECT_GT(stats.num_preferences, 10u);
   EXPECT_GT(stats.coverage_estimate, 0.5);  // Defaults are broad.
 
   // ---- 4. Query with the cache; explanations line up. The pinned
   // snapshot's pointer tree answers uncached (the oracle) and its flat
   // arena serves the cached path.
-  StatusOr<storage::SnapshotPtr> pinned = store.GetSnapshot("user0");
-  ASSERT_OK(pinned.status());
   TreeResolver resolver(&(*pinned)->tree());
   FlatResolver flat_resolver((*pinned)->flat_tree());
   ContextQueryTree cache(*env, Ordering::Identity((*env)->size()), 32);
@@ -114,10 +114,10 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_FALSE(direct->tuples.empty());
 
   StatusOr<QueryResult> cached1 =
-      CachedRankCS(*relation, query, flat_resolver, "", (*alice)->version(),
+      CachedRankCS(*relation, query, flat_resolver, "", alice.version(),
                    cache, options);
   StatusOr<QueryResult> cached2 =
-      CachedRankCS(*relation, query, flat_resolver, "", (*alice)->version(),
+      CachedRankCS(*relation, query, flat_resolver, "", alice.version(),
                    cache, options);
   ASSERT_OK(cached1.status());
   ASSERT_OK(cached2.status());
@@ -154,7 +154,7 @@ TEST_F(IntegrationTest, FullPipeline) {
   EXPECT_NE(text.find("covering query"), std::string::npos);
 
   // ---- 5. A standing query follows context changes.
-  ContinuousQueryEngine engine(&*relation, *alice);
+  ContinuousQueryEngine engine(&*relation, &alice);
   size_t updates = 0;
   ASSERT_OK(engine
                 .RegisterCurrentContext(

@@ -78,10 +78,7 @@ class CacheModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CacheModelTest, RandomOpsMatchReferenceLru) {
   EnvironmentPtr env = PaperEnv();
   constexpr size_t kCapacity = 8;
-  // One shard = one exact LRU domain, matching the reference model;
-  // multi-shard eviction is only LRU per shard.
-  ContextQueryTree cache(env, Ordering::Identity(env->size()), kCapacity,
-                         /*num_shards=*/1);
+  ContextQueryTree cache(env, Ordering::Identity(env->size()), kCapacity);
   ReferenceLru reference(kCapacity);
 
   Rng rng(GetParam());
@@ -194,8 +191,7 @@ class MultiUserCacheModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
   EnvironmentPtr env = PaperEnv();
   constexpr size_t kCapacity = 8;
-  ContextQueryTree cache(env, Ordering::Identity(env->size()), kCapacity,
-                         /*num_shards=*/1);
+  ContextQueryTree cache(env, Ordering::Identity(env->size()), kCapacity);
   MultiUserReferenceLru reference(kCapacity);
 
   Rng rng(GetParam());

@@ -1,7 +1,7 @@
 // Deterministic overload-injection chaos tests (ISSUE 8): a seeded
 // `util::Rng` plus a `util::FakeClock` script latency spikes in the
-// resolver, pool-thread stalls, and burst arrivals against the
-// serving path's overload ladder — deadline propagation, admission
+// resolver and burst arrivals against the serving path's overload
+// ladder — deadline propagation, admission
 // sheds, bounded-staleness fallback, truncated answers, kUnavailable —
 // and check that every answer carries a correct `ServingProvenance`
 // and that no answer is ever torn across profile versions. Runs in the
@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "context/parser.h"
@@ -25,7 +24,6 @@
 #include "util/clock.h"
 #include "util/deadline.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/poi_dataset.h"
 
 namespace ctxpref {
@@ -112,47 +110,6 @@ TEST_F(OverloadChaosTest, ResolverLatencySpikeTripsRankCsDeadline) {
   EXPECT_LT(resolves.load(), 2) << "second state must not be resolved";
   EXPECT_NE(cut.status().message().find("/2 states"), std::string::npos)
       << "partial-work accounting missing: " << cut.status().ToString();
-}
-
-TEST_F(OverloadChaosTest, PoolStallDropsExpiredStateTasksAtDequeue) {
-  util::FakeClock clock;
-  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
-                             testing::SharedCache(64));
-  storage::ProfileStore store(env_);
-  store.AttachCoherenceLog(&cache.log());
-  ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
-  StatusOr<storage::SnapshotPtr> snap = store.GetSnapshot("u");
-  ASSERT_OK(snap.status());
-
-  ThreadPool pool(/*num_threads=*/1, /*queue_capacity=*/8);
-  // Park the pool's only worker — the injected "pool-thread stall".
-  std::atomic<bool> gate{false};
-  pool.Submit([&] {
-    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-
-  QueryOptions options;
-  options.pool = &pool;
-  options.deadline = util::Deadline::AfterMicros(1'000, &clock);
-
-  StatusOr<QueryResult> result = Status::Internal("not served yet");
-  std::thread server([&] {
-    result = storage::ServeQuery(**snap, poi_->relation, query_,
-                                 &cache.replica(0), options);
-  });
-  // Wait until both state tasks queue behind the stalled worker, then
-  // let the deadline pass before releasing it.
-  while (pool.GetWindowStats().submitted < 3) std::this_thread::yield();
-  clock.Advance(2'000);
-  gate.store(true, std::memory_order_release);
-  server.join();
-
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded())
-      << result.status().ToString();
-  // Both state tasks were dropped at dequeue — their bodies never ran.
-  EXPECT_EQ(pool.GetWindowStats().expired_dropped, 2u);
-  EXPECT_EQ(pool.GetWindowStats().executed, 1u);  // Just the stall task.
 }
 
 // ---- Admission + the degradation ladder ----------------------------
@@ -284,6 +241,33 @@ TEST_F(OverloadChaosTest, ExpiredDeadlineShedsAtTheFrontDoor) {
       << "an expired request must not consume a slot";
 }
 
+// A caller-supplied replica index the cache does not have is rejected
+// by both store-level entry points before any replica is touched.
+TEST_F(OverloadChaosTest, OutOfRangeReplicaIsInvalidArgument) {
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(64));
+  storage::ProfileStore store(env_);
+  store.AttachCoherenceLog(&cache.log());
+  ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
+  ASSERT_EQ(cache.num_replicas(), 1u);
+
+  StatusOr<storage::ServedQuery> plain = storage::ServeQuery(
+      store, "u", poi_->relation, query_, &cache, {}, nullptr,
+      /*replica=*/1);
+  EXPECT_TRUE(plain.status().IsInvalidArgument()) << plain.status().ToString();
+  StatusOr<storage::ServedQuery> resilient = storage::ServeQueryResilient(
+      store, "u", poi_->relation, query_, &cache, {}, nullptr,
+      /*replica=*/1);
+  EXPECT_TRUE(resilient.status().IsInvalidArgument())
+      << resilient.status().ToString();
+  EXPECT_EQ(cache.Stats().lookups, 0u);
+
+  // Replica 0 is in range and serves.
+  ASSERT_OK(storage::ServeQuery(store, "u", poi_->relation, query_, &cache,
+                                {}, nullptr, /*replica=*/0)
+                .status());
+}
+
 TEST_F(OverloadChaosTest, StaleRungRefusesTornMixedVersionJoins) {
   // Force the pathological case: state A cached at v_new, state B only
   // at v_old. The stale rung must refuse the mixed join (fall to
@@ -333,7 +317,7 @@ TEST_F(OverloadChaosTest, SeededBurstsServeUntornAnswersWithProvenance) {
   Rng rng(20260808);
   util::FakeClock clock;
   ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
-                             testing::SharedCache(256, 4));
+                             testing::SharedCache(256));
   storage::ProfileStore store(env_);
   store.AttachCoherenceLog(&cache.log());
   uint64_t step = 1;

@@ -35,10 +35,9 @@ TEST_F(ProfileStoreTest, CreateAndLookupUsers) {
   ASSERT_OK(store.CreateUser("bob"));
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.UserIds(), (std::vector<std::string>{"alice", "bob"}));
-  StatusOr<const Profile*> p = store.GetProfile("alice");
+  StatusOr<SnapshotPtr> p = store.GetSnapshot("alice");
   ASSERT_OK(p.status());
-  EXPECT_TRUE((*p)->empty());
-  EXPECT_TRUE(store.GetProfile("carol").status().IsNotFound());
+  EXPECT_TRUE((*p)->profile().empty());
   EXPECT_TRUE(store.GetSnapshot("carol").status().IsNotFound());
 }
 
@@ -59,9 +58,9 @@ TEST_F(ProfileStoreTest, SeedsWithDefaultProfile) {
   ASSERT_OK(def.status());
   const size_t n = def->size();
   ASSERT_OK(store.CreateUser("carol", std::move(*def)));
-  StatusOr<const Profile*> p = store.GetProfile("carol");
+  StatusOr<SnapshotPtr> p = store.GetSnapshot("carol");
   ASSERT_OK(p.status());
-  EXPECT_EQ((*p)->size(), n);
+  EXPECT_EQ((*p)->profile().size(), n);
 }
 
 TEST_F(ProfileStoreTest, RejectsForeignEnvironmentProfiles) {
@@ -238,10 +237,11 @@ TEST_F(ProfileStoreTest, SaveAllAndLoadDirRoundTrip) {
   ASSERT_OK(loaded.status());
   EXPECT_EQ(loaded->UserIds(), store.UserIds());
   for (const std::string& id : store.UserIds()) {
-    StatusOr<const Profile*> orig = store.GetProfile(id);
-    StatusOr<const Profile*> back = loaded->GetProfile(id);
+    StatusOr<SnapshotPtr> orig = store.GetSnapshot(id);
+    StatusOr<SnapshotPtr> back = loaded->GetSnapshot(id);
+    ASSERT_OK(orig.status());
     ASSERT_OK(back.status());
-    EXPECT_EQ((*back)->ToText(), (*orig)->ToText()) << id;
+    EXPECT_EQ((*back)->profile().ToText(), (*orig)->profile().ToText()) << id;
   }
   fs::remove_all(dir);
 }
@@ -300,11 +300,9 @@ TEST_F(ProfileStoreTest, ReloadUserPicksUpOnDiskChanges) {
   // The snapshot pinned before the reload still serves the old state…
   EXPECT_EQ((*pinned)->profile().size(), 1u);
   // …while fresh reads see the reloaded profile and a rebuilt tree.
-  StatusOr<const Profile*> fresh = store.GetProfile("alice");
-  ASSERT_OK(fresh.status());
-  EXPECT_EQ((*fresh)->size(), 2u);
   StatusOr<SnapshotPtr> fresh_pin = store.GetSnapshot("alice");
   ASSERT_OK(fresh_pin.status());
+  EXPECT_EQ((*fresh_pin)->profile().size(), 2u);
   EXPECT_EQ((*fresh_pin)->tree().PathCount(), 2u);
 
   EXPECT_TRUE(store.ReloadUser("nobody", dir).IsNotFound());
@@ -350,7 +348,7 @@ TEST_F(ProfileStoreTest, FailedReloadLeavesProfileServing) {
   {
     StatusOr<ProfileStore> fresh = ProfileStore::LoadDir(env_, dir);
     // Regardless of how LoadDir reacts, the original store is intact.
-    EXPECT_EQ((*store.GetProfile("alice"))->ToText(), before_text);
+    EXPECT_EQ((*store.GetSnapshot("alice"))->profile().ToText(), before_text);
     (void)fresh;
   }
   fs::remove_all(dir);

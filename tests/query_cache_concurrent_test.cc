@@ -2,24 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "context/parser.h"
-#include "preference/flat_profile_tree.h"
 #include "preference/query_cache.h"
 #include "tests/test_util.h"
-#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "workload/poi_dataset.h"
 #include "workload/query_generator.h"
 
 namespace ctxpref {
 namespace {
-
-using ::ctxpref::testing::Pref;
-using ::ctxpref::testing::State;
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4, /*queue_capacity=*/2);  // Small queue: exercises
@@ -87,12 +83,33 @@ class QueryCacheConcurrentTest : public ::testing::Test {
   EnvironmentPtr env_;
 };
 
+/// Entries actually reachable in `cache` for `users` x the distinct
+/// `states`, at any version — what `Stats().size` must count once the
+/// threads are joined.
+size_t ReachableEntries(ContextQueryTree& cache,
+                        const std::vector<std::string>& users,
+                        const std::vector<ContextState>& states) {
+  std::vector<ContextState> distinct;
+  for (const ContextState& s : states) {
+    if (std::find(distinct.begin(), distinct.end(), s) == distinct.end()) {
+      distinct.push_back(s);
+    }
+  }
+  size_t found = 0;
+  for (const std::string& user : users) {
+    for (const ContextState& s : distinct) {
+      if (cache.LookupAtOrBefore(user, s, UINT64_MAX, 0) != nullptr) ++found;
+    }
+  }
+  return found;
+}
+
 /// N writers Put/InvalidateAll racing M readers Lookup. Correctness
 /// here is "no data race / no crash / snapshots stay intact" — run
 /// under -DCTXPREF_SANITIZE=thread to check real interleavings.
 TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
   ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/32, /*num_shards=*/8);
+                         /*capacity=*/32);
   std::vector<ContextState> states =
       workload::RandomQueryBatch(*env_, 24, 1234, 0.0);
   ASSERT_FALSE(states.empty());
@@ -131,35 +148,23 @@ TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
   }
   threads.clear();  // Join.
 
+  // Exact accounting under the race: every lookup is exactly one hit
+  // or miss, the bounded tree never holds more than its capacity, and
+  // `size` counts exactly the entries left in the trie.
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.lookups, static_cast<uint64_t>(kReaders) * kOpsPerThread);
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kReaders) * kOpsPerThread);
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_LE(stats.size, 32u);
-
-  // Per-shard exactness: every lookup is exactly one hit or miss in
-  // its shard, and the shards sum to the aggregate.
-  CacheStats summed;
-  for (size_t shard = 0; shard < cache.num_shards(); ++shard) {
-    const CacheStats s = cache.ShardStats(shard);
-    EXPECT_EQ(s.hits + s.misses, s.lookups) << "shard " << shard;
-    summed.lookups += s.lookups;
-    summed.hits += s.hits;
-    summed.misses += s.misses;
-    summed.evictions += s.evictions;
-    summed.invalidations += s.invalidations;
-    summed.size += s.size;
-  }
-  EXPECT_EQ(summed, stats);
+  EXPECT_EQ(ReachableEntries(cache, {""}, states), stats.size);
 }
 
 /// Per-user writers and readers race a dedicated invalidator thread
 /// calling InvalidateUser round-robin — the drop a replica's consume
 /// step applies concurrently with serving traffic. Run
-/// under TSan; afterwards the shard accounting must still be exact.
+/// under TSan; afterwards the tree's accounting must still be exact.
 TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
   ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/64, /*num_shards=*/8);
+                         /*capacity=*/64);
   std::vector<ContextState> states =
       workload::RandomQueryBatch(*env_, 16, 4321, 0.0);
   ASSERT_FALSE(states.empty());
@@ -197,18 +202,7 @@ TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
             static_cast<uint64_t>(users.size()) * kOpsPerThread);
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_LE(stats.size, 64u);
-
-  CacheStats summed;
-  for (size_t shard = 0; shard < cache.num_shards(); ++shard) {
-    const CacheStats s = cache.ShardStats(shard);
-    summed.lookups += s.lookups;
-    summed.hits += s.hits;
-    summed.misses += s.misses;
-    summed.evictions += s.evictions;
-    summed.invalidations += s.invalidations;
-    summed.size += s.size;
-  }
-  EXPECT_EQ(summed, stats);
+  EXPECT_EQ(ReachableEntries(cache, users, states), stats.size);
 
   // Quiesced: a final targeted invalidation leaves those users empty
   // while the others' entries survive untouched.
@@ -223,8 +217,7 @@ TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
 }
 
 TEST_F(QueryCacheConcurrentTest, ConcurrentLookupsOnWarmCacheAllHit) {
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/0, /*num_shards=*/8);
+  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
   std::vector<ContextState> raw =
       workload::RandomQueryBatch(*env_, 16, 99, 0.0);
   // The batch may repeat a state; each Put below must key a distinct
@@ -253,111 +246,6 @@ TEST_F(QueryCacheConcurrentTest, ConcurrentLookupsOnWarmCacheAllHit) {
   }
   threads.clear();  // Join.
   EXPECT_EQ(cache.Stats().misses, 0u);
-}
-
-TEST_F(QueryCacheConcurrentTest, PerShardLatencyFollowsTimingFlag) {
-  const bool prev = MetricsRegistry::TimingEnabled();
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/0, /*num_shards=*/4);
-  std::vector<ContextState> states =
-      workload::RandomQueryBatch(*env_, 16, 41, 0.0);
-
-  auto shard_latency_total = [&cache] {
-    uint64_t total = 0;
-    for (size_t s = 0; s < cache.num_shards(); ++s) {
-      total += cache.ShardLookupLatency(s).count;
-    }
-    return total;
-  };
-
-  MetricsRegistry::SetTimingEnabled(false);
-  for (const ContextState& s : states) cache.Lookup(s, 1);
-  EXPECT_EQ(shard_latency_total(), 0u);
-
-  MetricsRegistry::SetTimingEnabled(true);
-  for (const ContextState& s : states) cache.Lookup(s, 1);
-  EXPECT_EQ(shard_latency_total(), states.size());
-  MetricsRegistry::SetTimingEnabled(prev);
-}
-
-/// The acceptance bar for the parallel Rank_CS: ranked output and
-/// traces are bit-identical across thread counts.
-TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
-  Profile profile(env_);
-  ASSERT_OK(profile.Insert(
-      Pref(*env_, "temperature = hot", "type", "park", 0.9)));
-  ASSERT_OK(profile.Insert(
-      Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.7)));
-  ASSERT_OK(profile.Insert(
-      Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
-  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
-  ASSERT_OK(tree.status());
-  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
-  FlatResolver resolver(&flat);
-
-  // An exploratory descriptor that enumerates several states, so the
-  // worker pool actually has parallel work.
-  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
-      *env_,
-      "location in {Plaka, Kifisia} and temperature in {hot, warm} and "
-      "accompanying_people in {friends, family}");
-  ASSERT_OK(ecod.status());
-  ContextualQuery q;
-  q.context = *ecod;
-
-  QueryOptions serial;
-  serial.num_threads = 1;
-  ContextQueryTree cold1(env_, Ordering::Identity(env_->size()), 64);
-  StatusOr<QueryResult> one =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                   cold1, serial);
-  ASSERT_OK(one.status());
-  // The serial answer matches uncached Rank_CS over the pointer tree.
-  StatusOr<QueryResult> oracle =
-      RankCS(poi_->relation, q, TreeResolver(&*tree), serial);
-  ASSERT_OK(oracle.status());
-  EXPECT_EQ(one->tuples, oracle->tuples);
-
-  QueryOptions parallel = serial;
-  parallel.num_threads = 8;
-  ContextQueryTree cold8(env_, Ordering::Identity(env_->size()), 64);
-  StatusOr<QueryResult> eight =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                   cold8, parallel);
-  ASSERT_OK(eight.status());
-
-  EXPECT_EQ(eight->tuples, one->tuples);
-  ASSERT_EQ(eight->traces.size(), one->traces.size());
-  for (size_t i = 0; i < one->traces.size(); ++i) {
-    EXPECT_EQ(eight->traces[i].query_state, one->traces[i].query_state);
-    ASSERT_EQ(eight->traces[i].candidates->size(),
-              one->traces[i].candidates->size());
-    for (size_t c = 0; c < one->traces[i].candidates->size(); ++c) {
-      EXPECT_EQ((*eight->traces[i].candidates)[c].state,
-                (*one->traces[i].candidates)[c].state);
-      EXPECT_EQ((*eight->traces[i].candidates)[c].distance,
-                (*one->traces[i].candidates)[c].distance);
-    }
-  }
-
-  // And a warm parallel run over the now-populated cache agrees too.
-  StatusOr<QueryResult> warm =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                   cold8, parallel);
-  ASSERT_OK(warm.status());
-  EXPECT_EQ(warm->tuples, one->tuples);
-  EXPECT_GE(cold8.Stats().hits, 1u);
-
-  // A caller-owned shared pool (server configuration) agrees as well.
-  ThreadPool shared(4);
-  QueryOptions pooled = serial;
-  pooled.pool = &shared;
-  ContextQueryTree cold_pool(env_, Ordering::Identity(env_->size()), 64);
-  StatusOr<QueryResult> via_pool =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                   cold_pool, pooled);
-  ASSERT_OK(via_pool.status());
-  EXPECT_EQ(via_pool->tuples, one->tuples);
 }
 
 }  // namespace

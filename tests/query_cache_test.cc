@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "context/parser.h"
 #include "preference/flat_profile_tree.h"
 #include "tests/test_util.h"
+#include "util/clock.h"
 #include "workload/poi_dataset.h"
 
 namespace ctxpref {
@@ -22,11 +25,8 @@ class QueryCacheTest : public ::testing::Test {
     env_ = poi_->env;
   }
 
-  /// `num_shards` = 1 keeps a single LRU domain so eviction order is
-  /// exact; multi-shard behavior is covered by the dedicated tests.
-  ContextQueryTree MakeCache(size_t capacity = 0, size_t num_shards = 1) {
-    return ContextQueryTree(env_, Ordering::Identity(env_->size()), capacity,
-                            num_shards);
+  ContextQueryTree MakeCache(size_t capacity = 0) {
+    return ContextQueryTree(env_, Ordering::Identity(env_->size()), capacity);
   }
 
   std::unique_ptr<workload::PoiDatabase> poi_;
@@ -121,7 +121,7 @@ TEST_F(QueryCacheTest, LookupSnapshotSurvivesOverwrite) {
 }
 
 TEST_F(QueryCacheTest, LruEvictionBeyondCapacity) {
-  ContextQueryTree cache = MakeCache(/*capacity=*/2, /*num_shards=*/1);
+  ContextQueryTree cache = MakeCache(/*capacity=*/2);
   ContextState a = State(*env_, {"Plaka", "warm", "friends"});
   ContextState b = State(*env_, {"Kifisia", "hot", "family"});
   ContextState c = State(*env_, {"Perama", "cold", "alone"});
@@ -135,51 +135,6 @@ TEST_F(QueryCacheTest, LruEvictionBeyondCapacity) {
   EXPECT_NE(cache.Lookup(a, 1), nullptr);
   EXPECT_EQ(cache.Lookup(b, 1), nullptr);  // Evicted.
   EXPECT_NE(cache.Lookup(c, 1), nullptr);
-}
-
-TEST_F(QueryCacheTest, ShardedCacheKeepsStatesSeparate) {
-  ContextQueryTree cache = MakeCache(/*capacity=*/0, /*num_shards=*/8);
-  EXPECT_EQ(cache.num_shards(), 8u);
-  std::vector<ContextState> states = {
-      State(*env_, {"Plaka", "warm", "friends"}),
-      State(*env_, {"Kifisia", "hot", "family"}),
-      State(*env_, {"Perama", "cold", "alone"}),
-      State(*env_, {"Plaka", "hot", "alone"}),
-      State(*env_, {"Kifisia", "cold", "friends"}),
-  };
-  for (size_t i = 0; i < states.size(); ++i) {
-    cache.Put(states[i], 1, {{static_cast<db::RowId>(i), 0.5}});
-  }
-  EXPECT_EQ(cache.size(), states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    std::shared_ptr<const ContextQueryTree::Entry> hit =
-        cache.Lookup(states[i], 1);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->tuples[0].row_id, i);
-  }
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST_F(QueryCacheTest, ShardCountClampedToSmallCapacity) {
-  // With capacity < num_shards, an unclamped split would give every
-  // shard a budget of 1 and let the global bound balloon to
-  // num_shards; the constructor clamps the shard count instead.
-  ContextQueryTree cache = MakeCache(/*capacity=*/2, /*num_shards=*/8);
-  EXPECT_EQ(cache.num_shards(), 2u);
-  std::vector<ContextState> states = {
-      State(*env_, {"Plaka", "warm", "friends"}),
-      State(*env_, {"Kifisia", "hot", "family"}),
-      State(*env_, {"Perama", "cold", "alone"}),
-      State(*env_, {"Plaka", "hot", "alone"}),
-      State(*env_, {"Kifisia", "cold", "friends"}),
-  };
-  for (size_t i = 0; i < states.size(); ++i) {
-    cache.Put(states[i], 1, {{static_cast<db::RowId>(i), 0.5}});
-  }
-  // capacity 2 over 2 clamped shards = 1 per shard, no rounding
-  // overshoot: the global bound is exactly the requested capacity.
-  EXPECT_LE(cache.size(), 2u);
 }
 
 TEST_F(QueryCacheTest, InvalidateAllDropsEverything) {
@@ -212,7 +167,7 @@ TEST_F(QueryCacheTest, UsersAreIsolatedNamespaces) {
 }
 
 TEST_F(QueryCacheTest, InvalidateUserDropsOnlyThatUser) {
-  ContextQueryTree cache = MakeCache(/*capacity=*/0, /*num_shards=*/4);
+  ContextQueryTree cache = MakeCache();
   ContextState a = State(*env_, {"Plaka", "warm", "friends"});
   ContextState b = State(*env_, {"Kifisia", "hot", "family"});
   cache.Put("alice", a, 1, {{1, 0.5}});
@@ -455,6 +410,111 @@ TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
                            cache, options)
                   .status()
                   .IsInvalidArgument());
+}
+
+/// Eight enumerated states: the cached flat answer equals uncached
+/// `RankCS` over the pointer tree, cold and warm, with identical
+/// traces.
+TEST_F(QueryCacheTest, EightStateCachedRankCSMatchesTreeOracle) {
+  Profile profile(env_);
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "temperature = hot", "type", "park", 0.9)));
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.7)));
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
+  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  ASSERT_OK(tree.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
+
+  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
+      *env_,
+      "location in {Plaka, Kifisia} and temperature in {hot, warm} and "
+      "accompanying_people in {friends, family}");
+  ASSERT_OK(ecod.status());
+  ContextualQuery q;
+  q.context = *ecod;
+
+  StatusOr<QueryResult> oracle =
+      RankCS(poi_->relation, q, TreeResolver(&*tree));
+  ASSERT_OK(oracle.status());
+  ASSERT_EQ(oracle->traces.size(), 8u);
+
+  ContextQueryTree cache = MakeCache(64);
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    StatusOr<QueryResult> cached = CachedRankCS(
+        poi_->relation, q, resolver, "", profile.version(), cache);
+    ASSERT_OK(cached.status());
+    EXPECT_EQ(cached->tuples, oracle->tuples);
+    ASSERT_EQ(cached->traces.size(), oracle->traces.size());
+    for (size_t i = 0; i < oracle->traces.size(); ++i) {
+      EXPECT_EQ(cached->traces[i].query_state, oracle->traces[i].query_state);
+      ASSERT_EQ(cached->traces[i].candidates->size(),
+                oracle->traces[i].candidates->size());
+      for (size_t c = 0; c < oracle->traces[i].candidates->size(); ++c) {
+        EXPECT_EQ((*cached->traces[i].candidates)[c].state,
+                  (*oracle->traces[i].candidates)[c].state);
+        EXPECT_EQ((*cached->traces[i].candidates)[c].distance,
+                  (*oracle->traces[i].candidates)[c].distance);
+      }
+    }
+  }
+  EXPECT_EQ(cache.hits(), 8u);  // The warm pass hit every state.
+}
+
+/// Like `RankCS`, the per-state loop returns at the first state that
+/// fails: the second state is never looked up.
+TEST_F(QueryCacheTest, CachedRankCSStopsAtFirstFailingState) {
+  Profile profile(env_);
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "location = Plaka", "no_such_attribute", "x", 0.9)));
+  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  ASSERT_OK(tree.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
+  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
+      *env_, "location = Plaka or location = Kifisia");
+  ASSERT_OK(ecod.status());
+  ContextualQuery q;
+  q.context = *ecod;
+
+  ContextQueryTree cache = MakeCache();
+  StatusOr<QueryResult> result = CachedRankCS(
+      poi_->relation, q, resolver, "", profile.version(), cache);
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+  EXPECT_EQ(cache.Stats().lookups, 1u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(QueryCacheTest, CachedRankCSExpiredDeadlineEvaluatesNoState) {
+  Profile profile(env_);
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
+  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  ASSERT_OK(tree.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
+  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
+      *env_, "location = Plaka or location = Kifisia");
+  ASSERT_OK(ecod.status());
+  ContextualQuery q;
+  q.context = *ecod;
+
+  util::FakeClock clock;
+  QueryOptions options;
+  options.deadline = util::Deadline::AfterMicros(0, &clock);
+  ContextQueryTree cache = MakeCache();
+  StatusOr<QueryResult> result = CachedRankCS(
+      poi_->relation, q, resolver, "", profile.version(), cache, options);
+  ASSERT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("after 0/2 states"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Stats().lookups, 0u);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(ScenarioConfigTest, ParsesKeysCommentsAndBlankLines) {
   EXPECT_EQ(cfg->seed, 7u);
   EXPECT_FALSE(cfg->ablation.cache);
   EXPECT_TRUE(cfg->ablation.shed);
-  EXPECT_TRUE(cfg->ablation.parallel);  // Untouched flags stay on.
+  EXPECT_TRUE(cfg->ablation.cow);  // Untouched flags stay on.
 }
 
 TEST(ScenarioConfigTest, RejectsUnknownKey) {
@@ -166,7 +166,6 @@ TEST(ScenarioConfigTest, FormatParsesBackToEqualConfig) {
       "flash_crowd_fraction = 0.1\n"
       "outage_fraction = 0.15\n"
       "migration_fraction = 0.2\n"
-      "threads = 2\n"
       "seed = 12345\n"
       "ablation.cow = off\n"
       "ablation.tie_break = off\n");
@@ -196,7 +195,7 @@ TEST(AblationFlagsTest, SetGetAndNamesAgreeWithDeclaration) {
   AblationFlags flags;
   const std::vector<std::string>& names = AblationFlags::Names();
   const std::vector<std::string> declared = {
-      "cache", "parallel", "cow", "tie_break", "resilience", "shed"};
+      "cache", "cow", "tie_break", "resilience", "shed"};
   EXPECT_EQ(names, declared);
   for (const std::string& name : names) {
     StatusOr<bool> on = flags.Get(name);

@@ -75,7 +75,7 @@ class ServingConcurrentTest : public ::testing::Test {
 
 TEST_F(ServingConcurrentTest, AnswersConsistentWithOnePublishedVersion) {
   ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
-                             testing::SharedCache(256, 4));
+                             testing::SharedCache(256));
   storage::ProfileStore store(env_);
   store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(0)));
@@ -137,7 +137,7 @@ TEST_F(ServingConcurrentTest, ResilientServingUnderOverloadStaysUntorn) {
   // rung's cache lookups. Whatever rung answers, every tuple must be
   // consistent with the ONE version the answer's provenance names.
   ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
-                             testing::SharedCache(256, 4));
+                             testing::SharedCache(256));
   storage::ProfileStore store(env_);
   store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));

@@ -100,9 +100,9 @@ TEST_F(StaleCacheReproTest, ReloadUserMustNotServeStaleCachedResults) {
   ASSERT_OK(
       storage::WriteProfileFile(MuseumProfile(0.2), dir_ + "/u.profile"));
   ASSERT_OK(store.ReloadUser("u", dir_));
-  auto reloaded = store.GetProfile("u");
+  StatusOr<storage::SnapshotPtr> reloaded = store.GetSnapshot("u");
   ASSERT_OK(reloaded.status());
-  ASSERT_EQ((*reloaded)->version(), 1u);
+  ASSERT_EQ((*reloaded)->profile().version(), 1u);
 
   // The answer must reflect the published profile — never the retired
   // one. Without serving-version tags this hits the stale entry and

@@ -87,13 +87,11 @@ inline ContextualPreference Pref(const ContextEnvironment& env,
 
 /// Options of a one-replica `ReplicatedQueryCache` — the single shared
 /// cache — consumed inline at lookup, with `capacity` entries (0 =
-/// unbounded) over `num_shards` shards.
-inline ReplicatedQueryCache::Options SharedCache(size_t capacity = 0,
-                                                 size_t num_shards = 1) {
+/// unbounded).
+inline ReplicatedQueryCache::Options SharedCache(size_t capacity = 0) {
   ReplicatedQueryCache::Options options;
   options.num_replicas = 1;
   options.capacity_per_replica = capacity;
-  options.num_shards = num_shards;
   return options;
 }
 

@@ -77,18 +77,6 @@ TEST(WorkloadRunnerTest, CacheHitCostShrinksVirtualTime) {
             static_cast<int64_t>(off->ops) * cfg.service_micros);
 }
 
-TEST(WorkloadRunnerTest, ParallelAblationIsResultTransparent) {
-  ScenarioConfig cfg = SmallConfig();
-  cfg.states_per_query = 3;
-  cfg.threads = 4;
-  StatusOr<ScenarioResult> on = WorkloadRunner(cfg).Run();
-  cfg.ablation.parallel = false;
-  StatusOr<ScenarioResult> off = WorkloadRunner(cfg).Run();
-  ASSERT_TRUE(on.ok() && off.ok());
-  // The pool merge is order-fixed, so answers are bit-identical.
-  EXPECT_EQ(on->result_crc, off->result_crc);
-}
-
 TEST(WorkloadRunnerTest, ShedAblationChangesOverloadGoodput) {
   StatusOr<ScenarioConfig> parsed = ParseScenarioConfig(
       "name = overload\n"

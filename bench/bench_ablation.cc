@@ -140,7 +140,7 @@ int AblateQueryCache() {
   };
 
   auto [ms_off, cells_off] = run(nullptr);
-  ContextQueryTree cache(poi->env, Ordering::Identity(poi->env->size()), 64);
+  ContextQueryTree cache(64);
   auto [ms_on, cells_on] = run(&cache);
 
   std::printf("%-28s %12s %16s\n", "configuration", "time (ms)",

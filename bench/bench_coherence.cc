@@ -395,8 +395,7 @@ int Run(const Flags& flags) {
     constexpr size_t kStripes = 8;
     std::vector<std::unique_ptr<ContextQueryTree>> stripes;
     for (size_t i = 0; i < kStripes; ++i) {
-      stripes.push_back(std::make_unique<ContextQueryTree>(
-          env, Ordering::Identity(env->size()), /*capacity=*/128));
+      stripes.push_back(std::make_unique<ContextQueryTree>(/*capacity=*/128));
     }
     auto stripe_for = [&stripes](const ContextState& s) -> ContextQueryTree& {
       return *stripes[ContextStateHash{}(s) % kStripes];

@@ -129,7 +129,7 @@ BENCHMARK(BM_RankCS_EndToEnd);
 
 void BM_QueryCacheHit(benchmark::State& state) {
   workload::SyntheticProfile gen = MakeProfile(500, 0.0);
-  ContextQueryTree cache(gen.env, Ordering::Identity(gen.env->size()), 128);
+  ContextQueryTree cache(128);
   std::vector<ContextState> queries =
       workload::RandomQueryBatch(*gen.env, 64, 4, 0.3);
   for (const ContextState& q : queries) {
@@ -195,8 +195,7 @@ BENCHMARK(BM_ThreeStateQuery_Miss)->Arg(500);
 void BM_ThreeStateQuery_Hit(benchmark::State& state) {
   ThreeStateQueryRig rig(static_cast<size_t>(state.range(0)));
   FlatResolver resolver(rig.flat.get());
-  ContextQueryTree cache(rig.poi->env,
-                         Ordering::Identity(rig.poi->env->size()));
+  ContextQueryTree cache;
   // Warm every state; the timed loop then only hits.
   StatusOr<QueryResult> warm = CachedRankCS(
       rig.poi->relation, rig.query, resolver, "u", 1, cache, rig.options);

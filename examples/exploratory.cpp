@@ -109,8 +109,7 @@ int main() {
   //         form of the same tree.
   const FlatProfileTree flat = FlatProfileTree::Build(*tree);
   FlatResolver flat_resolver(&flat);
-  ContextQueryTree cache(poi->env, Ordering::Identity(env.size()),
-                         /*capacity=*/64);
+  ContextQueryTree cache(/*capacity=*/64);
   for (int round = 0; round < 3; ++round) {
     StatusOr<QueryResult> cached =
         CachedRankCS(poi->relation, query, flat_resolver, "",

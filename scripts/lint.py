@@ -30,6 +30,13 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               docs/static_analysis.md — the enum is the single source
               of truth and the doc must not drift from it.
 
+  lock-name-doc  Every name passed to a util::Mutex / util::SharedMutex
+              constructor under src/ (the string after its LockRank)
+              must be listed in docs/static_analysis.md's lock table,
+              and every mutex the table lists must be constructed under
+              that name in src/ — a renamed or deleted lock cannot
+              leave the table stale.
+
   ablation-doc  The rows of docs/scenarios.md's ablation table must
               name exactly the flags declared in the
               CTXPREF_ABLATION_FLAGS X-macro
@@ -95,6 +102,9 @@ ALLOW = re.compile(r"//\s*lint:allow\((?P<check>[\w-]+)\)")
 LOCK_RANK_ENUM = "src/util/mutex.h"
 LOCK_RANK_DOC = "docs/static_analysis.md"
 LOCK_RANK_USE = re.compile(r"\bLockRank::(k\w+)")
+# A ranked mutex's constructor arguments: `{util::LockRank::kX, "Name"}`
+# (or the parenthesized form), possibly split across lines.
+MUTEX_NAME_ARG = re.compile(r"\bLockRank::k\w+\s*,\s*\"([^\"]+)\"")
 
 ABLATION_HEADER = "src/harness/scenario_config.h"
 ABLATION_DOC = "docs/scenarios.md"
@@ -282,6 +292,61 @@ def check_lock_rank_doc(ranks, findings):
                          "missing from the lock-hierarchy table")
 
 
+def constructed_mutex_names():
+    """{name: (path, line)} of each ranked mutex constructed in src/."""
+    names = {}
+    for dirpath, _, files in os.walk("src"):
+        for fname in sorted(files):
+            if not fname.endswith((".h", ".cc")):
+                continue
+            path = os.path.join(dirpath, fname)
+            with open(path, encoding="utf-8", errors="replace") as f:
+                text = f.read()
+            for m in MUTEX_NAME_ARG.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                names.setdefault(m.group(1), (path, line))
+    return names
+
+
+def documented_mutex_names():
+    """(line, name) of each mutex in the lock table's third column: the
+    backticked names before the cell's parenthesized remark."""
+    with open(LOCK_RANK_DOC, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = []
+    for i, line in enumerate(lines, 1):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not re.fullmatch(r"`k\w+`", cells[0]):
+            continue
+        for name in re.findall(r"`([^`]+)`", cells[2].split("(", 1)[0]):
+            rows.append((i, name))
+    return rows
+
+
+def check_lock_name_doc(findings):
+    """The lock table and the src/ mutex constructors name the same
+    mutexes, in both directions."""
+    try:
+        rows = documented_mutex_names()
+    except OSError:
+        findings.add(LOCK_RANK_DOC, 1, "lock-name-doc",
+                     "cannot read the lock-hierarchy doc")
+        return
+    constructed = constructed_mutex_names()
+    documented = {name for _, name in rows}
+    for name, (path, line) in sorted(constructed.items()):
+        if name not in documented:
+            findings.add(path, line, "lock-name-doc",
+                         f"mutex '{name}' is missing from the lock table "
+                         f"in {LOCK_RANK_DOC}")
+    for line, name in rows:
+        if name not in constructed:
+            findings.add(LOCK_RANK_DOC, line, "lock-name-doc",
+                         f"lock table lists mutex '{name}', which no "
+                         "util::Mutex / util::SharedMutex in src/ is "
+                         "constructed as")
+
+
 def doc_table_keys(doc_lines, heading):
     """(line number, name) of each row of the first table under the
     markdown `heading` whose first cell is one backticked name."""
@@ -455,6 +520,7 @@ def main():
     for path in files:
         lint_file(os.path.normpath(path), ranks, findings)
     check_lock_rank_doc(ranks, findings)
+    check_lock_name_doc(findings)
     check_ablation_doc(findings)
     check_scenario_key_doc(findings)
     check_bench_doc(findings)

@@ -37,6 +37,9 @@ struct SizeKey {
   const char* key;
   size_t* out;
   size_t min;  ///< Smallest accepted value.
+  /// Largest accepted value: the runner sizes buffers from these keys
+  /// up front, so an absurd value must fail here, not in an allocator.
+  size_t max;
 };
 struct RateKey {
   const char* key;
@@ -103,15 +106,15 @@ StatusOr<ScenarioConfig> ParseScenarioConfig(std::string_view text) {
   ScenarioConfig cfg;
 
   const SizeKey size_keys[] = {
-      {"users", &cfg.users, 1},
-      {"pois", &cfg.pois, 1},
-      {"profile_size", &cfg.profile_size, 1},
-      {"ops", &cfg.ops, 1},
-      {"states_per_query", &cfg.states_per_query, 1},
-      {"top_k", &cfg.top_k, 1},
-      {"max_in_flight", &cfg.max_in_flight, 1},
-      {"cache_capacity", &cfg.cache_capacity, 0},
-      {"coherence_replicas", &cfg.coherence_replicas, 1},
+      {"users", &cfg.users, 1, 100'000},
+      {"pois", &cfg.pois, 1, 1'000'000},
+      {"profile_size", &cfg.profile_size, 1, 100'000},
+      {"ops", &cfg.ops, 1, 100'000'000},
+      {"states_per_query", &cfg.states_per_query, 1, 1'000},
+      {"top_k", &cfg.top_k, 1, 1'000'000},
+      {"max_in_flight", &cfg.max_in_flight, 1, 1'000'000},
+      {"cache_capacity", &cfg.cache_capacity, 0, 1'000'000'000},
+      {"coherence_replicas", &cfg.coherence_replicas, 1, 1'024},
   };
   const RateKey rate_keys[] = {
       {"profile_zipf_a", &cfg.profile_zipf_a, 1e9},
@@ -218,6 +221,10 @@ StatusOr<ScenarioConfig> ParseScenarioConfig(std::string_view text) {
       if (static_cast<size_t>(v) < k.min) {
         return BadValue(lineno, key, value,
                         "must be >= " + std::to_string(k.min));
+      }
+      if (static_cast<size_t>(v) > k.max) {
+        return BadValue(lineno, key, value,
+                        "must be <= " + std::to_string(k.max));
       }
       *k.out = static_cast<size_t>(v);
       handled = true;

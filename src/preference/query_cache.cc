@@ -56,82 +56,14 @@ constexpr uint64_t kMetricsFlushStride = 64;
 
 }  // namespace
 
-ContextQueryTree::ContextQueryTree(EnvironmentPtr env, Ordering order,
-                                   size_t capacity)
-    : env_(std::move(env)), order_(std::move(order)), capacity_(capacity) {
-  assert(order_.size() == env_->size());
-}
+ContextQueryTree::ContextQueryTree(size_t capacity) : capacity_(capacity) {}
 
-ContextQueryTree::Node* ContextQueryTree::Descend(const std::string& user,
-                                                  const ContextState& state,
-                                                  bool create,
-                                                  AccessCounter* counter) {
-  Node* node;
-  auto root_it = roots_.find(user);
-  if (root_it == roots_.end()) {
-    if (!create) return nullptr;
-    root_it = roots_.emplace(user, std::make_unique<Node>()).first;
-  }
-  node = root_it->second.get();
-  for (size_t level = 0; level < env_->size(); ++level) {
-    const ValueRef key = state.value(order_.param_at_level(level));
-    Node* next = nullptr;
-    for (Node::Cell& cell : node->cells) {
-      if (counter != nullptr) counter->AddCell();
-      if (cell.key == key) {
-        next = cell.child.get();
-        break;
-      }
-    }
-    if (next == nullptr) {
-      if (!create) return nullptr;
-      node->cells.push_back(Node::Cell{key, std::make_unique<Node>()});
-      next = node->cells.back().child.get();
-    }
-    node = next;
-  }
-  return node;
-}
-
-void ContextQueryTree::RemovePath(const std::string& user,
-                                  const ContextState& state) {
-  auto root_it = roots_.find(user);
-  if (root_it == roots_.end()) return;
-  // Collect the node chain, then erase the deepest link whose subtree
-  // becomes empty.
-  std::vector<Node*> chain = {root_it->second.get()};
-  for (size_t level = 0; level < env_->size(); ++level) {
-    const ValueRef key = state.value(order_.param_at_level(level));
-    Node* next = nullptr;
-    for (Node::Cell& cell : chain.back()->cells) {
-      if (cell.key == key) {
-        next = cell.child.get();
-        break;
-      }
-    }
-    if (next == nullptr) return;  // Path absent; nothing to remove.
-    chain.push_back(next);
-  }
-  chain.back()->leaf.reset();
-  // Prune empty nodes bottom-up.
-  for (size_t level = env_->size(); level > 0; --level) {
-    Node* child = chain[level];
-    if (!child->cells.empty() || child->leaf != nullptr) break;
-    Node* parent = chain[level - 1];
-    const ValueRef key = state.value(order_.param_at_level(level - 1));
-    for (auto it = parent->cells.begin(); it != parent->cells.end(); ++it) {
-      if (it->key == key) {
-        parent->cells.erase(it);
-        break;
-      }
-    }
-  }
-  // An empty per-user trie is dropped outright so idle users cost
-  // nothing in the roots map.
-  Node* root = root_it->second.get();
-  if (root->cells.empty() && root->leaf == nullptr) {
-    roots_.erase(root_it);
-  }
+ContextQueryTree::Leaf* ContextQueryTree::Find(const std::string& user,
+                                               const ContextState& state) {
+  auto user_it = users_.find(user);
+  if (user_it == users_.end()) return nullptr;
+  auto it = user_it->second.find(state);
+  return it == user_it->second.end() ? nullptr : &it->second;
 }
 
 std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
@@ -148,10 +80,10 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
   {
     util::MutexLock lock(mu_);
     ++lookups_;
-    Node* node = Descend(user, state, /*create=*/false, counter);
-    if (node == nullptr || node->leaf == nullptr ||
-        node->leaf->version != profile_version ||
-        node->leaf->entry->config != config) {
+    if (counter != nullptr) counter->AddCell();
+    Leaf* leaf = Find(user, state);
+    if (leaf == nullptr || leaf->version != profile_version ||
+        leaf->entry->config != config) {
       // Absent, at another version, or computed under other options:
       // the caller recomputes and its Put replaces the entry. A skewed
       // entry stays reachable for LookupAtOrBefore's staleness window
@@ -160,10 +92,10 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
       ++pending_misses_;
     } else {
       // Refresh LRU position.
-      lru_.splice(lru_.begin(), lru_, node->leaf->lru_it);
+      lru_.splice(lru_.begin(), lru_, leaf->lru_it);
       ++hits_;
       ++pending_hits_;
-      result = node->leaf->entry;
+      result = leaf->entry;
     }
     if (++pending_lookups_ >= kMetricsFlushStride) {
       metrics.lookups.Increment(pending_lookups_);
@@ -197,16 +129,15 @@ ContextQueryTree::LookupAtOrBefore(const std::string& user,
   {
     util::MutexLock lock(mu_);
     ++lookups_;
-    Node* node = Descend(user, state, /*create=*/false, counter);
-    if (node != nullptr && node->leaf != nullptr &&
-        node->leaf->version <= max_version &&
-        node->leaf->version >= min_version &&
-        node->leaf->entry->config == config) {
-      lru_.splice(lru_.begin(), lru_, node->leaf->lru_it);
+    if (counter != nullptr) counter->AddCell();
+    Leaf* leaf = Find(user, state);
+    if (leaf != nullptr && leaf->version <= max_version &&
+        leaf->version >= min_version && leaf->entry->config == config) {
+      lru_.splice(lru_.begin(), lru_, leaf->lru_it);
       ++hits_;
       ++pending_hits_;
-      if (entry_version != nullptr) *entry_version = node->leaf->version;
-      result = node->leaf->entry;
+      if (entry_version != nullptr) *entry_version = leaf->version;
+      result = leaf->entry;
     } else {
       // Absent, outside the window or of other options: plain miss,
       // nothing dropped.
@@ -248,26 +179,26 @@ void ContextQueryTree::PutEntry(const std::string& user,
   TraceSpan span("query_cache.put");
   ScopedLatency latency(&metrics.put_latency);
   util::MutexLock lock(mu_);
-  Node* node = Descend(user, state, /*create=*/true, nullptr);
-  if (node->leaf != nullptr) {
+  auto [leaf_it, inserted] = users_[user].try_emplace(state);
+  Leaf& leaf = leaf_it->second;
+  leaf.entry = std::move(entry);
+  leaf.version = profile_version;
+  if (!inserted) {
     // Overwrite in place; readers holding the old snapshot keep it.
-    node->leaf->entry = std::move(entry);
-    node->leaf->version = profile_version;
-    lru_.splice(lru_.begin(), lru_, node->leaf->lru_it);
+    lru_.splice(lru_.begin(), lru_, leaf.lru_it);
     return;
   }
   lru_.push_front(EntryKey{user, state});
-  node->leaf = std::make_unique<Leaf>();
-  node->leaf->entry = std::move(entry);
-  node->leaf->version = profile_version;
-  node->leaf->lru_it = lru_.begin();
-  ++size_;
+  leaf.lru_it = lru_.begin();
 
-  if (capacity_ > 0 && size_ > capacity_) {
-    const EntryKey victim = lru_.back();
+  if (capacity_ > 0 && lru_.size() > capacity_) {
+    // Evict from the victim's map, dropping the map once empty (so an
+    // inactive user costs nothing).
+    const EntryKey& victim = lru_.back();
+    auto user_it = users_.find(victim.user);
+    user_it->second.erase(victim.state);
+    if (user_it->second.empty()) users_.erase(user_it);
     lru_.pop_back();
-    RemovePath(victim.user, victim.state);
-    --size_;
     ++evictions_;
     metrics.evictions.Increment();
   }
@@ -279,22 +210,13 @@ size_t ContextQueryTree::InvalidateUser(const std::string& user) {
   size_t dropped = 0;
   {
     util::MutexLock lock(mu_);
-    auto root_it = roots_.find(user);
-    if (root_it != roots_.end()) {
-      // Dropping the user's whole trie frees every leaf at once; the
-      // LRU list is then swept of the user's keys (each leaf owns
-      // exactly one LRU node, so the sweep count equals the leaves
-      // dropped).
-      roots_.erase(root_it);
-      for (auto it = lru_.begin(); it != lru_.end();) {
-        if (it->user == user) {
-          it = lru_.erase(it);
-          ++dropped;
-        } else {
-          ++it;
-        }
-      }
-      size_ -= dropped;
+    auto user_it = users_.find(user);
+    if (user_it != users_.end()) {
+      // Each leaf owns exactly one LRU node: unlink them through the
+      // stored iterators, then drop the user's whole map.
+      for (const auto& [state, leaf] : user_it->second) lru_.erase(leaf.lru_it);
+      dropped = user_it->second.size();
+      users_.erase(user_it);
       invalidations_ += dropped;
     }
   }
@@ -314,23 +236,19 @@ size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
   size_t dropped = 0;
   {
     util::MutexLock lock(mu_);
-    if (roots_.find(user) != roots_.end()) {
-      // The LRU list is the only flat enumeration of a user's cached
-      // states (trie leaves do not store their own path), so collect
-      // the user's keys first, then check each leaf's version tag.
-      std::vector<ContextState> states;
-      for (const EntryKey& key : lru_) {
-        if (key.user == user) states.push_back(key.state);
-      }
-      for (const ContextState& state : states) {
-        Node* node = Descend(user, state, /*create=*/false, nullptr);
-        if (node == nullptr || node->leaf == nullptr) continue;
-        if (node->leaf->version >= version) continue;  // Inside the window.
-        lru_.erase(node->leaf->lru_it);
-        RemovePath(user, state);
-        --size_;
+    auto user_it = users_.find(user);
+    if (user_it != users_.end()) {
+      UserMap& states = user_it->second;
+      for (auto it = states.begin(); it != states.end();) {
+        if (it->second.version >= version) {  // Inside the window.
+          ++it;
+          continue;
+        }
+        lru_.erase(it->second.lru_it);
+        it = states.erase(it);
         ++dropped;
       }
+      if (states.empty()) users_.erase(user_it);
       invalidations_ += dropped;
     }
   }
@@ -345,9 +263,8 @@ size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
 
 void ContextQueryTree::InvalidateAll() {
   util::MutexLock lock(mu_);
-  roots_.clear();
+  users_.clear();
   lru_.clear();
-  size_ = 0;
 }
 
 CacheStats ContextQueryTree::Stats() const {
@@ -358,7 +275,7 @@ CacheStats ContextQueryTree::Stats() const {
   stats.misses = misses_;
   stats.evictions = evictions_;
   stats.invalidations = invalidations_;
-  stats.size = size_;
+  stats.size = lru_.size();
   return stats;
 }
 

@@ -10,7 +10,6 @@
 
 #include "db/ranker.h"
 #include "preference/contextual_query.h"
-#include "preference/ordering.h"
 #include "util/counters.h"
 #include "util/mutex.h"
 
@@ -53,10 +52,12 @@ struct CacheConfig {
 /// the published text — this is our documented reconstruction, see
 /// DESIGN.md).
 ///
-/// Structure: every *user* owns one trie isomorphic to the profile tree
-/// and keyed by *query* context states, under one mutex and one LRU
-/// list; each leaf caches the ranked tuples and winning resolution
-/// candidates previously computed for that `(user, state)`. A serving
+/// Structure: every *user* owns one hash map from *query* context
+/// state to a cached leaf, under one mutex and one LRU list spanning
+/// every user; each leaf caches the ranked tuples and winning
+/// resolution candidates previously computed for that `(user, state)`.
+/// Every lookup is an exact match on the state, so a map is all the
+/// structure the cache needs (no lookup searches by cover). A serving
 /// thread reads its own tree (one `ReplicatedQueryCache` replica), so
 /// the lock is uncontended on the serving path.
 /// Entries are tagged with the profile version they were computed from
@@ -94,10 +95,8 @@ class ContextQueryTree {
   };
 
   /// `capacity` = number of cached states (0 = unbounded); the LRU
-  /// order spans every user's trie.
-  ContextQueryTree(EnvironmentPtr env, Ordering order, size_t capacity = 0);
-
-  const ContextEnvironment& env() const { return *env_; }
+  /// order spans every user's map.
+  explicit ContextQueryTree(size_t capacity = 0);
 
   /// The counters, read under the tree's lock.
   CacheStats Stats() const;
@@ -111,8 +110,8 @@ class ContextQueryTree {
   /// Returns the cached entry for `user`'s `state` if present, computed
   /// at `profile_version` and under `config`. An entry at another
   /// version or of another config is a plain miss and stays in place
-  /// (the caller's recompute `Put`s over it). Ticks `counter` per
-  /// inspected cell (the cache costs cells too). The returned snapshot
+  /// (the caller's recompute `Put`s over it). Ticks `counter` once for
+  /// the probe (the cache costs cells too). The returned snapshot
   /// stays valid after concurrent mutations.
   std::shared_ptr<const Entry> Lookup(const std::string& user,
                                       const ContextState& state,
@@ -186,9 +185,8 @@ class ContextQueryTree {
   void InvalidateAll();
 
  private:
-  struct Node;
-  /// LRU identity of one cached entry: which user's trie it lives in
-  /// and under which state path.
+  /// LRU identity of one cached entry: which user's map it lives in
+  /// and under which state.
   struct EntryKey {
     std::string user;
     ContextState state;
@@ -198,25 +196,12 @@ class ContextQueryTree {
     uint64_t version = 0;
     std::list<EntryKey>::iterator lru_it;
   };
-  struct Node {
-    struct Cell {
-      ValueRef key;
-      std::unique_ptr<Node> child;
-    };
-    std::vector<Cell> cells;
-    std::unique_ptr<Leaf> leaf;  // Set on leaf nodes only.
-  };
+  using UserMap = std::unordered_map<ContextState, Leaf, ContextStateHash>;
 
-  /// Walks `user`'s trie along `state`.
-  Node* Descend(const std::string& user, const ContextState& state,
-                bool create, AccessCounter* counter) REQUIRES(mu_);
-  /// Removes the path for `state` from `user`'s trie, pruning empty
-  /// nodes (and the trie itself once empty).
-  void RemovePath(const std::string& user, const ContextState& state)
+  /// `user`'s leaf for `state`, or null.
+  Leaf* Find(const std::string& user, const ContextState& state)
       REQUIRES(mu_);
 
-  EnvironmentPtr env_;
-  Ordering order_;
   size_t capacity_;  ///< 0 = unbounded.
   /// Ranks `kCacheShard` — below the coherence locks (a replica's
   /// consume step invalidates entries while holding its consume mutex),
@@ -224,13 +209,11 @@ class ContextQueryTree {
   /// lock-free atomics).
   mutable util::Mutex mu_{util::LockRank::kCacheShard,
                           "ContextQueryTree.mu"};
-  /// One trie per user with cached entries; a user's trie is erased
-  /// when its last entry goes (so an inactive user costs nothing).
-  std::unordered_map<std::string, std::unique_ptr<Node>> roots_
-      GUARDED_BY(mu_);
-  /// Front = most recently used.
+  /// One map per user with cached entries; a user's map is erased
+  /// when its last entry goes.
+  std::unordered_map<std::string, UserMap> users_ GUARDED_BY(mu_);
+  /// Front = most recently used; one node per cached entry.
   std::list<EntryKey> lru_ GUARDED_BY(mu_);
-  size_t size_ GUARDED_BY(mu_) = 0;
   uint64_t lookups_ GUARDED_BY(mu_) = 0;
   uint64_t hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;

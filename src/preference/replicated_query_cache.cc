@@ -46,31 +46,18 @@ size_t HashThisThread() {
 
 }  // namespace
 
-CoherenceLog::CoherenceLog(size_t num_consumers, size_t num_buffers)
+CoherenceLog::CoherenceLog(size_t num_consumers)
     : num_consumers_(num_consumers) {
-  if (num_buffers == 0) num_buffers = 1;
-  buffers_.reserve(num_buffers);
-  for (size_t i = 0; i < num_buffers; ++i) {
-    auto buffer = std::make_unique<Buffer>();
-    {
-      util::MutexLock lock(buffer->mu);
-      buffer->cursors.assign(num_consumers_, 0);
-    }
-    buffers_.push_back(std::move(buffer));
-  }
-}
-
-CoherenceLog::Buffer& CoherenceLog::BufferForThisThread() {
-  return *buffers_[HashThisThread() % buffers_.size()];
+  util::MutexLock lock(mu_);
+  cursors_.assign(num_consumers_, 0);
 }
 
 void CoherenceLog::Append(const std::string& user, uint64_t version,
                           bool drop_all) {
   CoherenceMetrics& metrics = CoherenceMetrics::Get();
-  Buffer& buffer = BufferForThisThread();
   {
-    util::MutexLock lock(buffer.mu);
-    buffer.records.push_back(Record{user, version, drop_all});
+    util::MutexLock lock(mu_);
+    records_.push_back(Record{user, version, drop_all});
   }
   RaiseWatermark(version);
   depth_.fetch_add(1, std::memory_order_relaxed);
@@ -96,40 +83,33 @@ void CoherenceLog::RaiseWatermark(uint64_t version) {
 size_t CoherenceLog::Consume(size_t id,
                              const std::function<void(const Record&)>& apply) {
   CoherenceMetrics& metrics = CoherenceMetrics::Get();
-  size_t applied = 0;
   size_t truncated = 0;
   std::vector<Record> pending;
-  for (std::unique_ptr<Buffer>& owned : buffers_) {
-    Buffer& buffer = *owned;
-    pending.clear();
-    {
-      util::MutexLock lock(buffer.mu);
-      const uint64_t end = buffer.base + buffer.records.size();
-      uint64_t& cursor = buffer.cursors[id];
-      for (uint64_t i = std::max(cursor, buffer.base); i < end; ++i) {
-        pending.push_back(buffer.records[i - buffer.base]);
-      }
-      cursor = end;
-      // Truncate the prefix every consumer has passed. Logical indices
-      // keep the other consumers' cursors valid across the erase.
-      const uint64_t min_cursor =
-          *std::min_element(buffer.cursors.begin(), buffer.cursors.end());
-      if (min_cursor > buffer.base) {
-        const size_t drop = min_cursor - buffer.base;
-        buffer.records.erase(buffer.records.begin(),
-                             buffer.records.begin() + drop);
-        buffer.base = min_cursor;
-        truncated += drop;
-      }
+  {
+    util::MutexLock lock(mu_);
+    const uint64_t end = base_ + records_.size();
+    uint64_t& cursor = cursors_[id];
+    for (uint64_t i = std::max(cursor, base_); i < end; ++i) {
+      pending.push_back(records_[i - base_]);
     }
-    // Apply outside the log lock: the callback takes the replica
-    // tree's lock (kCacheShard > kCoherenceLog, but no reason to hold
-    // the buffer against writers while trees are pruned).
-    for (const Record& record : pending) {
-      apply(record);
+    cursor = end;
+    // Truncate the prefix every consumer has passed. Logical indices
+    // keep the other consumers' cursors valid across the erase.
+    const uint64_t min_cursor =
+        *std::min_element(cursors_.begin(), cursors_.end());
+    if (min_cursor > base_) {
+      truncated = min_cursor - base_;
+      records_.erase(records_.begin(), records_.begin() + truncated);
+      base_ = min_cursor;
     }
-    applied += pending.size();
   }
+  // Apply outside the log lock: the callback takes the replica tree's
+  // lock (kCacheShard > kCoherenceLog, but no reason to hold the log
+  // against writers while trees are pruned).
+  for (const Record& record : pending) {
+    apply(record);
+  }
+  const size_t applied = pending.size();
   if (truncated > 0) {
     depth_.fetch_sub(truncated, std::memory_order_relaxed);
   }
@@ -140,23 +120,17 @@ size_t CoherenceLog::Consume(size_t id,
   return applied;
 }
 
-ReplicatedQueryCache::Replica::Replica(EnvironmentPtr env, Ordering order,
-                                       size_t capacity)
-    : tree(std::move(env), std::move(order), capacity) {}
-
 ReplicatedQueryCache::ReplicatedQueryCache(EnvironmentPtr env, Ordering order)
-    : ReplicatedQueryCache(std::move(env), order, Options()) {}
+    : ReplicatedQueryCache(std::move(env), std::move(order), Options()) {}
 
-ReplicatedQueryCache::ReplicatedQueryCache(EnvironmentPtr env, Ordering order,
+ReplicatedQueryCache::ReplicatedQueryCache(EnvironmentPtr, Ordering,
                                            Options options)
-    : options_(options),
-      log_(std::max<size_t>(options.num_replicas, 1),
-           options.num_writer_buffers) {
+    : options_(options), log_(std::max<size_t>(options.num_replicas, 1)) {
   const size_t n = std::max<size_t>(options.num_replicas, 1);
   replicas_.reserve(n);
   for (size_t r = 0; r < n; ++r) {
-    replicas_.push_back(std::make_unique<Replica>(
-        env, order, options.capacity_per_replica));
+    replicas_.push_back(
+        std::make_unique<Replica>(options.capacity_per_replica));
   }
 }
 

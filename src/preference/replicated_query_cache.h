@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "preference/ordering.h"
 #include "preference/query_cache.h"
 #include "util/mutex.h"
 
@@ -15,14 +16,14 @@ namespace ctxpref {
 
 /// Log-based cache coherence — the one way a query cache hears about a
 /// publish (docs/coherence.md). A writer appends one
-/// `{user, serving_version}` invalidation record to its own
-/// append-only log buffer (one mutex, no cache locks), and each
-/// replica *consumes* the logs on its own schedule — dropping dead
-/// entries from its private tree and advancing a consumed-version
-/// clock. A replica may serve a cache hit iff its clock covers the
-/// pinned snapshot's serving version; otherwise the read falls through
-/// to the uncached miss path. A single shared cache is a
-/// `ReplicatedQueryCache` with one replica.
+/// `{user, serving_version}` invalidation record to the append-only
+/// log (one mutex, no cache locks), and each replica *consumes* the
+/// log on its own schedule — dropping dead entries from its private
+/// tree and advancing a consumed-version clock. A replica may serve a
+/// cache hit iff its clock covers the pinned snapshot's serving
+/// version; otherwise the read falls through to the uncached miss
+/// path. A single shared cache is a `ReplicatedQueryCache` with one
+/// replica.
 ///
 /// Correctness splits into two independent guarantees:
 ///
@@ -51,25 +52,21 @@ class CoherenceLog {
     bool drop_all = false;
   };
 
-  static constexpr size_t kDefaultWriterBuffers = 4;
-
-  /// `num_consumers` cursors are tracked per buffer (one per replica);
-  /// records are truncated once every consumer has passed them.
-  explicit CoherenceLog(size_t num_consumers,
-                        size_t num_buffers = kDefaultWriterBuffers);
+  /// `num_consumers` cursors are tracked (one per replica); records
+  /// are truncated once every consumer has passed them.
+  explicit CoherenceLog(size_t num_consumers);
 
   CoherenceLog(const CoherenceLog&) = delete;
   CoherenceLog& operator=(const CoherenceLog&) = delete;
 
-  /// Writer side: appends `{user, version}` to the calling thread's
-  /// buffer (stable thread -> buffer mapping, so one writer's records
-  /// stay in order) and advances the append watermark. O(1) amortized;
-  /// takes only that buffer's mutex — never a cache lock.
+  /// Writer side: appends `{user, version}` to the log (records stay
+  /// in global append order) and advances the append watermark. O(1)
+  /// amortized; takes only the log's mutex — never a cache lock.
   void Append(const std::string& user, uint64_t version,
               bool drop_all = false);
 
-  /// Consumer side: drains every buffer past consumer `id`'s cursor,
-  /// invoking `apply` per record in buffer order, and truncates
+  /// Consumer side: drains the log past consumer `id`'s cursor,
+  /// invoking `apply` per record in append order, and truncates
   /// records every consumer has passed. Returns the number of records
   /// applied. `apply` runs with no log lock held (it takes a replica
   /// tree's lock). The caller must serialize calls per consumer id
@@ -96,28 +93,21 @@ class CoherenceLog {
   size_t depth() const { return depth_.load(std::memory_order_relaxed); }
 
   size_t num_consumers() const { return num_consumers_; }
-  size_t num_buffers() const { return buffers_.size(); }
 
  private:
-  /// One per-writer append-only buffer. `base` is the logical index of
-  /// `records[0]`; cursors are logical indices, so truncation (erasing
-  /// a consumed prefix and advancing `base`) never invalidates them.
-  struct Buffer {
-    mutable util::Mutex mu{util::LockRank::kCoherenceLog,
-                           "CoherenceLog.Buffer.mu"};
-    uint64_t base GUARDED_BY(mu) = 0;
-    std::vector<Record> records GUARDED_BY(mu);
-    std::vector<uint64_t> cursors GUARDED_BY(mu);
-  };
-
-  Buffer& BufferForThisThread();
   /// Release fetch-max of the watermark to `version`.
   void RaiseWatermark(uint64_t version);
 
   size_t num_consumers_;
   std::atomic<uint64_t> max_appended_{0};
   std::atomic<size_t> depth_{0};
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  /// `base_` is the logical index of `records_[0]`; cursors are logical
+  /// indices, so truncation (erasing a consumed prefix and advancing
+  /// `base_`) never invalidates them.
+  mutable util::Mutex mu_{util::LockRank::kCoherenceLog, "CoherenceLog.mu"};
+  uint64_t base_ GUARDED_BY(mu_) = 0;
+  std::vector<Record> records_ GUARDED_BY(mu_);
+  std::vector<uint64_t> cursors_ GUARDED_BY(mu_);
 };
 
 /// N private `ContextQueryTree` replicas kept coherent through a
@@ -147,7 +137,6 @@ class ReplicatedQueryCache {
     size_t num_replicas = 2;
     /// Per-replica `ContextQueryTree` capacity (0 = unbounded).
     size_t capacity_per_replica = 0;
-    size_t num_writer_buffers = CoherenceLog::kDefaultWriterBuffers;
     /// How many serving versions behind a record's version an entry
     /// may be and still survive the consume step — the retention the
     /// degradation ladder's stale rung reads through
@@ -157,11 +146,14 @@ class ReplicatedQueryCache {
     ConsumeMode mode = ConsumeMode::kInlineAtLookup;
   };
 
-  ReplicatedQueryCache(EnvironmentPtr env, Ordering order, Options options);
+  /// The environment and ordering arguments are unused (a replica's
+  /// tree is a per-user map keyed by whole states); they remain for
+  /// callers that still pass them.
+  ReplicatedQueryCache(EnvironmentPtr, Ordering, Options options);
   /// Default options (delegates; a defaulted `Options` argument would
   /// need the nested class's member initializers before the enclosing
   /// class is complete, which GCC rejects).
-  ReplicatedQueryCache(EnvironmentPtr env, Ordering order);
+  ReplicatedQueryCache(EnvironmentPtr, Ordering);
 
   ReplicatedQueryCache(const ReplicatedQueryCache&) = delete;
   ReplicatedQueryCache& operator=(const ReplicatedQueryCache&) = delete;
@@ -219,7 +211,7 @@ class ReplicatedQueryCache {
 
  private:
   struct Replica {
-    explicit Replica(EnvironmentPtr env, Ordering order, size_t capacity);
+    explicit Replica(size_t capacity) : tree(capacity) {}
 
     ContextQueryTree tree;           ///< Internally synchronized.
     std::atomic<uint64_t> clock{0};  ///< Consumed-version clock.

@@ -141,7 +141,7 @@ Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
         static_cast<int64_t>(MonotonicNanos() - old->publish_nanos()));
   }
   // The writer appends one `{user, serving_version}` record — touching
-  // only its own log buffer, never a cache lock — and replicated caches
+  // only the log's mutex, never a cache lock — and replicated caches
   // drain it on their own schedule (docs/coherence.md). A lookup racing
   // ahead cannot be served stale data: entries are version-tagged and
   // the new serving version never equals the old.

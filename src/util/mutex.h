@@ -68,9 +68,9 @@ enum class LockRank : int {
   /// (kCoherenceLog) and the replica tree's dead-entry drops
   /// (kCacheShard) below it.
   kCoherenceConsume = 32,
-  /// CoherenceLog per-writer buffer mutexes — appends come from the
-  /// store's publish path (under write_mu), drains from a replica's
-  /// consume step (under consume_mu); never two buffers at once.
+  /// CoherenceLog::mu_ — appends come from the store's publish path
+  /// (under write_mu), drains from a replica's consume step (under
+  /// consume_mu).
   kCoherenceLog = 35,
   /// ContextQueryTree::mu_ — one lock per tree (each replica's tree is
   /// its own shard of the serving cache); acquired under a replica's

@@ -388,7 +388,7 @@ TEST_P(CoherenceDifferentialTest, ChaosChurnNeverServesTornAnswers) {
 // ---- (3) Directed: clock, window, drop_all, cursors -----------------
 
 TEST(CoherenceLogTest, CursorsTruncationAndWatermark) {
-  CoherenceLog log(/*num_consumers=*/2, /*num_buffers=*/1);
+  CoherenceLog log(/*num_consumers=*/2);
   EXPECT_EQ(log.max_appended(), 0u);
   EXPECT_EQ(log.depth(), 0u);
 

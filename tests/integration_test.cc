@@ -97,7 +97,7 @@ TEST_F(IntegrationTest, FullPipeline) {
   // arena serves the cached path.
   TreeResolver resolver(&(*pinned)->tree());
   FlatResolver flat_resolver((*pinned)->flat_tree());
-  ContextQueryTree cache(*env, Ordering::Identity((*env)->size()), 32);
+  ContextQueryTree cache(32);
 
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
       **env,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <list>
 #include <map>
 #include <optional>
@@ -78,7 +79,7 @@ class CacheModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CacheModelTest, RandomOpsMatchReferenceLru) {
   EnvironmentPtr env = PaperEnv();
   constexpr size_t kCapacity = 8;
-  ContextQueryTree cache(env, Ordering::Identity(env->size()), kCapacity);
+  ContextQueryTree cache(kCapacity);
   ReferenceLru reference(kCapacity);
 
   Rng rng(GetParam());
@@ -118,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheModelTest,
 // ---------------------------------------------------------------------
 
 /// The multi-tenant reference: one recency list over (user, state)
-/// pairs, per-entry version tags, and a per-user purge.
+/// pairs, per-entry version tags, a bounded-staleness lookup and the
+/// two per-user purges the coherence consume step applies.
 class MultiUserReferenceLru {
  public:
   using Key = std::pair<std::string, ContextState>;
@@ -133,6 +135,23 @@ class MultiUserReferenceLru {
     if (it == entries_.end()) return nullptr;
     // A version-skewed entry is a plain miss: kept, recency untouched.
     if (it->second.version != version) return nullptr;
+    Touch(k);
+    return &entries_.find(k)->second.tuples;
+  }
+
+  /// The stale rung's lookup: a hit iff the entry's version lies in
+  /// `[min_version, max_version]`; an out-of-window entry is a plain
+  /// miss that stays.
+  const std::vector<db::ScoredTuple>* LookupAtOrBefore(
+      const std::string& user, const ContextState& s, uint64_t max_version,
+      uint64_t min_version, uint64_t* entry_version) {
+    const Key k{user, s};
+    auto it = entries_.find(k);
+    if (it == entries_.end() || it->second.version > max_version ||
+        it->second.version < min_version) {
+      return nullptr;
+    }
+    *entry_version = it->second.version;
     Touch(k);
     return &entries_.find(k)->second.tuples;
   }
@@ -155,9 +174,14 @@ class MultiUserReferenceLru {
   }
 
   size_t InvalidateUser(const std::string& user) {
+    return InvalidateUserBelow(user, UINT64_MAX);
+  }
+
+  /// Drops `user`'s entries tagged strictly below `version`.
+  size_t InvalidateUserBelow(const std::string& user, uint64_t version) {
     size_t dropped = 0;
     for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->first.first == user) {
+      if (it->first.first == user && it->second.version < version) {
         recency_.remove(it->first);
         it = entries_.erase(it);
         ++dropped;
@@ -191,7 +215,7 @@ class MultiUserCacheModelTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
   EnvironmentPtr env = PaperEnv();
   constexpr size_t kCapacity = 8;
-  ContextQueryTree cache(env, Ordering::Identity(env->size()), kCapacity);
+  ContextQueryTree cache(kCapacity);
   MultiUserReferenceLru reference(kCapacity);
 
   Rng rng(GetParam());
@@ -206,7 +230,7 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
     const size_t u = rng.Uniform(users.size());
     const ContextState& s = pool[rng.Uniform(pool.size())];
     const double roll = rng.NextDouble();
-    if (roll < 0.4) {
+    if (roll < 0.3) {
       std::shared_ptr<const ContextQueryTree::Entry> a =
           cache.Lookup(users[u], s, versions[u]);
       const std::vector<db::ScoredTuple>* b =
@@ -216,13 +240,40 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
       if (a != nullptr) {
         ASSERT_EQ(a->tuples, *b) << "step " << step;
       }
-    } else if (roll < 0.85) {
+    } else if (roll < 0.45) {
+      // The stale rung: a window of up to three versions behind.
+      const uint64_t max_version = versions[u];
+      const uint64_t back = rng.Uniform(4);
+      const uint64_t min_version = max_version > back ? max_version - back : 0;
+      uint64_t a_version = 0;
+      uint64_t b_version = 0;
+      std::shared_ptr<const ContextQueryTree::Entry> a =
+          cache.LookupAtOrBefore(users[u], s, max_version, min_version,
+                                 CacheConfig{}, &a_version);
+      const std::vector<db::ScoredTuple>* b = reference.LookupAtOrBefore(
+          users[u], s, max_version, min_version, &b_version);
+      ASSERT_EQ(a != nullptr, b != nullptr)
+          << "step " << step << " user " << users[u];
+      if (a != nullptr) {
+        ASSERT_EQ(a->tuples, *b) << "step " << step;
+        ASSERT_EQ(a_version, b_version) << "step " << step;
+      }
+    } else if (roll < 0.8) {
       std::vector<db::ScoredTuple> tuples = {
           {rng.Uniform(100), rng.NextDouble()}};
       cache.Put(users[u], s, versions[u], tuples);
       reference.Put(users[u], s, versions[u], tuples);
-    } else if (roll < 0.95) {
+    } else if (roll < 0.9) {
       ++versions[u];  // Publish, not yet consumed: old entries miss.
+    } else if (roll < 0.97) {
+      // Publish plus a consume with a staleness window of up to two
+      // versions: both drop the same entries below the floor.
+      ++versions[u];
+      const uint64_t window = rng.Uniform(3);
+      const uint64_t floor = versions[u] > window ? versions[u] - window : 0;
+      ASSERT_EQ(cache.InvalidateUserBelow(users[u], floor),
+                reference.InvalidateUserBelow(users[u], floor))
+          << "step " << step << " user " << users[u];
     } else {
       // Publish plus a drop_all consume: both drop the same entries.
       ++versions[u];

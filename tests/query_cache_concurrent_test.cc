@@ -108,8 +108,7 @@ size_t ReachableEntries(ContextQueryTree& cache,
 /// here is "no data race / no crash / snapshots stay intact" — run
 /// under -DCTXPREF_SANITIZE=thread to check real interleavings.
 TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/32);
+  ContextQueryTree cache(/*capacity=*/32);
   std::vector<ContextState> states =
       workload::RandomQueryBatch(*env_, 24, 1234, 0.0);
   ASSERT_FALSE(states.empty());
@@ -150,7 +149,7 @@ TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
 
   // Exact accounting under the race: every lookup is exactly one hit
   // or miss, the bounded tree never holds more than its capacity, and
-  // `size` counts exactly the entries left in the trie.
+  // `size` counts exactly the entries left in the tree.
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.lookups, static_cast<uint64_t>(kReaders) * kOpsPerThread);
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
@@ -163,8 +162,7 @@ TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
 /// step applies concurrently with serving traffic. Run
 /// under TSan; afterwards the tree's accounting must still be exact.
 TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()),
-                         /*capacity=*/64);
+  ContextQueryTree cache(/*capacity=*/64);
   std::vector<ContextState> states =
       workload::RandomQueryBatch(*env_, 16, 4321, 0.0);
   ASSERT_FALSE(states.empty());
@@ -217,7 +215,7 @@ TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
 }
 
 TEST_F(QueryCacheConcurrentTest, ConcurrentLookupsOnWarmCacheAllHit) {
-  ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
+  ContextQueryTree cache;
   std::vector<ContextState> raw =
       workload::RandomQueryBatch(*env_, 16, 99, 0.0);
   // The batch may repeat a state; each Put below must key a distinct

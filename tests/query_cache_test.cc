@@ -26,7 +26,7 @@ class QueryCacheTest : public ::testing::Test {
   }
 
   ContextQueryTree MakeCache(size_t capacity = 0) {
-    return ContextQueryTree(env_, Ordering::Identity(env_->size()), capacity);
+    return ContextQueryTree(capacity);
   }
 
   std::unique_ptr<workload::PoiDatabase> poi_;
@@ -223,7 +223,7 @@ TEST_F(QueryCacheTest, LookupCountsCellAccesses) {
   cache.Put(s, 1, {{1, 0.5}});
   AccessCounter counter;
   cache.Lookup(s, 1, &counter);
-  EXPECT_EQ(counter.cells(), 3u);  // One cell per level, single-path trie.
+  EXPECT_EQ(counter.cells(), 1u);  // One hash-map probe per lookup.
 }
 
 TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {

@@ -124,6 +124,30 @@ TEST(ScenarioConfigTest, RejectsZeroWherePositiveRequired) {
   EXPECT_TRUE(ParseScenarioConfig("deadline_micros = 0\n").ok());
 }
 
+TEST(ScenarioConfigTest, RejectsSizesAboveTheirBound) {
+  // Each case is one past its key's bound, or far past it; the error
+  // names the key instead of surfacing later as an allocation failure.
+  for (const char* text :
+       {"ops = 100000001\n", "ops = 100000000000000000\n",
+        "states_per_query = 1001\n",
+        "states_per_query = 100000000000000000\n",
+        "coherence_replicas = 1025\n",
+        "coherence_replicas = 100000000000000000\n"}) {
+    StatusOr<ScenarioConfig> cfg = ParseScenarioConfig(text);
+    ASSERT_FALSE(cfg.ok()) << text;
+    EXPECT_TRUE(cfg.status().IsInvalidArgument()) << text;
+    const std::string key(text, std::string_view(text).find(' '));
+    EXPECT_NE(cfg.status().message().find(key + " = "), std::string::npos)
+        << cfg.status().ToString();
+    EXPECT_NE(cfg.status().message().find("must be <="), std::string::npos)
+        << cfg.status().ToString();
+  }
+  // The bounds themselves are accepted.
+  EXPECT_TRUE(ParseScenarioConfig("ops = 100000000\n").ok());
+  EXPECT_TRUE(ParseScenarioConfig("states_per_query = 1000\n").ok());
+  EXPECT_TRUE(ParseScenarioConfig("coherence_replicas = 1024\n").ok());
+}
+
 TEST(ScenarioConfigTest, RejectsBadName) {
   EXPECT_FALSE(ParseScenarioConfig("name = has space\n").ok());
   EXPECT_FALSE(ParseScenarioConfig("name = semi;colon\n").ok());

@@ -626,7 +626,7 @@ TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
         // pass 1 hits (InterleavedConfigsShareOneCacheExactly shares
         // one cache across combinations).
         storage::ProfileStore store(env);
-        ContextQueryTree cache(env, Ordering::Identity(env->size()));
+        ContextQueryTree cache;
         ReplicatedQueryCache::Options ropt;
         ropt.num_replicas = 2;
         ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
@@ -720,7 +720,7 @@ TEST_P(ServingDifferentialTest, InterleavedConfigsShareOneCacheExactly) {
   if (profile.empty()) GTEST_SKIP() << "empty draw";
 
   storage::ProfileStore store(env);
-  ContextQueryTree cache(env, Ordering::Identity(env->size()));
+  ContextQueryTree cache;
   ReplicatedQueryCache::Options ropt;
   ropt.num_replicas = 1;
   ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;

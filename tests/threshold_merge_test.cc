@@ -267,7 +267,7 @@ TEST_P(ThresholdMergeTest, CachedMissAndHitEqualRankCs) {
           StatusOr<QueryResult> want =
               RankCS(relation, query, resolver, options);
           ASSERT_OK(want.status());
-          ContextQueryTree cache(env, Ordering::Identity(env->size()));
+          ContextQueryTree cache;
           for (const char* pass : {"miss", "hit"}) {
             StatusOr<QueryResult> got = CachedRankCS(
                 relation, query, flat_resolver, "u", 1, cache, options);
@@ -339,7 +339,7 @@ TEST(ThresholdMergeFixedTest, SignedZeroKeepsTheFirstSourcesBits) {
       }
       EXPECT_EQ(Bits(got->tuples),
                 Bits(OracleRank(relation, query, *got, options)));
-      ContextQueryTree cache(env, Ordering::Identity(env->size()));
+      ContextQueryTree cache;
       for (int pass = 0; pass < 2; ++pass) {
         StatusOr<QueryResult> cached =
             CachedRankCS(relation, query, flat_resolver, "u", 1, cache,

@@ -123,9 +123,10 @@ int AblateQueryCache() {
       q.context = ExtendedDescriptor::FromComposite(
           *CompositeDescriptor::Create(*poi->env, std::move(parts)));
       if (cache != nullptr) {
-        StatusOr<QueryResult> r =
-            CachedRankCS(poi->relation, q, resolver, "", profile.version(),
-                         *cache, options, &counter);
+        const std::string user;
+        const StateCache state_cache{cache, &user, profile.version()};
+        StatusOr<QueryResult> r = RankCS(poi->relation, q, resolver, options,
+                                         &counter, &state_cache);
         if (!r.ok()) std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
       } else {
         StatusOr<QueryResult> r =

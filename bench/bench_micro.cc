@@ -145,7 +145,8 @@ BENCHMARK(BM_QueryCacheHit);
 
 /// A 3-state exact query over `pois` POIs at top_k = 10 with a default
 /// demographic profile: the same request answered uncached (Rank_CS
-/// over the flat tree) and by CachedRankCS with every state cached.
+/// over the flat tree) and by `RankCS` with a `StateCache` whose every
+/// state is cached.
 /// CI gates Miss/Hit >= 2x: a cache hit must beat recomputing.
 struct ThreeStateQueryRig {
   explicit ThreeStateQueryRig(size_t pois) {
@@ -196,13 +197,16 @@ void BM_ThreeStateQuery_Hit(benchmark::State& state) {
   ThreeStateQueryRig rig(static_cast<size_t>(state.range(0)));
   FlatResolver resolver(rig.flat.get());
   ContextQueryTree cache;
+  const std::string user = "u";
+  const StateCache state_cache{&cache, &user, 1};
   // Warm every state; the timed loop then only hits.
-  StatusOr<QueryResult> warm = CachedRankCS(
-      rig.poi->relation, rig.query, resolver, "u", 1, cache, rig.options);
+  StatusOr<QueryResult> warm = RankCS(rig.poi->relation, rig.query, resolver,
+                                      rig.options, nullptr, &state_cache);
   benchmark::DoNotOptimize(warm->tuples);
   for (auto _ : state) {
-    StatusOr<QueryResult> result = CachedRankCS(
-        rig.poi->relation, rig.query, resolver, "u", 1, cache, rig.options);
+    StatusOr<QueryResult> result = RankCS(
+        rig.poi->relation, rig.query, resolver, rig.options, nullptr,
+        &state_cache);
     benchmark::DoNotOptimize(result->tuples);
   }
   state.counters["hit_ratio"] = static_cast<double>(cache.hits()) /

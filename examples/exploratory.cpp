@@ -110,10 +110,11 @@ int main() {
   const FlatProfileTree flat = FlatProfileTree::Build(*tree);
   FlatResolver flat_resolver(&flat);
   ContextQueryTree cache(/*capacity=*/64);
+  const std::string user;  // One profile: the single-user key "".
+  const StateCache first_version{&cache, &user, profile->version()};
   for (int round = 0; round < 3; ++round) {
-    StatusOr<QueryResult> cached =
-        CachedRankCS(poi->relation, query, flat_resolver, "",
-                     profile->version(), cache, options);
+    StatusOr<QueryResult> cached = RankCS(poi->relation, query, flat_resolver,
+                                          options, nullptr, &first_version);
     if (!cached.ok()) {
       std::fprintf(stderr, "cached: %s\n",
                    cached.status().ToString().c_str());
@@ -139,9 +140,9 @@ int main() {
   tree = ProfileTree::Build(*profile);
   const FlatProfileTree fresh_flat = FlatProfileTree::Build(*tree);
   FlatResolver fresh_resolver(&fresh_flat);
-  StatusOr<QueryResult> after =
-      CachedRankCS(poi->relation, query, fresh_resolver, "",
-                   profile->version(), cache, options);
+  const StateCache fresh_version{&cache, &user, profile->version()};
+  StatusOr<QueryResult> after = RankCS(poi->relation, query, fresh_resolver,
+                                       options, nullptr, &fresh_version);
   const CacheStats edited = cache.Stats();
   std::printf("After a profile edit: %llu hits, %llu misses "
               "(entries of the old version miss and are recomputed)\n",
@@ -155,9 +156,8 @@ int main() {
   MetricsRegistry::SetTimingEnabled(true);
   TraceRecorder recorder(/*capacity=*/256);
   recorder.Install();
-  StatusOr<QueryResult> traced =
-      CachedRankCS(poi->relation, query, fresh_resolver, "",
-                   profile->version(), cache, options);
+  StatusOr<QueryResult> traced = RankCS(poi->relation, query, fresh_resolver,
+                                        options, nullptr, &fresh_version);
   recorder.Uninstall();
   MetricsRegistry::SetTimingEnabled(false);
   if (!traced.ok()) {

@@ -180,7 +180,7 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     build-bench/bench_resolution.json
 
   echo "==== bench gate (cache hit vs miss, 3-state query) ===="
-  # A CachedRankCS answer with every state cached must beat recomputing
+  # A cached RankCS answer with every state cached must beat recomputing
   # the same query uncached by >= 2x in wall time (same-run ratio).
   ./build-bench/bench/bench_micro \
     --benchmark_filter='BM_ThreeStateQuery' \

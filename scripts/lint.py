@@ -59,6 +59,13 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               lint:allow; CHANGES.md and ROADMAP.md (history) are not
               read.
 
+  perfbench-spans  Every span name perfbench/serve_bench.cc compares
+              against (`name == "..."`), apart from its own `bench.*`
+              and `shadow.*` spans, must appear as a string literal in
+              the arguments of a `TraceSpan` constructed under src/ — a
+              renamed or deleted span would otherwise silently empty
+              perfbench's per-layer metrics. It only reads perfbench.
+
 Suppress a single C++ line with  // lint:allow(<check>)  and a short
 reason.
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -118,6 +125,15 @@ BENCH_DOC_FILES = ["README.md", "EXPERIMENTS.md", "docs/*.md", "scripts/*.sh",
 # variables (${bench_x}, bench_x=...).
 BENCH_TOKEN = re.compile(r"(?<![\w.{$-])(bench_\w+)\b(?!=)(\*|\.\w+)?")
 BENCH_TOKEN_EXEMPT = {"bench_metrics"}
+
+PERFBENCH_SOURCE = "perfbench/serve_bench.cc"
+# A span name perfbench's trace fold compares against.
+PERFBENCH_SPAN_USE = re.compile(r'\bname\s*==\s*"([^"]+)"')
+PERFBENCH_OWN_SPANS = ("bench.", "shadow.")
+# A TraceSpan variable's constructor arguments (possibly split across
+# lines, possibly a conditional between two names).
+TRACE_SPAN_CTOR = re.compile(r"\bTraceSpan\s+\w+\s*\(([^;]*)\)\s*;")
+STRING_LITERAL = re.compile(r'"([^"\\]*)"')
 
 
 def declared_ablation_flags():
@@ -482,6 +498,34 @@ def check_bench_doc(findings):
                                  f"{name} is not a target in {BENCH_CMAKE}")
 
 
+def check_perfbench_spans(findings):
+    """The src/ spans perfbench reads must still be opened under src/."""
+    try:
+        with open(PERFBENCH_SOURCE, encoding="utf-8") as f:
+            bench_lines = f.read().splitlines()
+    except OSError:
+        print(f"lint.py: warning: cannot read {PERFBENCH_SOURCE}; "
+              "perfbench-spans check skipped", file=sys.stderr)
+        return
+    opened = set()
+    for dirpath, _, names in os.walk("src"):
+        for name in names:
+            if not name.endswith((".h", ".cc")):
+                continue
+            with open(os.path.join(dirpath, name), encoding="utf-8",
+                      errors="replace") as f:
+                text = f.read()
+            for m in TRACE_SPAN_CTOR.finditer(text):
+                opened.update(STRING_LITERAL.findall(m.group(1)))
+    for i, line in enumerate(bench_lines, 1):
+        for span in PERFBENCH_SPAN_USE.findall(line):
+            if span.startswith(PERFBENCH_OWN_SPANS) or span in opened:
+                continue
+            findings.add(PERFBENCH_SOURCE, i, "perfbench-spans",
+                         f'span "{span}" is opened by no TraceSpan under '
+                         "src/")
+
+
 def lint_file(path, ranks, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         lines = f.read().splitlines()
@@ -524,6 +568,7 @@ def main():
     check_ablation_doc(findings)
     check_scenario_key_doc(findings)
     check_bench_doc(findings)
+    check_perfbench_spans(findings)
 
     for path, lineno, check, message in findings.items:
         print(f"{path}:{lineno}: [{check}] {message}")

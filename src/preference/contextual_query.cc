@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "preference/query_cache.h"
 #include "preference/threshold_merge.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -15,7 +16,7 @@ RankMetrics& RankMetrics::Get() {
       reg.GetCounter("ctxpref_rank_cs_queries_total",
                      "Plain (uncached) Rank_CS query evaluations"),
       reg.GetCounter("ctxpref_rank_cs_cached_queries_total",
-                     "CachedRankCS query evaluations"),
+                     "Rank_CS query evaluations through a context query tree"),
       reg.GetCounter("ctxpref_rank_cs_states_total",
                      "Query context states evaluated across Rank_CS runs"),
       reg.GetCounter("ctxpref_rank_cs_tuples_scored_total",
@@ -55,14 +56,38 @@ double ApplyDiscount(ScoreDiscount discount, double score, double distance) {
   return score;
 }
 
+namespace {
+
+/// Appends one constant-score source per leaf entry of `candidates`, in
+/// candidate, entry order; each reads its clause out of the candidate
+/// set, which must outlive the sources.
+Status AppendClauseSources(const db::Relation& relation,
+                           const std::vector<CandidatePath>& candidates,
+                           ScoreDiscount discount,
+                           std::vector<ScoredSource>& sources) {
+  for (const CandidatePath& cand : candidates) {
+    for (const ProfileTree::LeafEntry& entry : cand.entries) {
+      StatusOr<ScoredSource> source = ScoredSource::Clause(
+          relation, entry.clause,
+          ApplyDiscount(discount, entry.score, cand.distance));
+      if (!source.ok()) return source.status();
+      sources.push_back(*source);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const ContextEnvironment& env,
                              const ResolveFn& resolve,
                              const QueryOptions& options,
-                             AccessCounter* counter) {
+                             AccessCounter* counter, const StateCache* cache) {
+  if (cache != nullptr) CTXPREF_RETURN_IF_ERROR(CheckCacheableOptions(options));
   RankMetrics& metrics = RankMetrics::Get();
-  TraceSpan span("rank_cs");
+  TraceSpan span(cache != nullptr ? "cached_rank_cs" : "rank_cs");
   ScopedLatency latency(&metrics.latency);
   QueryResult result;
 
@@ -71,6 +96,9 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
     // No context at all: treat as the (all, ..., all) state so that
     // non-contextual preferences (empty descriptors) still apply.
     states.push_back(ContextState::AllState(env));
+  }
+  for (const ContextState& s : states) {
+    CTXPREF_RETURN_IF_ERROR(s.Validate(env));
   }
   result.traces.reserve(states.size());
 
@@ -90,26 +118,52 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
         "/" + std::to_string(states.size()) + " states (" +
         std::to_string(tuples_scored) + " tuples scored)");
   };
-  // One constant-score source per resolved leaf entry, in state,
-  // candidate, entry order; each reads its clause out of the trace's
-  // candidate set.
+  // Uncached: one constant-score source per resolved leaf entry, in
+  // state, candidate, entry order. Cached: one list source per state,
+  // reading the entry held in `entries` until the merge ends.
   std::vector<ScoredSource> sources;
+  sources.reserve(states.size());
+  std::vector<std::shared_ptr<const ContextQueryTree::Entry>> entries;
+  if (cache != nullptr) entries.reserve(states.size());
+  const CacheConfig config = CacheConfig::Of(options);
   for (ContextState& s : states) {
     // Cancellation point: one null check when no deadline is set, one
     // injected-clock read otherwise.
     if (options.deadline.Expired()) return deadline_exceeded();
-    CTXPREF_RETURN_IF_ERROR(s.Validate(env));
-    TraceSpan state_span("rank_cs.state");
-    CandidateSetPtr best = std::make_shared<const std::vector<CandidatePath>>(
-        resolve(s, options.resolution, counter));
-    for (const CandidatePath& cand : *best) {
-      for (const ProfileTree::LeafEntry& entry : cand.entries) {
-        StatusOr<ScoredSource> source = ScoredSource::Clause(
-            relation, entry.clause,
-            ApplyDiscount(options.discount, entry.score, cand.distance));
-        if (!source.ok()) return source.status();
-        sources.push_back(*source);
+    TraceSpan state_span(cache != nullptr ? "cached_rank_cs.state"
+                                          : "rank_cs.state");
+    std::shared_ptr<const ContextQueryTree::Entry> entry;
+    if (cache != nullptr) {
+      entry = cache->tree->Lookup(*cache->user, s, cache->version, config,
+                                  counter);
+    }
+    CandidateSetPtr best =
+        entry != nullptr
+            ? entry->candidates
+            : std::make_shared<const std::vector<CandidatePath>>(
+                  resolve(s, options.resolution, counter));
+    if (cache == nullptr) {
+      CTXPREF_RETURN_IF_ERROR(
+          AppendClauseSources(relation, *best, options.discount, sources));
+    } else {
+      if (entry == nullptr) {
+        // Cancellation point: resolution paid for, the state's
+        // selections not yet.
+        if (options.deadline.Expired()) return deadline_exceeded();
+        std::vector<ScoredSource> clauses;
+        CTXPREF_RETURN_IF_ERROR(
+            AppendClauseSources(relation, *best, options.discount, clauses));
+        // The cached list is the state's whole ranking: no cut, and no
+        // selections (an entry is keyed by context state only).
+        entry = std::make_shared<const ContextQueryTree::Entry>(
+            ContextQueryTree::Entry{
+                RankSources(relation, clauses, {}, options.combine,
+                            /*top_k=*/0, &tuples_scored),
+                best, config});
+        cache->tree->PutEntry(*cache->user, s, cache->version, entry);
       }
+      sources.push_back(ScoredSource::List(entry->tuples));
+      entries.push_back(std::move(entry));
     }
     result.traces.push_back(QueryResult::Trace{std::move(s), std::move(best)});
     ++states_done;
@@ -122,7 +176,7 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
     result.tuples = RankSources(relation, sources, query.selections,
                                 options.combine, options.top_k, &tuples_scored);
   }
-  metrics.queries.Increment();
+  (cache != nullptr ? metrics.cached_queries : metrics.queries).Increment();
   metrics.states.Increment(states.size());
   metrics.tuples_scored.Increment(tuples_scored);
   if (span.active()) {
@@ -149,12 +203,12 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const FlatResolver& resolver,
                              const QueryOptions& options,
-                             AccessCounter* counter) {
+                             AccessCounter* counter, const StateCache* cache) {
   return RankCS(
       relation, query, resolver.tree().env(),
       [&resolver](const ContextState& s, const ResolutionOptions& opts,
                   AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      options, counter);
+      options, counter, cache);
 }
 
 StatusOr<QueryResult> RankCS(const db::Relation& relation,

@@ -20,8 +20,9 @@ namespace ctxpref {
 
 class Counter;           // util/metrics.h
 class LatencyHistogram;  // util/histogram.h
+class ContextQueryTree;  // preference/query_cache.h
 
-/// Query-path metrics shared by `RankCS` and `CachedRankCS`, living in
+/// Query-path metrics of `RankCS` (cached and uncached), living in
 /// `MetricsRegistry::Global()` (see docs/observability.md for the
 /// catalog). Counters tick unconditionally; the latency histogram
 /// records only while `MetricsRegistry::TimingEnabled()`.
@@ -77,10 +78,10 @@ struct QueryOptions {
   /// 0 = return all scored tuples.
   size_t top_k = 0;
   /// Cancellation budget for the whole evaluation. Checked at cheap
-  /// cancellation points — the per-state loops of `RankCS` /
-  /// `CachedRankCS` — so an overloaded server stops spending cycles on
-  /// answers nobody is waiting for. Expiry surfaces as
-  /// `kDeadlineExceeded` with partial-work accounting in the message.
+  /// cancellation points — `RankCS`'s per-state loop — so an
+  /// overloaded server stops spending cycles on answers nobody is
+  /// waiting for. Expiry surfaces as `kDeadlineExceeded` with
+  /// partial-work accounting in the message.
   /// Default: infinite (one null check per cancellation point).
   /// Declared last so existing designated initializers keep compiling.
   util::Deadline deadline;
@@ -112,6 +113,18 @@ struct QueryResult {
 using ResolveFn = std::function<std::vector<CandidatePath>(
     const ContextState&, const ResolutionOptions&, AccessCounter*)>;
 
+/// The context query tree a `RankCS` call reads and fills, and the key
+/// its entries carry, `{*user, version}`: serving passes a pinned
+/// snapshot's user id and *serving* version; a caller ranking one
+/// in-place-edited `Profile` may pass `("", profile.version())` as long
+/// as that object is never replaced wholesale (docs/serving.md). Both
+/// pointers must stay valid for the call.
+struct StateCache {
+  ContextQueryTree* tree;
+  const std::string* user;
+  uint64_t version;
+};
+
 /// The paper's Rank_CS (Algorithm 2): for every state of the query's
 /// extended descriptor, resolve the most relevant preferences, run each
 /// resulting attribute clause as a selection over `relation`, annotate
@@ -120,12 +133,22 @@ using ResolveFn = std::function<std::vector<CandidatePath>(
 /// entry is one constant-score `ScoredSource`; the sources are combined
 /// by `RankSources` — under kMax a threshold merge that reads only the
 /// levels down to the k-th score's tie run.
+///
+/// Every state is validated before any is resolved; the loop returns at
+/// the first state that fails (a deadline expiry reports how many
+/// completed). With `cache` set, each state is first looked up: an
+/// entry holds the state's whole ranked list (undiscounted, unselected,
+/// uncut) and candidates, and a miss resolves the state, builds that
+/// list and caches it. The merge then takes one list source per state
+/// and re-applies the query's selections. Options other than kMax/kMin
+/// without a discount return `CheckCacheableOptions`' InvalidArgument.
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const ContextEnvironment& env,
                              const ResolveFn& resolve,
                              const QueryOptions& options = {},
-                             AccessCounter* counter = nullptr);
+                             AccessCounter* counter = nullptr,
+                             const StateCache* cache = nullptr);
 
 /// Rank_CS against a profile tree (the paper's primary configuration).
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
@@ -139,7 +162,8 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const FlatResolver& resolver,
                              const QueryOptions& options = {},
-                             AccessCounter* counter = nullptr);
+                             AccessCounter* counter = nullptr,
+                             const StateCache* cache = nullptr);
 
 /// Rank_CS against the sequential baseline.
 StatusOr<QueryResult> RankCS(const db::Relation& relation,

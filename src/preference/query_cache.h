@@ -3,7 +3,6 @@
 
 #include <list>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -148,10 +147,9 @@ class ContextQueryTree {
            uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
            CandidateSetPtr candidates = nullptr);
 
-  /// Caches an already-built `entry` — the miss path of `CachedRankCS`
-  /// builds the entry once and shares the same pointer with its merge,
-  /// so caching an answer copies no tuples. `entry->candidates` must not
-  /// be null.
+  /// Caches an already-built `entry` — `RankCS`'s miss path builds the
+  /// entry once and shares the same pointer with its merge, so caching
+  /// an answer copies no tuples. `entry->candidates` must not be null.
   void PutEntry(const std::string& user, const ContextState& state,
                 uint64_t profile_version, std::shared_ptr<const Entry> entry);
 
@@ -202,6 +200,17 @@ class ContextQueryTree {
   Leaf* Find(const std::string& user, const ContextState& state)
       REQUIRES(mu_);
 
+  /// The locked probe behind `Lookup` and `LookupAtOrBefore`: a hit is
+  /// an entry whose version lies in `[min_version, max_version]` and
+  /// whose config is `config` (refreshed in the LRU, its version
+  /// written to `*entry_version` if set); anything else is a miss that
+  /// drops nothing. Ticks the counters and flushes them to the registry
+  /// every `kMetricsFlushStride` lookups.
+  std::shared_ptr<const Entry> Probe(
+      const std::string& user, const ContextState& state,
+      uint64_t min_version, uint64_t max_version, const CacheConfig& config,
+      uint64_t* entry_version, AccessCounter* counter) EXCLUDES(mu_);
+
   size_t capacity_;  ///< 0 = unbounded.
   /// Ranks `kCacheShard` — below the coherence locks (a replica's
   /// consume step invalidates entries while holding its consume mutex),
@@ -233,59 +242,9 @@ class ContextQueryTree {
 /// combine policy must be associative (kMax or kMin), and the score
 /// discount must be kNone — cached lists hold undiscounted scores and
 /// their `CacheConfig` does not record a discount. InvalidArgument otherwise.
-/// `CachedRankCS` returns this status up front; the serving ladder's
-/// stale rung skips itself on it.
+/// `RankCS` with a `StateCache` returns this status up front; the
+/// serving ladder's stale rung skips itself on it.
 Status CheckCacheableOptions(const QueryOptions& options);
-
-/// Merges per-state cached lists into one ranked answer: the combined
-/// score of a row under `combine` (kMax or kMin), rows failing any of
-/// `selections` dropped, cut to `top_k` with the k-th score's ties
-/// kept (0 = all rows) — exactly `db::Ranker` over every listed tuple
-/// followed by `TopK`/`Ranked`. Each list must be sorted by descending
-/// score, then ascending row id, with each row at most once (what
-/// `Ranker::Ranked` produces). Every list is one list `ScoredSource`
-/// of `RankSources`, so under kMax this is the same threshold merge
-/// that answers a miss; the hit path and the stale rung both call it.
-std::vector<db::ScoredTuple> MergeStateLists(
-    const db::Relation& relation,
-    std::span<const std::vector<db::ScoredTuple>* const> lists,
-    const std::vector<db::Predicate>& selections, db::CombinePolicy combine,
-    size_t top_k);
-
-/// Rank_CS with per-state caching through a `ContextQueryTree`.
-///
-/// Each query state's ranked tuples are cached independently and the
-/// final answer combines the per-state lists under `options.combine`.
-/// Correctness therefore requires an *associative* combine policy —
-/// kMax or kMin; kAvg/kWeighted return InvalidArgument, as does any
-/// score discount other than kNone (see `CheckCacheableOptions`). The
-/// lists are merged by `MergeStateLists`; a hit shares the cached
-/// entry and copies no tuples.
-///
-/// The states are evaluated inline, in enumeration order; like
-/// `RankCS`, the loop returns at the first state that fails (a deadline
-/// expiry reports how many states completed before it).
-///
-/// Entries are tagged `{user, profile_version}`. The multi-user
-/// serving layer (`storage::ServeQuery`) passes the user id and the
-/// *serving* version of a pinned `ProfileSnapshot`, so they can never
-/// be confused across users or across profile swaps. A caller that
-/// ranks one in-place-edited `Profile` may pass `("",
-/// profile.version())`, which is sound only as long as that same object
-/// is never replaced wholesale (its counter restarts on reload; see
-/// docs/serving.md).
-///
-/// States resolve through the arena-flattened tree (`FlatResolver`),
-/// the serving path's only resolver; `RankCS` over a `TreeResolver` or
-/// `SequentialStore` answers the same query and is the tests' oracle.
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const std::string& user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
 
 }  // namespace ctxpref
 

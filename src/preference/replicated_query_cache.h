@@ -164,8 +164,9 @@ class ReplicatedQueryCache {
   const CoherenceLog& log() const { return log_; }
 
   /// Replica `r`'s private tree. Callers serve through it exactly like
-  /// a single shared cache (`CachedRankCS`, `LookupAtOrBefore`);
-  /// coherence is the wrapper's job, not the tree's.
+  /// a single shared cache (`RankCS` with a `StateCache`,
+  /// `LookupAtOrBefore`); coherence is the wrapper's job, not the
+  /// tree's.
   ContextQueryTree& replica(size_t r) { return replicas_[r]->tree; }
   const ContextQueryTree& replica(size_t r) const {
     return replicas_[r]->tree;

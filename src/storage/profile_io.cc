@@ -218,6 +218,11 @@ StatusOr<Profile> DeserializeProfile(EnvironmentPtr env,
       if (*num_values == 0) {
         return Status::Corruption("descriptor with zero values");
       }
+      // A value is a u16 level and a u32 id: a count the payload cannot
+      // hold fails before it sizes the allocation below.
+      if (*num_values > r.remaining() / 6) {
+        return Status::Corruption("descriptor value count exceeds the file");
+      }
       std::vector<ValueRef> values;
       values.reserve(*num_values);
       for (uint32_t v = 0; v < *num_values; ++v) {

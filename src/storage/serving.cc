@@ -1,6 +1,7 @@
 #include "storage/serving.h"
 
 #include "preference/resolution.h"
+#include "preference/threshold_merge.h"
 #include "util/metrics.h"
 
 namespace ctxpref::storage {
@@ -89,14 +90,13 @@ StatusOr<QueryResult> ServeQuery(const ProfileSnapshot& snapshot,
                                  const QueryOptions& options,
                                  AccessCounter* counter) {
   FlatResolver resolver(snapshot.flat_tree());
-  if (cache != nullptr) {
-    // Tag entries with the snapshot's own identity: the serving version
-    // is unique across swaps, so a stale entry can never be mistaken
-    // for a current one.
-    return CachedRankCS(relation, query, resolver, snapshot.user_id(),
-                        snapshot.serving_version(), *cache, options, counter);
-  }
-  return RankCS(relation, query, resolver, options, counter);
+  // Tag entries with the snapshot's own identity: the serving version
+  // is unique across swaps, so a stale entry can never be mistaken for
+  // a current one.
+  const StateCache state_cache{cache, &snapshot.user_id(),
+                               snapshot.serving_version()};
+  return RankCS(relation, query, resolver, options, counter,
+                cache != nullptr ? &state_cache : nullptr);
 }
 
 namespace {
@@ -171,9 +171,9 @@ namespace {
 /// Ladder rung 1: a cached answer with every query state at ONE
 /// consistent older serving version — mixed versions would be exactly
 /// the torn answer the serving layer promises never to produce. The
-/// lists go through CachedRankCS's own merge (`MergeStateLists`), so
-/// the result is bit-identical to a direct ServeQuery pinned at that
-/// version — the differential test's property.
+/// lists go through cached `RankCS`'s merge (one list source per state,
+/// `RankSources`), so the result is bit-identical to a direct
+/// ServeQuery pinned at that version — the differential test's property.
 bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    const ContextualQuery& query,
                    const std::vector<ContextState>& states,
@@ -182,7 +182,7 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    AccessCounter* counter, QueryResult* out,
                    uint64_t* served_version) {
   if (states.empty()) return false;
-  // Same rule as CachedRankCS: per-state lists answer only an
+  // Same rule as cached RankCS: per-state lists answer only an
   // associative combine with undiscounted scores.
   if (!CheckCacheableOptions(options).ok()) return false;
   const uint64_t min_version = current_version > max_stale_versions
@@ -208,15 +208,15 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
   }
 
   QueryResult result;
-  std::vector<const std::vector<db::ScoredTuple>*> lists;
-  lists.reserve(states.size());
+  std::vector<ScoredSource> sources;
+  sources.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
-    lists.push_back(&entries[i]->tuples);
+    sources.push_back(ScoredSource::List(entries[i]->tuples));
     result.traces.push_back(
         QueryResult::Trace{states[i], entries[i]->candidates});
   }
-  result.tuples = MergeStateLists(relation, lists, query.selections,
-                                  options.combine, options.top_k);
+  result.tuples = RankSources(relation, sources, query.selections,
+                              options.combine, options.top_k);
   *out = std::move(result);
   *served_version = version;
   return true;

@@ -103,7 +103,7 @@ inline constexpr size_t kAnyReplica = ~static_cast<size_t>(0);
 ///   2. In `kInlineAtLookup` mode, run the replica's consume step so
 ///      its clock catches up to the log's append watermark.
 ///   3. **Gate**: if the replica's clock covers V, serve through the
-///      replica's tree (`CachedRankCS`, entries tagged
+///      replica's tree (`RankCS` with a `StateCache`, entries tagged
 ///      `{user_id, V}`). Otherwise count a stale refuse and serve
 ///      *uncached* rather than read a replica that may still hold
 ///      entries the log says are dead.

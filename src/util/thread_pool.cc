@@ -209,7 +209,7 @@ void ThreadPool::WorkerLoop(std::stop_token stop) {
       if (expired) {
         metrics.expired_drops.Increment();
         // Run the expiry path instead of the task body so completion
-        // latches (CachedRankCS::done_cv) still count down.
+        // latches still count down.
         if (item.on_expired) item.on_expired();
       } else {
         item.fn();

@@ -45,9 +45,8 @@ enum class DequeueOrder { kFifo, kLifo };
 /// — so a saturated pool stops wasting cycles on work nobody is
 /// waiting for. `on_expired` is how completion latches stay balanced.
 ///
-/// Used by `CachedRankCS` to evaluate the states of an extended
-/// descriptor concurrently; results are merged by the caller in a
-/// deterministic order, so tasks must not depend on execution order.
+/// Used by `bench_overload` to run requests on worker threads; tasks
+/// must not depend on execution order.
 ///
 /// Locking: one queue mutex (`LockRank::kPoolQueue` — it is never held
 /// while a task body or `on_expired` runs, so tasks may take any other

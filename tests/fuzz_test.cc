@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "context/parser.h"
@@ -18,6 +19,7 @@ namespace {
 
 using ::ctxpref::testing::PaperEnv;
 using ::ctxpref::testing::Pref;
+using ::ctxpref::testing::Reseal;
 
 /// Random printable-ish string with structural characters over-sampled
 /// so the parsers actually reach their deep branches.
@@ -144,6 +146,68 @@ TEST_P(BinaryFuzzTest, TruncatedAndMutatedValidFilesNeverCrash) {
       EXPECT_LE(p->size(), 4u);
     }
   }
+}
+
+/// The mutations above almost all stop at the checksum. These re-seal
+/// it after damaging the payload, so the structural parser sees every
+/// one: each must come back as a non-OK status or as a well-formed
+/// profile (one that serializes and parses back to itself), never as
+/// an exception.
+TEST_P(BinaryFuzzTest, ResealedPayloadMutationsFailClosed) {
+  EnvironmentPtr env = PaperEnv();
+  Profile profile(env);
+  ASSERT_OK(profile.Insert(Pref(*env, "location = Plaka and temperature in "
+                                "{warm, hot}", "name", "Acropolis", 0.8)));
+  ASSERT_OK(profile.Insert(Pref(*env,
+                                "accompanying_people = friends and "
+                                "temperature in [mild, hot]",
+                                "type", "brewery", 0.9)));
+  ASSERT_OK(profile.Insert(Pref(*env, "*", "type", "museum", 0.6)));
+  const std::string bytes = storage::SerializeProfile(profile);
+  const std::string magic = bytes.substr(0, 4);
+  const std::string payload = bytes.substr(4, bytes.size() - 8);
+
+  Rng rng(GetParam() ^ 0x5ea1);
+  size_t parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutated = payload;
+    const size_t edits = 1 + rng.Uniform(4);
+    for (size_t e = 0; e < edits; ++e) {
+      const size_t pos = rng.Uniform(mutated.size() + 1);
+      switch (rng.Uniform(4)) {
+        case 0:  // Overwrite a byte.
+          if (pos < mutated.size()) {
+            mutated[pos] = static_cast<char>(rng.Uniform(256));
+          }
+          break;
+        case 1:  // Saturate a count-sized field.
+          for (size_t b = pos; b < std::min(pos + 4, mutated.size()); ++b) {
+            mutated[b] = '\xFF';
+          }
+          break;
+        case 2:
+          mutated = mutated.substr(0, pos);
+          break;
+        default:
+          mutated.insert(pos, 1, static_cast<char>(rng.Uniform(256)));
+          break;
+      }
+    }
+    const std::string file =
+        Reseal(magic + mutated + std::string(4, '\0'));
+    StatusOr<Profile> p = Status::Internal("not parsed");
+    ASSERT_NO_THROW(p = storage::DeserializeProfile(env, file))
+        << "mutation " << i;
+    if (!p.ok()) continue;
+    ++parsed;
+    StatusOr<Profile> again =
+        storage::DeserializeProfile(env, storage::SerializeProfile(*p));
+    ASSERT_OK(again.status());
+    EXPECT_EQ(again->ToText(), p->ToText()) << "mutation " << i;
+  }
+  // Most damage is caught; a few edits (a score's bits, a name's
+  // characters) leave a valid profile, which the round trip checked.
+  EXPECT_LT(parsed, 2000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryFuzzTest, ::testing::Values(11, 12));

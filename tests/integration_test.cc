@@ -113,12 +113,12 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_OK(direct.status());
   ASSERT_FALSE(direct->tuples.empty());
 
-  StatusOr<QueryResult> cached1 =
-      CachedRankCS(*relation, query, flat_resolver, "", alice.version(),
-                   cache, options);
-  StatusOr<QueryResult> cached2 =
-      CachedRankCS(*relation, query, flat_resolver, "", alice.version(),
-                   cache, options);
+  const std::string user;
+  const StateCache state_cache{&cache, &user, alice.version()};
+  StatusOr<QueryResult> cached1 = RankCS(*relation, query, flat_resolver,
+                                         options, nullptr, &state_cache);
+  StatusOr<QueryResult> cached2 = RankCS(*relation, query, flat_resolver,
+                                         options, nullptr, &state_cache);
   ASSERT_OK(cached1.status());
   ASSERT_OK(cached2.status());
   EXPECT_EQ(cached1->tuples, direct->tuples);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "context/parser.h"
 #include "preference/flat_profile_tree.h"
+#include "preference/sequential_store.h"
 #include "tests/test_util.h"
 #include "util/clock.h"
 #include "workload/poi_dataset.h"
@@ -29,8 +32,19 @@ class QueryCacheTest : public ::testing::Test {
     return ContextQueryTree(capacity);
   }
 
+  /// `RankCS` over `resolver` through `cache`, under the single-user
+  /// key "" at `version`.
+  StatusOr<QueryResult> RankCached(const ContextualQuery& q,
+                                   const FlatResolver& resolver,
+                                   uint64_t version, ContextQueryTree& cache,
+                                   const QueryOptions& options = {}) {
+    const StateCache state_cache{&cache, &user_, version};
+    return RankCS(poi_->relation, q, resolver, options, nullptr, &state_cache);
+  }
+
   std::unique_ptr<workload::PoiDatabase> poi_;
   EnvironmentPtr env_;
+  const std::string user_;
 };
 
 TEST_F(QueryCacheTest, PutThenLookupHits) {
@@ -252,15 +266,13 @@ TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
 
   // Cached answers (flat arena) against the pointer-tree oracle.
   StatusOr<QueryResult> first =
-      CachedRankCS(poi_->relation, q, flat_resolver, "", profile.version(),
-                   cache);
+      RankCached(q, flat_resolver, profile.version(), cache);
   ASSERT_OK(first.status());
   EXPECT_EQ(first->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 0u);
 
   StatusOr<QueryResult> second =
-      CachedRankCS(poi_->relation, q, flat_resolver, "", profile.version(),
-                   cache);
+      RankCached(q, flat_resolver, profile.version(), cache);
   ASSERT_OK(second.status());
   EXPECT_EQ(second->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 1u);
@@ -285,12 +297,10 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
   q.context = *ecod;
 
   StatusOr<QueryResult> miss =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                   cache);
+      RankCached(q, resolver, profile.version(), cache);
   ASSERT_OK(miss.status());
   StatusOr<QueryResult> hit =
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                   cache);
+      RankCached(q, resolver, profile.version(), cache);
   ASSERT_OK(hit.status());
   EXPECT_GE(cache.hits(), 1u);
 
@@ -331,9 +341,7 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
   ContextualQuery q;
   q.context = *ecod;
 
-  ASSERT_OK(
-      CachedRankCS(poi_->relation, q, resolver, "", profile.version(), cache)
-          .status());
+  ASSERT_OK(RankCached(q, resolver, profile.version(), cache).status());
   // Mutate the profile: the cached state is now stale.
   ASSERT_OK(profile.Insert(
       Pref(*env_, "temperature = hot", "type", "museum", 0.8)));
@@ -342,8 +350,7 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
   const FlatProfileTree flat2 = FlatProfileTree::Build(*tree2);
   FlatResolver resolver2(&flat2);
   StatusOr<QueryResult> fresh =
-      CachedRankCS(poi_->relation, q, resolver2, "", profile.version(),
-                   cache);
+      RankCached(q, resolver2, profile.version(), cache);
   ASSERT_OK(fresh.status());
   // The new museum preference must show up (stale entry not served).
   const size_t type_col = *poi_->relation.schema().IndexOf("type");
@@ -373,8 +380,7 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
       ParseExtendedDescriptor(*env_, "temperature = hot");
   ContextualQuery unrestricted;
   unrestricted.context = *ecod;
-  ASSERT_OK(CachedRankCS(poi_->relation, unrestricted, resolver, "",
-                         profile.version(), cache)
+  ASSERT_OK(RankCached(unrestricted, resolver, profile.version(), cache)
                 .status());
 
   // Same context state, now with a selection: served from cache but
@@ -386,8 +392,7 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
   ASSERT_OK(sel.status());
   restricted.selections.push_back(*sel);
   StatusOr<QueryResult> result =
-      CachedRankCS(poi_->relation, restricted, resolver, "",
-                   profile.version(), cache);
+      RankCached(restricted, resolver, profile.version(), cache);
   ASSERT_OK(result.status());
   EXPECT_GE(cache.hits(), 1u);
   const size_t loc_col = *poi_->relation.schema().IndexOf("location");
@@ -406,8 +411,7 @@ TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
   ContextualQuery q;
   QueryOptions options;
   options.combine = db::CombinePolicy::kAvg;
-  EXPECT_TRUE(CachedRankCS(poi_->relation, q, resolver, "", profile.version(),
-                           cache, options)
+  EXPECT_TRUE(RankCached(q, resolver, profile.version(), cache, options)
                   .status()
                   .IsInvalidArgument());
 }
@@ -444,8 +448,8 @@ TEST_F(QueryCacheTest, EightStateCachedRankCSMatchesTreeOracle) {
   ContextQueryTree cache = MakeCache(64);
   for (const char* pass : {"cold", "warm"}) {
     SCOPED_TRACE(pass);
-    StatusOr<QueryResult> cached = CachedRankCS(
-        poi_->relation, q, resolver, "", profile.version(), cache);
+    StatusOr<QueryResult> cached =
+        RankCached(q, resolver, profile.version(), cache);
     ASSERT_OK(cached.status());
     EXPECT_EQ(cached->tuples, oracle->tuples);
     ASSERT_EQ(cached->traces.size(), oracle->traces.size());
@@ -481,8 +485,8 @@ TEST_F(QueryCacheTest, CachedRankCSStopsAtFirstFailingState) {
   q.context = *ecod;
 
   ContextQueryTree cache = MakeCache();
-  StatusOr<QueryResult> result = CachedRankCS(
-      poi_->relation, q, resolver, "", profile.version(), cache);
+  StatusOr<QueryResult> result =
+      RankCached(q, resolver, profile.version(), cache);
   EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
   EXPECT_EQ(cache.Stats().lookups, 1u);
   EXPECT_EQ(cache.size(), 0u);
@@ -506,8 +510,8 @@ TEST_F(QueryCacheTest, CachedRankCSExpiredDeadlineEvaluatesNoState) {
   QueryOptions options;
   options.deadline = util::Deadline::AfterMicros(0, &clock);
   ContextQueryTree cache = MakeCache();
-  StatusOr<QueryResult> result = CachedRankCS(
-      poi_->relation, q, resolver, "", profile.version(), cache, options);
+  StatusOr<QueryResult> result =
+      RankCached(q, resolver, profile.version(), cache, options);
   ASSERT_TRUE(result.status().IsDeadlineExceeded())
       << result.status().ToString();
   EXPECT_NE(result.status().message().find("after 0/2 states"),
@@ -515,6 +519,138 @@ TEST_F(QueryCacheTest, CachedRankCSExpiredDeadlineEvaluatesNoState) {
       << result.status().ToString();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Stats().lookups, 0u);
+}
+
+/// A deadline that expires while a missed state resolves aborts before
+/// that state's list is built: the status reports the states completed
+/// before it, and the state is neither merged nor cached (its lookup
+/// missed and no entry was put). The states before it stay cached.
+TEST_F(QueryCacheTest, DeadlineAfterMissResolutionCachesNothingForThatState) {
+  Profile profile(env_);
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
+  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  ASSERT_OK(tree.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
+  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
+      *env_, "location = Plaka or location = Kifisia");
+  ASSERT_OK(ecod.status());
+  ContextualQuery q;
+  q.context = *ecod;
+  const std::vector<ContextState> states = q.context.EnumerateStates(*env_);
+  ASSERT_EQ(states.size(), 2u);
+
+  for (size_t expire_in : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE(expire_in);
+    util::FakeClock clock;
+    QueryOptions options;
+    options.deadline = util::Deadline::AfterMicros(10, &clock);
+    // Resolution of state `expire_in` uses up the budget.
+    size_t resolved = 0;
+    ResolveFn resolve = [&](const ContextState& s,
+                            const ResolutionOptions& opts, AccessCounter* c) {
+      if (resolved++ == expire_in) clock.Advance(20);
+      return flat_resolver.ResolveBest(s, opts, c);
+    };
+    ContextQueryTree cache = MakeCache();
+    const StateCache state_cache{&cache, &user_, profile.version()};
+    StatusOr<QueryResult> result = RankCS(poi_->relation, q, *env_, resolve,
+                                          options, nullptr, &state_cache);
+    ASSERT_TRUE(result.status().IsDeadlineExceeded())
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find(
+                  "after " + std::to_string(expire_in) + "/2 states"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(resolved, expire_in + 1);
+    const CacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.lookups, expire_in + 1);
+    EXPECT_EQ(stats.misses, expire_in + 1);
+    EXPECT_EQ(stats.size, expire_in) << "the aborted state was put";
+    EXPECT_EQ(cache.Lookup(states[expire_in], profile.version()), nullptr);
+  }
+}
+
+/// The cache is a step of the one Rank_CS loop, whatever resolves the
+/// states: through the `ResolveFn` overload, a cached `RankCS` over the
+/// pointer tree and over the sequential store answers every pass —
+/// misses, then hits — with the tuples and traces of a cached `RankCS`
+/// over the flat arena.
+TEST_F(QueryCacheTest, CachedQueryMatchesAcrossResolvers) {
+  Profile profile(env_);
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "temperature = hot", "type", "park", 0.9)));
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.7)));
+  ASSERT_OK(profile.Insert(
+      Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
+  ASSERT_OK(profile.Insert(Pref(*env_, "*", "type", "theater", 0.4)));
+  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  ASSERT_OK(tree.status());
+  TreeResolver tree_resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
+  const SequentialStore store = SequentialStore::Build(profile);
+
+  StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
+      *env_,
+      "location in {Plaka, Kifisia} and temperature in {hot, warm} and "
+      "accompanying_people in {friends, family}");
+  ASSERT_OK(ecod.status());
+  ContextualQuery q;
+  q.context = *ecod;
+  QueryOptions options;
+  options.top_k = 5;
+
+  const std::vector<std::pair<const char*, ResolveFn>> backends = {
+      {"tree",
+       [&](const ContextState& s, const ResolutionOptions& opts,
+           AccessCounter* c) { return tree_resolver.ResolveBest(s, opts, c); }},
+      {"sequential",
+       [&](const ContextState& s, const ResolutionOptions& opts,
+           AccessCounter* c) { return store.ResolveBest(s, opts, c); }},
+  };
+  ContextQueryTree flat_cache = MakeCache();
+  for (const char* pass : {"miss", "hit"}) {
+    StatusOr<QueryResult> want =
+        RankCached(q, flat_resolver, profile.version(), flat_cache, options);
+    ASSERT_OK(want.status());
+    ASSERT_EQ(want->traces.size(), 8u);
+    ASSERT_FALSE(want->tuples.empty());
+    for (const auto& [name, resolve] : backends) {
+      SCOPED_TRACE(std::string(pass) + " " + name);
+      // Each backend has its own tree, filled by its first pass.
+      ContextQueryTree cache = MakeCache();
+      const StateCache state_cache{&cache, &user_, profile.version()};
+      for (int run = 0; run < 2; ++run) {
+        StatusOr<QueryResult> got = RankCS(poi_->relation, q, *env_, resolve,
+                                           options, nullptr, &state_cache);
+        ASSERT_OK(got.status());
+        EXPECT_EQ(got->tuples, want->tuples);
+        ASSERT_EQ(got->traces.size(), want->traces.size());
+        for (size_t i = 0; i < want->traces.size(); ++i) {
+          const QueryResult::Trace& w = want->traces[i];
+          const QueryResult::Trace& g = got->traces[i];
+          EXPECT_EQ(g.query_state, w.query_state);
+          ASSERT_EQ(g.candidates->size(), w.candidates->size());
+          for (size_t c = 0; c < w.candidates->size(); ++c) {
+            const CandidatePath& wc = (*w.candidates)[c];
+            const CandidatePath& gc = (*g.candidates)[c];
+            EXPECT_EQ(gc.state, wc.state);
+            EXPECT_EQ(gc.distance, wc.distance);
+            ASSERT_EQ(gc.entries.size(), wc.entries.size());
+            for (size_t e = 0; e < wc.entries.size(); ++e) {
+              EXPECT_EQ(gc.entries[e].clause, wc.entries[e].clause);
+              EXPECT_EQ(gc.entries[e].score, wc.entries[e].score);
+            }
+          }
+        }
+      }
+      EXPECT_EQ(cache.hits(), 8u) << "the second run hit every state";
+    }
+  }
+  EXPECT_EQ(flat_cache.hits(), 8u);
 }
 
 }  // namespace

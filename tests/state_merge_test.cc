@@ -1,9 +1,9 @@
 // Differential tests for the per-state merge behind cache hits and the
-// stale rung (`MergeStateLists`) and for `db::Ranker::TopK`'s partial
-// selection: on seeded random inputs with heavy score ties, both must
-// equal a full-sort oracle — combine every eligible (row, score) into
-// one map, sort the lot by (score desc, row asc), then cut after the
-// k-th place's tie run.
+// stale rung (`RankSources` over one list source per state) and for
+// `db::Ranker::TopK`'s partial selection: on seeded random inputs with
+// heavy score ties, both must equal a full-sort oracle — combine every
+// eligible (row, score) into one map, sort the lot by (score desc, row
+// asc), then cut after the k-th place's tie run.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "db/ranker.h"
 #include "db/relation.h"
 #include "db/schema.h"
-#include "preference/query_cache.h"
+#include "preference/threshold_merge.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -42,7 +42,7 @@ std::vector<db::ScoredTuple> SortThenCut(std::vector<db::ScoredTuple> all,
   return all;
 }
 
-/// Full-sort oracle for `MergeStateLists`: one map over every eligible
+/// Full-sort oracle for the list merge: one map over every eligible
 /// tuple of every list (a row keeps its earliest list's score among
 /// equal extremes, as a Ranker does), then `SortThenCut`.
 std::vector<db::ScoredTuple> OracleMerge(
@@ -74,9 +74,11 @@ std::vector<db::ScoredTuple> Merge(
     const db::Relation& relation, const Lists& lists,
     const std::vector<db::Predicate>& selections, db::CombinePolicy combine,
     size_t top_k) {
-  std::vector<const std::vector<db::ScoredTuple>*> ptrs;
-  for (const std::vector<db::ScoredTuple>& list : lists) ptrs.push_back(&list);
-  return MergeStateLists(relation, ptrs, selections, combine, top_k);
+  std::vector<ScoredSource> sources;
+  for (const std::vector<db::ScoredTuple>& list : lists) {
+    sources.push_back(ScoredSource::List(list));
+  }
+  return RankSources(relation, sources, selections, combine, top_k);
 }
 
 /// `rows` rows with one int column `k` = row % 5, so selections on `k`

@@ -14,6 +14,7 @@ namespace {
 
 using ::ctxpref::testing::PaperEnv;
 using ::ctxpref::testing::Pref;
+using ::ctxpref::testing::Reseal;
 
 TEST(Crc32Test, KnownVectors) {
   // Standard check value for "123456789".
@@ -132,6 +133,37 @@ TEST_F(ProfileIoTest, ExhaustiveByteFlipSweepFailsCleanly) {
           << " produced unexpected status " << st.ToString();
     }
   }
+}
+
+/// A file whose checksum holds but whose descriptor claims 2^32 - 1
+/// values fails as Corruption, before the loader sizes anything by the
+/// claim.
+TEST_F(ProfileIoTest, RejectsDescriptorValueCountBeyondThePayload) {
+  Profile p(env_);
+  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka", "name", "A", 0.8)));
+  std::string bytes = SerializeProfile(p);
+  // Magic (4), preference count (u64), part count (u32), parameter
+  // (u32), kind (u8), then the part's value count (u32).
+  const size_t num_values_at = 4 + 8 + 4 + 4 + 1;
+  ASSERT_EQ(bytes[num_values_at], 1) << "layout changed";
+  for (int i = 0; i < 4; ++i) bytes[num_values_at + i] = '\xFF';
+  bytes = Reseal(std::move(bytes));
+
+  Status st = DeserializeProfile(env_, bytes).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+
+  // The file reader takes the same path.
+  const std::string path =
+      ::testing::TempDir() + "/ctxpref_huge_value_count.cpf";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  st = ReadProfileFile(env_, path).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  std::remove(path.c_str());
 }
 
 TEST_F(ProfileIoTest, RejectsForeignEnvironmentValues) {

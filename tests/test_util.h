@@ -15,6 +15,7 @@
 #include "preference/preference.h"
 #include "preference/profile.h"
 #include "preference/replicated_query_cache.h"
+#include "util/crc32.h"
 #include "util/status.h"
 #include "workload/poi_dataset.h"
 
@@ -93,6 +94,18 @@ inline ReplicatedQueryCache::Options SharedCache(size_t capacity = 0) {
   options.num_replicas = 1;
   options.capacity_per_replica = capacity;
   return options;
+}
+
+/// Rewrites the trailing CRC of a serialized profile file (magic,
+/// payload, little-endian CRC32 of the payload) over its payload, so an
+/// edited payload reaches the structural parser.
+inline std::string Reseal(std::string bytes) {
+  const uint32_t crc =
+      Crc32(std::string_view(bytes).substr(4, bytes.size() - 8));
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  return bytes;
 }
 
 }  // namespace ctxpref::testing

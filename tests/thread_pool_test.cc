@@ -184,7 +184,7 @@ TEST(ThreadPoolTest, HighwaterGaugeTracksQueueDepth) {
 
 TEST(ThreadPoolTest, BlockingSubmitHonorsDeadlineDropAtDequeueToo) {
   // The blocking Submit overload carries deadlines the same way
-  // TrySubmit does — CachedRankCS uses this form.
+  // TrySubmit does.
   util::FakeClock clock;
   ThreadPool pool(/*num_threads=*/1, /*queue_capacity=*/2);
   Gate gate;

@@ -8,8 +8,9 @@
 // and beyond the row count, one and several query states, every
 // `ScoreDiscount`, and scores of both 0.0 and -0.0 — answers are
 // compared bit for bit, since a kMax Ranker keeps the first-added
-// source's bits among equal maxima. `CachedRankCS` over the flat arena
-// (miss, then hit) must equal `RankCS` over the pointer tree too.
+// source's bits among equal maxima. `RankCS` with a `StateCache` over the
+// flat arena (miss, then hit) must equal `RankCS` over the pointer tree
+// too.
 
 #include <gtest/gtest.h>
 
@@ -248,6 +249,7 @@ TEST_P(ThresholdMergeTest, CachedMissAndHitEqualRankCs) {
   Rng rng(GetParam() + 1000);
   EnvironmentPtr env = SmallEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
+  const std::string user = "u";
   for (int trial = 0; trial < 30; ++trial) {
     const db::Relation relation = RandomRelation(rng);
     const Profile profile = RandomProfile(rng, env, world);
@@ -268,9 +270,10 @@ TEST_P(ThresholdMergeTest, CachedMissAndHitEqualRankCs) {
               RankCS(relation, query, resolver, options);
           ASSERT_OK(want.status());
           ContextQueryTree cache;
+          const StateCache state_cache{&cache, &user, 1};
           for (const char* pass : {"miss", "hit"}) {
-            StatusOr<QueryResult> got = CachedRankCS(
-                relation, query, flat_resolver, "u", 1, cache, options);
+            StatusOr<QueryResult> got = RankCS(
+                relation, query, flat_resolver, options, nullptr, &state_cache);
             ASSERT_OK(got.status());
             EXPECT_EQ(Bits(got->tuples), Bits(want->tuples))
                 << pass << " trial " << trial << " query " << q << " "
@@ -340,10 +343,11 @@ TEST(ThresholdMergeFixedTest, SignedZeroKeepsTheFirstSourcesBits) {
       EXPECT_EQ(Bits(got->tuples),
                 Bits(OracleRank(relation, query, *got, options)));
       ContextQueryTree cache;
+      const std::string user = "u";
+      const StateCache state_cache{&cache, &user, 1};
       for (int pass = 0; pass < 2; ++pass) {
-        StatusOr<QueryResult> cached =
-            CachedRankCS(relation, query, flat_resolver, "u", 1, cache,
-                         options);
+        StatusOr<QueryResult> cached = RankCS(relation, query, flat_resolver,
+                                              options, nullptr, &state_cache);
         ASSERT_OK(cached.status());
         EXPECT_EQ(Bits(cached->tuples), Bits(got->tuples)) << "pass " << pass;
       }

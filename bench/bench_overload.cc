@@ -151,6 +151,7 @@ struct PhaseResult {
   uint64_t unavailable = 0;
   uint64_t degraded = 0;   ///< Served by a non-fresh ladder rung.
   uint64_t torn = 0;
+  size_t queue_highwater = 0;  ///< Deepest backlog the pool held.
 };
 
 /// One cache replica per server thread (picked by thread), consumed
@@ -186,10 +187,11 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
   uint64_t offered = 0, rejected = 0;
 
   // Shed: a queue two deep per worker, newest-first under backlog, and
-  // per-request deadlines enforced at dequeue. NoShed: FIFO, no bound
-  // (capacity 0), no deadlines — work is never refused, only delayed.
+  // per-request deadlines enforced at dequeue. NoShed: FIFO, no bound,
+  // no deadlines — work is never refused, only delayed, and `Submit`
+  // never holds the producer back.
   ThreadPool pool(flags.threads,
-                  /*queue_capacity=*/shed ? 2 * flags.threads : 0,
+                  shed ? 2 * flags.threads : ThreadPool::kUnbounded,
                   shed ? DequeueOrder::kLifo : DequeueOrder::kFifo);
   pool.ResetWindowStats();
   storage::AdmissionController admission(
@@ -285,6 +287,7 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
   r.unavailable = unavailable.load();
   r.degraded = degraded.load();
   r.torn = torn.load();
+  r.queue_highwater = pool.GetWindowStats().queue_highwater;
   return r;
 }
 
@@ -396,9 +399,9 @@ int Run(const Flags& flags) {
               std::thread::hardware_concurrency());
   std::printf("measured saturation: %.0f requests/s (closed loop)\n\n",
               capacity);
-  std::printf("%-8s %6s %12s %12s %8s %8s %8s %8s %8s %6s\n", "config",
+  std::printf("%-8s %6s %12s %12s %8s %8s %8s %8s %8s %6s %8s\n", "config",
               "load", "offered/s", "goodput/s", "late", "reject", "expired",
-              "unavail", "degraded", "torn");
+              "unavail", "degraded", "torn", "qhigh");
 
   const double mults[] = {1.0, 2.0};
   std::vector<Row> rows;
@@ -409,14 +412,15 @@ int Run(const Flags& flags) {
       PhaseResult r = RunPhase(w, flags, mult * capacity, shed);
       const char* config = shed ? "shed" : "noshed";
       std::printf("%-8s %5.0fx %12.0f %12.0f %8llu %8llu %8llu %8llu %8llu "
-                  "%6llu\n",
+                  "%6llu %8zu\n",
                   config, mult, r.offered_per_sec, r.goodput_per_sec,
                   static_cast<unsigned long long>(r.late),
                   static_cast<unsigned long long>(r.rejected),
                   static_cast<unsigned long long>(r.expired),
                   static_cast<unsigned long long>(r.unavailable),
                   static_cast<unsigned long long>(r.degraded),
-                  static_cast<unsigned long long>(r.torn));
+                  static_cast<unsigned long long>(r.torn),
+                  r.queue_highwater);
       std::string name("BM_OverloadGoodput_");
       name += shed ? "Shed" : "NoShed";
       name += "/";

@@ -1,24 +1,25 @@
-// Context streaming: resilient sensors + standing queries.
+// Context streaming: resilient sensors feeding Rank_CS.
 //
 // Simulates a user walking around Athens over a day: noisy sensors —
 // wrapped in `ResilientSource` for retries, last-known-good serving
 // and hierarchy-based degradation — feed the current context (paper
-// §4.1's "rough values" point), a standing contextual query re-ranks
-// recommendations whenever the resolved preferences change, and a
-// fixed exploratory query watches how profile edits reshape a planned
-// trip. Degraded acquisitions are explained inline.
+// §4.1's "rough values" point). Each sensed snapshot becomes a
+// contextual query ranked with `RankCS`, and the recommendations are
+// printed whenever the ranked answer changes. Degraded acquisitions
+// are explained inline.
 //
 //   $ ./context_stream
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "context/parser.h"
 #include "context/resilient_source.h"
 #include "context/source.h"
-#include "preference/continuous.h"
+#include "preference/contextual_query.h"
 #include "preference/explain.h"
+#include "preference/profile_tree.h"
 #include "workload/default_profiles.h"
 #include "workload/poi_dataset.h"
 
@@ -83,8 +84,13 @@ int main() {
     return 1;
   }
 
-  // ---- Standing queries.
-  ContinuousQueryEngine engine(&poi->relation, &*profile);
+  // ---- Ranking: the profile's tree answers every sensed snapshot.
+  StatusOr<ProfileTree> tree = ProfileTree::Build(*profile);
+  if (!tree.ok()) {
+    std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
+    return 1;
+  }
+  TreeResolver resolver(&*tree);
   const db::Schema& schema = poi->relation.schema();
   const size_t name_col = *schema.IndexOf("name");
 
@@ -93,33 +99,7 @@ int main() {
   // dominate. The display cuts at 3 rows (TopK's paper-style tie
   // extension would show every equal-scored place).
   options.discount = ScoreDiscount::kInverseDistance;
-  StatusOr<size_t> live = engine.RegisterCurrentContext(
-      {}, options, [&](size_t, const QueryResult& result) {
-        std::printf("  -> recommendations changed (%zu scored):\n",
-                    result.tuples.size());
-        for (size_t i = 0; i < result.tuples.size() && i < 3; ++i) {
-          const db::ScoredTuple& t = result.tuples[i];
-          std::printf("     %.2f %s\n", t.score,
-                      poi->relation.row(t.row_id)[name_col].AsString().c_str());
-        }
-        if (result.tuples.empty()) std::printf("     (none)\n");
-      });
-  if (!live.ok()) {
-    std::fprintf(stderr, "%s\n", live.status().ToString().c_str());
-    return 1;
-  }
-
-  StatusOr<ExtendedDescriptor> trip = ParseExtendedDescriptor(
-      env, "location = Thessaloniki and accompanying_people = family");
-  StatusOr<size_t> planned = engine.RegisterFixed(
-      *trip, {}, options, [&](size_t, const QueryResult& result) {
-        std::printf("  -> planned Thessaloniki trip now ranks %zu places\n",
-                    result.tuples.size());
-      });
-  if (!planned.ok()) {
-    std::fprintf(stderr, "%s\n", planned.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<std::vector<db::ScoredTuple>> last;  // Last answer shown.
 
   // ---- A day of context changes.
   struct Step {
@@ -148,12 +128,33 @@ int main() {
       // Tell the user *why* the context is coarser than expected.
       std::printf("%s", ExplainAcquisition(env, report).c_str());
     }
-    StatusOr<size_t> fired = engine.OnContext(report.state);
-    if (!fired.ok()) {
-      std::fprintf(stderr, "%s\n", fired.status().ToString().c_str());
+    StatusOr<CompositeDescriptor> cod =
+        CompositeDescriptor::ForState(env, report.state);
+    if (!cod.ok()) {
+      std::fprintf(stderr, "%s\n", cod.status().ToString().c_str());
       return 1;
     }
-    if (*fired == 0) std::printf("  (no change)\n");
+    ContextualQuery query;
+    query.context = ExtendedDescriptor::FromComposite(std::move(*cod));
+    StatusOr<QueryResult> result =
+        RankCS(poi->relation, query, resolver, options);
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+      return 1;
+    }
+    if (last == result->tuples) {
+      std::printf("  (no change)\n");
+      continue;
+    }
+    last = result->tuples;
+    std::printf("  -> recommendations changed (%zu scored):\n",
+                last->size());
+    for (size_t i = 0; i < last->size() && i < 3; ++i) {
+      const db::ScoredTuple& t = (*last)[i];
+      std::printf("     %.2f %s\n", t.score,
+                  poi->relation.row(t.row_id)[name_col].AsString().c_str());
+    }
+    if (last->empty()) std::printf("     (none)\n");
   }
 
   const AcquisitionStats acq = current.counters().Snapshot();
@@ -166,23 +167,5 @@ int main() {
       static_cast<unsigned long long>(acq.stale + acq.stale_lifted),
       static_cast<unsigned long long>(acq.absent));
 
-  // ---- An evening profile edit re-fires the planned-trip watcher.
-  std::printf("\nEditing profile: family trips should visit the zoo more\n");
-  StatusOr<CompositeDescriptor> cod = ParseCompositeDescriptor(
-      env, "location = Thessaloniki and accompanying_people = family");
-  StatusOr<ContextualPreference> pref = ContextualPreference::Create(
-      std::move(*cod),
-      AttributeClause{"type", db::CompareOp::kEq, db::Value("zoo")}, 0.95);
-  if (Status st = profile->Insert(std::move(*pref)); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  StatusOr<size_t> fired = engine.OnProfileChange();
-  if (!fired.ok()) {
-    std::fprintf(stderr, "%s\n", fired.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%zu standing quer%s updated\n", *fired,
-              *fired == 1 ? "y" : "ies");
   return 0;
 }

@@ -59,6 +59,14 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               lint:allow; CHANGES.md and ROADMAP.md (history) are not
               read.
 
+  file-doc    Every `name.h` / `name.cc` / `name.cpp` token in README.md,
+              DESIGN.md, EXPERIMENTS.md, docs/*.md and perfbench/README.md
+              must name a file tracked in the repo: a bare or partial path
+              resolves when some tracked path ends with it, a `./` or
+              `../` path relative to the document. Exempt: placeholder
+              forms (`*_test.cc`, `tests/<module>_test.cc`). Like
+              bench-doc it takes no lint:allow.
+
   perfbench-spans  Every span name perfbench/serve_bench.cc compares
               against (`name == "..."`), apart from its own `bench.*`
               and `shadow.*` spans, must appear as a string literal in
@@ -75,6 +83,7 @@ import argparse
 import glob
 import os
 import re
+import subprocess
 import sys
 
 RAW_SYNC_TOKENS = re.compile(
@@ -125,6 +134,13 @@ BENCH_DOC_FILES = ["README.md", "EXPERIMENTS.md", "docs/*.md", "scripts/*.sh",
 # variables (${bench_x}, bench_x=...).
 BENCH_TOKEN = re.compile(r"(?<![\w.{$-])(bench_\w+)\b(?!=)(\*|\.\w+)?")
 BENCH_TOKEN_EXEMPT = {"bench_metrics"}
+
+FILE_DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
+                  "perfbench/README.md"]
+# A source file name, optionally with a path; `*` and `<...>` mark a
+# placeholder rather than a file.
+FILE_TOKEN = re.compile(
+    r"(?<![\w./*<>-])([\w./*<>-]*\w\.(?:h|cc|cpp))\b(?![\w-])")
 
 PERFBENCH_SOURCE = "perfbench/serve_bench.cc"
 # A span name perfbench's trace fold compares against.
@@ -498,6 +514,43 @@ def check_bench_doc(findings):
                                  f"{name} is not a target in {BENCH_CMAKE}")
 
 
+def tracked_files():
+    """Paths git tracks in the working tree, or None without git."""
+    try:
+        out = subprocess.run(["git", "ls-files"], capture_output=True,
+                             text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return set(out.splitlines())
+
+
+def check_file_doc(findings):
+    """Docs must name only source files that exist in the repo."""
+    files = tracked_files()
+    if files is None:
+        print("lint.py: warning: cannot list tracked files; "
+              "file-doc check skipped", file=sys.stderr)
+        return
+    paths = sorted({p for pattern in FILE_DOC_FILES
+                    for p in glob.glob(pattern)})
+    for path in paths:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines, 1):
+            for name in FILE_TOKEN.findall(line):
+                if re.search(r"[*<>]", name):
+                    continue
+                if name.startswith(("./", "../")):
+                    found = os.path.normpath(os.path.join(
+                        os.path.dirname(path), name)) in files
+                else:
+                    found = any(f == name or f.endswith("/" + name)
+                                for f in files)
+                if not found:
+                    findings.add(path, i, "file-doc",
+                                 f"{name} names no tracked file")
+
+
 def check_perfbench_spans(findings):
     """The src/ spans perfbench reads must still be opened under src/."""
     try:
@@ -568,6 +621,7 @@ def main():
     check_ablation_doc(findings)
     check_scenario_key_doc(findings)
     check_bench_doc(findings)
+    check_file_doc(findings)
     check_perfbench_spans(findings)
 
     for path, lineno, check, message in findings.items:

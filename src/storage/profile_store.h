@@ -149,8 +149,8 @@ class ProfileStore {
   /// as a new snapshot. Nothing is published — and concurrent readers
   /// observe nothing — if `edit` returns an error or the tree build
   /// fails. `edit` runs under the user's writer lock: it must not call
-  /// back into this store. This is the entry point for feedback-driven
-  /// rescoring and programmatic edits.
+  /// back into this store. This is the entry point for rescores and
+  /// other programmatic edits.
   Status UpdateUser(const std::string& user_id,
                     const std::function<Status(Profile&)>& edit);
 

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -67,9 +68,8 @@ const char* SubmitResultToString(SubmitResult r) {
 
 ThreadPool::ThreadPool(size_t num_threads, size_t queue_capacity,
                        DequeueOrder order)
-    : order_(order) {
+    : queue_capacity_(std::max<size_t>(queue_capacity, 1)), order_(order) {
   if (num_threads == 0) num_threads = 1;
-  queue_capacity_ = queue_capacity > 0 ? queue_capacity : 2 * num_threads;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back(

@@ -30,14 +30,17 @@ const char* SubmitResultToString(SubmitResult r);
 /// overload pattern).
 enum class DequeueOrder { kFifo, kLifo };
 
-/// A small fixed-size worker pool over a bounded task queue.
+/// A small fixed-size worker pool over a task queue of a stated
+/// capacity, bounded or `kUnbounded`.
 ///
-/// `Submit` blocks when the queue is full (backpressure instead of
-/// unbounded memory growth); `TrySubmit` refuses instead of blocking
-/// and reports why, which is what admission-controlled serving paths
-/// use. `Wait` blocks until every accepted task has finished or been
-/// expired. Destruction drains the queue: tasks already submitted run
-/// to completion before the `std::jthread`s join.
+/// On a bounded pool `Submit` blocks when the queue is full
+/// (backpressure instead of unbounded memory growth) and `TrySubmit`
+/// refuses instead of blocking and reports why, which is what
+/// admission-controlled serving paths use. An unbounded pool never
+/// blocks or refuses a submit while it runs. `Wait` blocks until every
+/// accepted task has finished or been expired. Destruction drains the
+/// queue: tasks already submitted run to completion before the
+/// `std::jthread`s join.
 ///
 /// Deadlines: a task may carry a `util::Deadline`; if it expires while
 /// the task is still queued, the worker *drops* the task at dequeue —
@@ -65,10 +68,12 @@ class ThreadPool {
     size_t queue_highwater = 0;      ///< Max queue depth since reset.
   };
 
-  /// `num_threads` is clamped to at least 1; `queue_capacity` = 0 means
-  /// twice the thread count.
-  explicit ThreadPool(size_t num_threads, size_t queue_capacity = 0,
-                      DequeueOrder order = DequeueOrder::kFifo);
+  /// A `queue_capacity` no submit ever reaches.
+  static constexpr size_t kUnbounded = SIZE_MAX;
+
+  /// `num_threads` and `queue_capacity` are each clamped to at least 1.
+  ThreadPool(size_t num_threads, size_t queue_capacity,
+             DequeueOrder order = DequeueOrder::kFifo);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

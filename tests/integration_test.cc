@@ -1,7 +1,7 @@
 // End-to-end integration: the full production pipeline a deployment
 // would run — context model from a spec file, user profiles in a
 // store, data from CSV, indexed Rank_CS with caching, explanations,
-// standing queries, and persistence round trips — all in one scenario.
+// and persistence round trips — all in one scenario.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,7 @@
 #include "context/parser.h"
 #include "context/source.h"
 #include "db/csv.h"
-#include "preference/continuous.h"
 #include "preference/explain.h"
-#include "preference/profile_stats.h"
 #include "preference/query_cache.h"
 #include "preference/replicated_query_cache.h"
 #include "storage/env_spec.h"
@@ -88,10 +86,6 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_OK(pinned.status());
   const Profile& alice = (*pinned)->profile();
 
-  ProfileStats stats = ComputeProfileStats(alice, 300);
-  EXPECT_GT(stats.num_preferences, 10u);
-  EXPECT_GT(stats.coverage_estimate, 0.5);  // Defaults are broad.
-
   // ---- 4. Query with the cache; explanations line up. The pinned
   // snapshot's pointer tree answers uncached (the oracle) and its flat
   // arena serves the cached path.
@@ -153,24 +147,7 @@ TEST_F(IntegrationTest, FullPipeline) {
   std::string text = ExplainTupleText(*direct, *relation, **env, top);
   EXPECT_NE(text.find("covering query"), std::string::npos);
 
-  // ---- 5. A standing query follows context changes.
-  ContinuousQueryEngine engine(&*relation, &alice);
-  size_t updates = 0;
-  ASSERT_OK(engine
-                .RegisterCurrentContext(
-                    {}, options,
-                    [&](size_t, const QueryResult&) { ++updates; })
-                .status());
-  StatusOr<ContextState> s1 =
-      ContextState::FromNames(**env, {"Kolonaki", "warm", "friends"});
-  ASSERT_OK(s1.status());
-  ASSERT_OK(engine.OnContext(*s1).status());
-  StatusOr<ContextState> s2 =
-      ContextState::FromNames(**env, {"Perama", "freezing", "alone"});
-  ASSERT_OK(engine.OnContext(*s2).status());
-  EXPECT_GE(updates, 2u);
-
-  // ---- 6. Persist everything; reload; same answers.
+  // ---- 5. Persist everything; reload; same answers.
   ASSERT_OK(store.SaveAll(dir_));
   StatusOr<storage::ProfileStore> reloaded =
       storage::ProfileStore::LoadDir(*env, dir_);

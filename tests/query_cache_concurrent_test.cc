@@ -29,7 +29,7 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
+  ThreadPool pool(2, /*queue_capacity=*/4);
   std::atomic<int> count{0};
   for (int batch = 0; batch < 3; ++batch) {
     for (int i = 0; i < 10; ++i) {
@@ -43,7 +43,7 @@ TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
 TEST(ThreadPoolTest, TaskExceptionIsContained) {
   // A throw escaping a task must not terminate the process or corrupt
   // the pool's running-task bookkeeping (Wait would hang otherwise).
-  ThreadPool pool(2);
+  ThreadPool pool(2, /*queue_capacity=*/4);
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) {
     pool.Submit([&count, i] {

@@ -1,82 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "context/validate.h"
-#include "preference/profile_stats.h"
 #include "preference/qualitative.h"
 #include "tests/test_util.h"
-#include "workload/profile_generator.h"
 #include "workload/synthetic_hierarchy.h"
 
 namespace ctxpref {
 namespace {
 
 using ::ctxpref::testing::PaperEnv;
-using ::ctxpref::testing::Pref;
-
-class ProfileStatsTest : public ::testing::Test {
- protected:
-  EnvironmentPtr env_ = PaperEnv();
-};
-
-TEST_F(ProfileStatsTest, CountsBasics) {
-  Profile p(env_);
-  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka and temperature in "
-                          "{warm, hot}", "name", "Acropolis", 0.8)));
-  ASSERT_OK(p.Insert(
-      Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.9)));
-  ProfileStats stats = ComputeProfileStats(p, /*coverage_samples=*/0);
-  EXPECT_EQ(stats.num_preferences, 2u);
-  EXPECT_EQ(stats.flat_entries, 3u);
-  EXPECT_EQ(stats.distinct_states, 3u);
-  EXPECT_DOUBLE_EQ(stats.min_score, 0.8);
-  EXPECT_DOUBLE_EQ(stats.max_score, 0.9);
-  EXPECT_NEAR(stats.mean_score, 0.85, 1e-12);
-  // location: Plaka + all -> 2 active values.
-  EXPECT_EQ(stats.active_domain[0], 2u);
-  // temperature: warm, hot, all -> 3.
-  EXPECT_EQ(stats.active_domain[1], 3u);
-  // Level histogram: location Region used twice (two Plaka states),
-  // ALL once.
-  EXPECT_EQ(stats.level_histogram[0][0], 2u);
-  EXPECT_EQ(stats.level_histogram[0].back(), 1u);
-}
-
-TEST_F(ProfileStatsTest, CoverageBounds) {
-  Profile p(env_);
-  ProfileStats empty = ComputeProfileStats(p, 100);
-  EXPECT_EQ(empty.coverage_samples, 0u);  // Skipped for empty profiles.
-
-  ASSERT_OK(p.Insert(Pref(*env_, "*", "type", "museum", 0.6)));
-  ProfileStats full = ComputeProfileStats(p, 200);
-  EXPECT_DOUBLE_EQ(full.coverage_estimate, 1.0);  // all-state covers W.
-
-  Profile q(env_);
-  ASSERT_OK(q.Insert(Pref(*env_, "location = Plaka and temperature = warm "
-                          "and accompanying_people = alone",
-                          "name", "X", 0.5)));
-  ProfileStats narrow = ComputeProfileStats(q, 500, 3);
-  // One detailed state out of 225: coverage well below 5%.
-  EXPECT_LT(narrow.coverage_estimate, 0.05);
-}
-
-TEST_F(ProfileStatsTest, ReportIsReadable) {
-  Profile p(env_);
-  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka", "name", "X", 0.5)));
-  ProfileStats stats = ComputeProfileStats(p, 50);
-  std::string report = stats.ToString(*env_);
-  EXPECT_NE(report.find("preferences:"), std::string::npos);
-  EXPECT_NE(report.find("parameter location"), std::string::npos);
-  EXPECT_NE(report.find("coverage:"), std::string::npos);
-}
-
-TEST_F(ProfileStatsTest, DeterministicUnderSeed) {
-  StatusOr<workload::SyntheticProfile> gen = workload::MakeRealLikeProfile(9);
-  ASSERT_OK(gen.status());
-  ProfileStats a = ComputeProfileStats(gen->profile, 500, 4);
-  ProfileStats b = ComputeProfileStats(gen->profile, 500, 4);
-  EXPECT_DOUBLE_EQ(a.coverage_estimate, b.coverage_estimate);
-  EXPECT_EQ(a.active_domain, b.active_domain);
-}
 
 class ValidateTest : public ::testing::Test {};
 

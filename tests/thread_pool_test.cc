@@ -75,6 +75,34 @@ TEST(ThreadPoolTest, TrySubmitRejectsWhenQueueFull) {
   EXPECT_EQ(stats.queue_highwater, 2u);
 }
 
+TEST(ThreadPoolTest, UnboundedQueueNeverRejectsFull) {
+  // An open-loop producer must never be turned away (or, through
+  // `Submit`, held back) by an unbounded pool, however far the backlog
+  // runs ahead of the workers.
+  ThreadPool pool(/*num_threads=*/1, ThreadPool::kUnbounded);
+  EXPECT_EQ(pool.queue_capacity(), ThreadPool::kUnbounded);
+  Gate gate;
+  Gate worker_parked;
+  std::atomic<int> ran{0};
+  pool.Submit([&] {
+    worker_parked.Open();
+    gate.Await();
+  });
+  worker_parked.Await();
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(pool.TrySubmit([&] { ran.fetch_add(1); }),
+              SubmitResult::kAccepted)
+        << i;
+  }
+  gate.Open();
+  pool.Wait();
+  EXPECT_EQ(ran.load(), 64);
+
+  const ThreadPool::WindowStats stats = pool.GetWindowStats();
+  EXPECT_EQ(stats.rejected_full, 0u);
+  EXPECT_EQ(stats.queue_highwater, 64u);
+}
+
 TEST(ThreadPoolTest, ExpiredQueuedTaskIsDroppedNotRun) {
   util::FakeClock clock;
   ThreadPool pool(/*num_threads=*/1, /*queue_capacity=*/4);

@@ -18,7 +18,8 @@
 #                                 # the flat-vs-pointer Search_CS
 #                                 # speedup gate, the cache hit-vs-miss
 #                                 # gate + advisory baseline diffs
-#                                 # (CI job)
+#                                 # (CI job); every gate runs, and a
+#                                 # failure names each failed gate
 #   scripts/check.sh --scenarios  # Release scenario_runner over every
 #                                 # scenarios/*.cfg: each must be
 #                                 # deterministic (two runs, identical
@@ -169,24 +170,37 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     echo "BUILD FAILED (bench); full log: build-bench/check-build.log" >&2
     exit "${bench_build_status}"
   fi
-  ./build-bench/bench/bench_resolution \
+  # Each gate's failure is recorded and the rest still run; the end of
+  # this block names every gate that failed and exits 1.
+  failed_gates=()
+  gate() {
+    local name="$1"; shift
+    local status=0
+    "$@" || status=$?
+    if [[ "${status}" -ne 0 ]]; then
+      echo "GATE FAILED (exit ${status}): ${name}" >&2
+      failed_gates+=("${name}")
+    fi
+  }
+  gate "bench_resolution run" ./build-bench/bench/bench_resolution \
     --benchmark_min_time=0.2 \
     --benchmark_out=build-bench/bench_resolution.json
-  python3 scripts/compare_bench.py \
+  gate "flat vs pointer Search_CS >= 5x" python3 scripts/compare_bench.py \
     --speedup build-bench/bench_resolution.json \
     --base-prefix BM_SearchCS_Pointer --target-prefix BM_SearchCS_Flat \
     --min-ratio 5 --pair-filter '/5000$'
-  python3 scripts/compare_bench.py BENCH_resolution_baseline.json \
+  gate "bench_resolution baseline diff" \
+    python3 scripts/compare_bench.py BENCH_resolution_baseline.json \
     build-bench/bench_resolution.json
 
   echo "==== bench gate (cache hit vs miss, 3-state query) ===="
   # A cached RankCS answer with every state cached must beat recomputing
   # the same query uncached by >= 2x in wall time (same-run ratio).
-  ./build-bench/bench/bench_micro \
+  gate "bench_micro BM_ThreeStateQuery run" ./build-bench/bench/bench_micro \
     --benchmark_filter='BM_ThreeStateQuery' \
     --benchmark_min_time=0.2 \
     --benchmark_out=build-bench/bench_cache_hit.json
-  python3 scripts/compare_bench.py \
+  gate "cache hit vs miss >= 2x" python3 scripts/compare_bench.py \
     --speedup build-bench/bench_cache_hit.json \
     --base-prefix BM_ThreeStateQuery_Miss \
     --target-prefix BM_ThreeStateQuery_Hit \
@@ -195,27 +209,30 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
   echo "==== bench gate (relation selection vs Eval scan) ===="
   # Rank_CS's selections through the relation's posting lists must beat
   # a plain Predicate::Eval row loop by >= 10x at 20 000 POIs.
-  ./build-bench/bench/bench_micro \
+  gate "bench_micro BM_Select_ run" ./build-bench/bench/bench_micro \
     --benchmark_filter='BM_Select_' \
     --benchmark_min_time=0.2 \
     --benchmark_out=build-bench/bench_select.json
-  python3 scripts/compare_bench.py \
+  gate "relation selection vs Eval scan >= 10x" \
+    python3 scripts/compare_bench.py \
     --speedup build-bench/bench_select.json \
     --base-prefix BM_Select_EvalScan \
     --target-prefix BM_Select_Relation \
     --min-ratio 10 --pair-filter '/20000$'
 
   echo "==== bench gate (overload goodput, shed vs noshed) ===="
-  # The binary's own bars (torn == 0, shed retains >= 80% of peak
-  # goodput at 2x) fail via its exit code; bars self-skip on one
-  # hardware thread but the torn check always applies.
-  ./build-bench/bench/bench_overload \
+  # The binary's own bars (torn == 0, a saturated noshed 2x phase,
+  # shed retains >= 80% of peak goodput at 2x, shed beats noshed) fail
+  # via its exit code; bars self-skip on one hardware thread but the
+  # torn check always applies.
+  gate "bench_overload bars" ./build-bench/bench/bench_overload \
     --json_out=build-bench/bench_overload.json
   if [[ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]]; then
     # Goodput ratio at 2x saturation: the protected configuration must
     # beat the unprotected one, which collapses past saturation. Same-
     # run ratio, so robust to slow shared runners.
-    python3 scripts/compare_bench.py \
+    gate "overload shed vs noshed goodput >= 1.5x" \
+      python3 scripts/compare_bench.py \
       --speedup build-bench/bench_overload.json \
       --base-prefix BM_OverloadGoodput_NoShed \
       --target-prefix BM_OverloadGoodput_Shed \
@@ -224,7 +241,8 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     echo "SKIP: shed/noshed goodput gate needs >1 hardware thread" \
          "(producer and workers time-slice one CPU)"
   fi
-  python3 scripts/compare_bench.py BENCH_overload_baseline.json \
+  gate "bench_overload baseline diff" \
+    python3 scripts/compare_bench.py BENCH_overload_baseline.json \
     build-bench/bench_overload.json
 
   echo "==== bench gate (coherence hit rate, replicated vs single-shared) ===="
@@ -232,12 +250,13 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
   # exercised, lag quiesces to 0) fail via its exit code on any core
   # count; the hit-rate speedup is a parallelism claim, so the ratio
   # gate needs real cores.
-  ./build-bench/bench/bench_coherence \
+  gate "bench_coherence bars" ./build-bench/bench/bench_coherence \
     --json_out=build-bench/bench_coherence.json
   if [[ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]]; then
     # Replicated per-thread trees vs one shared tree under 8-reader
     # read skew: same-run ratio, so robust to slow shared runners.
-    python3 scripts/compare_bench.py \
+    gate "coherence replicated vs single-shared hit rate >= 1.5x" \
+      python3 scripts/compare_bench.py \
       --speedup build-bench/bench_coherence.json \
       --base-prefix BM_CoherenceHitRate_SingleShared \
       --target-prefix BM_CoherenceHitRate_Replicated \
@@ -246,8 +265,17 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     echo "SKIP: replicated/single-shared hit-rate gate needs >1 hardware" \
          "thread (readers time-slice one CPU)"
   fi
-  python3 scripts/compare_bench.py BENCH_coherence_baseline.json \
+  gate "bench_coherence baseline diff" \
+    python3 scripts/compare_bench.py BENCH_coherence_baseline.json \
     build-bench/bench_coherence.json
+
+  if [[ "${#failed_gates[@]}" -gt 0 ]]; then
+    echo "==== bench gate: ${#failed_gates[@]} gate(s) FAILED ====" >&2
+    for name in "${failed_gates[@]}"; do
+      echo "FAILED: ${name}" >&2
+    done
+    exit 1
+  fi
 fi
 
 if [[ "${RUN_SCENARIOS}" == 1 ]]; then

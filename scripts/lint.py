@@ -37,6 +37,13 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               that name in src/ — a renamed or deleted lock cannot
               leave the table stale.
 
+  metric-doc  Every "ctxpref_*" string literal under src/ (a metric
+              registered with the MetricsRegistry) must have a row in a
+              docs/*.md table whose first cell names it in backticks,
+              and every backticked ctxpref_* name in the first cell of
+              such a row must be a literal under src/ — a renamed or
+              deleted metric cannot leave its row behind.
+
   ablation-doc  The rows of docs/scenarios.md's ablation table must
               name exactly the flags declared in the
               CTXPREF_ABLATION_FLAGS X-macro
@@ -121,6 +128,10 @@ LOCK_RANK_USE = re.compile(r"\bLockRank::(k\w+)")
 # A ranked mutex's constructor arguments: `{util::LockRank::kX, "Name"}`
 # (or the parenthesized form), possibly split across lines.
 MUTEX_NAME_ARG = re.compile(r"\bLockRank::k\w+\s*,\s*\"([^\"]+)\"")
+
+METRIC_LITERAL = re.compile(r'"(ctxpref_\w+)"')
+METRIC_DOC_FILES = "docs/*.md"
+METRIC_DOC_NAME = re.compile(r"`(ctxpref_\w+)")
 
 ABLATION_HEADER = "src/harness/scenario_config.h"
 ABLATION_DOC = "docs/scenarios.md"
@@ -379,6 +390,54 @@ def check_lock_name_doc(findings):
                          "constructed as")
 
 
+def registered_metric_names():
+    """{name: (path, line)} of each "ctxpref_*" literal under src/."""
+    names = {}
+    for dirpath, _, files in os.walk("src"):
+        for fname in sorted(files):
+            if not fname.endswith((".h", ".cc")):
+                continue
+            path = os.path.join(dirpath, fname)
+            with open(path, encoding="utf-8", errors="replace") as f:
+                for i, line in enumerate(f, 1):
+                    for name in METRIC_LITERAL.findall(line):
+                        names.setdefault(name, (path, i))
+    return names
+
+
+def documented_metric_rows():
+    """(path, line, name) of each backticked ctxpref_* name in the first
+    cell of a table row in docs/*.md."""
+    rows = []
+    for path in sorted(glob.glob(METRIC_DOC_FILES)):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for i, line in enumerate(f, 1):
+                if not line.startswith("|"):
+                    continue
+                first_cell = line.strip().strip("|").split("|", 1)[0]
+                for name in METRIC_DOC_NAME.findall(first_cell):
+                    rows.append((path, i, name))
+    return rows
+
+
+def check_metric_doc(findings):
+    """The docs' metric tables and the src/ metric literals name the same
+    metrics, in both directions."""
+    registered = registered_metric_names()
+    rows = documented_metric_rows()
+    documented = {name for _, _, name in rows}
+    for name, (path, line) in sorted(registered.items()):
+        if name not in documented:
+            findings.add(path, line, "metric-doc",
+                         f"metric '{name}' has no row in a "
+                         f"{METRIC_DOC_FILES} metric table")
+    for path, line, name in rows:
+        if name not in registered:
+            findings.add(path, line, "metric-doc",
+                         f"metric table lists '{name}', which no "
+                         "\"ctxpref_*\" literal under src/ registers")
+
+
 def doc_table_keys(doc_lines, heading):
     """(line number, name) of each row of the first table under the
     markdown `heading` whose first cell is one backticked name."""
@@ -618,6 +677,7 @@ def main():
         lint_file(os.path.normpath(path), ranks, findings)
     check_lock_rank_doc(ranks, findings)
     check_lock_name_doc(findings)
+    check_metric_doc(findings)
     check_ablation_doc(findings)
     check_scenario_key_doc(findings)
     check_bench_doc(findings)

@@ -260,10 +260,6 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     ReplicatedQueryCache::Options ropt;
     ropt.num_replicas = cfg.coherence_replicas;
     ropt.capacity_per_replica = cfg.cache_capacity;
-    // Retention matches the resilient ladder's default stale reach, so
-    // consume-step reclamation never drops an entry the stale rung
-    // could still serve.
-    ropt.staleness_window = storage::ServeOptions{}.max_stale_versions;
     ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
     cache.emplace(poi->env, Ordering::Identity(env.size()), ropt);
     store.AttachCoherenceLog(&cache->log());
@@ -517,41 +513,33 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     const uint64_t q_start = MonotonicNanos();
     storage::ServedVia via = storage::ServedVia::kShed;
     std::optional<storage::ServedQuery> held;
-    if (cfg.ablation.shed) {
-      storage::ServeOptions so;
-      so.query = base;
-      if (deadline_at > 0) {
-        so.query.deadline = util::Deadline::AtMicros(
-            doomed ? start_service : deadline_at, &serve_clock);
-      }
-      so.admission = &admission;
-      so.truncated_top_k = cfg.top_k;
-      StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-          store, uid, poi->relation, cq, cache_ptr, so, nullptr, replica);
-      if (served.ok()) {
-        via = served->provenance.via;
-        if (served->provenance.deadline_hit) ++res.deadline_hits;
-        held = std::move(*served);
-      } else if (served.status().IsUnavailable()) {
-        via = storage::ServedVia::kShed;  // Fell off the ladder.
-        // The Unavailable status carries no provenance, so a request
-        // the deadline pushed off the whole ladder (doomed at the door,
-        // no stale entry, truncated rung aborted) would silently skip
-        // the deadline_hits column while the registry counter ticks —
-        // recover the fact from the deadline itself, which is still
-        // expired on the unchanged virtual clock.
-        if (so.query.deadline.Expired()) ++res.deadline_hits;
-      } else {
-        return served.status();
-      }
-    } else {
-      // shed=off: no admission, no deadline — every request grinds
-      // through a full evaluation even when its deadline has passed.
-      StatusOr<storage::ServedQuery> served = storage::ServeQuery(
-          store, uid, poi->relation, cq, cache_ptr, base, nullptr, replica);
-      if (!served.ok()) return served.status();
-      via = storage::ServedVia::kFresh;
+    // shed=on: the request carries its deadline (the serve time itself
+    // when doomed) and passes the admission controller. shed=off: no
+    // admission, no deadline — every request grinds through a full
+    // evaluation even when its deadline has passed.
+    QueryOptions options = base;
+    if (cfg.ablation.shed && deadline_at > 0) {
+      options.deadline = util::Deadline::AtMicros(
+          doomed ? start_service : deadline_at, &serve_clock);
+    }
+    StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+        store, uid, poi->relation, cq, cache_ptr, options, nullptr, replica,
+        cfg.ablation.shed ? &admission : nullptr);
+    if (served.ok()) {
+      via = served->provenance.via;
+      if (served->provenance.deadline_hit) ++res.deadline_hits;
       held = std::move(*served);
+    } else if (served.status().IsUnavailable()) {
+      via = storage::ServedVia::kShed;  // Fell off the ladder.
+      // The Unavailable status carries no provenance, so a request
+      // the deadline pushed off the whole ladder (doomed at the door,
+      // no stale entry, truncated rung aborted) would silently skip
+      // the deadline_hits column while the registry counter ticks —
+      // recover the fact from the deadline itself, which is still
+      // expired on the unchanged virtual clock.
+      if (options.deadline.Expired()) ++res.deadline_hits;
+    } else {
+      return served.status();
     }
     const QueryResult* answer =
         held.has_value() ? &held->result : nullptr;

@@ -69,12 +69,12 @@ struct ScenarioResult {
 /// Executes one `ScenarioConfig` deterministically: builds the POI
 /// database, the user profiles and the `ProfileStore`, then drives
 /// `ops` operations (queries, updates, event windows) through
-/// `storage::ServeQuery` / `ServeQueryResilient`, honoring every
-/// ablation flag. All randomness comes from one seeded `util::Rng`;
-/// all scheduling (arrivals, deadlines, backlog) runs on a
-/// `util::FakeClock`, so the deterministic half of the result is a
-/// pure function of the config. Progress metrics are also ticked into
-/// `MetricsRegistry::Global()` under `ctxpref_scenario_*`.
+/// `storage::ServeQuery`, honoring every ablation flag. All randomness
+/// comes from one seeded `util::Rng`; all scheduling (arrivals,
+/// deadlines, backlog) runs on a `util::FakeClock`, so the
+/// deterministic half of the result is a pure function of the config.
+/// Progress metrics are also ticked into `MetricsRegistry::Global()`
+/// under `ctxpref_scenario_*`.
 class WorkloadRunner {
  public:
   explicit WorkloadRunner(ScenarioConfig cfg) : cfg_(std::move(cfg)) {}

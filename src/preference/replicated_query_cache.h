@@ -114,18 +114,17 @@ class CoherenceLog {
 /// `CoherenceLog`: serving threads read their own replica with no
 /// cross-thread cache contention, writers append one log record per
 /// publish, and each replica's consume step applies the records and
-/// advances its clock. `storage::ServeQuery` and
-/// `storage::ServeQueryResilient` are the serving entry points; the
-/// gate is `Covers(replica, pinned_version)`. Replica trees never drop
-/// an entry on lookup: a version-skewed entry stays (reachable by the
-/// ladder's stale rung) until a `Put` overwrites it, the consume step
-/// reclaims it, or LRU evicts it.
+/// advances its clock. `storage::ServeQuery` is the serving entry
+/// point; the gate is `Covers(replica, pinned_version)`. Replica trees
+/// never drop an entry on lookup: a version-skewed entry stays
+/// (reachable by the ladder's stale rung) until a `Put` overwrites it,
+/// the consume step reclaims it, or LRU evicts it.
 class ReplicatedQueryCache {
  public:
   /// When the consume step runs. `kInlineAtLookup`: the serving entry
-  /// points drain the log before every gate check, so
-  /// the clock always covers the pinned version (the refuse path never
-  /// fires) at the cost of a log-drain per query — the deterministic
+  /// point drains the log before every gate check, so the clock
+  /// always covers the pinned version (the refuse path never fires) at
+  /// the cost of a log-drain per query — the deterministic
   /// mode the harness and the differential tests use. `kBackground`:
   /// the owner schedules `Consume`/`ConsumeAll` (an interval consumer
   /// thread, say); lookups between consumes may find the clock behind
@@ -138,10 +137,12 @@ class ReplicatedQueryCache {
     /// Per-replica `ContextQueryTree` capacity (0 = unbounded).
     size_t capacity_per_replica = 0;
     /// How many serving versions behind a record's version an entry
-    /// may be and still survive the consume step — the retention the
-    /// degradation ladder's stale rung reads through
-    /// `LookupAtOrBefore`. 0 = drop everything below the record's
-    /// version (strictest hygiene, no stale rung).
+    /// may be and still survive the consume step, and how far behind
+    /// the pinned version the degradation ladder's stale rung may reach
+    /// (`LookupAtOrBefore`): one knob, so retention and reach agree.
+    /// 0 = drop everything below the record's version (strictest
+    /// hygiene; the stale rung then serves only entries at the pinned
+    /// version).
     uint64_t staleness_window = 8;
     ConsumeMode mode = ConsumeMode::kInlineAtLookup;
   };

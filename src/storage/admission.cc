@@ -12,7 +12,6 @@ namespace {
 struct AdmissionMetrics {
   Counter& admitted;
   Counter& shed_capacity;
-  Counter& shed_maintenance;
   Counter& shed_deadline;
   Gauge& in_flight;
 
@@ -22,9 +21,7 @@ struct AdmissionMetrics {
         reg.GetCounter("ctxpref_serving_admitted_total",
                        "Requests admitted by AdmissionController"),
         reg.GetCounter("ctxpref_serving_shed_capacity_total",
-                       "Requests shed: total in-flight limit reached"),
-        reg.GetCounter("ctxpref_serving_shed_maintenance_total",
-                       "Requests shed: maintenance slice exhausted"),
+                       "Requests shed: in-flight limit reached"),
         reg.GetCounter("ctxpref_serving_shed_deadline_total",
                        "Requests shed: deadline already expired at admission"),
         reg.GetGauge("ctxpref_serving_in_flight",
@@ -36,24 +33,12 @@ struct AdmissionMetrics {
 
 }  // namespace
 
-const char* QueryPriorityToString(QueryPriority p) {
-  switch (p) {
-    case QueryPriority::kInteractive:
-      return "interactive";
-    case QueryPriority::kMaintenance:
-      return "maintenance";
-  }
-  return "unknown";
-}
-
 const char* AdmissionDecisionToString(AdmissionDecision d) {
   switch (d) {
     case AdmissionDecision::kAdmitted:
       return "admitted";
     case AdmissionDecision::kShedCapacity:
       return "shed-capacity";
-    case AdmissionDecision::kShedMaintenance:
-      return "shed-maintenance";
     case AdmissionDecision::kShedDeadline:
       return "shed-deadline";
   }
@@ -64,7 +49,7 @@ AdmissionController::AdmissionController(AdmissionPolicy policy)
     : policy_(policy) {}
 
 AdmissionController::Ticket AdmissionController::Admit(
-    QueryPriority priority, const util::Deadline& deadline) {
+    const util::Deadline& deadline) {
   AdmissionMetrics& metrics = AdmissionMetrics::Get();
   if (deadline.Expired()) {
     {
@@ -72,55 +57,40 @@ AdmissionController::Ticket AdmissionController::Admit(
       ++shed_deadline_total_;
     }
     metrics.shed_deadline.Increment();
-    return Ticket(nullptr, priority, AdmissionDecision::kShedDeadline);
+    return Ticket(nullptr, AdmissionDecision::kShedDeadline);
   }
-  AdmissionDecision decision;
+  bool admitted = false;
   {
     util::MutexLock lock(mu_);
     if (in_flight_ >= policy_.max_in_flight) {
-      decision = AdmissionDecision::kShedCapacity;
       ++shed_capacity_total_;
-    } else if (priority == QueryPriority::kMaintenance &&
-               maintenance_in_flight_ >= policy_.maintenance_max_in_flight) {
-      decision = AdmissionDecision::kShedMaintenance;
-      ++shed_maintenance_total_;
     } else {
-      decision = AdmissionDecision::kAdmitted;
+      admitted = true;
       ++in_flight_;
-      if (priority == QueryPriority::kMaintenance) ++maintenance_in_flight_;
       if (in_flight_ > in_flight_highwater_) in_flight_highwater_ = in_flight_;
       ++admitted_total_;
     }
   }
-  switch (decision) {
-    case AdmissionDecision::kAdmitted:
-      metrics.admitted.Increment();
-      metrics.in_flight.Add(1);
-      return Ticket(this, priority, decision);
-    case AdmissionDecision::kShedCapacity:
-      metrics.shed_capacity.Increment();
-      break;
-    case AdmissionDecision::kShedMaintenance:
-      metrics.shed_maintenance.Increment();
-      break;
-    case AdmissionDecision::kShedDeadline:
-      break;  // Handled above.
+  if (!admitted) {
+    metrics.shed_capacity.Increment();
+    return Ticket(nullptr, AdmissionDecision::kShedCapacity);
   }
-  return Ticket(nullptr, priority, decision);
+  metrics.admitted.Increment();
+  metrics.in_flight.Add(1);
+  return Ticket(this, AdmissionDecision::kAdmitted);
 }
 
-void AdmissionController::ReleaseSlot(QueryPriority priority) {
+void AdmissionController::ReleaseSlot() {
   {
     util::MutexLock lock(mu_);
     --in_flight_;
-    if (priority == QueryPriority::kMaintenance) --maintenance_in_flight_;
   }
   AdmissionMetrics::Get().in_flight.Add(-1);
 }
 
 void AdmissionController::Ticket::Release() {
   if (controller_ != nullptr) {
-    controller_->ReleaseSlot(priority_);
+    controller_->ReleaseSlot();
     controller_ = nullptr;
   }
 }
@@ -129,11 +99,9 @@ AdmissionController::Stats AdmissionController::GetStats() const {
   util::MutexLock lock(mu_);
   Stats s;
   s.in_flight = in_flight_;
-  s.maintenance_in_flight = maintenance_in_flight_;
   s.in_flight_highwater = in_flight_highwater_;
   s.admitted_total = admitted_total_;
   s.shed_capacity_total = shed_capacity_total_;
-  s.shed_maintenance_total = shed_maintenance_total_;
   s.shed_deadline_total = shed_deadline_total_;
   return s;
 }

@@ -9,22 +9,13 @@
 
 namespace ctxpref::storage {
 
-/// Priority class of a serving request. Interactive queries are what
-/// the deadline budget protects; maintenance work (profile rebuilds,
-/// cache warmers, batch re-ranks) gets a smaller in-flight slice so a
-/// backfill can never starve user-facing traffic.
-enum class QueryPriority { kInteractive, kMaintenance };
-
-const char* QueryPriorityToString(QueryPriority p);
-
 /// Why a request was (not) admitted. Every non-admitted outcome is a
 /// deterministic function of controller state — no queueing, no
 /// randomness — so overload behavior is reproducible in tests.
 enum class AdmissionDecision {
   kAdmitted,
-  kShedCapacity,     ///< Total in-flight limit reached.
-  kShedMaintenance,  ///< Maintenance slice exhausted (interactive ok).
-  kShedDeadline,     ///< Deadline already expired at the front door.
+  kShedCapacity,  ///< In-flight limit reached.
+  kShedDeadline,  ///< Deadline already expired at the front door.
 };
 
 const char* AdmissionDecisionToString(AdmissionDecision d);
@@ -32,10 +23,8 @@ const char* AdmissionDecisionToString(AdmissionDecision d);
 /// Static policy knobs; plain data so tests and the bench harness can
 /// sweep them.
 struct AdmissionPolicy {
-  /// Upper bound on concurrently admitted requests of any class.
+  /// Upper bound on concurrently admitted requests.
   size_t max_in_flight = 64;
-  /// Upper bound on the maintenance subset of `max_in_flight`.
-  size_t maintenance_max_in_flight = 16;
 };
 
 /// Admission control for the serving path: the front door that decides
@@ -57,9 +46,7 @@ class AdmissionController {
    public:
     Ticket() = default;
     Ticket(Ticket&& other) noexcept
-        : controller_(other.controller_),
-          priority_(other.priority_),
-          decision_(other.decision_) {
+        : controller_(other.controller_), decision_(other.decision_) {
       // Moved-from == default: it must not report itself admitted
       // while the slot now belongs to the new ticket.
       other.controller_ = nullptr;
@@ -69,7 +56,6 @@ class AdmissionController {
       if (this != &other) {
         Release();
         controller_ = other.controller_;
-        priority_ = other.priority_;
         decision_ = other.decision_;
         other.controller_ = nullptr;
         other.decision_ = AdmissionDecision::kShedCapacity;
@@ -88,26 +74,22 @@ class AdmissionController {
 
    private:
     friend class AdmissionController;
-    Ticket(AdmissionController* controller, QueryPriority priority,
-           AdmissionDecision decision)
-        : controller_(controller), priority_(priority), decision_(decision) {}
+    Ticket(AdmissionController* controller, AdmissionDecision decision)
+        : controller_(controller), decision_(decision) {}
 
     void Release();
 
     /// Non-null only while holding a slot.
     AdmissionController* controller_ = nullptr;
-    QueryPriority priority_ = QueryPriority::kInteractive;
     AdmissionDecision decision_ = AdmissionDecision::kShedCapacity;
   };
 
   /// Point-in-time occupancy counters.
   struct Stats {
     size_t in_flight = 0;
-    size_t maintenance_in_flight = 0;
     size_t in_flight_highwater = 0;
     uint64_t admitted_total = 0;
     uint64_t shed_capacity_total = 0;
-    uint64_t shed_maintenance_total = 0;
     uint64_t shed_deadline_total = 0;
   };
 
@@ -122,24 +104,21 @@ class AdmissionController {
   /// shed at the door (`kShedDeadline`) without consuming a slot —
   /// cheaper than letting the query path discover it one cancellation
   /// point later.
-  Ticket Admit(QueryPriority priority,
-               const util::Deadline& deadline = {}) EXCLUDES(mu_);
+  Ticket Admit(const util::Deadline& deadline = {}) EXCLUDES(mu_);
 
   Stats GetStats() const EXCLUDES(mu_);
 
  private:
-  void ReleaseSlot(QueryPriority priority) EXCLUDES(mu_);
+  void ReleaseSlot() EXCLUDES(mu_);
 
   const AdmissionPolicy policy_;  ///< Set once at construction.
 
   mutable util::Mutex mu_{util::LockRank::kAdmission,
                           "AdmissionController.mu"};
   size_t in_flight_ GUARDED_BY(mu_) = 0;
-  size_t maintenance_in_flight_ GUARDED_BY(mu_) = 0;
   size_t in_flight_highwater_ GUARDED_BY(mu_) = 0;
   uint64_t admitted_total_ GUARDED_BY(mu_) = 0;
   uint64_t shed_capacity_total_ GUARDED_BY(mu_) = 0;
-  uint64_t shed_maintenance_total_ GUARDED_BY(mu_) = 0;
   uint64_t shed_deadline_total_ GUARDED_BY(mu_) = 0;
 };
 

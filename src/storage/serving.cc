@@ -15,7 +15,7 @@ LatencyHistogram& ReaderPinHistogram() {
   return *h;
 }
 
-/// Degradation-ladder outcome mix for `ServeQueryResilient` (the
+/// Degradation-ladder outcome mix for the store-level `ServeQuery` (the
 /// admission decisions themselves are counted in admission.cc).
 struct ServingMetrics {
   Counter& requests;
@@ -29,7 +29,7 @@ struct ServingMetrics {
     MetricsRegistry& reg = MetricsRegistry::Global();
     static ServingMetrics* m = new ServingMetrics{
         reg.GetCounter("ctxpref_serving_requests_total",
-                       "ServeQueryResilient requests"),
+                       "Store-level ServeQuery requests"),
         reg.GetCounter("ctxpref_serving_fresh_total",
                        "Answers served by full evaluation"),
         reg.GetCounter("ctxpref_serving_stale_total",
@@ -101,16 +101,16 @@ StatusOr<QueryResult> ServeQuery(const ProfileSnapshot& snapshot,
 
 namespace {
 
-/// The read side of the cache protocol, shared by every store-level
-/// entry point: picks the replica, runs its inline consume step, and
-/// returns its tree iff the replica's clock covers the pinned
-/// `version`. `Covers` reads the clock with acquire, pairing with the
-/// consume step's release store: a covered replica has applied every
-/// invalidation record at or below the pinned version (modulo appends
-/// still in flight — harmless, their versions exceed any tag a hit
-/// could match; see docs/coherence.md). A refused read counts a stale
-/// refuse and gets null: it serves uncached and skips the stale rung.
-/// A `replica` index the cache does not have is InvalidArgument.
+/// The read side of the cache protocol: picks the replica, runs its
+/// inline consume step, and returns its tree iff the replica's clock
+/// covers the pinned `version`. `Covers` reads the clock with acquire,
+/// pairing with the consume step's release store: a covered replica
+/// has applied every invalidation record at or below the pinned
+/// version (modulo appends still in flight — harmless, their versions
+/// exceed any tag a hit could match; see docs/coherence.md). A refused
+/// read counts a stale refuse and gets null: it serves uncached and
+/// skips the stale rung. A `replica` index the cache does not have is
+/// InvalidArgument.
 StatusOr<ContextQueryTree*> GateReplica(ReplicatedQueryCache* cache,
                                         size_t replica, uint64_t version) {
   if (cache == nullptr) return static_cast<ContextQueryTree*>(nullptr);
@@ -130,44 +130,6 @@ StatusOr<ContextQueryTree*> GateReplica(ReplicatedQueryCache* cache,
   return nullptr;
 }
 
-}  // namespace
-
-StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
-                                 const std::string& user_id,
-                                 const db::Relation& relation,
-                                 const ContextualQuery& query,
-                                 ReplicatedQueryCache* cache,
-                                 const QueryOptions& options,
-                                 AccessCounter* counter, size_t replica) {
-  StatusOr<SnapshotPtr> snapshot = store.GetSnapshot(user_id);
-  if (!snapshot.ok()) return snapshot.status();
-  SnapshotPin pin(*snapshot);
-  const uint64_t version = pin->serving_version();
-  StatusOr<ContextQueryTree*> tree = GateReplica(cache, replica, version);
-  if (!tree.ok()) return tree.status();
-  StatusOr<QueryResult> result =
-      ServeQuery(*pin, relation, query, *tree, options, counter);
-  if (!result.ok()) return result.status();
-  ServingProvenance provenance;
-  provenance.served_version = version;
-  provenance.current_version = version;
-  return ServedQuery{std::move(*result), pin.snapshot(), provenance};
-}
-
-StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
-                                           const std::string& user_id,
-                                           const db::Relation& relation,
-                                           const ContextualQuery& query,
-                                           ReplicatedQueryCache& replicas,
-                                           const QueryOptions& options,
-                                           AccessCounter* counter,
-                                           size_t replica) {
-  return ServeQuery(store, user_id, relation, query, &replicas, options,
-                    counter, replica);
-}
-
-namespace {
-
 /// Ladder rung 1: a cached answer with every query state at ONE
 /// consistent older serving version — mixed versions would be exactly
 /// the torn answer the serving layer promises never to produce. The
@@ -178,15 +140,15 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    const ContextualQuery& query,
                    const std::vector<ContextState>& states,
                    ContextQueryTree& cache, uint64_t current_version,
-                   uint64_t max_stale_versions, const QueryOptions& options,
+                   uint64_t staleness_window, const QueryOptions& options,
                    AccessCounter* counter, QueryResult* out,
                    uint64_t* served_version) {
   if (states.empty()) return false;
   // Same rule as cached RankCS: per-state lists answer only an
   // associative combine with undiscounted scores.
   if (!CheckCacheableOptions(options).ok()) return false;
-  const uint64_t min_version = current_version > max_stale_versions
-                                   ? current_version - max_stale_versions
+  const uint64_t min_version = current_version > staleness_window
+                                   ? current_version - staleness_window
                                    : 0;
   // The first state picks the consistent version V (newest available
   // within the window); every other state must then hit exactly V.
@@ -224,14 +186,14 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
 
 }  // namespace
 
-StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
-                                          const std::string& user_id,
-                                          const db::Relation& relation,
-                                          const ContextualQuery& query,
-                                          ReplicatedQueryCache* cache,
-                                          const ServeOptions& opts,
-                                          AccessCounter* counter,
-                                          size_t replica) {
+StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
+                                 const std::string& user_id,
+                                 const db::Relation& relation,
+                                 const ContextualQuery& query,
+                                 ReplicatedQueryCache* cache,
+                                 const QueryOptions& options,
+                                 AccessCounter* counter, size_t replica,
+                                 AdmissionController* admission) {
   ServingMetrics& metrics = ServingMetrics::Get();
   metrics.requests.Increment();
 
@@ -251,18 +213,18 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
   ContextQueryTree* tree = *gated;
 
   // Front door: admit or shed, never queue. An expired deadline sheds
-  // here too (kShedDeadline) — one clock read instead of a full pin +
-  // first-cancellation-point round trip.
+  // here too (kShedDeadline) — one clock read instead of a full
+  // evaluation up to the first cancellation point.
   AdmissionController::Ticket ticket;
   bool admitted = true;
-  if (opts.admission != nullptr) {
-    ticket = opts.admission->Admit(opts.priority, opts.query.deadline);
+  if (admission != nullptr) {
+    ticket = admission->Admit(options.deadline);
     provenance.admission = ticket.decision();
     admitted = ticket.admitted();
     if (ticket.decision() == AdmissionDecision::kShedDeadline) {
       provenance.deadline_hit = true;
     }
-  } else if (opts.query.deadline.Expired()) {
+  } else if (options.deadline.Expired()) {
     provenance.admission = AdmissionDecision::kShedDeadline;
     provenance.deadline_hit = true;
     admitted = false;
@@ -272,21 +234,18 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
   // every cancellation point along the way.
   if (admitted) {
     StatusOr<QueryResult> result =
-        ServeQuery(*pin, relation, query, tree, opts.query, counter);
+        ServeQuery(*pin, relation, query, tree, options, counter);
     if (result.ok()) {
       metrics.fresh.Increment();
-      provenance.via = ServedVia::kFresh;
-      provenance.served_version = pin->serving_version();
+      provenance.served_version = provenance.current_version;
       return ServedQuery{std::move(*result), pin.snapshot(), provenance};
     }
     if (!result.status().IsDeadlineExceeded()) {
       return result.status();  // A bug, not overload: surface it.
     }
     provenance.deadline_hit = true;
-    metrics.deadline_hits.Increment();
-  } else if (provenance.deadline_hit) {
-    metrics.deadline_hits.Increment();
   }
+  if (provenance.deadline_hit) metrics.deadline_hits.Increment();
 
   // The ladder needs the enumerated query states (the stale rung joins
   // per-state cache entries; the truncated rung keeps only the first).
@@ -297,13 +256,15 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
     CTXPREF_RETURN_IF_ERROR(s.Validate(env));
   }
 
-  // Rung 1: bounded-staleness cached answer at one older version.
-  if (tree != nullptr && opts.allow_stale && opts.max_stale_versions > 0) {
+  // Rung 1: a cached answer at one older version, reaching back as far
+  // as the cache retains entries.
+  if (tree != nullptr) {
     QueryResult stale;
     uint64_t served_version = 0;
     if (TryServeStale(user_id, relation, query, states, *tree,
-                      pin->serving_version(), opts.max_stale_versions,
-                      opts.query, counter, &stale, &served_version)) {
+                      provenance.current_version,
+                      cache->options().staleness_window, options, counter,
+                      &stale, &served_version)) {
       metrics.stale.Increment();
       provenance.via = ServedVia::kStale;
       provenance.served_version = served_version;
@@ -311,29 +272,28 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
     }
   }
 
-  // Rung 2: truncated answer — first state only, reduced top-k, no
-  // cache writes. Keeps the request's deadline: if it is already gone,
-  // the first cancellation point aborts this rung too.
-  if (opts.allow_truncated) {
-    StatusOr<CompositeDescriptor> first_cod =
-        CompositeDescriptor::ForState(env, states[0]);
-    if (first_cod.ok()) {
-      ContextualQuery truncated_query{
-          ExtendedDescriptor::FromComposite(std::move(*first_cod)),
-          query.selections};
-      QueryOptions truncated_options = opts.query;
-      truncated_options.top_k = opts.truncated_top_k;
-      StatusOr<QueryResult> result =
-          ServeQuery(*pin, relation, truncated_query, /*cache=*/nullptr,
-                     truncated_options, counter);
-      if (result.ok()) {
-        metrics.truncated.Increment();
-        provenance.via = ServedVia::kTruncated;
-        provenance.served_version = pin->serving_version();
-        return ServedQuery{std::move(*result), pin.snapshot(), provenance};
-      }
-      if (!result.status().IsDeadlineExceeded()) return result.status();
+  // Rung 2: truncated answer — first state only, the request's top-k
+  // (10 when unbounded), no cache writes. Keeps the request's deadline:
+  // if it is already gone, the first cancellation point aborts this
+  // rung too.
+  StatusOr<CompositeDescriptor> first_cod =
+      CompositeDescriptor::ForState(env, states[0]);
+  if (first_cod.ok()) {
+    ContextualQuery truncated_query{
+        ExtendedDescriptor::FromComposite(std::move(*first_cod)),
+        query.selections};
+    QueryOptions truncated_options = options;
+    if (truncated_options.top_k == 0) truncated_options.top_k = 10;
+    StatusOr<QueryResult> result =
+        ServeQuery(*pin, relation, truncated_query, /*cache=*/nullptr,
+                   truncated_options, counter);
+    if (result.ok()) {
+      metrics.truncated.Increment();
+      provenance.via = ServedVia::kTruncated;
+      provenance.served_version = provenance.current_version;
+      return ServedQuery{std::move(*result), pin.snapshot(), provenance};
     }
+    if (!result.status().IsDeadlineExceeded()) return result.status();
   }
 
   // Off the ladder.
@@ -343,6 +303,18 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
       AdmissionDecisionToString(provenance.admission) +
       (provenance.deadline_hit ? ", deadline expired" : "") +
       "), no degraded answer available");
+}
+
+StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
+                                           const std::string& user_id,
+                                           const db::Relation& relation,
+                                           const ContextualQuery& query,
+                                           ReplicatedQueryCache& replicas,
+                                           const QueryOptions& options,
+                                           AccessCounter* counter,
+                                           size_t replica) {
+  return ServeQuery(store, user_id, relation, query, &replicas, options,
+                    counter, replica);
 }
 
 }  // namespace ctxpref::storage

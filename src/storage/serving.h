@@ -64,7 +64,8 @@ struct ServingProvenance {
   uint64_t served_version = 0;
   /// Serving version pinned at request time.
   uint64_t current_version = 0;
-  /// Front-door outcome (kAdmitted when no controller was involved).
+  /// Front-door outcome. Without a controller: kShedDeadline for an
+  /// already-expired deadline, else kAdmitted.
   AdmissionDecision admission = AdmissionDecision::kAdmitted;
   /// True when a deadline expiry (at admission or mid-evaluation)
   /// pushed the request down the ladder.
@@ -78,8 +79,7 @@ struct ServingProvenance {
 /// callers can attribute every tuple and trace to one published
 /// profile version (the zero-torn-reads property `bench_coherence` and
 /// `ServingConcurrentTest` check). `provenance` says which ladder rung of
-/// `ServeQueryResilient` served it; the plain `ServeQuery` always
-/// serves fresh.
+/// `ServeQuery` served it.
 struct ServedQuery {
   QueryResult result;
   SnapshotPtr snapshot;
@@ -87,30 +87,46 @@ struct ServedQuery {
 };
 
 /// "Pick the replica by thread" sentinel for the `replica` argument of
-/// the serving entry points.
+/// the serving entry point.
 inline constexpr size_t kAnyReplica = ~static_cast<size_t>(0);
 
 /// The multi-user serving entry point: pins `user_id`'s current
 /// snapshot (version V), ranks `query` against that one immutable
 /// profile version, and returns the answer together with the snapshot
-/// it came from. With `cache` null it is a plain uncached `RankCS`.
-/// With `cache` non-null the read follows the cache protocol
-/// (docs/coherence.md):
+/// it came from and the `ServingProvenance` of the rung that served it.
 ///
-///   1. Pick a replica — `replica` if given, else a stable hash of the
-///      calling thread (`kAnyReplica`). A `replica` at or beyond
-///      `cache->num_replicas()` is InvalidArgument.
-///   2. In `kInlineAtLookup` mode, run the replica's consume step so
-///      its clock catches up to the log's append watermark.
-///   3. **Gate**: if the replica's clock covers V, serve through the
-///      replica's tree (`RankCS` with a `StateCache`, entries tagged
-///      `{user_id, V}`). Otherwise count a stale refuse and serve
-///      *uncached* rather than read a replica that may still hold
-///      entries the log says are dead.
+///   1. **Pin** the snapshot (O(1); the ladder needs V anyway).
+///   2. **Gate** (only with `cache`): pick a replica — `replica` if
+///      given, else a stable hash of the calling thread (`kAnyReplica`);
+///      one at or beyond `cache->num_replicas()` is InvalidArgument. In
+///      `kInlineAtLookup` mode run the replica's consume step, then use
+///      the replica's tree iff its clock covers V. Otherwise count a
+///      stale refuse and serve *uncached* rather than read a replica
+///      that may still hold entries the log says are dead
+///      (docs/coherence.md).
+///   3. **Admission** (only with `admission`): admit or shed, never
+///      queue. An already-expired `options.deadline` is shed here too,
+///      with or without a controller.
+///   4. **Rung 0, fresh**: full `RankCS` at V through the gated tree
+///      (entries tagged `{user_id, V}`), deadline-checked at every
+///      cancellation point.
+///   5. **Rung 1, stale** (only when the gate covered a replica): a
+///      cached answer with every query state at ONE older version,
+///      at most the cache's `staleness_window` behind V — mixed
+///      versions would be a torn answer, the thing this layer exists
+///      to prevent. Skipped for options the cache cannot answer
+///      (`CheckCacheableOptions`).
+///   6. **Rung 2, truncated**: the first query state only, uncached,
+///      at `options.top_k` (10 when it is 0). Keeps the deadline, so an
+///      expired one aborts this rung too.
+///   7. Off the ladder: kUnavailable.
 ///
-/// Either branch ranks against the same pinned snapshot, so the answer
-/// is byte-identical to an uncached serve at the same serving version;
-/// the gate only decides whether the replica's cache may participate.
+/// A request shed at the door or out of deadline mid-evaluation falls
+/// to the next rung instead of failing. A request with no `admission`
+/// and no deadline never leaves rung 0, so its answer is byte-identical
+/// to the snapshot-level `ServeQuery` at V. Errors other than
+/// deadline/shed (unknown user, bad predicate) return unchanged — the
+/// ladder absorbs overload, not bugs.
 StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
                                  const std::string& user_id,
                                  const db::Relation& relation,
@@ -118,7 +134,8 @@ StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
                                  ReplicatedQueryCache* cache = nullptr,
                                  const QueryOptions& options = {},
                                  AccessCounter* counter = nullptr,
-                                 size_t replica = kAnyReplica);
+                                 size_t replica = kAnyReplica,
+                                 AdmissionController* admission = nullptr);
 
 /// Ranks against an already-pinned snapshot — the form for callers
 /// that run several queries against one consistent version — through
@@ -131,60 +148,9 @@ StatusOr<QueryResult> ServeQuery(const ProfileSnapshot& snapshot,
                                  const QueryOptions& options = {},
                                  AccessCounter* counter = nullptr);
 
-/// Overload-protection knobs for `ServeQueryResilient`.
-struct ServeOptions {
-  /// The underlying query options; `query.deadline` is the request's
-  /// cancellation budget (checked at admission and at every query-path
-  /// cancellation point).
-  QueryOptions query;
-  /// Front door; null = always admitted (deadline still enforced).
-  AdmissionController* admission = nullptr;
-  QueryPriority priority = QueryPriority::kInteractive;
-  /// Ladder rung 1: serve a cached answer at an older serving version.
-  /// Needs a cache replica the coherence gate covered (a refused
-  /// replica skips the rung), options the cache can answer
-  /// (`CheckCacheableOptions`: kMax/kMin, no score discount — the rung
-  /// is skipped otherwise), and every query state cached at ONE
-  /// consistent version — mixed versions would be a torn answer, the
-  /// thing this whole layer exists to prevent. The cache's
-  /// `staleness_window` bounds how far back entries survive the
-  /// consume step.
-  bool allow_stale = true;
-  /// How far back (in serving versions) rung 1 may reach.
-  uint64_t max_stale_versions = 8;
-  /// Ladder rung 2: evaluate only the first query state, top-k
-  /// truncated, no cache writes.
-  bool allow_truncated = true;
-  size_t truncated_top_k = 10;
-};
-
-/// `ServeQuery` wrapped in the overload-protection ladder
-/// (docs/robustness.md "Serving under overload"):
-///
-///   admission -> full evaluation -> stale-at-version -> truncated
-///   -> kUnavailable
-///
-/// A request that is shed by the `AdmissionController` or runs out of
-/// deadline mid-evaluation falls to the next rung instead of failing;
-/// every answer carries a `ServingProvenance` saying which rung served
-/// it. Errors other than deadline/shed (unknown user, bad predicate)
-/// return unchanged — the ladder only absorbs overload, not bugs.
-///
-/// `cache` and `replica` work as in `ServeQuery`: the replica is picked,
-/// consumed and gated once, right after the pin, and both the fresh
-/// rung and the stale rung read only a replica the gate covered.
-StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
-                                          const std::string& user_id,
-                                          const db::Relation& relation,
-                                          const ContextualQuery& query,
-                                          ReplicatedQueryCache* cache = nullptr,
-                                          const ServeOptions& opts = {},
-                                          AccessCounter* counter = nullptr,
-                                          size_t replica = kAnyReplica);
-
 /// `ServeQuery(store, user_id, relation, query, &replicas, options,
-/// counter, replica)`, under its older name (perfbench/serve_bench.cc
-/// still calls it).
+/// counter, replica)`, under its older name: perfbench/serve_bench.cc
+/// still calls it. The next change to the benchmark deletes it.
 StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
                                            const std::string& user_id,
                                            const db::Relation& relation,

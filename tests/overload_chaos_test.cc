@@ -123,8 +123,8 @@ TEST_F(OverloadChaosTest, CapacityShedFallsBackToStaleThenTruncated) {
 
   // Warm the cache at the current version, then publish a new one; the
   // old entries survive the publish inside the staleness window.
-  StatusOr<storage::ServedQuery> warm = storage::ServeQueryResilient(
-      store, "u", poi_->relation, query_, &cache);
+  StatusOr<storage::ServedQuery> warm =
+      storage::ServeQuery(store, "u", poi_->relation, query_, &cache);
   ASSERT_OK(warm.status());
   EXPECT_EQ(warm->provenance.via, storage::ServedVia::kFresh);
   EXPECT_EQ(warm->provenance.ToString(), "fresh");
@@ -135,11 +135,10 @@ TEST_F(OverloadChaosTest, CapacityShedFallsBackToStaleThenTruncated) {
   // A zero-capacity controller sheds everything at the front door.
   storage::AdmissionController admission(
       storage::AdmissionPolicy{.max_in_flight = 0});
-  storage::ServeOptions opts;
-  opts.admission = &admission;
 
-  StatusOr<storage::ServedQuery> stale = storage::ServeQueryResilient(
-      store, "u", poi_->relation, query_, &cache, opts);
+  StatusOr<storage::ServedQuery> stale = storage::ServeQuery(
+      store, "u", poi_->relation, query_, &cache, {}, nullptr,
+      storage::kAnyReplica, &admission);
   ASSERT_OK(stale.status());
   EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
   EXPECT_EQ(stale->provenance.served_version, warm_version);
@@ -154,13 +153,14 @@ TEST_F(OverloadChaosTest, CapacityShedFallsBackToStaleThenTruncated) {
   ASSERT_OK(direct.status());
   EXPECT_EQ(stale->result.tuples, direct->tuples);
 
-  // With the stale rung disabled the same shed lands on the truncated
-  // rung: first state only, bounded top-k, still a real answer.
-  storage::ServeOptions no_stale = opts;
-  no_stale.allow_stale = false;
-  no_stale.truncated_top_k = 3;
-  StatusOr<storage::ServedQuery> truncated = storage::ServeQueryResilient(
-      store, "u", poi_->relation, query_, &cache, no_stale);
+  // Without a cache there is no stale rung, so the same shed lands on
+  // the truncated rung: first state only, the request's top-k, still a
+  // real answer.
+  QueryOptions top3;
+  top3.top_k = 3;
+  StatusOr<storage::ServedQuery> truncated = storage::ServeQuery(
+      store, "u", poi_->relation, query_, /*cache=*/nullptr, top3, nullptr,
+      storage::kAnyReplica, &admission);
   ASSERT_OK(truncated.status());
   EXPECT_EQ(truncated->provenance.via, storage::ServedVia::kTruncated);
   EXPECT_EQ(truncated->provenance.ToString(), "truncated");
@@ -173,50 +173,21 @@ TEST_F(OverloadChaosTest, CapacityShedFallsBackToStaleThenTruncated) {
     EXPECT_DOUBLE_EQ(t.score, ScoreForStep(2));
   }
 
-  // And with the whole ladder off, the shed is surfaced as
-  // kUnavailable (with a shed provenance in the message).
-  storage::ServeOptions nothing = opts;
-  nothing.allow_stale = false;
-  nothing.allow_truncated = false;
-  StatusOr<storage::ServedQuery> shed = storage::ServeQueryResilient(
-      store, "u", poi_->relation, query_, &cache, nothing);
+  // And with no cache and a spent deadline (which aborts the truncated
+  // rung too), the shed is surfaced as kUnavailable (with a shed
+  // provenance in the message).
+  QueryOptions spent;
+  spent.deadline = util::Deadline::AfterMicros(0);
+  StatusOr<storage::ServedQuery> shed = storage::ServeQuery(
+      store, "u", poi_->relation, query_, /*cache=*/nullptr, spent, nullptr,
+      storage::kAnyReplica, &admission);
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().IsUnavailable()) << shed.status().ToString();
 
   const storage::AdmissionController::Stats stats = admission.GetStats();
-  EXPECT_EQ(stats.shed_capacity_total, 3u);
+  EXPECT_EQ(stats.shed_capacity_total, 2u);
+  EXPECT_EQ(stats.shed_deadline_total, 1u);
   EXPECT_EQ(stats.admitted_total, 0u);
-}
-
-TEST_F(OverloadChaosTest, MaintenanceSliceShedsWithoutTouchingInteractive) {
-  storage::AdmissionController admission(storage::AdmissionPolicy{
-      .max_in_flight = 8, .maintenance_max_in_flight = 1});
-
-  storage::AdmissionController::Ticket m1 =
-      admission.Admit(storage::QueryPriority::kMaintenance);
-  EXPECT_TRUE(m1.admitted());
-  storage::AdmissionController::Ticket m2 =
-      admission.Admit(storage::QueryPriority::kMaintenance);
-  EXPECT_FALSE(m2.admitted());
-  EXPECT_EQ(m2.decision(), storage::AdmissionDecision::kShedMaintenance);
-  // Interactive traffic is untouched by the exhausted maintenance
-  // slice.
-  storage::AdmissionController::Ticket i1 =
-      admission.Admit(storage::QueryPriority::kInteractive);
-  EXPECT_TRUE(i1.admitted());
-
-  // Releasing the maintenance slot (RAII) frees the slice.
-  { storage::AdmissionController::Ticket moved = std::move(m1); }
-  EXPECT_FALSE(m1.admitted()) << "moved-from ticket holds nothing";
-  storage::AdmissionController::Ticket m3 =
-      admission.Admit(storage::QueryPriority::kMaintenance);
-  EXPECT_TRUE(m3.admitted());
-
-  const storage::AdmissionController::Stats stats = admission.GetStats();
-  EXPECT_EQ(stats.admitted_total, 3u);
-  EXPECT_EQ(stats.shed_maintenance_total, 1u);
-  EXPECT_EQ(stats.in_flight, 2u);
-  EXPECT_EQ(stats.in_flight_highwater, 2u);
 }
 
 TEST_F(OverloadChaosTest, ExpiredDeadlineShedsAtTheFrontDoor) {
@@ -225,24 +196,84 @@ TEST_F(OverloadChaosTest, ExpiredDeadlineShedsAtTheFrontDoor) {
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
   storage::AdmissionController admission;
 
-  storage::ServeOptions opts;
-  opts.admission = &admission;
-  opts.allow_stale = false;     // No cache attached anyway.
-  opts.allow_truncated = false; // Isolate the front-door path.
-  opts.query.deadline = util::Deadline::AfterMicros(100, &clock);
+  // No cache (no stale rung), and the spent deadline aborts the
+  // truncated rung: only the front-door path is left.
+  QueryOptions options;
+  options.deadline = util::Deadline::AfterMicros(100, &clock);
   clock.Advance(200);
 
-  StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-      store, "u", poi_->relation, query_, nullptr, opts);
+  StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+      store, "u", poi_->relation, query_, nullptr, options, nullptr,
+      storage::kAnyReplica, &admission);
   ASSERT_FALSE(served.ok());
   EXPECT_TRUE(served.status().IsUnavailable());
   EXPECT_EQ(admission.GetStats().shed_deadline_total, 1u);
   EXPECT_EQ(admission.GetStats().admitted_total, 0u)
       << "an expired request must not consume a slot";
+
+  // An admitted ticket holds its slot until it (or the ticket it was
+  // moved into) goes away.
+  storage::AdmissionController two_slots(
+      storage::AdmissionPolicy{.max_in_flight = 2});
+  storage::AdmissionController::Ticket t1 = two_slots.Admit();
+  storage::AdmissionController::Ticket t2 = two_slots.Admit();
+  EXPECT_TRUE(t1.admitted());
+  EXPECT_TRUE(t2.admitted());
+  EXPECT_EQ(two_slots.Admit().decision(),
+            storage::AdmissionDecision::kShedCapacity);
+  { storage::AdmissionController::Ticket moved = std::move(t1); }
+  EXPECT_FALSE(t1.admitted()) << "moved-from ticket holds nothing";
+  storage::AdmissionController::Ticket t3 = two_slots.Admit();
+  EXPECT_TRUE(t3.admitted()) << "releasing the moved ticket freed its slot";
+
+  const storage::AdmissionController::Stats stats = two_slots.GetStats();
+  EXPECT_EQ(stats.admitted_total, 3u);
+  EXPECT_EQ(stats.shed_capacity_total, 1u);
+  EXPECT_EQ(stats.in_flight, 2u);
+  EXPECT_EQ(stats.in_flight_highwater, 2u);
+}
+
+// An expired deadline degrades even without an admission controller:
+// the stale rung answers when the cache holds the query at one older
+// version, and otherwise the request falls off the ladder (the
+// truncated rung aborts on the same deadline).
+TEST_F(OverloadChaosTest, ExpiredDeadlineWithoutControllerDegrades) {
+  util::FakeClock clock;
+  ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
+                             testing::SharedCache(64));
+  storage::ProfileStore store(env_);
+  store.AttachCoherenceLog(&cache.log());
+  ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
+  QueryOptions expired;
+  expired.deadline = util::Deadline::AfterMicros(0, &clock);
+
+  StatusOr<storage::ServedQuery> nothing_cached = storage::ServeQuery(
+      store, "u", poi_->relation, query_, &cache, expired);
+  ASSERT_FALSE(nothing_cached.ok());
+  EXPECT_TRUE(nothing_cached.status().IsUnavailable())
+      << nothing_cached.status().ToString();
+
+  StatusOr<storage::ServedQuery> warm =
+      storage::ServeQuery(store, "u", poi_->relation, query_, &cache);
+  ASSERT_OK(warm.status());
+  ASSERT_EQ(warm->provenance.via, storage::ServedVia::kFresh);
+  ASSERT_OK(store.PublishProfile("u", VersionedProfile(2)));
+
+  StatusOr<storage::ServedQuery> stale = storage::ServeQuery(
+      store, "u", poi_->relation, query_, &cache, expired);
+  ASSERT_OK(stale.status());
+  EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
+  EXPECT_EQ(stale->provenance.served_version,
+            warm->provenance.served_version);
+  EXPECT_EQ(stale->provenance.admission,
+            storage::AdmissionDecision::kShedDeadline);
+  EXPECT_TRUE(stale->provenance.deadline_hit);
+  EXPECT_EQ(stale->result.tuples, warm->result.tuples);
 }
 
 // A caller-supplied replica index the cache does not have is rejected
-// by both store-level entry points before any replica is touched.
+// before any replica is touched, with or without an admission
+// controller.
 TEST_F(OverloadChaosTest, OutOfRangeReplicaIsInvalidArgument) {
   ReplicatedQueryCache cache(env_, Ordering::Identity(env_->size()),
                              testing::SharedCache(64));
@@ -255,11 +286,13 @@ TEST_F(OverloadChaosTest, OutOfRangeReplicaIsInvalidArgument) {
       store, "u", poi_->relation, query_, &cache, {}, nullptr,
       /*replica=*/1);
   EXPECT_TRUE(plain.status().IsInvalidArgument()) << plain.status().ToString();
-  StatusOr<storage::ServedQuery> resilient = storage::ServeQueryResilient(
+  storage::AdmissionController admission;
+  StatusOr<storage::ServedQuery> admitted = storage::ServeQuery(
       store, "u", poi_->relation, query_, &cache, {}, nullptr,
-      /*replica=*/1);
-  EXPECT_TRUE(resilient.status().IsInvalidArgument())
-      << resilient.status().ToString();
+      /*replica=*/1, &admission);
+  EXPECT_TRUE(admitted.status().IsInvalidArgument())
+      << admitted.status().ToString();
+  EXPECT_EQ(admission.GetStats().admitted_total, 0u);
   EXPECT_EQ(cache.Stats().lookups, 0u);
 
   // Replica 0 is in range and serves.
@@ -279,9 +312,8 @@ TEST_F(OverloadChaosTest, StaleRungRefusesTornMixedVersionJoins) {
   ASSERT_OK(store.CreateUser("u", VersionedProfile(1)));
 
   // Warm BOTH states at v1 via the two-state query.
-  ASSERT_OK(storage::ServeQueryResilient(store, "u", poi_->relation, query_,
-                                         &cache)
-                .status());
+  ASSERT_OK(
+      storage::ServeQuery(store, "u", poi_->relation, query_, &cache).status());
   ASSERT_OK(store.PublishProfile("u", VersionedProfile(2)));
 
   // Re-warm ONLY the first state (single-state query) at v2.
@@ -290,8 +322,8 @@ TEST_F(OverloadChaosTest, StaleRungRefusesTornMixedVersionJoins) {
   ASSERT_OK(first_only.status());
   ContextualQuery first_query;
   first_query.context = *first_only;
-  StatusOr<storage::ServedQuery> rewarm = storage::ServeQueryResilient(
-      store, "u", poi_->relation, first_query, &cache);
+  StatusOr<storage::ServedQuery> rewarm =
+      storage::ServeQuery(store, "u", poi_->relation, first_query, &cache);
   ASSERT_OK(rewarm.status());
   ASSERT_EQ(rewarm->provenance.via, storage::ServedVia::kFresh);
 
@@ -299,10 +331,9 @@ TEST_F(OverloadChaosTest, StaleRungRefusesTornMixedVersionJoins) {
   // v1 ⇒ no consistent version ⇒ truncated, never a v1+v2 mix.
   storage::AdmissionController admission(
       storage::AdmissionPolicy{.max_in_flight = 0});
-  storage::ServeOptions opts;
-  opts.admission = &admission;
-  StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-      store, "u", poi_->relation, query_, &cache, opts);
+  StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+      store, "u", poi_->relation, query_, &cache, {}, nullptr,
+      storage::kAnyReplica, &admission);
   ASSERT_OK(served.status());
   EXPECT_EQ(served->provenance.via, storage::ServedVia::kTruncated);
   // Whatever was served is internally consistent: one score everywhere.
@@ -349,17 +380,15 @@ TEST_F(OverloadChaosTest, SeededBurstsServeUntornAnswersWithProvenance) {
     std::vector<storage::AdmissionController::Ticket> hogs;
     if (action <= 3) {
       for (int h = 0; h < 4; ++h) {
-        hogs.push_back(
-            admission.Admit(storage::QueryPriority::kInteractive));
+        hogs.push_back(admission.Admit());
       }
     }
-    storage::ServeOptions opts;
-    opts.admission = &admission;
-    opts.max_stale_versions = 8;
-    opts.query.deadline = util::Deadline::AfterMicros(
+    QueryOptions options;
+    options.deadline = util::Deadline::AfterMicros(
         action == 4 ? 0 : 10'000, &clock);
-    StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-        store, "u", poi_->relation, query_, &cache, opts);
+    StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+        store, "u", poi_->relation, query_, &cache, options, nullptr,
+        storage::kAnyReplica, &admission);
     if (!served.ok()) {
       ASSERT_TRUE(served.status().IsUnavailable())
           << served.status().ToString();
@@ -388,7 +417,7 @@ TEST_F(OverloadChaosTest, SeededBurstsServeUntornAnswersWithProvenance) {
         // == is legal: a shed request whose cache entries are at the
         // pinned version serves them without re-evaluating.
         EXPECT_LE(prov.served_version, prov.current_version);
-        EXPECT_GE(prov.served_version + opts.max_stale_versions,
+        EXPECT_GE(prov.served_version + cache.options().staleness_window,
                   prov.current_version);
         break;
       case storage::ServedVia::kTruncated:

@@ -264,7 +264,7 @@ TEST(ReadmeSnippetTest, ReplicatedCacheSnippetWorksAsAdvertised) {
 
 TEST(ReadmeSnippetTest, OverloadSnippetWorksAsAdvertised) {
   // "Serving under overload": the README's admission + deadline +
-  // ServeQueryResilient flow. Setup mirrors the serving snippet.
+  // ServeQuery flow. Setup mirrors the serving snippet.
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(60, 1);
   ASSERT_OK(poi.status());
   EnvironmentPtr env = poi->env;
@@ -294,39 +294,37 @@ TEST(ReadmeSnippetTest, OverloadSnippetWorksAsAdvertised) {
   ASSERT_OK(store.CreateUser("alice", std::move(profile)));
 
   // --- the README snippet, ASSERTs in place of Log/assert ---
-  // The cache's staleness_window (default 8 versions) is how long the
-  // consume step keeps old versions around for the stale rung.
-  storage::AdmissionController admission(
-      {.max_in_flight = 64, .maintenance_max_in_flight = 16});
+  // The cache's staleness_window (default 8 versions) is how far back the
+  // stale rung reaches, and how long the consume step keeps old versions.
+  storage::AdmissionController admission({.max_in_flight = 64});
 
-  storage::ServeOptions opts;
-  opts.admission = &admission;
-  opts.query.deadline = util::Deadline::AfterMicros(20'000);  // 20 ms
+  QueryOptions options;
+  options.deadline = util::Deadline::AfterMicros(20'000);  // 20 ms
 
-  StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-      store, "alice", relation, query, &cache, opts);
+  StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+      store, "alice", relation, query, &cache, options, /*counter=*/nullptr,
+      storage::kAnyReplica, &admission);
   ASSERT_OK(served.status());
   // "fresh", "stale-v<N>", or "truncated" — never a torn answer.
   EXPECT_EQ(served->provenance.ToString(), "fresh");
   // --- end snippet ---
 
   // Overload maps to kUnavailable, as the README's else-branch claims:
-  // a full house with every fallback rung disabled sheds the request.
+  // a full house sheds the request at the door, no cache means no stale
+  // rung, and a spent deadline aborts the truncated rung too.
   storage::AdmissionController full_house({.max_in_flight = 0});
-  storage::ServeOptions no_fallback;
-  no_fallback.admission = &full_house;
-  no_fallback.allow_stale = false;
-  no_fallback.allow_truncated = false;
-  StatusOr<storage::ServedQuery> shed = storage::ServeQueryResilient(
-      store, "alice", relation, query, &cache, no_fallback);
+  QueryOptions spent;
+  spent.deadline = util::Deadline::AfterMicros(0);
+  StatusOr<storage::ServedQuery> shed = storage::ServeQuery(
+      store, "alice", relation, query, /*cache=*/nullptr, spent,
+      /*counter=*/nullptr, storage::kAnyReplica, &full_house);
   EXPECT_TRUE(shed.status().IsUnavailable()) << shed.status().ToString();
 
-  // And with the stale rung allowed, the same full house serves the
-  // cached answer instead — the ladder in one assertion.
-  storage::ServeOptions with_stale;
-  with_stale.admission = &full_house;
-  StatusOr<storage::ServedQuery> stale = storage::ServeQueryResilient(
-      store, "alice", relation, query, &cache, with_stale);
+  // And through the cache, the same full house serves the cached
+  // answer instead — the ladder in one assertion.
+  StatusOr<storage::ServedQuery> stale = storage::ServeQuery(
+      store, "alice", relation, query, &cache, {}, /*counter=*/nullptr,
+      storage::kAnyReplica, &full_house);
   ASSERT_OK(stale.status());
   EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
   EXPECT_EQ(stale->result.tuples, served->result.tuples);

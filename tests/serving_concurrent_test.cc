@@ -174,16 +174,16 @@ TEST_F(ServingConcurrentTest, ResilientServingUnderOverloadStaysUntorn) {
     readers.emplace_back([&] {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        storage::ServeOptions opts;
-        opts.admission = &admission;
+        QueryOptions options;
         // Every third request runs on a nearly-spent real-clock
         // budget, so expiry races evaluation at every cancellation
         // point (front door, state loop, truncated rung).
         if (++i % 3 == 0) {
-          opts.query.deadline = util::Deadline::AfterMicros(5);
+          options.deadline = util::Deadline::AfterMicros(5);
         }
-        StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
-            store, "u", poi_->relation, query_, &cache, opts);
+        StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+            store, "u", poi_->relation, query_, &cache, options, nullptr,
+            storage::kAnyReplica, &admission);
         if (!served.ok()) {
           // The ladder converts overload to kUnavailable, never to an
           // error class that looks like a bug.

@@ -30,6 +30,7 @@
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "tests/test_util.h"
+#include "util/deadline.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -505,7 +506,7 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
     query.context = ecod;
 
     StatusOr<storage::ServedQuery> warm =
-        storage::ServeQueryResilient(store, "u", relation, query, &cache);
+        storage::ServeQuery(store, "u", relation, query, &cache);
     ASSERT_OK(warm.status());
     ASSERT_EQ(warm->provenance.via, storage::ServedVia::kFresh);
     const storage::SnapshotPtr pinned = warm->snapshot;
@@ -513,10 +514,9 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
     // Publish a different random profile, then shed the same query: the
     // stale rung serves the retained entries at the pinned version.
     ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
-    storage::ServeOptions opts;
-    opts.admission = &shed_all;
     StatusOr<storage::ServedQuery> stale =
-        storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+        storage::ServeQuery(store, "u", relation, query, &cache, {}, nullptr,
+                            storage::kAnyReplica, &shed_all);
     ASSERT_OK(stale.status());
     ASSERT_EQ(stale->provenance.via, storage::ServedVia::kStale)
         << "round " << round;
@@ -534,24 +534,25 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
     }
   }
 
-  // Beyond the staleness window the rung refuses even a cached entry;
-  // with truncation off too, the shed surfaces as kUnavailable.
+  // Beyond the cache's staleness window the rung has no entry to serve;
+  // with the truncated rung aborted by a spent deadline, the shed
+  // surfaces as kUnavailable.
   ContextualQuery query;
   StatusOr<CompositeDescriptor> cod =
       CompositeDescriptor::ForState(*env, world[0]);
   ASSERT_OK(cod.status());
   query.context = ExtendedDescriptor::FromComposite(std::move(*cod));
-  ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query, &cache)
+  ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &cache)
                 .status());  // Warm world[0] at the current version…
-  for (int i = 0; i < 3; ++i) {  // …then age it past the window below.
+  // …then age it past the window.
+  for (uint64_t i = 0; i <= cache.options().staleness_window; ++i) {
     ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
   }
-  storage::ServeOptions tight;
-  tight.admission = &shed_all;
-  tight.max_stale_versions = 2;
-  tight.allow_truncated = false;
-  StatusOr<storage::ServedQuery> off = storage::ServeQueryResilient(
-      store, "u", relation, query, &cache, tight);
+  QueryOptions spent;
+  spent.deadline = util::Deadline::AfterMicros(0);
+  StatusOr<storage::ServedQuery> off =
+      storage::ServeQuery(store, "u", relation, query, &cache, spent, nullptr,
+                          storage::kAnyReplica, &shed_all);
   ASSERT_FALSE(off.ok());
   EXPECT_TRUE(off.status().IsUnavailable()) << off.status().ToString();
 }
@@ -797,33 +798,36 @@ TEST_P(ServingDifferentialTest, StaleRungServesOnlyTheEntriesConfig) {
   StatusOr<storage::SnapshotPtr> old_pin = store.GetSnapshot("u");
   ASSERT_OK(old_pin.status());
   const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
-  storage::ServeOptions opts;  // kMax, hierarchy distance.
-  ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query, &cache,
-                                         opts)
+  const QueryOptions options;  // kMax, hierarchy distance.
+  ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &cache, options)
                 .status());  // Caches every state at the current version.
   ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
 
+  // Shed at the door, and a spent deadline aborts the truncated rung:
+  // only the stale rung can answer.
   storage::AdmissionController shed_all(
       storage::AdmissionPolicy{.max_in_flight = 0});
-  opts.admission = &shed_all;
-  opts.allow_truncated = false;
+  QueryOptions spent = options;
+  spent.deadline = util::Deadline::AfterMicros(0);
   StatusOr<storage::ServedQuery> stale =
-      storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+      storage::ServeQuery(store, "u", relation, query, &cache, spent, nullptr,
+                          storage::kAnyReplica, &shed_all);
   ASSERT_OK(stale.status());
   EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
   StatusOr<QueryResult> at_old = RankCS(
-      relation, query, FlatResolver((*old_pin)->flat_tree()), opts.query);
+      relation, query, FlatResolver((*old_pin)->flat_tree()), options);
   ASSERT_OK(at_old.status());
   ExpectBitEqual(stale->result.tuples, at_old->tuples, "stale kMax");
 
   for (const auto& [combine, kind] :
        {std::pair{db::CombinePolicy::kMin, DistanceKind::kHierarchy},
         std::pair{db::CombinePolicy::kMax, DistanceKind::kJaccard}}) {
-    storage::ServeOptions other = opts;
-    other.query.combine = combine;
-    other.query.resolution.distance = kind;
-    StatusOr<storage::ServedQuery> refused = storage::ServeQueryResilient(
-        store, "u", relation, query, &cache, other);
+    QueryOptions other = spent;
+    other.combine = combine;
+    other.resolution.distance = kind;
+    StatusOr<storage::ServedQuery> refused =
+        storage::ServeQuery(store, "u", relation, query, &cache, other,
+                            nullptr, storage::kAnyReplica, &shed_all);
     EXPECT_TRUE(refused.status().IsUnavailable())
         << db::CombinePolicyToString(combine) << " "
         << DistanceKindToString(kind) << ": " << refused.status().ToString();
@@ -846,25 +850,27 @@ TEST_P(ServingDifferentialTest, StaleRungSkipsDiscountedQueries) {
   store.AttachCoherenceLog(&cache.log());
   ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
   const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
-  ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query, &cache)
+  ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &cache)
                 .status());  // Caches every state at the current version.
   ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
 
+  // Shed at the door, and a spent deadline aborts the truncated rung.
   storage::AdmissionController shed_all(
       storage::AdmissionPolicy{.max_in_flight = 0});
-  storage::ServeOptions opts;
-  opts.admission = &shed_all;
-  opts.allow_truncated = false;
+  QueryOptions spent;
+  spent.deadline = util::Deadline::AfterMicros(0);
   StatusOr<storage::ServedQuery> stale =
-      storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+      storage::ServeQuery(store, "u", relation, query, &cache, spent, nullptr,
+                          storage::kAnyReplica, &shed_all);
   ASSERT_OK(stale.status());
   EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
 
   for (ScoreDiscount discount :
        {ScoreDiscount::kInverseDistance, ScoreDiscount::kExponential}) {
-    opts.query.discount = discount;
+    spent.discount = discount;
     StatusOr<storage::ServedQuery> refused =
-        storage::ServeQueryResilient(store, "u", relation, query, &cache, opts);
+        storage::ServeQuery(store, "u", relation, query, &cache, spent,
+                            nullptr, storage::kAnyReplica, &shed_all);
     EXPECT_TRUE(refused.status().IsUnavailable())
         << ScoreDiscountToString(discount) << ": "
         << refused.status().ToString();
@@ -877,7 +883,7 @@ TEST_P(ServingDifferentialTest, StaleRungSkipsDiscountedQueries) {
 // get the stale rung: one consistent older version, bit-equal to the
 // uncached oracle at that version. Replica 1 trails the publish, so
 // its gate refuses: it never serves stale, and falls to the truncated
-// rung (or off the ladder when that is disabled).
+// rung (or off the ladder when a spent deadline aborts that rung).
 TEST_P(ServingDifferentialTest, LadderOverReplicasServesStaleOnlyWhenCovered) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
@@ -901,17 +907,15 @@ TEST_P(ServingDifferentialTest, LadderOverReplicasServesStaleOnlyWhenCovered) {
       "ctxpref_coherence_stale_refuses_total");
   storage::AdmissionController shed_all(
       storage::AdmissionPolicy{.max_in_flight = 0});
-  storage::ServeOptions shed;
-  shed.admission = &shed_all;
-  storage::ServeOptions shed_no_truncation = shed;
-  shed_no_truncation.allow_truncated = false;
+  QueryOptions spent;
+  spent.deadline = util::Deadline::AfterMicros(0);
 
   for (int round = 0; round < 8; ++round) {
     const std::string label = "round " + std::to_string(round);
     const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
     storage::SnapshotPtr pinned;
     for (size_t r = 0; r < cache.num_replicas(); ++r) {
-      StatusOr<storage::ServedQuery> warm = storage::ServeQueryResilient(
+      StatusOr<storage::ServedQuery> warm = storage::ServeQuery(
           store, "u", relation, query, &cache, {}, nullptr, r);
       ASSERT_OK(warm.status());
       ASSERT_EQ(warm->provenance.via, storage::ServedVia::kFresh) << label;
@@ -925,8 +929,8 @@ TEST_P(ServingDifferentialTest, LadderOverReplicasServesStaleOnlyWhenCovered) {
     ASSERT_FALSE(cache.Covers(1, current));
 
     // Covered replica: the stale rung, at the one pinned older version.
-    StatusOr<storage::ServedQuery> stale = storage::ServeQueryResilient(
-        store, "u", relation, query, &cache, shed, nullptr, 0);
+    StatusOr<storage::ServedQuery> stale = storage::ServeQuery(
+        store, "u", relation, query, &cache, {}, nullptr, 0, &shed_all);
     ASSERT_OK(stale.status());
     ASSERT_EQ(stale->provenance.via, storage::ServedVia::kStale) << label;
     EXPECT_EQ(stale->provenance.served_version, pinned->serving_version());
@@ -944,20 +948,162 @@ TEST_P(ServingDifferentialTest, LadderOverReplicasServesStaleOnlyWhenCovered) {
 
     // Refused replica: never stale, even though it holds the entries.
     const uint64_t refuses_before = refuses.value();
-    StatusOr<storage::ServedQuery> truncated = storage::ServeQueryResilient(
-        store, "u", relation, query, &cache, shed, nullptr, 1);
+    StatusOr<storage::ServedQuery> truncated = storage::ServeQuery(
+        store, "u", relation, query, &cache, {}, nullptr, 1, &shed_all);
     ASSERT_OK(truncated.status());
     EXPECT_EQ(truncated->provenance.via, storage::ServedVia::kTruncated)
         << label;
     EXPECT_EQ(truncated->provenance.served_version, current);
     EXPECT_EQ(truncated->result.traces.size(), 1u) << "first state only";
     EXPECT_EQ(refuses.value() - refuses_before, 1u);
-    StatusOr<storage::ServedQuery> off = storage::ServeQueryResilient(
-        store, "u", relation, query, &cache, shed_no_truncation, nullptr, 1);
+    StatusOr<storage::ServedQuery> off = storage::ServeQuery(
+        store, "u", relation, query, &cache, spent, nullptr, 1, &shed_all);
     EXPECT_TRUE(off.status().IsUnavailable()) << off.status().ToString();
 
     cache.ConsumeAll();  // Replica 1 catches up for the next round.
   }
+}
+
+// A plain request — no admission controller, no deadline — never leaves
+// the fresh rung: it serves at the version it pinned, bit-equal to the
+// snapshot-level ServeQuery at that snapshot, and of the serving
+// layer's counters it moves only `requests` and `fresh`. With and
+// without a cache.
+TEST_P(ServingDifferentialTest, PlainServeQueryDoesNoLadderWork) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 199);
+
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()),
+                             testing::SharedCache());
+  storage::ProfileStore store(env);
+  store.AttachCoherenceLog(&cache.log());
+  ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
+
+  // The first two move by one per request; the rest must not move.
+  const std::vector<std::string> counters = {
+      "ctxpref_serving_requests_total",
+      "ctxpref_serving_fresh_total",
+      "ctxpref_serving_stale_total",
+      "ctxpref_serving_truncated_total",
+      "ctxpref_serving_unavailable_total",
+      "ctxpref_serving_deadline_hits_total",
+      "ctxpref_serving_admitted_total",
+      "ctxpref_serving_shed_capacity_total",
+      "ctxpref_serving_shed_deadline_total",
+  };
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  for (int round = 0; round < 8; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    if (round % 3 == 2) {
+      ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
+    }
+    const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+    std::vector<uint64_t> before;
+    for (const std::string& name : counters) {
+      before.push_back(registry.GetCounter(name).value());
+    }
+    StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+        store, "u", relation, query, round % 2 == 0 ? &cache : nullptr);
+    ASSERT_OK(served.status());
+    for (size_t i = 0; i < counters.size(); ++i) {
+      EXPECT_EQ(registry.GetCounter(counters[i]).value() - before[i],
+                i < 2 ? 1u : 0u)
+          << label << " " << counters[i];
+    }
+
+    const storage::ServingProvenance& prov = served->provenance;
+    EXPECT_EQ(prov.via, storage::ServedVia::kFresh) << label;
+    EXPECT_EQ(prov.served_version, prov.current_version) << label;
+    EXPECT_EQ(prov.current_version, served->snapshot->serving_version());
+    EXPECT_EQ(prov.admission, storage::AdmissionDecision::kAdmitted);
+    EXPECT_FALSE(prov.deadline_hit);
+    StatusOr<QueryResult> direct =
+        storage::ServeQuery(*served->snapshot, relation, query);
+    ASSERT_OK(direct.status());
+    ExpectBitEqual(served->result.tuples, direct->tuples, label);
+  }
+}
+
+// The stale rung reaches back exactly the cache's staleness_window. The
+// cache consumes in the background and consumes nothing after the two
+// entries are cached, so the consume step's retention plays no part:
+// an entry exactly `window` versions behind the pinned version is
+// served, one `window + 1` behind is not, though it is still cached.
+TEST_P(ServingDifferentialTest, StaleReachIsTheCachesWindow) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(GetParam() + 211);
+
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;
+  ropt.mode = ReplicatedQueryCache::ConsumeMode::kBackground;
+  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()), ropt);
+  const uint64_t window = cache.options().staleness_window;
+  storage::ProfileStore store(env);
+  store.AttachCoherenceLog(&cache.log());
+  Profile initial = RandomProfile(rng, env, world);
+  if (initial.empty()) GTEST_SKIP() << "empty draw";
+  ASSERT_OK(store.CreateUser("u", std::move(initial)));
+
+  // pins[k] is the snapshot k publishes after the first one; the last
+  // publish leaves the current version window + 1 past pins[0].
+  std::vector<storage::SnapshotPtr> pins;
+  for (uint64_t k = 0; k <= window + 1; ++k) {
+    if (k > 0) {
+      ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
+    }
+    StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot("u");
+    ASSERT_OK(pin.status());
+    pins.push_back(*pin);
+  }
+  const uint64_t current = store.serving_version();
+  ASSERT_EQ(current, pins.back()->serving_version());
+  ASSERT_EQ(current - pins[0]->serving_version(), window + 1);
+  cache.ConsumeAll();  // The gate now covers `current`.
+
+  auto single_state = [&](const ContextState& state) {
+    StatusOr<CompositeDescriptor> cod =
+        CompositeDescriptor::ForState(*env, state);
+    EXPECT_OK(cod.status());
+    ContextualQuery query;
+    query.context = ExtendedDescriptor::FromComposite(std::move(*cod));
+    return query;
+  };
+  const ContextualQuery edge_query = single_state(world[0]);
+  const ContextualQuery beyond_query = single_state(world[1]);
+  // Cache each state through the replica at its old snapshot's version.
+  ASSERT_OK(storage::ServeQuery(*pins[1], relation, edge_query,
+                                &cache.replica(0))
+                .status());
+  ASSERT_OK(storage::ServeQuery(*pins[0], relation, beyond_query,
+                                &cache.replica(0))
+                .status());
+
+  // No controller; the spent deadline skips the fresh rung and aborts
+  // the truncated one, so only the stale rung can answer.
+  QueryOptions spent;
+  spent.deadline = util::Deadline::AfterMicros(0);
+  StatusOr<storage::ServedQuery> edge = storage::ServeQuery(
+      store, "u", relation, edge_query, &cache, spent, nullptr, 0);
+  ASSERT_OK(edge.status());
+  EXPECT_EQ(edge->provenance.via, storage::ServedVia::kStale);
+  EXPECT_EQ(edge->provenance.served_version, current - window);
+  StatusOr<QueryResult> oracle =
+      storage::ServeQuery(*pins[1], relation, edge_query);
+  ASSERT_OK(oracle.status());
+  ExpectBitEqual(edge->result.tuples, oracle->tuples, "edge of the window");
+
+  StatusOr<storage::ServedQuery> beyond = storage::ServeQuery(
+      store, "u", relation, beyond_query, &cache, spent, nullptr, 0);
+  EXPECT_TRUE(beyond.status().IsUnavailable()) << beyond.status().ToString();
+  EXPECT_NE(cache.replica(0).LookupAtOrBefore(
+                "u", world[1], current, 0, CacheConfig::Of(QueryOptions{}),
+                nullptr, nullptr),
+            nullptr)
+      << "the entry beyond the reach is still cached";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServingDifferentialTest,

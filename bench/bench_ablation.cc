@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "bench_metrics.h"
 #include "context/parser.h"
 #include "preference/qualitative.h"
 #include "preference/contextual_query.h"
@@ -323,6 +324,7 @@ int AblateWinnowSemantics() {
 }  // namespace
 
 int main() {
+  bench::PrintBenchContext();
   std::printf("Ablation benches (design choices from DESIGN.md)\n\n");
   if (int rc = AblateOrderingOptimizer(); rc != 0) return rc;
   if (int rc = AblateQueryCache(); rc != 0) return rc;

@@ -29,6 +29,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench_metrics.h"
 #include "context/parser.h"
 #include "context/resilient_source.h"
 #include "harness/scenario_config.h"
@@ -219,6 +220,7 @@ void AppendJson(std::string& out, const SweepPoint& p, bool last) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::PrintBenchContext();
   std::string out_path = "BENCH_availability.json";
   double scenario_rate = -1.0;
   for (int i = 1; i < argc; ++i) {

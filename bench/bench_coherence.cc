@@ -358,7 +358,8 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   // google-benchmark shape, so compare_bench.py --speedup can pair the
   // hit-rate rows. real_time = ns per operation: "lower is better",
   // matching the tool's base/target ratio convention.
-  out << "{\n  \"benchmarks\": [\n";
+  out << "{\n  \"context\": " << bench::BenchContextJson()
+      << ",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const double ns_per_op = rows[i].per_sec > 0 ? 1e9 / rows[i].per_sec : 1e12;
     out << "    {\"name\": \"" << rows[i].name

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 
+#include "bench_metrics.h"
 #include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
 #include "preference/sequential_store.h"
@@ -23,6 +24,7 @@
 using namespace ctxpref;
 
 int main() {
+  bench::PrintBenchContext();
   StatusOr<workload::SyntheticProfile> gen = workload::MakeRealLikeProfile(7);
   if (!gen.ok()) {
     std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());

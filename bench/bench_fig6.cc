@@ -15,6 +15,7 @@
 
 #include <cstdio>
 
+#include "bench_metrics.h"
 #include "preference/profile_tree.h"
 #include "preference/sequential_store.h"
 #include "workload/profile_generator.h"
@@ -152,6 +153,7 @@ int RunSkewSweep() {
 }  // namespace
 
 int main() {
+  bench::PrintBenchContext();
   std::printf("Figure 6: profile-tree size on synthetic profiles\n\n");
   if (int rc = RunSizeSweep(
           "Fig. 6 (left): uniform draws — total cells per ordering", 0.0);

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 
+#include "bench_metrics.h"
 #include "preference/profile_tree.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
@@ -78,6 +79,7 @@ workload::SyntheticProfileSpec SyntheticSpec(size_t num_prefs, double zipf_a,
 }  // namespace
 
 int main() {
+  bench::PrintBenchContext();
   constexpr size_t kNumQueries = 50;
 
   // ---- Left: real profile ----

@@ -14,15 +14,21 @@
 // so histograms fill; without them the benches measure the default
 // (timing-off) configuration, which is the overhead claim CI checks.
 //
-// Parsing also prints the build context to stderr — hardware threads,
-// build type and lock-rank checker state — and warns unless the bench
-// was built Release, so a wall-clock figure never travels without it.
+// Parsing also prints the build context to stderr (`PrintBenchContext`:
+// hardware threads, build type and lock-rank checker state) and warns
+// unless the bench was built Release, so a wall-clock figure never
+// travels without it. Benches without metrics flags call
+// `PrintBenchContext` themselves; benches that write JSON embed the
+// same context (`BenchContextJson`), and scripts/compare_bench.py
+// refuses to diff two files whose contexts differ.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/metrics.h"
 
@@ -39,21 +45,45 @@ struct MetricsFlags {
   std::string prom_path;
 };
 
-/// Consumes the metrics flags from argv (compacting it in place and
-/// updating argc) and, when any was present, turns timing on. Prints
-/// the build context line (and the non-Release warning) to stderr.
-inline MetricsFlags ParseMetricsFlags(int& argc, char** argv) {
-  const std::string build_type = CTXPREF_BENCH_BUILD_TYPE;
-  std::fprintf(stderr,
-               "bench context: nproc=%u build_type=%s "
-               "lock_rank_checks=%d\n",
-               std::thread::hardware_concurrency(), build_type.c_str(),
-               CTXPREF_LOCK_RANK_CHECKS);
-  if (build_type != "Release") {
+/// The host context a wall-clock figure is comparable within, as
+/// (key, value) pairs: hardware threads, build type, lock-rank checker.
+inline std::vector<std::pair<std::string, std::string>> BenchContext() {
+  return {{"nproc", std::to_string(std::thread::hardware_concurrency())},
+          {"build_type", CTXPREF_BENCH_BUILD_TYPE},
+          {"lock_rank_checks", std::to_string(CTXPREF_LOCK_RANK_CHECKS)}};
+}
+
+/// `BenchContext()` as a JSON object, for a bench's top-level
+/// `"context"` member.
+inline std::string BenchContextJson() {
+  std::string out = "{";
+  for (const auto& [key, value] : BenchContext()) {
+    if (out.size() > 1) out += ", ";
+    out += "\"" + key + "\": \"" + value + "\"";
+  }
+  return out + "}";
+}
+
+/// Prints the build context line to stderr, and a warning unless the
+/// bench was built Release.
+inline void PrintBenchContext() {
+  std::string line = "bench context:";
+  for (const auto& [key, value] : BenchContext()) {
+    line += " " + key + "=" + value;
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+  if (std::string(CTXPREF_BENCH_BUILD_TYPE) != "Release") {
     std::fprintf(stderr,
                  "warning: not a Release build; wall-clock figures are not "
                  "comparable to Release ones\n");
   }
+}
+
+/// Consumes the metrics flags from argv (compacting it in place and
+/// updating argc) and, when any was present, turns timing on. Prints
+/// the build context first (`PrintBenchContext`).
+inline MetricsFlags ParseMetricsFlags(int& argc, char** argv) {
+  PrintBenchContext();
   MetricsFlags flags;
   int out = 1;
   for (int i = 1; i < argc; ++i) {

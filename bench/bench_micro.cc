@@ -360,6 +360,9 @@ int main(int argc, char** argv) {
   ctxpref::bench::MetricsFlags metrics =
       ctxpref::bench::ParseMetricsFlags(argc, argv);
   benchmark::Initialize(&argc, argv);
+  for (const auto& [key, value] : ctxpref::bench::BenchContext()) {
+    benchmark::AddCustomContext(key, value);
+  }
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

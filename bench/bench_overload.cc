@@ -359,7 +359,8 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   // rows. real_time = ns per good answer: "lower is better", matching
   // the tool's base/target ratio convention. Zero goodput maps to one
   // good answer per 1000 s so ratios stay finite.
-  out << "{\n  \"benchmarks\": [\n";
+  out << "{\n  \"context\": " << bench::BenchContextJson()
+      << ",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const double ns_per_good =
         rows[i].goodput > 0 ? 1e9 / rows[i].goodput : 1e12;

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "bench_metrics.h"
 #include "preference/profile_tree.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
@@ -66,6 +67,7 @@ StatusOr<Costs> Measure(const workload::SyntheticProfileSpec& spec) {
 }  // namespace
 
 int main() {
+  bench::PrintBenchContext();
   std::printf("Scaling study (beyond the paper): 2000 preferences, "
               "50 queries per point\n\n");
 

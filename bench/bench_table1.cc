@@ -14,12 +14,14 @@
 
 #include <cstdio>
 
+#include "bench_metrics.h"
 #include "workload/user_sim.h"
 
 using namespace ctxpref;
 using namespace ctxpref::workload;
 
 int main() {
+  bench::PrintBenchContext();
   UserStudyConfig config;
   config.num_users = 10;
   config.num_pois = 150;

@@ -42,7 +42,7 @@ using ctxpref::harness::ScenarioConfig;
 using ctxpref::harness::ScenarioResult;
 using ctxpref::harness::WorkloadRunner;
 
-// "tie_break" -> "TieBreak", for benchmark entry names.
+// "shed" -> "Shed" (snake_case to CamelCase), for benchmark entry names.
 std::string CamelTag(const std::string& flag) {
   std::string out;
   bool up = true;

@@ -94,11 +94,6 @@ int main() {
   const db::Schema& schema = poi->relation.schema();
   const size_t name_col = *schema.IndexOf("name");
 
-  QueryOptions options;
-  // Discount scores by context distance so near-exact preferences
-  // dominate. The display cuts at 3 rows (TopK's paper-style tie
-  // extension would show every equal-scored place).
-  options.discount = ScoreDiscount::kInverseDistance;
   std::optional<std::vector<db::ScoredTuple>> last;  // Last answer shown.
 
   // ---- A day of context changes.
@@ -136,8 +131,8 @@ int main() {
     }
     ContextualQuery query;
     query.context = ExtendedDescriptor::FromComposite(std::move(*cod));
-    StatusOr<QueryResult> result =
-        RankCS(poi->relation, query, resolver, options);
+    // Default options: scores as stated, every scored place returned.
+    StatusOr<QueryResult> result = RankCS(poi->relation, query, resolver);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -149,6 +144,8 @@ int main() {
     last = result->tuples;
     std::printf("  -> recommendations changed (%zu scored):\n",
                 last->size());
+    // The display cuts at 3 rows (TopK's paper-style tie extension
+    // would show every equal-scored place).
     for (size_t i = 0; i < last->size() && i < 3; ++i) {
       const db::ScoredTuple& t = (*last)[i];
       std::printf("     %.2f %s\n", t.score,

@@ -4,16 +4,20 @@
 Modes:
 
   compare_bench.py BASELINE.json CURRENT.json
-      Advisory two-file diff (the default): prints a per-benchmark
-      table of real_time deltas and emits GitHub Actions warning
+      Advisory two-file diff (the default): prints both files' bench
+      contexts (the top-level "context" member's nproc, build_type and
+      lock_rank_checks, which the benches embed), then a per-benchmark
+      table of real_time deltas, and emits GitHub Actions warning
       annotations for benchmarks slower than the baseline by more than
       the threshold. Exits 0 — shared-runner timings are too noisy to
-      gate every benchmark on.
+      gate every benchmark on. When the contexts differ, or a file has
+      none, the table is skipped with one warning: a 1-CPU baseline
+      says nothing about a 4-core run.
 
   compare_bench.py BASELINE.json CURRENT.json --gate REGEX
       Same diff, but regressions whose name matches REGEX become
-      errors (exit 1). Only pin benchmarks that are stable enough on
-      the target runner.
+      errors (exit 1), whatever the contexts. Only pin benchmarks that
+      are stable enough on the target runner.
 
   compare_bench.py --speedup CURRENT.json \
       --base-prefix BM_SearchCS_Pointer --target-prefix BM_SearchCS_Flat \
@@ -35,14 +39,42 @@ import sys
 # tiny --benchmark_min_time, so anything under this is likely noise.
 THRESHOLD = 0.25
 
+# The host context a wall-clock figure is comparable within
+# (bench/bench_metrics.h writes these keys).
+CONTEXT_KEYS = ("nproc", "build_type", "lock_rank_checks")
 
-def load(path):
+
+def read(path):
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"::warning::compare_bench: cannot read {path}: {e}")
         return None
+
+
+def context_of(doc):
+    """The file's bench context as strings, or None if it lacks one."""
+    ctx = doc.get("context")
+    if not isinstance(ctx, dict) or any(k not in ctx for k in CONTEXT_KEYS):
+        return None
+    return {k: str(ctx[k]) for k in CONTEXT_KEYS}
+
+
+def format_context(ctx):
+    if ctx is None:
+        return "(none)"
+    return " ".join(f"{k}={ctx[k]}" for k in CONTEXT_KEYS)
+
+
+def load(path):
+    doc = read(path)
+    if doc is None:
+        return None
+    return real_times(doc)
+
+
+def real_times(doc):
     out = {}
     for b in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if present.
@@ -53,10 +85,21 @@ def load(path):
 
 
 def diff(baseline_path, current_path, gate_pattern):
-    base = load(baseline_path)
-    curr = load(current_path)
-    if base is None or curr is None:
+    base_doc = read(baseline_path)
+    curr_doc = read(current_path)
+    if base_doc is None or curr_doc is None:
         return 0
+    base_ctx, curr_ctx = context_of(base_doc), context_of(curr_doc)
+    print(f"baseline context: {format_context(base_ctx)}")
+    print(f"current context:  {format_context(curr_ctx)}")
+    if gate_pattern is None and (base_ctx is None or base_ctx != curr_ctx):
+        print(
+            f"::warning::compare_bench: {baseline_path} and {current_path} "
+            f"have different or missing bench contexts; drift table "
+            f"skipped (re-record the baseline in this context to compare)"
+        )
+        return 0
+    base, curr = real_times(base_doc), real_times(curr_doc)
 
     shared = sorted(set(base) & set(curr))
     if not shared:

@@ -52,6 +52,12 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               deleted one), is a finding — same single-source-of-truth
               contract as lock-rank.
 
+  ablation-tested  Every flag in CTXPREF_ABLATION_FLAGS must be set
+              off (`ablation.<flag> = false`, outside a comment) by at
+              least one test in tests/workload_runner_test.cc: an
+              ablation arm that no test runs is a switch nobody turns
+              on, and cannot come back unnoticed.
+
   scenario-key-doc  The backticked keys in docs/scenarios.md's knob
               table must equal the keys ParseScenarioConfig accepts
               (src/harness/scenario_config.cc), in both directions.
@@ -135,6 +141,8 @@ METRIC_DOC_NAME = re.compile(r"`(ctxpref_\w+)")
 
 ABLATION_HEADER = "src/harness/scenario_config.h"
 ABLATION_DOC = "docs/scenarios.md"
+ABLATION_TESTS = "tests/workload_runner_test.cc"
+ABLATION_OFF = re.compile(r"\bablation\.(\w+)\s*=\s*false\b")
 SCENARIO_PARSER = "src/harness/scenario_config.cc"
 
 BENCH_CMAKE = "bench/CMakeLists.txt"
@@ -515,6 +523,30 @@ def check_ablation_doc(findings):
                         "ablation flag", ABLATION_HEADER)
 
 
+def check_ablation_tested(findings):
+    """Every declared ablation flag is set off by a workload-runner test."""
+    flags = declared_ablation_flags()
+    if flags is None:
+        return  # check_ablation_doc already warned.
+    try:
+        with open(ABLATION_TESTS, encoding="utf-8") as f:
+            tested = set(ABLATION_OFF.findall(
+                "\n".join(strip_comments(l) for l in f.read().splitlines())))
+    except OSError:
+        findings.add(ABLATION_TESTS, 1, "ablation-tested",
+                     "cannot read the workload-runner tests")
+        return
+    with open(ABLATION_HEADER, encoding="utf-8") as f:
+        header = f.read().splitlines()
+    for flag in sorted(flags - tested):
+        lineno = next((i for i, line in enumerate(header, 1)
+                       if f"X({flag})" in line), 1)
+        findings.add(ABLATION_HEADER, lineno, "ablation-tested",
+                     f"ablation flag '{flag}' is set off "
+                     f"(`ablation.{flag} = false`) by no test in "
+                     f"{ABLATION_TESTS}")
+
+
 def check_scenario_key_doc(findings):
     """docs/scenarios.md's knob table lists exactly the accepted keys."""
     keys = accepted_scenario_keys()
@@ -679,6 +711,7 @@ def main():
     check_lock_name_doc(findings)
     check_metric_doc(findings)
     check_ablation_doc(findings)
+    check_ablation_tested(findings)
     check_scenario_key_doc(findings)
     check_bench_doc(findings)
     check_file_doc(findings)

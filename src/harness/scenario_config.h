@@ -21,8 +21,6 @@ namespace ctxpref::harness {
 /// semantics of each flag; every name listed here must appear there.
 #define CTXPREF_ABLATION_FLAGS(X) \
   X(cache)                        \
-  X(cow)                          \
-  X(tie_break)                    \
   X(resilience)                   \
   X(shed)
 

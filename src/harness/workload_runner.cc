@@ -271,8 +271,6 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
 
   QueryOptions base;
   base.resolution.distance = cfg.distance;
-  // tie_break=off: pre-erratum Jaccard tie handling.
-  base.resolution.jaccard_tie_break = cfg.ablation.tie_break;
   base.combine = db::CombinePolicy::kMax;  // Stale rung needs kMax/kMin.
   base.top_k = cfg.top_k;
 
@@ -388,40 +386,24 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     const std::string uid = UserName(u);
 
     if (cfg.update_rate > 0.0 && rng.Bernoulli(cfg.update_rate)) {
-      // Profile update (churn). Draw the edit up front so cow=on and
-      // cow=off consume identical randomness.
+      // Profile update (churn): a copy-on-write rescore of one
+      // preference.
       ++res.updates;
       StatusOr<storage::SnapshotPtr> pinned = store.GetSnapshot(uid);
       if (!pinned.ok()) return pinned.status();
-      const Profile& profile = (*pinned)->profile();
-      const size_t psize = profile.size();
+      const size_t psize = (*pinned)->profile().size();
       if (psize == 0) continue;
       const size_t idx = rng.Uniform(psize);
       const double score = GridScore(rng);
-      if (cfg.ablation.cow) {
-        Status st = store.UpdateUser(uid, [idx, score](Profile& p) {
-          if (idx < p.size()) {
-            // A conflicting rescore keeps the old score; the publish
-            // still happens (same as the cow=off arm).
-            (void)p.UpdateScore(idx, score);
-          }
-          return Status::OK();
-        });
-        if (!st.ok()) return st;
-      } else {
-        // cow=off: the pre-COW write path — copy the whole profile,
-        // publish it wholesale, and clobber the entire query cache
-        // instead of relying on per-user version-tagged invalidation.
-        Profile copy = profile;
-        if (idx < copy.size()) (void)copy.UpdateScore(idx, score);
-        Status st = store.PublishProfile(uid, std::move(copy));
-        if (!st.ok()) return st;
-        if (cache_ptr != nullptr) {
-          for (size_t r = 0; r < cache_ptr->num_replicas(); ++r) {
-            cache_ptr->replica(r).InvalidateAll();
-          }
+      Status st = store.UpdateUser(uid, [idx, score](Profile& p) {
+        if (idx < p.size()) {
+          // A conflicting rescore keeps the old score; the publish
+          // still happens.
+          (void)p.UpdateScore(idx, score);
         }
-      }
+        return Status::OK();
+      });
+      if (!st.ok()) return st;
       continue;  // Updates ride the writer, not the serving queue.
     }
 

@@ -1,6 +1,5 @@
 #include "preference/contextual_query.h"
 
-#include <cmath>
 #include <memory>
 
 #include "preference/query_cache.h"
@@ -32,30 +31,6 @@ RankMetrics& RankMetrics::Get() {
   return *m;
 }
 
-const char* ScoreDiscountToString(ScoreDiscount d) {
-  switch (d) {
-    case ScoreDiscount::kNone:
-      return "none";
-    case ScoreDiscount::kInverseDistance:
-      return "inverse-distance";
-    case ScoreDiscount::kExponential:
-      return "exponential";
-  }
-  return "?";
-}
-
-double ApplyDiscount(ScoreDiscount discount, double score, double distance) {
-  switch (discount) {
-    case ScoreDiscount::kNone:
-      return score;
-    case ScoreDiscount::kInverseDistance:
-      return score / (1.0 + distance);
-    case ScoreDiscount::kExponential:
-      return score * std::exp2(-distance);
-  }
-  return score;
-}
-
 namespace {
 
 /// Appends one constant-score source per leaf entry of `candidates`, in
@@ -63,13 +38,11 @@ namespace {
 /// set, which must outlive the sources.
 Status AppendClauseSources(const db::Relation& relation,
                            const std::vector<CandidatePath>& candidates,
-                           ScoreDiscount discount,
                            std::vector<ScoredSource>& sources) {
   for (const CandidatePath& cand : candidates) {
     for (const ProfileTree::LeafEntry& entry : cand.entries) {
-      StatusOr<ScoredSource> source = ScoredSource::Clause(
-          relation, entry.clause,
-          ApplyDiscount(discount, entry.score, cand.distance));
+      StatusOr<ScoredSource> source =
+          ScoredSource::Clause(relation, entry.clause, entry.score);
       if (!source.ok()) return source.status();
       sources.push_back(*source);
     }
@@ -143,16 +116,14 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
             : std::make_shared<const std::vector<CandidatePath>>(
                   resolve(s, options.resolution, counter));
     if (cache == nullptr) {
-      CTXPREF_RETURN_IF_ERROR(
-          AppendClauseSources(relation, *best, options.discount, sources));
+      CTXPREF_RETURN_IF_ERROR(AppendClauseSources(relation, *best, sources));
     } else {
       if (entry == nullptr) {
         // Cancellation point: resolution paid for, the state's
         // selections not yet.
         if (options.deadline.Expired()) return deadline_exceeded();
         std::vector<ScoredSource> clauses;
-        CTXPREF_RETURN_IF_ERROR(
-            AppendClauseSources(relation, *best, options.discount, clauses));
+        CTXPREF_RETURN_IF_ERROR(AppendClauseSources(relation, *best, clauses));
         // The cached list is the state's whole ranking: no cut, and no
         // selections (an entry is keyed by context state only).
         entry = std::make_shared<const ContextQueryTree::Entry>(

@@ -50,28 +50,10 @@ struct ContextualQuery {
   std::vector<db::Predicate> selections;
 };
 
-/// How (whether) a resolved preference's interest score is discounted
-/// by the distance between its context state and the query state —
-/// an extension of the paper's combining-function hook (§3.2/§4.4):
-/// preferences that apply only via a distant covering state arguably
-/// deserve less influence than near-exact matches.
-enum class ScoreDiscount {
-  kNone,             ///< Paper behavior: scores used as stated.
-  kInverseDistance,  ///< score / (1 + distance).
-  kExponential,      ///< score · 2^(-distance).
-};
-
-const char* ScoreDiscountToString(ScoreDiscount d);
-
-/// Applies `discount` to `score` for a candidate at `distance`.
-double ApplyDiscount(ScoreDiscount discount, double score, double distance);
-
 /// Options for Rank_CS. Selection has no switch here: every clause runs
 /// through the relation's own selection structures (`ScoredSource`).
 struct QueryOptions {
   ResolutionOptions resolution;
-  /// Distance-based score discounting (kNone = the paper's semantics).
-  ScoreDiscount discount = ScoreDiscount::kNone;
   /// Score-combination policy for tuples matched by several resolved
   /// preferences (paper §4.4).
   db::CombinePolicy combine = db::CombinePolicy::kMax;
@@ -137,11 +119,11 @@ struct StateCache {
 /// Every state is validated before any is resolved; the loop returns at
 /// the first state that fails (a deadline expiry reports how many
 /// completed). With `cache` set, each state is first looked up: an
-/// entry holds the state's whole ranked list (undiscounted, unselected,
-/// uncut) and candidates, and a miss resolves the state, builds that
-/// list and caches it. The merge then takes one list source per state
-/// and re-applies the query's selections. Options other than kMax/kMin
-/// without a discount return `CheckCacheableOptions`' InvalidArgument.
+/// entry holds the state's whole ranked list (unselected, uncut) and
+/// candidates, and a miss resolves the state, builds that list and
+/// caches it. The merge then takes one list source per state
+/// and re-applies the query's selections. A combine other than kMax/kMin
+/// returns `CheckCacheableOptions`' InvalidArgument.
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const ContextEnvironment& env,

@@ -32,7 +32,7 @@ struct CacheMetrics {
         reg.GetCounter("ctxpref_query_cache_misses_total",
                        "ContextQueryTree lookup misses"),
         reg.GetCounter("ctxpref_query_cache_invalidations_total",
-                       "Entries dropped by InvalidateUser(Below)"),
+                       "Entries dropped by InvalidateUserBelow"),
         reg.GetCounter("ctxpref_query_cache_evictions_total",
                        "LRU evictions beyond tree capacity"),
         reg.GetHistogram("ctxpref_query_cache_hit_latency_ns",
@@ -185,31 +185,6 @@ void ContextQueryTree::PutEntry(const std::string& user,
   }
 }
 
-size_t ContextQueryTree::InvalidateUser(const std::string& user) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  TraceSpan span("query_cache.invalidate_user");
-  size_t dropped = 0;
-  {
-    util::MutexLock lock(mu_);
-    auto user_it = users_.find(user);
-    if (user_it != users_.end()) {
-      // Each leaf owns exactly one LRU node: unlink them through the
-      // stored iterators, then drop the user's whole map.
-      for (const auto& [state, leaf] : user_it->second) lru_.erase(leaf.lru_it);
-      dropped = user_it->second.size();
-      users_.erase(user_it);
-      invalidations_ += dropped;
-    }
-  }
-  if (dropped > 0) {
-    metrics.invalidations.Increment(dropped);
-  }
-  if (span.active()) {
-    span.Tag("dropped", static_cast<uint64_t>(dropped));
-  }
-  return dropped;
-}
-
 size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
                                              uint64_t version) {
   CacheMetrics& metrics = CacheMetrics::Get();
@@ -242,12 +217,6 @@ size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
   return dropped;
 }
 
-void ContextQueryTree::InvalidateAll() {
-  util::MutexLock lock(mu_);
-  users_.clear();
-  lru_.clear();
-}
-
 CacheStats ContextQueryTree::Stats() const {
   util::MutexLock lock(mu_);
   CacheStats stats;
@@ -265,12 +234,6 @@ Status CheckCacheableOptions(const QueryOptions& options) {
       options.combine != db::CombinePolicy::kMin) {
     return Status::InvalidArgument(
         "cached RankCS requires an associative combine policy (max or min)");
-  }
-  if (options.discount != ScoreDiscount::kNone) {
-    return Status::InvalidArgument(
-        std::string("cached RankCS serves undiscounted per-state lists; "
-                    "score discount '") +
-        ScoreDiscountToString(options.discount) + "' needs uncached RankCS");
   }
   return Status::OK();
 }

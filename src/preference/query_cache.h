@@ -23,9 +23,9 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// Entries dropped by `InvalidateUser` / `InvalidateUserBelow` — the
-  /// coherence consume step's reclamation (docs/coherence.md). Lookups
-  /// never drop entries: a version-skewed entry is a plain miss.
+  /// Entries dropped by `InvalidateUserBelow` — the coherence consume
+  /// step's reclamation (docs/coherence.md). Lookups never drop
+  /// entries: a version-skewed entry is a plain miss.
   uint64_t invalidations = 0;
   size_t size = 0;
 
@@ -77,7 +77,7 @@ struct CacheConfig {
 ///
 /// Thread safety: all public methods are safe to call concurrently.
 /// `Lookup` returns a shared_ptr snapshot, so a reader may keep using
-/// an entry after a concurrent `Put`/eviction/`InvalidateAll` has
+/// an entry after a concurrent `Put`/eviction/invalidation has
 /// removed it from the tree. See docs/concurrency.md.
 class ContextQueryTree {
  public:
@@ -161,26 +161,17 @@ class ContextQueryTree {
         std::move(candidates));
   }
 
-  /// Drops every cached entry of `user` — what the coherence consume
-  /// step applies for a user removal (a `drop_all` record), whatever
-  /// the staleness window. Returns the number of entries dropped; each
-  /// is counted as an invalidation (but not a miss). Safe to call
-  /// concurrently with lookups: readers holding entry snapshots keep
-  /// them.
-  size_t InvalidateUser(const std::string& user);
-
   /// Drops `user`'s cached entries whose version tag is strictly below
-  /// `version`, leaving newer (and equal) entries in place — the
-  /// bounded-staleness form of `InvalidateUser` the log-based coherence
-  /// consumer applies: a record `{user, v}` with a retention window `w`
-  /// becomes `InvalidateUserBelow(user, v - w)`, so entries inside the
-  /// window survive for `LookupAtOrBefore` while everything older is
-  /// reclaimed. Returns the number of entries dropped (each counted as
-  /// an invalidation, not a miss).
+  /// `version`, leaving newer (and equal) entries in place — the one
+  /// drop call of the log-based coherence consumer: a record `{user, v}`
+  /// with a retention window `w` becomes `InvalidateUserBelow(user,
+  /// v - w)`, so entries inside the window survive for
+  /// `LookupAtOrBefore` while everything older is reclaimed; a user
+  /// removal (a `drop_all` record) passes the maximum version and drops
+  /// them all. Returns the number of entries dropped (each counted as
+  /// an invalidation, not a miss). Safe to call concurrently with
+  /// lookups: readers holding entry snapshots keep them.
   size_t InvalidateUserBelow(const std::string& user, uint64_t version);
-
-  /// Drops every cached entry of every user (counters are kept).
-  void InvalidateAll();
 
  private:
   /// LRU identity of one cached entry: which user's map it lives in
@@ -239,11 +230,9 @@ class ContextQueryTree {
 };
 
 /// Whether `options` can be answered from per-state cached lists: the
-/// combine policy must be associative (kMax or kMin), and the score
-/// discount must be kNone — cached lists hold undiscounted scores and
-/// their `CacheConfig` does not record a discount. InvalidArgument otherwise.
-/// `RankCS` with a `StateCache` returns this status up front; the
-/// serving ladder's stale rung skips itself on it.
+/// combine policy must be associative (kMax or kMin). InvalidArgument
+/// otherwise. `RankCS` with a `StateCache` returns this status up
+/// front; the serving ladder's stale rung skips itself on it.
 Status CheckCacheableOptions(const QueryOptions& options);
 
 }  // namespace ctxpref

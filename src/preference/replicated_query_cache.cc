@@ -1,6 +1,7 @@
 #include "preference/replicated_query_cache.h"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -151,13 +152,13 @@ size_t ReplicatedQueryCache::Consume(size_t r) {
   const uint64_t window = options_.staleness_window;
   const size_t applied =
       log_.Consume(r, [&replica, window](const CoherenceLog::Record& rec) {
-        if (rec.drop_all) {
-          replica.tree.InvalidateUser(rec.user);
-        } else {
-          const uint64_t floor =
-              rec.version > window ? rec.version - window : 0;
-          replica.tree.InvalidateUserBelow(rec.user, floor);
+        // A user removal drops every entry of the user; a publish
+        // keeps the entries inside the staleness window.
+        uint64_t floor = std::numeric_limits<uint64_t>::max();
+        if (!rec.drop_all) {
+          floor = rec.version > window ? rec.version - window : 0;
         }
+        replica.tree.InvalidateUserBelow(rec.user, floor);
       });
   uint64_t clock = replica.clock.load(std::memory_order_relaxed);
   if (clock < target) {

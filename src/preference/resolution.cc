@@ -163,7 +163,7 @@ std::vector<CandidatePath> TreeResolver::ResolveBest(
     TraceSpan select("resolve.best_candidates");
     best = BestCandidates(std::move(all));
   }
-  if (options.distance == DistanceKind::kJaccard && options.jaccard_tie_break) {
+  if (options.distance == DistanceKind::kJaccard) {
     TraceSpan tie_break("resolve.tie_break");
     best = TieBreakByHierarchyDistance(tree_->env(), query, std::move(best));
   }
@@ -231,8 +231,7 @@ std::vector<CandidatePath> FlatResolver::ResolveBest(
       if (NearlyEqual(flats[i].distance, best)) winners.push_back(i);
     }
   }
-  if (options.distance == DistanceKind::kJaccard && options.jaccard_tie_break &&
-      winners.size() > 1) {
+  if (options.distance == DistanceKind::kJaccard && winners.size() > 1) {
     TraceSpan tie_break("resolve.tie_break");
     std::vector<double> dist(winners.size());
     double best = 0.0;

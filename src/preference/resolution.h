@@ -18,11 +18,6 @@ struct ResolutionOptions {
   DistanceKind distance = DistanceKind::kHierarchy;
   /// When true, only the exact path is considered (paper §4.4 case 1).
   bool exact_only = false;
-  /// When false, Jaccard ties are NOT broken by hierarchy distance
-  /// (the pre-erratum behavior — see `TieBreakByHierarchyDistance`).
-  /// Exists as an ablation switch for the scenario harness; leave on
-  /// everywhere else.
-  bool jaccard_tie_break = true;
 
   friend bool operator==(const ResolutionOptions&,
                          const ResolutionOptions&) = default;

@@ -85,7 +85,7 @@ std::vector<CandidatePath> SequentialStore::ResolveBest(
   }
   std::vector<CandidatePath> best =
       BestCandidates(SearchCovering(query, options, counter));
-  if (options.distance == DistanceKind::kJaccard && options.jaccard_tie_break) {
+  if (options.distance == DistanceKind::kJaccard) {
     best = TieBreakByHierarchyDistance(*env_, query, std::move(best));
   }
   return best;

@@ -17,8 +17,7 @@ namespace ctxpref {
 /// their scores, in ranking order (score desc, row asc), each row at
 /// most once. Either
 ///   - a clause source: σ_clause(relation), every row at one constant
-///     score — one resolved leaf entry of a query state (its score
-///     already discounted, if the query discounts), or
+///     score — one resolved leaf entry of a query state, or
 ///   - a list source: a cached per-state list, as `db::Ranker::Ranked`
 ///     produces it.
 /// A source borrows what it reads (the clause's constant, the list);

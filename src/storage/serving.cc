@@ -145,7 +145,7 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    uint64_t* served_version) {
   if (states.empty()) return false;
   // Same rule as cached RankCS: per-state lists answer only an
-  // associative combine with undiscounted scores.
+  // associative combine.
   if (!CheckCacheableOptions(options).ok()) return false;
   const uint64_t min_version = current_version > staleness_window
                                    ? current_version - staleness_window

@@ -74,7 +74,7 @@ enum class LockRank : int {
   kCoherenceLog = 35,
   /// ContextQueryTree::mu_ — one lock per tree (each replica's tree is
   /// its own shard of the serving cache); acquired under a replica's
-  /// consume step via InvalidateUser(Below), never two trees at once.
+  /// consume step via InvalidateUserBelow, never two trees at once.
   kCacheShard = 40,
   /// ResilientSource::mu_ — held across a backend read, so it ranks
   /// below (acquired before) the fault injector's script lock.

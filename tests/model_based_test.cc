@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <map>
 #include <optional>
@@ -120,7 +121,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheModelTest,
 
 /// The multi-tenant reference: one recency list over (user, state)
 /// pairs, per-entry version tags, a bounded-staleness lookup and the
-/// two per-user purges the coherence consume step applies.
+/// per-user purge the coherence consume step applies (a user removal
+/// is a purge below the maximum version).
 class MultiUserReferenceLru {
  public:
   using Key = std::pair<std::string, ContextState>;
@@ -171,10 +173,6 @@ class MultiUserReferenceLru {
       entries_.erase(recency_.back());
       recency_.pop_back();
     }
-  }
-
-  size_t InvalidateUser(const std::string& user) {
-    return InvalidateUserBelow(user, UINT64_MAX);
   }
 
   /// Drops `user`'s entries tagged strictly below `version`.
@@ -275,10 +273,12 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
                 reference.InvalidateUserBelow(users[u], floor))
           << "step " << step << " user " << users[u];
     } else {
-      // Publish plus a drop_all consume: both drop the same entries.
+      // Publish plus a drop_all consume, a drop below the maximum
+      // version: both drop every entry of the user.
       ++versions[u];
-      ASSERT_EQ(cache.InvalidateUser(users[u]),
-                reference.InvalidateUser(users[u]))
+      constexpr uint64_t kAll = std::numeric_limits<uint64_t>::max();
+      ASSERT_EQ(cache.InvalidateUserBelow(users[u], kAll),
+                reference.InvalidateUserBelow(users[u], kAll))
           << "step " << step << " user " << users[u];
     }
     ASSERT_EQ(cache.size(), reference.size()) << "step " << step;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -83,6 +84,9 @@ class QueryCacheConcurrentTest : public ::testing::Test {
   EnvironmentPtr env_;
 };
 
+/// The drop a user removal applies: every entry of the user.
+constexpr uint64_t kAllVersions = std::numeric_limits<uint64_t>::max();
+
 /// Entries actually reachable in `cache` for `users` x the distinct
 /// `states`, at any version — what `Stats().size` must count once the
 /// threads are joined.
@@ -104,7 +108,7 @@ size_t ReachableEntries(ContextQueryTree& cache,
   return found;
 }
 
-/// N writers Put/InvalidateAll racing M readers Lookup. Correctness
+/// N writers Put/InvalidateUserBelow racing M readers Lookup. Correctness
 /// here is "no data race / no crash / snapshots stay intact" — run
 /// under -DCTXPREF_SANITIZE=thread to check real interleavings.
 TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
@@ -125,7 +129,8 @@ TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
         const ContextState& s = states[(w + i) % states.size()];
         cache.Put(s, /*profile_version=*/1 + (i % 3),
                   {{static_cast<db::RowId>(i), 0.5}});
-        if (i % 500 == 499) cache.InvalidateAll();
+        // A user removal's drop: every entry below the maximum version.
+        if (i % 500 == 499) cache.InvalidateUserBelow("", kAllVersions);
       }
     });
   }
@@ -158,8 +163,8 @@ TEST_F(QueryCacheConcurrentTest, ReadersAndWritersRace) {
 }
 
 /// Per-user writers and readers race a dedicated invalidator thread
-/// calling InvalidateUser round-robin — the drop a replica's consume
-/// step applies concurrently with serving traffic. Run
+/// calling InvalidateUserBelow round-robin — the drop a replica's
+/// consume step applies concurrently with serving traffic. Run
 /// under TSan; afterwards the tree's accounting must still be exact.
 TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
   ContextQueryTree cache(/*capacity=*/64);
@@ -190,7 +195,7 @@ TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
   }
   threads.emplace_back([&] {  // Invalidator: the publish hook.
     for (int i = 0; i < kOpsPerThread / 4; ++i) {
-      cache.InvalidateUser(users[i % users.size()]);
+      cache.InvalidateUserBelow(users[i % users.size()], kAllVersions);
     }
   });
   threads.clear();  // Join.
@@ -205,8 +210,8 @@ TEST_F(QueryCacheConcurrentTest, InvalidateUserRacesPerUserTraffic) {
   // Quiesced: a final targeted invalidation leaves those users empty
   // while the others' entries survive untouched.
   const size_t remaining_before = cache.size();
-  cache.InvalidateUser(users[0]);
-  cache.InvalidateUser(users[1]);
+  cache.InvalidateUserBelow(users[0], kAllVersions);
+  cache.InvalidateUserBelow(users[1], kAllVersions);
   for (const ContextState& s : states) {
     EXPECT_EQ(cache.Lookup(users[0], s, 1), nullptr);
     EXPECT_EQ(cache.Lookup(users[1], s, 1), nullptr);

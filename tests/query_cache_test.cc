@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +20,9 @@ namespace {
 
 using ::ctxpref::testing::Pref;
 using ::ctxpref::testing::State;
+
+/// The drop a user removal applies: every entry of the user.
+constexpr uint64_t kAllVersions = std::numeric_limits<uint64_t>::max();
 
 class QueryCacheTest : public ::testing::Test {
  protected:
@@ -95,7 +100,7 @@ TEST_F(QueryCacheTest, StatsSnapshotAggregatesAllCounters) {
   cache.Put(b, 1, {{2, 0.5}});             // evicts a
   cache.Put(a, 2, {{1, 0.5}});             // evicts b
   EXPECT_EQ(cache.Lookup(a, 3), nullptr);  // skewed: miss, entry kept
-  EXPECT_EQ(cache.InvalidateUser(""), 1u);  // drops a
+  EXPECT_EQ(cache.InvalidateUserBelow("", kAllVersions), 1u);  // drops a
 
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -129,7 +134,7 @@ TEST_F(QueryCacheTest, LookupSnapshotSurvivesOverwrite) {
   std::shared_ptr<const ContextQueryTree::Entry> snapshot = cache.Lookup(s, 1);
   ASSERT_NE(snapshot, nullptr);
   cache.Put(s, 1, {{4, 0.8}});
-  cache.InvalidateAll();
+  cache.InvalidateUserBelow("", kAllVersions);
   // The reader's snapshot is unaffected by the concurrent-style churn.
   EXPECT_EQ(snapshot->tuples[0].row_id, 3u);
 }
@@ -149,16 +154,6 @@ TEST_F(QueryCacheTest, LruEvictionBeyondCapacity) {
   EXPECT_NE(cache.Lookup(a, 1), nullptr);
   EXPECT_EQ(cache.Lookup(b, 1), nullptr);  // Evicted.
   EXPECT_NE(cache.Lookup(c, 1), nullptr);
-}
-
-TEST_F(QueryCacheTest, InvalidateAllDropsEverything) {
-  ContextQueryTree cache = MakeCache();
-  cache.Put(State(*env_, {"Plaka", "warm", "friends"}), 1, {{1, 0.5}});
-  cache.Put(State(*env_, {"Kifisia", "hot", "family"}), 1, {{2, 0.5}});
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(State(*env_, {"Plaka", "warm", "friends"}), 1),
-            nullptr);
 }
 
 TEST_F(QueryCacheTest, UsersAreIsolatedNamespaces) {
@@ -189,7 +184,7 @@ TEST_F(QueryCacheTest, InvalidateUserDropsOnlyThatUser) {
   cache.Put("bob", a, 1, {{3, 0.5}});
   ASSERT_EQ(cache.size(), 3u);
 
-  EXPECT_EQ(cache.InvalidateUser("alice"), 2u);
+  EXPECT_EQ(cache.InvalidateUserBelow("alice", kAllVersions), 2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Lookup("alice", a, 1), nullptr);
   EXPECT_EQ(cache.Lookup("alice", b, 1), nullptr);
@@ -197,7 +192,7 @@ TEST_F(QueryCacheTest, InvalidateUserDropsOnlyThatUser) {
   // Explicit drops count as invalidations.
   EXPECT_GE(cache.invalidations(), 2u);
   // Invalidating an unknown user is a no-op.
-  EXPECT_EQ(cache.InvalidateUser("carol"), 0u);
+  EXPECT_EQ(cache.InvalidateUserBelow("carol", kAllVersions), 0u);
 }
 
 TEST_F(QueryCacheTest, EvictionAccountsPerUserEntries) {
@@ -240,7 +235,7 @@ TEST_F(QueryCacheTest, LookupCountsCellAccesses) {
   EXPECT_EQ(counter.cells(), 1u);  // One hash-map probe per lookup.
 }
 
-TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
+TEST_F(QueryCacheTest, RankCSWithStateCacheMatchesUncachedAndHits) {
   Profile profile(env_);
   ASSERT_OK(profile.Insert(
       Pref(*env_, "temperature = hot", "type", "park", 0.9)));
@@ -326,7 +321,7 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
   }
 }
 
-TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
+TEST_F(QueryCacheTest, RankCSWithStateCacheRespectsProfileVersion) {
   Profile profile(env_);
   ASSERT_OK(profile.Insert(
       Pref(*env_, "temperature = hot", "type", "park", 0.9)));
@@ -367,7 +362,7 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
   EXPECT_EQ(cache.invalidations(), 0u);
 }
 
-TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
+TEST_F(QueryCacheTest, RankCSWithStateCacheAppliesSelectionsPostCache) {
   Profile profile(env_);
   ASSERT_OK(profile.Insert(Pref(*env_, "*", "type", "park", 0.9)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
@@ -401,7 +396,7 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
   }
 }
 
-TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
+TEST_F(QueryCacheTest, RankCSWithStateCacheRejectsNonAssociativePolicies) {
   Profile profile(env_);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
@@ -419,7 +414,7 @@ TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
 /// Eight enumerated states: the cached flat answer equals uncached
 /// `RankCS` over the pointer tree, cold and warm, with identical
 /// traces.
-TEST_F(QueryCacheTest, EightStateCachedRankCSMatchesTreeOracle) {
+TEST_F(QueryCacheTest, EightStateRankCSWithStateCacheMatchesTreeOracle) {
   Profile profile(env_);
   ASSERT_OK(profile.Insert(
       Pref(*env_, "temperature = hot", "type", "park", 0.9)));
@@ -470,7 +465,7 @@ TEST_F(QueryCacheTest, EightStateCachedRankCSMatchesTreeOracle) {
 
 /// Like `RankCS`, the per-state loop returns at the first state that
 /// fails: the second state is never looked up.
-TEST_F(QueryCacheTest, CachedRankCSStopsAtFirstFailingState) {
+TEST_F(QueryCacheTest, RankCSWithStateCacheStopsAtFirstFailingState) {
   Profile profile(env_);
   ASSERT_OK(profile.Insert(
       Pref(*env_, "location = Plaka", "no_such_attribute", "x", 0.9)));
@@ -492,7 +487,7 @@ TEST_F(QueryCacheTest, CachedRankCSStopsAtFirstFailingState) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST_F(QueryCacheTest, CachedRankCSExpiredDeadlineEvaluatesNoState) {
+TEST_F(QueryCacheTest, RankCSWithStateCacheExpiredDeadlineEvaluatesNoState) {
   Profile profile(env_);
   ASSERT_OK(profile.Insert(
       Pref(*env_, "location = Plaka", "type", "museum", 0.8)));

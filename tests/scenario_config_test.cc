@@ -42,7 +42,7 @@ TEST(ScenarioConfigTest, ParsesKeysCommentsAndBlankLines) {
   EXPECT_EQ(cfg->seed, 7u);
   EXPECT_FALSE(cfg->ablation.cache);
   EXPECT_TRUE(cfg->ablation.shed);
-  EXPECT_TRUE(cfg->ablation.cow);  // Untouched flags stay on.
+  EXPECT_TRUE(cfg->ablation.resilience);  // Untouched flags stay on.
 }
 
 TEST(ScenarioConfigTest, RejectsUnknownKey) {
@@ -52,6 +52,22 @@ TEST(ScenarioConfigTest, RejectsUnknownKey) {
   EXPECT_NE(cfg.status().message().find("unknown key"), std::string::npos)
       << cfg.status().ToString();
   EXPECT_NE(cfg.status().message().find("line 1"), std::string::npos);
+}
+
+// The copy-on-write write path and the Jaccard tie-break are the only
+// semantics; a file still asking to switch either off fails closed.
+TEST(ScenarioConfigTest, RejectsRemovedAblationFlags) {
+  for (const std::string flag : {"cow", "tie_break"}) {
+    StatusOr<ScenarioConfig> cfg =
+        ParseScenarioConfig("users = 4\nablation." + flag + " = off\n");
+    ASSERT_FALSE(cfg.ok()) << flag;
+    EXPECT_TRUE(cfg.status().IsInvalidArgument()) << cfg.status().ToString();
+    EXPECT_NE(cfg.status().message().find("line 2"), std::string::npos)
+        << cfg.status().ToString();
+    EXPECT_NE(cfg.status().message().find("unknown ablation flag"),
+              std::string::npos)
+        << cfg.status().ToString();
+  }
 }
 
 TEST(ScenarioConfigTest, RejectsBadEnumValue) {
@@ -191,8 +207,8 @@ TEST(ScenarioConfigTest, FormatParsesBackToEqualConfig) {
       "outage_fraction = 0.15\n"
       "migration_fraction = 0.2\n"
       "seed = 12345\n"
-      "ablation.cow = off\n"
-      "ablation.tie_break = off\n");
+      "ablation.resilience = off\n"
+      "ablation.shed = off\n");
   ASSERT_TRUE(cfg.ok()) << cfg.status().ToString();
   StatusOr<ScenarioConfig> again =
       ParseScenarioConfig(FormatScenarioConfig(*cfg));
@@ -218,8 +234,7 @@ TEST(ScenarioConfigTest, LoadReportsNotFoundForMissingFile) {
 TEST(AblationFlagsTest, SetGetAndNamesAgreeWithDeclaration) {
   AblationFlags flags;
   const std::vector<std::string>& names = AblationFlags::Names();
-  const std::vector<std::string> declared = {
-      "cache", "cow", "tie_break", "resilience", "shed"};
+  const std::vector<std::string> declared = {"cache", "resilience", "shed"};
   EXPECT_EQ(names, declared);
   for (const std::string& name : names) {
     StatusOr<bool> on = flags.Get(name);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -164,7 +165,8 @@ TEST_F(ServingConcurrentTest, ResilientServingUnderOverloadStaysUntorn) {
   // the stale rung's LookupAtOrBefore.
   std::thread invalidator([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      cache.replica(0).InvalidateUser("u");
+      cache.replica(0).InvalidateUserBelow(
+          "u", std::numeric_limits<uint64_t>::max());
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });

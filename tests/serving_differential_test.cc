@@ -557,14 +557,12 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
   EXPECT_TRUE(off.status().IsUnavailable()) << off.status().ToString();
 }
 
-// ---- Options sweep: score discount x combine x cache path ---------
+// ---- Options sweep: distance x combine x cache path ---------------
 //
-// Cached per-state lists hold undiscounted scores and merge only under
-// an associative combine, so every serving path must either answer
-// exactly what RankCS answers — same rows, bit-identical scores — or
-// refuse the options with InvalidArgument. Never a quietly different
-// answer (cached kInverseDistance once served 0.70 where RankCS gave
-// 0.35).
+// Cached per-state lists merge only under an associative combine, so
+// every serving path must either answer exactly what RankCS answers —
+// same rows, bit-identical scores — or refuse the options with
+// InvalidArgument. Never a quietly different answer.
 
 /// Bit-for-bit tuple equality (`==` on doubles would let -0.0 pass for
 /// 0.0).
@@ -597,7 +595,7 @@ ContextualQuery RandomMultiStateQuery(Rng& rng, const ContextEnvironment& env,
   return query;
 }
 
-TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
+TEST_P(ServingDifferentialTest, CombineCachePathSweepMatchesRankCsOrRejects) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
   const db::Relation relation = MakeRelation();
@@ -605,106 +603,91 @@ TEST_P(ServingDifferentialTest, DiscountCombineSweepMatchesRankCsOrRejects) {
   const Profile profile = RandomProfile(rng, env, world);
   if (profile.empty()) GTEST_SKIP() << "empty draw";
 
-  size_t discounted_differs = 0;
+  size_t scored_answers = 0;
   for (DistanceKind kind :
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
-    for (ScoreDiscount discount :
-         {ScoreDiscount::kNone, ScoreDiscount::kInverseDistance,
-          ScoreDiscount::kExponential}) {
-      for (db::CombinePolicy combine :
-           {db::CombinePolicy::kMax, db::CombinePolicy::kMin,
-            db::CombinePolicy::kAvg, db::CombinePolicy::kWeighted}) {
-        QueryOptions options;
-        options.resolution.distance = kind;
-        options.discount = discount;
-        options.combine = combine;
-        const bool cacheable = CheckCacheableOptions(options).ok();
-        EXPECT_EQ(cacheable, discount == ScoreDiscount::kNone &&
-                                 (combine == db::CombinePolicy::kMax ||
-                                  combine == db::CombinePolicy::kMin));
+    for (db::CombinePolicy combine :
+         {db::CombinePolicy::kMax, db::CombinePolicy::kMin,
+          db::CombinePolicy::kAvg, db::CombinePolicy::kWeighted}) {
+      QueryOptions options;
+      options.resolution.distance = kind;
+      options.combine = combine;
+      const bool cacheable = CheckCacheableOptions(options).ok();
+      EXPECT_EQ(cacheable, combine == db::CombinePolicy::kMax ||
+                               combine == db::CombinePolicy::kMin);
 
-        // Fresh caches per options combination, so pass 0 misses and
-        // pass 1 hits (InterleavedConfigsShareOneCacheExactly shares
-        // one cache across combinations).
-        storage::ProfileStore store(env);
-        ContextQueryTree cache;
-        ReplicatedQueryCache::Options ropt;
-        ropt.num_replicas = 2;
-        ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
-        ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()),
-                                      ropt);
-        store.AttachCoherenceLog(&replicas.log());
-        ASSERT_OK(store.CreateUser("u", profile));
-        StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot("u");
-        ASSERT_OK(pin.status());
-        const FlatResolver resolver((*pin)->flat_tree());
+      // Fresh caches per options combination, so pass 0 misses and
+      // pass 1 hits (InterleavedConfigsShareOneCacheExactly shares
+      // one cache across combinations).
+      storage::ProfileStore store(env);
+      ContextQueryTree cache;
+      ReplicatedQueryCache::Options ropt;
+      ropt.num_replicas = 2;
+      ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+      ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()),
+                                    ropt);
+      store.AttachCoherenceLog(&replicas.log());
+      ASSERT_OK(store.CreateUser("u", profile));
+      StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot("u");
+      ASSERT_OK(pin.status());
+      const FlatResolver resolver((*pin)->flat_tree());
 
-        for (int trial = 0; trial < 8; ++trial) {
-          ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
-          options.top_k = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(4);
-          std::string label = DistanceKindToString(kind);
-          label += " ";
-          label += ScoreDiscountToString(discount);
-          label += " ";
-          label += db::CombinePolicyToString(combine);
-          label += " trial ";
-          label += std::to_string(trial);
+      for (int trial = 0; trial < 8; ++trial) {
+        ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
+        options.top_k = rng.Bernoulli(0.5) ? 0 : 1 + rng.Uniform(4);
+        std::string label = DistanceKindToString(kind);
+        label += " ";
+        label += db::CombinePolicyToString(combine);
+        label += " trial ";
+        label += std::to_string(trial);
 
-          StatusOr<QueryResult> oracle =
-              RankCS(relation, query, resolver, options);
-          ASSERT_OK(oracle.status());
-          if (discount != ScoreDiscount::kNone) {
-            QueryOptions plain = options;
-            plain.discount = ScoreDiscount::kNone;
-            StatusOr<QueryResult> undiscounted =
-                RankCS(relation, query, resolver, plain);
-            ASSERT_OK(undiscounted.status());
-            if (undiscounted->tuples != oracle->tuples) ++discounted_differs;
+        StatusOr<QueryResult> oracle =
+            RankCS(relation, query, resolver, options);
+        ASSERT_OK(oracle.status());
+        if (!oracle->tuples.empty()) ++scored_answers;
+
+        StatusOr<QueryResult> uncached = storage::ServeQuery(
+            **pin, relation, query, /*cache=*/nullptr, options);
+        ASSERT_OK(uncached.status());
+        ExpectBitEqual(uncached->tuples, oracle->tuples,
+                       label + " uncached");
+
+        // Miss pass, then hit pass, through each cache path.
+        for (int pass = 0; pass < 2; ++pass) {
+          const std::string pass_label =
+              label + " pass " + std::to_string(pass);
+          StatusOr<QueryResult> cached =
+              storage::ServeQuery(**pin, relation, query, &cache, options);
+          if (cacheable) {
+            ASSERT_OK(cached.status());
+            ExpectBitEqual(cached->tuples, oracle->tuples,
+                           pass_label + " cached");
+          } else {
+            EXPECT_TRUE(cached.status().IsInvalidArgument())
+                << pass_label << " cached: " << cached.status().ToString();
           }
-
-          StatusOr<QueryResult> uncached = storage::ServeQuery(
-              **pin, relation, query, /*cache=*/nullptr, options);
-          ASSERT_OK(uncached.status());
-          ExpectBitEqual(uncached->tuples, oracle->tuples,
-                         label + " uncached");
-
-          // Miss pass, then hit pass, through each cache path.
-          for (int pass = 0; pass < 2; ++pass) {
-            const std::string pass_label =
-                label + " pass " + std::to_string(pass);
-            StatusOr<QueryResult> cached =
-                storage::ServeQuery(**pin, relation, query, &cache, options);
+          for (size_t r = 0; r < replicas.num_replicas(); ++r) {
+            const std::string replica_label =
+                pass_label + " replica " + std::to_string(r);
+            StatusOr<storage::ServedQuery> replicated =
+                storage::ServeQuery(store, "u", relation, query, &replicas,
+                                    options, nullptr, r);
             if (cacheable) {
-              ASSERT_OK(cached.status());
-              ExpectBitEqual(cached->tuples, oracle->tuples,
-                             pass_label + " cached");
+              ASSERT_OK(replicated.status());
+              ExpectBitEqual(replicated->result.tuples, oracle->tuples,
+                             replica_label);
             } else {
-              EXPECT_TRUE(cached.status().IsInvalidArgument())
-                  << pass_label << " cached: " << cached.status().ToString();
-            }
-            for (size_t r = 0; r < replicas.num_replicas(); ++r) {
-              const std::string replica_label =
-                  pass_label + " replica " + std::to_string(r);
-              StatusOr<storage::ServedQuery> replicated =
-                  storage::ServeQuery(store, "u", relation, query, &replicas,
-                                      options, nullptr, r);
-              if (cacheable) {
-                ASSERT_OK(replicated.status());
-                ExpectBitEqual(replicated->result.tuples, oracle->tuples,
-                               replica_label);
-              } else {
-                EXPECT_TRUE(replicated.status().IsInvalidArgument())
-                    << replica_label << ": "
-                    << replicated.status().ToString();
-              }
+              EXPECT_TRUE(replicated.status().IsInvalidArgument())
+                  << replica_label << ": "
+                  << replicated.status().ToString();
             }
           }
         }
       }
     }
   }
-  // The sweep only means something if discounting changed answers.
-  EXPECT_GT(discounted_differs, 0u);
+  // The sweep only means something if some answer ranks tuples.
+  EXPECT_GT(scored_answers, 0u);
 }
 
 // Cache entries are keyed (user, state, version); the combine policy
@@ -783,7 +766,9 @@ TEST_P(ServingDifferentialTest, InterleavedConfigsShareOneCacheExactly) {
 }
 
 // The stale rung reads the same entries: lists retained from a kMax /
-// hierarchy query serve that configuration stale, never another one.
+// hierarchy query serve that configuration stale, never another one,
+// and never a non-associative combine (kAvg), which per-state lists
+// cannot answer at all.
 TEST_P(ServingDifferentialTest, StaleRungServesOnlyTheEntriesConfig) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
@@ -821,7 +806,8 @@ TEST_P(ServingDifferentialTest, StaleRungServesOnlyTheEntriesConfig) {
 
   for (const auto& [combine, kind] :
        {std::pair{db::CombinePolicy::kMin, DistanceKind::kHierarchy},
-        std::pair{db::CombinePolicy::kMax, DistanceKind::kJaccard}}) {
+        std::pair{db::CombinePolicy::kMax, DistanceKind::kJaccard},
+        std::pair{db::CombinePolicy::kAvg, DistanceKind::kHierarchy}}) {
     QueryOptions other = spent;
     other.combine = combine;
     other.resolution.distance = kind;
@@ -831,49 +817,6 @@ TEST_P(ServingDifferentialTest, StaleRungServesOnlyTheEntriesConfig) {
     EXPECT_TRUE(refused.status().IsUnavailable())
         << db::CombinePolicyToString(combine) << " "
         << DistanceKindToString(kind) << ": " << refused.status().ToString();
-  }
-}
-
-// The stale rung answers from the same per-state lists, so it must
-// refuse discounted queries too: with entries for the query retained
-// at an older version, a shed discounted query falls off the ladder
-// instead of being served undiscounted scores.
-TEST_P(ServingDifferentialTest, StaleRungSkipsDiscountedQueries) {
-  EnvironmentPtr env = TinyEnv();
-  const std::vector<ContextState> world = AllExtendedStates(*env);
-  const db::Relation relation = MakeRelation();
-  Rng rng(GetParam() + 97);
-
-  ReplicatedQueryCache cache(env, Ordering::Identity(env->size()),
-                             testing::SharedCache());
-  storage::ProfileStore store(env);
-  store.AttachCoherenceLog(&cache.log());
-  ASSERT_OK(store.CreateUser("u", RandomProfile(rng, env, world)));
-  const ContextualQuery query = RandomMultiStateQuery(rng, *env, world);
-  ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &cache)
-                .status());  // Caches every state at the current version.
-  ASSERT_OK(store.PublishProfile("u", RandomProfile(rng, env, world)));
-
-  // Shed at the door, and a spent deadline aborts the truncated rung.
-  storage::AdmissionController shed_all(
-      storage::AdmissionPolicy{.max_in_flight = 0});
-  QueryOptions spent;
-  spent.deadline = util::Deadline::AfterMicros(0);
-  StatusOr<storage::ServedQuery> stale =
-      storage::ServeQuery(store, "u", relation, query, &cache, spent, nullptr,
-                          storage::kAnyReplica, &shed_all);
-  ASSERT_OK(stale.status());
-  EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
-
-  for (ScoreDiscount discount :
-       {ScoreDiscount::kInverseDistance, ScoreDiscount::kExponential}) {
-    spent.discount = discount;
-    StatusOr<storage::ServedQuery> refused =
-        storage::ServeQuery(store, "u", relation, query, &cache, spent,
-                            nullptr, storage::kAnyReplica, &shed_all);
-    EXPECT_TRUE(refused.status().IsUnavailable())
-        << ScoreDiscountToString(discount) << ": "
-        << refused.status().ToString();
   }
 }
 

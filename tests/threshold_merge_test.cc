@@ -5,8 +5,8 @@
 // every eligible (row, score) added to a `db::Ranker`, then
 // `TopK`/`Ranked`. The inputs cover every `CompareOp`, restricting
 // selections, coarse score grids (ties straddling k), top_k of 0, 1, k
-// and beyond the row count, one and several query states, every
-// `ScoreDiscount`, and scores of both 0.0 and -0.0 — answers are
+// and beyond the row count, one and several query states, scores off
+// the grid, and scores of both 0.0 and -0.0 — answers are
 // compared bit for bit, since a kMax Ranker keeps the first-added
 // source's bits among equal maxima. `RankCS` with a `StateCache` over the
 // flat arena (miss, then hit) must equal `RankCS` over the pointer tree
@@ -118,10 +118,16 @@ std::pair<std::string, db::Value> RandomOperand(Rng& rng) {
   }
 }
 
-/// Scores on a five-point grid (heavy ties), sometimes -0.0.
+/// Scores on a five-point grid (heavy ties), sometimes -0.0, and
+/// sometimes off the grid: a grid score divided by 2 or 3, an inexact
+/// binary fraction (0.25 / 3) that still ties with its own kind.
 double RandomScore(Rng& rng) {
   if (rng.Bernoulli(0.1)) return -0.0;
-  return static_cast<double>(rng.Uniform(5)) * 0.25;
+  const double grid = static_cast<double>(rng.Uniform(5)) * 0.25;
+  if (rng.Bernoulli(0.3)) {
+    return grid / static_cast<double>(2 + rng.Uniform(2));
+  }
+  return grid;
 }
 
 Profile RandomProfile(Rng& rng, EnvironmentPtr env,
@@ -182,15 +188,13 @@ std::vector<db::ScoredTuple> OracleRank(const db::Relation& relation,
             relation.schema(), entry.clause.attribute, entry.clause.op,
             entry.clause.value);
         EXPECT_OK(pred.status());
-        const double score =
-            ApplyDiscount(options.discount, entry.score, cand.distance);
         for (db::RowId row = 0; row < relation.size(); ++row) {
           if (!pred->Eval(relation.row(row))) continue;
           bool eligible = true;
           for (const db::Predicate& sel : query.selections) {
             eligible = eligible && sel.Eval(relation.row(row));
           }
-          if (eligible) ranker.Add(row, score);
+          if (eligible) ranker.Add(row, entry.score);
         }
       }
     }
@@ -223,23 +227,15 @@ TEST_P(ThresholdMergeTest, RankCsEqualsRankerOracle) {
     for (int q = 0; q < 6; ++q) {
       const ContextualQuery query = RandomQuery(rng, relation, *env, world);
       const size_t k = 2 + rng.Uniform(4);
-      for (ScoreDiscount discount :
-           {ScoreDiscount::kNone, ScoreDiscount::kInverseDistance,
-            ScoreDiscount::kExponential}) {
-        for (size_t top_k :
-             {size_t{0}, size_t{1}, k, relation.size() + 5}) {
-          QueryOptions options;
-          options.discount = discount;
-          options.top_k = top_k;
-          StatusOr<QueryResult> got =
-              RankCS(relation, query, resolver, options);
-          ASSERT_OK(got.status());
-          EXPECT_EQ(Bits(got->tuples),
-                    Bits(OracleRank(relation, query, *got, options)))
-              << "seed " << GetParam() << " trial " << trial << " query "
-              << q << " discount " << ScoreDiscountToString(discount)
-              << " top_k " << top_k;
-        }
+      for (size_t top_k : {size_t{0}, size_t{1}, k, relation.size() + 5}) {
+        QueryOptions options;
+        options.top_k = top_k;
+        StatusOr<QueryResult> got = RankCS(relation, query, resolver, options);
+        ASSERT_OK(got.status());
+        EXPECT_EQ(Bits(got->tuples),
+                  Bits(OracleRank(relation, query, *got, options)))
+            << "seed " << GetParam() << " trial " << trial << " query " << q
+            << " top_k " << top_k;
       }
     }
   }

@@ -106,8 +106,9 @@ int main() {
   // ---- 3. The context query tree: repeated exploratory queries hit
   //         the cache; a profile edit makes its entries miss.
   //         The cached path resolves through the arena-flattened
-  //         form of the same tree.
-  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  //         profile tree, built straight from the profile as a publish
+  //         builds it.
+  const FlatProfileTree flat = *FlatProfileTree::Build(*profile);
   FlatResolver flat_resolver(&flat);
   ContextQueryTree cache(/*capacity=*/64);
   const std::string user;  // One profile: the single-user key "".
@@ -137,8 +138,7 @@ int main() {
     return 1;
   }
   // Rebuild the index for the new profile version.
-  tree = ProfileTree::Build(*profile);
-  const FlatProfileTree fresh_flat = FlatProfileTree::Build(*tree);
+  const FlatProfileTree fresh_flat = *FlatProfileTree::Build(*profile);
   FlatResolver fresh_resolver(&fresh_flat);
   const StateCache fresh_version{&cache, &user, profile->version()};
   StatusOr<QueryResult> after = RankCS(poi->relation, query, fresh_resolver,

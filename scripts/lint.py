@@ -87,6 +87,15 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               renamed or deleted span would otherwise silently empty
               perfbench's per-layer metrics. It only reads perfbench.
 
+  pointer-tree  Under src/storage/ and src/harness/, `ProfileTree::Build`,
+              `TreeResolver` and a flatten-from-tree
+              `FlatProfileTree::Build(*...)` are findings: publishing
+              builds the flat arena straight from the Profile and
+              serving reads only that, so the pointer tree stays a
+              baseline and an oracle. The one exception is
+              ProfileSnapshot::tree(), the oracle built on demand, whose
+              line carries lint:allow(pointer-tree).
+
 Suppress a single C++ line with  // lint:allow(<check>)  and a short
 reason.
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -127,6 +136,11 @@ MEMBER_EXEMPT_TYPES = re.compile(
     r"std::condition_variable)")
 
 ALLOW = re.compile(r"//\s*lint:allow\((?P<check>[\w-]+)\)")
+
+POINTER_TREE_DIRS = ("src/storage/", "src/harness/")
+POINTER_TREE_USE = re.compile(
+    r"\bProfileTree::Build\b|\bTreeResolver\b|"
+    r"\bFlatProfileTree::Build\(\s*\*")
 
 LOCK_RANK_ENUM = "src/util/mutex.h"
 LOCK_RANK_DOC = "docs/static_analysis.md"
@@ -233,6 +247,20 @@ def check_raw_sync(path, lines, findings):
             findings.add(path, i, "raw-sync",
                          "raw std synchronization primitive; use the "
                          "annotated util::Mutex wrappers (util/mutex.h)")
+
+
+def check_pointer_tree(path, lines, findings):
+    if not path.startswith(POINTER_TREE_DIRS):
+        return
+    for i, line in enumerate(lines, 1):
+        if allowed(line, "pointer-tree"):
+            continue
+        if POINTER_TREE_USE.search(strip_comments(line)):
+            findings.add(path, i, "pointer-tree",
+                         "the serving and write paths use only the flat "
+                         "arena (FlatProfileTree::Build(profile)); the "
+                         "pointer tree is built on demand by "
+                         "ProfileSnapshot::tree()")
 
 
 def check_unguarded(path, lines, findings):
@@ -674,6 +702,7 @@ def lint_file(path, ranks, findings):
     with open(path, encoding="utf-8", errors="replace") as f:
         lines = f.read().splitlines()
     check_raw_sync(path, lines, findings)
+    check_pointer_tree(path, lines, findings)
     check_unguarded(path, lines, findings)
     check_guard_name(path, lines, findings)
     check_annotation_include(path, lines, findings)

@@ -149,32 +149,45 @@ std::vector<ContextState> CompositeDescriptor::EnumerateStates(
 
 void CompositeDescriptor::AppendStates(const ContextEnvironment& env,
                                        std::vector<ContextState>& out) const {
+  std::vector<ValueRef> values;
+  AppendStateValues(env, values);
+  const size_t n = env.size();
+  for (size_t k = 0; k < NumStates(); ++k) {
+    out.emplace_back(std::vector<ValueRef>(values.begin() + k * n,
+                                           values.begin() + (k + 1) * n));
+  }
+}
+
+void CompositeDescriptor::AppendStateValues(const ContextEnvironment& env,
+                                            std::vector<ValueRef>& out) const {
+  const size_t n = env.size();
+  const size_t total = NumStates();
+  const size_t first = out.size();
+  out.resize(first + total * n);
   // Start from every parameter's first choice: its part's first value,
   // or `all` where it has no part (Def. 4).
-  std::vector<ValueRef> values(env.size());
-  for (size_t i = 0; i < env.size(); ++i) {
-    values[i] = env.parameter(i).hierarchy().AllValue();
+  ValueRef* state = out.data() + first;
+  for (size_t i = 0; i < n; ++i) {
+    state[i] = env.parameter(i).hierarchy().AllValue();
   }
   for (const ParameterDescriptor& pd : parts_) {
-    values[pd.param_index()] = pd.ContextOf().front();
+    state[pd.param_index()] = pd.ContextOf().front();
   }
   // Odometer over the parts, last parameter fastest (a parameter
-  // without a part has one choice and never turns).
-  std::vector<size_t> at(parts_.size(), 0);
-  for (;;) {
-    out.emplace_back(values);
-    size_t i = parts_.size();
-    for (;;) {
-      if (i == 0) return;
-      --i;
+  // without a part has one choice and never turns): state k is state
+  // k - 1 with the digits of k that rolled over reset to their first
+  // choice and the lowest nonzero digit advanced.
+  for (size_t k = 1; k < total; ++k) {
+    ValueRef* next = state + n;
+    std::copy(state, state + n, next);
+    state = next;
+    size_t rest = k;
+    for (size_t i = parts_.size(); i-- > 0;) {
       const std::vector<ValueRef>& choices = parts_[i].ContextOf();
-      ValueRef& value = values[parts_[i].param_index()];
-      if (++at[i] < choices.size()) {
-        value = choices[at[i]];
-        break;
-      }
-      at[i] = 0;
-      value = choices[0];
+      const size_t digit = rest % choices.size();
+      state[parts_[i].param_index()] = choices[digit];
+      if (digit != 0) break;
+      rest /= choices.size();
     }
   }
 }

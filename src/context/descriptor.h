@@ -92,6 +92,12 @@ class CompositeDescriptor {
   /// result is finite and duplicate-free.
   std::vector<ContextState> EnumerateStates(const ContextEnvironment& env) const;
 
+  /// The same states, in the same order, appended to `out` as
+  /// `NumStates()` rows of `env.size()` component values (environment
+  /// order) without materializing a `ContextState` per state.
+  void AppendStateValues(const ContextEnvironment& env,
+                         std::vector<ValueRef>& out) const;
+
   /// "location = Plaka and temperature in {warm, hot}"; "<empty>" for
   /// the empty descriptor.
   std::string ToString(const ContextEnvironment& env) const;

@@ -1,22 +1,15 @@
 #include "preference/flat_profile_tree.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <numeric>
 #include <utility>
+
+#include "util/string_util.h"
 
 namespace ctxpref {
 
 namespace {
-
-/// Strict-weak order for the clause dictionary (AttributeClause only
-/// defines ==; db::Value is three-way comparable).
-struct ClauseLess {
-  bool operator()(const AttributeClause& a, const AttributeClause& b) const {
-    if (a.attribute != b.attribute) return a.attribute < b.attribute;
-    if (a.op != b.op) return a.op < b.op;
-    return a.value < b.value;
-  }
-};
 
 size_t StringHeapBytes(const std::string& s) {
   // Heap payload approximated by capacity; SSO strings count 0.
@@ -58,17 +51,19 @@ FlatProfileTree::Scratch& FlatProfileTree::TlsScratch() {
   return scratch;
 }
 
-FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
-  FlatProfileTree flat;
-  flat.env_ = tree.env_ptr();
-  flat.order_ = tree.ordering();
-  const size_t n = flat.env_->size();
+bool FlatProfileTree::ClauseLess::operator()(const AttributeClause& a,
+                                             const AttributeClause& b) const {
+  if (a.attribute != b.attribute) return a.attribute < b.attribute;
+  if (a.op != b.op) return a.op < b.op;
+  return a.value < b.value;
+}
 
-  // Per-parameter dense dictionaries over the extended domains.
-  flat.interners_.resize(n);
+void FlatProfileTree::InitInterners() {
+  const size_t n = env_->size();
+  interners_.resize(n);
   for (size_t p = 0; p < n; ++p) {
-    const Hierarchy& h = flat.env_->parameter(p).hierarchy();
-    Interner& in = flat.interners_[p];
+    const Hierarchy& h = env_->parameter(p).hierarchy();
+    Interner& in = interners_[p];
     in.level_offset.resize(h.num_levels() + 1);
     in.level_offset[0] = 0;
     for (LevelIndex l = 0; l < h.num_levels(); ++l) {
@@ -82,25 +77,45 @@ FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
       }
     }
   }
+}
 
+void FlatProfileTree::InitLevels() {
   // Scratch-slot offsets: level l owns one cover/match slot per
   // hierarchy level of its parameter.
-  flat.cover_off_.resize(n + 1);
-  flat.cover_off_[0] = 0;
+  const size_t n = env_->size();
+  cover_off_.resize(n + 1);
+  cover_off_[0] = 0;
   for (size_t l = 0; l < n; ++l) {
-    const size_t p = flat.order_.param_at_level(l);
-    flat.cover_off_[l + 1] =
-        flat.cover_off_[l] +
-        static_cast<uint32_t>(flat.env_->parameter(p).hierarchy().num_levels());
+    const size_t p = order_.param_at_level(l);
+    cover_off_[l + 1] =
+        cover_off_[l] +
+        static_cast<uint32_t>(env_->parameter(p).hierarchy().num_levels());
   }
+  levels_.resize(n);
+  node_count_ = 1;  // The root.
+}
+
+void FlatProfileTree::AppendEntry(const AttributeClause& clause, double score,
+                                  uint32_t ref, ClauseIds& clause_ids) {
+  auto [it, inserted] =
+      clause_ids.try_emplace(clause, static_cast<uint32_t>(clauses_.size()));
+  if (inserted) clauses_.push_back(clause);
+  entries_.push_back(FlatEntry{it->second, ref, score});
+}
+
+FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
+  FlatProfileTree flat;
+  flat.env_ = tree.env_ptr();
+  flat.order_ = tree.ordering();
+  flat.InitInterners();
+  flat.InitLevels();
+  const size_t n = flat.env_->size();
 
   // Breadth-first flattening, one trie level at a time. Within a node
   // the cells are key-sorted for binary search; each carries its
   // insertion index, which names its child node at the next level (the
   // BFS emits children in insertion order, so index = position).
-  flat.levels_.resize(n);
   std::vector<const ProfileTree::Node*> nodes = {&tree.root()};
-  flat.node_count_ = 1;
   std::vector<std::pair<uint32_t, uint32_t>> segment;  // (key, child)
   for (size_t l = 0; l < n; ++l) {
     Level& level = flat.levels_[l];
@@ -129,18 +144,238 @@ FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
 
   // `nodes` is now the leaves in leaf-id order (for n == 0 that is the
   // root itself, which then carries the entries directly).
-  std::map<AttributeClause, uint32_t, ClauseLess> clause_ids;
+  ClauseIds clause_ids;
   flat.leaf_begin_.reserve(nodes.size() + 1);
   for (const ProfileTree::Node* leaf : nodes) {
-    flat.leaf_begin_.push_back(static_cast<uint32_t>(flat.entries_.size()));
+    flat.BeginLeaf();
     for (const ProfileTree::LeafEntry& entry : leaf->entries) {
-      auto [it, inserted] = clause_ids.try_emplace(
-          entry.clause, static_cast<uint32_t>(flat.clauses_.size()));
-      if (inserted) flat.clauses_.push_back(entry.clause);
-      flat.entries_.push_back(FlatEntry{it->second, entry.ref, entry.score});
+      flat.AppendEntry(entry.clause, entry.score, entry.ref, clause_ids);
     }
   }
-  flat.leaf_begin_.push_back(static_cast<uint32_t>(flat.entries_.size()));
+  flat.EndLeaves();
+  return flat;
+}
+
+namespace {
+
+/// Open-addressing map from a (node, key) cell to its discovery index
+/// within one trie level; reset between levels. Capacity is a power of
+/// two at least twice the number of states, so probes stay short and
+/// no insert ever fails.
+class CellTable {
+ public:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  void Reset(size_t num_states) {
+    size_t capacity = 16;
+    while (capacity < 2 * num_states) capacity *= 2;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    slots_.assign(capacity, Slot{0, kEmpty});
+  }
+
+  /// The cell's index; `fresh` (the next index) when it is new.
+  uint32_t FindOrInsert(uint32_t node, uint32_t key, uint32_t fresh) {
+    const uint64_t cell = (static_cast<uint64_t>(node) << 32) | key;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = (cell * 0x9E3779B97F4A7C15ull) >> shift_;;
+         i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.index == kEmpty) {
+        slot = Slot{cell, fresh};
+        return fresh;
+      }
+      if (slot.cell == cell) return slot.index;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t cell;
+    uint32_t index;
+  };
+  std::vector<Slot> slots_;
+  unsigned shift_ = 60;
+};
+
+}  // namespace
+
+StatusOr<FlatProfileTree> FlatProfileTree::Build(const Profile& profile) {
+  FlatProfileTree flat;
+  flat.env_ = profile.env_ptr();
+  flat.InitInterners();
+  const ContextEnvironment& env = *flat.env_;
+  const std::vector<ContextualPreference>& prefs = profile.preferences();
+  const size_t n = env.size();
+
+  // Every preference's states, enumerated once in preference order
+  // then state order — the pointer tree's insertion order — as rows
+  // of interned keys in environment order.
+  std::vector<ValueRef> values;
+  std::vector<uint32_t> owner;  // State -> index of its preference.
+  for (size_t i = 0; i < prefs.size(); ++i) {
+    prefs[i].descriptor().AppendStateValues(env, values);
+    owner.resize(owner.size() + prefs[i].descriptor().NumStates(),
+                 static_cast<uint32_t>(i));
+  }
+  const size_t num_states = owner.size();
+  std::vector<uint32_t> keys(values.size());
+  for (size_t k = 0; k < values.size(); ++k) {
+    keys[k] = flat.interners_[k % n].Intern(values[k]);
+  }
+
+  // GreedyOrdering over the same rows: a parameter's active domain is
+  // the set of distinct keys it takes; the stable sort puts smaller
+  // active domains higher in the tree, ties by parameter index.
+  std::vector<uint64_t> active(n, 0);
+  std::vector<uint8_t> seen;
+  for (size_t p = 0; p < n; ++p) {
+    seen.assign(flat.interners_[p].level_offset.back(), 0);
+    for (size_t e = 0; e < num_states; ++e) {
+      uint8_t& mark = seen[keys[e * n + p]];
+      active[p] += mark == 0;
+      mark = 1;
+    }
+  }
+  std::vector<size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+    return active[a] < active[b];
+  });
+  flat.order_ = *Ordering::FromPermutation(std::move(perm));
+  flat.InitLevels();
+
+  // Level by level: each state sits at one node; its key there names a
+  // cell, numbered in order of first discovery, which is the order the
+  // pointer tree inserts cells. A node's cells keep that order among
+  // themselves, and the next level's nodes are numbered by parent,
+  // then by insertion — the pointer tree's BFS numbering.
+  std::vector<uint32_t> node_of(num_states, 0);
+  std::vector<uint32_t> cell_of(num_states);
+  std::vector<uint32_t> cell_node;  // Discovery index -> its node.
+  std::vector<uint32_t> cell_key;   // Discovery index -> its key.
+  std::vector<uint32_t> fill;       // Per node: cells placed so far.
+  std::vector<uint32_t> position;   // Discovery index -> level position.
+  std::vector<std::pair<uint32_t, uint32_t>> segment;  // (key, child)
+  CellTable table;
+  size_t num_nodes = 1;
+  for (size_t l = 0; l < n; ++l) {
+    const size_t p = flat.order_.param_at_level(l);
+    table.Reset(num_states);
+    cell_node.clear();
+    cell_key.clear();
+    for (size_t e = 0; e < num_states; ++e) {
+      const uint32_t key = keys[e * n + p];
+      const auto fresh = static_cast<uint32_t>(cell_node.size());
+      cell_of[e] = table.FindOrInsert(node_of[e], key, fresh);
+      if (cell_of[e] == fresh) {
+        cell_node.push_back(node_of[e]);
+        cell_key.push_back(key);
+      }
+    }
+    const size_t num_cells = cell_node.size();
+    Level& level = flat.levels_[l];
+    level.cell_begin.assign(num_nodes + 1, 0);
+    for (const uint32_t node : cell_node) ++level.cell_begin[node + 1];
+    for (size_t v = 0; v < num_nodes; ++v) {
+      level.cell_begin[v + 1] += level.cell_begin[v];
+    }
+    // A cell's insertion position within the level is its child's
+    // node number at the next level.
+    fill.assign(num_nodes, 0);
+    position.resize(num_cells);
+    level.keys.resize(num_cells);
+    level.child.resize(num_cells);
+    for (size_t c = 0; c < num_cells; ++c) {
+      const uint32_t node = cell_node[c];
+      position[c] = level.cell_begin[node] + fill[node]++;
+      level.keys[position[c]] = cell_key[c];
+      level.child[position[c]] = position[c];
+    }
+    for (size_t v = 0; v < num_nodes; ++v) {
+      const uint32_t begin = level.cell_begin[v];
+      const uint32_t end = level.cell_begin[v + 1];
+      if (end - begin < 2) continue;
+      // Keys are distinct within a node: sorting (key, child) pairs by
+      // key is what the pointer flattening's segment sort does.
+      segment.clear();
+      for (uint32_t c = begin; c < end; ++c) {
+        segment.emplace_back(level.keys[c], level.child[c]);
+      }
+      std::sort(segment.begin(), segment.end());
+      for (uint32_t c = begin; c < end; ++c) {
+        level.keys[c] = segment[c - begin].first;
+        level.child[c] = segment[c - begin].second;
+      }
+    }
+    for (size_t e = 0; e < num_states; ++e) node_of[e] = position[cell_of[e]];
+    flat.cell_count_ += num_cells;
+    flat.node_count_ += num_cells;
+    num_nodes = num_cells;
+  }
+
+  // `node_of` is now each state's leaf. Bucket the states by leaf,
+  // keeping insertion order within a leaf (a stable counting sort).
+  const size_t num_leaves = num_nodes;
+  std::vector<uint32_t> leaf_start(num_leaves + 1, 0);
+  for (size_t e = 0; e < num_states; ++e) ++leaf_start[node_of[e] + 1];
+  for (size_t v = 0; v < num_leaves; ++v) leaf_start[v + 1] += leaf_start[v];
+  std::vector<uint32_t> by_leaf(num_states);
+  fill.assign(num_leaves, 0);
+  for (size_t e = 0; e < num_states; ++e) {
+    const uint32_t leaf = node_of[e];
+    by_leaf[leaf_start[leaf] + fill[leaf]++] = static_cast<uint32_t>(e);
+  }
+
+  // Leaf entries exactly as `ProfileTree::InsertState` merges them: an
+  // equal clause at an equal score raises the first entry's ref count;
+  // at another score it is a Def. 6 conflict. The pointer build stops
+  // at the first preference with a conflicting state, i.e. at the
+  // smallest conflicting state index, so that one is reported.
+  ClauseIds clause_ids;
+  flat.leaf_begin_.reserve(num_leaves + 1);
+  flat.entries_.reserve(num_states);
+  std::vector<const AttributeClause*> leaf_clauses;
+  size_t conflict = num_states;
+  double conflict_score = 0.0;
+  for (size_t v = 0; v < num_leaves; ++v) {
+    flat.BeginLeaf();
+    leaf_clauses.clear();
+    const size_t first_entry = flat.entries_.size();
+    for (uint32_t k = leaf_start[v]; k < leaf_start[v + 1]; ++k) {
+      const uint32_t e = by_leaf[k];
+      const ContextualPreference& pref = prefs[owner[e]];
+      size_t j = 0;
+      while (j < leaf_clauses.size() && !(*leaf_clauses[j] == pref.clause())) {
+        ++j;
+      }
+      if (j == leaf_clauses.size()) {
+        leaf_clauses.push_back(&pref.clause());
+        flat.AppendEntry(pref.clause(), pref.score(), 1, clause_ids);
+        continue;
+      }
+      FlatEntry& entry = flat.entries_[first_entry + j];
+      if (entry.score == pref.score()) {
+        ++entry.ref;
+        continue;
+      }
+      if (e < conflict) {
+        conflict = e;
+        conflict_score = entry.score;
+      }
+      break;
+    }
+  }
+  flat.EndLeaves();
+  if (conflict < num_states) {
+    const ContextualPreference& pref = prefs[owner[conflict]];
+    const ContextState state(std::vector<ValueRef>(
+        values.begin() + static_cast<ptrdiff_t>(conflict * n),
+        values.begin() + static_cast<ptrdiff_t>((conflict + 1) * n)));
+    return Status::Conflict("preference conflicts at state " +
+                            state.ToString(env) + ": clause '" +
+                            pref.clause().ToString() + "' already scored " +
+                            FormatDouble(conflict_score));
+  }
   return flat;
 }
 

@@ -3,21 +3,26 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "context/distance.h"
 #include "context/environment.h"
 #include "context/state.h"
 #include "preference/ordering.h"
+#include "preference/profile.h"
 #include "preference/profile_tree.h"
 #include "util/counters.h"
+#include "util/status.h"
 
 namespace ctxpref {
 
-/// An immutable, arena-flattened rendering of a `ProfileTree`, built
-/// once per `ProfileSnapshot` publish (docs/serving.md). The pointer
-/// tree stays the mutable build/reference structure; this is the
-/// serving-path copy the resolver descends.
+/// An immutable, arena-flattened profile tree (paper §3.3), built once
+/// per `ProfileSnapshot` publish straight from the `Profile`
+/// (docs/serving.md); it is the only index serving reads. The pointer
+/// `ProfileTree` stays as the paper's structure for the figure benches
+/// and as the differential oracle, and `Build(const ProfileTree&)`
+/// flattens one into exactly this layout.
 ///
 /// Layout (all storage is a handful of contiguous vectors):
 ///  - Value interning: each context parameter gets a dense dictionary
@@ -66,6 +71,15 @@ class FlatProfileTree {
     uint32_t leaf = 0;
     double distance = 0.0;
   };
+
+  /// Indexes `profile` under `GreedyOrdering(profile)` with no pointer
+  /// tree in between: each preference's states are enumerated once,
+  /// that buffer yields the ordering, and the arena is laid out level
+  /// by level. The result is identical to
+  /// `Build(*ProfileTree::Build(profile))` — ordering, cells, child and
+  /// leaf numbering, entries with their ref counts, clause ids — and it
+  /// fails with the same Conflict where that build would.
+  static StatusOr<FlatProfileTree> Build(const Profile& profile);
 
   /// Flattens `tree`. Candidate emission order is the pointer tree's
   /// (insertion-order DFS) order, preserved via the cells' insertion
@@ -134,6 +148,12 @@ class FlatProfileTree {
   size_t MeasuredByteSize() const;
 
  private:
+  /// Strict-weak order for the clause dictionary (AttributeClause only
+  /// defines ==; db::Value is three-way comparable).
+  struct ClauseLess {
+    bool operator()(const AttributeClause& a, const AttributeClause& b) const;
+  };
+
   /// Per-parameter dense dictionary over the extended domain.
   struct Interner {
     /// level_offset[l] = first key of hierarchy level l;
@@ -159,6 +179,23 @@ class FlatProfileTree {
     std::vector<uint32_t> keys;        ///< interned keys, sorted per node
     std::vector<uint32_t> child;       ///< insertion index = next-level node
   };
+
+  /// Per-parameter interners over `env_`'s extended domains.
+  void InitInterners();
+  /// `levels_` and the per-level scratch offsets under `order_`.
+  void InitLevels();
+
+  /// The leaf/clause-dictionary step both builds share: leaves are
+  /// appended in leaf-id order, each leaf's entries in insertion
+  /// order, and a clause gets the next dictionary id at its first
+  /// appearance.
+  using ClauseIds = std::map<AttributeClause, uint32_t, ClauseLess>;
+  void BeginLeaf() {
+    leaf_begin_.push_back(static_cast<uint32_t>(entries_.size()));
+  }
+  void AppendEntry(const AttributeClause& clause, double score, uint32_t ref,
+                   ClauseIds& clause_ids);
+  void EndLeaves() { BeginLeaf(); }
 
   /// Reusable per-query buffers (cover tables, descent path, match
   /// lists); fetched thread-locally so steady-state searches allocate

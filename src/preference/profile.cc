@@ -8,9 +8,10 @@
 namespace ctxpref {
 
 Status Profile::CheckConflict(const ContextualPreference& pref,
-                              const std::vector<ContextState>& states) const {
-  for (const ContextualPreference& existing : prefs_) {
-    if (existing == pref) {
+                              const std::vector<ContextState>& states,
+                              size_t skip) const {
+  for (size_t i = 0; i < prefs_.size(); ++i) {
+    if (i != skip && prefs_[i] == pref) {
       return Status::AlreadyExists("preference already in profile: " +
                                    pref.ToString(*env_));
     }
@@ -19,6 +20,7 @@ Status Profile::CheckConflict(const ContextualPreference& pref,
     auto it = state_index_.find(s);
     if (it == state_index_.end()) continue;
     for (const size_t i : it->second) {
+      if (i == skip) continue;
       const AttributeClause& clause = prefs_[i].clause();
       if (clause.attribute == pref.clause().attribute &&
           clause.op == pref.clause().op &&
@@ -104,19 +106,37 @@ Status Profile::UpdateScore(size_t index, double new_score) {
       prefs_[index].descriptor(), prefs_[index].clause(), new_score);
   if (!rescored.ok()) return rescored.status();
 
-  ContextualPreference old = prefs_[index];
-  prefs_.erase(prefs_.begin() + static_cast<ptrdiff_t>(index));
-  RebuildIndex();
+  // Checked against every other preference, as the reinsert after an
+  // erase would be; the index lists keep their order when `index` is
+  // skipped, so the first conflict found is the same one. No other
+  // preference can equal the rescored one: it would share every state
+  // and the clause of the preference at `index`, so the two would
+  // already conflict or be equal.
+  CTXPREF_RETURN_IF_ERROR(
+      CheckConflict(*rescored, rescored->States(*env_), index));
 
-  Status st = Insert(std::move(*rescored));
-  if (!st.ok() && !st.IsAlreadyExists()) {
-    // Roll back: reinstate the original preference.
-    prefs_.insert(prefs_.begin() + static_cast<ptrdiff_t>(index),
-                  std::move(old));
-    RebuildIndex();
-    return st;
+  // Move the preference to the back, where the reinsert puts it, and
+  // renumber each (sorted) index list in place: indices above `index`
+  // shift down one, `index` itself becomes the last, largest index.
+  const size_t last = prefs_.size() - 1;
+  std::rotate(prefs_.begin() + static_cast<ptrdiff_t>(index),
+              prefs_.begin() + static_cast<ptrdiff_t>(index) + 1,
+              prefs_.end());
+  prefs_.back() = std::move(*rescored);
+  if (index != last) {
+    for (auto& [state, list] : state_index_) {
+      auto it = std::lower_bound(list.begin(), list.end(), index);
+      if (it == list.end()) continue;
+      if (*it == index) {
+        for (; it + 1 != list.end(); ++it) *it = *(it + 1) - 1;
+        *it = last;
+      } else {
+        for (; it != list.end(); ++it) --*it;
+      }
+    }
   }
-  ++version_;
+  // Erase + reinsert bumps the version twice.
+  version_ += 2;
   return Status::OK();
 }
 

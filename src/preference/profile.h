@@ -1,6 +1,7 @@
 #ifndef CTXPREF_PREFERENCE_PROFILE_H_
 #define CTXPREF_PREFERENCE_PROFILE_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,8 +72,9 @@ class Profile {
   Status Remove(size_t index);
 
   /// Replaces the score of the preference at `index`. Equivalent to
-  /// Remove + Insert of the rescored preference; on conflict the
-  /// profile is unchanged.
+  /// Remove + Insert of the rescored preference (it moves to the back);
+  /// on conflict the profile is unchanged. A rescore keeps every state,
+  /// so the state index is renumbered in place, not rebuilt.
   Status UpdateScore(size_t index, double new_score);
 
   /// All (state, clause, score) entries expanded from every preference;
@@ -102,9 +104,11 @@ class Profile {
   /// Rebuilds state_index_ from prefs_ (used after removal).
   void RebuildIndex();
 
-  /// Checks `pref` against the index; OK if insertable.
+  /// Checks `pref` against the index, ignoring the stored preference
+  /// at `skip` (if any); OK if insertable.
   Status CheckConflict(const ContextualPreference& pref,
-                       const std::vector<ContextState>& states) const;
+                       const std::vector<ContextState>& states,
+                       size_t skip = SIZE_MAX) const;
 
   EnvironmentPtr env_;
   std::vector<ContextualPreference> prefs_;

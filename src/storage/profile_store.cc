@@ -1,6 +1,7 @@
 #include "storage/profile_store.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
@@ -45,19 +46,36 @@ struct ServingMetrics {
 
 ProfileSnapshot::ProfileSnapshot(std::string user_id, uint64_t serving_version,
                                  std::shared_ptr<const Profile> profile,
-                                 std::shared_ptr<const ProfileTree> tree,
                                  std::shared_ptr<const FlatProfileTree> flat)
     : user_id_(std::move(user_id)),
       serving_version_(serving_version),
       profile_(std::move(profile)),
-      tree_(std::move(tree)),
       flat_(std::move(flat)),
       publish_nanos_(MonotonicNanos()) {
   ServingMetrics::Get().live_snapshots.Add(1);
 }
 
 ProfileSnapshot::~ProfileSnapshot() {
+  delete tree_.load(std::memory_order_acquire);
   ServingMetrics::Get().live_snapshots.Add(-1);
+}
+
+const ProfileTree& ProfileSnapshot::tree() const {
+  const ProfileTree* tree = tree_.load(std::memory_order_acquire);
+  if (tree != nullptr) return *tree;
+  // The profile already indexed into the arena without conflict, so
+  // the pointer build under the same ordering cannot fail.
+  const Ordering& order = flat_->ordering();
+  StatusOr<ProfileTree> built =
+      ProfileTree::Build(*profile_, order);  // lint:allow(pointer-tree)
+  if (!built.ok()) std::abort();
+  auto* mine = new ProfileTree(std::move(*built));
+  if (tree_.compare_exchange_strong(tree, mine, std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return *mine;
+  }
+  delete mine;  // Another caller published first; `tree` is theirs.
+  return *tree;
 }
 
 ProfileStore::ProfileStore(EnvironmentPtr env) : env_(std::move(env)) {}
@@ -117,22 +135,16 @@ size_t ProfileStore::size() const {
 
 Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
                                      Profile profile) {
-  // Build the tree off to the side: readers keep serving the current
-  // snapshot through any build failure.
-  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
-  if (!tree.ok()) return tree.status();
-  auto tree_ptr = std::make_shared<const ProfileTree>(std::move(*tree));
-  // Flatten into the read-optimized arena while still off to the side
-  // — publish cost, not query cost. The pointer tree stays in the
-  // snapshot as the mutation-friendly reference form.
-  auto flat = std::make_shared<const FlatProfileTree>(
-      FlatProfileTree::Build(*tree_ptr));
+  // Build the arena off to the side, straight from the profile: readers
+  // keep serving the current snapshot through any build failure.
+  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
+  if (!flat.ok()) return flat.status();
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ProfileSnapshot>(
       user_id, version,
       std::make_shared<const Profile>(std::move(profile)),
-      std::move(tree_ptr), std::move(flat));
+      std::make_shared<const FlatProfileTree>(std::move(*flat)));
   SnapshotPtr old = user.Swap(std::move(snapshot));
   ServingMetrics& metrics = ServingMetrics::Get();
   metrics.swaps.Increment();

@@ -21,12 +21,12 @@ class CoherenceLog;
 namespace ctxpref::storage {
 
 /// One immutable published version of a user's profile: the profile
-/// itself, its built `ProfileTree`, and the store-wide *serving
-/// version* it was published under. Snapshots are handed out as
-/// `std::shared_ptr<const ProfileSnapshot>`; a reader that pins one
-/// keeps ranking against exactly this version no matter how many
-/// newer versions writers publish meanwhile (RCU-style copy-on-write;
-/// see docs/serving.md).
+/// itself, its `FlatProfileTree` (the one index serving reads), and
+/// the store-wide *serving version* it was published under. Snapshots
+/// are handed out as `std::shared_ptr<const ProfileSnapshot>`; a reader
+/// that pins one keeps ranking against exactly this version no matter
+/// how many newer versions writers publish meanwhile (RCU-style
+/// copy-on-write; see docs/serving.md).
 ///
 /// The serving version is owned by the `ProfileStore`, strictly
 /// monotone across *all* users and *never reused* — unlike
@@ -38,7 +38,6 @@ class ProfileSnapshot {
  public:
   ProfileSnapshot(std::string user_id, uint64_t serving_version,
                   std::shared_ptr<const Profile> profile,
-                  std::shared_ptr<const ProfileTree> tree,
                   std::shared_ptr<const FlatProfileTree> flat);
   ~ProfileSnapshot();
 
@@ -50,17 +49,21 @@ class ProfileSnapshot {
   /// computed from this snapshot carry.
   uint64_t serving_version() const { return serving_version_; }
   const Profile& profile() const { return *profile_; }
-  const ProfileTree& tree() const { return *tree_; }
+  /// The pointer `ProfileTree` of `profile()` under the arena's
+  /// ordering: an oracle for differential checks, never read by
+  /// serving. Built on the first call (publishing builds none); racing
+  /// first calls each build one, one wins a compare-exchange and the
+  /// others free theirs, so every caller sees the same tree.
+  const ProfileTree& tree() const;
   const std::shared_ptr<const Profile>& profile_ptr() const {
     return profile_;
   }
-  const std::shared_ptr<const ProfileTree>& tree_ptr() const { return tree_; }
-  /// The arena-flattened read-optimized form of `tree()`, built once at
-  /// publish time; the serving layer resolves against it (see
-  /// docs/serving.md). Never null: every snapshot is built with its
-  /// arena. Immutable after publish like everything else in the
-  /// snapshot, so readers need no lock (and it introduces no lock
-  /// rank).
+  /// The profile tree in its arena-flattened, read-optimized form,
+  /// built from `profile()` once at publish time; the serving layer
+  /// resolves against it (see docs/serving.md). Never null: every
+  /// snapshot is built with its arena. Immutable after publish like
+  /// everything else in the snapshot, so readers need no lock (and it
+  /// introduces no lock rank).
   const FlatProfileTree* flat_tree() const { return flat_.get(); }
   const std::shared_ptr<const FlatProfileTree>& flat_tree_ptr() const {
     return flat_;
@@ -73,9 +76,10 @@ class ProfileSnapshot {
   std::string user_id_;
   uint64_t serving_version_;
   std::shared_ptr<const Profile> profile_;
-  std::shared_ptr<const ProfileTree> tree_;
   std::shared_ptr<const FlatProfileTree> flat_;
   uint64_t publish_nanos_;
+  /// Owned; null until the first `tree()` call.
+  mutable std::atomic<const ProfileTree*> tree_{nullptr};
 };
 
 using SnapshotPtr = std::shared_ptr<const ProfileSnapshot>;
@@ -91,8 +95,8 @@ using SnapshotPtr = std::shared_ptr<const ProfileSnapshot>;
 /// real work). Readers (`GetSnapshot`) pin the current snapshot in
 /// O(1) and rank against it with no lock held; writers (`UpdateUser`,
 /// `PublishProfile`, `ReloadUser`) copy the current profile off to the
-/// side, mutate the copy, build its tree, and publish the result with
-/// one pointer swap.
+/// side, mutate the copy, build its flat tree, and publish the result
+/// with one pointer swap.
 /// In-flight readers keep their pinned version; the retired snapshot
 /// is freed when the last reader drops it. Writers to the *same* user
 /// serialize on a per-user mutex; writers to different users proceed
@@ -138,16 +142,16 @@ class ProfileStore {
 
   /// Pins the user's current snapshot: O(1) — the per-user slot mutex
   /// is held only for the pointer copy, never across a publish or a
-  /// tree build. The snapshot (profile + tree + serving version) stays
+  /// tree build. The snapshot (profile + flat tree + serving version) stays
   /// valid and immutable for as long as the caller holds the pointer,
   /// across any number of concurrent publishes. NotFound for unknown
   /// users.
   StatusOr<SnapshotPtr> GetSnapshot(const std::string& user_id) const;
 
   /// Copy-on-write edit: copies the user's current profile, applies
-  /// `edit` to the copy, builds the new tree, and publishes the result
-  /// as a new snapshot. Nothing is published — and concurrent readers
-  /// observe nothing — if `edit` returns an error or the tree build
+  /// `edit` to the copy, builds the new flat tree, and publishes the
+  /// result as a new snapshot. Nothing is published — and concurrent
+  /// readers observe nothing — if `edit` returns an error or the build
   /// fails. `edit` runs under the user's writer lock: it must not call
   /// back into this store. This is the entry point for rescores and
   /// other programmatic edits.
@@ -236,8 +240,8 @@ class ProfileStore {
 
   static Status ValidateUserId(const std::string& user_id);
 
-  /// Builds `profile`'s tree, wraps everything into a snapshot with a
-  /// fresh serving version, stores it into `user.current`, and appends
+  /// Builds `profile`'s flat tree, wraps everything into a snapshot with
+  /// a fresh serving version, stores it into `user.current`, and appends
   /// the publish to the coherence log. The writer lock is the
   /// publish serialization point; creation takes it too (uncontended —
   /// the exclusive map lock hides the new user) so the contract is

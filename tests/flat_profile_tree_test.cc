@@ -4,7 +4,8 @@
 // whose ancestor extents equal their children's (the DESIGN.md
 // Property-3 erratum, where every Jaccard distance along the chain
 // ties), and ref-counted duplicate leaf entries across removal and
-// rebuild.
+// rebuild. The arena built straight from a `Profile` must equal the
+// flattened pointer tree on the same shapes.
 
 #include "preference/flat_profile_tree.h"
 
@@ -15,8 +16,10 @@
 
 #include "context/environment.h"
 #include "context/hierarchy.h"
+#include "context/parser.h"
 #include "db/value.h"
 #include "preference/ordering.h"
+#include "preference/profile.h"
 #include "preference/profile_tree.h"
 #include "preference/resolution.h"
 #include "tests/test_util.h"
@@ -223,6 +226,94 @@ TEST(FlatProfileTreeTest, DuplicateRefCountedEntrySurvivesRemovalAndRebuild) {
     EXPECT_EQ(flat.ExactLookup(s), FlatProfileTree::kNoLeaf);
     ExpectParity(tree, flat, s, DistanceKind::kHierarchy);
   }
+}
+
+/// The arena publishing builds (straight from the profile) must equal
+/// the flattened pointer tree; checked through everything the arena
+/// exposes.
+void ExpectDirectEqualsFlattened(const Profile& profile,
+                                 const std::vector<ContextState>& queries) {
+  StatusOr<FlatProfileTree> direct = FlatProfileTree::Build(profile);
+  ASSERT_OK(direct.status());
+  StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  ASSERT_OK(tree.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  EXPECT_TRUE(direct->ordering() == flat.ordering());
+  EXPECT_EQ(direct->CellCount(), flat.CellCount());
+  EXPECT_EQ(direct->NodeCount(), flat.NodeCount());
+  ASSERT_EQ(direct->PathCount(), flat.PathCount());
+  EXPECT_EQ(direct->LeafEntryCount(), flat.LeafEntryCount());
+  EXPECT_EQ(direct->num_clauses(), flat.num_clauses());
+  for (uint32_t leaf = 0; leaf < flat.PathCount(); ++leaf) {
+    const std::vector<ProfileTree::LeafEntry> a = direct->EntriesOf(leaf);
+    const std::vector<ProfileTree::LeafEntry> b = flat.EntriesOf(leaf);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_TRUE(a[j].clause == b[j].clause);
+      EXPECT_EQ(a[j].score, b[j].score);
+      EXPECT_EQ(a[j].ref, b[j].ref);
+    }
+  }
+  for (const ContextState& q : queries) {
+    EXPECT_EQ(direct->ExactLookup(q), flat.ExactLookup(q));
+    for (DistanceKind kind :
+         {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
+      ExpectParity(*tree, *direct, q, kind);
+    }
+  }
+}
+
+TEST(FlatProfileTreeTest, DirectBuildOfEmptyProfile) {
+  EnvironmentPtr env = TwoFlatEnv();
+  const Profile profile(env);
+  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
+  ASSERT_OK(flat.status());
+  EXPECT_TRUE(flat->ordering() == Ordering::Identity(env->size()));
+  EXPECT_EQ(flat->PathCount(), 0u);
+  EXPECT_EQ(flat->CellCount(), 0u);
+  EXPECT_EQ(flat->NodeCount(), 1u);
+  EXPECT_EQ(flat->LeafEntryCount(), 0u);
+  EXPECT_EQ(flat->num_clauses(), 0u);
+  const ContextState q({ValueRef{0, 0}, ValueRef{0, 1}});
+  EXPECT_EQ(flat->ExactLookup(q), FlatProfileTree::kNoLeaf);
+  ExpectDirectEqualsFlattened(profile, {q});
+}
+
+TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
+  EnvironmentPtr env = TwoFlatEnv();
+  Profile profile(env);
+  // Two preferences put the same (clause, score) on (happy, all): one
+  // leaf entry with ref 2, as the pointer tree's merge gives.
+  StatusOr<CompositeDescriptor> both =
+      ParseCompositeDescriptor(*env, "mood in {happy, sad}");
+  ASSERT_OK(both.status());
+  StatusOr<CompositeDescriptor> happy =
+      ParseCompositeDescriptor(*env, "mood = happy");
+  ASSERT_OK(happy.status());
+  StatusOr<ContextualPreference> p1 =
+      ContextualPreference::Create(std::move(*both), Clause("v2"), 0.4);
+  ASSERT_OK(p1.status());
+  StatusOr<ContextualPreference> p2 =
+      ContextualPreference::Create(std::move(*happy), Clause("v2"), 0.4);
+  ASSERT_OK(p2.status());
+  ASSERT_OK(profile.Insert(*p1));
+  ASSERT_OK(profile.Insert(*p2));
+
+  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
+  ASSERT_OK(flat.status());
+  EXPECT_EQ(flat->PathCount(), 2u);
+  EXPECT_EQ(flat->LeafEntryCount(), 2u);
+  EXPECT_EQ(flat->num_clauses(), 1u);
+  const ContextState happy_all({ValueRef{0, 0}, ValueRef{1, 0}});
+  const uint32_t leaf = flat->ExactLookup(happy_all);
+  ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
+  const std::vector<ProfileTree::LeafEntry> entries = flat->EntriesOf(leaf);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].ref, 2u);
+  EXPECT_EQ(entries[0].score, 0.4);
+  ExpectDirectEqualsFlattened(
+      profile, {happy_all, ContextState({ValueRef{0, 1}, ValueRef{1, 0}}),
+                ContextState({ValueRef{0, 0}, ValueRef{0, 0}})});
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "preference/replicated_query_cache.h"
 #include "tests/test_util.h"
@@ -135,6 +138,44 @@ TEST_F(ProfileStoreTest, TreeIsRebuiltOnPublish) {
   ASSERT_OK(s3.status());
   EXPECT_EQ((*s3)->tree().PathCount(), 2u);
   EXPECT_NE(&(*s1)->tree(), &(*s3)->tree());
+}
+
+TEST_F(ProfileStoreTest, LazyTreeIsOneTreeUnderConcurrentFirstCalls) {
+  // Publishing builds no pointer tree; the first tree() calls race to
+  // build it, and every caller must get the one that won.
+  ProfileStore store(env_);
+  ASSERT_OK(store.CreateUser("alice"));
+  ASSERT_OK(InsertPref(store, "alice",
+                       Pref(*env_, "location = Plaka", "name", "X", 0.5)));
+  ASSERT_OK(InsertPref(
+      store, "alice",
+      Pref(*env_, "temperature in {warm, hot}", "type", "park", 0.7)));
+  StatusOr<SnapshotPtr> pinned = store.GetSnapshot("alice");
+  ASSERT_OK(pinned.status());
+  const ProfileSnapshot& snapshot = **pinned;
+
+  constexpr size_t kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<const ProfileTree*> seen(kThreads, nullptr);
+  {
+    std::vector<std::jthread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        seen[t] = &snapshot.tree();
+      });
+    }
+    go.store(true, std::memory_order_release);
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(seen[t], nullptr);
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  EXPECT_EQ(seen[0], &snapshot.tree());
+  EXPECT_EQ(seen[0]->PathCount(), snapshot.flat_tree()->PathCount());
+  EXPECT_EQ(seen[0]->PathCount(), 3u);
+  EXPECT_TRUE(seen[0]->ordering() == snapshot.flat_tree()->ordering());
 }
 
 TEST_F(ProfileStoreTest, FailedUpdatePublishesNothing) {

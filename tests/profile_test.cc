@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "workload/poi_dataset.h"
 
 namespace ctxpref {
@@ -118,6 +122,98 @@ TEST_F(ProfileTest, UpdateScoreConflictRollsBack) {
   EXPECT_TRUE(st.IsConflict());
   EXPECT_EQ(q.size(), 2u);
   EXPECT_DOUBLE_EQ(q.preference(0).score(), 0.9);  // Rolled back.
+}
+
+TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
+  // A rescore renumbers the state index in place. Its definition is
+  // erase + reinsert of the rescored preference, keeping the old
+  // profile when the reinsert conflicts (and merging into an equal
+  // stored preference, which cannot exist: it would share every state
+  // and the clause of the one rescored, so the two would conflict or
+  // be equal). A reference profile follows that definition through
+  // Remove and Insert. Descriptors that share states, two clauses and
+  // three scores make conflicting rescores common.
+  const std::vector<std::string> cods = {
+      "location = Plaka",
+      "location in {Plaka, Kifisia}",
+      "location in {Kifisia, Monastiraki}",
+      "location = Monastiraki",
+      "temperature = warm",
+      "temperature in {warm, hot}",
+      "location = Plaka and temperature = warm",
+      "location in {Plaka, Kifisia} and temperature in {warm, hot}"};
+  const std::vector<std::string> names = {"Acropolis", "Lycabettus"};
+  const std::vector<double> scores = {0.2, 0.5, 0.8};
+  Rng rng(2024);
+  auto random_pref = [&] {
+    return Pref(*env_, cods[rng.Uniform(cods.size())], "name",
+                names[rng.Uniform(names.size())],
+                scores[rng.Uniform(scores.size())]);
+  };
+  auto expect_same = [](const Status& a, const Status& b,
+                        const std::string& where) {
+    EXPECT_EQ(a.code(), b.code()) << where << ": " << a.ToString()
+                                  << " vs " << b.ToString();
+    EXPECT_EQ(a.message(), b.message()) << where;
+  };
+
+  Profile profile(env_);
+  for (int i = 0; i < 24; ++i) (void)profile.Insert(random_pref());
+  Profile reference = profile;
+  size_t conflicts = 0;
+
+  for (int step = 0; step < 400; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    // Mostly valid indices and scores, sometimes out of range.
+    const size_t index = rng.Uniform(reference.size() + 1);
+    const double score =
+        rng.Bernoulli(0.05) ? 1.5 : scores[rng.Uniform(scores.size())];
+
+    const Status got = profile.UpdateScore(index, score);
+    Status want;
+    if (index >= reference.size()) {
+      want = Status::OutOfRange("preference index " + std::to_string(index) +
+                                " out of range");
+    } else {
+      const ContextualPreference& old = reference.preference(index);
+      StatusOr<ContextualPreference> rescored = ContextualPreference::Create(
+          old.descriptor(), old.clause(), score);
+      if (!rescored.ok()) {
+        want = rescored.status();
+      } else {
+        Profile next = reference;
+        ASSERT_OK(next.Remove(index));
+        want = next.Insert(std::move(*rescored));
+        if (want.IsAlreadyExists()) want = Status::OK();
+        if (want.ok()) reference = std::move(next);
+        if (want.IsConflict()) ++conflicts;
+      }
+    }
+    expect_same(got, want, where);
+    ASSERT_EQ(profile.version(), reference.version()) << where;
+    ASSERT_EQ(profile.size(), reference.size()) << where;
+    for (size_t i = 0; i < profile.size(); ++i) {
+      ASSERT_TRUE(profile.preference(i) == reference.preference(i))
+          << where << " preference " << i << ": "
+          << profile.preference(i).ToString(*env_) << " vs "
+          << reference.preference(i).ToString(*env_);
+    }
+    // The index answers later inserts as the rebuilt one does.
+    for (int probe = 0; probe < 4; ++probe) {
+      const ContextualPreference pref = random_pref();
+      Profile a = profile;
+      Profile b = reference;
+      expect_same(a.Insert(pref), b.Insert(pref), where + " probe");
+    }
+    // Keep the profile from draining: refill with random inserts.
+    if (reference.size() < 6) {
+      const ContextualPreference pref = random_pref();
+      expect_same(profile.Insert(pref), reference.Insert(pref),
+                  where + " refill");
+    }
+  }
+  // The draw must exercise the rollback.
+  EXPECT_GT(conflicts, 0u);
 }
 
 TEST_F(ProfileTest, FlattenExpandsAllStates) {

@@ -57,24 +57,22 @@ EnvironmentPtr TinyEnv() {
   return *env;
 }
 
-/// Every extended state of the two-parameter environment.
+/// Every extended state of `env`, the first parameter slowest.
 std::vector<ContextState> AllExtendedStates(const ContextEnvironment& env) {
-  std::vector<std::vector<ValueRef>> domains;
+  std::vector<ContextState> out = {ContextState(std::vector<ValueRef>())};
   for (size_t i = 0; i < env.size(); ++i) {
-    std::vector<ValueRef> values;
     const Hierarchy& h = env.parameter(i).hierarchy();
-    for (LevelIndex l = 0; l < h.num_levels(); ++l) {
-      for (ValueId id = 0; id < h.level_size(l); ++id) {
-        values.push_back(ValueRef{l, id});
+    std::vector<ContextState> longer;
+    for (const ContextState& prefix : out) {
+      for (LevelIndex l = 0; l < h.num_levels(); ++l) {
+        for (ValueId id = 0; id < h.level_size(l); ++id) {
+          std::vector<ValueRef> values = prefix.values();
+          values.push_back(ValueRef{l, id});
+          longer.emplace_back(std::move(values));
+        }
       }
     }
-    domains.push_back(std::move(values));
-  }
-  std::vector<ContextState> out;
-  for (ValueRef p : domains[0]) {
-    for (ValueRef m : domains[1]) {
-      out.push_back(ContextState({p, m}));
-    }
+    out = std::move(longer);
   }
   return out;
 }
@@ -345,11 +343,14 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
   Profile profile = RandomProfile(rng, env, world);
   if (profile.empty()) GTEST_SKIP() << "empty draw";
 
+  // The flat side is built the way publishing builds it: straight from
+  // the profile.
+  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
+  ASSERT_OK(flat.status());
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
   TreeResolver pointer_resolver(&*tree);
-  FlatResolver flat_resolver(&flat);
+  FlatResolver flat_resolver(&*flat);
   const db::Relation relation = MakeRelation();
 
   for (DistanceKind kind :
@@ -368,7 +369,7 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
         ExpectSameCandidates(*env, pointer_resolver.ResolveBest(q, ropts),
                              flat_resolver.ResolveBest(q, ropts),
                              label + " best");
-        EXPECT_EQ(flat.ExactLookup(q) != FlatProfileTree::kNoLeaf,
+        EXPECT_EQ(flat->ExactLookup(q) != FlatProfileTree::kNoLeaf,
                   !pointer_resolver.SearchCS(
                                        q, {.distance = kind,
                                            .exact_only = true})
@@ -438,11 +439,12 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
   }
   ASSERT_FALSE(profile.empty());
 
+  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
+  ASSERT_OK(flat.status());
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
   TreeResolver pointer_resolver(&*tree);
-  FlatResolver flat_resolver(&flat);
+  FlatResolver flat_resolver(&*flat);
 
   for (DistanceKind kind :
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
@@ -462,6 +464,155 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
                              flat_resolver.ResolveBest(q, ropts),
                              label + " best");
       }
+    }
+  }
+}
+
+// ---- Direct arena build vs flattened pointer tree -----------------
+//
+// Publishing builds the arena straight from the `Profile`, with no
+// pointer tree in between. It must be the arena that flattening the
+// pointer tree gives, bit for bit: ordering, structure counts, every
+// leaf's entries with their raw clause ids and ref counts, the clause
+// dictionary, and every Search_CS candidate with its path keys.
+
+/// Adds `count` random multi-state preferences (value sets on some
+/// parameters) over a three-clause pool and a three-score grid, so
+/// leaves share (clause, score) entries (ref > 1) and some inserts
+/// conflict or duplicate; those are skipped, as a profile refuses them.
+void AddSetPreferences(Rng& rng, Profile& profile, size_t count) {
+  const ContextEnvironment& env = profile.env();
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<ParameterDescriptor> parts;
+    for (size_t p = 0; p < env.size(); ++p) {
+      if (!rng.Bernoulli(0.6)) continue;
+      const Hierarchy& h = env.parameter(p).hierarchy();
+      std::vector<ValueRef> values;
+      for (uint64_t k = 1 + rng.Uniform(3); k > 0; --k) {
+        const auto level =
+            static_cast<LevelIndex>(rng.Uniform(h.num_levels()));
+        values.push_back(ValueRef{
+            level, static_cast<ValueId>(rng.Uniform(h.level_size(level)))});
+      }
+      StatusOr<ParameterDescriptor> pd =
+          ParameterDescriptor::Set(env, p, std::move(values));
+      EXPECT_OK(pd.status());
+      if (pd.ok()) parts.push_back(std::move(*pd));
+    }
+    StatusOr<CompositeDescriptor> cod =
+        CompositeDescriptor::Create(env, std::move(parts));
+    EXPECT_OK(cod.status());
+    if (!cod.ok()) continue;
+    StatusOr<ContextualPreference> pref = ContextualPreference::Create(
+        std::move(*cod),
+        AttributeClause{"attr", db::CompareOp::kEq,
+                        db::Value(ValueName(rng.Uniform(3)))},
+        static_cast<double>(rng.Uniform(3)) * 0.25);
+    EXPECT_OK(pref.status());
+    if (pref.ok()) (void)profile.Insert(std::move(*pref));
+  }
+}
+
+void ExpectSameArena(const ContextEnvironment& env,
+                     const FlatProfileTree& direct,
+                     const FlatProfileTree& via_tree,
+                     const std::vector<ContextState>& queries,
+                     const std::string& label) {
+  ASSERT_TRUE(direct.ordering() == via_tree.ordering())
+      << label << ": " << direct.ordering().ToString(env) << " vs "
+      << via_tree.ordering().ToString(env);
+  ASSERT_EQ(direct.CellCount(), via_tree.CellCount()) << label;
+  ASSERT_EQ(direct.NodeCount(), via_tree.NodeCount()) << label;
+  ASSERT_EQ(direct.PathCount(), via_tree.PathCount()) << label;
+  ASSERT_EQ(direct.LeafEntryCount(), via_tree.LeafEntryCount()) << label;
+  ASSERT_EQ(direct.num_clauses(), via_tree.num_clauses()) << label;
+  for (uint32_t c = 0; c < direct.num_clauses(); ++c) {
+    EXPECT_TRUE(direct.clause(c) == via_tree.clause(c))
+        << label << " clause " << c;
+  }
+  for (uint32_t leaf = 0; leaf < direct.PathCount(); ++leaf) {
+    const std::vector<ProfileTree::LeafEntry> a = direct.EntriesOf(leaf);
+    const std::vector<ProfileTree::LeafEntry> b = via_tree.EntriesOf(leaf);
+    ASSERT_EQ(a.size(), b.size()) << label << " leaf " << leaf;
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_TRUE(a[j].clause == b[j].clause) << label << " leaf " << leaf;
+      EXPECT_EQ(std::bit_cast<uint64_t>(a[j].score),
+                std::bit_cast<uint64_t>(b[j].score))
+          << label << " leaf " << leaf;
+      EXPECT_EQ(a[j].ref, b[j].ref) << label << " leaf " << leaf;
+    }
+    const FlatProfileTree::FlatEntry* x = direct.entries_begin(leaf);
+    const FlatProfileTree::FlatEntry* y = via_tree.entries_begin(leaf);
+    for (; x != direct.entries_end(leaf); ++x, ++y) {
+      EXPECT_EQ(x->clause_id, y->clause_id) << label << " leaf " << leaf;
+    }
+  }
+  std::vector<FlatProfileTree::FlatCandidate> out_a, out_b;
+  std::vector<uint32_t> keys_a, keys_b;
+  for (DistanceKind kind :
+       {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
+    for (bool exact_only : {false, true}) {
+      for (const ContextState& q : queries) {
+        const std::string where = label + " " + q.ToString(env) +
+                                  (exact_only ? " exact " : " cover ") +
+                                  DistanceKindToString(kind);
+        direct.SearchCS(q, kind, exact_only, nullptr, out_a, keys_a);
+        via_tree.SearchCS(q, kind, exact_only, nullptr, out_b, keys_b);
+        ASSERT_EQ(out_a.size(), out_b.size()) << where;
+        for (size_t i = 0; i < out_a.size(); ++i) {
+          EXPECT_EQ(out_a[i].leaf, out_b[i].leaf) << where;
+          EXPECT_EQ(std::bit_cast<uint64_t>(out_a[i].distance),
+                    std::bit_cast<uint64_t>(out_b[i].distance))
+              << where;
+        }
+        EXPECT_EQ(keys_a, keys_b) << where;
+        if (kind == DistanceKind::kHierarchy && !exact_only) {
+          EXPECT_EQ(direct.ExactLookup(q), via_tree.ExactLookup(q)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
+  struct World {
+    const char* name;
+    EnvironmentPtr env;
+  };
+  for (const World& w : {World{"tiny", TinyEnv()},
+                         World{"paper", ctxpref::testing::PaperEnv()}}) {
+    const std::vector<ContextState> all = AllExtendedStates(*w.env);
+    Rng rng(GetParam() + 53);
+    // RandomProfile's single-state preferences over a sampled world,
+    // then multi-state ones with shared entries.
+    std::vector<ContextState> world;
+    for (const ContextState& s : all) {
+      if (world.size() < 40 && rng.Bernoulli(40.0 / all.size())) {
+        world.push_back(s);
+      }
+    }
+    Profile profile = RandomProfile(rng, w.env, world);
+    AddSetPreferences(rng, profile, 24);
+
+    StatusOr<FlatProfileTree> direct = FlatProfileTree::Build(profile);
+    ASSERT_OK(direct.status());
+    StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+    ASSERT_OK(tree.status());
+    const FlatProfileTree via_tree = FlatProfileTree::Build(*tree);
+    ExpectSameArena(*w.env, *direct, via_tree, all, w.name);
+
+    // Every prefix of the profile, too: small and empty profiles are
+    // where layouts' edge cases live.
+    Profile prefix(w.env);
+    for (const ContextualPreference& pref : profile.preferences()) {
+      StatusOr<FlatProfileTree> d = FlatProfileTree::Build(prefix);
+      ASSERT_OK(d.status());
+      StatusOr<ProfileTree> t = ProfileTree::Build(prefix);
+      ASSERT_OK(t.status());
+      ExpectSameArena(*w.env, *d, FlatProfileTree::Build(*t), world,
+                      std::string(w.name) + " prefix " +
+                          std::to_string(prefix.size()));
+      ASSERT_OK(prefix.Insert(pref));
     }
   }
 }

@@ -268,24 +268,6 @@ void BM_Select_Relation(benchmark::State& state) {
 }
 BENCHMARK(BM_Select_Relation)->Arg(2000)->Arg(20000);
 
-void BM_TreeInsertRemoveCycle(benchmark::State& state) {
-  workload::SyntheticProfile gen = MakeProfile(1000, 0.0);
-  StatusOr<ProfileTree> tree = ProfileTree::Build(gen.profile);
-  StatusOr<CompositeDescriptor> cod =
-      CompositeDescriptor::ForState(*gen.env,
-                                    ContextState::AllState(*gen.env));
-  StatusOr<ContextualPreference> pref = ContextualPreference::Create(
-      std::move(*cod),
-      AttributeClause{"bench", db::CompareOp::kEq, db::Value("x")}, 0.5);
-  for (auto _ : state) {
-    Status si = tree->Insert(*pref);
-    Status sr = tree->Remove(*pref);
-    benchmark::DoNotOptimize(si.ok() && sr.ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TreeInsertRemoveCycle);
-
 void BM_Winnow(benchmark::State& state) {
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(
       static_cast<size_t>(state.range(0)), 3);

@@ -249,7 +249,6 @@ StatusOr<ValueRef> FaultInjectingSource::Read() {
   }
   switch (step.kind) {
     case Step::Kind::kOk:
-    case Step::Kind::kValue:
       return step.value;
     case Step::Kind::kError:
       return step.error;
@@ -266,15 +265,6 @@ StatusOr<ValueRef> FaultInjectingSource::Read() {
 void FaultInjectingSource::PushOk() {
   util::MutexLock lock(mu_);
   script_.push_back(Step{});
-}
-
-void FaultInjectingSource::PushValue(ValueRef v) {
-  util::MutexLock lock(mu_);
-  Step s;
-  s.kind = Step::Kind::kValue;
-  s.value = v;
-  s.has_value = true;
-  script_.push_back(s);
 }
 
 void FaultInjectingSource::PushNotFound() {

@@ -150,7 +150,6 @@ class FaultInjectingSource : public ContextSource {
 
   /// Script steps, consumed in push order (one per Read):
   void PushOk();                    ///< Succeed with the current value.
-  void PushValue(ValueRef v);       ///< Succeed with `v` once.
   void PushNotFound();              ///< Fail with NotFound.
   void PushError(Status error);     ///< Fail with `error`.
   void PushLatency(int64_t micros); ///< Advance clock, then succeed.
@@ -166,7 +165,7 @@ class FaultInjectingSource : public ContextSource {
 
  private:
   struct Step {
-    enum class Kind { kOk, kValue, kError, kLatency, kOutOfDomain };
+    enum class Kind { kOk, kError, kLatency, kOutOfDomain };
     Kind kind = Kind::kOk;
     ValueRef value;
     Status error;

@@ -1,6 +1,7 @@
 #include "db/ranker.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ctxpref::db {
 
@@ -12,87 +13,38 @@ const char* CombinePolicyToString(CombinePolicy p) {
       return "min";
     case CombinePolicy::kAvg:
       return "avg";
-    case CombinePolicy::kWeighted:
-      return "weighted";
   }
   return "?";
 }
 
-void Ranker::Combine(Entry& e, double score, double weight) {
+void Ranker::Add(RowId row_id, double score) {
+  assert(row_id < entries_.size());
+  Entry& e = entries_[row_id];
+  if (e.count++ == 0) {
+    touched_.push_back(row_id);
+    e.value = score;
+    return;
+  }
   switch (policy_) {
     case CombinePolicy::kMax:
-      e.combined = std::max(e.combined, score);
+      e.value = std::max(e.value, score);
       break;
     case CombinePolicy::kMin:
-      e.combined = std::min(e.combined, score);
+      e.value = std::min(e.value, score);
       break;
     case CombinePolicy::kAvg:
-    case CombinePolicy::kWeighted:
-      break;  // Handled via the weighted sums below.
-  }
-  e.weighted_sum += score * weight;
-  e.weight_sum += weight;
-}
-
-void Ranker::AddWeighted(RowId row_id, double score, double weight) {
-  if (row_id < present_.size()) {
-    // Dense path (ReserveDense): one indexed load, no insertion shift.
-    Entry& e = dense_[row_id];
-    if (!present_[row_id]) {
-      present_[row_id] = 1;
-      touched_.push_back(row_id);
-      e = Entry{score, score * weight, weight};
-      return;
-    }
-    Combine(e, score, weight);
-    return;
-  }
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), row_id,
-      [](const auto& e, RowId id) { return e.first < id; });
-  if (it == entries_.end() || it->first != row_id) {
-    entries_.insert(it,
-                    {row_id, Entry{score, score * weight, weight}});
-    return;
-  }
-  Combine(it->second, score, weight);
-}
-
-void Ranker::ReserveDense(size_t num_rows) {
-  if (num_rows <= dense_.size()) return;
-  dense_.resize(num_rows);
-  present_.resize(num_rows, 0);
-  // Migrate flat-map entries the dense table now covers, so mixing
-  // ReserveDense with earlier Adds cannot double-count a row.
-  auto it = entries_.begin();
-  while (it != entries_.end()) {
-    if (it->first < num_rows) {
-      dense_[it->first] = it->second;
-      present_[it->first] = 1;
-      touched_.push_back(it->first);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+      e.value += score;
+      break;
   }
 }
 
 void Ranker::Clear() {
-  entries_.clear();
-  for (const RowId id : touched_) present_[id] = 0;
+  for (const RowId id : touched_) entries_[id].count = 0;
   touched_.clear();
 }
 
 double Ranker::Finalize(const Entry& e) const {
-  switch (policy_) {
-    case CombinePolicy::kMax:
-    case CombinePolicy::kMin:
-      return e.combined;
-    case CombinePolicy::kAvg:
-    case CombinePolicy::kWeighted:
-      return e.weight_sum > 0 ? e.weighted_sum / e.weight_sum : 0.0;
-  }
-  return 0.0;
+  return policy_ == CombinePolicy::kAvg ? e.value / e.count : e.value;
 }
 
 namespace {
@@ -110,11 +62,8 @@ bool RanksBefore(const ScoredTuple& a, const ScoredTuple& b) {
 std::vector<ScoredTuple> Ranker::Unsorted() const {
   std::vector<ScoredTuple> out;
   out.reserve(size());
-  for (const auto& [row_id, e] : entries_) {
-    out.push_back(ScoredTuple{row_id, Finalize(e)});
-  }
   for (const RowId id : touched_) {
-    out.push_back(ScoredTuple{id, Finalize(dense_[id])});
+    out.push_back(ScoredTuple{id, Finalize(entries_[id])});
   }
   return out;
 }

@@ -10,15 +10,13 @@ namespace ctxpref::db {
 
 /// How to combine scores when several resolved preferences annotate the
 /// same tuple (paper §4.4: "keeping the max (equivalently, avg, min, or
-/// some weighted average)").
+/// some weighted average)"). No query path carries per-annotation
+/// weights, so the weighted average is not offered: with unit weights
+/// it is kAvg.
 enum class CombinePolicy {
   kMax,
   kMin,
   kAvg,
-  /// Weighted average with weights proportional to insertion order
-  /// recency is meaningless here, so kWeighted takes explicit weights
-  /// via `Ranker::AddWeighted`; with plain `Add`, behaves like kAvg.
-  kWeighted,
 };
 
 const char* CombinePolicyToString(CombinePolicy p);
@@ -36,28 +34,18 @@ struct ScoredTuple {
 /// broken by ascending row id for determinism).
 class Ranker {
  public:
-  explicit Ranker(CombinePolicy policy = CombinePolicy::kMax)
-      : policy_(policy) {}
+  /// Accumulates annotations of row ids in [0, num_rows) — a
+  /// relation's rows, whose ids are dense — in a direct-indexed table.
+  Ranker(CombinePolicy policy, size_t num_rows)
+      : policy_(policy), entries_(num_rows) {}
 
   CombinePolicy policy() const { return policy_; }
 
-  /// Annotates `row_id` with `score` (weight 1).
-  void Add(RowId row_id, double score) { AddWeighted(row_id, score, 1.0); }
-
-  /// Annotates with an explicit weight (used by kWeighted / kAvg).
-  void AddWeighted(RowId row_id, double score, double weight);
-
-  /// Switches accumulation for row ids in [0, num_rows) to a dense
-  /// direct-index table: O(1) per `Add` instead of the sorted flat
-  /// map's O(log n) search + O(n) insert. `Rank_CS` calls this with
-  /// the relation's row count (row ids are dense there); rows at or
-  /// beyond `num_rows` still take the flat-map path, and entries
-  /// accumulated before the call are migrated, so results are
-  /// identical either way. Never shrinks.
-  void ReserveDense(size_t num_rows);
+  /// Annotates `row_id` (< num_rows) with `score`.
+  void Add(RowId row_id, double score);
 
   /// Number of distinct rows annotated so far.
-  size_t size() const { return entries_.size() + touched_.size(); }
+  size_t size() const { return touched_.size(); }
 
   /// Ranked results: all annotated rows, descending combined score.
   std::vector<ScoredTuple> Ranked() const;
@@ -74,25 +62,18 @@ class Ranker {
 
  private:
   struct Entry {
-    double combined;     // Running max/min.
-    double weighted_sum; // Σ w·s for avg/weighted.
-    double weight_sum;   // Σ w.
+    double value = 0.0;  ///< Running max/min, or Σ score for avg.
+    uint32_t count = 0;  ///< Annotations so far; 0 = row not annotated.
   };
 
-  void Combine(Entry& e, double score, double weight);
   /// Every annotated row with its final score, in no particular order.
   std::vector<ScoredTuple> Unsorted() const;
   double Finalize(const Entry& e) const;
 
   CombinePolicy policy_;
-  /// row id -> accumulation; kept sorted by row id (flat map). Holds
-  /// only rows outside the dense table's range.
-  std::vector<std::pair<RowId, Entry>> entries_;
-  /// Dense accumulation (`ReserveDense`): direct-indexed entries, a
-  /// presence byte per row, and the list of touched rows so results
+  /// Indexed by row id; `touched_` lists the annotated rows so results
   /// never scan the whole table.
-  std::vector<Entry> dense_;
-  std::vector<uint8_t> present_;
+  std::vector<Entry> entries_;
   std::vector<RowId> touched_;
 };
 

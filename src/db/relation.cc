@@ -139,22 +139,4 @@ std::vector<RowId> Relation::Select(const Predicate& pred) const {
   return out;
 }
 
-std::vector<RowId> Relation::SelectAll(
-    const std::vector<Predicate>& preds) const {
-  if (preds.empty()) {
-    std::vector<RowId> all(rows_.size());
-    for (RowId id = 0; id < all.size(); ++id) all[id] = id;
-    return all;
-  }
-  std::vector<RowId> out;
-  ForEachMatch(preds[0].column_index(), preds[0].op(), preds[0].constant(),
-               [&](RowId id) {
-                 for (size_t i = 1; i < preds.size(); ++i) {
-                   if (!preds[i].Eval(rows_[id])) return;
-                 }
-                 out.push_back(id);
-               });
-  return out;
-}
-
 }  // namespace ctxpref::db

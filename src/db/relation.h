@@ -62,9 +62,6 @@ class Relation {
   /// σ_pred(R): ids of all rows satisfying `pred`, in row order.
   std::vector<RowId> Select(const Predicate& pred) const;
 
-  /// Ids of all rows satisfying every predicate (conjunction).
-  std::vector<RowId> SelectAll(const std::vector<Predicate>& preds) const;
-
  private:
   /// The selection structures of one column.
   struct ColumnIndex {

@@ -11,10 +11,10 @@
 
 namespace ctxpref {
 
-/// A generic trie over context states: the structural skeleton shared
-/// by the profile tree and the context query tree, reusable for any
-/// payload keyed by context state (the qualitative preference store
-/// below uses it with preference-id payloads).
+/// A generic trie over context states, for any payload keyed by context
+/// state: the qualitative preference store's index (it holds
+/// preference-id payloads). Neither the profile tree (its own `Node`)
+/// nor the context query tree (one map per user) is built on it.
 ///
 /// Level i is keyed by the parameter `ordering.param_at_level(i)`;
 /// cells within a node are kept in insertion order and scanned

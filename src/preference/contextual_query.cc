@@ -20,7 +20,7 @@ RankMetrics& RankMetrics::Get() {
                      "Query context states evaluated across Rank_CS runs"),
       reg.GetCounter("ctxpref_rank_cs_tuples_scored_total",
                      "Source rows read by the Rank_CS merge (ranker additions "
-                     "under min/avg/weighted)"),
+                     "under min/avg)"),
       reg.GetCounter("ctxpref_rank_cs_deadline_exceeded_total",
                      "Rank_CS evaluations aborted at a cancellation point"),
       reg.GetCounter("ctxpref_rank_cs_states_abandoned_total",

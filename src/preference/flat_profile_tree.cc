@@ -96,11 +96,11 @@ void FlatProfileTree::InitLevels() {
 }
 
 void FlatProfileTree::AppendEntry(const AttributeClause& clause, double score,
-                                  uint32_t ref, ClauseIds& clause_ids) {
+                                  ClauseIds& clause_ids) {
   auto [it, inserted] =
       clause_ids.try_emplace(clause, static_cast<uint32_t>(clauses_.size()));
   if (inserted) clauses_.push_back(clause);
-  entries_.push_back(FlatEntry{it->second, ref, score});
+  entries_.push_back(FlatEntry{it->second, score});
 }
 
 FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
@@ -149,7 +149,7 @@ FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
   for (const ProfileTree::Node* leaf : nodes) {
     flat.BeginLeaf();
     for (const ProfileTree::LeafEntry& entry : leaf->entries) {
-      flat.AppendEntry(entry.clause, entry.score, entry.ref, clause_ids);
+      flat.AppendEntry(entry.clause, entry.score, clause_ids);
     }
   }
   flat.EndLeaves();
@@ -327,8 +327,8 @@ StatusOr<FlatProfileTree> FlatProfileTree::Build(const Profile& profile) {
   }
 
   // Leaf entries exactly as `ProfileTree::InsertState` merges them: an
-  // equal clause at an equal score raises the first entry's ref count;
-  // at another score it is a Def. 6 conflict. The pointer build stops
+  // equal clause at an equal score is skipped as a duplicate; at
+  // another score it is a Def. 6 conflict. The pointer build stops
   // at the first preference with a conflicting state, i.e. at the
   // smallest conflicting state index, so that one is reported.
   ClauseIds clause_ids;
@@ -350,17 +350,14 @@ StatusOr<FlatProfileTree> FlatProfileTree::Build(const Profile& profile) {
       }
       if (j == leaf_clauses.size()) {
         leaf_clauses.push_back(&pref.clause());
-        flat.AppendEntry(pref.clause(), pref.score(), 1, clause_ids);
+        flat.AppendEntry(pref.clause(), pref.score(), clause_ids);
         continue;
       }
-      FlatEntry& entry = flat.entries_[first_entry + j];
-      if (entry.score == pref.score()) {
-        ++entry.ref;
-        continue;
-      }
+      const double held = flat.entries_[first_entry + j].score;
+      if (held == pref.score()) continue;  // A duplicate: already held.
       if (e < conflict) {
         conflict = e;
-        conflict_score = entry.score;
+        conflict_score = held;
       }
       break;
     }
@@ -559,8 +556,7 @@ std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
   std::vector<ProfileTree::LeafEntry> out;
   out.reserve(leaf_begin_[leaf + 1] - leaf_begin_[leaf]);
   for (const FlatEntry* e = entries_begin(leaf); e != entries_end(leaf); ++e) {
-    out.push_back(
-        ProfileTree::LeafEntry{clauses_[e->clause_id], e->score, e->ref});
+    out.push_back(ProfileTree::LeafEntry{clauses_[e->clause_id], e->score});
   }
   return out;
 }

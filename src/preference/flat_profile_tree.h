@@ -41,7 +41,7 @@ namespace ctxpref {
 ///    pointer tree's (insertion-order DFS) order.
 ///  - Leaves: leaf entries live in one flat array behind a CSR offset
 ///    array; attribute clauses are deduplicated into a dictionary so an
-///    entry is `(clause id, score, ref)` — 16 bytes, no strings.
+///    entry is `(clause id, score)` — 16 bytes, no strings.
 ///
 /// Instances are immutable after `Build` and shared across reader
 /// threads without locks (they hold no mutable state; search scratch
@@ -53,11 +53,9 @@ class FlatProfileTree {
   static constexpr uint32_t kNoLeaf = std::numeric_limits<uint32_t>::max();
 
   /// One leaf entry: `(Ai θ a, score)` with the clause interned.
-  /// Mirrors `ProfileTree::LeafEntry` (including the ref count, so a
-  /// rebuild after removals round-trips exactly).
+  /// Mirrors `ProfileTree::LeafEntry`.
   struct FlatEntry {
     uint32_t clause_id = 0;
-    uint32_t ref = 1;
     double score = 0.0;
   };
 
@@ -77,8 +75,8 @@ class FlatProfileTree {
   /// that buffer yields the ordering, and the arena is laid out level
   /// by level. The result is identical to
   /// `Build(*ProfileTree::Build(profile))` — ordering, cells, child and
-  /// leaf numbering, entries with their ref counts, clause ids — and it
-  /// fails with the same Conflict where that build would.
+  /// leaf numbering, entries, clause ids — and it fails with the same
+  /// Conflict where that build would.
   static StatusOr<FlatProfileTree> Build(const Profile& profile);
 
   /// Flattens `tree`. Candidate emission order is the pointer tree's
@@ -193,7 +191,7 @@ class FlatProfileTree {
   void BeginLeaf() {
     leaf_begin_.push_back(static_cast<uint32_t>(entries_.size()));
   }
-  void AppendEntry(const AttributeClause& clause, double score, uint32_t ref,
+  void AppendEntry(const AttributeClause& clause, double score,
                    ClauseIds& clause_ids);
   void EndLeaves() { BeginLeaf(); }
 

@@ -49,42 +49,6 @@ Status Profile::Insert(ContextualPreference pref) {
   return Status::OK();
 }
 
-Status Profile::InsertWithPolicy(ContextualPreference pref,
-                                 ConflictPolicy policy) {
-  Status st = Insert(pref);
-  if (st.ok()) return st;
-  switch (policy) {
-    case ConflictPolicy::kReject:
-      return st;
-    case ConflictPolicy::kKeepExisting:
-      if (st.IsConflict() || st.IsAlreadyExists()) return Status::OK();
-      return st;
-    case ConflictPolicy::kOverwrite:
-      break;
-  }
-  if (st.IsAlreadyExists()) return Status::OK();
-  if (!st.IsConflict()) return st;
-
-  // kOverwrite: rescore every conflicting stored preference, then
-  // retry. Rescoring all of them to the same score cannot introduce a
-  // new Def.-6 conflict among themselves. UpdateScore reorders the
-  // preference list (erase + reinsert), so restart the scan after
-  // each hit.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (size_t i = 0; i < prefs_.size(); ++i) {
-      if (ConflictsWith(*env_, prefs_[i], pref)) {
-        CTXPREF_RETURN_IF_ERROR(UpdateScore(i, pref.score()));
-        changed = true;
-        break;
-      }
-    }
-  }
-  Status retry = Insert(std::move(pref));
-  if (retry.IsAlreadyExists()) return Status::OK();
-  return retry;
-}
-
 Status Profile::Remove(size_t index) {
   if (index >= prefs_.size()) {
     return Status::OutOfRange("preference index " + std::to_string(index) +

@@ -14,19 +14,6 @@
 
 namespace ctxpref {
 
-/// What to do when an inserted preference conflicts (Def. 6) with
-/// stored ones. The paper's system rejects and notifies the user
-/// (kReject); the other policies automate the two choices a notified
-/// user has.
-enum class ConflictPolicy {
-  kReject,        ///< Refuse the insert (default; the paper's behavior).
-  kKeepExisting,  ///< Silently drop the new preference.
-  /// Rescore every conflicting stored preference to the new score,
-  /// then insert. Note a conflicting preference is rescored across
-  /// *all* its states, not only the overlapping ones.
-  kOverwrite,
-};
-
 /// A profile P (paper Def. 7): a set of non-conflicting contextual
 /// preferences, the source of truth the `ProfileTree` indexes.
 ///
@@ -36,8 +23,10 @@ enum class ConflictPolicy {
 /// checking a new preference costs O(|Context(cod)|) lookups instead
 /// of comparing against every stored preference.
 ///
-/// Mutations bump `version()`, which dependent structures (ProfileTree,
-/// ContextQueryTree) use to detect staleness.
+/// Mutations bump `version()`. The indexes serving reads are rebuilt
+/// from the profile at publish (`ProfileSnapshot`), not kept in step
+/// with it, so nothing reads the counter to detect staleness; a caller
+/// may pass it as the profile version of a `StateCache` key.
 class Profile {
  public:
   explicit Profile(EnvironmentPtr env) : env_(std::move(env)) {}
@@ -61,12 +50,6 @@ class Profile {
   ///    the offending state. The profile is unchanged.
   ///  - AlreadyExists: the identical preference is already present.
   Status Insert(ContextualPreference pref);
-
-  /// Insert under an explicit conflict policy. With kKeepExisting a
-  /// conflicting or duplicate insert is an OK no-op; with kOverwrite
-  /// the conflicting stored preferences are rescored to `pref`'s score
-  /// first. kReject behaves exactly like `Insert`.
-  Status InsertWithPolicy(ContextualPreference pref, ConflictPolicy policy);
 
   /// Removes the preference at `index` (as listed by `preferences()`).
   Status Remove(size_t index);

@@ -58,10 +58,7 @@ Status ProfileTree::InsertState(const ContextState& state,
   Node* leaf = Descend(state, /*create=*/true);
   for (LeafEntry& e : leaf->entries) {
     if (e.clause == clause) {
-      if (e.score == score) {
-        ++e.ref;  // Shared by another preference.
-        return Status::OK();
-      }
+      if (e.score == score) return Status::OK();  // Already held.
       return Status::Conflict(
           "state " + state.ToString(*env_) + " already scores clause '" +
           clause.ToString() + "' at " + FormatDouble(e.score) +
@@ -92,69 +89,6 @@ Status ProfileTree::Insert(const ContextualPreference& pref) {
   // Pass 2: materialize paths.
   for (const ContextState& s : states) {
     CTXPREF_RETURN_IF_ERROR(InsertState(s, pref.clause(), pref.score()));
-  }
-  return Status::OK();
-}
-
-Status ProfileTree::RemoveState(const ContextState& state,
-                                const AttributeClause& clause, double score) {
-  // Collect the node chain for pruning.
-  std::vector<Node*> chain = {root_.get()};
-  const size_t n = env_->size();
-  for (size_t level = 0; level < n; ++level) {
-    const ValueRef key = state.value(order_.param_at_level(level));
-    Node* next = nullptr;
-    for (Node::Cell& cell : chain.back()->cells) {
-      if (cell.key == key) {
-        next = cell.child.get();
-        break;
-      }
-    }
-    if (next == nullptr) {
-      return Status::NotFound("no path for state " + state.ToString(*env_));
-    }
-    chain.push_back(next);
-  }
-  Node* leaf = chain.back();
-  bool erased = false;
-  for (auto it = leaf->entries.begin(); it != leaf->entries.end(); ++it) {
-    if (it->clause == clause && it->score == score) {
-      if (--it->ref > 0) return Status::OK();  // Still shared.
-      leaf->entries.erase(it);
-      --leaf_entry_count_;
-      erased = true;
-      break;
-    }
-  }
-  if (!erased) {
-    return Status::NotFound("no entry (" + clause.ToString() + ", " +
-                            FormatDouble(score) + ") at state " +
-                            state.ToString(*env_));
-  }
-  if (!leaf->entries.empty()) return Status::OK();
-
-  // The path is dead: prune childless nodes bottom-up.
-  --path_count_;
-  for (size_t level = n; level > 0; --level) {
-    Node* child = chain[level];
-    if (!child->cells.empty() || !child->entries.empty()) break;
-    Node* parent = chain[level - 1];
-    const ValueRef key = state.value(order_.param_at_level(level - 1));
-    for (auto it = parent->cells.begin(); it != parent->cells.end(); ++it) {
-      if (it->key == key) {
-        parent->cells.erase(it);
-        --cell_count_;
-        --node_count_;
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status ProfileTree::Remove(const ContextualPreference& pref) {
-  for (const ContextState& s : pref.States(*env_)) {
-    CTXPREF_RETURN_IF_ERROR(RemoveState(s, pref.clause(), pref.score()));
   }
   return Status::OK();
 }

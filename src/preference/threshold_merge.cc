@@ -257,8 +257,7 @@ std::vector<db::ScoredTuple> RankSources(
   if (combine == db::CombinePolicy::kMax) {
     return ThresholdMerge(relation, sources, selections, top_k, scored);
   }
-  db::Ranker ranker(combine);
-  ranker.ReserveDense(relation.size());
+  db::Ranker ranker(combine, relation.size());
   uint64_t added = 0;
   for (const ScoredSource& source : sources) {
     source.ForEach(relation, [&](db::RowId row, double score) {

@@ -86,8 +86,8 @@ std::vector<db::ScoredTuple> ThresholdMerge(
 /// The ranked answer over `sources` under `combine`: `ThresholdMerge`
 /// for kMax, a dense `db::Ranker` over every eligible source row for
 /// the other policies (a row's first occurrence is not its final score
-/// there). Same contract as `ThresholdMerge`; under kMin/kAvg/kWeighted
-/// `scored` counts the rows added to the ranker.
+/// there). Same contract as `ThresholdMerge`; under kMin/kAvg `scored`
+/// counts the rows added to the ranker.
 std::vector<db::ScoredTuple> RankSources(
     const db::Relation& relation, std::span<const ScoredSource> sources,
     const std::vector<db::Predicate>& selections, db::CombinePolicy combine,

@@ -3,9 +3,9 @@
 // draw — an empty profile, a single-state profile, a chain hierarchy
 // whose ancestor extents equal their children's (the DESIGN.md
 // Property-3 erratum, where every Jaccard distance along the chain
-// ties), and ref-counted duplicate leaf entries across removal and
-// rebuild. The arena built straight from a `Profile` must equal the
-// flattened pointer tree on the same shapes.
+// ties), and a leaf entry two preferences share, across removal from
+// the profile and rebuild. The arena built straight from a `Profile`
+// must equal the flattened pointer tree on the same shapes.
 
 #include "preference/flat_profile_tree.h"
 
@@ -87,7 +87,6 @@ void ExpectParity(const ProfileTree& tree, const FlatProfileTree& flat,
         EXPECT_TRUE(pointer[i].entries[j].clause ==
                     via_flat[i].entries[j].clause);
         EXPECT_EQ(pointer[i].entries[j].score, via_flat[i].entries[j].score);
-        EXPECT_EQ(pointer[i].entries[j].ref, via_flat[i].entries[j].ref);
       }
     }
   }
@@ -135,7 +134,6 @@ TEST(FlatProfileTreeTest, SingleStateProfileRoundTrips) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_TRUE(entries[0].clause == Clause("v1"));
   EXPECT_EQ(entries[0].score, 0.75);
-  EXPECT_EQ(entries[0].ref, 1u);
 
   // The exact query resolves to the stored state at distance 0; a
   // different detailed state resolves to nothing (flat hierarchies
@@ -190,42 +188,54 @@ TEST(FlatProfileTreeTest, DegenerateChainHierarchyJaccardTieBreak) {
   }
 }
 
-TEST(FlatProfileTreeTest, DuplicateRefCountedEntrySurvivesRemovalAndRebuild) {
+TEST(FlatProfileTreeTest, SharedEntrySurvivesRemovingOneOfItsPreferences) {
   EnvironmentPtr env = TwoFlatEnv();
-  ProfileTree tree(env, Ordering::Identity(env->size()));
+  Profile profile(env);
+  // Both preferences put v2 at 0.4 on (sad, work); the second also
+  // covers (sad, off).
+  for (const char* descriptor :
+       {"mood = sad and day = work", "mood = sad and day in {work, off}"}) {
+    StatusOr<CompositeDescriptor> cod =
+        ParseCompositeDescriptor(*env, descriptor);
+    ASSERT_OK(cod.status());
+    StatusOr<ContextualPreference> pref =
+        ContextualPreference::Create(std::move(*cod), Clause("v2"), 0.4);
+    ASSERT_OK(pref.status());
+    ASSERT_OK(profile.Insert(std::move(*pref)));
+  }
   const ContextState s({ValueRef{0, 1}, ValueRef{0, 0}});  // (sad, work)
-  // Two identical insertions dedup into one ref-counted entry.
-  ASSERT_OK(tree.InsertState(s, Clause("v2"), 0.4));
-  ASSERT_OK(tree.InsertState(s, Clause("v2"), 0.4));
-  {
-    const FlatProfileTree flat = FlatProfileTree::Build(tree);
-    EXPECT_EQ(flat.LeafEntryCount(), 1u);
-    const uint32_t leaf = flat.ExactLookup(s);
-    ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
-    ASSERT_EQ(flat.EntriesOf(leaf).size(), 1u);
-    EXPECT_EQ(flat.EntriesOf(leaf)[0].ref, 2u);
-  }
-  // One removal only decrements the refcount: the entry must survive
-  // the rebuild.
-  ASSERT_OK(tree.RemoveState(s, Clause("v2"), 0.4));
-  {
-    const FlatProfileTree flat = FlatProfileTree::Build(tree);
-    EXPECT_EQ(flat.PathCount(), 1u);
-    const uint32_t leaf = flat.ExactLookup(s);
-    ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
-    ASSERT_EQ(flat.EntriesOf(leaf).size(), 1u);
-    EXPECT_EQ(flat.EntriesOf(leaf)[0].ref, 1u);
-    ExpectParity(tree, flat, s, DistanceKind::kHierarchy);
-  }
-  // The second removal erases the entry and prunes the path.
-  ASSERT_OK(tree.RemoveState(s, Clause("v2"), 0.4));
-  {
-    const FlatProfileTree flat = FlatProfileTree::Build(tree);
-    EXPECT_EQ(flat.PathCount(), 0u);
-    EXPECT_EQ(flat.LeafEntryCount(), 0u);
-    EXPECT_EQ(flat.ExactLookup(s), FlatProfileTree::kNoLeaf);
-    ExpectParity(tree, flat, s, DistanceKind::kHierarchy);
-  }
+  // Rebuilds both indexes from `profile`: while `held`, each holds the
+  // shared entry once at `s`; after, neither has a path to `s`.
+  const auto expect_rebuilds = [&](bool held) {
+    StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+    ASSERT_OK(tree.status());
+    StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
+    ASSERT_OK(flat.status());
+    const std::vector<ProfileTree::LeafEntry>* pointer = tree->ExactLookup(s);
+    const uint32_t leaf = flat->ExactLookup(s);
+    if (held) {
+      ASSERT_NE(pointer, nullptr);
+      ASSERT_EQ(pointer->size(), 1u);
+      EXPECT_TRUE((*pointer)[0].clause == Clause("v2"));
+      EXPECT_EQ((*pointer)[0].score, 0.4);
+      ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
+      const std::vector<ProfileTree::LeafEntry> entries =
+          flat->EntriesOf(leaf);
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_TRUE(entries[0].clause == Clause("v2"));
+      EXPECT_EQ(entries[0].score, 0.4);
+    } else {
+      EXPECT_EQ(pointer, nullptr);
+      EXPECT_EQ(leaf, FlatProfileTree::kNoLeaf);
+    }
+    ExpectParity(*tree, *flat, s, DistanceKind::kHierarchy);
+  };
+  expect_rebuilds(true);
+  // The second preference still puts the entry on (sad, work).
+  ASSERT_OK(profile.Remove(0));
+  expect_rebuilds(true);
+  ASSERT_OK(profile.Remove(0));
+  expect_rebuilds(false);
 }
 
 /// The arena publishing builds (straight from the profile) must equal
@@ -251,7 +261,6 @@ void ExpectDirectEqualsFlattened(const Profile& profile,
     for (size_t j = 0; j < a.size(); ++j) {
       EXPECT_TRUE(a[j].clause == b[j].clause);
       EXPECT_EQ(a[j].score, b[j].score);
-      EXPECT_EQ(a[j].ref, b[j].ref);
     }
   }
   for (const ContextState& q : queries) {
@@ -283,7 +292,7 @@ TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
   EnvironmentPtr env = TwoFlatEnv();
   Profile profile(env);
   // Two preferences put the same (clause, score) on (happy, all): one
-  // leaf entry with ref 2, as the pointer tree's merge gives.
+  // leaf entry, as the pointer tree's merge gives.
   StatusOr<CompositeDescriptor> both =
       ParseCompositeDescriptor(*env, "mood in {happy, sad}");
   ASSERT_OK(both.status());
@@ -309,7 +318,6 @@ TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
   ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
   const std::vector<ProfileTree::LeafEntry> entries = flat->EntriesOf(leaf);
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].ref, 2u);
   EXPECT_EQ(entries[0].score, 0.4);
   ExpectDirectEqualsFlattened(
       profile, {happy_all, ContextState({ValueRef{0, 1}, ValueRef{1, 0}}),

@@ -74,9 +74,13 @@ TEST_F(IntegrationTest, FullPipeline) {
   // Edits go through the copy-on-write path: the draft is mutated off
   // to the side and published as a new snapshot.
   ASSERT_OK(store.UpdateUser("user0", [&](Profile& p) {
-    CTXPREF_RETURN_IF_ERROR(p.InsertWithPolicy(
-        Pref(**env, "temperature = good", "open_air", "x", 0.0),
-        ConflictPolicy::kKeepExisting));  // Silently dropped (conflict).
+    CTXPREF_RETURN_IF_ERROR(
+        p.Insert(Pref(**env, "temperature = good", "open_air", "x", 0.0)));
+    // The same clause at another score on those states is a Def. 6
+    // conflict: refused, and the draft is unchanged.
+    const Status conflict =
+        p.Insert(Pref(**env, "temperature = good", "open_air", "x", 0.5));
+    EXPECT_TRUE(conflict.IsConflict()) << conflict.ToString();
     return p.Insert(Pref(
         **env, "location = Kolonaki and accompanying_people = friends",
         "type", "gallery", 0.95));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <list>
@@ -299,15 +300,14 @@ class RankerModelTest
 TEST_P(RankerModelTest, MatchesBruteForce) {
   auto [seed, policy] = GetParam();
   Rng rng(seed);
-  db::Ranker ranker(policy);
-  std::map<db::RowId, std::vector<std::pair<double, double>>> model;
+  db::Ranker ranker(policy, 40);
+  std::map<db::RowId, std::vector<double>> model;
 
   for (int i = 0; i < 500; ++i) {
     const db::RowId row = rng.Uniform(40);
     const double score = rng.NextDouble();
-    const double weight = 0.5 + rng.NextDouble();
-    ranker.AddWeighted(row, score, weight);
-    model[row].emplace_back(score, weight);
+    ranker.Add(row, score);
+    model[row].push_back(score);
   }
 
   std::vector<db::ScoredTuple> ranked = ranker.Ranked();
@@ -316,24 +316,16 @@ TEST_P(RankerModelTest, MatchesBruteForce) {
     const auto& obs = model.at(t.row_id);
     double expected = 0.0;
     switch (policy) {
-      case db::CombinePolicy::kMax: {
-        expected = obs.front().first;
-        for (const auto& [s, w] : obs) expected = std::max(expected, s);
+      case db::CombinePolicy::kMax:
+        expected = *std::max_element(obs.begin(), obs.end());
         break;
-      }
-      case db::CombinePolicy::kMin: {
-        expected = obs.front().first;
-        for (const auto& [s, w] : obs) expected = std::min(expected, s);
+      case db::CombinePolicy::kMin:
+        expected = *std::min_element(obs.begin(), obs.end());
         break;
-      }
-      case db::CombinePolicy::kAvg:
-      case db::CombinePolicy::kWeighted: {
-        double num = 0, den = 0;
-        for (const auto& [s, w] : obs) {
-          num += s * w;
-          den += w;
-        }
-        expected = num / den;
+      case db::CombinePolicy::kAvg: {
+        double sum = 0;
+        for (const double s : obs) sum += s;
+        expected = sum / static_cast<double>(obs.size());
         break;
       }
     }
@@ -352,8 +344,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(501, 502),
                        ::testing::Values(db::CombinePolicy::kMax,
                                          db::CombinePolicy::kMin,
-                                         db::CombinePolicy::kAvg,
-                                         db::CombinePolicy::kWeighted)));
+                                         db::CombinePolicy::kAvg)));
 
 }  // namespace
 }  // namespace ctxpref

@@ -10,90 +10,6 @@ namespace {
 using ::ctxpref::testing::PaperEnv;
 using ::ctxpref::testing::Pref;
 
-class ConflictPolicyTest : public ::testing::Test {
- protected:
-  EnvironmentPtr env_ = PaperEnv();
-};
-
-TEST_F(ConflictPolicyTest, RejectMatchesPlainInsert) {
-  Profile p(env_);
-  ASSERT_OK(p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8),
-      ConflictPolicy::kReject));
-  Status st = p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.3),
-      ConflictPolicy::kReject);
-  EXPECT_TRUE(st.IsConflict());
-  EXPECT_DOUBLE_EQ(p.preference(0).score(), 0.8);
-}
-
-TEST_F(ConflictPolicyTest, KeepExistingDropsNewSilently) {
-  Profile p(env_);
-  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8)));
-  EXPECT_OK(p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.3),
-      ConflictPolicy::kKeepExisting));
-  EXPECT_EQ(p.size(), 1u);
-  EXPECT_DOUBLE_EQ(p.preference(0).score(), 0.8);
-  // Duplicates are OK no-ops too.
-  EXPECT_OK(p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8),
-      ConflictPolicy::kKeepExisting));
-  EXPECT_EQ(p.size(), 1u);
-}
-
-TEST_F(ConflictPolicyTest, OverwriteRescoresConflicts) {
-  Profile p(env_);
-  // States overlap at (Plaka, warm, all) — a genuine Def. 6 conflict.
-  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka and temperature in "
-                          "{warm, hot}", "name", "Acropolis", 0.8)));
-  EXPECT_OK(p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka and temperature = warm", "name",
-           "Acropolis", 0.3),
-      ConflictPolicy::kOverwrite));
-  // The old preference got rescored to 0.3; the new one is in.
-  ASSERT_EQ(p.size(), 2u);
-  for (size_t i = 0; i < p.size(); ++i) {
-    EXPECT_DOUBLE_EQ(p.preference(i).score(), 0.3) << i;
-  }
-}
-
-TEST_F(ConflictPolicyTest, OverwriteHandlesMultipleConflicts) {
-  Profile p(env_);
-  ASSERT_OK(p.Insert(
-      Pref(*env_, "temperature = warm", "type", "park", 0.9)));
-  ASSERT_OK(p.Insert(
-      Pref(*env_, "temperature = hot", "type", "park", 0.7)));
-  // Overlaps (all, warm, all) with the first and (all, hot, all) with
-  // the second: conflicts with both.
-  EXPECT_OK(p.InsertWithPolicy(
-      Pref(*env_, "temperature in {warm, hot}", "type", "park", 0.5),
-      ConflictPolicy::kOverwrite));
-  ASSERT_EQ(p.size(), 3u);
-  for (size_t i = 0; i < p.size(); ++i) {
-    EXPECT_DOUBLE_EQ(p.preference(i).score(), 0.5) << i;
-  }
-  // The profile is still conflict-free: the tree accepts it.
-  EXPECT_OK(ProfileTree::Build(p).status());
-}
-
-TEST_F(ConflictPolicyTest, OverwriteWithoutConflictJustInserts) {
-  Profile p(env_);
-  EXPECT_OK(p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8),
-      ConflictPolicy::kOverwrite));
-  EXPECT_EQ(p.size(), 1u);
-}
-
-TEST_F(ConflictPolicyTest, OverwriteDuplicateIsNoOp) {
-  Profile p(env_);
-  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8)));
-  EXPECT_OK(p.InsertWithPolicy(
-      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8),
-      ConflictPolicy::kOverwrite));
-  EXPECT_EQ(p.size(), 1u);
-}
-
 class TreeDotTest : public ::testing::Test {
  protected:
   EnvironmentPtr env_ = PaperEnv();

@@ -124,7 +124,6 @@ TEST(RelationSelectTest, EmptyRelationSelectsNothing) {
       EXPECT_TRUE(relation.Select(*pred).empty());
     }
   }
-  EXPECT_TRUE(relation.SelectAll({}).empty());
 }
 
 TEST(RelationSelectTest, AppendsInterleavedWithSelects) {

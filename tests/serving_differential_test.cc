@@ -330,8 +330,6 @@ void ExpectSameCandidates(const ContextEnvironment& env,
           << label << " candidate " << i << " entry " << j;
       EXPECT_EQ(pointer[i].entries[j].score, flat[i].entries[j].score)
           << label << " candidate " << i << " entry " << j;
-      EXPECT_EQ(pointer[i].entries[j].ref, flat[i].entries[j].ref)
-          << label << " candidate " << i << " entry " << j;
     }
   }
 }
@@ -473,12 +471,11 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
 // Publishing builds the arena straight from the `Profile`, with no
 // pointer tree in between. It must be the arena that flattening the
 // pointer tree gives, bit for bit: ordering, structure counts, every
-// leaf's entries with their raw clause ids and ref counts, the clause
-// dictionary, and every Search_CS candidate with its path keys.
+// leaf's entries with their raw clause ids, the clause dictionary, and every Search_CS candidate with its path keys.
 
 /// Adds `count` random multi-state preferences (value sets on some
 /// parameters) over a three-clause pool and a three-score grid, so
-/// leaves share (clause, score) entries (ref > 1) and some inserts
+/// preferences share (clause, score) leaf entries and some inserts
 /// conflict or duplicate; those are skipped, as a profile refuses them.
 void AddSetPreferences(Rng& rng, Profile& profile, size_t count) {
   const ContextEnvironment& env = profile.env();
@@ -539,7 +536,6 @@ void ExpectSameArena(const ContextEnvironment& env,
       EXPECT_EQ(std::bit_cast<uint64_t>(a[j].score),
                 std::bit_cast<uint64_t>(b[j].score))
           << label << " leaf " << leaf;
-      EXPECT_EQ(a[j].ref, b[j].ref) << label << " leaf " << leaf;
     }
     const FlatProfileTree::FlatEntry* x = direct.entries_begin(leaf);
     const FlatProfileTree::FlatEntry* y = via_tree.entries_begin(leaf);
@@ -759,7 +755,7 @@ TEST_P(ServingDifferentialTest, CombineCachePathSweepMatchesRankCsOrRejects) {
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
     for (db::CombinePolicy combine :
          {db::CombinePolicy::kMax, db::CombinePolicy::kMin,
-          db::CombinePolicy::kAvg, db::CombinePolicy::kWeighted}) {
+          db::CombinePolicy::kAvg}) {
       QueryOptions options;
       options.resolution.distance = kind;
       options.combine = combine;

@@ -197,16 +197,13 @@ TEST_P(RankerTopKTest, PartialSelectionEqualsFullSortOnHeavyTies) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 200; ++trial) {
     const db::CombinePolicy policy =
-        static_cast<db::CombinePolicy>(rng.Uniform(4));
-    db::Ranker ranker(policy);
-    if (rng.Bernoulli(0.5)) ranker.ReserveDense(rng.Uniform(200));
+        static_cast<db::CombinePolicy>(rng.Uniform(3));
     const size_t rows = 1 + rng.Uniform(150);
+    db::Ranker ranker(policy, rows);
     const size_t adds = rng.Uniform(3 * rows);
     for (size_t i = 0; i < adds; ++i) {
       // Three distinct scores: most k-th places are deep inside a tie.
-      ranker.AddWeighted(rng.Uniform(rows),
-                         static_cast<double>(rng.Uniform(3)) * 0.5,
-                         1.0 + static_cast<double>(rng.Uniform(2)));
+      ranker.Add(rng.Uniform(rows), static_cast<double>(rng.Uniform(3)) * 0.5);
     }
     const std::vector<db::ScoredTuple> ranked = ranker.Ranked();
     for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, rows / 2,

@@ -180,7 +180,7 @@ std::vector<db::ScoredTuple> OracleRank(const db::Relation& relation,
                                         const ContextualQuery& query,
                                         const QueryResult& traced,
                                         const QueryOptions& options) {
-  db::Ranker ranker(options.combine);
+  db::Ranker ranker(options.combine, relation.size());
   for (const QueryResult::Trace& trace : traced.traces) {
     for (const CandidatePath& cand : *trace.candidates) {
       for (const ProfileTree::LeafEntry& entry : cand.entries) {

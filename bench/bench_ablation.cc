@@ -9,19 +9,26 @@
 //     state-level index vs. the naive pairwise Def. 6 check.
 //  4. Rank_CS selections: the relation's own posting lists and truth
 //     tables (`Relation::Select`) vs. a `Predicate::Eval` row scan.
+//
+// Exits 1 on a rejected insert or query, or when the two paths of
+// Ablation 3 or 4 disagree on their counts. Ablation 1's greedy=best
+// column is a finding, not an invariant.
 
 #include <chrono>
 #include <cstdio>
 
 #include "bench_metrics.h"
+#include "context/descriptor.h"
 #include "context/parser.h"
-#include "preference/qualitative.h"
+#include "db/predicate.h"
+#include "db/relation.h"
 #include "preference/contextual_query.h"
 #include "preference/flat_profile_tree.h"
 #include "preference/ordering.h"
 #include "preference/profile_tree.h"
 #include "preference/query_cache.h"
 #include "preference/resolution.h"
+#include "util/counters.h"
 #include "workload/poi_dataset.h"
 #include "workload/profile_generator.h"
 #include "workload/query_generator.h"
@@ -29,6 +36,34 @@
 using namespace ctxpref;
 
 namespace {
+
+// Prints `st` to stderr; returns the exit code of a failed ablation.
+int Fail(const Status& st) {
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return 1;
+}
+
+struct PrefSpec {
+  const char* context;
+  const char* attribute;
+  db::Value value;
+  double score;
+};
+
+// Inserts `context => attribute = value @ score` per spec.
+Status AddPreferences(Profile* profile, const std::vector<PrefSpec>& specs) {
+  for (const PrefSpec& p : specs) {
+    StatusOr<CompositeDescriptor> c =
+        ParseCompositeDescriptor(profile->env(), p.context);
+    if (!c.ok()) return c.status();
+    StatusOr<ContextualPreference> pref = ContextualPreference::Create(
+        std::move(*c), AttributeClause{p.attribute, db::CompareOp::kEq, p.value},
+        p.score);
+    if (!pref.ok()) return pref.status();
+    CTXPREF_RETURN_IF_ERROR(profile->Insert(std::move(*pref)));
+  }
+  return Status::OK();
+}
 
 int AblateOrderingOptimizer() {
   std::printf("Ablation 1: ordering optimizer vs exhaustive search\n\n");
@@ -47,10 +82,7 @@ int AblateOrderingOptimizer() {
     spec.clause_pool = 400;
     spec.seed = 777;
     StatusOr<workload::SyntheticProfile> gen = GenerateSyntheticProfile(spec);
-    if (!gen.ok()) {
-      std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
-      return 1;
-    }
+    if (!gen.ok()) return Fail(gen.status());
 
     const Ordering greedy = GreedyOrdering(gen->profile);
     size_t greedy_cells =
@@ -75,27 +107,16 @@ int AblateOrderingOptimizer() {
 int AblateQueryCache() {
   std::printf("Ablation 2: context query tree (result cache)\n\n");
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(300, 5);
-  if (!poi.ok()) {
-    std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
-    return 1;
-  }
+  if (!poi.ok()) return Fail(poi.status());
   Profile profile(poi->env);
-  {
-    auto add = [&](const char* cod, const char* attr, db::Value v, double s) {
-      StatusOr<CompositeDescriptor> c =
-          ParseCompositeDescriptor(*poi->env, cod);
-      StatusOr<ContextualPreference> pref = ContextualPreference::Create(
-          std::move(*c),
-          AttributeClause{attr, db::CompareOp::kEq, std::move(v)}, s);
-      Status st = profile.Insert(std::move(*pref));
-      if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    };
-    add("temperature = good", "open_air", db::Value(true), 0.8);
-    add("temperature = bad", "open_air", db::Value(false), 0.75);
-    add("accompanying_people = friends", "type", db::Value("brewery"), 0.9);
-    add("accompanying_people = family", "type", db::Value("zoo"), 0.85);
-    add("location = Athens", "type", db::Value("museum"), 0.7);
-  }
+  Status st = AddPreferences(
+      &profile,
+      {{"temperature = good", "open_air", db::Value(true), 0.8},
+       {"temperature = bad", "open_air", db::Value(false), 0.75},
+       {"accompanying_people = friends", "type", db::Value("brewery"), 0.9},
+       {"accompanying_people = family", "type", db::Value("zoo"), 0.85},
+       {"location = Athens", "type", db::Value("museum"), 0.7}});
+  if (!st.ok()) return Fail(st);
   // Both configurations resolve through the arena-flattened tree (the
   // cached path's only resolver), so the rows differ by the cache alone.
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
@@ -108,7 +129,10 @@ int AblateQueryCache() {
   QueryOptions options;
   options.top_k = 20;
 
+  Status query_error;
+  const std::string user;
   auto run = [&](ContextQueryTree* cache) {
+    const StateCache state_cache{cache, &user, profile.version()};
     AccessCounter counter;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < 200; ++i) {
@@ -123,17 +147,10 @@ int AblateQueryCache() {
       ContextualQuery q;
       q.context = ExtendedDescriptor::FromComposite(
           *CompositeDescriptor::Create(*poi->env, std::move(parts)));
-      if (cache != nullptr) {
-        const std::string user;
-        const StateCache state_cache{cache, &user, profile.version()};
-        StatusOr<QueryResult> r = RankCS(poi->relation, q, resolver, options,
-                                         &counter, &state_cache);
-        if (!r.ok()) std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
-      } else {
-        StatusOr<QueryResult> r =
-            RankCS(poi->relation, q, resolver, options, &counter);
-        if (!r.ok()) std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
-      }
+      StatusOr<QueryResult> r =
+          RankCS(poi->relation, q, resolver, options, &counter,
+                 cache != nullptr ? &state_cache : nullptr);
+      if (!r.ok() && query_error.ok()) query_error = r.status();
     }
     auto end = std::chrono::steady_clock::now();
     return std::pair<double, uint64_t>(
@@ -144,6 +161,7 @@ int AblateQueryCache() {
   auto [ms_off, cells_off] = run(nullptr);
   ContextQueryTree cache(64);
   auto [ms_on, cells_on] = run(&cache);
+  if (!query_error.ok()) return Fail(query_error);
 
   std::printf("%-28s %12s %16s\n", "configuration", "time (ms)",
               "cells accessed");
@@ -173,19 +191,17 @@ int AblateConflictCheck() {
   spec.clause_pool = 400;
   spec.seed = 555;
   StatusOr<workload::SyntheticProfile> gen = GenerateSyntheticProfile(spec);
-  if (!gen.ok()) {
-    std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
-    return 1;
-  }
+  if (!gen.ok()) return Fail(gen.status());
   const ContextEnvironment& env = *gen->env;
   const std::vector<ContextualPreference>& prefs =
       gen->profile.preferences();
 
   auto t0 = std::chrono::steady_clock::now();
   Profile indexed(gen->env);
+  Status insert_error;
   for (const ContextualPreference& p : prefs) {
     Status st = indexed.Insert(p);
-    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    if (!st.ok() && insert_error.ok()) insert_error = st;
   }
   auto t1 = std::chrono::steady_clock::now();
   // Naive: pairwise Def. 6 against all previously accepted.
@@ -208,33 +224,25 @@ int AblateConflictCheck() {
               std::chrono::duration<double, std::milli>(t2 - t1).count());
   std::printf("(both accepted %zu / %zu preferences)\n\n", indexed.size(),
               naive.size());
-  return 0;
+  if (!insert_error.ok()) return Fail(insert_error);
+  if (indexed.size() == naive.size()) return 0;
+  std::fprintf(stderr, "indexed and pairwise checks disagree\n");
+  return 1;
 }
 
 int AblateSelectionIndex() {
   std::printf("Ablation 4: Rank_CS selections, relation posting lists vs "
               "Predicate::Eval scan\n\n");
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(5000, 77);
-  if (!poi.ok()) {
-    std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
-    return 1;
-  }
+  if (!poi.ok()) return Fail(poi.status());
   Profile profile(poi->env);
-  {
-    auto add = [&](const char* cod, const char* attr, db::Value v, double s) {
-      StatusOr<CompositeDescriptor> c =
-          ParseCompositeDescriptor(*poi->env, cod);
-      StatusOr<ContextualPreference> pref = ContextualPreference::Create(
-          std::move(*c),
-          AttributeClause{attr, db::CompareOp::kEq, std::move(v)}, s);
-      Status st = profile.Insert(std::move(*pref));
-      if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    };
-    add("accompanying_people = friends", "type", db::Value("brewery"), 0.9);
-    add("accompanying_people = family", "type", db::Value("zoo"), 0.85);
-    add("temperature = good", "type", db::Value("park"), 0.8);
-    add("location = Athens", "type", db::Value("museum"), 0.7);
-  }
+  Status st = AddPreferences(
+      &profile,
+      {{"accompanying_people = friends", "type", db::Value("brewery"), 0.9},
+       {"accompanying_people = family", "type", db::Value("zoo"), 0.85},
+       {"temperature = good", "type", db::Value("park"), 0.8},
+       {"location = Athens", "type", db::Value("museum"), 0.7}});
+  if (!st.ok()) return Fail(st);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   TreeResolver resolver(&*tree);
 
@@ -277,48 +285,7 @@ int AblateSelectionIndex() {
   std::printf("%-28s %12.2f %14zu\n", "Relation::Select", ms_posting, n2);
   std::printf("(identical row counts: %s; %zu selections over %zu rows)\n\n",
               n1 == n2 ? "yes" : "NO — BUG", clauses.size(), relation.size());
-  return 0;
-}
-
-int AblateWinnowSemantics() {
-  std::printf("Ablation 5: qualitative composition semantics "
-              "(union vs Pareto vs prioritized winnow)\n\n");
-  StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(400, 88);
-  if (!poi.ok()) {
-    std::fprintf(stderr, "%s\n", poi.status().ToString().c_str());
-    return 1;
-  }
-  auto pred = [&](const char* col, db::Value v) {
-    return *db::Predicate::Create(poi->relation.schema(), col,
-                                  db::CompareOp::kEq, std::move(v));
-  };
-  StatusOr<CompositeDescriptor> star =
-      ParseCompositeDescriptor(*poi->env, "*");
-  StatusOr<QualitativePreference> type_pref = QualitativePreference::Create(
-      *star, {pred("type", db::Value("museum"))},
-      {pred("type", db::Value("brewery"))});
-  StatusOr<QualitativePreference> oa_pref = QualitativePreference::Create(
-      *star, {pred("open_air", db::Value(true))},
-      {pred("open_air", db::Value(false))});
-  std::vector<const QualitativePreference*> prefs = {&*type_pref, &*oa_pref};
-
-  std::vector<db::RowId> u = Winnow(poi->relation, prefs);
-  std::vector<db::RowId> pareto = WinnowWith(
-      poi->relation, [&](const db::Tuple& a, const db::Tuple& b) {
-        return ParetoDominates(prefs, a, b);
-      });
-  std::vector<db::RowId> prio = WinnowWith(
-      poi->relation, [&](const db::Tuple& a, const db::Tuple& b) {
-        return PrioritizedDominates(prefs, a, b);
-      });
-  std::printf("%-28s %10s\n", "semantics", "winners");
-  std::printf("%-28s %10zu\n", "union of edges", u.size());
-  std::printf("%-28s %10zu\n", "Pareto composition", pareto.size());
-  std::printf("%-28s %10zu\n", "prioritized (type first)", prio.size());
-  std::printf("(relation: %zu rows; union ⊆ Pareto winners by "
-              "construction)\n\n",
-              poi->relation.size());
-  return 0;
+  return n1 == n2 ? 0 : 1;
 }
 
 }  // namespace
@@ -329,6 +296,5 @@ int main() {
   if (int rc = AblateOrderingOptimizer(); rc != 0) return rc;
   if (int rc = AblateQueryCache(); rc != 0) return rc;
   if (int rc = AblateConflictCheck(); rc != 0) return rc;
-  if (int rc = AblateSelectionIndex(); rc != 0) return rc;
-  return AblateWinnowSemantics();
+  return AblateSelectionIndex();
 }

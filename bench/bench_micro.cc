@@ -9,13 +9,15 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_metrics.h"
+#include "context/descriptor.h"
 #include "context/distance.h"
 #include "context/parser.h"
 #include "context/resilient_source.h"
+#include "db/predicate.h"
+#include "db/relation.h"
 #include "preference/contextual_query.h"
 #include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
-#include "preference/qualitative.h"
 #include "preference/query_cache.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
@@ -267,27 +269,6 @@ void BM_Select_Relation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Select_Relation)->Arg(2000)->Arg(20000);
-
-void BM_Winnow(benchmark::State& state) {
-  StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(
-      static_cast<size_t>(state.range(0)), 3);
-  StatusOr<CompositeDescriptor> star =
-      ParseCompositeDescriptor(*poi->env, "*");
-  StatusOr<db::Predicate> better = db::Predicate::Create(
-      poi->relation.schema(), "type", db::CompareOp::kEq,
-      db::Value("museum"));
-  StatusOr<db::Predicate> worse = db::Predicate::Create(
-      poi->relation.schema(), "type", db::CompareOp::kEq,
-      db::Value("brewery"));
-  StatusOr<QualitativePreference> pref =
-      QualitativePreference::Create(*star, {*better}, {*worse});
-  std::vector<const QualitativePreference*> prefs = {&*pref};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Winnow(poi->relation, prefs));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Winnow)->Arg(100)->Arg(400);
 
 void BM_ContextSnapshot(benchmark::State& state) {
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(50, 17);

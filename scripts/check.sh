@@ -17,7 +17,8 @@
 #   scripts/check.sh --bench-gate # Release bench_resolution run with
 #                                 # the flat-vs-pointer Search_CS
 #                                 # speedup gate, the cache hit-vs-miss
-#                                 # gate + advisory baseline diffs
+#                                 # gate, bench_ablation's invariants
+#                                 # + advisory baseline diffs
 #                                 # (CI job); every gate runs, and a
 #                                 # failure names each failed gate
 #   scripts/check.sh --scenarios  # Release scenario_runner over every
@@ -162,7 +163,7 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
   bench_build_status=0
   cmake --build build-bench -j "${JOBS}" \
     --target bench_resolution --target bench_overload \
-    --target bench_coherence --target bench_micro \
+    --target bench_coherence --target bench_micro --target bench_ablation \
     -- --no-print-directory > build-bench/check-build.log 2>&1 \
     || bench_build_status=$?
   grep -E "error|warning" build-bench/check-build.log || true
@@ -268,6 +269,11 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
   gate "bench_coherence baseline diff" \
     python3 scripts/compare_bench.py BENCH_coherence_baseline.json \
     build-bench/bench_coherence.json
+
+  echo "==== bench gate (ablation invariants) ===="
+  # Fails on a rejected insert or query, or when the compared paths of
+  # Ablations 3 and 4 disagree on their counts; timings are advisory.
+  gate "bench_ablation invariants" ./build-bench/bench/bench_ablation
 
   if [[ "${#failed_gates[@]}" -gt 0 ]]; then
     echo "==== bench gate: ${#failed_gates[@]} gate(s) FAILED ====" >&2

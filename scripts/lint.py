@@ -80,6 +80,13 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               forms (`*_test.cc`, `tests/<module>_test.cc`). Like
               bench-doc it takes no lint:allow.
 
+  test-doc    Every backticked gtest name (`Suite.Test`, the suite name
+              ending in Test, optionally `Prefix/`- or `/param`-
+              decorated) in README.md, DESIGN.md, EXPERIMENTS.md and
+              docs/*.md must be declared by a TEST / TEST_F / TEST_P
+              under tests/: a renamed or deleted test cannot stay cited.
+              It takes no lint:allow.
+
   perfbench-spans  Every span name perfbench/serve_bench.cc compares
               against (`name == "..."`), apart from its own `bench.*`
               and `shadow.*` spans, must appear as a string literal in
@@ -174,6 +181,10 @@ FILE_DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
 # placeholder rather than a file.
 FILE_TOKEN = re.compile(
     r"(?<![\w./*<>-])([\w./*<>-]*\w\.(?:h|cc|cpp))\b(?![\w-])")
+
+TEST_DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md"]
+TEST_DOC_NAME = re.compile(r"`(?:\w+/)?(\w+Test)\.(\w+)(?:/\w+)?`")
+TEST_DECL = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 
 PERFBENCH_SOURCE = "perfbench/serve_bench.cc"
 # A span name perfbench's trace fold compares against.
@@ -670,6 +681,27 @@ def check_file_doc(findings):
                                  f"{name} names no tracked file")
 
 
+def check_test_doc(findings):
+    """Docs must name only gtest cases that tests/ declares."""
+    declared = set()
+    for dirpath, _, names in os.walk("tests"):
+        for name in names:
+            if name.endswith((".h", ".cc")):
+                with open(os.path.join(dirpath, name), encoding="utf-8",
+                          errors="replace") as f:
+                    declared.update(TEST_DECL.findall(f.read()))
+    paths = sorted({p for pattern in TEST_DOC_FILES
+                    for p in glob.glob(pattern)})
+    for path in paths:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines, 1):
+            for suite, test in TEST_DOC_NAME.findall(line):
+                if (suite, test) not in declared:
+                    findings.add(path, i, "test-doc",
+                                 f"{suite}.{test} names no test in tests/")
+
+
 def check_perfbench_spans(findings):
     """The src/ spans perfbench reads must still be opened under src/."""
     try:
@@ -744,6 +776,7 @@ def main():
     check_scenario_key_doc(findings)
     check_bench_doc(findings)
     check_file_doc(findings)
+    check_test_doc(findings)
     check_perfbench_spans(findings)
 
     for path, lineno, check, message in findings.items:

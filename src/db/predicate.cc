@@ -1,5 +1,7 @@
 #include "db/predicate.h"
 
+#include <string>
+
 namespace ctxpref::db {
 
 StatusOr<size_t> BindColumn(const Schema& schema, std::string_view column_name,
@@ -22,11 +24,6 @@ StatusOr<Predicate> Predicate::Create(const Schema& schema,
   StatusOr<size_t> idx = BindColumn(schema, column_name, constant.type());
   if (!idx.ok()) return idx.status();
   return Predicate(*idx, op, std::move(constant));
-}
-
-std::string Predicate::ToString(const Schema& schema) const {
-  return schema.column(column_index_).name + " " + CompareOpToString(op_) +
-         " " + constant_.ToString();
 }
 
 }  // namespace ctxpref::db

@@ -1,7 +1,7 @@
 #ifndef CTXPREF_DB_PREDICATE_H_
 #define CTXPREF_DB_PREDICATE_H_
 
-#include <string>
+#include <string_view>
 
 #include "db/schema.h"
 #include "db/tuple.h"
@@ -34,8 +34,6 @@ class Predicate {
   bool Eval(const Tuple& tuple) const {
     return EvalCompare(tuple[column_index_], op_, constant_);
   }
-
-  std::string ToString(const Schema& schema) const;
 
  private:
   Predicate(size_t column_index, CompareOp op, Value constant)

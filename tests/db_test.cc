@@ -103,7 +103,6 @@ TEST_F(RelationTest, SelectByEquality) {
   ASSERT_OK(pred.status());
   std::vector<RowId> rows = relation_->Select(*pred);
   EXPECT_EQ(rows, (std::vector<RowId>{0, 2}));
-  EXPECT_EQ(pred->ToString(relation_->schema()), "type = museum");
 }
 
 TEST_F(RelationTest, SelectByOrdering) {

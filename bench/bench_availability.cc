@@ -238,6 +238,10 @@ int main(int argc, char** argv) {
       g_seed = cfg->seed;
       g_pois = cfg->pois;
       scenario_rate = cfg->sensor_dropout;
+    } else if (std::strncmp(arg, "--", 2) == 0) {
+      std::fprintf(stderr,
+                   "usage: bench_availability [out.json] [--scenario=FILE]\n");
+      return 2;
     } else {
       out_path = arg;
     }

@@ -185,8 +185,8 @@ BENCHMARK(BM_PublishBuild_ViaTree)->Arg(500)->Arg(5000);
 void BM_PublishBuild_Direct(benchmark::State& state) {
   Rig& rig = RigFor(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(rig.gen.profile);
-    benchmark::DoNotOptimize(flat->CellCount());
+    FlatProfileTree flat = FlatProfileTree::Build(rig.gen.profile);
+    benchmark::DoNotOptimize(flat.CellCount());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -108,7 +108,7 @@ int main() {
   //         The cached path resolves through the arena-flattened
   //         profile tree, built straight from the profile as a publish
   //         builds it.
-  const FlatProfileTree flat = *FlatProfileTree::Build(*profile);
+  const FlatProfileTree flat = FlatProfileTree::Build(*profile);
   FlatResolver flat_resolver(&flat);
   ContextQueryTree cache(/*capacity=*/64);
   const std::string user;  // One profile: the single-user key "".
@@ -138,7 +138,7 @@ int main() {
     return 1;
   }
   // Rebuild the index for the new profile version.
-  const FlatProfileTree fresh_flat = *FlatProfileTree::Build(*profile);
+  const FlatProfileTree fresh_flat = FlatProfileTree::Build(*profile);
   FlatResolver fresh_resolver(&fresh_flat);
   const StateCache fresh_version{&cache, &user, profile->version()};
   StatusOr<QueryResult> after = RankCS(poi->relation, query, fresh_resolver,

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "util/string_util.h"
-
 namespace ctxpref {
 
 namespace {
@@ -199,7 +197,7 @@ class CellTable {
 
 }  // namespace
 
-StatusOr<FlatProfileTree> FlatProfileTree::Build(const Profile& profile) {
+FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
   FlatProfileTree flat;
   flat.env_ = profile.env_ptr();
   flat.InitInterners();
@@ -326,53 +324,29 @@ StatusOr<FlatProfileTree> FlatProfileTree::Build(const Profile& profile) {
     by_leaf[leaf_start[leaf] + fill[leaf]++] = static_cast<uint32_t>(e);
   }
 
-  // Leaf entries exactly as `ProfileTree::InsertState` merges them: an
-  // equal clause at an equal score is skipped as a duplicate; at
-  // another score it is a Def. 6 conflict. The pointer build stops
-  // at the first preference with a conflicting state, i.e. at the
-  // smallest conflicting state index, so that one is reported.
+  // Leaf entries as `ProfileTree::InsertState` merges them: an equal
+  // clause already at the leaf is a duplicate, held at the same score
+  // (a `Profile` holds no Def. 6 conflict), and is skipped.
   ClauseIds clause_ids;
   flat.leaf_begin_.reserve(num_leaves + 1);
   flat.entries_.reserve(num_states);
   std::vector<const AttributeClause*> leaf_clauses;
-  size_t conflict = num_states;
-  double conflict_score = 0.0;
   for (size_t v = 0; v < num_leaves; ++v) {
     flat.BeginLeaf();
     leaf_clauses.clear();
-    const size_t first_entry = flat.entries_.size();
     for (uint32_t k = leaf_start[v]; k < leaf_start[v + 1]; ++k) {
-      const uint32_t e = by_leaf[k];
-      const ContextualPreference& pref = prefs[owner[e]];
-      size_t j = 0;
-      while (j < leaf_clauses.size() && !(*leaf_clauses[j] == pref.clause())) {
-        ++j;
-      }
-      if (j == leaf_clauses.size()) {
-        leaf_clauses.push_back(&pref.clause());
-        flat.AppendEntry(pref.clause(), pref.score(), clause_ids);
+      const ContextualPreference& pref = prefs[owner[by_leaf[k]]];
+      if (std::any_of(leaf_clauses.begin(), leaf_clauses.end(),
+                      [&](const AttributeClause* held) {
+                        return *held == pref.clause();
+                      })) {
         continue;
       }
-      const double held = flat.entries_[first_entry + j].score;
-      if (held == pref.score()) continue;  // A duplicate: already held.
-      if (e < conflict) {
-        conflict = e;
-        conflict_score = held;
-      }
-      break;
+      leaf_clauses.push_back(&pref.clause());
+      flat.AppendEntry(pref.clause(), pref.score(), clause_ids);
     }
   }
   flat.EndLeaves();
-  if (conflict < num_states) {
-    const ContextualPreference& pref = prefs[owner[conflict]];
-    const ContextState state(std::vector<ValueRef>(
-        values.begin() + static_cast<ptrdiff_t>(conflict * n),
-        values.begin() + static_cast<ptrdiff_t>((conflict + 1) * n)));
-    return Status::Conflict("preference conflicts at state " +
-                            state.ToString(env) + ": clause '" +
-                            pref.clause().ToString() + "' already scored " +
-                            FormatDouble(conflict_score));
-  }
   return flat;
 }
 

@@ -13,7 +13,6 @@
 #include "preference/profile.h"
 #include "preference/profile_tree.h"
 #include "util/counters.h"
-#include "util/status.h"
 
 namespace ctxpref {
 
@@ -75,9 +74,9 @@ class FlatProfileTree {
   /// that buffer yields the ordering, and the arena is laid out level
   /// by level. The result is identical to
   /// `Build(*ProfileTree::Build(profile))` — ordering, cells, child and
-  /// leaf numbering, entries, clause ids — and it fails with the same
-  /// Conflict where that build would.
-  static StatusOr<FlatProfileTree> Build(const Profile& profile);
+  /// leaf numbering, entries, clause ids. It cannot fail: the profile
+  /// rejected every Def. 6 conflict on insert.
+  static FlatProfileTree Build(const Profile& profile);
 
   /// Flattens `tree`. Candidate emission order is the pointer tree's
   /// (insertion-order DFS) order, preserved via the cells' insertion

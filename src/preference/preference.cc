@@ -1,6 +1,6 @@
 #include "preference/preference.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace ctxpref {
 
@@ -61,22 +61,50 @@ std::string ContextualPreference::ToString(
 bool ConflictsWith(const ContextEnvironment& env,
                    const ContextualPreference& a,
                    const ContextualPreference& b) {
-  // Condition 2 first (cheap): same attribute clause target.
-  if (a.clause().attribute != b.clause().attribute ||
-      a.clause().op != b.clause().op ||
-      a.clause().value != b.clause().value) {
+  // Condition 2 first (cheap): same attribute clause target. The value
+  // is the most selective field, the attribute name the least.
+  if (a.clause().value != b.clause().value || a.clause().op != b.clause().op ||
+      a.clause().attribute != b.clause().attribute) {
     return false;
   }
   // Condition 3: scores differ.
   if (a.score() == b.score()) return false;
-  // Condition 1: Context(cod_a) ∩ Context(cod_b) ≠ ∅.
-  std::vector<ContextState> sa = a.States(env);
-  std::unordered_set<ContextState, ContextStateHash> set_a(sa.begin(),
-                                                           sa.end());
-  for (const ContextState& s : b.States(env)) {
-    if (set_a.contains(s)) return true;
+  // Condition 1: Context(cod_a) ∩ Context(cod_b) ≠ ∅. Both are
+  // Cartesian products (Def. 4), so they meet iff on every parameter
+  // the two value sets share a value, a parameter without a part
+  // taking {all}. Values match exactly, not by hierarchy cover.
+  auto holds = [](const ParameterDescriptor& pd, ValueRef v) {
+    const std::vector<ValueRef>& set = pd.ContextOf();
+    return std::find(set.begin(), set.end(), v) != set.end();
+  };
+  auto holds_all = [&](const ParameterDescriptor& pd) {
+    return holds(pd, env.parameter(pd.param_index()).hierarchy().AllValue());
+  };
+  const std::vector<ParameterDescriptor>& pa = a.descriptor().parts();
+  const std::vector<ParameterDescriptor>& pb = b.descriptor().parts();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < pa.size() && j < pb.size()) {
+    if (pa[i].param_index() < pb[j].param_index()) {
+      if (!holds_all(pa[i++])) return false;
+    } else if (pb[j].param_index() < pa[i].param_index()) {
+      if (!holds_all(pb[j++])) return false;
+    } else {
+      const ParameterDescriptor& x = pa[i++];
+      const ParameterDescriptor& y = pb[j++];
+      if (std::none_of(x.ContextOf().begin(), x.ContextOf().end(),
+                       [&](ValueRef v) { return holds(y, v); })) {
+        return false;
+      }
+    }
   }
-  return false;
+  for (; i < pa.size(); ++i) {
+    if (!holds_all(pa[i])) return false;
+  }
+  for (; j < pb.size(); ++j) {
+    if (!holds_all(pb[j])) return false;
+  }
+  return true;
 }
 
 }  // namespace ctxpref

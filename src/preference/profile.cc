@@ -1,49 +1,68 @@
 #include "preference/profile.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "context/parser.h"
 #include "util/string_util.h"
 
 namespace ctxpref {
 
+namespace {
+
+/// True iff `state` lies in Context(`cod`) (Def. 4): each component is
+/// one of its part's values, or `all` where `cod` has no part.
+bool Denotes(const ContextEnvironment& env, const CompositeDescriptor& cod,
+             const ContextState& state) {
+  const std::vector<ParameterDescriptor>& parts = cod.parts();
+  size_t next = 0;  // Parts are sorted by parameter.
+  for (size_t p = 0; p < env.size(); ++p) {
+    const ValueRef v = state.value(p);
+    if (next < parts.size() && parts[next].param_index() == p) {
+      const std::vector<ValueRef>& set = parts[next++].ContextOf();
+      if (std::find(set.begin(), set.end(), v) == set.end()) return false;
+    } else if (v != env.parameter(p).hierarchy().AllValue()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Status Profile::CheckConflict(const ContextualPreference& pref,
-                              const std::vector<ContextState>& states,
                               size_t skip) const {
+  // A stored preference equal to `pref` and another conflicting with
+  // it would conflict with each other, so the pass finds one kind.
+  std::vector<size_t> rivals;
   for (size_t i = 0; i < prefs_.size(); ++i) {
-    if (i != skip && prefs_[i] == pref) {
+    // Both kinds share `pref`'s clause; its value is the cheapest
+    // field to tell clauses apart by.
+    if (i == skip || prefs_[i].clause().value != pref.clause().value) continue;
+    if (prefs_[i] == pref) {
       return Status::AlreadyExists("preference already in profile: " +
                                    pref.ToString(*env_));
     }
+    if (ConflictsWith(*env_, prefs_[i], pref)) rivals.push_back(i);
   }
-  for (const ContextState& s : states) {
-    auto it = state_index_.find(s);
-    if (it == state_index_.end()) continue;
-    for (const size_t i : it->second) {
-      if (i == skip) continue;
-      const AttributeClause& clause = prefs_[i].clause();
-      if (clause.attribute == pref.clause().attribute &&
-          clause.op == pref.clause().op &&
-          clause.value == pref.clause().value &&
-          prefs_[i].score() != pref.score()) {
-        return Status::Conflict(
-            "preference conflicts (Def. 6) at state " + s.ToString(*env_) +
-            ": clause '" + pref.clause().ToString() + "' already scored " +
-            FormatDouble(prefs_[i].score()) + ", new score " +
-            FormatDouble(pref.score()));
-      }
+  if (rivals.empty()) return Status::OK();
+  // Name the first of `pref`'s states that a rival covers, and the
+  // lowest-index rival covering it.
+  for (const ContextState& s : pref.States(*env_)) {
+    for (const size_t i : rivals) {
+      if (!Denotes(*env_, prefs_[i].descriptor(), s)) continue;
+      return Status::Conflict(
+          "preference conflicts (Def. 6) at state " + s.ToString(*env_) +
+          ": clause '" + pref.clause().ToString() + "' already scored " +
+          FormatDouble(prefs_[i].score()) + ", new score " +
+          FormatDouble(pref.score()));
     }
   }
-  return Status::OK();
+  std::abort();  // Unreachable: each rival's context meets `pref`'s.
 }
 
 Status Profile::Insert(ContextualPreference pref) {
-  std::vector<ContextState> states = pref.States(*env_);
-  CTXPREF_RETURN_IF_ERROR(CheckConflict(pref, states));
-  const size_t idx = prefs_.size();
-  for (const ContextState& s : states) {
-    state_index_[s].push_back(idx);
-  }
+  CTXPREF_RETURN_IF_ERROR(CheckConflict(pref));
   prefs_.push_back(std::move(pref));
   ++version_;
   return Status::OK();
@@ -56,7 +75,6 @@ Status Profile::Remove(size_t index) {
                               std::to_string(prefs_.size()) + ")");
   }
   prefs_.erase(prefs_.begin() + static_cast<ptrdiff_t>(index));
-  RebuildIndex();
   ++version_;
   return Status::OK();
 }
@@ -70,47 +88,21 @@ Status Profile::UpdateScore(size_t index, double new_score) {
       prefs_[index].descriptor(), prefs_[index].clause(), new_score);
   if (!rescored.ok()) return rescored.status();
 
-  // Checked against every other preference, as the reinsert after an
-  // erase would be; the index lists keep their order when `index` is
-  // skipped, so the first conflict found is the same one. No other
-  // preference can equal the rescored one: it would share every state
-  // and the clause of the preference at `index`, so the two would
-  // already conflict or be equal.
-  CTXPREF_RETURN_IF_ERROR(
-      CheckConflict(*rescored, rescored->States(*env_), index));
+  // Checked against every other preference, in the order the reinsert
+  // after an erase would meet them, so it names the same conflict. No
+  // other preference can equal the rescored one: it would share every
+  // state and the clause of the preference at `index`, so the two
+  // would already conflict or be equal.
+  CTXPREF_RETURN_IF_ERROR(CheckConflict(*rescored, index));
 
-  // Move the preference to the back, where the reinsert puts it, and
-  // renumber each (sorted) index list in place: indices above `index`
-  // shift down one, `index` itself becomes the last, largest index.
-  const size_t last = prefs_.size() - 1;
+  // Move the preference to the back, where the reinsert puts it.
   std::rotate(prefs_.begin() + static_cast<ptrdiff_t>(index),
               prefs_.begin() + static_cast<ptrdiff_t>(index) + 1,
               prefs_.end());
   prefs_.back() = std::move(*rescored);
-  if (index != last) {
-    for (auto& [state, list] : state_index_) {
-      auto it = std::lower_bound(list.begin(), list.end(), index);
-      if (it == list.end()) continue;
-      if (*it == index) {
-        for (; it + 1 != list.end(); ++it) *it = *(it + 1) - 1;
-        *it = last;
-      } else {
-        for (; it != list.end(); ++it) --*it;
-      }
-    }
-  }
   // Erase + reinsert bumps the version twice.
   version_ += 2;
   return Status::OK();
-}
-
-void Profile::RebuildIndex() {
-  state_index_.clear();
-  for (size_t i = 0; i < prefs_.size(); ++i) {
-    for (const ContextState& s : prefs_[i].States(*env_)) {
-      state_index_[s].push_back(i);
-    }
-  }
 }
 
 std::vector<Profile::FlatEntry> Profile::Flatten() const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "context/environment.h"
@@ -18,10 +17,10 @@ namespace ctxpref {
 /// preferences, the source of truth the `ProfileTree` indexes.
 ///
 /// Conflicts (Def. 6) are detected at insertion time, as the paper
-/// prescribes: the profile maintains a state-level inverted map
-/// (context state -> indices of the preferences covering it), so
-/// checking a new preference costs O(|Context(cod)|) lookups instead
-/// of comparing against every stored preference.
+/// prescribes, by one pass over the stored preferences with
+/// `ConflictsWith`: descriptors are compared part by part, and states
+/// are enumerated only to name one in a Conflict message. The profile
+/// is a plain preference vector plus a version; it keeps no index.
 ///
 /// Mutations bump `version()`. The indexes serving reads are rebuilt
 /// from the profile at publish (`ProfileSnapshot`), not kept in step
@@ -56,8 +55,7 @@ class Profile {
 
   /// Replaces the score of the preference at `index`. Equivalent to
   /// Remove + Insert of the rescored preference (it moves to the back);
-  /// on conflict the profile is unchanged. A rescore keeps every state,
-  /// so the state index is renumbered in place, not rebuilt.
+  /// on conflict the profile is unchanged.
   Status UpdateScore(size_t index, double new_score);
 
   /// All (state, clause, score) entries expanded from every preference;
@@ -84,22 +82,13 @@ class Profile {
                                     const db::Schema* schema = nullptr);
 
  private:
-  /// Rebuilds state_index_ from prefs_ (used after removal).
-  void RebuildIndex();
-
-  /// Checks `pref` against the index, ignoring the stored preference
-  /// at `skip` (if any); OK if insertable.
+  /// Checks `pref` against every stored preference but the one at
+  /// `skip` (if any); OK if insertable.
   Status CheckConflict(const ContextualPreference& pref,
-                       const std::vector<ContextState>& states,
                        size_t skip = SIZE_MAX) const;
 
   EnvironmentPtr env_;
   std::vector<ContextualPreference> prefs_;
-  /// State -> indices into `prefs_` of the preferences covering it.
-  /// Indices, not clause copies, keep the index small; unlike pointers
-  /// they stay valid when a `Profile` is copied.
-  std::unordered_map<ContextState, std::vector<size_t>, ContextStateHash>
-      state_index_;
   uint64_t version_ = 0;
 };
 

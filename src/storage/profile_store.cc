@@ -63,8 +63,8 @@ ProfileSnapshot::~ProfileSnapshot() {
 const ProfileTree& ProfileSnapshot::tree() const {
   const ProfileTree* tree = tree_.load(std::memory_order_acquire);
   if (tree != nullptr) return *tree;
-  // The profile already indexed into the arena without conflict, so
-  // the pointer build under the same ordering cannot fail.
+  // A profile holds no Def. 6 conflict (it rejects them on insert),
+  // so the pointer build cannot fail.
   const Ordering& order = flat_->ordering();
   StatusOr<ProfileTree> built =
       ProfileTree::Build(*profile_, order);  // lint:allow(pointer-tree)
@@ -133,18 +133,17 @@ size_t ProfileStore::size() const {
   return users_.size();
 }
 
-Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
-                                     Profile profile) {
-  // Build the arena off to the side, straight from the profile: readers
-  // keep serving the current snapshot through any build failure.
-  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
-  if (!flat.ok()) return flat.status();
+void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
+                                   Profile profile) {
+  // Build the arena off to the side, straight from the profile; readers
+  // keep serving the current snapshot until the swap.
+  FlatProfileTree flat = FlatProfileTree::Build(profile);
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ProfileSnapshot>(
       user_id, version,
       std::make_shared<const Profile>(std::move(profile)),
-      std::make_shared<const FlatProfileTree>(std::move(*flat)));
+      std::make_shared<const FlatProfileTree>(std::move(flat)));
   SnapshotPtr old = user.Swap(std::move(snapshot));
   ServingMetrics& metrics = ServingMetrics::Get();
   metrics.swaps.Increment();
@@ -160,7 +159,6 @@ Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
   if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
     log->Append(user_id, version);
   }
-  return Status::OK();
 }
 
 Status ProfileStore::CreateUser(const std::string& user_id) {
@@ -181,16 +179,11 @@ Status ProfileStore::CreateUser(const std::string& user_id, Profile initial) {
   }
   it->second = std::make_unique<User>();
   User& user = *it->second;
-  Status published;
   {
     // Uncontended (the exclusive map lock above hides the new user),
     // taken so BuildAndPublish has one uniform writer-lock contract.
     util::MutexLock write_lock(user.write_mu);
-    published = BuildAndPublish(user, user_id, std::move(initial));
-  }
-  if (!published.ok()) {
-    users_.erase(it);  // Creation is all-or-nothing.
-    return published;
+    BuildAndPublish(user, user_id, std::move(initial));
   }
   ServingMetrics::Get().users.Add(1);
   return Status::OK();
@@ -222,7 +215,8 @@ Status ProfileStore::UpdateUser(const std::string& user_id,
   SnapshotPtr current = user.Pin();
   Profile draft = current->profile();
   CTXPREF_RETURN_IF_ERROR(edit(draft));
-  return BuildAndPublish(user, user_id, std::move(draft));
+  BuildAndPublish(user, user_id, std::move(draft));
+  return Status::OK();
 }
 
 Status ProfileStore::PublishProfile(const std::string& user_id,
@@ -239,7 +233,8 @@ Status ProfileStore::PublishProfile(const std::string& user_id,
   }
   User& user = *it->second;
   util::MutexLock write_lock(user.write_mu);
-  return BuildAndPublish(user, user_id, std::move(profile));
+  BuildAndPublish(user, user_id, std::move(profile));
+  return Status::OK();
 }
 
 Status ProfileStore::ReloadUser(const std::string& user_id,

@@ -151,10 +151,10 @@ class ProfileStore {
   /// Copy-on-write edit: copies the user's current profile, applies
   /// `edit` to the copy, builds the new flat tree, and publishes the
   /// result as a new snapshot. Nothing is published — and concurrent
-  /// readers observe nothing — if `edit` returns an error or the build
-  /// fails. `edit` runs under the user's writer lock: it must not call
-  /// back into this store. This is the entry point for rescores and
-  /// other programmatic edits.
+  /// readers observe nothing — if `edit` returns an error. `edit` runs
+  /// under the user's writer lock: it must not call back into this
+  /// store. This is the entry point for rescores and other
+  /// programmatic edits.
   Status UpdateUser(const std::string& user_id,
                     const std::function<Status(Profile&)>& edit);
 
@@ -246,8 +246,8 @@ class ProfileStore {
   /// publish serialization point; creation takes it too (uncontended —
   /// the exclusive map lock hides the new user) so the contract is
   /// uniform and machine-checkable.
-  Status BuildAndPublish(User& user, const std::string& user_id,
-                         Profile profile) REQUIRES(user.write_mu);
+  void BuildAndPublish(User& user, const std::string& user_id,
+                       Profile profile) REQUIRES(user.write_mu);
 
   EnvironmentPtr env_;
   /// Guards the user map's *shape* only (find/insert/erase), never the

@@ -37,24 +37,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The serving-differential two-parameter world (see
-/// serving_differential_test.cc).
-EnvironmentPtr TinyEnv() {
-  HierarchyBuilder pb("place");
-  pb.AddDetailedLevel("Spot", {"a", "b", "c"});
-  pb.AddLevel("Zone", {{"X", {"a", "b"}}, {"Y", {"c"}}});
-  StatusOr<HierarchyPtr> place = pb.Build();
-  EXPECT_TRUE(place.ok());
-  StatusOr<HierarchyPtr> mood =
-      MakeFlatHierarchy("mood", "Mood", {"happy", "sad"});
-  EXPECT_TRUE(mood.ok());
-  std::vector<ContextParameter> params;
-  params.emplace_back("place", *place);
-  params.emplace_back("mood", *mood);
-  StatusOr<EnvironmentPtr> env = ContextEnvironment::Create(std::move(params));
-  EXPECT_TRUE(env.ok());
-  return *env;
-}
+using ::ctxpref::testing::TinyEnv;
 
 std::vector<ContextState> AllExtendedStates(const ContextEnvironment& env) {
   std::vector<std::vector<ValueRef>> domains;

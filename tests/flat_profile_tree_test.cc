@@ -209,10 +209,9 @@ TEST(FlatProfileTreeTest, SharedEntrySurvivesRemovingOneOfItsPreferences) {
   const auto expect_rebuilds = [&](bool held) {
     StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
     ASSERT_OK(tree.status());
-    StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
-    ASSERT_OK(flat.status());
+    const FlatProfileTree flat = FlatProfileTree::Build(profile);
     const std::vector<ProfileTree::LeafEntry>* pointer = tree->ExactLookup(s);
-    const uint32_t leaf = flat->ExactLookup(s);
+    const uint32_t leaf = flat.ExactLookup(s);
     if (held) {
       ASSERT_NE(pointer, nullptr);
       ASSERT_EQ(pointer->size(), 1u);
@@ -220,7 +219,7 @@ TEST(FlatProfileTreeTest, SharedEntrySurvivesRemovingOneOfItsPreferences) {
       EXPECT_EQ((*pointer)[0].score, 0.4);
       ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
       const std::vector<ProfileTree::LeafEntry> entries =
-          flat->EntriesOf(leaf);
+          flat.EntriesOf(leaf);
       ASSERT_EQ(entries.size(), 1u);
       EXPECT_TRUE(entries[0].clause == Clause("v2"));
       EXPECT_EQ(entries[0].score, 0.4);
@@ -228,7 +227,7 @@ TEST(FlatProfileTreeTest, SharedEntrySurvivesRemovingOneOfItsPreferences) {
       EXPECT_EQ(pointer, nullptr);
       EXPECT_EQ(leaf, FlatProfileTree::kNoLeaf);
     }
-    ExpectParity(*tree, *flat, s, DistanceKind::kHierarchy);
+    ExpectParity(*tree, flat, s, DistanceKind::kHierarchy);
   };
   expect_rebuilds(true);
   // The second preference still puts the entry on (sad, work).
@@ -243,19 +242,18 @@ TEST(FlatProfileTreeTest, SharedEntrySurvivesRemovingOneOfItsPreferences) {
 /// exposes.
 void ExpectDirectEqualsFlattened(const Profile& profile,
                                  const std::vector<ContextState>& queries) {
-  StatusOr<FlatProfileTree> direct = FlatProfileTree::Build(profile);
-  ASSERT_OK(direct.status());
+  const FlatProfileTree direct = FlatProfileTree::Build(profile);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   const FlatProfileTree flat = FlatProfileTree::Build(*tree);
-  EXPECT_TRUE(direct->ordering() == flat.ordering());
-  EXPECT_EQ(direct->CellCount(), flat.CellCount());
-  EXPECT_EQ(direct->NodeCount(), flat.NodeCount());
-  ASSERT_EQ(direct->PathCount(), flat.PathCount());
-  EXPECT_EQ(direct->LeafEntryCount(), flat.LeafEntryCount());
-  EXPECT_EQ(direct->num_clauses(), flat.num_clauses());
+  EXPECT_TRUE(direct.ordering() == flat.ordering());
+  EXPECT_EQ(direct.CellCount(), flat.CellCount());
+  EXPECT_EQ(direct.NodeCount(), flat.NodeCount());
+  ASSERT_EQ(direct.PathCount(), flat.PathCount());
+  EXPECT_EQ(direct.LeafEntryCount(), flat.LeafEntryCount());
+  EXPECT_EQ(direct.num_clauses(), flat.num_clauses());
   for (uint32_t leaf = 0; leaf < flat.PathCount(); ++leaf) {
-    const std::vector<ProfileTree::LeafEntry> a = direct->EntriesOf(leaf);
+    const std::vector<ProfileTree::LeafEntry> a = direct.EntriesOf(leaf);
     const std::vector<ProfileTree::LeafEntry> b = flat.EntriesOf(leaf);
     ASSERT_EQ(a.size(), b.size());
     for (size_t j = 0; j < a.size(); ++j) {
@@ -264,10 +262,10 @@ void ExpectDirectEqualsFlattened(const Profile& profile,
     }
   }
   for (const ContextState& q : queries) {
-    EXPECT_EQ(direct->ExactLookup(q), flat.ExactLookup(q));
+    EXPECT_EQ(direct.ExactLookup(q), flat.ExactLookup(q));
     for (DistanceKind kind :
          {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
-      ExpectParity(*tree, *direct, q, kind);
+      ExpectParity(*tree, direct, q, kind);
     }
   }
 }
@@ -275,16 +273,15 @@ void ExpectDirectEqualsFlattened(const Profile& profile,
 TEST(FlatProfileTreeTest, DirectBuildOfEmptyProfile) {
   EnvironmentPtr env = TwoFlatEnv();
   const Profile profile(env);
-  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
-  ASSERT_OK(flat.status());
-  EXPECT_TRUE(flat->ordering() == Ordering::Identity(env->size()));
-  EXPECT_EQ(flat->PathCount(), 0u);
-  EXPECT_EQ(flat->CellCount(), 0u);
-  EXPECT_EQ(flat->NodeCount(), 1u);
-  EXPECT_EQ(flat->LeafEntryCount(), 0u);
-  EXPECT_EQ(flat->num_clauses(), 0u);
+  const FlatProfileTree flat = FlatProfileTree::Build(profile);
+  EXPECT_TRUE(flat.ordering() == Ordering::Identity(env->size()));
+  EXPECT_EQ(flat.PathCount(), 0u);
+  EXPECT_EQ(flat.CellCount(), 0u);
+  EXPECT_EQ(flat.NodeCount(), 1u);
+  EXPECT_EQ(flat.LeafEntryCount(), 0u);
+  EXPECT_EQ(flat.num_clauses(), 0u);
   const ContextState q({ValueRef{0, 0}, ValueRef{0, 1}});
-  EXPECT_EQ(flat->ExactLookup(q), FlatProfileTree::kNoLeaf);
+  EXPECT_EQ(flat.ExactLookup(q), FlatProfileTree::kNoLeaf);
   ExpectDirectEqualsFlattened(profile, {q});
 }
 
@@ -308,15 +305,14 @@ TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
   ASSERT_OK(profile.Insert(*p1));
   ASSERT_OK(profile.Insert(*p2));
 
-  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
-  ASSERT_OK(flat.status());
-  EXPECT_EQ(flat->PathCount(), 2u);
-  EXPECT_EQ(flat->LeafEntryCount(), 2u);
-  EXPECT_EQ(flat->num_clauses(), 1u);
+  const FlatProfileTree flat = FlatProfileTree::Build(profile);
+  EXPECT_EQ(flat.PathCount(), 2u);
+  EXPECT_EQ(flat.LeafEntryCount(), 2u);
+  EXPECT_EQ(flat.num_clauses(), 1u);
   const ContextState happy_all({ValueRef{0, 0}, ValueRef{1, 0}});
-  const uint32_t leaf = flat->ExactLookup(happy_all);
+  const uint32_t leaf = flat.ExactLookup(happy_all);
   ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
-  const std::vector<ProfileTree::LeafEntry> entries = flat->EntriesOf(leaf);
+  const std::vector<ProfileTree::LeafEntry> entries = flat.EntriesOf(leaf);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].score, 0.4);
   ExpectDirectEqualsFlattened(

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "preference/ordering.h"
+#include "preference/profile_tree.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "workload/poi_dataset.h"
@@ -125,8 +128,8 @@ TEST_F(ProfileTest, UpdateScoreConflictRollsBack) {
 }
 
 TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
-  // A rescore renumbers the state index in place. Its definition is
-  // erase + reinsert of the rescored preference, keeping the old
+  // A rescore moves the preference to the back in place. Its
+  // definition is erase + reinsert of the rescored preference, keeping the old
   // profile when the reinsert conflicts (and merging into an equal
   // stored preference, which cannot exist: it would share every state
   // and the clause of the one rescored, so the two would conflict or
@@ -198,7 +201,7 @@ TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
           << profile.preference(i).ToString(*env_) << " vs "
           << reference.preference(i).ToString(*env_);
     }
-    // The index answers later inserts as the rebuilt one does.
+    // Both answer later inserts alike.
     for (int probe = 0; probe < 4; ++probe) {
       const ContextualPreference pref = random_pref();
       Profile a = profile;
@@ -214,6 +217,105 @@ TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
   }
   // The draw must exercise the rollback.
   EXPECT_GT(conflicts, 0u);
+}
+
+TEST_F(ProfileTest, ConflictsMatchPointerTreeOracle) {
+  // `Profile` checks Def. 6 with `ConflictsWith`; the pointer
+  // `ProfileTree` checks it at its leaves on insert (paper §3.3). Over
+  // random Insert/UpdateScore/Remove sequences, a tree holding every
+  // stored preference (but the one rescored) must reject the new
+  // preference exactly when the profile reports a Conflict, and name
+  // the same state: the first of the new preference's states holding
+  // a rival entry. That state lies in the new preference's context and
+  // in that of a stored preference with its clause at another score.
+  const std::vector<std::string> cods = {
+      "*",
+      "location = Plaka",
+      "location in {Plaka, Kifisia, Athens}",
+      "location = Athens",
+      "temperature in [cold, warm]",
+      "temperature in {warm, good, all}",
+      "location in {Plaka, all} and temperature = warm",
+      "location in {Plaka, Kifisia} and temperature in {warm, hot} and "
+      "accompanying_people = friends",
+      "temperature = warm and accompanying_people in {friends, family}"};
+  const std::vector<std::string> names = {"Acropolis", "Lycabettus"};
+  const std::vector<double> scores = {0.2, 0.5, 0.8};
+  Rng rng(77);
+  auto random_pref = [&] {
+    return Pref(*env_, cods[rng.Uniform(cods.size())], "name",
+                names[rng.Uniform(names.size())],
+                scores[rng.Uniform(scores.size())]);
+  };
+  // "... at state (Plaka, warm, all): ..." -> "(Plaka, warm, all)".
+  auto named_state = [](const std::string& message) {
+    const size_t begin = message.find("at state (");
+    const size_t end = message.find("): ", begin);
+    if (begin == std::string::npos || end == std::string::npos) return message;
+    return message.substr(begin + 9, end + 1 - (begin + 9));
+  };
+  auto holds = [&](const ContextualPreference& pref, const std::string& state) {
+    for (const ContextState& s : pref.States(*env_)) {
+      if (s.ToString(*env_) == state) return true;
+    }
+    return false;
+  };
+  size_t conflicts = 0;
+  // `got` is the profile's answer to adding `pref` to `before`, less
+  // the preference at `skip`.
+  auto check = [&](const Profile& before, const ContextualPreference& pref,
+                   size_t skip, const Status& got, const std::string& where) {
+    ProfileTree tree(env_, Ordering::Identity(env_->size()));
+    for (size_t i = 0; i < before.size(); ++i) {
+      if (i != skip) {
+        ASSERT_OK(tree.Insert(before.preference(i)));
+      }
+    }
+    const Status want = tree.Insert(pref);
+    ASSERT_EQ(got.IsConflict(), want.IsConflict())
+        << where << ": " << got.ToString() << " vs " << want.ToString();
+    if (!got.IsConflict()) return;
+    ++conflicts;
+    const std::string state = named_state(got.message());
+    EXPECT_EQ(state, named_state(want.message())) << where;
+    EXPECT_TRUE(holds(pref, state)) << where << ": " << got.ToString();
+    bool rival = false;
+    for (size_t i = 0; i < before.size(); ++i) {
+      const ContextualPreference& q = before.preference(i);
+      rival |= i != skip && q.clause() == pref.clause() &&
+               q.score() != pref.score() && holds(q, state);
+    }
+    EXPECT_TRUE(rival) << where << ": " << got.ToString();
+  };
+
+  Profile profile(env_);
+  for (int step = 0; step < 600; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const Profile before = profile;
+    const uint64_t op = rng.Uniform(10);
+    Status got;
+    if (op < 5 || profile.empty()) {
+      const ContextualPreference pref = random_pref();
+      got = profile.Insert(pref);
+      check(before, pref, SIZE_MAX, got, where + " insert");
+    } else if (op < 8) {
+      const size_t index = rng.Uniform(profile.size());
+      const double score = scores[rng.Uniform(scores.size())];
+      got = profile.UpdateScore(index, score);
+      StatusOr<ContextualPreference> rescored = ContextualPreference::Create(
+          before.preference(index).descriptor(),
+          before.preference(index).clause(), score);
+      ASSERT_OK(rescored.status());
+      check(before, *rescored, index, got, where + " rescore");
+    } else {
+      got = profile.Remove(rng.Uniform(profile.size()));
+      ASSERT_OK(got);
+    }
+    if (!got.ok()) {
+      EXPECT_EQ(profile.ToText(), before.ToText()) << where;
+    }
+  }
+  EXPECT_GT(conflicts, 20u);
 }
 
 TEST_F(ProfileTest, FlattenExpandsAllStates) {

@@ -37,25 +37,7 @@
 namespace ctxpref {
 namespace {
 
-/// A tiny two-parameter environment (the exhaustive-test world):
-///   place: a,b,c | X(a,b), Y(c) | ALL      (6 extended values)
-///   mood:  happy,sad | ALL                  (3 extended values)
-EnvironmentPtr TinyEnv() {
-  HierarchyBuilder pb("place");
-  pb.AddDetailedLevel("Spot", {"a", "b", "c"});
-  pb.AddLevel("Zone", {{"X", {"a", "b"}}, {"Y", {"c"}}});
-  StatusOr<HierarchyPtr> place = pb.Build();
-  EXPECT_TRUE(place.ok());
-  StatusOr<HierarchyPtr> mood =
-      MakeFlatHierarchy("mood", "Mood", {"happy", "sad"});
-  EXPECT_TRUE(mood.ok());
-  std::vector<ContextParameter> params;
-  params.emplace_back("place", *place);
-  params.emplace_back("mood", *mood);
-  StatusOr<EnvironmentPtr> env = ContextEnvironment::Create(std::move(params));
-  EXPECT_TRUE(env.ok());
-  return *env;
-}
+using ::ctxpref::testing::TinyEnv;
 
 /// Every extended state of `env`, the first parameter slowest.
 std::vector<ContextState> AllExtendedStates(const ContextEnvironment& env) {
@@ -343,12 +325,11 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
 
   // The flat side is built the way publishing builds it: straight from
   // the profile.
-  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
-  ASSERT_OK(flat.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(profile);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   TreeResolver pointer_resolver(&*tree);
-  FlatResolver flat_resolver(&*flat);
+  FlatResolver flat_resolver(&flat);
   const db::Relation relation = MakeRelation();
 
   for (DistanceKind kind :
@@ -367,7 +348,7 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
         ExpectSameCandidates(*env, pointer_resolver.ResolveBest(q, ropts),
                              flat_resolver.ResolveBest(q, ropts),
                              label + " best");
-        EXPECT_EQ(flat->ExactLookup(q) != FlatProfileTree::kNoLeaf,
+        EXPECT_EQ(flat.ExactLookup(q) != FlatProfileTree::kNoLeaf,
                   !pointer_resolver.SearchCS(
                                        q, {.distance = kind,
                                            .exact_only = true})
@@ -437,12 +418,11 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
   }
   ASSERT_FALSE(profile.empty());
 
-  StatusOr<FlatProfileTree> flat = FlatProfileTree::Build(profile);
-  ASSERT_OK(flat.status());
+  const FlatProfileTree flat = FlatProfileTree::Build(profile);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   TreeResolver pointer_resolver(&*tree);
-  FlatResolver flat_resolver(&*flat);
+  FlatResolver flat_resolver(&flat);
 
   for (DistanceKind kind :
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
@@ -590,22 +570,20 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     Profile profile = RandomProfile(rng, w.env, world);
     AddSetPreferences(rng, profile, 24);
 
-    StatusOr<FlatProfileTree> direct = FlatProfileTree::Build(profile);
-    ASSERT_OK(direct.status());
+    const FlatProfileTree direct = FlatProfileTree::Build(profile);
     StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
     ASSERT_OK(tree.status());
     const FlatProfileTree via_tree = FlatProfileTree::Build(*tree);
-    ExpectSameArena(*w.env, *direct, via_tree, all, w.name);
+    ExpectSameArena(*w.env, direct, via_tree, all, w.name);
 
     // Every prefix of the profile, too: small and empty profiles are
     // where layouts' edge cases live.
     Profile prefix(w.env);
     for (const ContextualPreference& pref : profile.preferences()) {
-      StatusOr<FlatProfileTree> d = FlatProfileTree::Build(prefix);
-      ASSERT_OK(d.status());
+      const FlatProfileTree d = FlatProfileTree::Build(prefix);
       StatusOr<ProfileTree> t = ProfileTree::Build(prefix);
       ASSERT_OK(t.status());
-      ExpectSameArena(*w.env, *d, FlatProfileTree::Build(*t), world,
+      ExpectSameArena(*w.env, d, FlatProfileTree::Build(*t), world,
                       std::string(w.name) + " prefix " +
                           std::to_string(prefix.size()));
       ASSERT_OK(prefix.Insert(pref));

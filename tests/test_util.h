@@ -63,6 +63,26 @@ inline EnvironmentPtr PaperEnv() {
   return *env;
 }
 
+/// A tiny two-parameter environment, small enough to enumerate:
+///   place: a,b,c | X(a,b), Y(c) | ALL      (6 extended values)
+///   mood:  happy,sad | ALL                  (3 extended values)
+inline EnvironmentPtr TinyEnv() {
+  HierarchyBuilder pb("place");
+  pb.AddDetailedLevel("Spot", {"a", "b", "c"});
+  pb.AddLevel("Zone", {{"X", {"a", "b"}}, {"Y", {"c"}}});
+  StatusOr<HierarchyPtr> place = pb.Build();
+  EXPECT_TRUE(place.ok());
+  StatusOr<HierarchyPtr> mood =
+      MakeFlatHierarchy("mood", "Mood", {"happy", "sad"});
+  EXPECT_TRUE(mood.ok());
+  std::vector<ContextParameter> params;
+  params.emplace_back("place", *place);
+  params.emplace_back("mood", *mood);
+  StatusOr<EnvironmentPtr> env = ContextEnvironment::Create(std::move(params));
+  EXPECT_TRUE(env.ok());
+  return *env;
+}
+
 /// A state from value names (any level), asserting success.
 inline ContextState State(const ContextEnvironment& env,
                           std::vector<std::string> names) {

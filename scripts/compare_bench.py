@@ -28,11 +28,15 @@ Modes:
       matches --pair-filter (all pairs if omitted). Ratios are
       runner-relative, so this is robust to slow shared hardware in a
       way absolute-time gates are not. Exit 1 on any shortfall.
+
+Every mode reads a name that repeats (a --benchmark_repetitions run)
+as the median of its rows' real_time.
 """
 
 import argparse
 import json
 import re
+import statistics
 import sys
 
 # Generous on purpose: CI runners are shared and the smoke run uses a
@@ -75,13 +79,15 @@ def load(path):
 
 
 def real_times(doc):
-    out = {}
+    """real_time per benchmark name; the median when a name repeats
+    (a --benchmark_repetitions run lists one row per repetition)."""
+    runs = {}
     for b in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if present.
         if b.get("run_type") == "aggregate":
             continue
-        out[b["name"]] = float(b["real_time"])
-    return out
+        runs.setdefault(b["name"], []).append(float(b["real_time"]))
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def diff(baseline_path, current_path, gate_pattern):

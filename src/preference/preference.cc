@@ -30,31 +30,39 @@ std::string DescriptorKey(const CompositeDescriptor& cod) {
   return key;
 }
 
-}  // namespace
-
-ContextualPreference::ContextualPreference(CompositeDescriptor descriptor,
-                                           AttributeClause clause,
-                                           double score)
-    : descriptor_(std::move(descriptor)),
-      clause_(std::move(clause)),
-      score_(score),
-      descriptor_key_(DescriptorKey(descriptor_)) {}
-
-StatusOr<ContextualPreference> ContextualPreference::Create(
-    CompositeDescriptor descriptor, AttributeClause clause, double score) {
+/// The score check `Create` and `Rescored` share.
+Status CheckScore(double score) {
   if (!(score >= 0.0 && score <= 1.0)) {
     return Status::InvalidArgument("interest score must be in [0, 1], got " +
                                    std::to_string(score));
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<ContextualPreference> ContextualPreference::Create(
+    CompositeDescriptor descriptor, AttributeClause clause, double score) {
+  CTXPREF_RETURN_IF_ERROR(CheckScore(score));
   if (clause.attribute.empty()) {
     return Status::InvalidArgument("attribute clause has no attribute name");
   }
-  return ContextualPreference(std::move(descriptor), std::move(clause), score);
+  std::string key = DescriptorKey(descriptor);
+  return ContextualPreference(
+      std::make_shared<const Body>(Body{std::move(descriptor),
+                                        std::move(clause), std::move(key)}),
+      score);
+}
+
+StatusOr<ContextualPreference> ContextualPreference::Rescored(
+    double score) const {
+  CTXPREF_RETURN_IF_ERROR(CheckScore(score));
+  return ContextualPreference(body_, score);
 }
 
 std::string ContextualPreference::ToString(
     const ContextEnvironment& env) const {
-  return "(" + descriptor_.ToString(env) + "), (" + clause_.ToString() +
+  return "(" + descriptor().ToString(env) + "), (" + clause().ToString() +
          "), " + std::to_string(score_);
 }
 

@@ -1,6 +1,7 @@
 #ifndef CTXPREF_PREFERENCE_PREFERENCE_H_
 #define CTXPREF_PREFERENCE_PREFERENCE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,12 @@ struct AttributeClause {
 /// A contextual preference (paper Def. 5): in every context state
 /// denoted by `descriptor`, tuples satisfying `clause` carry
 /// `interest score` ∈ [0, 1] (1 = extreme interest, 0 = none).
+///
+/// The descriptor and clause live in an immutable body that copies
+/// share; only the score is held inline. Copying a preference (and so
+/// a `Profile`) costs one reference-count increment, and `Rescored`
+/// reuses the body. A body may be freed on whichever thread drops its
+/// last copy.
 class ContextualPreference {
  public:
   /// Validates the score range. The descriptor is assumed to have been
@@ -39,13 +46,17 @@ class ContextualPreference {
                                                AttributeClause clause,
                                                double score);
 
-  const CompositeDescriptor& descriptor() const { return descriptor_; }
-  const AttributeClause& clause() const { return clause_; }
+  /// This preference with `score` in place of its own, sharing its
+  /// descriptor and clause; the score is validated as by `Create`.
+  StatusOr<ContextualPreference> Rescored(double score) const;
+
+  const CompositeDescriptor& descriptor() const { return body_->descriptor; }
+  const AttributeClause& clause() const { return body_->clause; }
   double score() const { return score_; }
 
   /// The context states Context(cod) this preference applies to.
   std::vector<ContextState> States(const ContextEnvironment& env) const {
-    return descriptor_.EnumerateStates(env);
+    return descriptor().EnumerateStates(env);
   }
 
   /// "(location = Plaka and temperature = warm), (name = Acropolis), 0.8".
@@ -56,19 +67,25 @@ class ContextualPreference {
     // Descriptor equality by denoted semantics is expensive; preference
     // identity is (clause, score) + descriptor parts textual identity,
     // which is what profile deduplication needs. See Profile::Insert.
-    return a.score_ == b.score_ && a.clause_ == b.clause_ &&
-           a.descriptor_key_ == b.descriptor_key_;
+    if (a.score_ != b.score_) return false;
+    if (a.body_ == b.body_) return true;
+    return a.body_->clause == b.body_->clause &&
+           a.body_->descriptor_key == b.body_->descriptor_key;
   }
 
  private:
-  ContextualPreference(CompositeDescriptor descriptor, AttributeClause clause,
-                       double score);
+  struct Body {
+    CompositeDescriptor descriptor;
+    AttributeClause clause;
+    /// Canonical structural key of the descriptor for cheap equality.
+    std::string descriptor_key;
+  };
 
-  CompositeDescriptor descriptor_;
-  AttributeClause clause_;
+  ContextualPreference(std::shared_ptr<const Body> body, double score)
+      : body_(std::move(body)), score_(score) {}
+
+  std::shared_ptr<const Body> body_;
   double score_;
-  /// Canonical structural key of the descriptor for cheap equality.
-  std::string descriptor_key_;
 };
 
 /// Paper Def. 6: two preferences conflict iff their contexts intersect,

@@ -84,8 +84,8 @@ Status Profile::UpdateScore(size_t index, double new_score) {
     return Status::OutOfRange("preference index " + std::to_string(index) +
                               " out of range");
   }
-  StatusOr<ContextualPreference> rescored = ContextualPreference::Create(
-      prefs_[index].descriptor(), prefs_[index].clause(), new_score);
+  StatusOr<ContextualPreference> rescored =
+      prefs_[index].Rescored(new_score);
   if (!rescored.ok()) return rescored.status();
 
   // Checked against every other preference, in the order the reinsert

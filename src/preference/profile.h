@@ -21,6 +21,9 @@ namespace ctxpref {
 /// `ConflictsWith`: descriptors are compared part by part, and states
 /// are enumerated only to name one in a Conflict message. The profile
 /// is a plain preference vector plus a version; it keeps no index.
+/// Copies share each preference's immutable body (`ContextualPreference`),
+/// so copying a profile copies one handle and one score per preference,
+/// and `UpdateScore` keeps the rescored preference's body.
 ///
 /// Mutations bump `version()`. The indexes serving reads are rebuilt
 /// from the profile at publish (`ProfileSnapshot`), not kept in step
@@ -63,7 +66,9 @@ class Profile {
   /// profile tree indexes. Order: preference order, then state order.
   struct FlatEntry {
     ContextState state;
-    const AttributeClause* clause;  ///< Points into this profile.
+    /// Points into the body of the preference at `pref_index`, which
+    /// copies of it share; valid while any of them lives.
+    const AttributeClause* clause;
     double score;
     size_t pref_index;
   };

@@ -77,7 +77,7 @@ class Reader {
   }
 
   StatusOr<uint8_t> U8() {
-    uint8_t v;
+    uint8_t v = 0;
     CTXPREF_RETURN_IF_ERROR(Read(&v, 1));
     return v;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "context/descriptor.h"
@@ -34,6 +35,24 @@ TEST_F(PreferenceTest, CreateValidatesScore) {
                   .IsInvalidArgument());
   EXPECT_OK(ContextualPreference::Create(*cod, clause, 0.0).status());
   EXPECT_OK(ContextualPreference::Create(*cod, clause, 1.0).status());
+}
+
+TEST_F(PreferenceTest, RescoredValidatesScore) {
+  const ContextualPreference p =
+      Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8);
+  EXPECT_TRUE(p.Rescored(1.5).status().IsInvalidArgument());
+  EXPECT_TRUE(p.Rescored(-0.1).status().IsInvalidArgument());
+  EXPECT_TRUE(p.Rescored(std::numeric_limits<double>::quiet_NaN())
+                  .status()
+                  .IsInvalidArgument());
+  StatusOr<ContextualPreference> r = p.Rescored(0.3);
+  ASSERT_OK(r.status());
+  EXPECT_EQ(r->score(), 0.3);
+  EXPECT_EQ(p.score(), 0.8);
+  EXPECT_EQ(&r->descriptor(), &p.descriptor());
+  EXPECT_EQ(&r->clause(), &p.clause());
+  EXPECT_FALSE(*r == p);
+  EXPECT_TRUE(*r == Pref(*env_, "location = Plaka", "name", "Acropolis", 0.3));
 }
 
 TEST_F(PreferenceTest, CreateRejectsEmptyAttribute) {

@@ -101,6 +101,46 @@ TEST_F(ProfileStoreTest, SnapshotsAreImmutableAndVersioned) {
   EXPECT_EQ((*s2)->tree().PathCount(), 1u);
 }
 
+TEST_F(ProfileStoreTest, RescorePublishSharesUntouchedBodies) {
+  ProfileStore store(env_);
+  ASSERT_OK(store.CreateUser("alice"));
+  ASSERT_OK(InsertPref(store, "alice",
+                       Pref(*env_, "location = Plaka", "name", "X", 0.5)));
+  ASSERT_OK(InsertPref(store, "alice",
+                       Pref(*env_, "location = Athens", "name", "Y", 0.6)));
+  StatusOr<SnapshotPtr> pinned = store.GetSnapshot("alice");
+  ASSERT_OK(pinned.status());
+
+  ASSERT_OK(store.UpdateUser(
+      "alice", [](Profile& p) { return p.UpdateScore(0, 0.9); }));
+  StatusOr<SnapshotPtr> fresh = store.GetSnapshot("alice");
+  ASSERT_OK(fresh.status());
+  const Profile& before = (*pinned)->profile();
+  const Profile& after = (*fresh)->profile();
+  EXPECT_EQ(before.preference(0).score(), 0.5);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after.preference(1).score(), 0.9);
+  EXPECT_EQ(&after.preference(0).descriptor(),
+            &before.preference(1).descriptor());
+  EXPECT_EQ(&after.preference(0).clause(), &before.preference(1).clause());
+
+  // The last pin of the first snapshot is dropped on a reader thread
+  // while the writer copies the bodies it shares: the thread
+  // sanitizer build checks that this hand-off is race-free.
+  std::thread reader([snap = std::move(*pinned)]() mutable { snap.reset(); });
+  Status rescored = store.UpdateUser(
+      "alice", [](Profile& p) { return p.UpdateScore(0, 0.1); });
+  reader.join();
+  ASSERT_OK(rescored);
+  StatusOr<SnapshotPtr> last = store.GetSnapshot("alice");
+  ASSERT_OK(last.status());
+  EXPECT_EQ((*last)->profile().preference(1).score(), 0.1);
+  EXPECT_EQ((*last)->profile().preference(0).score(), 0.9);
+  // `fresh` still reads its own scores.
+  EXPECT_EQ(after.preference(0).score(), 0.6);
+  EXPECT_EQ(after.preference(1).score(), 0.9);
+}
+
 TEST_F(ProfileStoreTest, ServingVersionsAreUniqueAcrossUsers) {
   ProfileStore store(env_);
   ASSERT_OK(store.CreateUser("alice"));

@@ -127,6 +127,38 @@ TEST_F(ProfileTest, UpdateScoreConflictRollsBack) {
   EXPECT_DOUBLE_EQ(q.preference(0).score(), 0.9);  // Rolled back.
 }
 
+TEST_F(ProfileTest, CopySharesBodiesAndRescoreLeavesOriginal) {
+  Profile p(env_);
+  ASSERT_OK(p.Insert(Pref(*env_, "location = Plaka", "name", "Acropolis", 0.8)));
+  ASSERT_OK(p.Insert(Pref(*env_, "temperature = warm", "type", "park", 0.9)));
+  ASSERT_OK(p.Insert(
+      Pref(*env_, "temperature in {warm, hot}", "type", "park", 0.9)));
+  const std::string text = p.ToText();
+  const uint64_t version = p.version();
+
+  Profile copy = p;
+  for (size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(&copy.preference(i).descriptor(), &p.preference(i).descriptor());
+    EXPECT_EQ(&copy.preference(i).clause(), &p.preference(i).clause());
+  }
+
+  // The rescored preference moves to the back and keeps its body.
+  ASSERT_OK(copy.UpdateScore(0, 0.4));
+  EXPECT_EQ(&copy.preference(2).descriptor(), &p.preference(0).descriptor());
+  EXPECT_EQ(&copy.preference(2).clause(), &p.preference(0).clause());
+  EXPECT_EQ(copy.preference(2).score(), 0.4);
+  EXPECT_EQ(copy.version(), version + 2);
+  EXPECT_EQ(p.ToText(), text);
+  EXPECT_EQ(p.version(), version);
+
+  // Rescoring the warm park preference collides with the {warm, hot}
+  // one at (all, warm, all); the copy keeps its text.
+  const std::string copy_text = copy.ToText();
+  EXPECT_TRUE(copy.UpdateScore(0, 0.5).IsConflict());
+  EXPECT_EQ(copy.ToText(), copy_text);
+  EXPECT_EQ(p.ToText(), text);
+}
+
 TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
   // A rescore moves the preference to the back in place. Its
   // definition is erase + reinsert of the rescored preference, keeping the old

@@ -122,12 +122,32 @@ int AblateQueryCache() {
   // Both configurations resolve through the arena-flattened tree (the
   // cached path's only resolver), so the rows differ by the cache alone.
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
+  if (!tree.ok()) return Fail(tree.status());
   const FlatProfileTree flat = FlatProfileTree::Build(*tree);
   FlatResolver resolver(&flat);
 
-  // A repeating workload: 200 queries over 20 distinct context states.
-  std::vector<ContextState> states =
-      workload::RandomQueryBatch(*poi->env, 20, 99, 0.2);
+  // A repeating workload: 200 queries over 20 distinct context states,
+  // each state's query built once, outside the timed loops.
+  std::vector<ContextualQuery> queries;
+  for (const ContextState& s :
+       workload::RandomQueryBatch(*poi->env, 20, 99, 0.2)) {
+    std::vector<ParameterDescriptor> parts;
+    for (size_t p = 0; p < poi->env->size(); ++p) {
+      if (s.value(p) == poi->env->parameter(p).hierarchy().AllValue()) {
+        continue;
+      }
+      StatusOr<ParameterDescriptor> part =
+          ParameterDescriptor::Equals(*poi->env, p, s.value(p));
+      if (!part.ok()) return Fail(part.status());
+      parts.push_back(std::move(*part));
+    }
+    StatusOr<CompositeDescriptor> cod =
+        CompositeDescriptor::Create(*poi->env, std::move(parts));
+    if (!cod.ok()) return Fail(cod.status());
+    ContextualQuery q;
+    q.context = ExtendedDescriptor::FromComposite(std::move(*cod));
+    queries.push_back(std::move(q));
+  }
   QueryOptions options;
   options.top_k = 20;
 
@@ -138,20 +158,9 @@ int AblateQueryCache() {
     AccessCounter counter;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < 200; ++i) {
-      const ContextState& s = states[i % states.size()];
-      std::vector<ParameterDescriptor> parts;
-      for (size_t p = 0; p < poi->env->size(); ++p) {
-        if (s.value(p) == poi->env->parameter(p).hierarchy().AllValue()) {
-          continue;
-        }
-        parts.push_back(*ParameterDescriptor::Equals(*poi->env, p, s.value(p)));
-      }
-      ContextualQuery q;
-      q.context = ExtendedDescriptor::FromComposite(
-          *CompositeDescriptor::Create(*poi->env, std::move(parts)));
       StatusOr<QueryResult> r =
-          RankCS(poi->relation, q, resolver, options, &counter,
-                 cache != nullptr ? &state_cache : nullptr);
+          RankCS(poi->relation, queries[i % queries.size()], resolver,
+                 options, &counter, cache != nullptr ? &state_cache : nullptr);
       if (!r.ok() && query_error.ok()) query_error = r.status();
     }
     auto end = std::chrono::steady_clock::now();

@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the core operations: tree
 // construction, the sequential baseline's covering scan, distance
 // evaluation, Rank_CS end-to-end, query-cache hits, a cache hit vs
-// miss pair for one whole query, and an Eval-scan vs relation-index
-// pair for Rank_CS's selections. Exact lookup and Search_CS over both
-// tree backends are `bench_resolution`'s. Not a paper figure —
-// operational cost data for library users.
+// miss pair for one whole query, an Eval-scan vs relation-index pair
+// for Rank_CS's selections, and Rank_CS's clause merge. Exact lookup
+// and Search_CS over both tree backends are `bench_resolution`'s. Not a
+// paper figure — operational cost data for library users.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +21,7 @@
 #include "preference/query_cache.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
+#include "preference/threshold_merge.h"
 #include "workload/default_profiles.h"
 #include "workload/poi_dataset.h"
 #include "workload/profile_generator.h"
@@ -230,12 +231,17 @@ struct SelectRig {
       std::abort();
     }
     poi = std::make_unique<workload::PoiDatabase>(std::move(*db));
-    preds.push_back(*db::Predicate::Create(poi->relation.schema(), "type",
-                                           db::CompareOp::kEq,
-                                           db::Value("museum")));
-    preds.push_back(*db::Predicate::Create(poi->relation.schema(),
-                                           "open_air", db::CompareOp::kEq,
-                                           db::Value(true)));
+    for (const auto& [column, value] :
+         {std::pair{"type", db::Value("museum")},
+          std::pair{"open_air", db::Value(true)}}) {
+      StatusOr<db::Predicate> pred = db::Predicate::Create(
+          poi->relation.schema(), column, db::CompareOp::kEq, value);
+      if (!pred.ok()) {
+        std::fprintf(stderr, "%s\n", pred.status().ToString().c_str());
+        std::abort();
+      }
+      preds.push_back(std::move(*pred));
+    }
   }
 
   std::unique_ptr<workload::PoiDatabase> poi;
@@ -269,6 +275,40 @@ void BM_Select_Relation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Select_Relation)->Arg(2000)->Arg(20000);
+
+/// Rank_CS's merge over `SelectRig`'s POIs: `type = museum` at 0.9 and
+/// `open_air = true` twice at 0.5, through `ThresholdMerge` at top_k 10
+/// and at 0 (every row) per iteration. The merge stage's own figure;
+/// advisory, no gate.
+void BM_ClauseMerge(benchmark::State& state) {
+  SelectRig rig(static_cast<size_t>(state.range(0)));
+  const db::Relation& relation = rig.poi->relation;
+  const AttributeClause museum{"type", db::CompareOp::kEq,
+                               db::Value("museum")};
+  const AttributeClause open_air{"open_air", db::CompareOp::kEq,
+                                 db::Value(true)};
+  std::vector<ScoredSource> sources;
+  for (const auto& [clause, score] :
+       {std::pair{&museum, 0.9}, std::pair{&open_air, 0.5},
+        std::pair{&open_air, 0.5}}) {
+    StatusOr<ScoredSource> source =
+        ScoredSource::Clause(relation, *clause, score);
+    if (!source.ok()) {
+      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
+      std::abort();
+    }
+    sources.push_back(*source);
+  }
+  for (auto _ : state) {
+    for (size_t top_k : {size_t{10}, size_t{0}}) {
+      std::vector<db::ScoredTuple> out =
+          ThresholdMerge(relation, sources, {}, top_k);
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClauseMerge)->Arg(2000)->Arg(20000);
 
 void BM_ContextSnapshot(benchmark::State& state) {
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(50, 17);

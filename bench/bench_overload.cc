@@ -333,8 +333,12 @@ double ProbeCapacity(World& w, const Flags& flags) {
 /// The capacity the load sweep multiplies: the median of five probes,
 /// each printed. Single probes on a shared 4-core host have read
 /// anywhere from 13k to 37k requests/s, and one low reading turns every
-/// "2x" phase into a 1x one.
+/// "2x" phase into a 1x one. A warm-up probe runs first (cold caches,
+/// first allocations, threads not yet spread over the cores); it is
+/// printed but not counted.
 double MeasureCapacity(World& w, const Flags& flags) {
+  std::printf("warm-up probe: %.0f requests/s (not counted)\n",
+              ProbeCapacity(w, flags));
   std::vector<double> probes;
   for (int i = 0; i < 5; ++i) probes.push_back(ProbeCapacity(w, flags));
   std::printf("capacity probes:");

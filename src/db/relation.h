@@ -24,7 +24,8 @@ namespace ctxpref::db {
 /// row ids holding that value, in row order; a code's first row alone
 /// until it has a second, so a unique column allocates no lists). There
 /// is one selection path, `ForEachMatch`: `A = a` walks the posting of
-/// a's code; the other operators evaluate θ once per distinct value and
+/// a's code (`EqualRows` hands that posting out whole, for callers that
+/// read it in bulk); the other operators evaluate θ once per distinct value and
 /// scan the row codes through that truth table. Results equal a
 /// `Predicate::Eval` loop over the rows, in the same order.
 ///
@@ -62,6 +63,12 @@ class Relation {
   /// σ_pred(R): ids of all rows satisfying `pred`, in row order.
   std::vector<RowId> Select(const Predicate& pred) const;
 
+  /// σ_{column = constant}(R) in place: the posting list of
+  /// `constant`'s class, ascending row ids (empty when no row equals
+  /// it). `constant` must have the column's type. The span is valid
+  /// until the next `Append`.
+  std::span<const RowId> EqualRows(size_t column, const Value& constant) const;
+
  private:
   /// The selection structures of one column.
   struct ColumnIndex {
@@ -87,8 +94,6 @@ class Relation {
   size_t FindSlot(size_t column, const Value& value) const;
   /// Doubles the slot table of `column` and re-inserts every code.
   void GrowSlots(size_t column);
-  /// The rows whose value equals `constant`, in row order.
-  std::span<const RowId> EqualRows(size_t column, const Value& constant) const;
   /// Per code of `column`: whether its value satisfies `θ constant`.
   std::vector<uint8_t> TruthTable(size_t column, CompareOp op,
                                   const Value& constant) const;

@@ -19,8 +19,9 @@ RankMetrics& RankMetrics::Get() {
       reg.GetCounter("ctxpref_rank_cs_states_total",
                      "Query context states evaluated across Rank_CS runs"),
       reg.GetCounter("ctxpref_rank_cs_tuples_scored_total",
-                     "Source rows read by the Rank_CS merge (ranker additions "
-                     "under min/avg)"),
+                     "Source rows read by the Rank_CS merge, not counting "
+                     "sources skipped as repeats of an identical clause "
+                     "(ranker additions under min/avg)"),
       reg.GetCounter("ctxpref_rank_cs_deadline_exceeded_total",
                      "Rank_CS evaluations aborted at a cancellation point"),
       reg.GetCounter("ctxpref_rank_cs_states_abandoned_total",

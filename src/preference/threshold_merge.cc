@@ -12,10 +12,16 @@ StatusOr<ScoredSource> ScoredSource::Clause(const db::Relation& relation,
       db::BindColumn(relation.schema(), clause.attribute, clause.value.type());
   if (!column.ok()) return column.status();
   ScoredSource source;
+  source.score_ = score;
+  if (clause.op == db::CompareOp::kEq) {
+    source.kind_ = Kind::kPosting;
+    source.rows_ = relation.EqualRows(*column, clause.value);
+    return source;
+  }
+  source.kind_ = Kind::kScan;
   source.column_ = *column;
   source.op_ = clause.op;
   source.constant_ = &clause.value;
-  source.score_ = score;
   return source;
 }
 
@@ -33,6 +39,8 @@ class SeenBits {
  public:
   explicit SeenBits(size_t rows) : words_((rows + 63) / 64, 0) {}
 
+  /// Whether no row is marked.
+  bool empty() const { return empty_; }
   /// The bits of the 64-row group holding `row`.
   uint64_t Word(db::RowId row) const {
     return row / 64 < words_.size() ? words_[row / 64] : 0;
@@ -41,43 +49,76 @@ class SeenBits {
   void Mark(db::RowId row) {
     if (row / 64 >= words_.size()) words_.resize(row / 64 + 1, 0);
     words_[row / 64] |= uint64_t{1} << (row % 64);
+    empty_ = false;
   }
 
  private:
   std::vector<uint64_t> words_;
+  bool empty_ = true;
 };
 
-/// Appends the tuples of `run` (ascending rows, each once) that `seen`
-/// does not hold. A 64-row group whose seen word is empty is copied
+/// Appends `to_tuple(e)` for each element `e` of `run` (ascending rows,
+/// each once: a list run's tuples or a posting list's row ids) whose
+/// row `seen` does not hold. Nothing seen means one copy of the whole
+/// run; otherwise a 64-row group whose seen word is empty is copied
 /// whole, so a level that earlier levels barely touched costs a copy,
 /// not a test per row.
-void AppendUnseen(std::span<const db::ScoredTuple> run, const SeenBits& seen,
-                  std::vector<db::ScoredTuple>& out) {
+template <typename T, typename ToTuple>
+void AppendUnseen(std::span<const T> run, ToTuple to_tuple,
+                  const SeenBits& seen, std::vector<db::ScoredTuple>& out) {
   if (out.capacity() < out.size() + run.size()) {
     // Geometric growth: a merge may append many runs.
     out.reserve(std::max(out.size() + run.size(), 2 * out.capacity()));
   }
+  auto append_all = [&](std::span<const T> part) {
+    const size_t base = out.size();
+    out.resize(base + part.size());
+    for (size_t i = 0; i < part.size(); ++i) out[base + i] = to_tuple(part[i]);
+  };
+  if (seen.empty()) {
+    append_all(run);
+    return;
+  }
   while (!run.empty()) {
-    const db::RowId group = run.front().row_id / 64;
+    const db::RowId first = to_tuple(run.front()).row_id;
     // Rows are distinct, so at most 64 of them share a group.
-    std::span<const db::ScoredTuple> head =
-        run.first(std::min<size_t>(run.size(), 64));
+    std::span<const T> head = run.first(std::min<size_t>(run.size(), 64));
     head = head.first(static_cast<size_t>(
         std::partition_point(head.begin(), head.end(),
-                             [&](const db::ScoredTuple& t) {
-                               return t.row_id / 64 == group;
+                             [&](const T& e) {
+                               return to_tuple(e).row_id / 64 == first / 64;
                              }) -
         head.begin()));
-    const uint64_t word = seen.Word(run.front().row_id);
+    const uint64_t word = seen.Word(first);
     if (word == 0) {
-      out.insert(out.end(), head.begin(), head.end());
+      append_all(head);
     } else {
-      for (const db::ScoredTuple& t : head) {
+      for (const T& e : head) {
+        const db::ScoredTuple t = to_tuple(e);
         if (((word >> (t.row_id % 64)) & 1) == 0) out.push_back(t);
       }
     }
     run = run.subspan(head.size());
   }
+}
+
+/// Whether the merge may skip `sources[j]`: a kEq clause source whose
+/// posting list another source holds at a higher score, or at an equal
+/// score earlier in input order (see `ThresholdMerge`).
+bool Dominated(std::span<const ScoredSource> sources, size_t j) {
+  const ScoredSource& s = sources[j];
+  if (!s.is_posting()) return false;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const ScoredSource& o = sources[i];
+    if (i == j || !o.is_posting() || o.rows().data() != s.rows().data() ||
+        o.rows().size() != s.rows().size()) {
+      continue;
+    }
+    if (o.score() > s.score() || (o.score() == s.score() && i < j)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Where one source stands in the merge: a list's untaken tail, or
@@ -126,8 +167,10 @@ std::vector<db::ScoredTuple> ThresholdMerge(
     uint64_t* visited) {
   std::vector<Cursor> cursors;
   cursors.reserve(sources.size());
-  for (const ScoredSource& source : sources) {
-    cursors.push_back(Cursor{&source, source.list(), !source.is_list()});
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (Dominated(sources, i)) continue;
+    cursors.push_back(
+        Cursor{&sources[i], sources[i].list(), !sources[i].is_list()});
   }
   // Rows emitted at earlier levels. A level reads it but never writes
   // it: a level's rows are marked after it, when another level follows.
@@ -166,19 +209,30 @@ std::vector<db::ScoredTuple> ThresholdMerge(
     const size_t level_begin = out.size();
 
     if (sharing == 1) {
+      // One source: with no selections its run goes to `out` in bulk.
       Cursor& c = cursors[only];
-      std::span<const db::ScoredTuple> run = c.TakeRun(top);
-      if (!c.source->is_list()) {
-        c.source->ForEach(relation, [&](db::RowId row, double score) {
+      const ScoredSource& source = *c.source;
+      const std::span<const db::ScoredTuple> run = c.TakeRun(top);
+      if (source.is_list()) {
+        read += run.size();
+        if (selections.empty()) {
+          AppendUnseen(run, [](const db::ScoredTuple& t) { return t; }, seen,
+                       out);
+        } else {
+          for (const db::ScoredTuple& t : run) offer(t.row_id, t.score);
+        }
+      } else if (source.is_posting() && selections.empty()) {
+        read += source.rows().size();
+        const double score = source.score();
+        AppendUnseen(
+            source.rows(),
+            [score](db::RowId row) { return db::ScoredTuple{row, score}; },
+            seen, out);
+      } else {
+        source.ForEach(relation, [&](db::RowId row, double score) {
           ++read;
           offer(row, score);
         });
-      } else if (selections.empty()) {
-        read += run.size();
-        AppendUnseen(run, seen, out);
-      } else {
-        read += run.size();
-        for (const db::ScoredTuple& t : run) offer(t.row_id, t.score);
       }
     } else {
       // Several sources share the level: merge their runs by row id,

@@ -17,11 +17,16 @@ namespace ctxpref {
 /// their scores, in ranking order (score desc, row asc), each row at
 /// most once. Either
 ///   - a clause source: σ_clause(relation), every row at one constant
-///     score — one resolved leaf entry of a query state, or
+///     score — one resolved leaf entry of a query state. A kEq clause
+///     is bound to the relation's posting list of its constant when the
+///     source is made (`rows()`), a run of ascending row ids that a merge
+///     reads in bulk; other operators scan the relation's row codes
+///     through `ForEachMatch`'s truth table when read; or
 ///   - a list source: a cached per-state list, as `db::Ranker::Ranked`
 ///     produces it.
-/// A source borrows what it reads (the clause's constant, the list);
-/// both must outlive it.
+/// A source borrows what it reads (the clause's constant, the posting
+/// list, the list); they must outlive it, and the relation must not be
+/// appended to while it lives.
 class ScoredSource {
  public:
   /// Binds `clause` against `relation`'s schema now, so an unbindable
@@ -32,32 +37,47 @@ class ScoredSource {
                                        double score);
   static ScoredSource List(std::span<const db::ScoredTuple> tuples);
 
-  bool is_list() const { return constant_ == nullptr; }
+  bool is_list() const { return kind_ == Kind::kList; }
+  /// Whether this is a kEq clause source, whose rows are `rows()`.
+  bool is_posting() const { return kind_ == Kind::kPosting; }
   /// A clause source's constant score.
   double score() const { return score_; }
   /// A list source's tuples.
   std::span<const db::ScoredTuple> list() const { return list_; }
+  /// A kEq clause source's rows: the posting list of its constant.
+  std::span<const db::RowId> rows() const { return rows_; }
 
   /// Calls `visit(row, score)` for every row of the source, in order.
   template <typename Visit>
   void ForEach(const db::Relation& relation, Visit&& visit) const {
-    if (is_list()) {
-      for (const db::ScoredTuple& t : list_) visit(t.row_id, t.score);
-      return;
+    switch (kind_) {
+      case Kind::kList:
+        for (const db::ScoredTuple& t : list_) visit(t.row_id, t.score);
+        return;
+      case Kind::kPosting:
+        for (db::RowId row : rows_) visit(row, score_);
+        return;
+      case Kind::kScan:
+        relation.ForEachMatch(column_, op_, *constant_,
+                              [&](db::RowId row) { visit(row, score_); });
+        return;
     }
-    relation.ForEachMatch(column_, op_, *constant_,
-                          [&](db::RowId row) { visit(row, score_); });
   }
 
  private:
+  enum class Kind : uint8_t { kList, kPosting, kScan };
+
   ScoredSource() = default;
 
-  // Clause source: `constant_` non-null.
+  Kind kind_ = Kind::kList;
+  double score_ = 0.0;  // Clause sources.
+  // kPosting.
+  std::span<const db::RowId> rows_;
+  // kScan.
   size_t column_ = 0;
   db::CompareOp op_ = db::CompareOp::kEq;
   const db::Value* constant_ = nullptr;
-  double score_ = 0.0;
-  // List source.
+  // kList.
   std::span<const db::ScoredTuple> list_;
 };
 
@@ -76,8 +96,19 @@ class ScoredSource {
 /// row). The result equals `db::Ranker(kMax)` over every source row
 /// followed by `TopK(top_k)` / `Ranked()`.
 ///
+/// Two shortcuts keep that result:
+///   - A kEq clause source is skipped when another one holds the same
+///     posting list at a higher score, or at an equal score earlier in
+///     input order: under max it adds nothing, since the other source's
+///     level comes no later and leaves each of its rows final or
+///     rejected by a selection the row fails again.
+///   - A level held by one source with no selections — a list run or a
+///     posting list — is appended in bulk: whole when nothing is seen
+///     yet, else 64 rows at a time past the seen words, testing rows
+///     one by one only in groups that hold a seen row.
+///
 /// `visited`, if set, is increased by the number of source rows the
-/// merge read before it stopped.
+/// merge read before it stopped (a skipped source is not read).
 std::vector<db::ScoredTuple> ThresholdMerge(
     const db::Relation& relation, std::span<const ScoredSource> sources,
     const std::vector<db::Predicate>& selections, size_t top_k,

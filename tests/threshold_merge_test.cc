@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -88,7 +89,10 @@ db::Relation RandomRelation(Rng& rng) {
        {"s", db::ColumnType::kString}});
   EXPECT_OK(schema.status());
   db::Relation relation(std::move(*schema));
-  const size_t rows = rng.Uniform(40);
+  // Now and then a few hundred rows, so the seen set spans several
+  // 64-row words and a bulk level meets words earlier levels marked.
+  const size_t rows =
+      rng.Bernoulli(0.25) ? 64 + rng.Uniform(320) : rng.Uniform(40);
   for (size_t r = 0; r < rows; ++r) {
     const double d = rng.Bernoulli(0.2)
                          ? (rng.Bernoulli(0.5) ? 0.0 : -0.0)
@@ -175,31 +179,51 @@ ContextualQuery RandomQuery(Rng& rng, const db::Relation& relation,
   return query;
 }
 
-/// The oracle: the traces' clauses as Eval scans into a Ranker.
+/// One constant-score clause input of a merge.
+struct ClauseInput {
+  AttributeClause clause;
+  double score;
+};
+
+/// The oracle: `inputs`' clauses as Eval scans into a Ranker, each
+/// eligible (row, score) added in input order.
+std::vector<db::ScoredTuple> OracleRank(
+    const db::Relation& relation, const std::vector<ClauseInput>& inputs,
+    const std::vector<db::Predicate>& selections, db::CombinePolicy combine,
+    size_t top_k) {
+  db::Ranker ranker(combine, relation.size());
+  for (const ClauseInput& input : inputs) {
+    StatusOr<db::Predicate> pred =
+        db::Predicate::Create(relation.schema(), input.clause.attribute,
+                              input.clause.op, input.clause.value);
+    EXPECT_OK(pred.status());
+    for (db::RowId row = 0; row < relation.size(); ++row) {
+      if (!pred->Eval(relation.row(row))) continue;
+      bool eligible = true;
+      for (const db::Predicate& sel : selections) {
+        eligible = eligible && sel.Eval(relation.row(row));
+      }
+      if (eligible) ranker.Add(row, input.score);
+    }
+  }
+  return top_k > 0 ? ranker.TopK(top_k) : ranker.Ranked();
+}
+
+/// The oracle over the traces' clauses.
 std::vector<db::ScoredTuple> OracleRank(const db::Relation& relation,
                                         const ContextualQuery& query,
                                         const QueryResult& traced,
                                         const QueryOptions& options) {
-  db::Ranker ranker(options.combine, relation.size());
+  std::vector<ClauseInput> inputs;
   for (const QueryResult::Trace& trace : traced.traces) {
     for (const CandidatePath& cand : *trace.candidates) {
       for (const ProfileTree::LeafEntry& entry : cand.entries) {
-        StatusOr<db::Predicate> pred = db::Predicate::Create(
-            relation.schema(), entry.clause.attribute, entry.clause.op,
-            entry.clause.value);
-        EXPECT_OK(pred.status());
-        for (db::RowId row = 0; row < relation.size(); ++row) {
-          if (!pred->Eval(relation.row(row))) continue;
-          bool eligible = true;
-          for (const db::Predicate& sel : query.selections) {
-            eligible = eligible && sel.Eval(relation.row(row));
-          }
-          if (eligible) ranker.Add(row, entry.score);
-        }
+        inputs.push_back({entry.clause, entry.score});
       }
     }
   }
-  return options.top_k > 0 ? ranker.TopK(options.top_k) : ranker.Ranked();
+  return OracleRank(relation, inputs, query.selections, options.combine,
+                    options.top_k);
 }
 
 /// (row, score bits): `ScoredTuple`'s == cannot tell 0.0 from -0.0.
@@ -380,6 +404,194 @@ TEST(ThresholdMergeFixedTest, StopsAfterTheTieRunOfTheKthScore) {
   EXPECT_EQ(ThresholdMerge(relation, sources, {}, 3, &visited), want);
   EXPECT_EQ(visited, 2u + 4u) << "the 0.1 level must not be read";
   EXPECT_EQ(ThresholdMerge(relation, sources, {}, 0).size(), 6u);
+}
+
+/// Columns n and m (int64); row r holds n_of(r) and m_of(r).
+template <typename N, typename M>
+db::Relation NumberedRelation(size_t rows, N n_of, M m_of) {
+  StatusOr<db::Schema> schema = db::Schema::Create(
+      {{"n", db::ColumnType::kInt64}, {"m", db::ColumnType::kInt64}});
+  EXPECT_OK(schema.status());
+  db::Relation relation(std::move(*schema));
+  for (size_t r = 0; r < rows; ++r) {
+    EXPECT_OK(relation.Append({db::Value(static_cast<int64_t>(n_of(r))),
+                               db::Value(static_cast<int64_t>(m_of(r)))}));
+  }
+  return relation;
+}
+
+AttributeClause IntClause(const char* column, db::CompareOp op, int64_t v) {
+  return AttributeClause{column, op, db::Value(v)};
+}
+
+db::Predicate IntSelection(const db::Relation& relation, const char* column,
+                           db::CompareOp op, int64_t v) {
+  StatusOr<db::Predicate> sel =
+      db::Predicate::Create(relation.schema(), column, op, db::Value(v));
+  EXPECT_OK(sel.status());
+  return *sel;
+}
+
+/// One source per input, in input order; `inputs` must outlive them.
+std::vector<ScoredSource> SourcesOf(const db::Relation& relation,
+                                    const std::vector<ClauseInput>& inputs) {
+  std::vector<ScoredSource> sources;
+  for (const ClauseInput& input : inputs) {
+    StatusOr<ScoredSource> s =
+        ScoredSource::Clause(relation, input.clause, input.score);
+    EXPECT_OK(s.status());
+    if (s.ok()) sources.push_back(*s);
+  }
+  return sources;
+}
+
+/// `ThresholdMerge` over `inputs`, checked bit for bit against the
+/// Ranker oracle; returns the rows it read.
+uint64_t MergeMatchesOracle(const db::Relation& relation,
+                            const std::vector<ClauseInput>& inputs,
+                            const std::vector<db::Predicate>& selections,
+                            size_t top_k) {
+  const std::vector<ScoredSource> sources = SourcesOf(relation, inputs);
+  uint64_t visited = 0;
+  const std::vector<db::ScoredTuple> got =
+      ThresholdMerge(relation, sources, selections, top_k, &visited);
+  EXPECT_EQ(Bits(got), Bits(OracleRank(relation, inputs, selections,
+                                       db::CombinePolicy::kMax, top_k)))
+      << "top_k " << top_k;
+  return visited;
+}
+
+/// Level 0.9 marks rows 0..49 (part of the first seen word); the bulk
+/// level n = 0 at 0.5 then tests rows one by one in that word and
+/// copies the three words above it whole; level n = 1 at 0.2 meets a
+/// marked word everywhere.
+TEST(ThresholdMergeFixedTest, BulkLevelAfterALevelThatMarkedRows) {
+  const db::Relation relation =
+      NumberedRelation(200, [](size_t r) { return r % 3; },
+                       [](size_t r) { return r / 50; });
+  const std::vector<ClauseInput> inputs = {
+      {IntClause("m", db::CompareOp::kEq, 0), 0.9},
+      {IntClause("n", db::CompareOp::kEq, 0), 0.5},
+      {IntClause("n", db::CompareOp::kEq, 1), 0.2}};
+  // Posting sizes: m = 0 holds 50 rows, n = 0 and n = 1 hold 67 each.
+  EXPECT_EQ(MergeMatchesOracle(relation, inputs, {}, 0), 50u + 67u + 67u);
+  EXPECT_EQ(MergeMatchesOracle(relation, inputs, {}, 1), 50u);
+  EXPECT_EQ(MergeMatchesOracle(relation, inputs, {}, 60), 50u + 67u);
+
+  const std::vector<ScoredSource> sources = SourcesOf(relation, inputs);
+  const std::vector<db::ScoredTuple> got =
+      ThresholdMerge(relation, sources, {}, 60);
+  // Rows 0..49 at 0.9, then the 50 rows r % 3 == 0 from 51 to 198.
+  ASSERT_EQ(got.size(), 100u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    const db::RowId want = i < 50 ? i : 51 + 3 * (i - 50);
+    EXPECT_EQ(got[i], (db::ScoredTuple{want, i < 50 ? 0.9 : 0.5}));
+  }
+}
+
+/// One kEq clause twice at 0.0 and -0.0: the second is skipped and the
+/// first source's bits are kept, alone on its level or merged with a
+/// third source sharing it.
+TEST(ThresholdMergeFixedTest, RepeatedClauseAtSignedZeroKeepsTheFirstBits) {
+  const db::Relation relation =
+      NumberedRelation(12, [](size_t r) { return r % 3; },
+                       [](size_t r) { return r % 4; });
+  const AttributeClause n1 = IntClause("n", db::CompareOp::kEq, 1);
+  const AttributeClause n2 = IntClause("n", db::CompareOp::kEq, 2);
+  for (double first : {0.0, -0.0}) {
+    const double second = -first;
+    for (size_t top_k : {size_t{0}, size_t{1}}) {
+      EXPECT_EQ(MergeMatchesOracle(relation, {{n1, first}, {n1, second}}, {},
+                                   top_k),
+                4u);
+      EXPECT_EQ(MergeMatchesOracle(relation,
+                                   {{n1, first}, {n2, second}, {n1, second}},
+                                   {}, top_k),
+                8u);
+    }
+    const std::vector<ClauseInput> inputs = {{n1, first}, {n1, second}};
+    const std::vector<ScoredSource> sources = SourcesOf(relation, inputs);
+    for (const db::ScoredTuple& t : ThresholdMerge(relation, sources, {}, 0)) {
+      EXPECT_EQ(std::signbit(t.score), std::signbit(first)) << t.row_id;
+    }
+  }
+}
+
+/// One kEq clause at 0.8 and at 0.3 (either order), n = 2 at 0.6 between
+/// them: the 0.3 copy is never read, with or without a selection that
+/// rejects some or all of the clause's rows.
+TEST(ThresholdMergeFixedTest, SameClauseAtAHigherAndALowerScore) {
+  // n = 1 holds rows 1, 4, 7, 10; n = 2 holds 2, 5, 8, 11.
+  const db::Relation relation =
+      NumberedRelation(12, [](size_t r) { return r % 3; },
+                       [](size_t r) { return r % 4; });
+  const AttributeClause n1 = IntClause("n", db::CompareOp::kEq, 1);
+  const AttributeClause n2 = IntClause("n", db::CompareOp::kEq, 2);
+  const std::vector<std::vector<ClauseInput>> orders = {
+      {{n1, 0.3}, {n2, 0.6}, {n1, 0.8}}, {{n1, 0.8}, {n2, 0.6}, {n1, 0.3}}};
+  for (const std::vector<ClauseInput>& inputs : orders) {
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, {}, 0), 8u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, {}, 1), 4u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, {}, 5), 8u);
+    // m != 1 rejects rows 1 and 5: each level keeps three rows.
+    const std::vector<db::Predicate> some = {
+        IntSelection(relation, "m", db::CompareOp::kNe, 1)};
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, some, 0), 8u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, some, 1), 4u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, some, 5), 8u);
+    // n != 1 rejects the whole 0.8 level, so top_k 1 reads on to 0.6.
+    const std::vector<db::Predicate> all = {
+        IntSelection(relation, "n", db::CompareOp::kNe, 1)};
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, all, 0), 8u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, all, 1), 8u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, all, 5), 8u);
+  }
+}
+
+/// A truth-table clause and two posting lists share level 0.5, after a
+/// level that marked rows 0..49.
+TEST(ThresholdMergeFixedTest, NonEqAndEqClausesShareALevel) {
+  const db::Relation relation =
+      NumberedRelation(200, [](size_t r) { return r % 3; },
+                       [](size_t r) { return r / 50; });
+  const std::vector<ClauseInput> inputs = {
+      {IntClause("m", db::CompareOp::kEq, 0), 0.9},
+      {IntClause("n", db::CompareOp::kGe, 1), 0.5},
+      {IntClause("n", db::CompareOp::kEq, 0), 0.5},
+      {IntClause("m", db::CompareOp::kEq, 3), 0.5}};
+  // Rows read: 50 + 133 (n >= 1) + 67 (n = 0) + 50 (m = 3).
+  for (const std::vector<db::Predicate>& selections :
+       {std::vector<db::Predicate>{},
+        std::vector<db::Predicate>{
+            IntSelection(relation, "m", db::CompareOp::kNe, 2)}}) {
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, selections, 0), 300u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, selections, 1), 50u);
+    EXPECT_EQ(MergeMatchesOracle(relation, inputs, selections, 120), 300u);
+  }
+}
+
+/// The identical-clause skip is max-only: kAvg and kMin still combine
+/// both copies, and read both.
+TEST(ThresholdMergeFixedTest, DuplicatedClauseStillCountsUnderAvgAndMin) {
+  const db::Relation relation =
+      NumberedRelation(12, [](size_t r) { return r % 3; },
+                       [](size_t r) { return r % 4; });
+  const AttributeClause n1 = IntClause("n", db::CompareOp::kEq, 1);
+  const std::vector<ClauseInput> inputs = {{n1, 0.8}, {n1, 0.2}};
+  const std::vector<ScoredSource> sources = SourcesOf(relation, inputs);
+  for (const auto& [combine, score, reads] :
+       {std::tuple{db::CombinePolicy::kAvg, 0.5, 8u},
+        std::tuple{db::CombinePolicy::kMin, 0.2, 8u},
+        std::tuple{db::CombinePolicy::kMax, 0.8, 4u}}) {
+    uint64_t scored = 0;
+    const std::vector<db::ScoredTuple> got =
+        RankSources(relation, sources, {}, combine, 0, &scored);
+    EXPECT_EQ(Bits(got), Bits(OracleRank(relation, inputs, {}, combine, 0)))
+        << db::CombinePolicyToString(combine);
+    ASSERT_EQ(got.size(), 4u);
+    for (const db::ScoredTuple& t : got) EXPECT_EQ(t.score, score);
+    EXPECT_EQ(scored, reads) << db::CombinePolicyToString(combine);
+  }
 }
 
 }  // namespace

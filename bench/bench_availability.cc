@@ -51,25 +51,12 @@ size_t g_top_k = 10;
 uint64_t g_seed = 2026;
 size_t g_pois = 150;
 
-StatusOr<CompositeDescriptor> DescriptorForState(const ContextEnvironment& env,
-                                                 const ContextState& state) {
-  std::vector<ParameterDescriptor> parts;
-  for (size_t i = 0; i < env.size(); ++i) {
-    if (state.value(i) == env.parameter(i).hierarchy().AllValue()) continue;
-    StatusOr<ParameterDescriptor> pd =
-        ParameterDescriptor::Equals(env, i, state.value(i));
-    if (!pd.ok()) return pd.status();
-    parts.push_back(std::move(*pd));
-  }
-  return CompositeDescriptor::Create(env, std::move(parts));
-}
-
 /// Top-k row ids for `state`, empty set if nothing ranks.
 StatusOr<std::unordered_set<db::RowId>> TopK(const db::Relation& relation,
                                              const TreeResolver& resolver,
                                              const ContextEnvironment& env,
                                              const ContextState& state) {
-  StatusOr<CompositeDescriptor> cod = DescriptorForState(env, state);
+  StatusOr<CompositeDescriptor> cod = CompositeDescriptor::ForState(env, state);
   if (!cod.ok()) return cod.status();
   ContextualQuery cq;
   cq.context = ExtendedDescriptor::FromComposite(std::move(*cod));

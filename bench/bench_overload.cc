@@ -29,6 +29,11 @@
 //                                                  run": the bars below
 //                                                  would compare
 //                                                  unsaturated phases)
+//   shed goodput at 2x <= 1.3x the median probe   (exit 6, "slow
+//                                                  probe": the probes
+//                                                  underread capacity,
+//                                                  so "2x" was not
+//                                                  past it)
 //   shed goodput at 2x / shed at 1x   >= 80%      (exit 3)
 //   shed goodput at 2x > noshed at 2x             (exit 4)
 //
@@ -495,12 +500,20 @@ int Run(const Flags& flags) {
               "(bar: >= 1.8x and > 0 late%s)\n",
               offered_ratio, static_cast<unsigned long long>(noshed_2x_late),
               saturated ? "" : " FAILED: unsaturated run");
+  // A host slow through every probe makes the median underread
+  // capacity; shed then serves far more than "capacity" at "2x", which
+  // was never past saturation.
+  const double shed_2x_ratio = shed_2x / capacity;
+  const bool probe_ok = shed_2x_ratio <= 1.3;
+  std::printf("shed at 2x: served %.2fx the median probe (bar: <= 1.3x%s)\n",
+              shed_2x_ratio, probe_ok ? "" : " FAILED: slow probe");
   std::printf("shed goodput at 2x vs peak: %.1f%% (bar: >= 80%%%s)\n",
               100 * retain, retain >= 0.8 ? "" : " FAILED");
   std::printf("shed vs noshed at 2x: %.0f vs %.0f good/s (bar: shed >%s)\n",
               shed_2x, noshed_2x, shed_2x > noshed_2x ? "" : " FAILED");
   if (total_torn != 0) return 2;
   if (!saturated) return 5;
+  if (!probe_ok) return 6;
   if (retain < 0.8) return 3;
   if (shed_2x <= noshed_2x) return 4;
   return 0;

@@ -79,8 +79,9 @@ int main() {
   for (size_t n = 2; n <= 6; ++n) {
     workload::SyntheticProfileSpec spec;
     for (size_t i = 0; i < n; ++i) {
-      spec.params.push_back(
-          {"p" + std::to_string(i), 30, 2, 5, /*zipf_a=*/0.5});
+      std::string name = "p";  // Not `"p" + ...`: GCC 12 -Wrestrict.
+      name += std::to_string(i);
+      spec.params.push_back({std::move(name), 30, 2, 5, /*zipf_a=*/0.5});
     }
     spec.num_preferences = 2000;
     spec.clause_pool = 400;

@@ -227,8 +227,8 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
 
   echo "==== bench gate (overload goodput, shed vs noshed) ===="
   # The binary's own bars (torn == 0, a saturated noshed 2x phase,
-  # shed retains >= 80% of peak goodput at 2x, shed beats noshed) fail
-  # via its exit code; bars self-skip on one hardware thread but the
+  # shed at 2x serves <= 1.3x the probe median, shed retains >= 80% of
+  # peak goodput at 2x, shed beats noshed) fail via its exit code; bars self-skip on one hardware thread but the
   # torn check always applies.
   gate "bench_overload bars" ./build-bench/bench/bench_overload \
     --json_out=build-bench/bench_overload.json

@@ -241,7 +241,9 @@ std::string ExtendedDescriptor::ToString(const ContextEnvironment& env) const {
   std::string out;
   for (size_t i = 0; i < disjuncts_.size(); ++i) {
     if (i > 0) out += " or ";
-    out += "(" + disjuncts_[i].ToString(env) + ")";
+    out += '(';
+    out += disjuncts_[i].ToString(env);
+    out += ')';
   }
   return out;
 }

@@ -53,20 +53,6 @@ double GridScore(Rng& rng) {
   return 0.05 * static_cast<double>(1 + rng.Uniform(20));
 }
 
-StatusOr<CompositeDescriptor> DescriptorForState(const ContextEnvironment& env,
-                                                 const ContextState& state) {
-  std::vector<ParameterDescriptor> parts;
-  for (size_t i = 0; i < env.size(); ++i) {
-    if (state.value(i) == env.parameter(i).hierarchy().AllValue()) continue;
-    StatusOr<ParameterDescriptor> pd =
-        ParameterDescriptor::Equals(env, i, state.value(i));
-    if (!pd.ok()) return pd.status();
-    parts.push_back(std::move(*pd));
-  }
-  if (parts.empty()) return CompositeDescriptor();
-  return CompositeDescriptor::Create(env, std::move(parts));
-}
-
 /// Generates one user profile over the POI (Fig. 2) environment per the
 /// scenario's shape knobs: `profile_size` preferences whose context
 /// values are drawn uniform or zipf-skewed over each parameter's
@@ -110,7 +96,7 @@ StatusOr<Profile> BuildUserProfile(const EnvironmentPtr& env_ptr,
     }
     if (!contextual) continue;  // (all, ..., all): redraw.
     StatusOr<CompositeDescriptor> cod =
-        DescriptorForState(env, ContextState(std::move(values)));
+        CompositeDescriptor::ForState(env, ContextState(std::move(values)));
     if (!cod.ok()) return cod.status();
     const double score = GridScore(rng);
     StatusOr<ContextualPreference> pref =
@@ -454,7 +440,7 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     std::vector<CompositeDescriptor> disjuncts;
     disjuncts.reserve(acquired.size());
     for (const ContextState& s : acquired) {
-      StatusOr<CompositeDescriptor> cod = DescriptorForState(env, s);
+      StatusOr<CompositeDescriptor> cod = CompositeDescriptor::ForState(env, s);
       if (!cod.ok()) return cod.status();
       disjuncts.push_back(std::move(*cod));
     }
@@ -587,7 +573,8 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
       std::vector<CompositeDescriptor> truth_parts;
       truth_parts.reserve(truth_states.size());
       for (const ContextState& s : truth_states) {
-        StatusOr<CompositeDescriptor> cod = DescriptorForState(env, s);
+        StatusOr<CompositeDescriptor> cod =
+            CompositeDescriptor::ForState(env, s);
         if (!cod.ok()) return cod.status();
         truth_parts.push_back(std::move(*cod));
       }

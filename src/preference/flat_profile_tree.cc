@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <utility>
 
 namespace ctxpref {
@@ -222,8 +221,7 @@ FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
   }
 
   // GreedyOrdering over the same rows: a parameter's active domain is
-  // the set of distinct keys it takes; the stable sort puts smaller
-  // active domains higher in the tree, ties by parameter index.
+  // the set of distinct keys it takes.
   std::vector<uint64_t> active(n, 0);
   std::vector<uint8_t> seen;
   for (size_t p = 0; p < n; ++p) {
@@ -234,12 +232,7 @@ FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
       mark = 1;
     }
   }
-  std::vector<size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    return active[a] < active[b];
-  });
-  flat.order_ = *Ordering::FromPermutation(std::move(perm));
+  flat.order_ = GreedyOrdering(active);
   flat.InitLevels();
 
   // Level by level: each state sits at one node; its key there names a

@@ -59,14 +59,17 @@ std::vector<uint64_t> ActiveDomainSizes(const Profile& profile) {
   return out;
 }
 
-Ordering GreedyOrdering(const Profile& profile) {
-  std::vector<uint64_t> active = ActiveDomainSizes(profile);
-  std::vector<size_t> perm(active.size());
+Ordering GreedyOrdering(const std::vector<uint64_t>& active_sizes) {
+  std::vector<size_t> perm(active_sizes.size());
   std::iota(perm.begin(), perm.end(), 0);
   std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    return active[a] < active[b];
+    return active_sizes[a] < active_sizes[b];
   });
   return *Ordering::FromPermutation(std::move(perm));
+}
+
+Ordering GreedyOrdering(const Profile& profile) {
+  return GreedyOrdering(ActiveDomainSizes(profile));
 }
 
 StatusOr<std::vector<Ordering>> AllOrderings(size_t n) {

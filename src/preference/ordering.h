@@ -53,10 +53,16 @@ uint64_t MaxCellEstimate(const std::vector<uint64_t>& sizes_in_level_order);
 /// large domain but a small active domain).
 std::vector<uint64_t> ActiveDomainSizes(const Profile& profile);
 
-/// Ordering minimizing `MaxCellEstimate` over active domain sizes:
-/// parameters sorted by ascending active cardinality (the paper's
-/// guideline "place parameters with domains with higher cardinalities
-/// lower in the context tree"). Ties broken by parameter index.
+/// The paper's §3.3 greedy ordering over active domain sizes (indexed
+/// by parameter): parameters sorted by ascending active cardinality
+/// (the guideline "place parameters with domains with higher
+/// cardinalities lower in the context tree"), which minimizes
+/// `MaxCellEstimate`. Ties broken by parameter index. The one
+/// implementation of the rule: `ProfileTree::Build` and
+/// `FlatProfileTree::Build` both order by it.
+Ordering GreedyOrdering(const std::vector<uint64_t>& active_sizes);
+
+/// `GreedyOrdering(ActiveDomainSizes(profile))`.
 Ordering GreedyOrdering(const Profile& profile);
 
 /// Exhaustively evaluates all n! orderings against `MaxCellEstimate`

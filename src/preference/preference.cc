@@ -62,8 +62,15 @@ StatusOr<ContextualPreference> ContextualPreference::Rescored(
 
 std::string ContextualPreference::ToString(
     const ContextEnvironment& env) const {
-  return "(" + descriptor().ToString(env) + "), (" + clause().ToString() +
-         "), " + std::to_string(score_);
+  // Appended piece by piece: GCC 12's -Wrestrict misfires on
+  // `literal + std::string` at -O2.
+  std::string out = "(";
+  out += descriptor().ToString(env);
+  out += "), (";
+  out += clause().ToString();
+  out += "), ";
+  out += std::to_string(score_);
+  return out;
 }
 
 bool ConflictsWith(const ContextEnvironment& env,

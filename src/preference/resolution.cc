@@ -43,20 +43,6 @@ bool NearlyEqual(double a, double b) {
   return std::abs(a - b) <= kEps * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
-std::vector<CandidatePath> BestCandidates(
-    std::vector<CandidatePath> candidates) {
-  if (candidates.empty()) return candidates;
-  double best = candidates.front().distance;
-  for (const CandidatePath& c : candidates) {
-    if (c.distance < best) best = c.distance;
-  }
-  std::vector<CandidatePath> out;
-  for (CandidatePath& c : candidates) {
-    if (NearlyEqual(c.distance, best)) out.push_back(std::move(c));
-  }
-  return out;
-}
-
 void TreeResolver::Recurse(const ProfileTree::Node& node, size_t level,
                            const ContextState& query,
                            const ResolutionOptions& options,
@@ -134,23 +120,6 @@ std::vector<CandidatePath> TreeResolver::SearchCS(
   return out;
 }
 
-std::vector<CandidatePath> TieBreakByHierarchyDistance(
-    const ContextEnvironment& env, const ContextState& query,
-    std::vector<CandidatePath> candidates) {
-  if (candidates.size() <= 1) return candidates;
-  double best = HierarchyStateDistance(env, candidates.front().state, query);
-  std::vector<double> dist(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    dist[i] = HierarchyStateDistance(env, candidates[i].state, query);
-    best = std::min(best, dist[i]);
-  }
-  std::vector<CandidatePath> out;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (NearlyEqual(dist[i], best)) out.push_back(std::move(candidates[i]));
-  }
-  return out;
-}
-
 std::vector<CandidatePath> TreeResolver::ResolveBest(
     const ContextState& query, const ResolutionOptions& options,
     AccessCounter* counter) const {
@@ -159,13 +128,13 @@ std::vector<CandidatePath> TreeResolver::ResolveBest(
   ScopedLatency latency(&metrics.latency);
   std::vector<CandidatePath> all = SearchCS(query, options, counter);
   std::vector<CandidatePath> best;
-  {
-    TraceSpan select("resolve.best_candidates");
-    best = BestCandidates(std::move(all));
-  }
-  if (options.distance == DistanceKind::kJaccard) {
-    TraceSpan tie_break("resolve.tie_break");
-    best = TieBreakByHierarchyDistance(tree_->env(), query, std::move(best));
+  for (const size_t i : BestCandidateIndices(
+           all.size(), options.distance,
+           [&](size_t c) { return all[c].distance; },
+           [&](size_t c) {
+             return HierarchyStateDistance(tree_->env(), all[c].state, query);
+           })) {
+    best.push_back(std::move(all[i]));
   }
   metrics.resolutions.Increment();
   metrics.candidates.Increment(best.size());
@@ -214,39 +183,15 @@ std::vector<CandidatePath> FlatResolver::ResolveBest(
                     flats, paths);
   }
   const size_t n = tree_->num_levels();
-  // Minimum-distance selection on the compact candidates (same
-  // `NearlyEqual` tie semantics and order preservation as
-  // `BestCandidates`), then the Jaccard tie-break — all before
+  // Winners are picked on the compact candidates, before
   // materialization, so losing candidates never have their state or
   // entries copied out of the arena.
-  std::vector<size_t> winners;
-  {
-    TraceSpan select("resolve.best_candidates");
-    double best = 0.0;
-    for (size_t i = 0; i < flats.size(); ++i) {
-      if (i == 0 || flats[i].distance < best) best = flats[i].distance;
-    }
-    winners.reserve(flats.size());
-    for (size_t i = 0; i < flats.size(); ++i) {
-      if (NearlyEqual(flats[i].distance, best)) winners.push_back(i);
-    }
-  }
-  if (options.distance == DistanceKind::kJaccard && winners.size() > 1) {
-    TraceSpan tie_break("resolve.tie_break");
-    std::vector<double> dist(winners.size());
-    double best = 0.0;
-    for (size_t w = 0; w < winners.size(); ++w) {
-      dist[w] =
-          tree_->HierarchyDistanceOf(paths.data() + winners[w] * n, query);
-      if (w == 0 || dist[w] < best) best = dist[w];
-    }
-    std::vector<size_t> kept;
-    kept.reserve(winners.size());
-    for (size_t w = 0; w < winners.size(); ++w) {
-      if (NearlyEqual(dist[w], best)) kept.push_back(winners[w]);
-    }
-    winners = std::move(kept);
-  }
+  const std::vector<size_t> winners = BestCandidateIndices(
+      flats.size(), options.distance,
+      [&](size_t i) { return flats[i].distance; },
+      [&](size_t i) {
+        return tree_->HierarchyDistanceOf(paths.data() + i * n, query);
+      });
   std::vector<CandidatePath> out;
   out.reserve(winners.size());
   for (const size_t i : winners) {

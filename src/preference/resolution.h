@@ -9,6 +9,7 @@
 #include "preference/profile.h"
 #include "preference/profile_tree.h"
 #include "util/counters.h"
+#include "util/trace.h"
 
 namespace ctxpref {
 
@@ -39,24 +40,59 @@ struct CandidatePath {
 /// exact `==` would silently drop one of the tied candidates.
 bool NearlyEqual(double a, double b);
 
-/// Keeps only the minimum-distance candidates of `candidates` (several
-/// on ties — the paper leaves tie-breaking to the system or the user;
-/// `Rank_CS` consumes all tied candidates). Ties are detected with
-/// `NearlyEqual`, not exact `==`. Order is preserved.
-std::vector<CandidatePath> BestCandidates(std::vector<CandidatePath> candidates);
-
-/// Jaccard ties need a secondary key: in degenerate hierarchies an
-/// ancestor can have the *same* detailed extent as its child (see the
-/// Property-3 erratum in DESIGN.md), so two candidates along one
-/// covers-chain can tie at Jaccard distance 0 — and picking the upper
-/// one would violate Def. 12's minimality. The hierarchy distance is
-/// *strictly* covers-compatible (Property 2), so filtering Jaccard
-/// ties by minimum hierarchy distance always leaves formal matches.
-/// Applied automatically by the `ResolveBest` implementations when
-/// `options.distance == kJaccard`.
-std::vector<CandidatePath> TieBreakByHierarchyDistance(
-    const ContextEnvironment& env, const ContextState& query,
-    std::vector<CandidatePath> candidates);
+/// The winner rule of context resolution, the one implementation
+/// every resolver (`TreeResolver`, `FlatResolver`, `SequentialStore`)
+/// calls: of candidates `0..n-1`, keeps those at minimum
+/// `distance_of(i)` — several on ties; the paper leaves tie-breaking
+/// to the system or the user, and `Rank_CS` consumes all tied
+/// candidates. Ties are detected with `NearlyEqual`, not exact `==`.
+///
+/// Under `kJaccard` the tied winners are then kept only at minimum
+/// `hierarchy_distance_of(i)` (again by `NearlyEqual`): in degenerate
+/// hierarchies an ancestor can have the *same* detailed extent as its
+/// child (see the Property-3 erratum in DESIGN.md), so two candidates
+/// along one covers-chain can tie at Jaccard distance 0 — and picking
+/// the upper one would violate Def. 12's minimality. The hierarchy
+/// distance is *strictly* covers-compatible (Property 2), so this
+/// second stage always leaves formal matches. It runs only when more
+/// than one first-stage winner remains, and asks
+/// `hierarchy_distance_of` only for those.
+///
+/// Returns the winners' indices in ascending order. Opens
+/// `resolve.best_candidates`, and `resolve.tie_break` around the
+/// second stage.
+template <typename DistanceOf, typename HierarchyDistanceOf>
+std::vector<size_t> BestCandidateIndices(
+    size_t n, DistanceKind kind, DistanceOf distance_of,
+    HierarchyDistanceOf hierarchy_distance_of) {
+  std::vector<size_t> winners;
+  {
+    TraceSpan select("resolve.best_candidates");
+    double best = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d = distance_of(i);
+      if (i == 0 || d < best) best = d;
+    }
+    winners.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (NearlyEqual(distance_of(i), best)) winners.push_back(i);
+    }
+  }
+  if (kind != DistanceKind::kJaccard || winners.size() <= 1) return winners;
+  TraceSpan tie_break("resolve.tie_break");
+  std::vector<double> dist(winners.size());
+  double best = 0.0;
+  for (size_t w = 0; w < winners.size(); ++w) {
+    dist[w] = hierarchy_distance_of(winners[w]);
+    if (w == 0 || dist[w] < best) best = dist[w];
+  }
+  size_t kept = 0;
+  for (size_t w = 0; w < winners.size(); ++w) {
+    if (NearlyEqual(dist[w], best)) winners[kept++] = winners[w];
+  }
+  winners.resize(kept);
+  return winners;
+}
 
 /// Resolution over the profile tree: the paper's Search_CS
 /// (Algorithm 1). The resolver borrows the tree (no ownership); the
@@ -96,11 +132,11 @@ class TreeResolver {
 /// Resolution over the arena-flattened tree (`FlatProfileTree`) — a
 /// drop-in replacement for `TreeResolver` with identical semantics
 /// (same candidate order, same canonical env-order distances, same
-/// tie-breaking), used by the serving path. Unlike the pointer
-/// resolver it materializes full `CandidatePath`s (state + copied
-/// entries) only for the *winning* candidates of `ResolveBest`;
-/// `SearchCS` still materializes everything, for diagnostics and the
-/// differential tests.
+/// winner rule), used by the serving path. `ResolveBest` runs
+/// `BestCandidateIndices` on the compact (leaf, distance) candidates
+/// and materializes full `CandidatePath`s (state + copied entries) only
+/// for the winners; `SearchCS` still materializes everything, for
+/// diagnostics and the differential tests.
 class FlatResolver {
  public:
   explicit FlatResolver(const FlatProfileTree* tree) : tree_(tree) {}

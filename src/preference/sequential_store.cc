@@ -83,10 +83,15 @@ std::vector<CandidatePath> SequentialStore::ResolveBest(
   if (options.exact_only) {
     return SearchExact(query, counter);
   }
-  std::vector<CandidatePath> best =
-      BestCandidates(SearchCovering(query, options, counter));
-  if (options.distance == DistanceKind::kJaccard) {
-    best = TieBreakByHierarchyDistance(*env_, query, std::move(best));
+  std::vector<CandidatePath> all = SearchCovering(query, options, counter);
+  std::vector<CandidatePath> best;
+  for (const size_t i : BestCandidateIndices(
+           all.size(), options.distance,
+           [&](size_t c) { return all[c].distance; },
+           [&](size_t c) {
+             return HierarchyStateDistance(*env_, all[c].state, query);
+           })) {
+    best.push_back(std::move(all[i]));
   }
   return best;
 }

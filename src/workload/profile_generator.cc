@@ -72,9 +72,10 @@ StatusOr<SyntheticProfile> GenerateSyntheticProfile(
         CompositeDescriptor::Create(**env, std::move(parts));
     if (!cod.ok()) return cod.status();
 
-    AttributeClause clause{
-        "attr", db::CompareOp::kEq,
-        db::Value("v" + std::to_string(rng.Uniform(spec.clause_pool)))};
+    std::string value = "v";  // Not `"v" + ...`: GCC 12 -Wrestrict.
+    value += std::to_string(rng.Uniform(spec.clause_pool));
+    AttributeClause clause{"attr", db::CompareOp::kEq,
+                           db::Value(std::move(value))};
     // Scores quantized to a 0.05 grid, as a user-facing UI would offer.
     const double score = static_cast<double>(rng.Uniform(21)) * 0.05;
 

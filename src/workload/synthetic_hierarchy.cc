@@ -47,7 +47,9 @@ StatusOr<HierarchyPtr> MakeSyntheticHierarchy(const std::string& name,
       }
       groups.push_back(std::move(group));
     }
-    b.AddLevel("L" + std::to_string(l), std::move(groups));
+    std::string level_name = "L";  // Not `"L" + ...`: GCC 12 -Wrestrict.
+    level_name += std::to_string(l);
+    b.AddLevel(std::move(level_name), std::move(groups));
     below_size = this_size;
   }
   return b.Build();

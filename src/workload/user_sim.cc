@@ -131,21 +131,6 @@ double GroundTruth::Score(const ContextEnvironment& env,
 
 namespace {
 
-/// Builds a composite descriptor denoting exactly `state` (Equals per
-/// non-`all` component; `all` components omitted, per Def. 4).
-StatusOr<CompositeDescriptor> DescriptorForState(const ContextEnvironment& env,
-                                                 const ContextState& state) {
-  std::vector<ParameterDescriptor> parts;
-  for (size_t i = 0; i < env.size(); ++i) {
-    if (state.value(i) == env.parameter(i).hierarchy().AllValue()) continue;
-    StatusOr<ParameterDescriptor> pd =
-        ParameterDescriptor::Equals(env, i, state.value(i));
-    if (!pd.ok()) return pd.status();
-    parts.push_back(std::move(*pd));
-  }
-  return CompositeDescriptor::Create(env, std::move(parts));
-}
-
 /// Inserts a ground-truth-aligned preference; on conflict rescores the
 /// conflicting preference instead (modeling a user correcting the
 /// default profile). Returns true if the profile changed.
@@ -337,7 +322,7 @@ StatusOr<double> QueryPrecision(const GroundTruth& gt,
                                 const ContextState& query,
                                 const ContextState& truth, DistanceKind kind,
                                 size_t k) {
-  StatusOr<CompositeDescriptor> cod = DescriptorForState(env, query);
+  StatusOr<CompositeDescriptor> cod = CompositeDescriptor::ForState(env, query);
   if (!cod.ok()) return cod.status();
   ContextualQuery cq;
   cq.context = ExtendedDescriptor::FromComposite(std::move(*cod));

@@ -69,10 +69,12 @@ TEST(EdgeCaseTest, ManyParameterEnvironment) {
   // Six parameters: orderings beyond the paper's three-parameter world.
   std::vector<ContextParameter> params;
   for (int i = 0; i < 6; ++i) {
-    StatusOr<HierarchyPtr> h = workload::MakeSyntheticHierarchy(
-        "p" + std::to_string(i), 4 + 2 * i, 2, 3);
+    std::string name = "p";  // Not `"p" + ...`: GCC 12 -Wrestrict.
+    name += std::to_string(i);
+    StatusOr<HierarchyPtr> h =
+        workload::MakeSyntheticHierarchy(name, 4 + 2 * i, 2, 3);
     ASSERT_OK(h.status());
-    params.emplace_back("p" + std::to_string(i), *h);
+    params.emplace_back(std::move(name), *h);
   }
   StatusOr<EnvironmentPtr> env = ContextEnvironment::Create(std::move(params));
   ASSERT_OK(env.status());
@@ -88,10 +90,11 @@ TEST(EdgeCaseTest, ManyParameterEnvironment) {
     StatusOr<CompositeDescriptor> cod =
         CompositeDescriptor::Create(**env, std::move(parts));
     ASSERT_OK(cod.status());
+    std::string value = "v";
+    value += std::to_string(k);
     StatusOr<ContextualPreference> pref = ContextualPreference::Create(
         std::move(*cod),
-        AttributeClause{"a", db::CompareOp::kEq,
-                        db::Value("v" + std::to_string(k))},
+        AttributeClause{"a", db::CompareOp::kEq, db::Value(std::move(value))},
         0.5);
     ASSERT_OK(pref.status());
     ASSERT_OK(p.Insert(std::move(*pref)));

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "preference/flat_profile_tree.h"
 #include "preference/profile_tree.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
@@ -18,6 +19,7 @@
 namespace ctxpref {
 namespace {
 
+using ::ctxpref::testing::ExpectSameWinners;
 using ::ctxpref::testing::TinyEnv;
 
 /// Every extended state of the environment.
@@ -58,10 +60,12 @@ TEST_P(ExhaustiveSemanticsTest, EveryQueryStateResolvesPerDefinition) {
     StatusOr<CompositeDescriptor> cod =
         CompositeDescriptor::ForState(*env, s);
     ASSERT_OK(cod.status());
+    std::string value = "v";  // Not `"v" + ...`: GCC 12 -Wrestrict.
+    value += std::to_string(added);
     StatusOr<ContextualPreference> pref = ContextualPreference::Create(
         std::move(*cod),
         AttributeClause{"attr", db::CompareOp::kEq,
-                        db::Value("v" + std::to_string(added))},
+                        db::Value(std::move(value))},
         0.5);
     ASSERT_OK(pref.status());
     ASSERT_OK(profile.Insert(std::move(*pref)));
@@ -72,6 +76,8 @@ TEST_P(ExhaustiveSemanticsTest, EveryQueryStateResolvesPerDefinition) {
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   SequentialStore store = SequentialStore::Build(profile);
 
   for (const ContextState& query : world) {
@@ -97,18 +103,32 @@ TEST_P(ExhaustiveSemanticsTest, EveryQueryStateResolvesPerDefinition) {
                     1e-9);
       }
 
-      // (2) Every minimum-distance candidate is a formal Def.-12 match.
-      for (const CandidatePath& best : resolver.ResolveBest(query, options)) {
-        EXPECT_TRUE(std::find(matches.begin(), matches.end(), best.state) !=
-                    matches.end())
-            << "query " << query.ToString(*env) << " best "
-            << best.state.ToString(*env) << " under "
-            << DistanceKindToString(kind);
+      // (2) Every minimum-distance candidate of each resolver is a
+      // formal Def.-12 match, so the one winner rule is checked through
+      // all three of its callers.
+      const std::vector<CandidatePath> tree_best =
+          resolver.ResolveBest(query, options);
+      const std::vector<CandidatePath> flat_best =
+          flat_resolver.ResolveBest(query, options);
+      const std::vector<CandidatePath> scan_best =
+          store.ResolveBest(query, options);
+      for (const std::vector<CandidatePath>* best :
+           {&tree_best, &flat_best, &scan_best}) {
+        for (const CandidatePath& c : *best) {
+          EXPECT_TRUE(std::find(matches.begin(), matches.end(), c.state) !=
+                      matches.end())
+              << "query " << query.ToString(*env) << " best "
+              << c.state.ToString(*env) << " under "
+              << DistanceKindToString(kind);
+        }
       }
 
-      // (3) Tree and sequential baseline agree on the best set size.
-      EXPECT_EQ(resolver.ResolveBest(query, options).size(),
-                store.ResolveBest(query, options).size());
+      // (3) The three resolvers agree on the winning states and their
+      // distances.
+      SCOPED_TRACE("query " + query.ToString(*env) + " under " +
+                   DistanceKindToString(kind));
+      ExpectSameWinners(*env, tree_best, flat_best);
+      ExpectSameWinners(*env, tree_best, scan_best);
     }
 
     // (4) Exact lookup agrees with membership of the exact state.

@@ -71,7 +71,7 @@ TEST_P(ParserFuzzTest, MutatedValidDescriptorsNeverCrash) {
           mutated.insert(pos, 1, static_cast<char>(32 + rng.Uniform(95)));
           break;
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     (void)ParseExtendedDescriptor(*env, mutated);
   }

@@ -238,12 +238,14 @@ TEST_P(TreeSequentialEquivalenceTest, SearchCSMatchesSequentialScan) {
           EXPECT_NEAR(dist, it->second, 1e-9) << state.ToString(env);
         }
 
-        // Best sets agree too.
+        // Best sets agree too: same winning states and distances.
         std::vector<CandidatePath> tree_best =
             resolver.ResolveBest(query, options);
         std::vector<CandidatePath> scan_best =
             store.ResolveBest(query, options);
-        ASSERT_EQ(tree_best.size(), scan_best.size());
+        SCOPED_TRACE("ordering " + order.ToString(env) + " query " +
+                     query.ToString(env));
+        testing::ExpectSameWinners(env, tree_best, scan_best);
 
         // And each best candidate is a formal match of Def. 12.
         std::vector<ContextState> matches =

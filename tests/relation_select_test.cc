@@ -149,8 +149,10 @@ TEST(RelationSelectTest, AppendsInterleavedWithSelects) {
   }
   // Unique values: one code per row, so the slot table grows many times.
   for (int64_t i = 300; i < 1300; ++i) {
+    std::string unique = "u";  // Not `"u" + ...`: GCC 12 -Wrestrict.
+    unique += std::to_string(i);
     ASSERT_OK(relation.Append({Value(i * 1024), Value(1.0 / (i + 1)),
-                               Value("u" + std::to_string(i)), Value(true)}));
+                               Value(std::move(unique)), Value(true)}));
   }
   for (const auto& [column, constant] : probes) {
     ExpectSelectMatchesEvalScan(relation, column, constant, "unique tail");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "tests/test_util.h"
 
@@ -154,14 +155,20 @@ TEST_F(ResolutionTest, CountsCellAccesses) {
   EXPECT_GT(counter.cells(), 0u);
 }
 
+/// `BestCandidateIndices` over plain distance lists: `distance[i]` is
+/// candidate i's distance, `hierarchy[i]` its hierarchy distance (read
+/// only by the Jaccard tie-break).
+std::vector<size_t> Winners(const std::vector<double>& distance,
+                            DistanceKind kind = DistanceKind::kHierarchy,
+                            const std::vector<double>& hierarchy = {}) {
+  return BestCandidateIndices(
+      distance.size(), kind, [&](size_t i) { return distance[i]; },
+      [&](size_t i) { return hierarchy.at(i); });
+}
+
 TEST_F(ResolutionTest, BestCandidatesKeepsAllMinima) {
-  std::vector<CandidatePath> cands;
-  cands.push_back(CandidatePath{{}, 2.0, {}});
-  cands.push_back(CandidatePath{{}, 1.0, {}});
-  cands.push_back(CandidatePath{{}, 1.0, {}});
-  std::vector<CandidatePath> best = BestCandidates(std::move(cands));
-  EXPECT_EQ(best.size(), 2u);
-  EXPECT_TRUE(BestCandidates({}).empty());
+  EXPECT_EQ(Winners({2.0, 1.0, 1.0}), (std::vector<size_t>{1, 2}));
+  EXPECT_TRUE(Winners({}).empty());
 }
 
 TEST_F(ResolutionTest, BestCandidatesKeepsEpsilonTies) {
@@ -172,15 +179,24 @@ TEST_F(ResolutionTest, BestCandidatesKeepsEpsilonTies) {
   const double direct = 0.3;
   ASSERT_NE(accumulated, direct);  // The tie really is inexact.
   ASSERT_TRUE(NearlyEqual(accumulated, direct));
-  std::vector<CandidatePath> cands;
-  cands.push_back(CandidatePath{{}, accumulated, {}});
-  cands.push_back(CandidatePath{{}, direct, {}});
-  EXPECT_EQ(BestCandidates(std::move(cands)).size(), 2u);
+  EXPECT_EQ(Winners({accumulated, direct}), (std::vector<size_t>{0, 1}));
   // Order independence: the larger representation first.
-  std::vector<CandidatePath> swapped;
-  swapped.push_back(CandidatePath{{}, direct, {}});
-  swapped.push_back(CandidatePath{{}, accumulated, {}});
-  EXPECT_EQ(BestCandidates(std::move(swapped)).size(), 2u);
+  EXPECT_EQ(Winners({direct, accumulated}), (std::vector<size_t>{0, 1}));
+
+  // The Jaccard tie-break's second stage ties the same way: three
+  // candidates tie at Jaccard distance 0 (a degenerate chain), two of
+  // them sit at the minimum hierarchy distance one ulp apart, and the
+  // third a real step above.
+  const double low = 1.0;
+  const double ulp_above = std::nextafter(low, 2.0);
+  ASSERT_NE(low, ulp_above);
+  EXPECT_EQ(Winners({0.0, 0.0, 0.0}, DistanceKind::kJaccard,
+                    {ulp_above, 2.0, low}),
+            (std::vector<size_t>{0, 2}));
+  // Under kHierarchy the second stage does not run.
+  EXPECT_EQ(Winners({0.0, 0.0, 0.0}, DistanceKind::kHierarchy,
+                    {ulp_above, 2.0, low}),
+            (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST_F(ResolutionTest, NearlyEqualIsRelative) {

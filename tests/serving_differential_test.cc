@@ -125,8 +125,8 @@ std::map<db::RowId, double> BruteForceRank(
       const double d = StateDistance(kind, profile.env(), s, q);
       if (NearlyEqual(d, min_distance)) tied.push_back(s);
     }
-    // Jaccard ties are broken by hierarchy distance, mirroring
-    // TieBreakByHierarchyDistance in the resolver.
+    // Jaccard ties are broken by hierarchy distance, mirroring the
+    // second stage of BestCandidateIndices in the resolver.
     if (kind == DistanceKind::kJaccard && tied.size() > 1) {
       double best_h = std::numeric_limits<double>::infinity();
       for (const ContextState& s : tied) {

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "preference/preference.h"
 #include "preference/profile.h"
 #include "preference/replicated_query_cache.h"
+#include "preference/resolution.h"
 #include "util/crc32.h"
 #include "util/status.h"
 #include "workload/poi_dataset.h"
@@ -114,6 +116,25 @@ inline ReplicatedQueryCache::Options SharedCache(size_t capacity = 0) {
   options.num_replicas = 1;
   options.capacity_per_replica = capacity;
   return options;
+}
+
+/// Expects two resolvers' best sets to hold the same winning states at
+/// distances within 1e-9. Order is not compared: the sequential scan
+/// emits in first-appearance order, the trees in tree order.
+inline void ExpectSameWinners(const ContextEnvironment& env,
+                              const std::vector<CandidatePath>& a,
+                              const std::vector<CandidatePath>& b) {
+  std::map<ContextState, double> a_map, b_map;
+  for (const CandidatePath& c : a) a_map.emplace(c.state, c.distance);
+  for (const CandidatePath& c : b) b_map.emplace(c.state, c.distance);
+  ASSERT_EQ(a_map.size(), a.size());  // No duplicate winners.
+  ASSERT_EQ(b_map.size(), b.size());
+  ASSERT_EQ(a_map.size(), b_map.size());
+  for (const auto& [state, distance] : a_map) {
+    auto it = b_map.find(state);
+    ASSERT_TRUE(it != b_map.end()) << state.ToString(env);
+    EXPECT_NEAR(distance, it->second, 1e-9) << state.ToString(env);
+  }
 }
 
 /// Rewrites the trailing CRC of a serialized profile file (magic,

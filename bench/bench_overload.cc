@@ -1,7 +1,7 @@
 // Overload study for the resilient serving stack (ISSUE 8): an
 // open-loop producer offers requests at a multiple of the measured
-// saturation rate; a fixed-size server pool executes them. Two
-// configurations face the same load sweep:
+// saturation rate; a fixed-size server pool (server_queue.h) executes
+// them. Two configurations face the same load sweep:
 //
 //   shed     bounded LIFO queue + deadline drop-at-dequeue +
 //            ServeQuery with an AdmissionController and a deadline, so
@@ -37,7 +37,12 @@
 //   shed goodput at 2x / shed at 1x   >= 80%      (exit 3)
 //   shed goodput at 2x > noshed at 2x             (exit 4)
 //
-// --json_out=FILE writes google-benchmark-shaped rows
+// An attempt that would exit 6 (no torn read, a saturated run, a slow
+// probe) is re-run, probes and all four arms, at most twice more; every
+// attempt is printed, and exit 6 stands only when all three trip it.
+// The last attempt's bars decide the exit code.
+//
+// --json_out=FILE writes the last attempt's google-benchmark-shaped rows
 // (BM_OverloadGoodput_{Shed,NoShed}/<mult>x, real_time = ns per good
 // answer) for scripts/compare_bench.py --speedup, which gates the
 // shed/noshed ratio at 2x in CI.
@@ -58,13 +63,13 @@
 #include <vector>
 
 #include "bench_metrics.h"
+#include "server_queue.h"
 #include "context/parser.h"
 #include "preference/replicated_query_cache.h"
 #include "storage/admission.h"
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "util/deadline.h"
-#include "util/thread_pool.h"
 #include "workload/poi_dataset.h"
 
 using namespace ctxpref;
@@ -165,7 +170,7 @@ struct PhaseResult {
   uint64_t unavailable = 0;
   uint64_t degraded = 0;   ///< Served by a non-fresh ladder rung.
   uint64_t torn = 0;
-  size_t queue_highwater = 0;  ///< Deepest backlog the pool held.
+  size_t queue_highwater = 0;  ///< Deepest backlog the queue held.
 };
 
 /// One cache replica per server thread (picked by thread), consumed
@@ -202,12 +207,8 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
 
   // Shed: a queue two deep per worker, newest-first under backlog, and
   // per-request deadlines enforced at dequeue. NoShed: FIFO, no bound,
-  // no deadlines — work is never refused, only delayed, and `Submit`
-  // never holds the producer back.
-  ThreadPool pool(flags.threads,
-                  shed ? 2 * flags.threads : ThreadPool::kUnbounded,
-                  shed ? DequeueOrder::kLifo : DequeueOrder::kFifo);
-  pool.ResetWindowStats();
+  // no deadlines — work is never refused, only delayed.
+  bench::ServerQueue queue(flags.threads, shed);
   storage::AdmissionController admission(
       storage::AdmissionPolicy{.max_in_flight = 2 * flags.threads});
 
@@ -237,10 +238,11 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
                                                    flags.duration_ms);
   SteadyClock::time_point next = start;
   while (next < stop) {
+    bool accepted;
     if (shed) {
       util::Deadline deadline =
           util::Deadline::AfterMicros(static_cast<int64_t>(flags.budget_us));
-      SubmitResult outcome = pool.TrySubmit(
+      accepted = queue.TrySubmit(
           [&w, &flags, &admission, &account, &unavailable, &degraded,
            deadline] {
             SpinFor(flags.service_us);
@@ -262,10 +264,9 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
           deadline,
           /*on_expired=*/
           [&expired] { expired.fetch_add(1, std::memory_order_relaxed); });
-      if (outcome != SubmitResult::kAccepted) ++rejected;
     } else {
       const SteadyClock::time_point due = SteadyClock::now() + budget;
-      pool.Submit([&w, &flags, &account, due] {
+      accepted = queue.TrySubmit([&w, &flags, &account, due] {
         SpinFor(flags.service_us);
         StatusOr<storage::ServedQuery> served = storage::ServeQuery(
             w.store, "u", w.poi->relation, w.query, &w.cache);
@@ -280,6 +281,7 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
                 SteadyClock::now() <= due);
       });
     }
+    if (!accepted) ++rejected;
     ++offered;
     next += interval;
     // Spin-wait pacing: intervals at these rates are a few to tens of
@@ -289,7 +291,7 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
   }
   const double offered_secs =
       std::chrono::duration<double>(SteadyClock::now() - start).count();
-  pool.Wait();  // Drain the backlog (counts lates in noshed mode).
+  queue.Drain();  // Drain the backlog (counts lates in noshed mode).
 
   r.offered_per_sec = static_cast<double>(offered) / offered_secs;
   r.good = good.load();
@@ -300,7 +302,7 @@ PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
   r.unavailable = unavailable.load();
   r.degraded = degraded.load();
   r.torn = torn.load();
-  r.queue_highwater = pool.GetWindowStats().queue_highwater;
+  r.queue_highwater = queue.highwater();
   return r;
 }
 
@@ -383,6 +385,96 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   out << "  ]\n}\n";
 }
 
+/// One attempt: the capacity probes, the four arms (whose rows go to
+/// `rows`) and the bars. Returns the exit code the bars give.
+int RunAttempt(World& w, const Flags& flags, std::vector<Row>& rows) {
+  const double capacity = MeasureCapacity(w, flags);
+  std::printf("measured saturation: %.0f requests/s (median closed-loop "
+              "probe)\n\n",
+              capacity);
+  std::printf("%-8s %6s %12s %12s %8s %8s %8s %8s %8s %6s %8s\n", "config",
+              "load", "offered/s", "goodput/s", "late", "reject", "expired",
+              "unavail", "degraded", "torn", "qhigh");
+
+  const double mults[] = {1.0, 2.0};
+  double shed_peak = 0, shed_2x = 0, noshed_2x = 0;
+  double noshed_2x_offered = 0;
+  uint64_t noshed_2x_late = 0;
+  uint64_t total_torn = 0;
+  for (const bool shed : {true, false}) {
+    for (const double mult : mults) {
+      PhaseResult r = RunPhase(w, flags, mult * capacity, shed);
+      const char* config = shed ? "shed" : "noshed";
+      std::printf("%-8s %5.0fx %12.0f %12.0f %8llu %8llu %8llu %8llu %8llu "
+                  "%6llu %8zu\n",
+                  config, mult, r.offered_per_sec, r.goodput_per_sec,
+                  static_cast<unsigned long long>(r.late),
+                  static_cast<unsigned long long>(r.rejected),
+                  static_cast<unsigned long long>(r.expired),
+                  static_cast<unsigned long long>(r.unavailable),
+                  static_cast<unsigned long long>(r.degraded),
+                  static_cast<unsigned long long>(r.torn),
+                  r.queue_highwater);
+      std::string name("BM_OverloadGoodput_");
+      name += shed ? "Shed" : "NoShed";
+      name += "/";
+      name += std::to_string(static_cast<int>(mult));
+      name += "x";
+      rows.push_back(Row{name, r.goodput_per_sec});
+      total_torn += r.torn;
+      if (shed && mult == 1.0) shed_peak = r.goodput_per_sec;
+      if (shed && mult == 2.0) shed_2x = r.goodput_per_sec;
+      if (!shed && mult == 2.0) {
+        noshed_2x = r.goodput_per_sec;
+        noshed_2x_offered = r.offered_per_sec;
+        noshed_2x_late = r.late;
+      }
+    }
+  }
+
+  // The bars are scheduling claims (shedding keeps the server's cores
+  // doing useful work), meaningless when producer, writer, and workers
+  // time-slice one CPU.
+  const unsigned cores = std::thread::hardware_concurrency();
+  const double retain = shed_peak > 0 ? shed_2x / shed_peak : 0.0;
+  std::printf("\ntorn reads: %llu (bar: 0)\n",
+              static_cast<unsigned long long>(total_torn));
+  if (cores <= 1) {
+    std::printf("shed goodput at 2x vs peak: %.1f%% (bar >= 80%% SKIPPED: "
+                "single hardware thread)\n",
+                100 * retain);
+    std::printf("shed vs noshed at 2x: %.0f vs %.0f good/s (bar SKIPPED)\n",
+                shed_2x, noshed_2x);
+    return total_torn != 0 ? 2 : 0;
+  }
+  // The bars below compare configurations past saturation; a run whose
+  // noshed "2x" phase was offered no more than it could serve, or never
+  // fell behind, never got there and says nothing about them.
+  const double offered_ratio = noshed_2x_offered / capacity;
+  const bool saturated = offered_ratio >= 1.8 && noshed_2x_late > 0;
+  std::printf("noshed at 2x: offered %.2fx the median probe, %llu late "
+              "(bar: >= 1.8x and > 0 late%s)\n",
+              offered_ratio, static_cast<unsigned long long>(noshed_2x_late),
+              saturated ? "" : " FAILED: unsaturated run");
+  // A host slow through every probe makes the median underread
+  // capacity; shed then serves far more than "capacity" at "2x", which
+  // was never past saturation.
+  const double shed_2x_ratio = shed_2x / capacity;
+  const bool probe_ok = shed_2x_ratio <= 1.3;
+  std::printf("shed at 2x: served %.2fx the median probe (bar: <= 1.3x%s)\n",
+              shed_2x_ratio, probe_ok ? "" : " FAILED: slow probe");
+  std::printf("shed goodput at 2x vs peak: %.1f%% (bar: >= 80%%%s)\n",
+              100 * retain, retain >= 0.8 ? "" : " FAILED");
+  std::printf("shed vs noshed at 2x: %.0f vs %.0f good/s (bar: shed >%s)\n",
+              shed_2x, noshed_2x, shed_2x > noshed_2x ? "" : " FAILED");
+  if (total_torn != 0) return 2;
+  if (!saturated) return 5;
+  if (!probe_ok) return 6;
+  if (retain < 0.8) return 3;
+  if (shed_2x <= noshed_2x) return 4;
+  return 0;
+}
+
 int Run(const Flags& flags) {
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(100, 17);
   if (!poi.ok()) {
@@ -427,96 +519,26 @@ int Run(const Flags& flags) {
               "%zu us budget, %u hardware threads\n",
               flags.threads, flags.service_us, flags.budget_us,
               std::thread::hardware_concurrency());
-  const double capacity = MeasureCapacity(w, flags);
-  std::printf("measured saturation: %.0f requests/s (median closed-loop "
-              "probe)\n\n",
-              capacity);
-  std::printf("%-8s %6s %12s %12s %8s %8s %8s %8s %8s %6s %8s\n", "config",
-              "load", "offered/s", "goodput/s", "late", "reject", "expired",
-              "unavail", "degraded", "torn", "qhigh");
-
-  const double mults[] = {1.0, 2.0};
+  // A host slow through every probe trips exit 6 on unchanged code,
+  // so such an attempt is re-run before the bar is believed.
+  constexpr int kAttempts = 3;
   std::vector<Row> rows;
-  double shed_peak = 0, shed_2x = 0, noshed_2x = 0;
-  double noshed_2x_offered = 0;
-  uint64_t noshed_2x_late = 0;
-  uint64_t total_torn = 0;
-  for (const bool shed : {true, false}) {
-    for (const double mult : mults) {
-      PhaseResult r = RunPhase(w, flags, mult * capacity, shed);
-      const char* config = shed ? "shed" : "noshed";
-      std::printf("%-8s %5.0fx %12.0f %12.0f %8llu %8llu %8llu %8llu %8llu "
-                  "%6llu %8zu\n",
-                  config, mult, r.offered_per_sec, r.goodput_per_sec,
-                  static_cast<unsigned long long>(r.late),
-                  static_cast<unsigned long long>(r.rejected),
-                  static_cast<unsigned long long>(r.expired),
-                  static_cast<unsigned long long>(r.unavailable),
-                  static_cast<unsigned long long>(r.degraded),
-                  static_cast<unsigned long long>(r.torn),
-                  r.queue_highwater);
-      std::string name("BM_OverloadGoodput_");
-      name += shed ? "Shed" : "NoShed";
-      name += "/";
-      name += std::to_string(static_cast<int>(mult));
-      name += "x";
-      rows.push_back(Row{name, r.goodput_per_sec});
-      total_torn += r.torn;
-      if (shed && mult == 1.0) shed_peak = r.goodput_per_sec;
-      if (shed && mult == 2.0) shed_2x = r.goodput_per_sec;
-      if (!shed && mult == 2.0) {
-        noshed_2x = r.goodput_per_sec;
-        noshed_2x_offered = r.offered_per_sec;
-        noshed_2x_late = r.late;
-      }
+  int rc = 0;
+  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
+    if (attempt > 1) {
+      std::printf("\nslow probe: attempt %d of %d re-runs the probes and "
+                  "the four arms\n",
+                  attempt, kAttempts);
     }
+    rows.clear();
+    rc = RunAttempt(w, flags, rows);
+    if (rc != 6) break;
   }
   stop_writer.store(true, std::memory_order_relaxed);
   writer.join();
 
   if (!flags.json_out.empty()) WriteJson(flags.json_out, rows);
-
-  // The bars are scheduling claims (shedding keeps the server's cores
-  // doing useful work), meaningless when producer, writer, and workers
-  // time-slice one CPU.
-  const unsigned cores = std::thread::hardware_concurrency();
-  const double retain = shed_peak > 0 ? shed_2x / shed_peak : 0.0;
-  std::printf("\ntorn reads: %llu (bar: 0)\n",
-              static_cast<unsigned long long>(total_torn));
-  if (cores <= 1) {
-    std::printf("shed goodput at 2x vs peak: %.1f%% (bar >= 80%% SKIPPED: "
-                "single hardware thread)\n",
-                100 * retain);
-    std::printf("shed vs noshed at 2x: %.0f vs %.0f good/s (bar SKIPPED)\n",
-                shed_2x, noshed_2x);
-    return total_torn != 0 ? 2 : 0;
-  }
-  // The bars below compare configurations past saturation; a run whose
-  // noshed "2x" phase was offered no more than it could serve, or never
-  // fell behind, never got there and says nothing about them.
-  const double offered_ratio = noshed_2x_offered / capacity;
-  const bool saturated = offered_ratio >= 1.8 && noshed_2x_late > 0;
-  std::printf("noshed at 2x: offered %.2fx the median probe, %llu late "
-              "(bar: >= 1.8x and > 0 late%s)\n",
-              offered_ratio, static_cast<unsigned long long>(noshed_2x_late),
-              saturated ? "" : " FAILED: unsaturated run");
-  // A host slow through every probe makes the median underread
-  // capacity; shed then serves far more than "capacity" at "2x", which
-  // was never past saturation.
-  const double shed_2x_ratio = shed_2x / capacity;
-  const bool probe_ok = shed_2x_ratio <= 1.3;
-  std::printf("shed at 2x: served %.2fx the median probe (bar: <= 1.3x%s)\n",
-              shed_2x_ratio, probe_ok ? "" : " FAILED: slow probe");
-  std::printf("shed goodput at 2x vs peak: %.1f%% (bar: >= 80%%%s)\n",
-              100 * retain, retain >= 0.8 ? "" : " FAILED");
-  std::printf("shed vs noshed at 2x: %.0f vs %.0f good/s (bar: shed >%s)\n",
-              shed_2x, noshed_2x, shed_2x > noshed_2x ? "" : " FAILED");
-  if (total_torn != 0) return 2;
-  if (!saturated) return 5;
-  if (!probe_ok) return 6;
-  if (retain < 0.8) return 3;
-  if (shed_2x <= noshed_2x) return 4;
-  return 0;
+  return rc;
 }
 
 }  // namespace

@@ -24,18 +24,6 @@ LatencyHistogram& ReadLatency() {
 
 }  // namespace
 
-const char* BreakerStateToString(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 ResilientSource::ResilientSource(const ContextEnvironment& env,
                                  std::unique_ptr<ContextSource> inner,
                                  SourcePolicy policy, util::Clock* clock,

@@ -61,8 +61,6 @@ struct SourcePolicy {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-const char* BreakerStateToString(BreakerState s);
-
 /// Decorates any `ContextSource` with deadlines, bounded retries
 /// (exponential backoff + jitter), a failure-threshold circuit
 /// breaker, and hierarchy-based graceful degradation of the

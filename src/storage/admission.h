@@ -31,12 +31,12 @@ struct AdmissionPolicy {
 /// — without ever blocking — whether a request may proceed. A request
 /// that cannot be admitted is *shed* immediately (the caller falls
 /// down the degradation ladder, see docs/robustness.md) instead of
-/// queueing behind work that will also miss its deadline. LIFO-under-
-/// overload lives in `util::ThreadPool`'s dequeue order, not here:
-/// this class deliberately has no queue.
+/// queueing behind work that will also miss its deadline. This class
+/// deliberately has no queue (serving runs each request inline; the
+/// LIFO-under-overload queue is `bench_overload`'s server model).
 ///
 /// Thread-safe. The mutex ranks `kAdmission`, outermost in the
-/// hierarchy: admission happens before any store/cache/pool lock and
+/// hierarchy: admission happens before any store/cache lock and
 /// ticket release acquires nothing else.
 class AdmissionController {
  public:

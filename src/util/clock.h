@@ -9,9 +9,9 @@ namespace util {
 
 /// Monotonic microsecond clock, injectable so retries, cooldowns,
 /// deadlines and staleness are deterministic under test (`FakeClock`).
-/// Lives in util so that deadline plumbing (`util::Deadline`,
-/// `util::ThreadPool`) can depend on it without pulling in the context
-/// layer; `context/resilient_source.h` re-exports the old names.
+/// Lives in util so that deadline plumbing (`util::Deadline`) can
+/// depend on it without pulling in the context layer;
+/// `context/resilient_source.h` re-exports the old names.
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -2,7 +2,6 @@
 #define CTXPREF_UTIL_DEADLINE_H_
 
 #include <cstdint>
-#include <limits>
 
 #include "util/clock.h"
 
@@ -40,14 +39,6 @@ class Deadline {
   /// The cheap cancellation-point check: one virtual clock read.
   bool Expired() const {
     return clock_ != nullptr && clock_->NowMicros() >= deadline_micros_;
-  }
-
-  /// Remaining budget in microseconds; `int64_t` max when infinite,
-  /// clamped at zero once expired.
-  int64_t RemainingMicros() const {
-    if (clock_ == nullptr) return std::numeric_limits<int64_t>::max();
-    const int64_t left = deadline_micros_ - clock_->NowMicros();
-    return left > 0 ? left : 0;
   }
 
  private:

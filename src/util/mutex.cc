@@ -5,38 +5,6 @@
 
 namespace ctxpref::util {
 
-const char* LockRankName(LockRank rank) {
-  switch (rank) {
-    case LockRank::kUnranked:
-      return "unranked";
-    case LockRank::kAdmission:
-      return "admission";
-    case LockRank::kUserMap:
-      return "user-map";
-    case LockRank::kPerUserWrite:
-      return "per-user-write";
-    case LockRank::kStoreSlot:
-      return "store-slot";
-    case LockRank::kCoherenceConsume:
-      return "coherence-consume";
-    case LockRank::kCoherenceLog:
-      return "coherence-log";
-    case LockRank::kCacheShard:
-      return "cache-shard";
-    case LockRank::kResilientSource:
-      return "resilient-source";
-    case LockRank::kFaultInjector:
-      return "fault-injector";
-    case LockRank::kMetricsRegistry:
-      return "metrics-registry";
-    case LockRank::kTraceRecorder:
-      return "trace-recorder";
-    case LockRank::kPoolQueue:
-      return "pool-queue";
-  }
-  return "invalid";
-}
-
 #if CTXPREF_LOCK_RANK_CHECKS
 
 namespace internal {

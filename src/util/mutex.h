@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
-#include <stop_token>
 
 #include "util/annotations.h"
 
@@ -50,7 +49,7 @@ enum class LockRank : int {
   /// completion latches, test fixtures).
   kUnranked = 0,
   /// AdmissionController::mu_ — the serving front door's in-flight
-  /// accounting. Admission is decided before any store/cache/pool lock
+  /// accounting. Admission is decided before any store/cache lock
   /// is touched and the ticket release takes it alone, so it sits
   /// outermost in the hierarchy.
   kAdmission = 5,
@@ -88,12 +87,7 @@ enum class LockRank : int {
   /// TraceRecorder::mu_ — span ring buffer; spans record after
   /// user-visible locks are released.
   kTraceRecorder = 80,
-  /// ThreadPool::mu_ — task-queue lock; never held while a task body
-  /// (which may take any of the above) runs.
-  kPoolQueue = 90,
 };
-
-const char* LockRankName(LockRank rank);
 
 namespace internal {
 /// Rank bookkeeping, compiled out with the checker. `mu` is the
@@ -272,9 +266,7 @@ class SCOPED_CAPABILITY ReaderLock {
 /// directly: a wait's internal unlock/relock goes through
 /// `Mutex::unlock`/`lock`, keeping both the rank stack and (under
 /// Clang) the analysis's view of the wait consistent. The `REQUIRES`
-/// contracts say waits must be called with the mutex held; the
-/// stop_token overload mirrors `condition_variable_any` so
-/// `ThreadPool`'s stop-aware worker wait keeps working.
+/// contracts say waits must be called with the mutex held.
 class CondVar {
  public:
   CondVar() = default;
@@ -291,13 +283,6 @@ class CondVar {
   template <typename Pred>
   void Wait(Mutex& mu, Pred pred) REQUIRES(mu) {
     cv_.wait(mu, std::move(pred));
-  }
-
-  /// Stop-token-aware wait: returns pred()'s value when a stop is
-  /// requested, true otherwise.
-  template <typename Pred>
-  bool Wait(Mutex& mu, std::stop_token stop, Pred pred) REQUIRES(mu) {
-    return cv_.wait(mu, std::move(stop), std::move(pred));
   }
 
  private:

@@ -4,38 +4,6 @@
 
 namespace ctxpref::workload {
 
-const char* AgeGroupToString(AgeGroup a) {
-  switch (a) {
-    case AgeGroup::kUnder30:
-      return "under30";
-    case AgeGroup::k30To50:
-      return "30to50";
-    case AgeGroup::kOver50:
-      return "over50";
-  }
-  return "?";
-}
-
-const char* SexToString(Sex s) {
-  switch (s) {
-    case Sex::kMale:
-      return "male";
-    case Sex::kFemale:
-      return "female";
-  }
-  return "?";
-}
-
-const char* TasteToString(Taste t) {
-  switch (t) {
-    case Taste::kMainstream:
-      return "mainstream";
-    case Taste::kOffbeat:
-      return "offbeat";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Adds `cod_text => attr = value : score` to `profile`.

@@ -17,10 +17,6 @@ enum class AgeGroup { kUnder30, k30To50, kOver50 };
 enum class Sex { kMale, kFemale };
 enum class Taste { kMainstream, kOffbeat };
 
-const char* AgeGroupToString(AgeGroup a);
-const char* SexToString(Sex s);
-const char* TasteToString(Taste t);
-
 /// Builds the default profile for one demographic cell over the paper
 /// environment (`MakePaperEnvironment()`): ~15-20 rule-based contextual
 /// preferences on the `type`, `open_air` and `name` attributes of the

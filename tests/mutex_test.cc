@@ -70,22 +70,6 @@ TEST(MutexTest, CondVarWaitWakesOnNotify) {
   t.join();
 }
 
-TEST(MutexTest, CondVarStopTokenWaitReturnsOnStop) {
-  Mutex mu;
-  CondVar cv;
-  std::stop_source stop;
-  std::thread t([&] {
-    MutexLock lock(mu);
-    // Never-true predicate: only the stop request can end the wait.
-    const bool pred_result =
-        cv.Wait(mu, stop.get_token(), [] { return false; });
-    EXPECT_FALSE(pred_result);
-  });
-  stop.request_stop();
-  cv.NotifyAll();
-  t.join();
-}
-
 // ---------------------------------------------------------------------
 // Lock-rank checker. Ranked mutexes must be acquired in strictly
 // increasing rank order; the checker aborts on inversion with a
@@ -94,17 +78,17 @@ TEST(MutexTest, CondVarStopTokenWaitReturnsOnStop) {
 TEST(LockRankTest, IncreasingOrderIsAllowed) {
   Mutex store_slot(LockRank::kStoreSlot, "rank_test.store_slot");
   Mutex cache_shard(LockRank::kCacheShard, "rank_test.cache_shard");
-  Mutex pool_queue(LockRank::kPoolQueue, "rank_test.pool_queue");
+  Mutex trace(LockRank::kTraceRecorder, "rank_test.trace");
   MutexLock a(store_slot);
   MutexLock b(cache_shard);
-  MutexLock c(pool_queue);
+  MutexLock c(trace);
 }
 
 TEST(LockRankTest, SkippingLevelsIsAllowed) {
   Mutex user_map(LockRank::kUserMap, "rank_test.user_map");
-  Mutex pool_queue(LockRank::kPoolQueue, "rank_test.pool_queue");
+  Mutex trace(LockRank::kTraceRecorder, "rank_test.trace");
   MutexLock a(user_map);
-  MutexLock b(pool_queue);
+  MutexLock b(trace);
 }
 
 TEST(LockRankTest, UnrankedLocksAreExemptInBothDirections) {
@@ -122,7 +106,7 @@ TEST(LockRankTest, UnrankedLocksAreExemptInBothDirections) {
 
 TEST(LockRankTest, ReleaseResetsTheOrder) {
   Mutex low(LockRank::kUserMap, "rank_test.low");
-  Mutex high(LockRank::kPoolQueue, "rank_test.high");
+  Mutex high(LockRank::kTraceRecorder, "rank_test.high");
   {
     MutexLock b(high);
   }
@@ -132,7 +116,7 @@ TEST(LockRankTest, ReleaseResetsTheOrder) {
 
 TEST(LockRankTest, OtherThreadsHaveIndependentStacks) {
   Mutex low(LockRank::kUserMap, "rank_test.low");
-  Mutex high(LockRank::kPoolQueue, "rank_test.high");
+  Mutex high(LockRank::kTraceRecorder, "rank_test.high");
   MutexLock b(high);
   // This thread holds `high`; another thread may still start from the
   // bottom of the hierarchy.

@@ -4,72 +4,17 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "preference/query_cache.h"
 #include "tests/test_util.h"
-#include "util/thread_pool.h"
 #include "workload/poi_dataset.h"
 #include "workload/query_generator.h"
 
 namespace ctxpref {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4, /*queue_capacity=*/2);  // Small queue: exercises
-                                             // Submit backpressure.
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    pool.Submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (batch + 1) * 10);
-  }
-}
-
-TEST(ThreadPoolTest, TaskExceptionIsContained) {
-  // A throw escaping a task must not terminate the process or corrupt
-  // the pool's running-task bookkeeping (Wait would hang otherwise).
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&count, i] {
-      if (i % 2 == 0) throw std::runtime_error("task failure");
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 10);
-  // The pool is still serviceable after the throws.
-  pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1, /*queue_capacity=*/64);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(count.load(), 50);
-}
 
 class QueryCacheConcurrentTest : public ::testing::Test {
  protected:

@@ -588,6 +588,30 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
                           std::to_string(prefix.size()));
       ASSERT_OK(prefix.Insert(pref));
     }
+
+    // A random edit sequence: rescores (which move the preference to
+    // the back and can renumber cells and leaves), inserts and
+    // removals, with the two builds compared after every step. Edits
+    // a profile refuses (a Def. 6 conflict) leave it unchanged and are
+    // compared all the same.
+    for (int step = 0; step < 60; ++step) {
+      const uint64_t op = rng.Uniform(3);
+      if (op == 0 && !profile.empty()) {
+        (void)profile.UpdateScore(
+            rng.Uniform(profile.size()),
+            static_cast<double>(rng.Uniform(21)) * 0.05);
+      } else if (op == 1 && !profile.empty()) {
+        ASSERT_OK(profile.Remove(rng.Uniform(profile.size())));
+      } else {
+        AddSetPreferences(rng, profile, 1);
+      }
+      StatusOr<ProfileTree> t = ProfileTree::Build(profile);
+      ASSERT_OK(t.status());
+      ExpectSameArena(*w.env, FlatProfileTree::Build(profile),
+                      FlatProfileTree::Build(*t), world,
+                      std::string(w.name) + " edit " + std::to_string(step) +
+                          " op " + std::to_string(op));
+    }
   }
 }
 

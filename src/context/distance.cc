@@ -12,37 +12,36 @@ const char* DistanceKindToString(DistanceKind kind) {
   return "Unknown";
 }
 
+double ComponentDistance(DistanceKind kind, const Hierarchy& h,
+                         ValueRef stored, ValueRef query) {
+  switch (kind) {
+    case DistanceKind::kHierarchy:
+      return h.LevelDistance(stored.level, query.level);
+    case DistanceKind::kJaccard:
+      return h.JaccardDistance(stored, query);
+  }
+  return kInfiniteDistance;
+}
+
 double HierarchyStateDistance(const ContextEnvironment& env,
                               const ContextState& s1, const ContextState& s2) {
-  assert(s1.size() == env.size() && s2.size() == env.size());
-  double sum = 0;
-  for (size_t i = 0; i < env.size(); ++i) {
-    sum += env.parameter(i).hierarchy().LevelDistance(s1.value(i).level,
-                                                      s2.value(i).level);
-  }
-  return sum;
+  return StateDistance(DistanceKind::kHierarchy, env, s1, s2);
 }
 
 double JaccardStateDistance(const ContextEnvironment& env,
                             const ContextState& s1, const ContextState& s2) {
-  assert(s1.size() == env.size() && s2.size() == env.size());
-  double sum = 0;
-  for (size_t i = 0; i < env.size(); ++i) {
-    sum +=
-        env.parameter(i).hierarchy().JaccardDistance(s1.value(i), s2.value(i));
-  }
-  return sum;
+  return StateDistance(DistanceKind::kJaccard, env, s1, s2);
 }
 
 double StateDistance(DistanceKind kind, const ContextEnvironment& env,
                      const ContextState& s1, const ContextState& s2) {
-  switch (kind) {
-    case DistanceKind::kHierarchy:
-      return HierarchyStateDistance(env, s1, s2);
-    case DistanceKind::kJaccard:
-      return JaccardStateDistance(env, s1, s2);
+  assert(s1.size() == env.size() && s2.size() == env.size());
+  double sum = 0;
+  for (size_t i = 0; i < env.size(); ++i) {
+    sum += ComponentDistance(kind, env.parameter(i).hierarchy(), s1.value(i),
+                             s2.value(i));
   }
-  return kInfiniteDistance;
+  return sum;
 }
 
 }  // namespace ctxpref

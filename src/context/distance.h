@@ -24,6 +24,17 @@ const char* DistanceKindToString(DistanceKind kind);
 inline constexpr double kInfiniteDistance =
     std::numeric_limits<double>::infinity();
 
+/// The distance step of one component: a stored (candidate) value
+/// against the query's value of the same parameter, `h` being that
+/// parameter's hierarchy — Def. 14's level distance |L(stored) −
+/// L(query)| for `kHierarchy`, Def. 16's Jaccard distance for
+/// `kJaccard`. The one implementation of the step: the state distances
+/// below sum it over parameters in environment order, and both
+/// profile-tree descents (`TreeResolver`, `FlatProfileTree::SearchCS`)
+/// take their per-level steps from it, so their sums are bit-identical.
+double ComponentDistance(DistanceKind kind, const Hierarchy& h,
+                         ValueRef stored, ValueRef query);
+
 /// Paper Def. 15: distH(s1, s2) = Σ |distH(L1i, L2i)| — the sum over
 /// parameters of the number of hierarchy edges between the levels the
 /// two components live on. Smaller = the candidate state is expressed
@@ -38,7 +49,8 @@ double HierarchyStateDistance(const ContextEnvironment& env,
 double JaccardStateDistance(const ContextEnvironment& env,
                             const ContextState& s1, const ContextState& s2);
 
-/// Dispatches on `kind`.
+/// Σ ComponentDistance(kind, ...) over parameters in environment
+/// order, `s1` taking the stored side and `s2` the query's.
 double StateDistance(DistanceKind kind, const ContextEnvironment& env,
                      const ContextState& s1, const ContextState& s2);
 

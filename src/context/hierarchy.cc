@@ -229,9 +229,12 @@ StatusOr<HierarchyPtr> HierarchyBuilder::Build() {
     }
   }
 
-  hier->extended_size_ = 0;
-  for (const auto& lev : hier->levels_) {
-    hier->extended_size_ += lev.values.size();
+  // Extended-domain keys, level by level.
+  for (LevelIndex l = 0; l < hier->num_levels(); ++l) {
+    hier->level_offset_.push_back(
+        static_cast<uint32_t>(hier->level_of_key_.size()));
+    hier->level_of_key_.resize(
+        hier->level_of_key_.size() + hier->levels_[l].values.size(), l);
   }
   return HierarchyPtr(hier);
 }

@@ -74,7 +74,24 @@ class Hierarchy {
   size_t level_size(LevelIndex l) const { return levels_[l].values.size(); }
 
   /// Total size of the extended domain (sum of all level domains).
-  size_t extended_domain_size() const { return extended_size_; }
+  size_t extended_domain_size() const { return level_of_key_.size(); }
+
+  /// Dense key of `v` over the extended domain (paper §3.1): level l's
+  /// values hold the contiguous keys [Key({l, 0}), Key({l + 1, 0})) in
+  /// id order, levels in order, so keys run over
+  /// [0, extended_domain_size()). The key of the profile tree's cells
+  /// (`FlatProfileTree`).
+  uint32_t Key(ValueRef v) const { return level_offset_[v.level] + v.id; }
+
+  /// Inverse of `Key`; requires key < extended_domain_size().
+  ValueRef ValueAt(uint32_t key) const {
+    const LevelIndex l = level_of_key_[key];
+    return ValueRef{l, key - level_offset_[l]};
+  }
+
+  /// level_of_keys()[key] is the level of `ValueAt(key)`: the raw table
+  /// a descent reads once per cell.
+  const LevelIndex* level_of_keys() const { return level_of_key_.data(); }
 
   /// String form of a value.
   const std::string& value_name(ValueRef v) const {
@@ -150,7 +167,10 @@ class Hierarchy {
 
   std::string name_;
   std::vector<Level> levels_;
-  size_t extended_size_ = 0;
+  /// level_offset_[l] = Key({l, 0}); one entry per level.
+  std::vector<uint32_t> level_offset_;
+  /// level_of_key_[key] = level of the value `key` denotes.
+  std::vector<LevelIndex> level_of_key_;
 };
 
 using HierarchyPtr = std::shared_ptr<const Hierarchy>;

@@ -53,6 +53,16 @@ Status AppendClauseSources(const db::Relation& relation,
 
 }  // namespace
 
+StatusOr<std::vector<ContextState>> QueryStates(const ContextualQuery& query,
+                                                const ContextEnvironment& env) {
+  std::vector<ContextState> states = query.context.EnumerateStates(env);
+  if (states.empty()) states.push_back(ContextState::AllState(env));
+  for (const ContextState& s : states) {
+    CTXPREF_RETURN_IF_ERROR(s.Validate(env));
+  }
+  return states;
+}
+
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const ContextEnvironment& env,
@@ -65,15 +75,9 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
   ScopedLatency latency(&metrics.latency);
   QueryResult result;
 
-  std::vector<ContextState> states = query.context.EnumerateStates(env);
-  if (states.empty()) {
-    // No context at all: treat as the (all, ..., all) state so that
-    // non-contextual preferences (empty descriptors) still apply.
-    states.push_back(ContextState::AllState(env));
-  }
-  for (const ContextState& s : states) {
-    CTXPREF_RETURN_IF_ERROR(s.Validate(env));
-  }
+  StatusOr<std::vector<ContextState>> query_states = QueryStates(query, env);
+  if (!query_states.ok()) return query_states.status();
+  std::vector<ContextState>& states = *query_states;
   result.traces.reserve(states.size());
 
   // Ticked per query, not per tuple: one relaxed add in the inner loop

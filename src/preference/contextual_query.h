@@ -50,6 +50,15 @@ struct ContextualQuery {
   std::vector<db::Predicate> selections;
 };
 
+/// The context states a query is evaluated over: its descriptor's
+/// states, or the single (all, ..., all) state when it has none (so
+/// non-contextual preferences, empty descriptors, still apply). Every
+/// state is validated against `env`; the first invalid one is the
+/// error. `RankCS` and the serving ladder's stale and truncated rungs
+/// all start from it.
+StatusOr<std::vector<ContextState>> QueryStates(const ContextualQuery& query,
+                                                const ContextEnvironment& env);
+
 /// Options for Rank_CS. Selection has no switch here: every clause runs
 /// through the relation's own selection structures (`ScoredSource`).
 struct QueryOptions {

@@ -31,14 +31,14 @@ struct FlatProfileTree::Scratch {
     double step;
   };
   /// Cover tables, indexed by cover_off_[level] + hierarchy level:
-  /// anc_key = interned ancestor of the query component (kNoKey where
+  /// anc_key = key of the ancestor of the query component (kNoKey where
   /// none), step = its distance contribution.
   std::vector<uint32_t> anc_key;
   std::vector<double> step;
   /// Match lists, one segment per tree level (same offsets): a node
   /// can match at most one cell per hierarchy level.
   std::vector<Match> matches;
-  /// Root-to-leaf interned keys / per-parameter steps of the descent.
+  /// Root-to-leaf value keys / per-parameter steps of the descent.
   std::vector<uint32_t> path;
   std::vector<double> step_by_param;
 };
@@ -55,40 +55,18 @@ bool FlatProfileTree::ClauseLess::operator()(const AttributeClause& a,
   return a.value < b.value;
 }
 
-void FlatProfileTree::InitInterners() {
-  const size_t n = env_->size();
-  interners_.resize(n);
-  for (size_t p = 0; p < n; ++p) {
-    const Hierarchy& h = env_->parameter(p).hierarchy();
-    Interner& in = interners_[p];
-    in.level_offset.resize(h.num_levels() + 1);
-    in.level_offset[0] = 0;
-    for (LevelIndex l = 0; l < h.num_levels(); ++l) {
-      in.level_offset[l + 1] =
-          in.level_offset[l] + static_cast<uint32_t>(h.level_size(l));
-    }
-    in.level_of.resize(in.level_offset.back());
-    for (LevelIndex l = 0; l < h.num_levels(); ++l) {
-      for (uint32_t k = in.level_offset[l]; k < in.level_offset[l + 1]; ++k) {
-        in.level_of[k] = l;
-      }
-    }
-  }
-}
-
 void FlatProfileTree::InitLevels() {
   // Scratch-slot offsets: level l owns one cover/match slot per
   // hierarchy level of its parameter.
   const size_t n = env_->size();
   cover_off_.resize(n + 1);
   cover_off_[0] = 0;
-  for (size_t l = 0; l < n; ++l) {
-    const size_t p = order_.param_at_level(l);
-    cover_off_[l + 1] =
-        cover_off_[l] +
-        static_cast<uint32_t>(env_->parameter(p).hierarchy().num_levels());
-  }
   levels_.resize(n);
+  for (size_t l = 0; l < n; ++l) {
+    const Hierarchy& h = env_->parameter(order_.param_at_level(l)).hierarchy();
+    cover_off_[l + 1] = cover_off_[l] + static_cast<uint32_t>(h.num_levels());
+    levels_[l].level_of = h.level_of_keys();
+  }
   node_count_ = 1;  // The root.
 }
 
@@ -104,7 +82,6 @@ FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
   FlatProfileTree flat;
   flat.env_ = tree.env_ptr();
   flat.order_ = tree.ordering();
-  flat.InitInterners();
   flat.InitLevels();
   const size_t n = flat.env_->size();
 
@@ -116,14 +93,15 @@ FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
   std::vector<std::pair<uint32_t, uint32_t>> segment;  // (key, child)
   for (size_t l = 0; l < n; ++l) {
     Level& level = flat.levels_[l];
-    const Interner& in = flat.interners_[flat.order_.param_at_level(l)];
+    const Hierarchy& h =
+        flat.env_->parameter(flat.order_.param_at_level(l)).hierarchy();
     std::vector<const ProfileTree::Node*> next;
     level.cell_begin.reserve(nodes.size() + 1);
     for (const ProfileTree::Node* node : nodes) {
       level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
       segment.clear();
       for (const ProfileTree::Node::Cell& cell : node->cells) {
-        segment.emplace_back(in.Intern(cell.key),
+        segment.emplace_back(h.Key(cell.key),
                              static_cast<uint32_t>(next.size()));
         next.push_back(cell.child.get());
       }
@@ -199,40 +177,20 @@ class CellTable {
 FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
   FlatProfileTree flat;
   flat.env_ = profile.env_ptr();
-  flat.InitInterners();
   const ContextEnvironment& env = *flat.env_;
   const std::vector<ContextualPreference>& prefs = profile.preferences();
   const size_t n = env.size();
 
-  // Every preference's states, enumerated once in preference order
-  // then state order — the pointer tree's insertion order — as rows
-  // of interned keys in environment order.
-  std::vector<ValueRef> values;
+  // Every preference's states, enumerated once — the pointer tree's
+  // insertion order — and ordered greedily over the same key rows.
+  const std::vector<uint32_t> keys = StateKeyRows(profile);
   std::vector<uint32_t> owner;  // State -> index of its preference.
   for (size_t i = 0; i < prefs.size(); ++i) {
-    prefs[i].descriptor().AppendStateValues(env, values);
     owner.resize(owner.size() + prefs[i].descriptor().NumStates(),
                  static_cast<uint32_t>(i));
   }
   const size_t num_states = owner.size();
-  std::vector<uint32_t> keys(values.size());
-  for (size_t k = 0; k < values.size(); ++k) {
-    keys[k] = flat.interners_[k % n].Intern(values[k]);
-  }
-
-  // GreedyOrdering over the same rows: a parameter's active domain is
-  // the set of distinct keys it takes.
-  std::vector<uint64_t> active(n, 0);
-  std::vector<uint8_t> seen;
-  for (size_t p = 0; p < n; ++p) {
-    seen.assign(flat.interners_[p].level_offset.back(), 0);
-    for (size_t e = 0; e < num_states; ++e) {
-      uint8_t& mark = seen[keys[e * n + p]];
-      active[p] += mark == 0;
-      mark = 1;
-    }
-  }
-  flat.order_ = GreedyOrdering(active);
+  flat.order_ = GreedyOrdering(ActiveDomainSizes(env, keys));
   flat.InitLevels();
 
   // Level by level: each state sits at one node; its key there names a
@@ -369,11 +327,11 @@ void FlatProfileTree::Descend(size_t level, uint32_t node,
   const uint32_t end = lvl.cell_begin[node + 1];
   uint32_t num_matches = 0;
   if (end - begin <= kLinearScanMax) {
-    const uint16_t* level_of = interners_[p].level_of.data();
+    const LevelIndex* level_of = lvl.level_of;
     for (uint32_t c = begin; c < end; ++c) {
       if (counter != nullptr) counter->AddCell();
       const uint32_t key = lvl.keys[c];
-      const uint16_t hl = level_of[key];
+      const LevelIndex hl = level_of[key];
       if (anc_key[hl] != key) continue;
       matches[num_matches++] =
           Scratch::Match{lvl.child[c], key, step[hl]};
@@ -434,7 +392,7 @@ void FlatProfileTree::SearchCS(const ContextState& query, DistanceKind kind,
     }
     return;
   }
-  // Per level: the interned ancestor chain of the query component and
+  // Per level: the keyed ancestor chain of the query component and
   // its per-level distance steps, computed once into the thread-local
   // scratch — the descent itself touches only integer keys.
   Scratch& scratch = TlsScratch();
@@ -446,21 +404,18 @@ void FlatProfileTree::SearchCS(const ContextState& query, DistanceKind kind,
   for (size_t l = 0; l < n; ++l) {
     const size_t p = order_.param_at_level(l);
     const Hierarchy& h = env_->parameter(p).hierarchy();
-    const Interner& in = interners_[p];
     const ValueRef qv = query.value(p);
     uint32_t* anc_key = scratch.anc_key.data() + cover_off_[l];
     double* step = scratch.step.data() + cover_off_[l];
     if (exact_only) {
-      anc_key[qv.level] = in.Intern(qv);
+      anc_key[qv.level] = h.Key(qv);
       step[qv.level] = 0.0;  // Slot may hold a stale non-exact step.
       continue;
     }
     for (LevelIndex hl = qv.level; hl < h.num_levels(); ++hl) {
       const ValueRef anc = h.Anc(qv, hl);
-      anc_key[hl] = in.Intern(anc);
-      step[hl] = kind == DistanceKind::kJaccard
-                     ? h.JaccardDistance(anc, qv)
-                     : static_cast<double>(h.LevelDistance(hl, qv.level));
+      anc_key[hl] = h.Key(anc);
+      step[hl] = ComponentDistance(kind, h, anc, qv);
     }
   }
   Descend(0, 0, counter, scratch, out, path_keys);
@@ -474,7 +429,7 @@ uint32_t FlatProfileTree::ExactLookup(const ContextState& state,
   for (size_t l = 0; l < n; ++l) {
     const Level& lvl = levels_[l];
     const size_t p = order_.param_at_level(l);
-    const uint32_t target = interners_[p].Intern(state.value(p));
+    const uint32_t target = env_->parameter(p).hierarchy().Key(state.value(p));
     const uint32_t* keys = lvl.keys.data();
     uint32_t lo = lvl.cell_begin[node];
     const uint32_t end = lvl.cell_begin[node + 1];
@@ -499,7 +454,7 @@ ContextState FlatProfileTree::StateOf(const uint32_t* path) const {
   std::vector<ValueRef> values(n);
   for (size_t l = 0; l < n; ++l) {
     const size_t p = order_.param_at_level(l);
-    values[p] = interners_[p].Unintern(path[l]);
+    values[p] = env_->parameter(p).hierarchy().ValueAt(path[l]);
   }
   return ContextState(std::move(values));
 }
@@ -512,8 +467,8 @@ double FlatProfileTree::HierarchyDistanceOf(const uint32_t* path,
   for (size_t l = 0; l < num_levels(); ++l) {
     const size_t p = order_.param_at_level(l);
     const Hierarchy& h = env_->parameter(p).hierarchy();
-    const ValueRef v = interners_[p].Unintern(path[l]);
-    distance += h.LevelDistance(v.level, query.value(p).level);
+    distance += ComponentDistance(DistanceKind::kHierarchy, h,
+                                  h.ValueAt(path[l]), query.value(p));
   }
   return distance;
 }
@@ -530,11 +485,6 @@ std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
 
 size_t FlatProfileTree::MeasuredByteSize() const {
   size_t bytes = sizeof(*this);
-  bytes += interners_.capacity() * sizeof(Interner);
-  for (const Interner& in : interners_) {
-    bytes += in.level_offset.capacity() * sizeof(uint32_t);
-    bytes += in.level_of.capacity() * sizeof(uint16_t);
-  }
   bytes += levels_.capacity() * sizeof(Level);
   for (const Level& level : levels_) {
     bytes += level.cell_begin.capacity() * sizeof(uint32_t);

@@ -24,11 +24,12 @@ namespace ctxpref {
 /// flattens one into exactly this layout.
 ///
 /// Layout (all storage is a handful of contiguous vectors):
-///  - Value interning: each context parameter gets a dense dictionary
-///    over its extended domain — `key = level_offset[level] + id` — so
-///    cell keys are single `uint32_t`s and "is this cell an ancestor of
-///    the query component?" is one table load plus one integer compare
-///    (the per-query ancestor chain is precomputed per level).
+///  - Keys: a cell's key is its value's extended-domain key, which the
+///    parameter's `Hierarchy` owns (`Hierarchy::Key`, `ValueAt`,
+///    `level_of_keys`), so the arena holds no key tables. Keys are
+///    single `uint32_t`s and "is this cell an ancestor of the query
+///    component?" is one `level_of` load plus one integer compare (the
+///    per-query ancestor chain is precomputed per level).
 ///  - Nodes: level ℓ of the trie stores its cells level-contiguously,
 ///    grouped per node by a CSR offset array and *key-sorted within
 ///    each node* so a descent binary-searches the handful of ancestor
@@ -151,34 +152,19 @@ class FlatProfileTree {
     bool operator()(const AttributeClause& a, const AttributeClause& b) const;
   };
 
-  /// Per-parameter dense dictionary over the extended domain.
-  struct Interner {
-    /// level_offset[l] = first key of hierarchy level l;
-    /// level_offset.back() = extended domain size.
-    std::vector<uint32_t> level_offset;
-    /// level_of[key] = hierarchy level of `key` (inverse of the
-    /// partition above, precomputed so descents never binary-search).
-    std::vector<uint16_t> level_of;
-
-    uint32_t Intern(ValueRef v) const { return level_offset[v.level] + v.id; }
-    ValueRef Unintern(uint32_t key) const {
-      const LevelIndex l = static_cast<LevelIndex>(level_of[key]);
-      return ValueRef{l, key - level_offset[l]};
-    }
-  };
-
   /// One trie level: cells of all the level's nodes, level-contiguous
   /// and key-sorted within each node's `cell_begin` (CSR) segment.
   /// `child[c]` is the cell's insertion index within the level — the
   /// implicit pointer to node `child[c]` of the next level.
   struct Level {
     std::vector<uint32_t> cell_begin;  ///< size = node count + 1
-    std::vector<uint32_t> keys;        ///< interned keys, sorted per node
+    std::vector<uint32_t> keys;        ///< value keys, sorted per node
     std::vector<uint32_t> child;       ///< insertion index = next-level node
+    /// The level's `Hierarchy::level_of_keys()`, cached so a descent
+    /// reads it in one load; `env_` keeps the hierarchy alive.
+    const LevelIndex* level_of = nullptr;
   };
 
-  /// Per-parameter interners over `env_`'s extended domains.
-  void InitInterners();
   /// `levels_` and the per-level scratch offsets under `order_`.
   void InitLevels();
 
@@ -206,7 +192,6 @@ class FlatProfileTree {
 
   EnvironmentPtr env_;
   Ordering order_;
-  std::vector<Interner> interners_;  ///< Indexed by parameter (env order).
   std::vector<Level> levels_;        ///< Indexed by tree level.
   /// Per-level offsets into the per-query cover/match scratch arrays:
   /// level l owns slots [cover_off_[l], cover_off_[l+1]), one per

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 namespace ctxpref {
 
@@ -45,18 +44,38 @@ uint64_t MaxCellEstimate(const std::vector<uint64_t>& sizes) {
   return acc;
 }
 
-std::vector<uint64_t> ActiveDomainSizes(const Profile& profile) {
-  const size_t n = profile.env().size();
-  std::vector<std::unordered_set<uint64_t>> seen(n);
-  for (const Profile::FlatEntry& e : profile.Flatten()) {
-    for (size_t i = 0; i < n; ++i) {
-      ValueRef v = e.state.value(i);
-      seen[i].insert((static_cast<uint64_t>(v.level) << 32) | v.id);
+std::vector<uint32_t> StateKeyRows(const Profile& profile) {
+  const ContextEnvironment& env = profile.env();
+  const size_t n = env.size();
+  std::vector<ValueRef> values;
+  for (const ContextualPreference& pref : profile.preferences()) {
+    pref.descriptor().AppendStateValues(env, values);
+  }
+  std::vector<uint32_t> keys(values.size());
+  for (size_t k = 0; k < values.size(); ++k) {
+    keys[k] = env.parameter(k % n).hierarchy().Key(values[k]);
+  }
+  return keys;
+}
+
+std::vector<uint64_t> ActiveDomainSizes(const ContextEnvironment& env,
+                                        const std::vector<uint32_t>& key_rows) {
+  const size_t n = env.size();
+  std::vector<uint64_t> active(n, 0);
+  std::vector<uint8_t> seen;
+  for (size_t p = 0; p < n; ++p) {
+    seen.assign(env.parameter(p).hierarchy().extended_domain_size(), 0);
+    for (size_t k = p; k < key_rows.size(); k += n) {
+      uint8_t& mark = seen[key_rows[k]];
+      active[p] += mark == 0;
+      mark = 1;
     }
   }
-  std::vector<uint64_t> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = seen[i].size();
-  return out;
+  return active;
+}
+
+std::vector<uint64_t> ActiveDomainSizes(const Profile& profile) {
+  return ActiveDomainSizes(profile.env(), StateKeyRows(profile));
 }
 
 Ordering GreedyOrdering(const std::vector<uint64_t>& active_sizes) {

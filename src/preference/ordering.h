@@ -47,10 +47,22 @@ class Ordering {
 /// m1..mn in tree-level order: m1·(1 + m2·(1 + ... (1 + mn))).
 uint64_t MaxCellEstimate(const std::vector<uint64_t>& sizes_in_level_order);
 
-/// Distinct extended-domain values each parameter takes across the
-/// profile's expanded states — the "active domain" sizes that actually
-/// drive tree size (paper Fig. 6 right: a skewed parameter may have a
-/// large domain but a small active domain).
+/// Every preference's states, preference order then state order (the
+/// profile tree's insertion order), as rows of extended-domain keys
+/// (`Hierarchy::Key`) in environment order: `NumStates()` rows of
+/// `env.size()` keys per preference.
+std::vector<uint32_t> StateKeyRows(const Profile& profile);
+
+/// Distinct keys each parameter (column) takes over `key_rows` (rows
+/// of `env.size()` extended-domain keys, as `StateKeyRows` lays them
+/// out) — the "active domain" sizes that actually drive tree size
+/// (paper Fig. 6 right: a skewed parameter may have a large domain but
+/// a small active domain). The one counting routine: the overload
+/// below and `FlatProfileTree::Build` both count through it.
+std::vector<uint64_t> ActiveDomainSizes(const ContextEnvironment& env,
+                                        const std::vector<uint32_t>& key_rows);
+
+/// `ActiveDomainSizes(profile.env(), StateKeyRows(profile))`.
 std::vector<uint64_t> ActiveDomainSizes(const Profile& profile);
 
 /// The paper's §3.3 greedy ordering over active domain sizes (indexed

@@ -137,7 +137,6 @@ const std::vector<ProfileTree::LeafEntry>* ProfileTree::ExactLookup(
       }
     }
     if (next == nullptr) return nullptr;
-    if (counter != nullptr) counter->AddNode();
     node = next;
   }
   return &node->entries;

@@ -60,17 +60,13 @@ void CoherenceLog::Append(const std::string& user, uint64_t version,
     util::MutexLock lock(mu_);
     records_.push_back(Record{user, version, drop_all});
   }
-  RaiseWatermark(version);
+  AdvanceWatermark(version);
   depth_.fetch_add(1, std::memory_order_relaxed);
   metrics.appended.Increment();
   metrics.log_depth.Set(static_cast<int64_t>(depth()));
 }
 
 void CoherenceLog::AdvanceWatermark(uint64_t version) {
-  RaiseWatermark(version);
-}
-
-void CoherenceLog::RaiseWatermark(uint64_t version) {
   // A release fetch-max: a consumer that observes version W with
   // acquire sees every record this writer appended up to (and
   // including) the one that published W.

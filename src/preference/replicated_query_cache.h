@@ -73,12 +73,13 @@ class CoherenceLog {
   /// (`ReplicatedQueryCache` holds the replica's consume mutex).
   size_t Consume(size_t id, const std::function<void(const Record&)>& apply);
 
-  /// Raises the append watermark to at least `version` without a
-  /// record. `ProfileStore::AttachCoherenceLog` seeds it with the
-  /// store's serving version: what was published before the log was
-  /// attached has nothing to invalidate in caches that never saw it,
-  /// and without the seed no replica clock could cover those snapshots
-  /// until the next publish.
+  /// Raises the append watermark to at least `version` (a release
+  /// fetch-max); `Append` raises it with each record, and a call on its
+  /// own raises it without one. `ProfileStore::AttachCoherenceLog`
+  /// seeds it that way with the store's serving version: what was
+  /// published before the log was attached has nothing to invalidate
+  /// in caches that never saw it, and without the seed no replica clock
+  /// could cover those snapshots until the next publish.
   void AdvanceWatermark(uint64_t version);
 
   /// The highest version whose append has completed (release order:
@@ -95,9 +96,6 @@ class CoherenceLog {
   size_t num_consumers() const { return num_consumers_; }
 
  private:
-  /// Release fetch-max of the watermark to `version`.
-  void RaiseWatermark(uint64_t version);
-
   size_t num_consumers_;
   std::atomic<uint64_t> max_appended_{0};
   std::atomic<size_t> depth_{0};

@@ -83,17 +83,8 @@ void TreeResolver::Recurse(const ProfileTree::Node& node, size_t level,
     } else if (!h.IsAncestorOrSelf(cell.key, qv)) {
       continue;
     }
-    double step = 0.0;
-    switch (options.distance) {
-      case DistanceKind::kHierarchy:
-        step = h.LevelDistance(cell.key.level, qv.level);
-        break;
-      case DistanceKind::kJaccard:
-        step = h.JaccardDistance(cell.key, qv);
-        break;
-    }
     path.push_back(cell.key);
-    step_by_param[param] = step;
+    step_by_param[param] = ComponentDistance(options.distance, h, cell.key, qv);
     Recurse(*cell.child, level + 1, query, options, step_by_param, path, out,
             counter);
     path.pop_back();

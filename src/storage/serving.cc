@@ -250,11 +250,9 @@ StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
   // The ladder needs the enumerated query states (the stale rung joins
   // per-state cache entries; the truncated rung keeps only the first).
   const ContextEnvironment& env = pin->flat_tree()->env();
-  std::vector<ContextState> states = query.context.EnumerateStates(env);
-  if (states.empty()) states.push_back(ContextState::AllState(env));
-  for (const ContextState& s : states) {
-    CTXPREF_RETURN_IF_ERROR(s.Validate(env));
-  }
+  StatusOr<std::vector<ContextState>> query_states = QueryStates(query, env);
+  if (!query_states.ok()) return query_states.status();
+  const std::vector<ContextState>& states = *query_states;
 
   // Rung 1: a cached answer at one older version, reaching back as far
   // as the cache retains entries.

@@ -28,21 +28,13 @@ class AccessCounter {
   void AddCell(uint64_t n = 1) {
     cells_.fetch_add(n, std::memory_order_relaxed);
   }
-  void AddNode(uint64_t n = 1) {
-    nodes_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   uint64_t cells() const { return cells_.load(std::memory_order_relaxed); }
-  uint64_t nodes() const { return nodes_.load(std::memory_order_relaxed); }
 
-  void Reset() {
-    cells_.store(0, std::memory_order_relaxed);
-    nodes_.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { cells_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> cells_{0};
-  std::atomic<uint64_t> nodes_{0};
 };
 
 /// Plain snapshot of `AcquisitionCounters` (safe to copy around).

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/test_util.h"
+#include "workload/synthetic_hierarchy.h"
 
 namespace ctxpref {
 namespace {
@@ -202,6 +205,42 @@ TEST(HierarchyBuilderTest, FlatHierarchyHasTwoLevels) {
   EXPECT_EQ((*h)->level_size(0), 3u);
   // Everything is a child of 'all'.
   EXPECT_EQ((*h)->DetailedDescendantCount((*h)->AllValue()), 3u);
+}
+
+/// The extended-domain key layout `Hierarchy::Key` promises: a
+/// bijection of every (level, id) onto [0, extended_domain_size()),
+/// inverted by `ValueAt`, each level a contiguous run of keys in id
+/// order and the levels in order — the layout the flat arena's per-node
+/// key sort and binary search rely on.
+void ExpectDenseKeyLayout(const Hierarchy& h) {
+  SCOPED_TRACE(h.name());
+  std::vector<bool> taken(h.extended_domain_size(), false);
+  uint32_t next = 0;
+  for (LevelIndex l = 0; l < h.num_levels(); ++l) {
+    for (ValueId id = 0; id < h.level_size(l); ++id) {
+      const ValueRef v{l, id};
+      const uint32_t key = h.Key(v);
+      ASSERT_LT(key, h.extended_domain_size());
+      EXPECT_FALSE(taken[key]) << "key " << key << " taken twice";
+      taken[key] = true;
+      EXPECT_EQ(key, next++) << "level " << l << " id " << id;
+      EXPECT_EQ(h.ValueAt(key), v);
+      EXPECT_EQ(h.level_of_keys()[key], l);
+    }
+  }
+  EXPECT_EQ(next, h.extended_domain_size());
+}
+
+TEST(HierarchyTest, KeysAreDenseLevelOrderedAndInvertible) {
+  const EnvironmentPtr env = ::ctxpref::testing::PaperEnv();
+  for (const ContextParameter& p : env->parameters()) {
+    ExpectDenseKeyLayout(p.hierarchy());
+  }
+  StatusOr<HierarchyPtr> synthetic =
+      workload::MakeSyntheticHierarchy("syn", 50, 3, 4);
+  ASSERT_OK(synthetic.status());
+  EXPECT_EQ((*synthetic)->extended_domain_size(), 50u + 13u + 4u + 1u);
+  ExpectDenseKeyLayout(**synthetic);
 }
 
 TEST(HierarchyTest, ContainsValidatesRefs) {

@@ -292,6 +292,20 @@ TEST_P(ServingDifferentialTest, CachedEqualsUncachedAcrossProfileSwaps) {
 // drift, the class of bug where both sides are "correct" in isolation
 // but disagree on which candidates tie.
 
+/// Entry lists equal in order, clauses equal and scores bit-equal.
+void ExpectSameEntries(const std::vector<ProfileTree::LeafEntry>& pointer,
+                       const std::vector<ProfileTree::LeafEntry>& flat,
+                       const std::string& label) {
+  ASSERT_EQ(pointer.size(), flat.size()) << label;
+  for (size_t j = 0; j < pointer.size(); ++j) {
+    EXPECT_TRUE(pointer[j].clause == flat[j].clause)
+        << label << " entry " << j;
+    EXPECT_EQ(std::bit_cast<uint64_t>(pointer[j].score),
+              std::bit_cast<uint64_t>(flat[j].score))
+        << label << " entry " << j;
+  }
+}
+
 void ExpectSameCandidates(const ContextEnvironment& env,
                           const std::vector<CandidatePath>& pointer,
                           const std::vector<CandidatePath>& flat,
@@ -302,17 +316,12 @@ void ExpectSameCandidates(const ContextEnvironment& env,
         << label << " candidate " << i << ": "
         << pointer[i].state.ToString(env) << " vs "
         << flat[i].state.ToString(env);
-    EXPECT_EQ(pointer[i].distance, flat[i].distance)
+    EXPECT_EQ(std::bit_cast<uint64_t>(pointer[i].distance),
+              std::bit_cast<uint64_t>(flat[i].distance))
         << label << " candidate " << i << " ("
         << pointer[i].state.ToString(env) << "): distances not bit-equal";
-    ASSERT_EQ(pointer[i].entries.size(), flat[i].entries.size())
-        << label << " candidate " << i;
-    for (size_t j = 0; j < pointer[i].entries.size(); ++j) {
-      EXPECT_TRUE(pointer[i].entries[j].clause == flat[i].entries[j].clause)
-          << label << " candidate " << i << " entry " << j;
-      EXPECT_EQ(pointer[i].entries[j].score, flat[i].entries[j].score)
-          << label << " candidate " << i << " entry " << j;
-    }
+    ExpectSameEntries(pointer[i].entries, flat[i].entries,
+                      label + " candidate " + std::to_string(i));
   }
 }
 
@@ -446,12 +455,15 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
   }
 }
 
-// ---- Direct arena build vs flattened pointer tree -----------------
+// ---- Arena vs pointer tree -----------------------------------------
 //
-// Publishing builds the arena straight from the `Profile`, with no
-// pointer tree in between. It must be the arena that flattening the
-// pointer tree gives, bit for bit: ordering, structure counts, every
-// leaf's entries with their raw clause ids, the clause dictionary, and every Search_CS candidate with its path keys.
+// The arena indexes the same preferences as the pointer tree, so it
+// must be that tree in another layout: the same ordering and structure
+// counts, the same entries at every exact path, and the same Search_CS
+// candidates in the same order with bit-equal distances and scores.
+// Publishing builds it from the `Profile` under the greedy ordering;
+// `FlatProfileTree::Build(const ProfileTree&)` builds it under the
+// tree's own ordering, so every ordering is checked too.
 
 /// Adds `count` random multi-state preferences (value sets on some
 /// parameters) over a three-clause pool and a three-score grid, so
@@ -490,63 +502,60 @@ void AddSetPreferences(Rng& rng, Profile& profile, size_t count) {
   }
 }
 
-void ExpectSameArena(const ContextEnvironment& env,
-                     const FlatProfileTree& direct,
-                     const FlatProfileTree& via_tree,
+/// Checks `flat` against `tree`, which indexes the same preferences.
+void ExpectSameArena(const ProfileTree& tree, const FlatProfileTree& flat,
                      const std::vector<ContextState>& queries,
                      const std::string& label) {
-  ASSERT_TRUE(direct.ordering() == via_tree.ordering())
-      << label << ": " << direct.ordering().ToString(env) << " vs "
-      << via_tree.ordering().ToString(env);
-  ASSERT_EQ(direct.CellCount(), via_tree.CellCount()) << label;
-  ASSERT_EQ(direct.NodeCount(), via_tree.NodeCount()) << label;
-  ASSERT_EQ(direct.PathCount(), via_tree.PathCount()) << label;
-  ASSERT_EQ(direct.LeafEntryCount(), via_tree.LeafEntryCount()) << label;
-  ASSERT_EQ(direct.num_clauses(), via_tree.num_clauses()) << label;
-  for (uint32_t c = 0; c < direct.num_clauses(); ++c) {
-    EXPECT_TRUE(direct.clause(c) == via_tree.clause(c))
-        << label << " clause " << c;
-  }
-  for (uint32_t leaf = 0; leaf < direct.PathCount(); ++leaf) {
-    const std::vector<ProfileTree::LeafEntry> a = direct.EntriesOf(leaf);
-    const std::vector<ProfileTree::LeafEntry> b = via_tree.EntriesOf(leaf);
-    ASSERT_EQ(a.size(), b.size()) << label << " leaf " << leaf;
-    for (size_t j = 0; j < a.size(); ++j) {
-      EXPECT_TRUE(a[j].clause == b[j].clause) << label << " leaf " << leaf;
-      EXPECT_EQ(std::bit_cast<uint64_t>(a[j].score),
-                std::bit_cast<uint64_t>(b[j].score))
-          << label << " leaf " << leaf;
-    }
-    const FlatProfileTree::FlatEntry* x = direct.entries_begin(leaf);
-    const FlatProfileTree::FlatEntry* y = via_tree.entries_begin(leaf);
-    for (; x != direct.entries_end(leaf); ++x, ++y) {
-      EXPECT_EQ(x->clause_id, y->clause_id) << label << " leaf " << leaf;
-    }
-  }
-  std::vector<FlatProfileTree::FlatCandidate> out_a, out_b;
-  std::vector<uint32_t> keys_a, keys_b;
+  const ContextEnvironment& env = tree.env();
+  ASSERT_TRUE(flat.ordering() == tree.ordering())
+      << label << ": " << flat.ordering().ToString(env) << " vs "
+      << tree.ordering().ToString(env);
+  ASSERT_EQ(flat.CellCount(), tree.CellCount()) << label;
+  ASSERT_EQ(flat.NodeCount(), tree.NodeCount()) << label;
+  ASSERT_EQ(flat.PathCount(), tree.PathCount()) << label;
+  ASSERT_EQ(flat.LeafEntryCount(), tree.LeafEntryCount()) << label;
+  const TreeResolver pointer_resolver(&tree);
+  const FlatResolver flat_resolver(&flat);
   for (DistanceKind kind :
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
     for (bool exact_only : {false, true}) {
+      const ResolutionOptions ropts{.distance = kind,
+                                    .exact_only = exact_only};
       for (const ContextState& q : queries) {
-        const std::string where = label + " " + q.ToString(env) +
-                                  (exact_only ? " exact " : " cover ") +
-                                  DistanceKindToString(kind);
-        direct.SearchCS(q, kind, exact_only, nullptr, out_a, keys_a);
-        via_tree.SearchCS(q, kind, exact_only, nullptr, out_b, keys_b);
-        ASSERT_EQ(out_a.size(), out_b.size()) << where;
-        for (size_t i = 0; i < out_a.size(); ++i) {
-          EXPECT_EQ(out_a[i].leaf, out_b[i].leaf) << where;
-          EXPECT_EQ(std::bit_cast<uint64_t>(out_a[i].distance),
-                    std::bit_cast<uint64_t>(out_b[i].distance))
-              << where;
-        }
-        EXPECT_EQ(keys_a, keys_b) << where;
-        if (kind == DistanceKind::kHierarchy && !exact_only) {
-          EXPECT_EQ(direct.ExactLookup(q), via_tree.ExactLookup(q)) << where;
-        }
+        ExpectSameCandidates(env, pointer_resolver.SearchCS(q, ropts),
+                             flat_resolver.SearchCS(q, ropts),
+                             label + " " + q.ToString(env) +
+                                 (exact_only ? " exact " : " cover ") +
+                                 DistanceKindToString(kind));
       }
     }
+  }
+  for (const ContextState& q : queries) {
+    const std::string where = label + " exact lookup " + q.ToString(env);
+    const std::vector<ProfileTree::LeafEntry>* held = tree.ExactLookup(q);
+    const uint32_t leaf = flat.ExactLookup(q);
+    ASSERT_EQ(held == nullptr, leaf == FlatProfileTree::kNoLeaf) << where;
+    if (held != nullptr) ExpectSameEntries(*held, flat.EntriesOf(leaf), where);
+  }
+}
+
+/// `profile`'s arenas against its pointer trees: the publish build
+/// under the greedy ordering, then the tree build under every ordering.
+void ExpectSameArenas(const Profile& profile,
+                      const std::vector<ContextState>& queries,
+                      const std::string& label) {
+  StatusOr<ProfileTree> greedy = ProfileTree::Build(profile);
+  ASSERT_OK(greedy.status());
+  ExpectSameArena(*greedy, FlatProfileTree::Build(profile), queries,
+                  label + " greedy");
+  StatusOr<std::vector<Ordering>> orderings =
+      AllOrderings(profile.env().size());
+  ASSERT_OK(orderings.status());
+  for (const Ordering& order : *orderings) {
+    StatusOr<ProfileTree> tree = ProfileTree::Build(profile, order);
+    ASSERT_OK(tree.status());
+    ExpectSameArena(*tree, FlatProfileTree::Build(*tree), queries,
+                    label + " " + order.ToString(profile.env()));
   }
 }
 
@@ -570,28 +579,21 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     Profile profile = RandomProfile(rng, w.env, world);
     AddSetPreferences(rng, profile, 24);
 
-    const FlatProfileTree direct = FlatProfileTree::Build(profile);
-    StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
-    ASSERT_OK(tree.status());
-    const FlatProfileTree via_tree = FlatProfileTree::Build(*tree);
-    ExpectSameArena(*w.env, direct, via_tree, all, w.name);
+    ExpectSameArenas(profile, all, w.name);
 
     // Every prefix of the profile, too: small and empty profiles are
     // where layouts' edge cases live.
     Profile prefix(w.env);
     for (const ContextualPreference& pref : profile.preferences()) {
-      const FlatProfileTree d = FlatProfileTree::Build(prefix);
-      StatusOr<ProfileTree> t = ProfileTree::Build(prefix);
-      ASSERT_OK(t.status());
-      ExpectSameArena(*w.env, d, FlatProfileTree::Build(*t), world,
-                      std::string(w.name) + " prefix " +
-                          std::to_string(prefix.size()));
+      ExpectSameArenas(prefix, world,
+                       std::string(w.name) + " prefix " +
+                           std::to_string(prefix.size()));
       ASSERT_OK(prefix.Insert(pref));
     }
 
     // A random edit sequence: rescores (which move the preference to
     // the back and can renumber cells and leaves), inserts and
-    // removals, with the two builds compared after every step. Edits
+    // removals, with the arenas checked after every step. Edits
     // a profile refuses (a Def. 6 conflict) leave it unchanged and are
     // compared all the same.
     for (int step = 0; step < 60; ++step) {
@@ -605,12 +607,10 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
       } else {
         AddSetPreferences(rng, profile, 1);
       }
-      StatusOr<ProfileTree> t = ProfileTree::Build(profile);
-      ASSERT_OK(t.status());
-      ExpectSameArena(*w.env, FlatProfileTree::Build(profile),
-                      FlatProfileTree::Build(*t), world,
-                      std::string(w.name) + " edit " + std::to_string(step) +
-                          " op " + std::to_string(op));
+      ExpectSameArenas(profile, world,
+                       std::string(w.name) + " edit " +
+                           std::to_string(step) + " op " +
+                           std::to_string(op));
     }
   }
 }

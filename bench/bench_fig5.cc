@@ -56,10 +56,11 @@ int main() {
 
   // "modeled" is the paper's cost model (ByteSize); "measured" is the
   // bytes each structure actually occupies in memory
-  // (MeasuredByteSize), for both the pointer tree and the arena-
-  // flattened serving copy — the model under-counts node overhead,
-  // vector slack and string payloads, and the flat column shows what
-  // the publish-time flattening buys back.
+  // (MeasuredByteSize), for both the pointer tree and the arena
+  // serving reads — the model under-counts node overhead, vector slack
+  // and string payloads. The arena counts its preference handles but
+  // not the bodies (clauses, descriptors) it shares with the profile,
+  // so the flat column is the index's own cost.
   std::printf("%-18s %10s %12s %13s %13s %8s %8s\n", "ordering", "cells",
               "modeled B", "tree meas B", "flat meas B", "paths", "nodes");
   size_t min_cells = SIZE_MAX;

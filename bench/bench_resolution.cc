@@ -155,32 +155,8 @@ void BM_ExactLookup_Flat(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactLookup_Flat)->Arg(500)->Arg(5000);
 
-void BM_FlatBuild(benchmark::State& state) {
-  // Flattening an already built pointer tree into the arena.
-  Rig& rig = RigFor(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    FlatProfileTree flat = FlatProfileTree::Build(rig.tree);
-    benchmark::DoNotOptimize(flat.CellCount());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FlatBuild)->Arg(500)->Arg(5000);
-
-// The arena a publish builds, by two routes that start from the same
-// profile and end with the same arena (advisory rows, not gated):
-// ViaTree is greedy ordering + pointer tree + flattening; Direct is
-// `FlatProfileTree::Build(profile)`, the route `BuildAndPublish` takes.
-
-void BM_PublishBuild_ViaTree(benchmark::State& state) {
-  Rig& rig = RigFor(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    StatusOr<ProfileTree> tree = ProfileTree::Build(rig.gen.profile);
-    FlatProfileTree flat = FlatProfileTree::Build(*tree);
-    benchmark::DoNotOptimize(flat.CellCount());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PublishBuild_ViaTree)->Arg(500)->Arg(5000);
+// The arena a publish builds: `FlatProfileTree::Build(profile)`, the
+// route `BuildAndPublish` takes (an advisory row, not gated).
 
 void BM_PublishBuild_Direct(benchmark::State& state) {
   Rig& rig = RigFor(static_cast<size_t>(state.range(0)));

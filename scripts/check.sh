@@ -199,11 +199,15 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
   echo "==== bench gate (cache hit vs miss, 3-state query) ===="
   # A cached RankCS answer with every state cached must beat recomputing
   # the same query uncached by >= 2x in wall time (same-run ratio of
-  # the medians over five repetitions: one repetition read 1.66x while
-  # a compile shared a 4-core host that reads 3-4.6x quiet).
+  # the medians over nine repetitions). Random interleaving runs the Hit
+  # and Miss repetitions in shuffled order, so both see the same phases
+  # of host load: with five back-to-back repetitions each, the Miss
+  # ones once met a busy phase and the median read 1.84x, where re-runs
+  # read 2.04-2.73x.
   gate "bench_micro BM_ThreeStateQuery run" ./build-bench/bench/bench_micro \
     --benchmark_filter='BM_ThreeStateQuery' \
-    --benchmark_min_time=0.2 --benchmark_repetitions=5 \
+    --benchmark_min_time=0.2 --benchmark_repetitions=9 \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_out=build-bench/bench_cache_hit.json
   gate "cache hit vs miss >= 2x" python3 scripts/compare_bench.py \
     --speedup build-bench/bench_cache_hit.json \

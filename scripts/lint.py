@@ -95,7 +95,7 @@ Checks (docs/static_analysis.md has the conventions these enforce):
               perfbench's per-layer metrics. It only reads perfbench.
 
   pointer-tree  Under src/storage/ and src/harness/, `ProfileTree::Build`,
-              `TreeResolver` and a flatten-from-tree
+              `TreeResolver` and a tree-built
               `FlatProfileTree::Build(*...)` are findings: publishing
               builds the flat arena straight from the Profile and
               serving reads only that, so the pointer tree stays a

@@ -8,11 +8,6 @@ namespace ctxpref {
 
 namespace {
 
-size_t StringHeapBytes(const std::string& s) {
-  // Heap payload approximated by capacity; SSO strings count 0.
-  return s.capacity() > sizeof(std::string) ? s.capacity() + 1 : 0;
-}
-
 /// Nodes at or below this cell count are scanned linearly; larger ones
 /// binary-search each ancestor key. Crossover is early because the
 /// linear scan must consult level_of per cell while a probe compares
@@ -48,13 +43,6 @@ FlatProfileTree::Scratch& FlatProfileTree::TlsScratch() {
   return scratch;
 }
 
-bool FlatProfileTree::ClauseLess::operator()(const AttributeClause& a,
-                                             const AttributeClause& b) const {
-  if (a.attribute != b.attribute) return a.attribute < b.attribute;
-  if (a.op != b.op) return a.op < b.op;
-  return a.value < b.value;
-}
-
 void FlatProfileTree::InitLevels() {
   // Scratch-slot offsets: level l owns one cover/match slot per
   // hierarchy level of its parameter.
@@ -68,67 +56,6 @@ void FlatProfileTree::InitLevels() {
     levels_[l].level_of = h.level_of_keys();
   }
   node_count_ = 1;  // The root.
-}
-
-void FlatProfileTree::AppendEntry(const AttributeClause& clause, double score,
-                                  ClauseIds& clause_ids) {
-  auto [it, inserted] =
-      clause_ids.try_emplace(clause, static_cast<uint32_t>(clauses_.size()));
-  if (inserted) clauses_.push_back(clause);
-  entries_.push_back(FlatEntry{it->second, score});
-}
-
-FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
-  FlatProfileTree flat;
-  flat.env_ = tree.env_ptr();
-  flat.order_ = tree.ordering();
-  flat.InitLevels();
-  const size_t n = flat.env_->size();
-
-  // Breadth-first flattening, one trie level at a time. Within a node
-  // the cells are key-sorted for binary search; each carries its
-  // insertion index, which names its child node at the next level (the
-  // BFS emits children in insertion order, so index = position).
-  std::vector<const ProfileTree::Node*> nodes = {&tree.root()};
-  std::vector<std::pair<uint32_t, uint32_t>> segment;  // (key, child)
-  for (size_t l = 0; l < n; ++l) {
-    Level& level = flat.levels_[l];
-    const Hierarchy& h =
-        flat.env_->parameter(flat.order_.param_at_level(l)).hierarchy();
-    std::vector<const ProfileTree::Node*> next;
-    level.cell_begin.reserve(nodes.size() + 1);
-    for (const ProfileTree::Node* node : nodes) {
-      level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
-      segment.clear();
-      for (const ProfileTree::Node::Cell& cell : node->cells) {
-        segment.emplace_back(h.Key(cell.key),
-                             static_cast<uint32_t>(next.size()));
-        next.push_back(cell.child.get());
-      }
-      std::sort(segment.begin(), segment.end());
-      for (const auto& [key, child] : segment) {
-        level.keys.push_back(key);
-        level.child.push_back(child);
-      }
-    }
-    level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
-    flat.cell_count_ += level.keys.size();
-    flat.node_count_ += next.size();
-    nodes = std::move(next);
-  }
-
-  // `nodes` is now the leaves in leaf-id order (for n == 0 that is the
-  // root itself, which then carries the entries directly).
-  ClauseIds clause_ids;
-  flat.leaf_begin_.reserve(nodes.size() + 1);
-  for (const ProfileTree::Node* leaf : nodes) {
-    flat.BeginLeaf();
-    for (const ProfileTree::LeafEntry& entry : leaf->entries) {
-      flat.AppendEntry(entry.clause, entry.score, clause_ids);
-    }
-  }
-  flat.EndLeaves();
-  return flat;
 }
 
 namespace {
@@ -175,22 +102,35 @@ class CellTable {
 }  // namespace
 
 FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
+  return BuildOver(profile.env_ptr(), profile.preferences(), nullptr);
+}
+
+FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
+  return BuildOver(tree.env_ptr(), tree.preferences(), &tree.ordering());
+}
+
+FlatProfileTree FlatProfileTree::BuildOver(
+    EnvironmentPtr env, std::vector<ContextualPreference> preferences,
+    const Ordering* order) {
   FlatProfileTree flat;
-  flat.env_ = profile.env_ptr();
-  const ContextEnvironment& env = *flat.env_;
-  const std::vector<ContextualPreference>& prefs = profile.preferences();
-  const size_t n = env.size();
+  flat.env_ = std::move(env);
+  flat.prefs_ = std::move(preferences);
+  const std::vector<ContextualPreference>& prefs = flat.prefs_;
+  const size_t n = flat.env_->size();
 
   // Every preference's states, enumerated once — the pointer tree's
-  // insertion order — and ordered greedily over the same key rows.
-  const std::vector<uint32_t> keys = StateKeyRows(profile);
+  // insertion order — and, without an ordering, ordered greedily over
+  // the same key rows.
+  const std::vector<uint32_t> keys = StateKeyRows(*flat.env_, prefs);
   std::vector<uint32_t> owner;  // State -> index of its preference.
   for (size_t i = 0; i < prefs.size(); ++i) {
     owner.resize(owner.size() + prefs[i].descriptor().NumStates(),
                  static_cast<uint32_t>(i));
   }
   const size_t num_states = owner.size();
-  flat.order_ = GreedyOrdering(ActiveDomainSizes(env, keys));
+  flat.order_ = order != nullptr
+                    ? *order
+                    : GreedyOrdering(ActiveDomainSizes(*flat.env_, keys));
   flat.InitLevels();
 
   // Level by level: each state sits at one node; its key there names a
@@ -275,29 +215,27 @@ FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
     by_leaf[leaf_start[leaf] + fill[leaf]++] = static_cast<uint32_t>(e);
   }
 
-  // Leaf entries as `ProfileTree::InsertState` merges them: an equal
-  // clause already at the leaf is a duplicate, held at the same score
-  // (a `Profile` holds no Def. 6 conflict), and is skipped.
-  ClauseIds clause_ids;
+  // Leaf entries as `ProfileTree::Insert` merges them: an equal clause
+  // already at the leaf is a duplicate, held at the same score (the
+  // preferences hold no Def. 6 conflict), and is skipped.
+  std::vector<uint32_t>& entries = flat.entries_;
   flat.leaf_begin_.reserve(num_leaves + 1);
-  flat.entries_.reserve(num_states);
-  std::vector<const AttributeClause*> leaf_clauses;
+  entries.reserve(num_states);
   for (size_t v = 0; v < num_leaves; ++v) {
-    flat.BeginLeaf();
-    leaf_clauses.clear();
+    const auto leaf_begin = static_cast<uint32_t>(entries.size());
+    flat.leaf_begin_.push_back(leaf_begin);
     for (uint32_t k = leaf_start[v]; k < leaf_start[v + 1]; ++k) {
-      const ContextualPreference& pref = prefs[owner[by_leaf[k]]];
-      if (std::any_of(leaf_clauses.begin(), leaf_clauses.end(),
-                      [&](const AttributeClause* held) {
-                        return *held == pref.clause();
-                      })) {
-        continue;
+      const uint32_t pref = owner[by_leaf[k]];
+      const AttributeClause& clause = prefs[pref].clause();
+      if (std::none_of(entries.begin() + leaf_begin, entries.end(),
+                       [&](uint32_t held) {
+                         return prefs[held].clause() == clause;
+                       })) {
+        entries.push_back(pref);
       }
-      leaf_clauses.push_back(&pref.clause());
-      flat.AppendEntry(pref.clause(), pref.score(), clause_ids);
     }
   }
-  flat.EndLeaves();
+  flat.leaf_begin_.push_back(static_cast<uint32_t>(entries.size()));
   return flat;
 }
 
@@ -477,8 +415,9 @@ std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
     uint32_t leaf) const {
   std::vector<ProfileTree::LeafEntry> out;
   out.reserve(leaf_begin_[leaf + 1] - leaf_begin_[leaf]);
-  for (const FlatEntry* e = entries_begin(leaf); e != entries_end(leaf); ++e) {
-    out.push_back(ProfileTree::LeafEntry{clauses_[e->clause_id], e->score});
+  for (uint32_t k = leaf_begin_[leaf]; k < leaf_begin_[leaf + 1]; ++k) {
+    const ContextualPreference& pref = prefs_[entries_[k]];
+    out.push_back(ProfileTree::LeafEntry{pref.clause(), pref.score()});
   }
   return out;
 }
@@ -492,15 +431,9 @@ size_t FlatProfileTree::MeasuredByteSize() const {
     bytes += level.child.capacity() * sizeof(uint32_t);
   }
   bytes += cover_off_.capacity() * sizeof(uint32_t);
+  bytes += prefs_.capacity() * sizeof(ContextualPreference);
   bytes += leaf_begin_.capacity() * sizeof(uint32_t);
-  bytes += entries_.capacity() * sizeof(FlatEntry);
-  bytes += clauses_.capacity() * sizeof(AttributeClause);
-  for (const AttributeClause& clause : clauses_) {
-    bytes += StringHeapBytes(clause.attribute);
-    if (clause.value.type() == db::ColumnType::kString) {
-      bytes += StringHeapBytes(clause.value.AsString());
-    }
-  }
+  bytes += entries_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 

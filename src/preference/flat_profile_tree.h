@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "context/distance.h"
@@ -20,8 +19,9 @@ namespace ctxpref {
 /// per `ProfileSnapshot` publish straight from the `Profile`
 /// (docs/serving.md); it is the only index serving reads. The pointer
 /// `ProfileTree` stays as the paper's structure for the figure benches
-/// and as the differential oracle, and `Build(const ProfileTree&)`
-/// flattens one into exactly this layout.
+/// and as the differential oracle; `Build(const ProfileTree&)` indexes
+/// the preferences that tree indexed, under its ordering, into exactly
+/// its structure.
 ///
 /// Layout (all storage is a handful of contiguous vectors):
 ///  - Keys: a cell's key is its value's extended-domain key, which the
@@ -40,8 +40,10 @@ namespace ctxpref {
 ///    before recursing, so candidates still come out in exactly the
 ///    pointer tree's (insertion-order DFS) order.
 ///  - Leaves: leaf entries live in one flat array behind a CSR offset
-///    array; attribute clauses are deduplicated into a dictionary so an
-///    entry is `(clause id, score)` — 16 bytes, no strings.
+///    array. An entry is the 4-byte index of the preference it came
+///    from in the arena's copy of the preference list; those are
+///    handles whose bodies (descriptor, clause) the profile shares, so
+///    the arena holds no clause of its own.
 ///
 /// Instances are immutable after `Build` and shared across reader
 /// threads without locks (they hold no mutable state; search scratch
@@ -51,13 +53,6 @@ class FlatProfileTree {
   /// Sentinel for "no ancestor at this level covers the query".
   static constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
   static constexpr uint32_t kNoLeaf = std::numeric_limits<uint32_t>::max();
-
-  /// One leaf entry: `(Ai θ a, score)` with the clause interned.
-  /// Mirrors `ProfileTree::LeafEntry`.
-  struct FlatEntry {
-    uint32_t clause_id = 0;
-    double score = 0.0;
-  };
 
   /// One covering candidate found by `SearchCS`: the leaf it ends in
   /// and its distance from the query summed in *environment* order
@@ -71,17 +66,15 @@ class FlatProfileTree {
   };
 
   /// Indexes `profile` under `GreedyOrdering(profile)` with no pointer
-  /// tree in between: each preference's states are enumerated once,
-  /// that buffer yields the ordering, and the arena is laid out level
-  /// by level. The result is identical to
-  /// `Build(*ProfileTree::Build(profile))` — ordering, cells, child and
-  /// leaf numbering, entries, clause ids. It cannot fail: the profile
-  /// rejected every Def. 6 conflict on insert.
+  /// tree in between. The result has the structure of
+  /// `ProfileTree::Build(profile)` — ordering, cells, child and leaf
+  /// numbering, entries. It cannot fail: the profile rejected every
+  /// Def. 6 conflict on insert.
   static FlatProfileTree Build(const Profile& profile);
 
-  /// Flattens `tree`. Candidate emission order is the pointer tree's
-  /// (insertion-order DFS) order, preserved via the cells' insertion
-  /// indices.
+  /// Indexes the preferences `tree` indexed, under its ordering.
+  /// Candidate emission order is the pointer tree's (insertion-order
+  /// DFS) order, preserved via the cells' insertion indices.
   static FlatProfileTree Build(const ProfileTree& tree);
 
   const ContextEnvironment& env() const { return *env_; }
@@ -117,19 +110,8 @@ class FlatProfileTree {
   double HierarchyDistanceOf(const uint32_t* path,
                              const ContextState& query) const;
 
-  /// Leaf entry ranges (leaf ids are dense in [0, PathCount())).
-  const FlatEntry* entries_begin(uint32_t leaf) const {
-    return entries_.data() + leaf_begin_[leaf];
-  }
-  const FlatEntry* entries_end(uint32_t leaf) const {
-    return entries_.data() + leaf_begin_[leaf + 1];
-  }
-  const AttributeClause& clause(uint32_t clause_id) const {
-    return clauses_[clause_id];
-  }
-  size_t num_clauses() const { return clauses_.size(); }
-
-  /// Copies a leaf's entries back into the pointer tree's entry form.
+  /// Copies a leaf's entries (leaf ids are dense in [0, PathCount()))
+  /// out of their preferences, in the pointer tree's entry form.
   std::vector<ProfileTree::LeafEntry> EntriesOf(uint32_t leaf) const;
 
   /// ---- Size accounting (satellite to paper Fig. 5) ----
@@ -140,18 +122,13 @@ class FlatProfileTree {
   size_t PathCount() const { return leaf_begin_.empty() ? 0 : leaf_begin_.size() - 1; }
   size_t LeafEntryCount() const { return entries_.size(); }
 
-  /// Bytes actually resident in the arena (vector capacities plus the
-  /// clause dictionary's string payloads) — the "measured" column next
-  /// to the paper's modeled `ProfileTree::ByteSize()` in bench_fig5.
+  /// Bytes actually resident in the arena (vector capacities, counting
+  /// the preference handles but not the bodies they share with the
+  /// profile) — the "measured" column next to the paper's modeled
+  /// `ProfileTree::ByteSize()` in bench_fig5.
   size_t MeasuredByteSize() const;
 
  private:
-  /// Strict-weak order for the clause dictionary (AttributeClause only
-  /// defines ==; db::Value is three-way comparable).
-  struct ClauseLess {
-    bool operator()(const AttributeClause& a, const AttributeClause& b) const;
-  };
-
   /// One trie level: cells of all the level's nodes, level-contiguous
   /// and key-sorted within each node's `cell_begin` (CSR) segment.
   /// `child[c]` is the cell's insertion index within the level — the
@@ -165,20 +142,16 @@ class FlatProfileTree {
     const LevelIndex* level_of = nullptr;
   };
 
+  /// The one build: indexes `preferences` (their states in preference
+  /// order, the pointer tree's insertion order) under `*order`, or
+  /// under the greedy ordering of their active domains when `order` is
+  /// null. The preferences must hold no Def. 6 conflict.
+  static FlatProfileTree BuildOver(
+      EnvironmentPtr env, std::vector<ContextualPreference> preferences,
+      const Ordering* order);
+
   /// `levels_` and the per-level scratch offsets under `order_`.
   void InitLevels();
-
-  /// The leaf/clause-dictionary step both builds share: leaves are
-  /// appended in leaf-id order, each leaf's entries in insertion
-  /// order, and a clause gets the next dictionary id at its first
-  /// appearance.
-  using ClauseIds = std::map<AttributeClause, uint32_t, ClauseLess>;
-  void BeginLeaf() {
-    leaf_begin_.push_back(static_cast<uint32_t>(entries_.size()));
-  }
-  void AppendEntry(const AttributeClause& clause, double score,
-                   ClauseIds& clause_ids);
-  void EndLeaves() { BeginLeaf(); }
 
   /// Reusable per-query buffers (cover tables, descent path, match
   /// lists); fetched thread-locally so steady-state searches allocate
@@ -197,9 +170,10 @@ class FlatProfileTree {
   /// level l owns slots [cover_off_[l], cover_off_[l+1]), one per
   /// hierarchy level of its parameter.
   std::vector<uint32_t> cover_off_;
+  /// The indexed preferences; leaf entries are indices into it.
+  std::vector<ContextualPreference> prefs_;
   std::vector<uint32_t> leaf_begin_; ///< CSR into entries_; size leaves+1.
-  std::vector<FlatEntry> entries_;
-  std::vector<AttributeClause> clauses_;  ///< Deduplicated dictionary.
+  std::vector<uint32_t> entries_;    ///< Per leaf entry: index into prefs_.
   size_t cell_count_ = 0;
   size_t node_count_ = 0;
 };

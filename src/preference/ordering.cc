@@ -44,11 +44,12 @@ uint64_t MaxCellEstimate(const std::vector<uint64_t>& sizes) {
   return acc;
 }
 
-std::vector<uint32_t> StateKeyRows(const Profile& profile) {
-  const ContextEnvironment& env = profile.env();
+std::vector<uint32_t> StateKeyRows(
+    const ContextEnvironment& env,
+    const std::vector<ContextualPreference>& prefs) {
   const size_t n = env.size();
   std::vector<ValueRef> values;
-  for (const ContextualPreference& pref : profile.preferences()) {
+  for (const ContextualPreference& pref : prefs) {
     pref.descriptor().AppendStateValues(env, values);
   }
   std::vector<uint32_t> keys(values.size());
@@ -75,7 +76,8 @@ std::vector<uint64_t> ActiveDomainSizes(const ContextEnvironment& env,
 }
 
 std::vector<uint64_t> ActiveDomainSizes(const Profile& profile) {
-  return ActiveDomainSizes(profile.env(), StateKeyRows(profile));
+  return ActiveDomainSizes(
+      profile.env(), StateKeyRows(profile.env(), profile.preferences()));
 }
 
 Ordering GreedyOrdering(const std::vector<uint64_t>& active_sizes) {

@@ -47,11 +47,13 @@ class Ordering {
 /// m1..mn in tree-level order: m1·(1 + m2·(1 + ... (1 + mn))).
 uint64_t MaxCellEstimate(const std::vector<uint64_t>& sizes_in_level_order);
 
-/// Every preference's states, preference order then state order (the
+/// Every state of `prefs`, preference order then state order (the
 /// profile tree's insertion order), as rows of extended-domain keys
 /// (`Hierarchy::Key`) in environment order: `NumStates()` rows of
 /// `env.size()` keys per preference.
-std::vector<uint32_t> StateKeyRows(const Profile& profile);
+std::vector<uint32_t> StateKeyRows(
+    const ContextEnvironment& env,
+    const std::vector<ContextualPreference>& prefs);
 
 /// Distinct keys each parameter (column) takes over `key_rows` (rows
 /// of `env.size()` extended-domain keys, as `StateKeyRows` lays them
@@ -62,7 +64,8 @@ std::vector<uint32_t> StateKeyRows(const Profile& profile);
 std::vector<uint64_t> ActiveDomainSizes(const ContextEnvironment& env,
                                         const std::vector<uint32_t>& key_rows);
 
-/// `ActiveDomainSizes(profile.env(), StateKeyRows(profile))`.
+/// `ActiveDomainSizes` over `StateKeyRows(profile.env(),
+/// profile.preferences())`.
 std::vector<uint64_t> ActiveDomainSizes(const Profile& profile);
 
 /// The paper's §3.3 greedy ordering over active domain sizes (indexed

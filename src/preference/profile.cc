@@ -105,11 +105,11 @@ Status Profile::UpdateScore(size_t index, double new_score) {
   return Status::OK();
 }
 
-std::vector<Profile::FlatEntry> Profile::Flatten() const {
-  std::vector<FlatEntry> out;
+std::vector<Profile::StateEntry> Profile::Flatten() const {
+  std::vector<StateEntry> out;
   for (size_t i = 0; i < prefs_.size(); ++i) {
     for (ContextState& s : prefs_[i].States(*env_)) {
-      out.push_back(FlatEntry{std::move(s), &prefs_[i].clause(),
+      out.push_back(StateEntry{std::move(s), &prefs_[i].clause(),
                               prefs_[i].score(), i});
     }
   }

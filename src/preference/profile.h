@@ -64,7 +64,7 @@ class Profile {
   /// All (state, clause, score) entries expanded from every preference;
   /// the flat representation the sequential baseline scans and the
   /// profile tree indexes. Order: preference order, then state order.
-  struct FlatEntry {
+  struct StateEntry {
     ContextState state;
     /// Points into the body of the preference at `pref_index`, which
     /// copies of it share; valid while any of them lives.
@@ -72,7 +72,7 @@ class Profile {
     double score;
     size_t pref_index;
   };
-  std::vector<FlatEntry> Flatten() const;
+  std::vector<StateEntry> Flatten() const;
 
   /// Serializes to the line format
   ///   `pref: <descriptor> => <attr> <op> <value> : <score>`

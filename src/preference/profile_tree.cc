@@ -53,21 +53,14 @@ ProfileTree::Node* ProfileTree::Descend(const ContextState& state,
   return node;
 }
 
-Status ProfileTree::InsertState(const ContextState& state,
-                                const AttributeClause& clause, double score) {
+void ProfileTree::InsertState(const ContextState& state,
+                              const AttributeClause& clause, double score) {
   Node* leaf = Descend(state, /*create=*/true);
-  for (LeafEntry& e : leaf->entries) {
-    if (e.clause == clause) {
-      if (e.score == score) return Status::OK();  // Already held.
-      return Status::Conflict(
-          "state " + state.ToString(*env_) + " already scores clause '" +
-          clause.ToString() + "' at " + FormatDouble(e.score) +
-          "; refusing new score " + FormatDouble(score));
-    }
+  for (const LeafEntry& e : leaf->entries) {
+    if (e.clause == clause) return;  // Held, at `score` (Insert's pass 1).
   }
   leaf->entries.push_back(LeafEntry{clause, score});
   ++leaf_entry_count_;
-  return Status::OK();
 }
 
 Status ProfileTree::Insert(const ContextualPreference& pref) {
@@ -88,8 +81,9 @@ Status ProfileTree::Insert(const ContextualPreference& pref) {
   }
   // Pass 2: materialize paths.
   for (const ContextState& s : states) {
-    CTXPREF_RETURN_IF_ERROR(InsertState(s, pref.clause(), pref.score()));
+    InsertState(s, pref.clause(), pref.score());
   }
+  prefs_.push_back(pref);
   return Status::OK();
 }
 
@@ -119,7 +113,8 @@ size_t MeasuredNodeBytes(const ProfileTree::Node& node) {
 }  // namespace
 
 size_t ProfileTree::MeasuredByteSize() const {
-  return sizeof(*this) + MeasuredNodeBytes(*root_);
+  return sizeof(*this) + MeasuredNodeBytes(*root_) +
+         prefs_.capacity() * sizeof(ContextualPreference);
 }
 
 const std::vector<ProfileTree::LeafEntry>* ProfileTree::ExactLookup(

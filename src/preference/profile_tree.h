@@ -80,18 +80,17 @@ class ProfileTree {
   const EnvironmentPtr& env_ptr() const { return env_; }
   const Ordering& ordering() const { return order_; }
   const Node& root() const { return *root_; }
+  /// The preferences inserted so far, in insertion order.
+  const std::vector<ContextualPreference>& preferences() const {
+    return prefs_;
+  }
 
-  /// Inserts every state of `pref`'s descriptor. Errors with Conflict
-  /// (Def. 6) if any path already carries the same clause with a
-  /// different score; the tree is left unchanged on conflict (the
-  /// conflicting insertion is checked before any path is created).
+  /// Inserts every state of `pref`'s descriptor and records `pref`.
+  /// Errors with Conflict (Def. 6) if any path already carries the same
+  /// clause with a different score; the tree is left unchanged on
+  /// conflict (the conflicting insertion is checked before any path is
+  /// created).
   Status Insert(const ContextualPreference& pref);
-
-  /// Inserts a single (state, clause, score) path. Identical existing
-  /// entries are deduplicated silently (OK); a same-clause entry with a
-  /// different score yields Conflict.
-  Status InsertState(const ContextState& state, const AttributeClause& clause,
-                     double score);
 
   /// Exact-match lookup (paper §4.4 first case): a single root-to-leaf
   /// descent following the cell whose key equals the state's component
@@ -118,10 +117,10 @@ class ProfileTree {
     return cell_count_ * kCellBytes + leaf_entry_count_ * kLeafEntryBytes;
   }
   /// Bytes actually resident: every node's struct, cell and entry
-  /// buffer capacities, and the heap payloads of clause strings. This
-  /// is what the modeled figure under-counts (node overhead, vector
-  /// slack, string storage) — reported next to `ByteSize()` in
-  /// bench_fig5.
+  /// buffer capacities, the heap payloads of clause strings and the
+  /// recorded preference handles. This is what the modeled figure
+  /// under-counts (node overhead, vector slack, string storage) —
+  /// reported next to `ByteSize()` in bench_fig5.
   size_t MeasuredByteSize() const;
 
  private:
@@ -130,9 +129,16 @@ class ProfileTree {
   /// `create` is false).
   Node* Descend(const ContextState& state, bool create);
 
+  /// Inserts a single (state, clause, score) path; an entry with the
+  /// same clause already at the leaf is kept as it is. `Insert` checks
+  /// first that such an entry holds the same score.
+  void InsertState(const ContextState& state, const AttributeClause& clause,
+                   double score);
+
   EnvironmentPtr env_;
   Ordering order_;
   std::unique_ptr<Node> root_;
+  std::vector<ContextualPreference> prefs_;
   size_t cell_count_ = 0;
   size_t node_count_ = 1;  // root
   size_t path_count_ = 0;

@@ -6,7 +6,7 @@ namespace ctxpref {
 
 SequentialStore SequentialStore::Build(const Profile& profile) {
   SequentialStore store(profile.env_ptr());
-  for (const Profile::FlatEntry& e : profile.Flatten()) {
+  for (const Profile::StateEntry& e : profile.Flatten()) {
     store.Add(e.state, *e.clause, e.score);
   }
   return store;

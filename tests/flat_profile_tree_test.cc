@@ -5,7 +5,7 @@
 // Property-3 erratum, where every Jaccard distance along the chain
 // ties), and a leaf entry two preferences share, across removal from
 // the profile and rebuild. The arena built straight from a `Profile`
-// must equal the flattened pointer tree on the same shapes.
+// must equal the arena of its pointer tree on the same shapes.
 
 #include "preference/flat_profile_tree.h"
 
@@ -66,6 +66,18 @@ AttributeClause Clause(const std::string& value) {
   return AttributeClause{"attr", db::CompareOp::kEq, db::Value(value)};
 }
 
+/// `attr = value : score` for the single state `s`.
+ContextualPreference StatePref(const ContextEnvironment& env,
+                               const ContextState& s, const std::string& value,
+                               double score) {
+  StatusOr<CompositeDescriptor> cod = CompositeDescriptor::ForState(env, s);
+  EXPECT_OK(cod.status());
+  StatusOr<ContextualPreference> pref =
+      ContextualPreference::Create(std::move(*cod), Clause(value), score);
+  EXPECT_OK(pref.status());
+  return std::move(*pref);
+}
+
 void ExpectParity(const ProfileTree& tree, const FlatProfileTree& flat,
                   const ContextState& query, DistanceKind kind) {
   TreeResolver pointer_resolver(&tree);
@@ -101,7 +113,6 @@ TEST(FlatProfileTreeTest, EmptyProfileBuildsEmptyArena) {
   EXPECT_EQ(flat.CellCount(), 0u);
   EXPECT_EQ(flat.NodeCount(), tree.NodeCount());
   EXPECT_EQ(flat.LeafEntryCount(), 0u);
-  EXPECT_EQ(flat.num_clauses(), 0u);
   EXPECT_GT(flat.MeasuredByteSize(), 0u);
 
   const ContextState q({ValueRef{0, 0}, ValueRef{0, 1}});
@@ -119,14 +130,13 @@ TEST(FlatProfileTreeTest, SingleStateProfileRoundTrips) {
   EnvironmentPtr env = TwoFlatEnv();
   ProfileTree tree(env, Ordering::Identity(env->size()));
   const ContextState s({ValueRef{0, 0}, ValueRef{0, 1}});  // (happy, off)
-  ASSERT_OK(tree.InsertState(s, Clause("v1"), 0.75));
+  ASSERT_OK(tree.Insert(StatePref(*env, s, "v1", 0.75)));
   const FlatProfileTree flat = FlatProfileTree::Build(tree);
 
   EXPECT_EQ(flat.PathCount(), 1u);
   EXPECT_EQ(flat.CellCount(), tree.CellCount());
   EXPECT_EQ(flat.NodeCount(), tree.NodeCount());
   EXPECT_EQ(flat.LeafEntryCount(), 1u);
-  EXPECT_EQ(flat.num_clauses(), 1u);
 
   const uint32_t leaf = flat.ExactLookup(s);
   ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
@@ -158,12 +168,12 @@ TEST(FlatProfileTreeTest, DegenerateChainHierarchyJaccardTieBreak) {
   const ValueRef greece{1, 0};
   const ValueRef all_place{2, 0};
   const ValueRef happy{0, 0};
-  ASSERT_OK(tree.InsertState(ContextState({athens, happy}), Clause("exact"),
-                             0.5));
-  ASSERT_OK(tree.InsertState(ContextState({greece, happy}), Clause("country"),
-                             0.6));
-  ASSERT_OK(tree.InsertState(ContextState({all_place, happy}), Clause("all"),
-                             0.7));
+  ASSERT_OK(tree.Insert(
+      StatePref(*env, ContextState({athens, happy}), "exact", 0.5)));
+  ASSERT_OK(tree.Insert(
+      StatePref(*env, ContextState({greece, happy}), "country", 0.6)));
+  ASSERT_OK(tree.Insert(
+      StatePref(*env, ContextState({all_place, happy}), "all", 0.7)));
   const FlatProfileTree flat = FlatProfileTree::Build(tree);
 
   // Jaccard: all three stored states are at distance 0 from the
@@ -238,9 +248,9 @@ TEST(FlatProfileTreeTest, SharedEntrySurvivesRemovingOneOfItsPreferences) {
 }
 
 /// The arena publishing builds (straight from the profile) must equal
-/// the flattened pointer tree; checked through everything the arena
+/// the arena of its pointer tree; checked through everything the arena
 /// exposes.
-void ExpectDirectEqualsFlattened(const Profile& profile,
+void ExpectDirectEqualsTreeArena(const Profile& profile,
                                  const std::vector<ContextState>& queries) {
   const FlatProfileTree direct = FlatProfileTree::Build(profile);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
@@ -251,7 +261,6 @@ void ExpectDirectEqualsFlattened(const Profile& profile,
   EXPECT_EQ(direct.NodeCount(), flat.NodeCount());
   ASSERT_EQ(direct.PathCount(), flat.PathCount());
   EXPECT_EQ(direct.LeafEntryCount(), flat.LeafEntryCount());
-  EXPECT_EQ(direct.num_clauses(), flat.num_clauses());
   for (uint32_t leaf = 0; leaf < flat.PathCount(); ++leaf) {
     const std::vector<ProfileTree::LeafEntry> a = direct.EntriesOf(leaf);
     const std::vector<ProfileTree::LeafEntry> b = flat.EntriesOf(leaf);
@@ -279,10 +288,9 @@ TEST(FlatProfileTreeTest, DirectBuildOfEmptyProfile) {
   EXPECT_EQ(flat.CellCount(), 0u);
   EXPECT_EQ(flat.NodeCount(), 1u);
   EXPECT_EQ(flat.LeafEntryCount(), 0u);
-  EXPECT_EQ(flat.num_clauses(), 0u);
   const ContextState q({ValueRef{0, 0}, ValueRef{0, 1}});
   EXPECT_EQ(flat.ExactLookup(q), FlatProfileTree::kNoLeaf);
-  ExpectDirectEqualsFlattened(profile, {q});
+  ExpectDirectEqualsTreeArena(profile, {q});
 }
 
 TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
@@ -308,16 +316,20 @@ TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
   const FlatProfileTree flat = FlatProfileTree::Build(profile);
   EXPECT_EQ(flat.PathCount(), 2u);
   EXPECT_EQ(flat.LeafEntryCount(), 2u);
-  EXPECT_EQ(flat.num_clauses(), 1u);
   const ContextState happy_all({ValueRef{0, 0}, ValueRef{1, 0}});
-  const uint32_t leaf = flat.ExactLookup(happy_all);
-  ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
-  const std::vector<ProfileTree::LeafEntry> entries = flat.EntriesOf(leaf);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].score, 0.4);
-  ExpectDirectEqualsFlattened(
-      profile, {happy_all, ContextState({ValueRef{0, 1}, ValueRef{1, 0}}),
-                ContextState({ValueRef{0, 0}, ValueRef{0, 0}})});
+  const ContextState sad_all({ValueRef{0, 1}, ValueRef{1, 0}});
+  // Each leaf holds the one clause, v2 at 0.4.
+  for (const ContextState& s : {happy_all, sad_all}) {
+    const uint32_t leaf = flat.ExactLookup(s);
+    ASSERT_NE(leaf, FlatProfileTree::kNoLeaf);
+    const std::vector<ProfileTree::LeafEntry> entries = flat.EntriesOf(leaf);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_TRUE(entries[0].clause == Clause("v2"));
+    EXPECT_EQ(entries[0].score, 0.4);
+  }
+  ExpectDirectEqualsTreeArena(
+      profile,
+      {happy_all, sad_all, ContextState({ValueRef{0, 0}, ValueRef{0, 0}})});
 }
 
 }  // namespace

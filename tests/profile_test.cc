@@ -356,7 +356,7 @@ TEST_F(ProfileTest, FlattenExpandsAllStates) {
                           "{warm, hot}", "name", "Acropolis", 0.8)));
   ASSERT_OK(p.Insert(
       Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.9)));
-  std::vector<Profile::FlatEntry> flat = p.Flatten();
+  std::vector<Profile::StateEntry> flat = p.Flatten();
   ASSERT_EQ(flat.size(), 3u);
   EXPECT_EQ(flat[0].pref_index, 0u);
   EXPECT_EQ(flat[2].pref_index, 1u);

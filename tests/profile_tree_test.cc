@@ -134,12 +134,18 @@ TEST_F(ProfileTreeTest, DuplicatePathIsDeduplicated) {
   StatusOr<ProfileTree> tree = ProfileTree::Build(p);
   ASSERT_OK(tree.status());
   const size_t entries = tree->LeafEntryCount();
-  // Re-inserting the identical (state, clause, score) is a no-op.
-  EXPECT_OK(tree->InsertState(State(*env_, {"Plaka", "all", "all"}),
-                              AttributeClause{"name", db::CompareOp::kEq,
-                                              db::Value("Acropolis")},
-                              0.8));
+  // Re-inserting the identical (state, clause, score) adds no entry.
+  StatusOr<CompositeDescriptor> cod = CompositeDescriptor::ForState(
+      *env_, State(*env_, {"Plaka", "all", "all"}));
+  ASSERT_OK(cod.status());
+  StatusOr<ContextualPreference> again = ContextualPreference::Create(
+      std::move(*cod),
+      AttributeClause{"name", db::CompareOp::kEq, db::Value("Acropolis")},
+      0.8);
+  ASSERT_OK(again.status());
+  EXPECT_OK(tree->Insert(*again));
   EXPECT_EQ(tree->LeafEntryCount(), entries);
+  EXPECT_EQ(tree->preferences().size(), 2u);
 }
 
 TEST_F(ProfileTreeTest, MultipleClausesShareALeaf) {

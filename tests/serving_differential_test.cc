@@ -111,7 +111,7 @@ std::map<db::RowId, double> BruteForceRank(
     const Profile& profile, const db::Relation& relation,
     const std::vector<ContextState>& query_states, DistanceKind kind) {
   std::map<db::RowId, double> scores;
-  const std::vector<Profile::FlatEntry> flat = profile.Flatten();
+  const std::vector<Profile::StateEntry> flat = profile.Flatten();
   for (const ContextState& q : query_states) {
     const std::vector<ContextState> covering = CoveringStates(profile, q);
     if (covering.empty()) continue;
@@ -144,7 +144,7 @@ std::map<db::RowId, double> BruteForceRank(
       tied = std::move(kept);
     }
     for (const ContextState& s : tied) {
-      for (const Profile::FlatEntry& e : flat) {
+      for (const Profile::StateEntry& e : flat) {
         if (!(e.state == s)) continue;
         StatusOr<db::Predicate> pred = db::Predicate::Create(
             relation.schema(), e.clause->attribute, e.clause->op,

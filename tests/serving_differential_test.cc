@@ -325,6 +325,16 @@ void ExpectSameCandidates(const ContextEnvironment& env,
   }
 }
 
+/// Search_CS returns a set of covering states (paper §4.4); each
+/// layout emits it in its own order, so the comparison sorts both.
+std::vector<CandidatePath> ByState(std::vector<CandidatePath> candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const CandidatePath& a, const CandidatePath& b) {
+              return a.state < b.state;
+            });
+  return candidates;
+}
+
 TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
@@ -351,8 +361,8 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
         std::string label = q.ToString(*env);
         label += exact_only ? " exact " : " cover ";
         label += DistanceKindToString(kind);
-        ExpectSameCandidates(*env, pointer_resolver.SearchCS(q, ropts),
-                             flat_resolver.SearchCS(q, ropts),
+        ExpectSameCandidates(*env, ByState(pointer_resolver.SearchCS(q, ropts)),
+                             ByState(flat_resolver.SearchCS(q, ropts)),
                              label + " search");
         ExpectSameCandidates(*env, pointer_resolver.ResolveBest(q, ropts),
                              flat_resolver.ResolveBest(q, ropts),
@@ -444,8 +454,8 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
         std::string label = q.ToString(*env);
         label += exact_only ? " exact " : " cover ";
         label += DistanceKindToString(kind);
-        ExpectSameCandidates(*env, pointer_resolver.SearchCS(q, ropts),
-                             flat_resolver.SearchCS(q, ropts),
+        ExpectSameCandidates(*env, ByState(pointer_resolver.SearchCS(q, ropts)),
+                             ByState(flat_resolver.SearchCS(q, ropts)),
                              label + " search");
         ExpectSameCandidates(*env, pointer_resolver.ResolveBest(q, ropts),
                              flat_resolver.ResolveBest(q, ropts),
@@ -460,7 +470,7 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeOnPaperEnv) {
 // The arena indexes the same preferences as the pointer tree, so it
 // must be that tree in another layout: the same ordering and structure
 // counts, the same entries at every exact path, and the same Search_CS
-// candidates in the same order with bit-equal distances and scores.
+// candidate set with bit-equal distances and scores.
 // Publishing builds it from the `Profile` under the greedy ordering;
 // `FlatProfileTree::Build(const ProfileTree&)` builds it under the
 // tree's own ordering, so every ordering is checked too.
@@ -522,8 +532,8 @@ void ExpectSameArena(const ProfileTree& tree, const FlatProfileTree& flat,
       const ResolutionOptions ropts{.distance = kind,
                                     .exact_only = exact_only};
       for (const ContextState& q : queries) {
-        ExpectSameCandidates(env, pointer_resolver.SearchCS(q, ropts),
-                             flat_resolver.SearchCS(q, ropts),
+        ExpectSameCandidates(env, ByState(pointer_resolver.SearchCS(q, ropts)),
+                             ByState(flat_resolver.SearchCS(q, ropts)),
                              label + " " + q.ToString(env) +
                                  (exact_only ? " exact " : " cover ") +
                                  DistanceKindToString(kind));

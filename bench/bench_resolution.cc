@@ -68,9 +68,9 @@ Rig& RigFor(size_t num_prefs) {
                    tree.status().ToString().c_str());
       std::abort();
     }
+    FlatProfileTree flat = FlatProfileTree::Build(*tree);
     auto rig = std::make_unique<Rig>(
-        Rig{std::move(gen), std::move(*tree), FlatProfileTree(), {}, {}});
-    rig->flat = FlatProfileTree::Build(rig->tree);
+        Rig{std::move(gen), std::move(*tree), std::move(flat), {}, {}});
     rig->cover_queries =
         workload::RandomQueryBatch(*rig->gen.env, 64, 2, 0.3);
     rig->exact_queries = workload::ExactQueryBatch(rig->gen.profile, 64, 1);

@@ -9,6 +9,24 @@
 
 namespace ctxpref {
 
+namespace {
+
+/// Query-path metrics of `RankCS` (cached and uncached), living in
+/// `MetricsRegistry::Global()` (see docs/observability.md for the
+/// catalog). Counters tick unconditionally; the latency histogram
+/// records only while `MetricsRegistry::TimingEnabled()`.
+struct RankMetrics {
+  Counter& queries;         ///< ctxpref_rank_cs_queries_total
+  Counter& cached_queries;  ///< ctxpref_rank_cs_cached_queries_total
+  Counter& states;          ///< ctxpref_rank_cs_states_total
+  Counter& tuples_scored;   ///< ctxpref_rank_cs_tuples_scored_total
+  Counter& deadline_exceeded;  ///< ctxpref_rank_cs_deadline_exceeded_total
+  Counter& states_abandoned;   ///< ctxpref_rank_cs_states_abandoned_total
+  LatencyHistogram& latency;  ///< ctxpref_rank_cs_latency_ns
+
+  static RankMetrics& Get();
+};
+
 RankMetrics& RankMetrics::Get() {
   MetricsRegistry& reg = MetricsRegistry::Global();
   static RankMetrics* m = new RankMetrics{
@@ -31,8 +49,6 @@ RankMetrics& RankMetrics::Get() {
   };
   return *m;
 }
-
-namespace {
 
 /// Appends one constant-score source per leaf entry of `candidates`, in
 /// candidate, entry order; each reads its clause out of the candidate

@@ -18,25 +18,7 @@
 
 namespace ctxpref {
 
-class Counter;           // util/metrics.h
-class LatencyHistogram;  // util/histogram.h
 class ContextQueryTree;  // preference/query_cache.h
-
-/// Query-path metrics of `RankCS` (cached and uncached), living in
-/// `MetricsRegistry::Global()` (see docs/observability.md for the
-/// catalog). Counters tick unconditionally; the latency histogram
-/// records only while `MetricsRegistry::TimingEnabled()`.
-struct RankMetrics {
-  Counter& queries;         ///< ctxpref_rank_cs_queries_total
-  Counter& cached_queries;  ///< ctxpref_rank_cs_cached_queries_total
-  Counter& states;          ///< ctxpref_rank_cs_states_total
-  Counter& tuples_scored;   ///< ctxpref_rank_cs_tuples_scored_total
-  Counter& deadline_exceeded;  ///< ctxpref_rank_cs_deadline_exceeded_total
-  Counter& states_abandoned;   ///< ctxpref_rank_cs_states_abandoned_total
-  LatencyHistogram& latency;  ///< ctxpref_rank_cs_latency_ns
-
-  static RankMetrics& Get();
-};
 
 /// A contextual query CQ (paper Def. 9): a query over the database
 /// relation enhanced with an extended context descriptor. The

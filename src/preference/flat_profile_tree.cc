@@ -1,7 +1,7 @@
 #include "preference/flat_profile_tree.h"
 
 #include <algorithm>
-#include <bit>
+#include <numeric>
 #include <utility>
 
 namespace ctxpref {
@@ -16,13 +16,12 @@ constexpr uint32_t kLinearScanMax = 8;
 
 }  // namespace
 
-/// One matched cell during a descent: its child/insertion index (the
-/// recursion target and the sort key restoring insertion order), the
-/// matched key, and that key's distance step.
+/// Per-query buffers of a descent.
 struct FlatProfileTree::Scratch {
+  /// One matched cell: its index (= the next level's node) and its
+  /// distance step.
   struct Match {
-    uint32_t child;
-    uint32_t key;
+    uint32_t cell;
     double step;
   };
   /// Cover tables, indexed by cover_off_[level] + hierarchy level:
@@ -55,51 +54,7 @@ void FlatProfileTree::InitLevels() {
     cover_off_[l + 1] = cover_off_[l] + static_cast<uint32_t>(h.num_levels());
     levels_[l].level_of = h.level_of_keys();
   }
-  node_count_ = 1;  // The root.
 }
-
-namespace {
-
-/// Open-addressing map from a (node, key) cell to its discovery index
-/// within one trie level; reset between levels. Capacity is a power of
-/// two at least twice the number of states, so probes stay short and
-/// no insert ever fails.
-class CellTable {
- public:
-  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-
-  void Reset(size_t num_states) {
-    size_t capacity = 16;
-    while (capacity < 2 * num_states) capacity *= 2;
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    slots_.assign(capacity, Slot{0, kEmpty});
-  }
-
-  /// The cell's index; `fresh` (the next index) when it is new.
-  uint32_t FindOrInsert(uint32_t node, uint32_t key, uint32_t fresh) {
-    const uint64_t cell = (static_cast<uint64_t>(node) << 32) | key;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = (cell * 0x9E3779B97F4A7C15ull) >> shift_;;
-         i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.index == kEmpty) {
-        slot = Slot{cell, fresh};
-        return fresh;
-      }
-      if (slot.cell == cell) return slot.index;
-    }
-  }
-
- private:
-  struct Slot {
-    uint64_t cell;
-    uint32_t index;
-  };
-  std::vector<Slot> slots_;
-  unsigned shift_ = 60;
-};
-
-}  // namespace
 
 FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
   return BuildOver(profile.env_ptr(), profile.preferences(), nullptr);
@@ -118,9 +73,8 @@ FlatProfileTree FlatProfileTree::BuildOver(
   const std::vector<ContextualPreference>& prefs = flat.prefs_;
   const size_t n = flat.env_->size();
 
-  // Every preference's states, enumerated once — the pointer tree's
-  // insertion order — and, without an ordering, ordered greedily over
-  // the same key rows.
+  // Every preference's states, enumerated once in insertion order and,
+  // without an ordering, ordered greedily over the same key rows.
   const std::vector<uint32_t> keys = StateKeyRows(*flat.env_, prefs);
   std::vector<uint32_t> owner;  // State -> index of its preference.
   for (size_t i = 0; i < prefs.size(); ++i) {
@@ -132,108 +86,81 @@ FlatProfileTree FlatProfileTree::BuildOver(
                     ? *order
                     : GreedyOrdering(ActiveDomainSizes(*flat.env_, keys));
   flat.InitLevels();
+  auto key_at = [&](uint32_t state, size_t level) {
+    return keys[state * n + flat.order_.param_at_level(level)];
+  };
 
-  // Level by level: each state sits at one node; its key there names a
-  // cell, numbered in order of first discovery, which is the order the
-  // pointer tree inserts cells. A node's cells keep that order among
-  // themselves, and the next level's nodes are numbered by parent,
-  // then by insertion — the pointer tree's BFS numbering.
-  std::vector<uint32_t> node_of(num_states, 0);
-  std::vector<uint32_t> cell_of(num_states);
-  std::vector<uint32_t> cell_node;  // Discovery index -> its node.
-  std::vector<uint32_t> cell_key;   // Discovery index -> its key.
-  std::vector<uint32_t> fill;       // Per node: cells placed so far.
-  std::vector<uint32_t> position;   // Discovery index -> level position.
-  std::vector<std::pair<uint32_t, uint32_t>> segment;  // (key, child)
-  CellTable table;
-  size_t num_nodes = 1;
-  for (size_t l = 0; l < n; ++l) {
+  // Sort the states by key path (level 0's key first): a stable
+  // counting sort per level, least-significant level first, so states
+  // on one path keep insertion order.
+  std::vector<uint32_t> sorted(num_states);
+  std::iota(sorted.begin(), sorted.end(), 0);
+  std::vector<uint32_t> next(num_states);
+  std::vector<uint32_t> start;
+  for (size_t l = n; l-- > 0;) {
     const size_t p = flat.order_.param_at_level(l);
-    table.Reset(num_states);
-    cell_node.clear();
-    cell_key.clear();
-    for (size_t e = 0; e < num_states; ++e) {
-      const uint32_t key = keys[e * n + p];
-      const auto fresh = static_cast<uint32_t>(cell_node.size());
-      cell_of[e] = table.FindOrInsert(node_of[e], key, fresh);
-      if (cell_of[e] == fresh) {
-        cell_node.push_back(node_of[e]);
-        cell_key.push_back(key);
-      }
-    }
-    const size_t num_cells = cell_node.size();
-    Level& level = flat.levels_[l];
-    level.cell_begin.assign(num_nodes + 1, 0);
-    for (const uint32_t node : cell_node) ++level.cell_begin[node + 1];
-    for (size_t v = 0; v < num_nodes; ++v) {
-      level.cell_begin[v + 1] += level.cell_begin[v];
-    }
-    // A cell's insertion position within the level is its child's
-    // node number at the next level.
-    fill.assign(num_nodes, 0);
-    position.resize(num_cells);
-    level.keys.resize(num_cells);
-    level.child.resize(num_cells);
-    for (size_t c = 0; c < num_cells; ++c) {
-      const uint32_t node = cell_node[c];
-      position[c] = level.cell_begin[node] + fill[node]++;
-      level.keys[position[c]] = cell_key[c];
-      level.child[position[c]] = position[c];
-    }
-    for (size_t v = 0; v < num_nodes; ++v) {
-      const uint32_t begin = level.cell_begin[v];
-      const uint32_t end = level.cell_begin[v + 1];
-      if (end - begin < 2) continue;
-      // Keys are distinct within a node: sorting (key, child) pairs by
-      // key is what the pointer flattening's segment sort does.
-      segment.clear();
-      for (uint32_t c = begin; c < end; ++c) {
-        segment.emplace_back(level.keys[c], level.child[c]);
-      }
-      std::sort(segment.begin(), segment.end());
-      for (uint32_t c = begin; c < end; ++c) {
-        level.keys[c] = segment[c - begin].first;
-        level.child[c] = segment[c - begin].second;
-      }
-    }
-    for (size_t e = 0; e < num_states; ++e) node_of[e] = position[cell_of[e]];
-    flat.cell_count_ += num_cells;
-    flat.node_count_ += num_cells;
-    num_nodes = num_cells;
+    const uint32_t* column = keys.data() + p;
+    const size_t domain = flat.env_->parameter(p).hierarchy()
+                              .extended_domain_size();
+    start.assign(domain + 1, 0);
+    for (const uint32_t e : sorted) ++start[column[e * n] + 1];
+    for (size_t k = 1; k <= domain; ++k) start[k] += start[k - 1];
+    for (const uint32_t e : sorted) next[start[column[e * n]]++] = e;
+    sorted.swap(next);
   }
 
-  // `node_of` is now each state's leaf. Bucket the states by leaf,
-  // keeping insertion order within a leaf (a stable counting sort).
-  const size_t num_leaves = num_nodes;
-  std::vector<uint32_t> leaf_start(num_leaves + 1, 0);
-  for (size_t e = 0; e < num_states; ++e) ++leaf_start[node_of[e] + 1];
-  for (size_t v = 0; v < num_leaves; ++v) leaf_start[v + 1] += leaf_start[v];
-  std::vector<uint32_t> by_leaf(num_states);
-  fill.assign(num_leaves, 0);
-  for (size_t e = 0; e < num_states; ++e) {
-    const uint32_t leaf = node_of[e];
-    by_leaf[leaf_start[leaf] + fill[leaf]++] = static_cast<uint32_t>(e);
+  // Level l's cells are the distinct path prefixes of length l + 1, in
+  // sorted order, so cell c of level l is node c of level l + 1 (leaf c
+  // at the last level). A sorted state opens a cell at every level from
+  // the first one where its path departs from its predecessor's (n when
+  // the paths are equal), and a node at every level below that.
+  std::vector<uint32_t> depart(num_states);
+  std::vector<uint32_t> cells(n, 0);  // Per level, counted to reserve.
+  for (size_t i = 0; i < num_states; ++i) {
+    size_t l = 0;
+    while (i > 0 && l < n && key_at(sorted[i], l) == key_at(sorted[i - 1], l)) {
+      ++l;
+    }
+    depart[i] = static_cast<uint32_t>(l);
+    for (; l < n; ++l) ++cells[l];
   }
+  for (size_t l = 0; l < n; ++l) {
+    Level& level = flat.levels_[l];
+    level.keys.reserve(cells[l]);
+    level.cell_begin.reserve((l == 0 ? 1 : cells[l - 1]) + 1);
+    if (l == 0) level.cell_begin.push_back(0);  // The root.
+    flat.cell_count_ += cells[l];
+  }
+  flat.node_count_ = 1 + flat.cell_count_;
+  flat.leaf_begin_.reserve(cells[n - 1] + 1);
+  flat.entries_.reserve(num_states);
 
   // Leaf entries as `ProfileTree::Insert` merges them: an equal clause
   // already at the leaf is a duplicate, held at the same score (the
   // preferences hold no Def. 6 conflict), and is skipped.
   std::vector<uint32_t>& entries = flat.entries_;
-  flat.leaf_begin_.reserve(num_leaves + 1);
-  entries.reserve(num_states);
-  for (size_t v = 0; v < num_leaves; ++v) {
-    const auto leaf_begin = static_cast<uint32_t>(entries.size());
-    flat.leaf_begin_.push_back(leaf_begin);
-    for (uint32_t k = leaf_start[v]; k < leaf_start[v + 1]; ++k) {
-      const uint32_t pref = owner[by_leaf[k]];
-      const AttributeClause& clause = prefs[pref].clause();
-      if (std::none_of(entries.begin() + leaf_begin, entries.end(),
-                       [&](uint32_t held) {
-                         return prefs[held].clause() == clause;
-                       })) {
-        entries.push_back(pref);
+  for (size_t i = 0; i < num_states; ++i) {
+    for (size_t l = depart[i]; l < n; ++l) {
+      Level& level = flat.levels_[l];
+      if (l > depart[i]) {
+        level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
       }
+      level.keys.push_back(key_at(sorted[i], l));
     }
+    if (depart[i] < n) {
+      flat.leaf_begin_.push_back(static_cast<uint32_t>(entries.size()));
+    }
+    const uint32_t pref = owner[sorted[i]];
+    const AttributeClause& clause = prefs[pref].clause();
+    if (std::none_of(entries.begin() + flat.leaf_begin_.back(), entries.end(),
+                     [&](uint32_t held) {
+                       return prefs[held].clause() == clause;
+                     })) {
+      entries.push_back(pref);
+    }
+  }
+  for (Level& level : flat.levels_) {
+    level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
   }
   flat.leaf_begin_.push_back(static_cast<uint32_t>(entries.size()));
   return flat;
@@ -271,8 +198,7 @@ void FlatProfileTree::Descend(size_t level, uint32_t node,
       const uint32_t key = lvl.keys[c];
       const LevelIndex hl = level_of[key];
       if (anc_key[hl] != key) continue;
-      matches[num_matches++] =
-          Scratch::Match{lvl.child[c], key, step[hl]};
+      matches[num_matches++] = Scratch::Match{c, step[hl]};
     }
   } else {
     // One binary search per covering ancestor (≤ hierarchy depth) —
@@ -293,27 +219,18 @@ void FlatProfileTree::Descend(size_t level, uint32_t node,
         }
       }
       if (lo < end && keys[lo] == target) {
-        matches[num_matches++] =
-            Scratch::Match{lvl.child[lo], target, step[hl]};
+        matches[num_matches++] = Scratch::Match{lo, step[hl]};
       }
     }
   }
-  // Insertion order = child-index order; restoring it keeps candidate
-  // emission bit-identical to the pointer DFS. The list is tiny (≤
-  // hierarchy depth) so an insertion sort beats std::sort's dispatch.
-  for (uint32_t i = 1; i < num_matches; ++i) {
-    const Scratch::Match m = matches[i];
-    uint32_t j = i;
-    for (; j > 0 && matches[j - 1].child > m.child; --j) {
-      matches[j] = matches[j - 1];
-    }
-    matches[j] = m;
-  }
+  // Cell c is node c of the next level. Both branches meet a node's
+  // matches in ascending key order (keys are level-major, so ancestor
+  // level order is key order): candidates come out in key-path order.
   for (uint32_t i = 0; i < num_matches; ++i) {
     const Scratch::Match m = matches[i];
-    scratch.path[level] = m.key;
+    scratch.path[level] = lvl.keys[m.cell];
     scratch.step_by_param[p] = m.step;
-    Descend(level + 1, m.child, counter, scratch, out, path_keys);
+    Descend(level + 1, m.cell, counter, scratch, out, path_keys);
   }
 }
 
@@ -324,12 +241,6 @@ void FlatProfileTree::SearchCS(const ContextState& query, DistanceKind kind,
   out.clear();
   path_keys.clear();
   const size_t n = num_levels();
-  if (n == 0) {
-    if (PathCount() > 0) {
-      out.push_back(FlatCandidate{0, 0.0});
-    }
-    return;
-  }
   // Per level: the keyed ancestor chain of the query component and
   // its per-level distance steps, computed once into the thread-local
   // scratch — the descent itself touches only integer keys.
@@ -361,10 +272,8 @@ void FlatProfileTree::SearchCS(const ContextState& query, DistanceKind kind,
 
 uint32_t FlatProfileTree::ExactLookup(const ContextState& state,
                                       AccessCounter* counter) const {
-  const size_t n = num_levels();
-  if (n == 0) return PathCount() > 0 ? 0 : kNoLeaf;
   uint32_t node = 0;
-  for (size_t l = 0; l < n; ++l) {
+  for (size_t l = 0; l < num_levels(); ++l) {
     const Level& lvl = levels_[l];
     const size_t p = order_.param_at_level(l);
     const uint32_t target = env_->parameter(p).hierarchy().Key(state.value(p));
@@ -382,7 +291,7 @@ uint32_t FlatProfileTree::ExactLookup(const ContextState& state,
       }
     }
     if (lo >= end || keys[lo] != target) return kNoLeaf;
-    node = lvl.child[lo];
+    node = lo;
   }
   return node;
 }
@@ -428,7 +337,6 @@ size_t FlatProfileTree::MeasuredByteSize() const {
   for (const Level& level : levels_) {
     bytes += level.cell_begin.capacity() * sizeof(uint32_t);
     bytes += level.keys.capacity() * sizeof(uint32_t);
-    bytes += level.child.capacity() * sizeof(uint32_t);
   }
   bytes += cover_off_.capacity() * sizeof(uint32_t);
   bytes += prefs_.capacity() * sizeof(ContextualPreference);

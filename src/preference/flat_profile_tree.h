@@ -20,8 +20,8 @@ namespace ctxpref {
 /// (docs/serving.md); it is the only index serving reads. The pointer
 /// `ProfileTree` stays as the paper's structure for the figure benches
 /// and as the differential oracle; `Build(const ProfileTree&)` indexes
-/// the preferences that tree indexed, under its ordering, into exactly
-/// its structure.
+/// the preferences that tree indexed, under its ordering, into the same
+/// paths, cells and entries.
 ///
 /// Layout (all storage is a handful of contiguous vectors):
 ///  - Keys: a cell's key is its value's extended-domain key, which the
@@ -30,20 +30,22 @@ namespace ctxpref {
 ///    single `uint32_t`s and "is this cell an ancestor of the query
 ///    component?" is one `level_of` load plus one integer compare (the
 ///    per-query ancestor chain is precomputed per level).
-///  - Nodes: level ℓ of the trie stores its cells level-contiguously,
-///    grouped per node by a CSR offset array and *key-sorted within
-///    each node* so a descent binary-searches the handful of ancestor
-///    keys instead of scanning every cell. Each cell carries its
-///    original insertion index, which doubles as the child "pointer":
-///    insertion-index `c` of level ℓ *is* node `c` of level ℓ+1 (and,
-///    at the last level, leaf `c`). Matches are re-sorted by that index
-///    before recursing, so candidates still come out in exactly the
-///    pointer tree's (insertion-order DFS) order.
+///  - Numbering by key path: the build sorts every stored state's
+///    level-ordered key path once. Level ℓ's cells are the distinct
+///    path prefixes of length ℓ+1 in that sorted order, so they are
+///    level-contiguous, grouped per node by a CSR offset array and
+///    *key-sorted within each node* — a descent binary-searches the
+///    handful of ancestor keys instead of scanning every cell — and
+///    cell `c` of level ℓ *is* node `c` of level ℓ+1 (and, at the last
+///    level, leaf `c`): no child array. Candidates come out in key-path
+///    order; Search_CS yields a set, and the resolvers return their
+///    winners sorted by state (`SortByState`).
 ///  - Leaves: leaf entries live in one flat array behind a CSR offset
-///    array. An entry is the 4-byte index of the preference it came
-///    from in the arena's copy of the preference list; those are
-///    handles whose bodies (descriptor, clause) the profile shares, so
-///    the arena holds no clause of its own.
+///    array, in insertion order within a leaf. An entry is the 4-byte
+///    index of the preference it came from in the arena's copy of the
+///    preference list; those are handles whose bodies (descriptor,
+///    clause) the profile shares, so the arena holds no clause of its
+///    own.
 ///
 /// Instances are immutable after `Build` and shared across reader
 /// threads without locks (they hold no mutable state; search scratch
@@ -66,15 +68,13 @@ class FlatProfileTree {
   };
 
   /// Indexes `profile` under `GreedyOrdering(profile)` with no pointer
-  /// tree in between. The result has the structure of
-  /// `ProfileTree::Build(profile)` — ordering, cells, child and leaf
-  /// numbering, entries. It cannot fail: the profile rejected every
-  /// Def. 6 conflict on insert.
+  /// tree in between. The result holds what `ProfileTree::Build(profile)`
+  /// holds — ordering, cell, node, path and entry counts, each path's
+  /// entries in insertion order — numbered by key path. It cannot fail:
+  /// the profile rejected every Def. 6 conflict on insert.
   static FlatProfileTree Build(const Profile& profile);
 
   /// Indexes the preferences `tree` indexed, under its ordering.
-  /// Candidate emission order is the pointer tree's (insertion-order
-  /// DFS) order, preserved via the cells' insertion indices.
   static FlatProfileTree Build(const ProfileTree& tree);
 
   const ContextEnvironment& env() const { return *env_; }
@@ -85,8 +85,9 @@ class FlatProfileTree {
 
   /// Search_CS (paper Algorithm 1) over integer keys: descends from the
   /// root following every cell whose key is the query component or one
-  /// of its ancestors, appending covering candidates to `out` and their
-  /// root-to-leaf key paths to `path_keys` (both are cleared first).
+  /// of its ancestors, appending covering candidates to `out` in
+  /// key-path order and their root-to-leaf key paths to `path_keys`
+  /// (both are cleared first).
   /// `exact_only` restricts to the exact path (paper §4.4 case 1).
   /// Ticks `counter` per key comparison (linear cells inspected on
   /// small nodes, binary-search probes on large ones — the flat cost
@@ -129,23 +130,23 @@ class FlatProfileTree {
   size_t MeasuredByteSize() const;
 
  private:
+  /// Only `BuildOver` makes an arena, so every arena has its levels.
+  FlatProfileTree() = default;
+
   /// One trie level: cells of all the level's nodes, level-contiguous
   /// and key-sorted within each node's `cell_begin` (CSR) segment.
-  /// `child[c]` is the cell's insertion index within the level — the
-  /// implicit pointer to node `child[c]` of the next level.
+  /// Cell `c` is node `c` of the next level.
   struct Level {
     std::vector<uint32_t> cell_begin;  ///< size = node count + 1
     std::vector<uint32_t> keys;        ///< value keys, sorted per node
-    std::vector<uint32_t> child;       ///< insertion index = next-level node
     /// The level's `Hierarchy::level_of_keys()`, cached so a descent
     /// reads it in one load; `env_` keeps the hierarchy alive.
     const LevelIndex* level_of = nullptr;
   };
 
-  /// The one build: indexes `preferences` (their states in preference
-  /// order, the pointer tree's insertion order) under `*order`, or
-  /// under the greedy ordering of their active domains when `order` is
-  /// null. The preferences must hold no Def. 6 conflict.
+  /// The one build: indexes `preferences` under `*order`, or under the
+  /// greedy ordering of their active domains when `order` is null. The
+  /// preferences must hold no Def. 6 conflict.
   static FlatProfileTree BuildOver(
       EnvironmentPtr env, std::vector<ContextualPreference> preferences,
       const Ordering* order);

@@ -43,6 +43,13 @@ bool NearlyEqual(double a, double b) {
   return std::abs(a - b) <= kEps * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
+void SortByState(std::vector<CandidatePath>& winners) {
+  std::sort(winners.begin(), winners.end(),
+            [](const CandidatePath& a, const CandidatePath& b) {
+              return a.state < b.state;
+            });
+}
+
 void TreeResolver::Recurse(const ProfileTree::Node& node, size_t level,
                            const ContextState& query,
                            const ResolutionOptions& options,
@@ -127,6 +134,7 @@ std::vector<CandidatePath> TreeResolver::ResolveBest(
            })) {
     best.push_back(std::move(all[i]));
   }
+  SortByState(best);
   metrics.resolutions.Increment();
   metrics.candidates.Increment(best.size());
   if (span.active()) {
@@ -190,6 +198,7 @@ std::vector<CandidatePath> FlatResolver::ResolveBest(
                                 flats[i].distance,
                                 tree_->EntriesOf(flats[i].leaf)});
   }
+  SortByState(out);
   metrics.resolutions.Increment();
   metrics.candidates.Increment(out.size());
   if (span.active()) {

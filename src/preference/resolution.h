@@ -94,6 +94,13 @@ std::vector<size_t> BestCandidateIndices(
   return winners;
 }
 
+/// Puts resolved winners in ascending `ContextState` order, the order
+/// every resolver's `ResolveBest` returns. Search_CS yields a *set* of
+/// covering states and each layout meets it in its own order; sorting
+/// the winners makes Rank_CS answers and traces independent of the
+/// resolver and the ordering.
+void SortByState(std::vector<CandidatePath>& winners);
+
 /// Resolution over the profile tree: the paper's Search_CS
 /// (Algorithm 1). The resolver borrows the tree (no ownership); the
 /// tree must outlive it.
@@ -111,9 +118,10 @@ class TreeResolver {
                                       AccessCounter* counter = nullptr) const;
 
   /// Search_CS followed by minimum-distance selection — the complete
-  /// context resolution step for one query state. Empty result means no
-  /// stored state covers the query (the query then runs as a
-  /// non-contextual query, paper §4.2).
+  /// context resolution step for one query state, winners in state
+  /// order (`SortByState`). Empty result means no stored state covers
+  /// the query (the query then runs as a non-contextual query, paper
+  /// §4.2).
   std::vector<CandidatePath> ResolveBest(const ContextState& query,
                                          const ResolutionOptions& options = {},
                                          AccessCounter* counter = nullptr) const;
@@ -131,12 +139,13 @@ class TreeResolver {
 
 /// Resolution over the arena-flattened tree (`FlatProfileTree`) — a
 /// drop-in replacement for `TreeResolver` with identical semantics
-/// (same candidate order, same canonical env-order distances, same
-/// winner rule), used by the serving path. `ResolveBest` runs
-/// `BestCandidateIndices` on the compact (leaf, distance) candidates
-/// and materializes full `CandidatePath`s (state + copied entries) only
-/// for the winners; `SearchCS` still materializes everything, for
-/// diagnostics and the differential tests.
+/// (same candidate set, same canonical env-order distances, same winner
+/// rule and winner order), used by the serving path. `SearchCS` emits
+/// candidates in the arena's key-path order, not the pointer tree's.
+/// `ResolveBest` runs `BestCandidateIndices` on the compact (leaf,
+/// distance) candidates and materializes full `CandidatePath`s (state +
+/// copied entries) only for the winners; `SearchCS` still materializes
+/// everything, for diagnostics and the differential tests.
 class FlatResolver {
  public:
   explicit FlatResolver(const FlatProfileTree* tree) : tree_(tree) {}

@@ -93,6 +93,7 @@ std::vector<CandidatePath> SequentialStore::ResolveBest(
            })) {
     best.push_back(std::move(all[i]));
   }
+  SortByState(best);
   return best;
 }
 

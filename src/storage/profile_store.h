@@ -55,9 +55,6 @@ class ProfileSnapshot {
   /// first calls each build one, one wins a compare-exchange and the
   /// others free theirs, so every caller sees the same tree.
   const ProfileTree& tree() const;
-  const std::shared_ptr<const Profile>& profile_ptr() const {
-    return profile_;
-  }
   /// The profile tree in its arena-flattened, read-optimized form,
   /// built from `profile()` once at publish time; the serving layer
   /// resolves against it (see docs/serving.md). Never null: every
@@ -65,9 +62,6 @@ class ProfileSnapshot {
   /// everything else in the snapshot, so readers need no lock (and it
   /// introduces no lock rank).
   const FlatProfileTree* flat_tree() const { return flat_.get(); }
-  const std::shared_ptr<const FlatProfileTree>& flat_tree_ptr() const {
-    return flat_;
-  }
   /// `MonotonicNanos()` at construction (= publish time); the basis of
   /// the snapshot-age gauge.
   uint64_t publish_nanos() const { return publish_nanos_; }

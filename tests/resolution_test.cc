@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "preference/ordering.h"
+#include "preference/sequential_store.h"
 #include "tests/test_util.h"
 
 namespace ctxpref {
@@ -13,6 +15,7 @@ namespace {
 using ::ctxpref::testing::PaperEnv;
 using ::ctxpref::testing::Pref;
 using ::ctxpref::testing::State;
+using ::ctxpref::testing::TinyEnv;
 
 class ResolutionTest : public ::testing::Test {
  protected:
@@ -86,6 +89,56 @@ TEST_F(ResolutionTest, PaperSection42IncomparableTie) {
   // d(Greece/Athens) = 1 - 8/15; d(warm/warm) = 0 => 7/15 ≈ 0.467.
   // d(Athens/Athens) = 0; d(good/warm) = 1 - 1/3 ≈ 0.667.
   EXPECT_EQ(jbest[0].state, State(*env_, {"Greece", "warm", "all"}));
+}
+
+TEST(ResolveBestOrderTest, TiedWinnersComeBackInStateOrder) {
+  // (a, happy) is one hierarchy step from both (X, happy) and (a, all),
+  // and 1/2 a Jaccard step from each (X holds two spots, all two
+  // moods), so the two tie under both distances. They are inserted in
+  // descending state order; every resolver, under every ordering,
+  // returns them ascending.
+  EnvironmentPtr env = TinyEnv();
+  Profile p(env);
+  ASSERT_OK(p.Insert(Pref(*env, "place = X and mood = happy", "attr", "x",
+                          0.5)));
+  ASSERT_OK(p.Insert(Pref(*env, "place = a", "attr", "a", 0.7)));
+  const ContextState query = State(*env, {"a", "happy"});
+  const std::vector<ContextState> expected = {State(*env, {"a", "all"}),
+                                              State(*env, {"X", "happy"})};
+  ASSERT_LT(expected[0], expected[1]);
+
+  StatusOr<std::vector<Ordering>> orderings = AllOrderings(env->size());
+  ASSERT_OK(orderings.status());
+  const SequentialStore store = SequentialStore::Build(p);
+  const FlatProfileTree greedy = FlatProfileTree::Build(p);
+  for (DistanceKind kind :
+       {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
+    const ResolutionOptions options{.distance = kind};
+    auto expect_winners = [&](const std::vector<CandidatePath>& best,
+                              const std::string& label) {
+      ASSERT_EQ(best.size(), expected.size()) << label;
+      for (size_t i = 0; i < best.size(); ++i) {
+        EXPECT_EQ(best[i].state, expected[i])
+            << label << " winner " << i << ": "
+            << best[i].state.ToString(*env);
+      }
+    };
+    const std::string kind_name = DistanceKindToString(kind);
+    expect_winners(store.ResolveBest(query, options),
+                   "sequential " + kind_name);
+    expect_winners(FlatResolver(&greedy).ResolveBest(query, options),
+                   "flat greedy " + kind_name);
+    for (const Ordering& order : *orderings) {
+      StatusOr<ProfileTree> tree = ProfileTree::Build(p, order);
+      ASSERT_OK(tree.status());
+      const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+      const std::string where = order.ToString(*env) + " " + kind_name;
+      expect_winners(TreeResolver(&*tree).ResolveBest(query, options),
+                     "tree " + where);
+      expect_winners(FlatResolver(&flat).ResolveBest(query, options),
+                     "flat " + where);
+    }
+  }
 }
 
 TEST_F(ResolutionTest, NoCoverMeansEmptyResult) {

@@ -285,8 +285,8 @@ TEST_P(ServingDifferentialTest, CachedEqualsUncachedAcrossProfileSwaps) {
 //
 // The arena-flattened tree is a pure layout change, so it must be
 // *bit-identical* to the pointer tree: the same Search_CS candidate
-// list (same order, same exact double distances, same entries) and the
-// same ResolveBest winners, for every query state, both distance
+// set (same exact double distances, same entries) and the same
+// ResolveBest winners in the same order, for every query state, both distance
 // kinds, exact and non-exact resolution. Bit-exact distance equality
 // (not NearlyEqual) is deliberate — it flushes accumulation-order
 // drift, the class of bug where both sides are "correct" in isolation
@@ -303,6 +303,21 @@ void ExpectSameEntries(const std::vector<ProfileTree::LeafEntry>& pointer,
     EXPECT_EQ(std::bit_cast<uint64_t>(pointer[j].score),
               std::bit_cast<uint64_t>(flat[j].score))
         << label << " entry " << j;
+  }
+}
+
+/// Bit-for-bit tuple equality (`==` on doubles would let -0.0 pass for
+/// 0.0).
+void ExpectBitEqual(const std::vector<db::ScoredTuple>& got,
+                    const std::vector<db::ScoredTuple>& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].row_id, want[i].row_id) << label << " tuple " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+              std::bit_cast<uint64_t>(want[i].score))
+        << label << " tuple " << i << ": " << got[i].score << " vs "
+        << want[i].score;
   }
 }
 
@@ -549,8 +564,60 @@ void ExpectSameArena(const ProfileTree& tree, const FlatProfileTree& flat,
   }
 }
 
+/// Rank_CS of each single-state query in `queries` through `resolver`,
+/// under every distance kind and combine policy.
+template <typename Resolver>
+std::vector<QueryResult> RankEach(const Resolver& resolver,
+                                  const std::vector<ContextState>& queries) {
+  const db::Relation relation = MakeRelation();
+  const ContextEnvironment& env = resolver.tree().env();
+  std::vector<QueryResult> out;
+  for (DistanceKind kind :
+       {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
+    for (db::CombinePolicy combine :
+         {db::CombinePolicy::kMax, db::CombinePolicy::kMin,
+          db::CombinePolicy::kAvg}) {
+      QueryOptions options;
+      options.resolution.distance = kind;
+      options.combine = combine;
+      for (const ContextState& q : queries) {
+        StatusOr<CompositeDescriptor> cod =
+            CompositeDescriptor::ForState(env, q);
+        EXPECT_OK(cod.status());
+        ContextualQuery query;
+        query.context = ExtendedDescriptor::FromComposite(std::move(*cod));
+        StatusOr<QueryResult> result =
+            RankCS(relation, query, resolver, options);
+        EXPECT_OK(result.status());
+        out.push_back(result.ok() ? std::move(*result) : QueryResult{});
+      }
+    }
+  }
+  return out;
+}
+
+/// Rank_CS answers equal bit for bit: tuples, and traces in order.
+void ExpectSameRanking(const ContextEnvironment& env,
+                       const std::vector<QueryResult>& pointer,
+                       const std::vector<QueryResult>& flat,
+                       const std::string& label) {
+  ASSERT_EQ(pointer.size(), flat.size()) << label;
+  for (size_t i = 0; i < pointer.size(); ++i) {
+    const std::string where = label + " query " + std::to_string(i);
+    ExpectBitEqual(flat[i].tuples, pointer[i].tuples, where);
+    ASSERT_EQ(pointer[i].traces.size(), flat[i].traces.size()) << where;
+    for (size_t t = 0; t < pointer[i].traces.size(); ++t) {
+      ExpectSameCandidates(env, *pointer[i].traces[t].candidates,
+                           *flat[i].traces[t].candidates, where + " trace");
+    }
+  }
+}
+
 /// `profile`'s arenas against its pointer trees: the publish build
 /// under the greedy ordering, then the tree build under every ordering.
+/// Rank_CS through each permuted arena answers what it answers through
+/// the greedy pointer tree: answers depend on neither the layout nor
+/// the ordering.
 void ExpectSameArenas(const Profile& profile,
                       const std::vector<ContextState>& queries,
                       const std::string& label) {
@@ -558,14 +625,20 @@ void ExpectSameArenas(const Profile& profile,
   ASSERT_OK(greedy.status());
   ExpectSameArena(*greedy, FlatProfileTree::Build(profile), queries,
                   label + " greedy");
+  const std::vector<QueryResult> ranked =
+      RankEach(TreeResolver(&*greedy), queries);
   StatusOr<std::vector<Ordering>> orderings =
       AllOrderings(profile.env().size());
   ASSERT_OK(orderings.status());
   for (const Ordering& order : *orderings) {
     StatusOr<ProfileTree> tree = ProfileTree::Build(profile, order);
     ASSERT_OK(tree.status());
-    ExpectSameArena(*tree, FlatProfileTree::Build(*tree), queries,
-                    label + " " + order.ToString(profile.env()));
+    const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+    const std::string where = label + " " + order.ToString(profile.env());
+    ExpectSameArena(*tree, flat, queries, where);
+    ExpectSameRanking(profile.env(), ranked,
+                      RankEach(FlatResolver(&flat), queries),
+                      where + " rank_cs");
   }
 }
 
@@ -722,21 +795,6 @@ TEST_P(ServingDifferentialTest, StaleAnswersMatchDirectServeAtPinnedVersion) {
 // every serving path must either answer exactly what RankCS answers —
 // same rows, bit-identical scores — or refuse the options with
 // InvalidArgument. Never a quietly different answer.
-
-/// Bit-for-bit tuple equality (`==` on doubles would let -0.0 pass for
-/// 0.0).
-void ExpectBitEqual(const std::vector<db::ScoredTuple>& got,
-                    const std::vector<db::ScoredTuple>& want,
-                    const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].row_id, want[i].row_id) << label << " tuple " << i;
-    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
-              std::bit_cast<uint64_t>(want[i].score))
-        << label << " tuple " << i << ": " << got[i].score << " vs "
-        << want[i].score;
-  }
-}
 
 /// A random extended query of 1..3 world states.
 ContextualQuery RandomMultiStateQuery(Rng& rng, const ContextEnvironment& env,

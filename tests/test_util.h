@@ -119,8 +119,7 @@ inline ReplicatedQueryCache::Options SharedCache(size_t capacity = 0) {
 }
 
 /// Expects two resolvers' best sets to hold the same winning states at
-/// distances within 1e-9. Order is not compared: the sequential scan
-/// emits in first-appearance order, the trees in tree order.
+/// distances within 1e-9, in the same (ascending state) order.
 inline void ExpectSameWinners(const ContextEnvironment& env,
                               const std::vector<CandidatePath>& a,
                               const std::vector<CandidatePath>& b) {
@@ -134,6 +133,9 @@ inline void ExpectSameWinners(const ContextEnvironment& env,
     auto it = b_map.find(state);
     ASSERT_TRUE(it != b_map.end()) << state.ToString(env);
     EXPECT_NEAR(distance, it->second, 1e-9) << state.ToString(env);
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].state, b[i].state) << "winner " << i;
   }
 }
 

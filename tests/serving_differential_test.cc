@@ -286,8 +286,8 @@ TEST_P(ServingDifferentialTest, CachedEqualsUncachedAcrossProfileSwaps) {
 // The arena-flattened tree is a pure layout change, so it must be
 // *bit-identical* to the pointer tree: the same Search_CS candidate
 // set (same exact double distances, same entries) and the same
-// ResolveBest winners in the same order, for every query state, both distance
-// kinds, exact and non-exact resolution. Bit-exact distance equality
+// ResolveBest winners in the same order, for every query state, both
+// distance kinds, exact and non-exact resolution. Bit-exact distance equality
 // (not NearlyEqual) is deliberate — it flushes accumulation-order
 // drift, the class of bug where both sides are "correct" in isolation
 // but disagree on which candidates tie.

@@ -56,7 +56,9 @@ void FlatProfileTree::InitLevels() {
   }
 }
 
-FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
+FlatProfileTree FlatProfileTree::Build(const Profile& profile,
+                                       const FlatProfileTree* previous) {
+  (void)previous;
   return BuildOver(profile.env_ptr(), profile.preferences(), nullptr);
 }
 

@@ -71,8 +71,11 @@ class FlatProfileTree {
   /// tree in between. The result holds what `ProfileTree::Build(profile)`
   /// holds — ordering, cell, node, path and entry counts, each path's
   /// entries in insertion order — numbered by key path. It cannot fail:
-  /// the profile rejected every Def. 6 conflict on insert.
-  static FlatProfileTree Build(const Profile& profile);
+  /// the profile rejected every Def. 6 conflict on insert. `previous`,
+  /// when given, is an arena of an earlier version of the profile; the
+  /// result is the same with or without it.
+  static FlatProfileTree Build(const Profile& profile,
+                               const FlatProfileTree* previous = nullptr);
 
   /// Indexes the preferences `tree` indexed, under its ordering.
   static FlatProfileTree Build(const ProfileTree& tree);

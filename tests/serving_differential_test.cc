@@ -642,6 +642,49 @@ void ExpectSameArenas(const Profile& profile,
   }
 }
 
+/// `rebound`, built over an earlier arena, against the pointer tree of
+/// `profile` and against a fresh build of it: ordering, counts, every
+/// leaf's entries in order with their score bits, and measured bytes.
+void ExpectSameRebind(const Profile& profile, const FlatProfileTree& rebound,
+                      const std::vector<ContextState>& queries,
+                      const std::string& label) {
+  StatusOr<ProfileTree> greedy = ProfileTree::Build(profile);
+  ASSERT_OK(greedy.status());
+  ExpectSameArena(*greedy, rebound, queries, label + " rebound");
+  const FlatProfileTree fresh = FlatProfileTree::Build(profile);
+  ASSERT_TRUE(rebound.ordering() == fresh.ordering()) << label;
+  ASSERT_EQ(rebound.CellCount(), fresh.CellCount()) << label;
+  ASSERT_EQ(rebound.NodeCount(), fresh.NodeCount()) << label;
+  ASSERT_EQ(rebound.PathCount(), fresh.PathCount()) << label;
+  ASSERT_EQ(rebound.LeafEntryCount(), fresh.LeafEntryCount()) << label;
+  for (uint32_t leaf = 0; leaf < fresh.PathCount(); ++leaf) {
+    ExpectSameEntries(fresh.EntriesOf(leaf), rebound.EntriesOf(leaf),
+                      label + " rebound leaf " + std::to_string(leaf));
+  }
+  EXPECT_EQ(rebound.MeasuredByteSize(), fresh.MeasuredByteSize()) << label;
+}
+
+/// A preference `attr = <value> : <score>` over `parts`.
+ContextualPreference MakePreference(const ContextEnvironment& env,
+                                    std::vector<ParameterDescriptor> parts,
+                                    const std::string& value, double score) {
+  StatusOr<CompositeDescriptor> cod =
+      CompositeDescriptor::Create(env, std::move(parts));
+  EXPECT_OK(cod.status());
+  StatusOr<ContextualPreference> pref = ContextualPreference::Create(
+      std::move(*cod),
+      AttributeClause{"attr", db::CompareOp::kEq, db::Value(value)}, score);
+  EXPECT_OK(pref.status());
+  return *pref;
+}
+
+/// Index of `pref` (by `==`) in `profile`.
+size_t IndexOf(const Profile& profile, const ContextualPreference& pref) {
+  const std::vector<ContextualPreference>& prefs = profile.preferences();
+  return static_cast<size_t>(std::find(prefs.begin(), prefs.end(), pref) -
+                             prefs.begin());
+}
+
 TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
   struct World {
     const char* name;
@@ -678,7 +721,15 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     // the back and can renumber cells and leaves), inserts and
     // removals, with the arenas checked after every step. Edits
     // a profile refuses (a Def. 6 conflict) leave it unchanged and are
-    // compared all the same.
+    // compared all the same. Every step's arena is also built over the
+    // previous step's, chaining re-binds across consecutive rescores.
+    FlatProfileTree previous = FlatProfileTree::Build(profile);
+    auto check_step = [&](const std::string& label) {
+      ExpectSameArenas(profile, world, label);
+      FlatProfileTree rebound = FlatProfileTree::Build(profile, &previous);
+      ExpectSameRebind(profile, rebound, world, label);
+      previous = std::move(rebound);
+    };
     for (int step = 0; step < 60; ++step) {
       const uint64_t op = rng.Uniform(3);
       if (op == 0 && !profile.empty()) {
@@ -690,11 +741,50 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
       } else {
         AddSetPreferences(rng, profile, 1);
       }
-      ExpectSameArenas(profile, world,
-                       std::string(w.name) + " edit " +
-                           std::to_string(step) + " op " +
-                           std::to_string(op));
+      check_step(std::string(w.name) + " edit " + std::to_string(step) +
+                 " op " + std::to_string(op));
     }
+
+    // Named steps at one world state s. A multi-state preference `b`
+    // and a single-state `a` both hold clause x at s's leaf (same score,
+    // so no conflict), with `c`'s clause y between them in insertion
+    // order: s's leaf lists x (via b), then y.
+    const ContextState& s = world.front();
+    const ContextEnvironment& env = *w.env;
+    std::vector<ParameterDescriptor> at_s;
+    std::vector<ParameterDescriptor> around_s;
+    for (size_t p = 0; p < env.size(); ++p) {
+      const Hierarchy& h = env.parameter(p).hierarchy();
+      const ValueRef v = s.value(p);
+      StatusOr<ParameterDescriptor> one = ParameterDescriptor::Set(env, p, {v});
+      ASSERT_OK(one.status());
+      at_s.push_back(*one);
+      // Parameter 0 also takes a second value, so `b` spans two leaves.
+      const ValueRef other = v == h.AllValue() ? ValueRef{0, 0} : h.AllValue();
+      StatusOr<ParameterDescriptor> two =
+          p == 0 ? ParameterDescriptor::Set(env, p, {v, other}) : one;
+      ASSERT_OK(two.status());
+      around_s.push_back(*two);
+    }
+    const ContextualPreference b = MakePreference(env, around_s, "x", 0.5);
+    const ContextualPreference c = MakePreference(env, at_s, "y", 0.25);
+    const ContextualPreference a = MakePreference(env, at_s, "x", 0.5);
+    for (const ContextualPreference& pref : {b, c, a}) {
+      ASSERT_OK(profile.Insert(pref));
+      check_step(std::string(w.name) + " insert " + pref.ToString(env));
+    }
+    // A refused rescore: `a` at another score conflicts with `b` at s.
+    ASSERT_FALSE(profile.UpdateScore(IndexOf(profile, a), 0.75).ok());
+    check_step(std::string(w.name) + " refused rescore");
+    // A same-score rescore moves `b` behind `a`: s's leaf now lists y,
+    // then x via `a`, the lowest index holding it.
+    ASSERT_OK(profile.UpdateScore(IndexOf(profile, b), 0.5));
+    check_step(std::string(w.name) + " same-score rescore");
+    // `c` removed and a textually equal preference inserted: a new
+    // body at the same states.
+    ASSERT_OK(profile.Remove(IndexOf(profile, c)));
+    ASSERT_OK(profile.Insert(MakePreference(env, at_s, "y", 0.25)));
+    check_step(std::string(w.name) + " reinsert equal");
   }
 }
 

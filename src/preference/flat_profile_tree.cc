@@ -1,6 +1,7 @@
 #include "preference/flat_profile_tree.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 #include <utility>
 
@@ -14,6 +15,56 @@ namespace {
 /// raw keys.
 constexpr uint32_t kLinearScanMax = 8;
 
+/// When `now` holds exactly `old`'s bodies, compared by address, sets
+/// `new_index[j]` to the index in `now` of `old[j]`'s body and returns
+/// true; otherwise returns false. Comparing addresses is sound because
+/// `old`'s handles keep its bodies alive, so none of their addresses
+/// can have been reused by another body.
+bool MapBodies(const std::vector<ContextualPreference>& old,
+               const std::vector<ContextualPreference>& now,
+               std::vector<uint32_t>& new_index) {
+  const size_t n = old.size();
+  if (now.size() != n) return false;
+  new_index.resize(n);
+  // A rescore moves one preference to the back (`Profile::UpdateScore`)
+  // and a refused one moves none: one linear pass matches both.
+  size_t k = 0;
+  while (k < n && old[k].body_id() == now[k].body_id()) {
+    new_index[k] = static_cast<uint32_t>(k);
+    ++k;
+  }
+  if (k == n) return true;
+  bool moved_back = old[k].body_id() == now[n - 1].body_id();
+  for (size_t j = k + 1; moved_back && j < n; ++j) {
+    moved_back = old[j].body_id() == now[j - 1].body_id();
+    new_index[j] = static_cast<uint32_t>(j - 1);
+  }
+  if (moved_back) {
+    new_index[k] = static_cast<uint32_t>(n - 1);
+    return true;
+  }
+  // Any other permutation: look each old body up in `now`'s sorted
+  // addresses. A profile never holds one body twice (a second copy
+  // would be a duplicate or a Def. 6 conflict), so finding every one
+  // makes the map a bijection.
+  using Entry = std::pair<const void*, uint32_t>;
+  thread_local std::vector<Entry> by_body;
+  by_body.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    by_body[i] = {now[i].body_id(), static_cast<uint32_t>(i)};
+  }
+  std::sort(by_body.begin(), by_body.end());
+  for (size_t j = 0; j < n; ++j) {
+    const void* body = old[j].body_id();
+    const auto it = std::lower_bound(
+        by_body.begin(), by_body.end(), body,
+        [](const Entry& entry, const void* key) { return entry.first < key; });
+    if (it == by_body.end() || it->first != body) return false;
+    new_index[j] = it->second;
+  }
+  return true;
+}
+
 }  // namespace
 
 /// Per-query buffers of a descent.
@@ -24,7 +75,7 @@ struct FlatProfileTree::Scratch {
     uint32_t cell;
     double step;
   };
-  /// Cover tables, indexed by cover_off_[level] + hierarchy level:
+  /// Cover tables, indexed by Shape::cover_off[level] + hierarchy level:
   /// anc_key = key of the ancestor of the query component (kNoKey where
   /// none), step = its distance contribution.
   std::vector<uint32_t> anc_key;
@@ -42,55 +93,69 @@ FlatProfileTree::Scratch& FlatProfileTree::TlsScratch() {
   return scratch;
 }
 
-void FlatProfileTree::InitLevels() {
-  // Scratch-slot offsets: level l owns one cover/match slot per
-  // hierarchy level of its parameter.
-  const size_t n = env_->size();
-  cover_off_.resize(n + 1);
-  cover_off_[0] = 0;
-  levels_.resize(n);
-  for (size_t l = 0; l < n; ++l) {
-    const Hierarchy& h = env_->parameter(order_.param_at_level(l)).hierarchy();
-    cover_off_[l + 1] = cover_off_[l] + static_cast<uint32_t>(h.num_levels());
-    levels_[l].level_of = h.level_of_keys();
-  }
-}
-
 FlatProfileTree FlatProfileTree::Build(const Profile& profile,
                                        const FlatProfileTree* previous) {
-  (void)previous;
-  return BuildOver(profile.env_ptr(), profile.preferences(), nullptr);
+  return BuildOver(profile.env_ptr(), profile.preferences(), nullptr,
+                   previous);
 }
 
 FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
-  return BuildOver(tree.env_ptr(), tree.preferences(), &tree.ordering());
+  return BuildOver(tree.env_ptr(), tree.preferences(), &tree.ordering(),
+                   nullptr);
 }
 
 FlatProfileTree FlatProfileTree::BuildOver(
     EnvironmentPtr env, std::vector<ContextualPreference> preferences,
-    const Ordering* order) {
+    const Ordering* order, const FlatProfileTree* previous) {
   FlatProfileTree flat;
   flat.env_ = std::move(env);
   flat.prefs_ = std::move(preferences);
-  const std::vector<ContextualPreference>& prefs = flat.prefs_;
-  const size_t n = flat.env_->size();
+  if (previous != nullptr && flat.RebindSlots(*previous)) {
+    flat.shape_ = previous->shape_;
+    flat.FillEntries(nullptr);
+    return flat;
+  }
+  auto shape = std::make_shared<Shape>();
+  flat.BuildShape(order, *shape);
+  flat.shape_ = shape;
+  flat.FillEntries(&shape->leaf_begin);
+  return flat;
+}
+
+void FlatProfileTree::BuildShape(const Ordering* order, Shape& shape) {
+  const std::vector<ContextualPreference>& prefs = prefs_;
+  const ContextEnvironment& env = *env_;
+  const size_t n = env.size();
 
   // Every preference's states, enumerated once in insertion order and,
   // without an ordering, ordered greedily over the same key rows.
-  const std::vector<uint32_t> keys = StateKeyRows(*flat.env_, prefs);
+  const std::vector<uint32_t> keys = StateKeyRows(env, prefs);
   std::vector<uint32_t> owner;  // State -> index of its preference.
   for (size_t i = 0; i < prefs.size(); ++i) {
     owner.resize(owner.size() + prefs[i].descriptor().NumStates(),
                  static_cast<uint32_t>(i));
   }
   const size_t num_states = owner.size();
-  flat.order_ = order != nullptr
+  shape.greedy = order == nullptr;
+  shape.order = order != nullptr
                     ? *order
-                    : GreedyOrdering(ActiveDomainSizes(*flat.env_, keys));
-  flat.InitLevels();
+                    : GreedyOrdering(ActiveDomainSizes(env, keys));
+  const Ordering& ord = shape.order;
   auto key_at = [&](uint32_t state, size_t level) {
-    return keys[state * n + flat.order_.param_at_level(level)];
+    return keys[state * n + ord.param_at_level(level)];
   };
+
+  // Scratch-slot offsets: level l owns one cover/match slot per
+  // hierarchy level of its parameter.
+  shape.cover_off.resize(n + 1);
+  shape.cover_off[0] = 0;
+  shape.levels.resize(n);
+  for (size_t l = 0; l < n; ++l) {
+    const Hierarchy& h = env.parameter(ord.param_at_level(l)).hierarchy();
+    shape.cover_off[l + 1] =
+        shape.cover_off[l] + static_cast<uint32_t>(h.num_levels());
+    shape.levels[l].level_of = h.level_of_keys();
+  }
 
   // Sort the states by key path (level 0's key first): a stable
   // counting sort per level, least-significant level first, so states
@@ -100,10 +165,9 @@ FlatProfileTree FlatProfileTree::BuildOver(
   std::vector<uint32_t> next(num_states);
   std::vector<uint32_t> start;
   for (size_t l = n; l-- > 0;) {
-    const size_t p = flat.order_.param_at_level(l);
+    const size_t p = ord.param_at_level(l);
     const uint32_t* column = keys.data() + p;
-    const size_t domain = flat.env_->parameter(p).hierarchy()
-                              .extended_domain_size();
+    const size_t domain = env.parameter(p).hierarchy().extended_domain_size();
     start.assign(domain + 1, 0);
     for (const uint32_t e : sorted) ++start[column[e * n] + 1];
     for (size_t k = 1; k <= domain; ++k) start[k] += start[k - 1];
@@ -127,52 +191,87 @@ FlatProfileTree FlatProfileTree::BuildOver(
     for (; l < n; ++l) ++cells[l];
   }
   for (size_t l = 0; l < n; ++l) {
-    Level& level = flat.levels_[l];
+    Level& level = shape.levels[l];
     level.keys.reserve(cells[l]);
     level.cell_begin.reserve((l == 0 ? 1 : cells[l - 1]) + 1);
     if (l == 0) level.cell_begin.push_back(0);  // The root.
-    flat.cell_count_ += cells[l];
+    shape.cell_count += cells[l];
   }
-  flat.node_count_ = 1 + flat.cell_count_;
-  flat.leaf_begin_.reserve(cells[n - 1] + 1);
-  flat.entries_.reserve(num_states);
+  shape.node_count = 1 + shape.cell_count;
+  shape.slot_begin.reserve(cells[n - 1] + 1);
+  shape.leaf_begin.reserve(cells[n - 1] + 1);
 
-  // Leaf entries as `ProfileTree::Insert` merges them: an equal clause
-  // already at the leaf is a duplicate, held at the same score (the
-  // preferences hold no Def. 6 conflict), and is skipped.
-  std::vector<uint32_t>& entries = flat.entries_;
+  // One slot per state, in sorted order: a leaf's slots are the states
+  // on its path, owners ascending (the sort is stable).
+  slot_owner_.resize(num_states);
   for (size_t i = 0; i < num_states; ++i) {
     for (size_t l = depart[i]; l < n; ++l) {
-      Level& level = flat.levels_[l];
+      Level& level = shape.levels[l];
       if (l > depart[i]) {
         level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
       }
       level.keys.push_back(key_at(sorted[i], l));
     }
     if (depart[i] < n) {
-      flat.leaf_begin_.push_back(static_cast<uint32_t>(entries.size()));
+      shape.slot_begin.push_back(static_cast<uint32_t>(i));
     }
-    const uint32_t pref = owner[sorted[i]];
-    const AttributeClause& clause = prefs[pref].clause();
-    if (std::none_of(entries.begin() + flat.leaf_begin_.back(), entries.end(),
-                     [&](uint32_t held) {
-                       return prefs[held].clause() == clause;
-                     })) {
-      entries.push_back(pref);
-    }
+    slot_owner_[i] = owner[sorted[i]];
   }
-  for (Level& level : flat.levels_) {
+  for (Level& level : shape.levels) {
     level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
   }
-  flat.leaf_begin_.push_back(static_cast<uint32_t>(entries.size()));
-  return flat;
+  shape.slot_begin.push_back(static_cast<uint32_t>(num_states));
+}
+
+bool FlatProfileTree::RebindSlots(const FlatProfileTree& previous) {
+  // Only a greedy shape is fixed by the bodies alone.
+  if (!previous.shape_->greedy || previous.env_ != env_) return false;
+  thread_local std::vector<uint32_t> new_index;  // Old index -> new.
+  if (!MapBodies(previous.prefs_, prefs_, new_index)) return false;
+  slot_owner_.resize(previous.slot_owner_.size());
+  for (size_t s = 0; s < slot_owner_.size(); ++s) {
+    slot_owner_[s] = new_index[previous.slot_owner_[s]];
+  }
+  return true;
+}
+
+void FlatProfileTree::FillEntries(std::vector<uint32_t>* leaf_begin) {
+  // Leaf entries as `ProfileTree::Insert` merges them: an equal clause
+  // already at the leaf is a duplicate, held at the same score (the
+  // preferences hold no Def. 6 conflict), and is skipped. The full
+  // build's slots are already ascending within each leaf; a re-bind's
+  // follow the old indices and are sorted here.
+  const std::vector<uint32_t>& slot_begin = shape_->slot_begin;
+  entries_.reserve(slot_owner_.size());
+  for (size_t leaf = 0; leaf + 1 < slot_begin.size(); ++leaf) {
+    const auto held_begin = static_cast<ptrdiff_t>(entries_.size());
+    if (leaf_begin != nullptr) {
+      leaf_begin->push_back(static_cast<uint32_t>(held_begin));
+    }
+    uint32_t* first = slot_owner_.data() + slot_begin[leaf];
+    uint32_t* const last = slot_owner_.data() + slot_begin[leaf + 1];
+    std::sort(first, last);
+    for (; first != last; ++first) {
+      const AttributeClause& clause = prefs_[*first].clause();
+      if (std::none_of(entries_.begin() + held_begin, entries_.end(),
+                       [&](uint32_t held) {
+                         return prefs_[held].clause() == clause;
+                       })) {
+        entries_.push_back(*first);
+      }
+    }
+  }
+  if (leaf_begin != nullptr) {
+    leaf_begin->push_back(static_cast<uint32_t>(entries_.size()));
+  }
 }
 
 void FlatProfileTree::Descend(size_t level, uint32_t node,
                               AccessCounter* counter, Scratch& scratch,
                               std::vector<FlatCandidate>& out,
                               std::vector<uint32_t>& path_keys) const {
-  if (level == num_levels()) {
+  const Shape& shape = *shape_;
+  if (level == shape.levels.size()) {
     // Canonical distance: per-parameter steps summed in environment
     // order, exactly like `StateDistance` — never in tree-level order,
     // whose FP rounding can drift from the oracle's (DESIGN.md).
@@ -183,10 +282,10 @@ void FlatProfileTree::Descend(size_t level, uint32_t node,
                      scratch.path.end());
     return;
   }
-  const Level& lvl = levels_[level];
-  const size_t p = order_.param_at_level(level);
-  const uint32_t off = cover_off_[level];
-  const uint32_t num_anc = cover_off_[level + 1] - off;
+  const Level& lvl = shape.levels[level];
+  const size_t p = shape.order.param_at_level(level);
+  const uint32_t off = shape.cover_off[level];
+  const uint32_t num_anc = shape.cover_off[level + 1] - off;
   const uint32_t* anc_key = scratch.anc_key.data() + off;
   const double* step = scratch.step.data() + off;
   Scratch::Match* matches = scratch.matches.data() + off;
@@ -242,22 +341,23 @@ void FlatProfileTree::SearchCS(const ContextState& query, DistanceKind kind,
                                std::vector<uint32_t>& path_keys) const {
   out.clear();
   path_keys.clear();
-  const size_t n = num_levels();
+  const Shape& shape = *shape_;
+  const size_t n = shape.levels.size();
   // Per level: the keyed ancestor chain of the query component and
   // its per-level distance steps, computed once into the thread-local
   // scratch — the descent itself touches only integer keys.
   Scratch& scratch = TlsScratch();
-  scratch.anc_key.assign(cover_off_[n], kNoKey);
-  scratch.step.resize(cover_off_[n]);
-  scratch.matches.resize(cover_off_[n]);
+  scratch.anc_key.assign(shape.cover_off[n], kNoKey);
+  scratch.step.resize(shape.cover_off[n]);
+  scratch.matches.resize(shape.cover_off[n]);
   scratch.path.resize(n);
   scratch.step_by_param.assign(env_->size(), 0.0);
   for (size_t l = 0; l < n; ++l) {
-    const size_t p = order_.param_at_level(l);
+    const size_t p = shape.order.param_at_level(l);
     const Hierarchy& h = env_->parameter(p).hierarchy();
     const ValueRef qv = query.value(p);
-    uint32_t* anc_key = scratch.anc_key.data() + cover_off_[l];
-    double* step = scratch.step.data() + cover_off_[l];
+    uint32_t* anc_key = scratch.anc_key.data() + shape.cover_off[l];
+    double* step = scratch.step.data() + shape.cover_off[l];
     if (exact_only) {
       anc_key[qv.level] = h.Key(qv);
       step[qv.level] = 0.0;  // Slot may hold a stale non-exact step.
@@ -274,10 +374,11 @@ void FlatProfileTree::SearchCS(const ContextState& query, DistanceKind kind,
 
 uint32_t FlatProfileTree::ExactLookup(const ContextState& state,
                                       AccessCounter* counter) const {
+  const Shape& shape = *shape_;
   uint32_t node = 0;
-  for (size_t l = 0; l < num_levels(); ++l) {
-    const Level& lvl = levels_[l];
-    const size_t p = order_.param_at_level(l);
+  for (size_t l = 0; l < shape.levels.size(); ++l) {
+    const Level& lvl = shape.levels[l];
+    const size_t p = shape.order.param_at_level(l);
     const uint32_t target = env_->parameter(p).hierarchy().Key(state.value(p));
     const uint32_t* keys = lvl.keys.data();
     uint32_t lo = lvl.cell_begin[node];
@@ -302,7 +403,7 @@ ContextState FlatProfileTree::StateOf(const uint32_t* path) const {
   const size_t n = num_levels();
   std::vector<ValueRef> values(n);
   for (size_t l = 0; l < n; ++l) {
-    const size_t p = order_.param_at_level(l);
+    const size_t p = ordering().param_at_level(l);
     values[p] = env_->parameter(p).hierarchy().ValueAt(path[l]);
   }
   return ContextState(std::move(values));
@@ -313,8 +414,9 @@ double FlatProfileTree::HierarchyDistanceOf(const uint32_t* path,
   // Per-parameter level distances are small integers, so the FP sum is
   // exact in any order — no need to reorder into env order here.
   double distance = 0.0;
+  const Ordering& order = ordering();
   for (size_t l = 0; l < num_levels(); ++l) {
-    const size_t p = order_.param_at_level(l);
+    const size_t p = order.param_at_level(l);
     const Hierarchy& h = env_->parameter(p).hierarchy();
     distance += ComponentDistance(DistanceKind::kHierarchy, h,
                                   h.ValueAt(path[l]), query.value(p));
@@ -324,9 +426,10 @@ double FlatProfileTree::HierarchyDistanceOf(const uint32_t* path,
 
 std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
     uint32_t leaf) const {
+  const std::vector<uint32_t>& leaf_begin = shape_->leaf_begin;
   std::vector<ProfileTree::LeafEntry> out;
-  out.reserve(leaf_begin_[leaf + 1] - leaf_begin_[leaf]);
-  for (uint32_t k = leaf_begin_[leaf]; k < leaf_begin_[leaf + 1]; ++k) {
+  out.reserve(leaf_begin[leaf + 1] - leaf_begin[leaf]);
+  for (uint32_t k = leaf_begin[leaf]; k < leaf_begin[leaf + 1]; ++k) {
     const ContextualPreference& pref = prefs_[entries_[k]];
     out.push_back(ProfileTree::LeafEntry{pref.clause(), pref.score()});
   }
@@ -334,15 +437,19 @@ std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
 }
 
 size_t FlatProfileTree::MeasuredByteSize() const {
-  size_t bytes = sizeof(*this);
-  bytes += levels_.capacity() * sizeof(Level);
-  for (const Level& level : levels_) {
+  // The shape in full, shared or not: the bytes of this arena alone.
+  const Shape& shape = *shape_;
+  size_t bytes = sizeof(*this) + sizeof(Shape);
+  bytes += shape.levels.capacity() * sizeof(Level);
+  for (const Level& level : shape.levels) {
     bytes += level.cell_begin.capacity() * sizeof(uint32_t);
     bytes += level.keys.capacity() * sizeof(uint32_t);
   }
-  bytes += cover_off_.capacity() * sizeof(uint32_t);
+  bytes += shape.cover_off.capacity() * sizeof(uint32_t);
+  bytes += shape.slot_begin.capacity() * sizeof(uint32_t);
+  bytes += shape.leaf_begin.capacity() * sizeof(uint32_t);
   bytes += prefs_.capacity() * sizeof(ContextualPreference);
-  bytes += leaf_begin_.capacity() * sizeof(uint32_t);
+  bytes += slot_owner_.capacity() * sizeof(uint32_t);
   bytes += entries_.capacity() * sizeof(uint32_t);
   return bytes;
 }

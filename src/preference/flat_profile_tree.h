@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "context/distance.h"
@@ -40,12 +41,25 @@ namespace ctxpref {
 ///    level, leaf `c`): no child array. Candidates come out in key-path
 ///    order; Search_CS yields a set, and the resolvers return their
 ///    winners sorted by state (`SortByState`).
-///  - Leaves: leaf entries live in one flat array behind a CSR offset
-///    array, in insertion order within a leaf. An entry is the 4-byte
-///    index of the preference it came from in the arena's copy of the
-///    preference list; those are handles whose bodies (descriptor,
-///    clause) the profile shares, so the arena holds no clause of its
-///    own.
+///  - Shape and entries: everything above, plus the ordering, the
+///    counts, each leaf's stored-state *slots* (CSR) and each leaf's
+///    entry offsets (CSR), depends only on the preferences' bodies
+///    (descriptor, clause) — not on their scores or their order in the
+///    list — and lives in a `Shape` that arenas share through a
+///    `shared_ptr<const Shape>`. Each arena holds its own *entries*:
+///    its copy of the preference list (handles whose bodies the
+///    profile shares, so the arena holds no clause of its own), each
+///    slot's owning preference index, and the leaf entries — per leaf,
+///    the lowest-index preference of each distinct clause, in
+///    ascending index order, as 4-byte indices into the preference
+///    list. One routine (`FillEntries`) computes them from the slots.
+///  - Re-binding: `Build(profile, previous)` reuses `previous`'s shape
+///    when the profile holds exactly `previous`'s bodies, compared by
+///    identity — a rescore, a refused rescore, a no-op publish — and
+///    only refills the entries; any other edit runs the full build. A
+///    rescore moves the preference to the back of the list, so the
+///    refill maps each slot's owner to its new index and re-sorts the
+///    slots within each leaf.
 ///
 /// Instances are immutable after `Build` and shared across reader
 /// threads without locks (they hold no mutable state; search scratch
@@ -72,8 +86,10 @@ class FlatProfileTree {
   /// holds — ordering, cell, node, path and entry counts, each path's
   /// entries in insertion order — numbered by key path. It cannot fail:
   /// the profile rejected every Def. 6 conflict on insert. `previous`,
-  /// when given, is an arena of an earlier version of the profile; the
-  /// result is the same with or without it.
+  /// when given, is an arena of an earlier version of the profile: when
+  /// the profile holds exactly its preference bodies (the same objects,
+  /// not equal copies), the result shares its shape and only the
+  /// entries are filled anew. The result is the same either way.
   static FlatProfileTree Build(const Profile& profile,
                                const FlatProfileTree* previous = nullptr);
 
@@ -82,9 +98,15 @@ class FlatProfileTree {
 
   const ContextEnvironment& env() const { return *env_; }
   const EnvironmentPtr& env_ptr() const { return env_; }
-  const Ordering& ordering() const { return order_; }
+  const Ordering& ordering() const { return shape_->order; }
   /// Tree depth = number of context parameters.
-  size_t num_levels() const { return levels_.size(); }
+  size_t num_levels() const { return shape_->levels.size(); }
+
+  /// Whether this arena and `other` share one shape: one was built
+  /// over the other, or both over a third.
+  bool SharesShapeWith(const FlatProfileTree& other) const {
+    return shape_ == other.shape_;
+  }
 
   /// Search_CS (paper Algorithm 1) over integer keys: descends from the
   /// root following every cell whose key is the query component or one
@@ -121,19 +143,22 @@ class FlatProfileTree {
   /// ---- Size accounting (satellite to paper Fig. 5) ----
 
   /// Structural counts; match the pointer tree's by construction.
-  size_t CellCount() const { return cell_count_; }
-  size_t NodeCount() const { return node_count_; }
-  size_t PathCount() const { return leaf_begin_.empty() ? 0 : leaf_begin_.size() - 1; }
+  size_t CellCount() const { return shape_->cell_count; }
+  size_t NodeCount() const { return shape_->node_count; }
+  size_t PathCount() const { return shape_->leaf_begin.size() - 1; }
   size_t LeafEntryCount() const { return entries_.size(); }
 
   /// Bytes actually resident in the arena (vector capacities, counting
   /// the preference handles but not the bodies they share with the
   /// profile) — the "measured" column next to the paper's modeled
-  /// `ProfileTree::ByteSize()` in bench_fig5.
+  /// `ProfileTree::ByteSize()` in bench_fig5. The shape is counted in
+  /// full even when other arenas share it, so the figure is the bytes
+  /// this arena would hold alone: a re-bound arena reports what a full
+  /// build of its profile reports.
   size_t MeasuredByteSize() const;
 
  private:
-  /// Only `BuildOver` makes an arena, so every arena has its levels.
+  /// Only `BuildOver` makes an arena, so every arena has a shape.
   FlatProfileTree() = default;
 
   /// One trie level: cells of all the level's nodes, level-contiguous
@@ -147,15 +172,51 @@ class FlatProfileTree {
     const LevelIndex* level_of = nullptr;
   };
 
+  /// What depends only on the indexed bodies and the ordering; shared
+  /// by every arena re-bound over it.
+  struct Shape {
+    Ordering order;
+    /// Built under the greedy ordering of its states, which the bodies
+    /// alone fix, so `Build(profile, previous)` may reuse it; a shape
+    /// built under a given tree's ordering is never reused.
+    bool greedy = false;
+    std::vector<Level> levels;  ///< Indexed by tree level.
+    /// Per-level offsets into the per-query cover/match scratch arrays:
+    /// level l owns slots [cover_off[l], cover_off[l+1]), one per
+    /// hierarchy level of its parameter.
+    std::vector<uint32_t> cover_off;
+    /// CSR into `slot_owner_`, one slot per stored state; size leaves+1.
+    std::vector<uint32_t> slot_begin;
+    /// CSR into `entries_`; size leaves+1. A leaf's entry count is its
+    /// number of distinct clauses, whichever preferences hold them.
+    std::vector<uint32_t> leaf_begin;
+    size_t cell_count = 0;
+    size_t node_count = 0;
+  };
+
   /// The one build: indexes `preferences` under `*order`, or under the
-  /// greedy ordering of their active domains when `order` is null. The
+  /// greedy ordering of their active domains when `order` is null,
+  /// re-binding `previous`'s shape when it may (see `Build`). The
   /// preferences must hold no Def. 6 conflict.
   static FlatProfileTree BuildOver(
       EnvironmentPtr env, std::vector<ContextualPreference> preferences,
-      const Ordering* order);
+      const Ordering* order, const FlatProfileTree* previous);
 
-  /// `levels_` and the per-level scratch offsets under `order_`.
-  void InitLevels();
+  /// Computes `shape` (all but its `leaf_begin`) and the slot owners
+  /// from `prefs_`, whose states fill the slots in key-path order.
+  void BuildShape(const Ordering* order, Shape& shape);
+
+  /// When `prefs_` holds exactly `previous`'s bodies, compared by
+  /// identity, under `previous`'s greedy shape: sets `slot_owner_` to
+  /// `previous`'s slot owners mapped to their indices in `prefs_` and
+  /// returns true. Otherwise returns false.
+  bool RebindSlots(const FlatProfileTree& previous);
+
+  /// Fills `entries_` from the slots: per leaf, sorts its slot owners
+  /// ascending and keeps the first preference of each equal clause.
+  /// Appends each leaf's entry offset to `*leaf_begin` when given (the
+  /// full build, whose shape is still being made).
+  void FillEntries(std::vector<uint32_t>* leaf_begin);
 
   /// Reusable per-query buffers (cover tables, descent path, match
   /// lists); fetched thread-locally so steady-state searches allocate
@@ -168,18 +229,11 @@ class FlatProfileTree {
                std::vector<uint32_t>& path_keys) const;
 
   EnvironmentPtr env_;
-  Ordering order_;
-  std::vector<Level> levels_;        ///< Indexed by tree level.
-  /// Per-level offsets into the per-query cover/match scratch arrays:
-  /// level l owns slots [cover_off_[l], cover_off_[l+1]), one per
-  /// hierarchy level of its parameter.
-  std::vector<uint32_t> cover_off_;
-  /// The indexed preferences; leaf entries are indices into it.
+  std::shared_ptr<const Shape> shape_;
+  /// The indexed preferences; slot owners and leaf entries index it.
   std::vector<ContextualPreference> prefs_;
-  std::vector<uint32_t> leaf_begin_; ///< CSR into entries_; size leaves+1.
-  std::vector<uint32_t> entries_;    ///< Per leaf entry: index into prefs_.
-  size_t cell_count_ = 0;
-  size_t node_count_ = 0;
+  std::vector<uint32_t> slot_owner_;  ///< Per slot: index into prefs_.
+  std::vector<uint32_t> entries_;     ///< Per leaf entry: index into prefs_.
 };
 
 }  // namespace ctxpref

@@ -53,6 +53,10 @@ class ContextualPreference {
   const CompositeDescriptor& descriptor() const { return body_->descriptor; }
   const AttributeClause& clause() const { return body_->clause; }
   double score() const { return score_; }
+  /// Identity of the shared body: equal for copies and rescores of one
+  /// preference, distinct for preferences created apart, even equal
+  /// ones. It names the body only while some handle keeps it alive.
+  const void* body_id() const { return body_.get(); }
 
   /// The context states Context(cod) this preference applies to.
   std::vector<ContextState> States(const ContextEnvironment& env) const {

@@ -136,8 +136,12 @@ size_t ProfileStore::size() const {
 void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
                                    Profile profile) {
   // Build the arena off to the side, straight from the profile; readers
-  // keep serving the current snapshot until the swap.
-  FlatProfileTree flat = FlatProfileTree::Build(profile);
+  // keep serving the current snapshot until the swap. Over the current
+  // arena, so a publish that keeps every preference body (a rescore)
+  // re-binds its shape instead of rebuilding it.
+  const SnapshotPtr current = user.Pin();
+  FlatProfileTree flat = FlatProfileTree::Build(
+      profile, current != nullptr ? current->flat_tree() : nullptr);
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ProfileSnapshot>(

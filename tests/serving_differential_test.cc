@@ -722,27 +722,41 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     // removals, with the arenas checked after every step. Edits
     // a profile refuses (a Def. 6 conflict) leave it unchanged and are
     // compared all the same. Every step's arena is also built over the
-    // previous step's, chaining re-binds across consecutive rescores.
+    // previous step's, chaining re-binds across consecutive rescores: a
+    // step that keeps every body (a rescore, refused or not) re-binds
+    // the shape, a removal or a new body builds a new one.
+    enum class Shape { kShared, kNew, kEither };
     FlatProfileTree previous = FlatProfileTree::Build(profile);
-    auto check_step = [&](const std::string& label) {
+    auto check_step = [&](const std::string& label, Shape shape) {
       ExpectSameArenas(profile, world, label);
       FlatProfileTree rebound = FlatProfileTree::Build(profile, &previous);
+      if (shape != Shape::kEither) {
+        EXPECT_EQ(rebound.SharesShapeWith(previous), shape == Shape::kShared)
+            << label;
+      }
       ExpectSameRebind(profile, rebound, world, label);
       previous = std::move(rebound);
     };
     for (int step = 0; step < 60; ++step) {
       const uint64_t op = rng.Uniform(3);
-      if (op == 0 && !profile.empty()) {
+      const bool was_empty = profile.empty();
+      if (op == 0 && !was_empty) {
         (void)profile.UpdateScore(
             rng.Uniform(profile.size()),
             static_cast<double>(rng.Uniform(21)) * 0.05);
-      } else if (op == 1 && !profile.empty()) {
+      } else if (op == 1 && !was_empty) {
         ASSERT_OK(profile.Remove(rng.Uniform(profile.size())));
       } else {
         AddSetPreferences(rng, profile, 1);
       }
+      // An insert the profile refuses keeps every body.
+      const Shape shape = was_empty ? Shape::kEither
+                          : op == 0 ? Shape::kShared
+                          : op == 1 ? Shape::kNew
+                                    : Shape::kEither;
       check_step(std::string(w.name) + " edit " + std::to_string(step) +
-                 " op " + std::to_string(op));
+                     " op " + std::to_string(op),
+                 shape);
     }
 
     // Named steps at one world state s. A multi-state preference `b`
@@ -771,20 +785,28 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     const ContextualPreference a = MakePreference(env, at_s, "x", 0.5);
     for (const ContextualPreference& pref : {b, c, a}) {
       ASSERT_OK(profile.Insert(pref));
-      check_step(std::string(w.name) + " insert " + pref.ToString(env));
+      check_step(std::string(w.name) + " insert " + pref.ToString(env),
+                 Shape::kNew);
     }
     // A refused rescore: `a` at another score conflicts with `b` at s.
     ASSERT_FALSE(profile.UpdateScore(IndexOf(profile, a), 0.75).ok());
-    check_step(std::string(w.name) + " refused rescore");
+    check_step(std::string(w.name) + " refused rescore", Shape::kShared);
     // A same-score rescore moves `b` behind `a`: s's leaf now lists y,
     // then x via `a`, the lowest index holding it.
     ASSERT_OK(profile.UpdateScore(IndexOf(profile, b), 0.5));
-    check_step(std::string(w.name) + " same-score rescore");
+    check_step(std::string(w.name) + " same-score rescore", Shape::kShared);
+    // Two rescores in one step, of the first two preferences (at their
+    // own scores, so neither is refused): the same bodies, permuted by
+    // more than one move to the back.
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_OK(profile.UpdateScore(0, profile.preference(0).score()));
+    }
+    check_step(std::string(w.name) + " two rescores", Shape::kShared);
     // `c` removed and a textually equal preference inserted: a new
     // body at the same states.
     ASSERT_OK(profile.Remove(IndexOf(profile, c)));
     ASSERT_OK(profile.Insert(MakePreference(env, at_s, "y", 0.25)));
-    check_step(std::string(w.name) + " reinsert equal");
+    check_step(std::string(w.name) + " reinsert equal", Shape::kNew);
   }
 }
 

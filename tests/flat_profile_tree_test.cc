@@ -332,5 +332,28 @@ TEST(FlatProfileTreeTest, DirectBuildCountsSharedEntries) {
       {happy_all, sad_all, ContextState({ValueRef{0, 0}, ValueRef{0, 0}})});
 }
 
+TEST(FlatProfileTreeTest, ReboundArenaMeasuresWhatAFreshBuildMeasures) {
+  EnvironmentPtr env = TwoFlatEnv();
+  Profile profile(env);
+  for (const char* cod : {"mood in {happy, sad}", "mood = sad and day = off",
+                          "day in {work, off}"}) {
+    StatusOr<CompositeDescriptor> d = ParseCompositeDescriptor(*env, cod);
+    ASSERT_OK(d.status());
+    StatusOr<ContextualPreference> pref =
+        ContextualPreference::Create(std::move(*d), Clause(cod), 0.5);
+    ASSERT_OK(pref.status());
+    ASSERT_OK(profile.Insert(*pref));
+  }
+  const FlatProfileTree previous = FlatProfileTree::Build(profile);
+  ASSERT_OK(profile.UpdateScore(0, 0.75));
+  const FlatProfileTree rebound = FlatProfileTree::Build(profile, &previous);
+  const FlatProfileTree fresh = FlatProfileTree::Build(profile);
+  ASSERT_TRUE(rebound.SharesShapeWith(previous));
+  ASSERT_FALSE(fresh.SharesShapeWith(previous));
+  // The shared shape counts in full: bytes as if the arena were alone.
+  EXPECT_EQ(rebound.MeasuredByteSize(), fresh.MeasuredByteSize());
+  EXPECT_EQ(previous.MeasuredByteSize(), fresh.MeasuredByteSize());
+}
+
 }  // namespace
 }  // namespace ctxpref

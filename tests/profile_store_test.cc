@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "preference/replicated_query_cache.h"
+#include "preference/resolution.h"
 #include "tests/test_util.h"
 #include "workload/default_profiles.h"
 
@@ -139,6 +140,67 @@ TEST_F(ProfileStoreTest, RescorePublishSharesUntouchedBodies) {
   // `fresh` still reads its own scores.
   EXPECT_EQ(after.preference(0).score(), 0.6);
   EXPECT_EQ(after.preference(1).score(), 0.9);
+}
+
+TEST_F(ProfileStoreTest, RescoresShareTheArenaShapeAcrossReaderThreads) {
+  ProfileStore store(env_);
+  StatusOr<Profile> def = workload::MakeDefaultProfile(
+      env_, workload::AgeGroup::kOver50, workload::Sex::kMale,
+      workload::Taste::kMainstream);
+  ASSERT_OK(def.status());
+  ASSERT_OK(store.CreateUser("alice", std::move(*def)));
+  StatusOr<SnapshotPtr> first = store.GetSnapshot("alice");
+  ASSERT_OK(first.status());
+  // One stored state per preference: each resolves to a winner.
+  std::vector<ContextState> queries;
+  for (const ContextualPreference& pref : (*first)->profile().preferences()) {
+    queries.push_back(pref.States(*env_).front());
+  }
+  ASSERT_FALSE(queries.empty());
+
+  // Readers pin, resolve and drop their pin, often the last one of a
+  // snapshot the writer has already replaced: that frees the arena's
+  // own entries on a reader thread while newer arenas keep reading the
+  // shape they share with it. The thread sanitizer build checks that
+  // this hand-off is race-free.
+  std::atomic<bool> done{false};
+  std::atomic<size_t> resolved{0};
+  {
+    std::vector<std::jthread> readers;
+    for (size_t t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        for (size_t i = t; !done.load(std::memory_order_acquire); ++i) {
+          StatusOr<SnapshotPtr> snap = store.GetSnapshot("alice");
+          if (!snap.ok()) {
+            ADD_FAILURE() << snap.status().ToString();
+            return;
+          }
+          const FlatResolver resolver((*snap)->flat_tree());
+          if (resolver.ResolveBest(queries[i % queries.size()]).empty()) {
+            ADD_FAILURE() << "no winner for query " << i % queries.size();
+            return;
+          }
+          resolved.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (size_t k = 0; k < 2000; ++k) {
+      // A rescore that would conflict is refused and still published.
+      const Status status = store.UpdateUser("alice", [k](Profile& p) {
+        (void)p.UpdateScore(k % p.size(), static_cast<double>(k % 21) * 0.05);
+        return Status::OK();
+      });
+      if (!status.ok()) {
+        ADD_FAILURE() << status.ToString();
+        break;
+      }
+    }
+    done.store(true, std::memory_order_release);
+  }
+  EXPECT_GT(resolved.load(), 0u);
+  StatusOr<SnapshotPtr> last = store.GetSnapshot("alice");
+  ASSERT_OK(last.status());
+  EXPECT_TRUE((*last)->flat_tree()->SharesShapeWith(*(*first)->flat_tree()));
 }
 
 TEST_F(ProfileStoreTest, ServingVersionsAreUniqueAcrossUsers) {

@@ -168,6 +168,28 @@ void BM_PublishBuild_Direct(benchmark::State& state) {
 }
 BENCHMARK(BM_PublishBuild_Direct)->Arg(500)->Arg(5000);
 
+// What a rescore publish does to the profile and its arena: one
+// `UpdateScore` (refused when it would conflict, as a publish allows),
+// then the arena built over the previous one, which keeps every body
+// and so re-binds its shape (an advisory row, not gated).
+
+void BM_PublishRescore(benchmark::State& state) {
+  Rig& rig = RigFor(static_cast<size_t>(state.range(0)));
+  Profile profile = rig.gen.profile;
+  FlatProfileTree previous = FlatProfileTree::Build(profile);
+  size_t i = 0;
+  for (auto _ : state) {
+    (void)profile.UpdateScore((i * 7919) % profile.size(),
+                              static_cast<double>(i % 21) * 0.05);
+    ++i;
+    FlatProfileTree flat = FlatProfileTree::Build(profile, &previous);
+    benchmark::DoNotOptimize(flat.LeafEntryCount());
+    previous = std::move(flat);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PublishRescore)->Arg(500)->Arg(5000);
+
 }  // namespace
 }  // namespace ctxpref
 

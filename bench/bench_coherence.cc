@@ -33,20 +33,24 @@
 //
 // Churn rows come first, on their own store with replicas consumed
 // inline at lookup (each serve drains the log before the gate, so a
-// publish costs a replica a miss, rarely a refuse): three interleaved
-// pairs of a no-writer row and a 100 publishes/s row. The median
-// 100 wps row must keep >= 90% of the median no-writer row's served/s
-// — copy-on-write publishing does not stall readers. Medians, because
-// one window on a shared host swings by more than the 10% margin. The
-// bar is a parallelism claim, so it is enforced only with more than
-// one hardware thread.
+// publish costs a replica a miss, rarely a refuse): five interleaved
+// pairs of a no-writer row and a 100 publishes/s row. The median over
+// the pairs of each pair's 100 wps / no-writer served/s ratio must be
+// >= 90% — copy-on-write publishing does not stall readers. Per-pair
+// ratios, because the two rows of a pair run back to back and so see
+// the same phase of host load, which a ratio of the two rows' medians
+// mixes across pairs; a median of five, because one window on a
+// shared host swings by more than the 10% margin. The bar is a
+// parallelism claim, so it is enforced only with more than one
+// hardware thread.
 //
 // Acceptance bars (exit code):
 //   phase A lookups all hit                       (exit 3)
 //   torn answers over phase B                == 0 (exit 2)
 //   stale refuses over phase B               >  0 (exit 4)
 //   lag after ConsumeAll quiesce             == 0 (exit 5)
-//   served/s at 100 wps >= 0.9 x no writer        (exit 6, nproc > 1)
+//   median pair's served/s at 100 wps
+//     >= 0.9 x its no-writer served/s             (exit 6, nproc > 1)
 //
 // Flags: --readers=N --duration_ms=D --consume_interval_us=C
 // --json_out=FILE plus the shared --metrics family.
@@ -240,9 +244,10 @@ void PrintLagRow(const LagResult& r) {
               static_cast<unsigned long long>(r.torn));
 }
 
-double MedianOfThree(std::vector<double> v) {
+/// The middle value of an odd-sized, non-empty sample.
+double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
-  return v[1];
+  return v[v.size() / 2];
 }
 
 /// Phase B: one write-rate point. The writer publishes through the
@@ -430,8 +435,8 @@ int Run(const Flags& flags) {
       std::printf("round %d: single shared %14.0f, replicated %14.0f hits/s\n",
                   round + 1, shared_rates.back(), repl_rates.back());
     }
-    shared_rate = MedianOfThree(shared_rates);
-    repl_rate = MedianOfThree(repl_rates);
+    shared_rate = Median(shared_rates);
+    repl_rate = Median(repl_rates);
   }
   // += not operator+: GCC 12's -Wrestrict misfires on
   // `literal + std::to_string(...)` at -O2.
@@ -467,12 +472,13 @@ int Run(const Flags& flags) {
   };
   uint64_t total_torn = 0, total_refuses = 0;
 
+  constexpr int kServePairs = 5;
   std::printf("Serving under churn (%zu replicas, inline consume; "
-              "3 interleaved pairs):\n",
-              flags.readers);
+              "%d interleaved pairs):\n",
+              flags.readers, kServePairs);
   std::printf("%10s %12s %12s %9s %9s %10s %6s\n", "target/s", "appended/s",
               "served/s", "max lag", "avg lag", "refuses", "torn");
-  double no_writer_served = 0, churn_served = 0;
+  double churn_ratio = 0;
   {
     ReplicatedQueryCache replicas(
         env, Ordering::Identity(env->size()),
@@ -487,7 +493,8 @@ int Run(const Flags& flags) {
     }
     std::atomic<uint64_t> step{1};
     std::vector<double> served[2];
-    for (int pair = 0; pair < 3; ++pair) {
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kServePairs; ++pair) {
       for (const double rate : {0.0, 100.0}) {
         LagResult r =
             RunLagPhase(flags, *poi, store, replicas, query, step, rate);
@@ -495,11 +502,12 @@ int Run(const Flags& flags) {
         served[rate > 0 ? 1 : 0].push_back(r.served_per_sec);
         total_torn += r.torn;
       }
+      const double no_writer = served[0].back();
+      ratios.push_back(no_writer > 0 ? served[1].back() / no_writer : 0.0);
     }
-    no_writer_served = MedianOfThree(served[0]);
-    churn_served = MedianOfThree(served[1]);
-    rows.push_back(Row{serve_name(0), no_writer_served});
-    rows.push_back(Row{serve_name(100), churn_served});
+    churn_ratio = Median(ratios);
+    rows.push_back(Row{serve_name(0), Median(served[0])});
+    rows.push_back(Row{serve_name(100), Median(served[1])});
   }
 
   ReplicatedQueryCache replicas(
@@ -574,10 +582,8 @@ int Run(const Flags& flags) {
   // On one hardware thread the writer time-slices the readers' core,
   // so the ratio measures scheduling, not copy-on-write overhead.
   const bool multi_core = std::thread::hardware_concurrency() > 1;
-  const double churn_ratio =
-      no_writer_served > 0 ? churn_served / no_writer_served : 0.0;
   const bool churn_ok = !multi_core || churn_ratio >= 0.9;
-  std::printf("\nmedian served/s at 100 wps / no writer: %.1f%% "
+  std::printf("\nmedian pair's served/s at 100 wps / no writer: %.1f%% "
               "(bar: >= 90%%%s)\n",
               100 * churn_ratio,
               !multi_core ? " SKIPPED: single hardware thread"

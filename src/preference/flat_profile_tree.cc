@@ -95,18 +95,32 @@ FlatProfileTree::Scratch& FlatProfileTree::TlsScratch() {
 
 FlatProfileTree FlatProfileTree::Build(const Profile& profile,
                                        const FlatProfileTree* previous) {
-  return BuildOver(profile.env_ptr(), profile.preferences(), nullptr,
+  return BuildOver(profile.env_ptr(),
+                   std::make_shared<const std::vector<ContextualPreference>>(
+                       profile.preferences()),
+                   nullptr, previous);
+}
+
+FlatProfileTree FlatProfileTree::Build(
+    const std::shared_ptr<const Profile>& profile,
+    const FlatProfileTree* previous) {
+  // Aliases the profile's own list: the arena keeps the profile alive.
+  return BuildOver(profile->env_ptr(),
+                   PreferenceList(profile, &profile->preferences()), nullptr,
                    previous);
 }
 
 FlatProfileTree FlatProfileTree::Build(const ProfileTree& tree) {
-  return BuildOver(tree.env_ptr(), tree.preferences(), &tree.ordering(),
-                   nullptr);
+  return BuildOver(tree.env_ptr(),
+                   std::make_shared<const std::vector<ContextualPreference>>(
+                       tree.preferences()),
+                   &tree.ordering(), nullptr);
 }
 
-FlatProfileTree FlatProfileTree::BuildOver(
-    EnvironmentPtr env, std::vector<ContextualPreference> preferences,
-    const Ordering* order, const FlatProfileTree* previous) {
+FlatProfileTree FlatProfileTree::BuildOver(EnvironmentPtr env,
+                                           PreferenceList preferences,
+                                           const Ordering* order,
+                                           const FlatProfileTree* previous) {
   FlatProfileTree flat;
   flat.env_ = std::move(env);
   flat.prefs_ = std::move(preferences);
@@ -123,7 +137,7 @@ FlatProfileTree FlatProfileTree::BuildOver(
 }
 
 void FlatProfileTree::BuildShape(const Ordering* order, Shape& shape) {
-  const std::vector<ContextualPreference>& prefs = prefs_;
+  const std::vector<ContextualPreference>& prefs = *prefs_;
   const ContextEnvironment& env = *env_;
   const size_t n = env.size();
 
@@ -227,7 +241,7 @@ bool FlatProfileTree::RebindSlots(const FlatProfileTree& previous) {
   // Only a greedy shape is fixed by the bodies alone.
   if (!previous.shape_->greedy || previous.env_ != env_) return false;
   thread_local std::vector<uint32_t> new_index;  // Old index -> new.
-  if (!MapBodies(previous.prefs_, prefs_, new_index)) return false;
+  if (!MapBodies(*previous.prefs_, *prefs_, new_index)) return false;
   slot_owner_.resize(previous.slot_owner_.size());
   for (size_t s = 0; s < slot_owner_.size(); ++s) {
     slot_owner_[s] = new_index[previous.slot_owner_[s]];
@@ -242,6 +256,7 @@ void FlatProfileTree::FillEntries(std::vector<uint32_t>* leaf_begin) {
   // build's slots are already ascending within each leaf; a re-bind's
   // follow the old indices and are sorted here.
   const std::vector<uint32_t>& slot_begin = shape_->slot_begin;
+  const std::vector<ContextualPreference>& prefs = *prefs_;
   entries_.reserve(slot_owner_.size());
   for (size_t leaf = 0; leaf + 1 < slot_begin.size(); ++leaf) {
     const auto held_begin = static_cast<ptrdiff_t>(entries_.size());
@@ -252,10 +267,10 @@ void FlatProfileTree::FillEntries(std::vector<uint32_t>* leaf_begin) {
     uint32_t* const last = slot_owner_.data() + slot_begin[leaf + 1];
     std::sort(first, last);
     for (; first != last; ++first) {
-      const AttributeClause& clause = prefs_[*first].clause();
+      const AttributeClause& clause = prefs[*first].clause();
       if (std::none_of(entries_.begin() + held_begin, entries_.end(),
                        [&](uint32_t held) {
-                         return prefs_[held].clause() == clause;
+                         return prefs[held].clause() == clause;
                        })) {
         entries_.push_back(*first);
       }
@@ -430,14 +445,15 @@ std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
   std::vector<ProfileTree::LeafEntry> out;
   out.reserve(leaf_begin[leaf + 1] - leaf_begin[leaf]);
   for (uint32_t k = leaf_begin[leaf]; k < leaf_begin[leaf + 1]; ++k) {
-    const ContextualPreference& pref = prefs_[entries_[k]];
+    const ContextualPreference& pref = (*prefs_)[entries_[k]];
     out.push_back(ProfileTree::LeafEntry{pref.clause(), pref.score()});
   }
   return out;
 }
 
 size_t FlatProfileTree::MeasuredByteSize() const {
-  // The shape in full, shared or not: the bytes of this arena alone.
+  // The shape and the preference list in full, shared or not: the
+  // bytes of this arena alone.
   const Shape& shape = *shape_;
   size_t bytes = sizeof(*this) + sizeof(Shape);
   bytes += shape.levels.capacity() * sizeof(Level);
@@ -448,7 +464,7 @@ size_t FlatProfileTree::MeasuredByteSize() const {
   bytes += shape.cover_off.capacity() * sizeof(uint32_t);
   bytes += shape.slot_begin.capacity() * sizeof(uint32_t);
   bytes += shape.leaf_begin.capacity() * sizeof(uint32_t);
-  bytes += prefs_.capacity() * sizeof(ContextualPreference);
+  bytes += prefs_->capacity() * sizeof(ContextualPreference);
   bytes += slot_owner_.capacity() * sizeof(uint32_t);
   bytes += entries_.capacity() * sizeof(uint32_t);
   return bytes;

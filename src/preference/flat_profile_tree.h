@@ -93,6 +93,12 @@ class FlatProfileTree {
   static FlatProfileTree Build(const Profile& profile,
                                const FlatProfileTree* previous = nullptr);
 
+  /// As above, but the arena reads the profile's own preference list
+  /// and keeps the profile alive instead of copying the list; the
+  /// publish path builds this way.
+  static FlatProfileTree Build(const std::shared_ptr<const Profile>& profile,
+                               const FlatProfileTree* previous = nullptr);
+
   /// Indexes the preferences `tree` indexed, under its ordering.
   static FlatProfileTree Build(const ProfileTree& tree);
 
@@ -194,13 +200,17 @@ class FlatProfileTree {
     size_t node_count = 0;
   };
 
+  using PreferenceList =
+      std::shared_ptr<const std::vector<ContextualPreference>>;
+
   /// The one build: indexes `preferences` under `*order`, or under the
   /// greedy ordering of their active domains when `order` is null,
   /// re-binding `previous`'s shape when it may (see `Build`). The
   /// preferences must hold no Def. 6 conflict.
-  static FlatProfileTree BuildOver(
-      EnvironmentPtr env, std::vector<ContextualPreference> preferences,
-      const Ordering* order, const FlatProfileTree* previous);
+  static FlatProfileTree BuildOver(EnvironmentPtr env,
+                                   PreferenceList preferences,
+                                   const Ordering* order,
+                                   const FlatProfileTree* previous);
 
   /// Computes `shape` (all but its `leaf_begin`) and the slot owners
   /// from `prefs_`, whose states fill the slots in key-path order.
@@ -231,7 +241,8 @@ class FlatProfileTree {
   EnvironmentPtr env_;
   std::shared_ptr<const Shape> shape_;
   /// The indexed preferences; slot owners and leaf entries index it.
-  std::vector<ContextualPreference> prefs_;
+  /// Its own copy, or the list of the profile it was built from.
+  PreferenceList prefs_;
   std::vector<uint32_t> slot_owner_;  ///< Per slot: index into prefs_.
   std::vector<uint32_t> entries_;     ///< Per leaf entry: index into prefs_.
 };

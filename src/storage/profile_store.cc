@@ -135,19 +135,19 @@ size_t ProfileStore::size() const {
 
 void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
                                    Profile profile) {
-  // Build the arena off to the side, straight from the profile; readers
-  // keep serving the current snapshot until the swap. Over the current
-  // arena, so a publish that keeps every preference body (a rescore)
-  // re-binds its shape instead of rebuilding it.
+  // Build the arena off to the side, straight from the profile, whose
+  // preference list it shares; readers keep serving the current
+  // snapshot until the swap. Over the current arena, so a publish that
+  // keeps every preference body (a rescore) re-binds its shape instead
+  // of rebuilding it.
   const SnapshotPtr current = user.Pin();
-  FlatProfileTree flat = FlatProfileTree::Build(
-      profile, current != nullptr ? current->flat_tree() : nullptr);
+  auto published = std::make_shared<const Profile>(std::move(profile));
+  auto flat = std::make_shared<const FlatProfileTree>(FlatProfileTree::Build(
+      published, current != nullptr ? current->flat_tree() : nullptr));
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ProfileSnapshot>(
-      user_id, version,
-      std::make_shared<const Profile>(std::move(profile)),
-      std::make_shared<const FlatProfileTree>(std::move(flat)));
+      user_id, version, std::move(published), std::move(flat));
   SnapshotPtr old = user.Swap(std::move(snapshot));
   ServingMetrics& metrics = ServingMetrics::Get();
   metrics.swaps.Increment();

@@ -10,24 +10,17 @@ std::string AttributeClause::ToString() const {
 
 namespace {
 
-/// Structural key of a composite descriptor, independent of the
-/// environment: parts are already sorted by parameter index and value
-/// sets are deduplicated in stable order, so equal construction yields
-/// equal keys.
-std::string DescriptorKey(const CompositeDescriptor& cod) {
-  std::string key;
-  for (const ParameterDescriptor& pd : cod.parts()) {
-    key += std::to_string(pd.param_index());
-    key += '#';
-    for (ValueRef v : pd.ContextOf()) {
-      key += std::to_string(v.level);
-      key += '.';
-      key += std::to_string(v.id);
-      key += ',';
-    }
-    key += ';';
-  }
-  return key;
+/// Equal parts: the same parameters with the same value lists, in
+/// order. Parts are sorted by parameter index and value sets are
+/// deduplicated in stable order, so equal construction compares equal.
+bool SameParts(const CompositeDescriptor& a, const CompositeDescriptor& b) {
+  return std::equal(a.parts().begin(), a.parts().end(), b.parts().begin(),
+                    b.parts().end(),
+                    [](const ParameterDescriptor& x,
+                       const ParameterDescriptor& y) {
+                      return x.param_index() == y.param_index() &&
+                             x.ContextOf() == y.ContextOf();
+                    });
 }
 
 /// The score check `Create` and `Rescored` share.
@@ -47,11 +40,17 @@ StatusOr<ContextualPreference> ContextualPreference::Create(
   if (clause.attribute.empty()) {
     return Status::InvalidArgument("attribute clause has no attribute name");
   }
-  std::string key = DescriptorKey(descriptor);
   return ContextualPreference(
-      std::make_shared<const Body>(Body{std::move(descriptor),
-                                        std::move(clause), std::move(key)}),
+      std::make_shared<const Body>(
+          Body{std::move(descriptor), std::move(clause)}),
       score);
+}
+
+bool operator==(const ContextualPreference& a, const ContextualPreference& b) {
+  if (a.score_ != b.score_) return false;
+  if (a.body_ == b.body_) return true;
+  return a.body_->clause == b.body_->clause &&
+         SameParts(a.body_->descriptor, b.body_->descriptor);
 }
 
 StatusOr<ContextualPreference> ContextualPreference::Rescored(

@@ -66,23 +66,17 @@ class ContextualPreference {
   /// "(location = Plaka and temperature = warm), (name = Acropolis), 0.8".
   std::string ToString(const ContextEnvironment& env) const;
 
+  /// Descriptor equality by denoted semantics is expensive; preference
+  /// identity is (clause, score) + equal descriptor parts (parameter
+  /// and value list, part by part), which is what profile
+  /// deduplication needs. See Profile::Insert.
   friend bool operator==(const ContextualPreference& a,
-                         const ContextualPreference& b) {
-    // Descriptor equality by denoted semantics is expensive; preference
-    // identity is (clause, score) + descriptor parts textual identity,
-    // which is what profile deduplication needs. See Profile::Insert.
-    if (a.score_ != b.score_) return false;
-    if (a.body_ == b.body_) return true;
-    return a.body_->clause == b.body_->clause &&
-           a.body_->descriptor_key == b.body_->descriptor_key;
-  }
+                         const ContextualPreference& b);
 
  private:
   struct Body {
     CompositeDescriptor descriptor;
     AttributeClause clause;
-    /// Canonical structural key of the descriptor for cheap equality.
-    std::string descriptor_key;
   };
 
   ContextualPreference(std::shared_ptr<const Body> body, double score)

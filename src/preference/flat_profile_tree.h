@@ -47,9 +47,10 @@ namespace ctxpref {
 ///    (descriptor, clause) — not on their scores or their order in the
 ///    list — and lives in a `Shape` that arenas share through a
 ///    `shared_ptr<const Shape>`. Each arena holds its own *entries*:
-///    its copy of the preference list (handles whose bodies the
-///    profile shares, so the arena holds no clause of its own), each
-///    slot's owning preference index, and the leaf entries — per leaf,
+///    the preference list it indexes (handles whose bodies the profile
+///    shares, so the arena holds no clause of its own; on publish, the
+///    published profile's own list), each slot's owning preference
+///    index, and the leaf entries — per leaf,
 ///    the lowest-index preference of each distinct clause, in
 ///    ascending index order, as 4-byte indices into the preference
 ///    list. One routine (`FillEntries`) computes them from the slots.

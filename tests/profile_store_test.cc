@@ -163,26 +163,36 @@ TEST_F(ProfileStoreTest, RescoresShareTheArenaShapeAcrossReaderThreads) {
   // own entries on a reader thread while newer arenas keep reading the
   // shape they share with it. The thread sanitizer build checks that
   // this hand-off is race-free.
+  constexpr size_t kReaders = 4;
   std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
   std::atomic<size_t> resolved{0};
   {
     std::vector<std::jthread> readers;
-    for (size_t t = 0; t < 4; ++t) {
+    for (size_t t = 0; t < kReaders; ++t) {
       readers.emplace_back([&, t] {
         for (size_t i = t; !done.load(std::memory_order_acquire); ++i) {
           StatusOr<SnapshotPtr> snap = store.GetSnapshot("alice");
           if (!snap.ok()) {
             ADD_FAILURE() << snap.status().ToString();
+            failed.store(true);
             return;
           }
           const FlatResolver resolver((*snap)->flat_tree());
           if (resolver.ResolveBest(queries[i % queries.size()]).empty()) {
             ADD_FAILURE() << "no winner for query " << i % queries.size();
+            failed.store(true);
             return;
           }
           resolved.fetch_add(1, std::memory_order_relaxed);
         }
       });
+    }
+    // Write only once the readers are resolving: on a loaded host the
+    // 2 000 rescores can otherwise finish before any reader runs.
+    while (resolved.load(std::memory_order_relaxed) < kReaders &&
+           !failed.load()) {
+      std::this_thread::yield();
     }
     for (size_t k = 0; k < 2000; ++k) {
       // A rescore that would conflict is refused and still published.
@@ -197,7 +207,6 @@ TEST_F(ProfileStoreTest, RescoresShareTheArenaShapeAcrossReaderThreads) {
     }
     done.store(true, std::memory_order_release);
   }
-  EXPECT_GT(resolved.load(), 0u);
   StatusOr<SnapshotPtr> last = store.GetSnapshot("alice");
   ASSERT_OK(last.status());
   EXPECT_TRUE((*last)->flat_tree()->SharesShapeWith(*(*first)->flat_tree()));

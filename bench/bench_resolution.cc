@@ -168,21 +168,24 @@ void BM_PublishBuild_Direct(benchmark::State& state) {
 }
 BENCHMARK(BM_PublishBuild_Direct)->Arg(500)->Arg(5000);
 
-// What a rescore publish does to the profile and its arena: one
-// `UpdateScore` (refused when it would conflict, as a publish allows),
-// then the arena built over the previous one, which keeps every body
-// and so re-binds its shape (an advisory row, not gated).
+// What a rescore publish (`ProfileStore::UpdateUser`) does to the
+// profile and its arena: copy the published profile, one `UpdateScore`
+// (refused when it would conflict, as a publish allows), then the arena
+// built over the published copy and the previous arena, which keeps
+// every body and so re-binds its shape (an advisory row, not gated).
 
 void BM_PublishRescore(benchmark::State& state) {
   Rig& rig = RigFor(static_cast<size_t>(state.range(0)));
-  Profile profile = rig.gen.profile;
-  FlatProfileTree previous = FlatProfileTree::Build(profile);
+  auto published = std::make_shared<const Profile>(rig.gen.profile);
+  FlatProfileTree previous = FlatProfileTree::Build(published);
   size_t i = 0;
   for (auto _ : state) {
-    (void)profile.UpdateScore((i * 7919) % profile.size(),
-                              static_cast<double>(i % 21) * 0.05);
+    Profile draft = *published;
+    (void)draft.UpdateScore((i * 7919) % draft.size(),
+                            static_cast<double>(i % 21) * 0.05);
     ++i;
-    FlatProfileTree flat = FlatProfileTree::Build(profile, &previous);
+    published = std::make_shared<const Profile>(std::move(draft));
+    FlatProfileTree flat = FlatProfileTree::Build(published, &previous);
     benchmark::DoNotOptimize(flat.LeafEntryCount());
     previous = std::move(flat);
   }

@@ -15,9 +15,11 @@ namespace {
 /// raw keys.
 constexpr uint32_t kLinearScanMax = 8;
 
-/// When `now` holds exactly `old`'s bodies, compared by address, sets
-/// `new_index[j]` to the index in `now` of `old[j]`'s body and returns
-/// true; otherwise returns false. Comparing addresses is sound because
+/// When `now` is `old` with at most one preference moved to the back,
+/// compared by body address — a rescore (`Profile::UpdateScore`), a
+/// refused one, a no-op — sets `new_index[j]` to the index in `now` of
+/// `old[j]`'s body and returns true; otherwise returns false, and the
+/// caller runs the full build. Comparing addresses is sound because
 /// `old`'s handles keep its bodies alive, so none of their addresses
 /// can have been reused by another body.
 bool MapBodies(const std::vector<ContextualPreference>& old,
@@ -26,41 +28,17 @@ bool MapBodies(const std::vector<ContextualPreference>& old,
   const size_t n = old.size();
   if (now.size() != n) return false;
   new_index.resize(n);
-  // A rescore moves one preference to the back (`Profile::UpdateScore`)
-  // and a refused one moves none: one linear pass matches both.
-  size_t k = 0;
+  size_t k = 0;  // The first position where the lists differ.
   while (k < n && old[k].body_id() == now[k].body_id()) {
     new_index[k] = static_cast<uint32_t>(k);
     ++k;
   }
   if (k == n) return true;
-  bool moved_back = old[k].body_id() == now[n - 1].body_id();
-  for (size_t j = k + 1; moved_back && j < n; ++j) {
-    moved_back = old[j].body_id() == now[j - 1].body_id();
+  if (old[k].body_id() != now[n - 1].body_id()) return false;
+  new_index[k] = static_cast<uint32_t>(n - 1);
+  for (size_t j = k + 1; j < n; ++j) {
+    if (old[j].body_id() != now[j - 1].body_id()) return false;
     new_index[j] = static_cast<uint32_t>(j - 1);
-  }
-  if (moved_back) {
-    new_index[k] = static_cast<uint32_t>(n - 1);
-    return true;
-  }
-  // Any other permutation: look each old body up in `now`'s sorted
-  // addresses. A profile never holds one body twice (a second copy
-  // would be a duplicate or a Def. 6 conflict), so finding every one
-  // makes the map a bijection.
-  using Entry = std::pair<const void*, uint32_t>;
-  thread_local std::vector<Entry> by_body;
-  by_body.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    by_body[i] = {now[i].body_id(), static_cast<uint32_t>(i)};
-  }
-  std::sort(by_body.begin(), by_body.end());
-  for (size_t j = 0; j < n; ++j) {
-    const void* body = old[j].body_id();
-    const auto it = std::lower_bound(
-        by_body.begin(), by_body.end(), body,
-        [](const Entry& entry, const void* key) { return entry.first < key; });
-    if (it == by_body.end() || it->first != body) return false;
-    new_index[j] = it->second;
   }
   return true;
 }
@@ -93,12 +71,11 @@ FlatProfileTree::Scratch& FlatProfileTree::TlsScratch() {
   return scratch;
 }
 
-FlatProfileTree FlatProfileTree::Build(const Profile& profile,
-                                       const FlatProfileTree* previous) {
+FlatProfileTree FlatProfileTree::Build(const Profile& profile) {
   return BuildOver(profile.env_ptr(),
                    std::make_shared<const std::vector<ContextualPreference>>(
                        profile.preferences()),
-                   nullptr, previous);
+                   nullptr, nullptr);
 }
 
 FlatProfileTree FlatProfileTree::Build(

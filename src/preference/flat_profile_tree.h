@@ -55,12 +55,12 @@ namespace ctxpref {
 ///    ascending index order, as 4-byte indices into the preference
 ///    list. One routine (`FillEntries`) computes them from the slots.
 ///  - Re-binding: `Build(profile, previous)` reuses `previous`'s shape
-///    when the profile holds exactly `previous`'s bodies, compared by
-///    identity — a rescore, a refused rescore, a no-op publish — and
-///    only refills the entries; any other edit runs the full build. A
-///    rescore moves the preference to the back of the list, so the
-///    refill maps each slot's owner to its new index and re-sorts the
-///    slots within each leaf.
+///    when the profile's list is `previous`'s, compared by body
+///    identity, with at most one preference moved to the back — a
+///    rescore, a refused rescore, a no-op publish — and only refills
+///    the entries; any other edit, even another order of the same
+///    bodies, runs the full build. The refill maps each slot's owner to
+///    its new index and re-sorts the slots within each leaf.
 ///
 /// Instances are immutable after `Build` and shared across reader
 /// threads without locks (they hold no mutable state; search scratch
@@ -86,17 +86,17 @@ class FlatProfileTree {
   /// tree in between. The result holds what `ProfileTree::Build(profile)`
   /// holds — ordering, cell, node, path and entry counts, each path's
   /// entries in insertion order — numbered by key path. It cannot fail:
-  /// the profile rejected every Def. 6 conflict on insert. `previous`,
-  /// when given, is an arena of an earlier version of the profile: when
-  /// the profile holds exactly its preference bodies (the same objects,
-  /// not equal copies), the result shares its shape and only the
-  /// entries are filled anew. The result is the same either way.
-  static FlatProfileTree Build(const Profile& profile,
-                               const FlatProfileTree* previous = nullptr);
+  /// the profile rejected every Def. 6 conflict on insert.
+  static FlatProfileTree Build(const Profile& profile);
 
   /// As above, but the arena reads the profile's own preference list
   /// and keeps the profile alive instead of copying the list; the
-  /// publish path builds this way.
+  /// publish path builds this way. `previous`, when given, is an arena
+  /// of an earlier version of the profile: when the profile's list is
+  /// its list of bodies (the same objects, not equal copies) with at
+  /// most one preference moved to the back — what a rescore leaves —
+  /// the result shares its shape and only the entries are filled anew.
+  /// The result is the same either way.
   static FlatProfileTree Build(const std::shared_ptr<const Profile>& profile,
                                const FlatProfileTree* previous = nullptr);
 
@@ -217,8 +217,9 @@ class FlatProfileTree {
   /// from `prefs_`, whose states fill the slots in key-path order.
   void BuildShape(const Ordering* order, Shape& shape);
 
-  /// When `prefs_` holds exactly `previous`'s bodies, compared by
-  /// identity, under `previous`'s greedy shape: sets `slot_owner_` to
+  /// When `prefs_` is `previous`'s list of bodies, compared by
+  /// identity, with at most one moved to the back, under `previous`'s
+  /// greedy shape: sets `slot_owner_` to
   /// `previous`'s slot owners mapped to their indices in `prefs_` and
   /// returns true. Otherwise returns false.
   bool RebindSlots(const FlatProfileTree& previous);

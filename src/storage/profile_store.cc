@@ -134,16 +134,16 @@ size_t ProfileStore::size() const {
 }
 
 void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
-                                   Profile profile) {
+                                   Profile profile,
+                                   const FlatProfileTree* previous) {
   // Build the arena off to the side, straight from the profile, whose
   // preference list it shares; readers keep serving the current
-  // snapshot until the swap. Over the current arena, so a publish that
-  // keeps every preference body (a rescore) re-binds its shape instead
-  // of rebuilding it.
-  const SnapshotPtr current = user.Pin();
+  // snapshot until the swap. Over `previous`, so a publish that keeps
+  // every preference body (a rescore) re-binds its shape instead of
+  // rebuilding it.
   auto published = std::make_shared<const Profile>(std::move(profile));
-  auto flat = std::make_shared<const FlatProfileTree>(FlatProfileTree::Build(
-      published, current != nullptr ? current->flat_tree() : nullptr));
+  auto flat = std::make_shared<const FlatProfileTree>(
+      FlatProfileTree::Build(published, previous));
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ProfileSnapshot>(
@@ -187,7 +187,7 @@ Status ProfileStore::CreateUser(const std::string& user_id, Profile initial) {
     // Uncontended (the exclusive map lock above hides the new user),
     // taken so BuildAndPublish has one uniform writer-lock contract.
     util::MutexLock write_lock(user.write_mu);
-    BuildAndPublish(user, user_id, std::move(initial));
+    BuildAndPublish(user, user_id, std::move(initial), nullptr);
   }
   ServingMetrics::Get().users.Add(1);
   return Status::OK();
@@ -219,7 +219,7 @@ Status ProfileStore::UpdateUser(const std::string& user_id,
   SnapshotPtr current = user.Pin();
   Profile draft = current->profile();
   CTXPREF_RETURN_IF_ERROR(edit(draft));
-  BuildAndPublish(user, user_id, std::move(draft));
+  BuildAndPublish(user, user_id, std::move(draft), current->flat_tree());
   return Status::OK();
 }
 
@@ -237,7 +237,10 @@ Status ProfileStore::PublishProfile(const std::string& user_id,
   }
   User& user = *it->second;
   util::MutexLock write_lock(user.write_mu);
-  BuildAndPublish(user, user_id, std::move(profile));
+  // The caller's profile may be an edited copy of the current one, and
+  // so hold its bodies.
+  const SnapshotPtr current = user.Pin();
+  BuildAndPublish(user, user_id, std::move(profile), current->flat_tree());
   return Status::OK();
 }
 

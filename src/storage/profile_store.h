@@ -234,14 +234,17 @@ class ProfileStore {
 
   static Status ValidateUserId(const std::string& user_id);
 
-  /// Builds `profile`'s flat tree, wraps everything into a snapshot with
+  /// Builds `profile`'s flat tree over `previous` (the current
+  /// snapshot's arena, or null when there is none; see
+  /// `FlatProfileTree::Build`), wraps everything into a snapshot with
   /// a fresh serving version, stores it into `user.current`, and appends
   /// the publish to the coherence log. The writer lock is the
   /// publish serialization point; creation takes it too (uncontended —
   /// the exclusive map lock hides the new user) so the contract is
   /// uniform and machine-checkable.
   void BuildAndPublish(User& user, const std::string& user_id,
-                       Profile profile) REQUIRES(user.write_mu);
+                       Profile profile, const FlatProfileTree* previous)
+      REQUIRES(user.write_mu);
 
   EnvironmentPtr env_;
   /// Guards the user map's *shape* only (find/insert/erase), never the

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -346,7 +347,8 @@ TEST(FlatProfileTreeTest, ReboundArenaMeasuresWhatAFreshBuildMeasures) {
   }
   const FlatProfileTree previous = FlatProfileTree::Build(profile);
   ASSERT_OK(profile.UpdateScore(0, 0.75));
-  const FlatProfileTree rebound = FlatProfileTree::Build(profile, &previous);
+  const FlatProfileTree rebound = FlatProfileTree::Build(
+      std::make_shared<const Profile>(profile), &previous);
   const FlatProfileTree fresh = FlatProfileTree::Build(profile);
   ASSERT_TRUE(rebound.SharesShapeWith(previous));
   ASSERT_FALSE(fresh.SharesShapeWith(previous));

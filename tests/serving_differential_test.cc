@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -729,7 +730,8 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     FlatProfileTree previous = FlatProfileTree::Build(profile);
     auto check_step = [&](const std::string& label, Shape shape) {
       ExpectSameArenas(profile, world, label);
-      FlatProfileTree rebound = FlatProfileTree::Build(profile, &previous);
+      FlatProfileTree rebound = FlatProfileTree::Build(
+          std::make_shared<const Profile>(profile), &previous);
       if (shape != Shape::kEither) {
         EXPECT_EQ(rebound.SharesShapeWith(previous), shape == Shape::kShared)
             << label;
@@ -797,11 +799,11 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     check_step(std::string(w.name) + " same-score rescore", Shape::kShared);
     // Two rescores in one step, of the first two preferences (at their
     // own scores, so neither is refused): the same bodies, permuted by
-    // more than one move to the back.
+    // more than one move to the back, which no publish re-binds.
     for (int k = 0; k < 2; ++k) {
       ASSERT_OK(profile.UpdateScore(0, profile.preference(0).score()));
     }
-    check_step(std::string(w.name) + " two rescores", Shape::kShared);
+    check_step(std::string(w.name) + " two rescores", Shape::kNew);
     // `c` removed and a textually equal preference inserted: a new
     // body at the same states.
     ASSERT_OK(profile.Remove(IndexOf(profile, c)));

@@ -172,7 +172,8 @@ BENCHMARK(BM_PublishBuild_Direct)->Arg(500)->Arg(5000);
 // profile and its arena: copy the published profile, one `UpdateScore`
 // (refused when it would conflict, as a publish allows), then the arena
 // built over the published copy and the previous arena, which keeps
-// every body and so re-binds its shape (an advisory row, not gated).
+// every body at its index and so shares the whole shape (an advisory
+// row, not gated).
 
 void BM_PublishRescore(benchmark::State& state) {
   Rig& rig = RigFor(static_cast<size_t>(state.range(0)));

@@ -29,8 +29,17 @@ Modes:
       runner-relative, so this is robust to slow shared hardware in a
       way absolute-time gates are not. Exit 1 on any shortfall.
 
+  compare_bench.py --counter-gate CURRENT.json --counter miss_per_hit \
+      --min-ratio 2 [--pair-filter REGEX]
+      Ratio gate on a counter a benchmark computes within its own loop
+      (e.g. the median of per-pair miss/hit ratios): requires the
+      counter >= min-ratio on every benchmark that reports it and whose
+      name matches --pair-filter (all if omitted). Exit 1 on any
+      shortfall, or when no benchmark reports it.
+
 Every mode reads a name that repeats (a --benchmark_repetitions run)
-as the median of its rows' real_time.
+as the median of its rows' real_time (of its counter, for
+--counter-gate).
 """
 
 import argparse
@@ -78,16 +87,17 @@ def load(path):
     return real_times(doc)
 
 
-def real_times(doc):
-    """real_time per benchmark name; the median when a name repeats
-    (a --benchmark_repetitions run lists one row per repetition)."""
+def real_times(doc, field="real_time"):
+    """`field` per benchmark name, for the names that report it; the
+    median when a name repeats (a --benchmark_repetitions run lists one
+    row per repetition)."""
     runs = {}
     for b in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if present.
-        if b.get("run_type") == "aggregate":
+        if b.get("run_type") == "aggregate" or field not in b:
             continue
-        runs.setdefault(b["name"], []).append(float(b["real_time"]))
-    return {name: statistics.median(times) for name, times in runs.items()}
+        runs.setdefault(b["name"], []).append(float(b[field]))
+    return {name: statistics.median(values) for name, values in runs.items()}
 
 
 def diff(baseline_path, current_path, gate_pattern):
@@ -205,6 +215,36 @@ def speedup(current_path, base_prefix, target_prefix, min_ratio, pair_filter):
     return 1 if failures else 0
 
 
+def counter_gate(current_path, counter, min_ratio, name_filter):
+    doc = read(current_path)
+    if doc is None:
+        print(f"::error::compare_bench: cannot load {current_path}")
+        return 1
+    gate = re.compile(name_filter) if name_filter else None
+    values = {n: v for n, v in real_times(doc, counter).items()
+              if gate is None or gate.search(n)}
+    if not values:
+        print(
+            f"::error::compare_bench: no benchmark in {current_path} "
+            f"reports {counter}"
+            + (f" under --pair-filter '{name_filter}'" if name_filter else "")
+        )
+        return 1
+    failures = []
+    for name, value in sorted(values.items()):
+        ok = value >= min_ratio
+        print(f"{name} {counter} {value:.2f} >= {min_ratio:g} "
+              + ("OK" if ok else "FAIL"))
+        if not ok:
+            failures.append((name, value))
+    for name, value in failures:
+        print(
+            f"::error::counter gate: {name} reports {counter} {value:.2f}, "
+            f"required {min_ratio:g}"
+        )
+    return 1 if failures else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -220,16 +260,23 @@ def main():
         metavar="CURRENT.json",
         help="same-run speedup gate over one result file",
     )
+    parser.add_argument(
+        "--counter-gate",
+        metavar="CURRENT.json",
+        help="gate a ratio counter that benchmarks report (see --counter)",
+    )
+    parser.add_argument("--counter", help="counter name for --counter-gate")
     parser.add_argument("--base-prefix", help="speedup denominator name prefix")
     parser.add_argument("--target-prefix", help="speedup numerator name prefix")
     parser.add_argument(
         "--min-ratio", type=float, default=5.0,
-        help="required base/target speedup (default 5)",
+        help="required base/target speedup or counter value (default 5)",
     )
     parser.add_argument(
         "--pair-filter",
         metavar="REGEX",
-        help="gate only pair suffixes matching REGEX; others are advisory",
+        help="gate only pair suffixes (--counter-gate: benchmark names) "
+        "matching REGEX; others are advisory",
     )
     args = parser.parse_args()
 
@@ -241,6 +288,15 @@ def main():
         return speedup(
             args.speedup, args.base_prefix, args.target_prefix,
             args.min_ratio, args.pair_filter,
+        )
+
+    if args.counter_gate:
+        if not args.counter:
+            parser.error("--counter-gate requires --counter")
+        if args.files:
+            parser.error("--counter-gate takes no positional files")
+        return counter_gate(
+            args.counter_gate, args.counter, args.min_ratio, args.pair_filter
         )
 
     if len(args.files) != 2:

@@ -15,34 +15,6 @@ namespace {
 /// raw keys.
 constexpr uint32_t kLinearScanMax = 8;
 
-/// When `now` is `old` with at most one preference moved to the back,
-/// compared by body address — a rescore (`Profile::UpdateScore`), a
-/// refused one, a no-op — sets `new_index[j]` to the index in `now` of
-/// `old[j]`'s body and returns true; otherwise returns false, and the
-/// caller runs the full build. Comparing addresses is sound because
-/// `old`'s handles keep its bodies alive, so none of their addresses
-/// can have been reused by another body.
-bool MapBodies(const std::vector<ContextualPreference>& old,
-               const std::vector<ContextualPreference>& now,
-               std::vector<uint32_t>& new_index) {
-  const size_t n = old.size();
-  if (now.size() != n) return false;
-  new_index.resize(n);
-  size_t k = 0;  // The first position where the lists differ.
-  while (k < n && old[k].body_id() == now[k].body_id()) {
-    new_index[k] = static_cast<uint32_t>(k);
-    ++k;
-  }
-  if (k == n) return true;
-  if (old[k].body_id() != now[n - 1].body_id()) return false;
-  new_index[k] = static_cast<uint32_t>(n - 1);
-  for (size_t j = k + 1; j < n; ++j) {
-    if (old[j].body_id() != now[j - 1].body_id()) return false;
-    new_index[j] = static_cast<uint32_t>(j - 1);
-  }
-  return true;
-}
-
 }  // namespace
 
 /// Per-query buffers of a descent.
@@ -101,15 +73,23 @@ FlatProfileTree FlatProfileTree::BuildOver(EnvironmentPtr env,
   FlatProfileTree flat;
   flat.env_ = std::move(env);
   flat.prefs_ = std::move(preferences);
-  if (previous != nullptr && flat.RebindSlots(*previous)) {
+  // Only a greedy shape is fixed by the bodies alone. Comparing body
+  // addresses is sound because `previous`'s handles keep its bodies
+  // alive, so no other body can have reused one of their addresses.
+  if (previous != nullptr && previous->shape_->greedy &&
+      previous->env_ == flat.env_ &&
+      std::equal(previous->prefs_->begin(), previous->prefs_->end(),
+                 flat.prefs_->begin(), flat.prefs_->end(),
+                 [](const ContextualPreference& a,
+                    const ContextualPreference& b) {
+                   return a.body_id() == b.body_id();
+                 })) {
     flat.shape_ = previous->shape_;
-    flat.FillEntries(nullptr);
     return flat;
   }
   auto shape = std::make_shared<Shape>();
   flat.BuildShape(order, *shape);
-  flat.shape_ = shape;
-  flat.FillEntries(&shape->leaf_begin);
+  flat.shape_ = std::move(shape);
   return flat;
 }
 
@@ -189,12 +169,16 @@ void FlatProfileTree::BuildShape(const Ordering* order, Shape& shape) {
     shape.cell_count += cells[l];
   }
   shape.node_count = 1 + shape.cell_count;
-  shape.slot_begin.reserve(cells[n - 1] + 1);
   shape.leaf_begin.reserve(cells[n - 1] + 1);
 
-  // One slot per state, in sorted order: a leaf's slots are the states
-  // on its path, owners ascending (the sort is stable).
-  slot_owner_.resize(num_states);
+  // Leaf entries as `ProfileTree::Insert` merges them: a leaf's states
+  // come in sorted order with owners ascending (the sort is stable),
+  // and an equal clause already at the leaf is a duplicate, held at the
+  // same score (the preferences hold no Def. 6 conflict), and is
+  // skipped.
+  std::vector<uint32_t>& entries = shape.entries;
+  entries.reserve(num_states);
+  ptrdiff_t held_begin = 0;  // The current leaf's first entry.
   for (size_t i = 0; i < num_states; ++i) {
     for (size_t l = depart[i]; l < n; ++l) {
       Level& level = shape.levels[l];
@@ -204,58 +188,22 @@ void FlatProfileTree::BuildShape(const Ordering* order, Shape& shape) {
       level.keys.push_back(key_at(sorted[i], l));
     }
     if (depart[i] < n) {
-      shape.slot_begin.push_back(static_cast<uint32_t>(i));
+      held_begin = static_cast<ptrdiff_t>(entries.size());
+      shape.leaf_begin.push_back(static_cast<uint32_t>(held_begin));
     }
-    slot_owner_[i] = owner[sorted[i]];
+    const uint32_t o = owner[sorted[i]];
+    const AttributeClause& clause = prefs[o].clause();
+    if (std::none_of(entries.begin() + held_begin, entries.end(),
+                     [&](uint32_t held) {
+                       return prefs[held].clause() == clause;
+                     })) {
+      entries.push_back(o);
+    }
   }
   for (Level& level : shape.levels) {
     level.cell_begin.push_back(static_cast<uint32_t>(level.keys.size()));
   }
-  shape.slot_begin.push_back(static_cast<uint32_t>(num_states));
-}
-
-bool FlatProfileTree::RebindSlots(const FlatProfileTree& previous) {
-  // Only a greedy shape is fixed by the bodies alone.
-  if (!previous.shape_->greedy || previous.env_ != env_) return false;
-  thread_local std::vector<uint32_t> new_index;  // Old index -> new.
-  if (!MapBodies(*previous.prefs_, *prefs_, new_index)) return false;
-  slot_owner_.resize(previous.slot_owner_.size());
-  for (size_t s = 0; s < slot_owner_.size(); ++s) {
-    slot_owner_[s] = new_index[previous.slot_owner_[s]];
-  }
-  return true;
-}
-
-void FlatProfileTree::FillEntries(std::vector<uint32_t>* leaf_begin) {
-  // Leaf entries as `ProfileTree::Insert` merges them: an equal clause
-  // already at the leaf is a duplicate, held at the same score (the
-  // preferences hold no Def. 6 conflict), and is skipped. The full
-  // build's slots are already ascending within each leaf; a re-bind's
-  // follow the old indices and are sorted here.
-  const std::vector<uint32_t>& slot_begin = shape_->slot_begin;
-  const std::vector<ContextualPreference>& prefs = *prefs_;
-  entries_.reserve(slot_owner_.size());
-  for (size_t leaf = 0; leaf + 1 < slot_begin.size(); ++leaf) {
-    const auto held_begin = static_cast<ptrdiff_t>(entries_.size());
-    if (leaf_begin != nullptr) {
-      leaf_begin->push_back(static_cast<uint32_t>(held_begin));
-    }
-    uint32_t* first = slot_owner_.data() + slot_begin[leaf];
-    uint32_t* const last = slot_owner_.data() + slot_begin[leaf + 1];
-    std::sort(first, last);
-    for (; first != last; ++first) {
-      const AttributeClause& clause = prefs[*first].clause();
-      if (std::none_of(entries_.begin() + held_begin, entries_.end(),
-                       [&](uint32_t held) {
-                         return prefs[held].clause() == clause;
-                       })) {
-        entries_.push_back(*first);
-      }
-    }
-  }
-  if (leaf_begin != nullptr) {
-    leaf_begin->push_back(static_cast<uint32_t>(entries_.size()));
-  }
+  shape.leaf_begin.push_back(static_cast<uint32_t>(entries.size()));
 }
 
 void FlatProfileTree::Descend(size_t level, uint32_t node,
@@ -422,7 +370,7 @@ std::vector<ProfileTree::LeafEntry> FlatProfileTree::EntriesOf(
   std::vector<ProfileTree::LeafEntry> out;
   out.reserve(leaf_begin[leaf + 1] - leaf_begin[leaf]);
   for (uint32_t k = leaf_begin[leaf]; k < leaf_begin[leaf + 1]; ++k) {
-    const ContextualPreference& pref = (*prefs_)[entries_[k]];
+    const ContextualPreference& pref = (*prefs_)[shape_->entries[k]];
     out.push_back(ProfileTree::LeafEntry{pref.clause(), pref.score()});
   }
   return out;
@@ -439,11 +387,9 @@ size_t FlatProfileTree::MeasuredByteSize() const {
     bytes += level.keys.capacity() * sizeof(uint32_t);
   }
   bytes += shape.cover_off.capacity() * sizeof(uint32_t);
-  bytes += shape.slot_begin.capacity() * sizeof(uint32_t);
   bytes += shape.leaf_begin.capacity() * sizeof(uint32_t);
+  bytes += shape.entries.capacity() * sizeof(uint32_t);
   bytes += prefs_->capacity() * sizeof(ContextualPreference);
-  bytes += slot_owner_.capacity() * sizeof(uint32_t);
-  bytes += entries_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 

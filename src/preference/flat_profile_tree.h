@@ -41,26 +41,23 @@ namespace ctxpref {
 ///    level, leaf `c`): no child array. Candidates come out in key-path
 ///    order; Search_CS yields a set, and the resolvers return their
 ///    winners sorted by state (`SortByState`).
-///  - Shape and entries: everything above, plus the ordering, the
-///    counts, each leaf's stored-state *slots* (CSR) and each leaf's
-///    entry offsets (CSR), depends only on the preferences' bodies
-///    (descriptor, clause) — not on their scores or their order in the
-///    list — and lives in a `Shape` that arenas share through a
-///    `shared_ptr<const Shape>`. Each arena holds its own *entries*:
-///    the preference list it indexes (handles whose bodies the profile
-///    shares, so the arena holds no clause of its own; on publish, the
-///    published profile's own list), each slot's owning preference
-///    index, and the leaf entries — per leaf,
-///    the lowest-index preference of each distinct clause, in
-///    ascending index order, as 4-byte indices into the preference
-///    list. One routine (`FillEntries`) computes them from the slots.
-///  - Re-binding: `Build(profile, previous)` reuses `previous`'s shape
-///    when the profile's list is `previous`'s, compared by body
-///    identity, with at most one preference moved to the back — a
-///    rescore, a refused rescore, a no-op publish — and only refills
-///    the entries; any other edit, even another order of the same
-///    bodies, runs the full build. The refill maps each slot's owner to
-///    its new index and re-sorts the slots within each leaf.
+///  - Leaf entries: per leaf, the lowest-index preference of each
+///    distinct clause, in ascending index order, as 4-byte indices
+///    into the preference list (CSR). A score is read from the list
+///    when an entry is read.
+///  - Shape and list: everything above, plus the ordering and the
+///    counts, depends only on the list of preference bodies
+///    (descriptor, clause) in list order — not on the scores — and
+///    lives in a `Shape` that arenas share through a
+///    `shared_ptr<const Shape>`. Each arena holds its own preference
+///    list (handles whose bodies the profile shares, so the arena
+///    holds no clause of its own; on publish, the published profile's
+///    own list).
+///  - Sharing: `Build(profile, previous)` shares `previous`'s whole
+///    shape when the profile's list holds `previous`'s bodies at the
+///    same indices, compared by identity — rescores, which keep their
+///    index (`Profile::UpdateScore`), a refused rescore, a no-op
+///    publish. Any other edit runs the full build.
 ///
 /// Instances are immutable after `Build` and shared across reader
 /// threads without locks (they hold no mutable state; search scratch
@@ -92,11 +89,11 @@ class FlatProfileTree {
   /// As above, but the arena reads the profile's own preference list
   /// and keeps the profile alive instead of copying the list; the
   /// publish path builds this way. `previous`, when given, is an arena
-  /// of an earlier version of the profile: when the profile's list is
-  /// its list of bodies (the same objects, not equal copies) with at
-  /// most one preference moved to the back — what a rescore leaves —
-  /// the result shares its shape and only the entries are filled anew.
-  /// The result is the same either way.
+  /// of an earlier version of the profile: when the profile's list
+  /// holds its bodies (the same objects, not equal copies) at the same
+  /// indices — what rescores leave — the result shares its shape, leaf
+  /// entries included, and builds nothing. The result is the same
+  /// either way.
   static FlatProfileTree Build(const std::shared_ptr<const Profile>& profile,
                                const FlatProfileTree* previous = nullptr);
 
@@ -153,15 +150,15 @@ class FlatProfileTree {
   size_t CellCount() const { return shape_->cell_count; }
   size_t NodeCount() const { return shape_->node_count; }
   size_t PathCount() const { return shape_->leaf_begin.size() - 1; }
-  size_t LeafEntryCount() const { return entries_.size(); }
+  size_t LeafEntryCount() const { return shape_->entries.size(); }
 
   /// Bytes actually resident in the arena (vector capacities, counting
   /// the preference handles but not the bodies they share with the
   /// profile) — the "measured" column next to the paper's modeled
   /// `ProfileTree::ByteSize()` in bench_fig5. The shape is counted in
   /// full even when other arenas share it, so the figure is the bytes
-  /// this arena would hold alone: a re-bound arena reports what a full
-  /// build of its profile reports.
+  /// this arena would hold alone: an arena sharing a shape reports what
+  /// a full build of its profile reports.
   size_t MeasuredByteSize() const;
 
  private:
@@ -179,24 +176,22 @@ class FlatProfileTree {
     const LevelIndex* level_of = nullptr;
   };
 
-  /// What depends only on the indexed bodies and the ordering; shared
-  /// by every arena re-bound over it.
+  /// What depends only on the indexed bodies, in list order, and the
+  /// ordering; shared by every arena built over it.
   struct Shape {
     Ordering order;
     /// Built under the greedy ordering of its states, which the bodies
-    /// alone fix, so `Build(profile, previous)` may reuse it; a shape
-    /// built under a given tree's ordering is never reused.
+    /// alone fix, so `Build(profile, previous)` may share it; a shape
+    /// built under a given tree's ordering is never shared.
     bool greedy = false;
     std::vector<Level> levels;  ///< Indexed by tree level.
     /// Per-level offsets into the per-query cover/match scratch arrays:
     /// level l owns slots [cover_off[l], cover_off[l+1]), one per
     /// hierarchy level of its parameter.
     std::vector<uint32_t> cover_off;
-    /// CSR into `slot_owner_`, one slot per stored state; size leaves+1.
-    std::vector<uint32_t> slot_begin;
-    /// CSR into `entries_`; size leaves+1. A leaf's entry count is its
-    /// number of distinct clauses, whichever preferences hold them.
+    /// CSR into `entries`; size leaves+1.
     std::vector<uint32_t> leaf_begin;
+    std::vector<uint32_t> entries;  ///< Per leaf entry: index into the list.
     size_t cell_count = 0;
     size_t node_count = 0;
   };
@@ -206,29 +201,16 @@ class FlatProfileTree {
 
   /// The one build: indexes `preferences` under `*order`, or under the
   /// greedy ordering of their active domains when `order` is null,
-  /// re-binding `previous`'s shape when it may (see `Build`). The
+  /// sharing `previous`'s shape when it may (see `Build`). The
   /// preferences must hold no Def. 6 conflict.
   static FlatProfileTree BuildOver(EnvironmentPtr env,
                                    PreferenceList preferences,
                                    const Ordering* order,
                                    const FlatProfileTree* previous);
 
-  /// Computes `shape` (all but its `leaf_begin`) and the slot owners
-  /// from `prefs_`, whose states fill the slots in key-path order.
+  /// Computes `shape` from `prefs_`, whose states, sorted by key path,
+  /// fill the cells and the leaf entries.
   void BuildShape(const Ordering* order, Shape& shape);
-
-  /// When `prefs_` is `previous`'s list of bodies, compared by
-  /// identity, with at most one moved to the back, under `previous`'s
-  /// greedy shape: sets `slot_owner_` to
-  /// `previous`'s slot owners mapped to their indices in `prefs_` and
-  /// returns true. Otherwise returns false.
-  bool RebindSlots(const FlatProfileTree& previous);
-
-  /// Fills `entries_` from the slots: per leaf, sorts its slot owners
-  /// ascending and keeps the first preference of each equal clause.
-  /// Appends each leaf's entry offset to `*leaf_begin` when given (the
-  /// full build, whose shape is still being made).
-  void FillEntries(std::vector<uint32_t>* leaf_begin);
 
   /// Reusable per-query buffers (cover tables, descent path, match
   /// lists); fetched thread-locally so steady-state searches allocate
@@ -242,11 +224,9 @@ class FlatProfileTree {
 
   EnvironmentPtr env_;
   std::shared_ptr<const Shape> shape_;
-  /// The indexed preferences; slot owners and leaf entries index it.
-  /// Its own copy, or the list of the profile it was built from.
+  /// The indexed preferences; the shape's leaf entries index it. Its
+  /// own copy, or the list of the profile it was built from.
   PreferenceList prefs_;
-  std::vector<uint32_t> slot_owner_;  ///< Per slot: index into prefs_.
-  std::vector<uint32_t> entries_;     ///< Per leaf entry: index into prefs_.
 };
 
 }  // namespace ctxpref

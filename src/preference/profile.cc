@@ -88,20 +88,17 @@ Status Profile::UpdateScore(size_t index, double new_score) {
       prefs_[index].Rescored(new_score);
   if (!rescored.ok()) return rescored.status();
 
-  // Checked against every other preference, in the order the reinsert
-  // after an erase would meet them, so it names the same conflict. No
-  // other preference can equal the rescored one: it would share every
-  // state and the clause of the preference at `index`, so the two
-  // would already conflict or be equal.
+  // Checked against every other preference, in list order, so it
+  // names the conflict an erase + reinsert would. No other preference
+  // can equal the rescored one: it would share every state and the
+  // clause of the preference at `index`, so the two would already
+  // conflict or be equal.
   CTXPREF_RETURN_IF_ERROR(CheckConflict(*rescored, index));
 
-  // Move the preference to the back, where the reinsert puts it.
-  std::rotate(prefs_.begin() + static_cast<ptrdiff_t>(index),
-              prefs_.begin() + static_cast<ptrdiff_t>(index) + 1,
-              prefs_.end());
-  prefs_.back() = std::move(*rescored);
-  // Erase + reinsert bumps the version twice.
-  version_ += 2;
+  // In place: the list keeps its order, so an arena over the old list
+  // indexes the new one too (`FlatProfileTree::Build`).
+  prefs_[index] = std::move(*rescored);
+  ++version_;
   return Status::OK();
 }
 

@@ -56,9 +56,10 @@ class Profile {
   /// Removes the preference at `index` (as listed by `preferences()`).
   Status Remove(size_t index);
 
-  /// Replaces the score of the preference at `index`. Equivalent to
-  /// Remove + Insert of the rescored preference (it moves to the back);
-  /// on conflict the profile is unchanged.
+  /// Replaces the score of the preference at `index`, in place: the
+  /// preference keeps its index and its body, and the version moves by
+  /// one. Accepts and refuses as Remove + Insert of the rescored
+  /// preference would; on conflict the profile is unchanged.
   Status UpdateScore(size_t index, double new_score);
 
   /// All (state, clause, score) entries expanded from every preference;

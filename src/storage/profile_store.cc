@@ -139,8 +139,8 @@ void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
   // Build the arena off to the side, straight from the profile, whose
   // preference list it shares; readers keep serving the current
   // snapshot until the swap. Over `previous`, so a publish that keeps
-  // every preference body (a rescore) re-binds its shape instead of
-  // rebuilding it.
+  // every preference body at its index (a rescore) shares its shape
+  // instead of rebuilding it.
   auto published = std::make_shared<const Profile>(std::move(profile));
   auto flat = std::make_shared<const FlatProfileTree>(
       FlatProfileTree::Build(published, previous));

@@ -120,26 +120,29 @@ TEST_F(ProfileStoreTest, RescorePublishSharesUntouchedBodies) {
   const Profile& after = (*fresh)->profile();
   EXPECT_EQ(before.preference(0).score(), 0.5);
   ASSERT_EQ(after.size(), 2u);
-  EXPECT_EQ(after.preference(1).score(), 0.9);
-  EXPECT_EQ(&after.preference(0).descriptor(),
-            &before.preference(1).descriptor());
-  EXPECT_EQ(&after.preference(0).clause(), &before.preference(1).clause());
+  EXPECT_EQ(after.preference(0).score(), 0.9);
+  // Every preference keeps its index and its body, the rescored one too.
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(&after.preference(i).descriptor(),
+              &before.preference(i).descriptor());
+    EXPECT_EQ(&after.preference(i).clause(), &before.preference(i).clause());
+  }
 
   // The last pin of the first snapshot is dropped on a reader thread
   // while the writer copies the bodies it shares: the thread
   // sanitizer build checks that this hand-off is race-free.
   std::thread reader([snap = std::move(*pinned)]() mutable { snap.reset(); });
   Status rescored = store.UpdateUser(
-      "alice", [](Profile& p) { return p.UpdateScore(0, 0.1); });
+      "alice", [](Profile& p) { return p.UpdateScore(1, 0.1); });
   reader.join();
   ASSERT_OK(rescored);
   StatusOr<SnapshotPtr> last = store.GetSnapshot("alice");
   ASSERT_OK(last.status());
-  EXPECT_EQ((*last)->profile().preference(1).score(), 0.1);
   EXPECT_EQ((*last)->profile().preference(0).score(), 0.9);
+  EXPECT_EQ((*last)->profile().preference(1).score(), 0.1);
   // `fresh` still reads its own scores.
-  EXPECT_EQ(after.preference(0).score(), 0.6);
-  EXPECT_EQ(after.preference(1).score(), 0.9);
+  EXPECT_EQ(after.preference(0).score(), 0.9);
+  EXPECT_EQ(after.preference(1).score(), 0.6);
 }
 
 TEST_F(ProfileStoreTest, RescoresShareTheArenaShapeAcrossReaderThreads) {

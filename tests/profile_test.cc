@@ -142,32 +142,35 @@ TEST_F(ProfileTest, CopySharesBodiesAndRescoreLeavesOriginal) {
     EXPECT_EQ(&copy.preference(i).clause(), &p.preference(i).clause());
   }
 
-  // The rescored preference moves to the back and keeps its body.
+  // The rescored preference keeps its index and its body.
   ASSERT_OK(copy.UpdateScore(0, 0.4));
-  EXPECT_EQ(&copy.preference(2).descriptor(), &p.preference(0).descriptor());
-  EXPECT_EQ(&copy.preference(2).clause(), &p.preference(0).clause());
-  EXPECT_EQ(copy.preference(2).score(), 0.4);
-  EXPECT_EQ(copy.version(), version + 2);
+  for (size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(&copy.preference(i).descriptor(), &p.preference(i).descriptor());
+    EXPECT_EQ(&copy.preference(i).clause(), &p.preference(i).clause());
+  }
+  EXPECT_EQ(copy.preference(0).score(), 0.4);
+  EXPECT_EQ(copy.version(), version + 1);
   EXPECT_EQ(p.ToText(), text);
   EXPECT_EQ(p.version(), version);
 
   // Rescoring the warm park preference collides with the {warm, hot}
   // one at (all, warm, all); the copy keeps its text.
   const std::string copy_text = copy.ToText();
-  EXPECT_TRUE(copy.UpdateScore(0, 0.5).IsConflict());
+  EXPECT_TRUE(copy.UpdateScore(1, 0.5).IsConflict());
   EXPECT_EQ(copy.ToText(), copy_text);
   EXPECT_EQ(p.ToText(), text);
 }
 
 TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
-  // A rescore moves the preference to the back in place. Its
-  // definition is erase + reinsert of the rescored preference, keeping the old
-  // profile when the reinsert conflicts (and merging into an equal
-  // stored preference, which cannot exist: it would share every state
-  // and the clause of the one rescored, so the two would conflict or
-  // be equal). A reference profile follows that definition through
-  // Remove and Insert. Descriptors that share states, two clauses and
-  // three scores make conflicting rescores common.
+  // A rescore replaces the preference at its index. It accepts and
+  // refuses as erase + reinsert of the rescored preference would,
+  // keeping the old profile when the reinsert conflicts (and merging
+  // into an equal stored preference, which cannot exist: it would share
+  // every state and the clause of the one rescored, so the two would
+  // conflict or be equal). A reference profile decides through Remove
+  // and Insert, and on success is rebuilt by Insert with the rescored
+  // preference at the old index. Descriptors that share states, two
+  // clauses and three scores make conflicting rescores common.
   const std::vector<std::string> cods = {
       "location = Plaka",
       "location in {Plaka, Kifisia}",
@@ -195,6 +198,7 @@ TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
   Profile profile(env_);
   for (int i = 0; i < 24; ++i) (void)profile.Insert(random_pref());
   Profile reference = profile;
+  uint64_t version = profile.version();
   size_t conflicts = 0;
 
   for (int step = 0; step < 400; ++step) {
@@ -216,16 +220,25 @@ TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
       if (!rescored.ok()) {
         want = rescored.status();
       } else {
-        Profile next = reference;
-        ASSERT_OK(next.Remove(index));
-        want = next.Insert(std::move(*rescored));
+        Profile erased = reference;
+        ASSERT_OK(erased.Remove(index));
+        want = erased.Insert(*rescored);
         if (want.IsAlreadyExists()) want = Status::OK();
-        if (want.ok()) reference = std::move(next);
         if (want.IsConflict()) ++conflicts;
+        if (want.ok()) {
+          Profile replaced(env_);
+          for (size_t i = 0; i < reference.size(); ++i) {
+            ASSERT_OK(replaced.Insert(i == index ? *rescored
+                                                 : reference.preference(i)))
+                << where;
+          }
+          reference = std::move(replaced);
+          ++version;
+        }
       }
     }
     expect_same(got, want, where);
-    ASSERT_EQ(profile.version(), reference.version()) << where;
+    ASSERT_EQ(profile.version(), version) << where;
     ASSERT_EQ(profile.size(), reference.size()) << where;
     for (size_t i = 0; i < profile.size(); ++i) {
       ASSERT_TRUE(profile.preference(i) == reference.preference(i))
@@ -243,8 +256,9 @@ TEST_F(ProfileTest, UpdateScoreMatchesEraseAndReinsert) {
     // Keep the profile from draining: refill with random inserts.
     if (reference.size() < 6) {
       const ContextualPreference pref = random_pref();
-      expect_same(profile.Insert(pref), reference.Insert(pref),
-                  where + " refill");
+      const Status inserted = profile.Insert(pref);
+      expect_same(inserted, reference.Insert(pref), where + " refill");
+      if (inserted.ok()) ++version;
     }
   }
   // The draw must exercise the rollback.

@@ -272,10 +272,9 @@ TEST_F(ServingConcurrentTest, ConcurrentWritersToDistinctUsersProceed) {
       for (uint64_t step = 1; step <= 25; ++step) {
         EXPECT_OK(store.UpdateUser(id, [&](Profile& p) {
           const double s = ScoreForStep(step);
-          // UpdateScore reinserts the rescored preference at the back,
-          // so updating index 0 twice touches both preferences.
+          // Rescore both preferences.
           CTXPREF_RETURN_IF_ERROR(p.UpdateScore(0, s));
-          return p.UpdateScore(0, s);
+          return p.UpdateScore(1, s);
         }));
         StatusOr<storage::ServedQuery> served = storage::ServeQuery(
             store, id, poi_->relation, query_, &cache);

@@ -643,26 +643,26 @@ void ExpectSameArenas(const Profile& profile,
   }
 }
 
-/// `rebound`, built over an earlier arena, against the pointer tree of
+/// `over`, built over an earlier arena, against the pointer tree of
 /// `profile` and against a fresh build of it: ordering, counts, every
 /// leaf's entries in order with their score bits, and measured bytes.
-void ExpectSameRebind(const Profile& profile, const FlatProfileTree& rebound,
+void ExpectSameOverPrevious(const Profile& profile, const FlatProfileTree& over,
                       const std::vector<ContextState>& queries,
                       const std::string& label) {
   StatusOr<ProfileTree> greedy = ProfileTree::Build(profile);
   ASSERT_OK(greedy.status());
-  ExpectSameArena(*greedy, rebound, queries, label + " rebound");
+  ExpectSameArena(*greedy, over, queries, label + " over");
   const FlatProfileTree fresh = FlatProfileTree::Build(profile);
-  ASSERT_TRUE(rebound.ordering() == fresh.ordering()) << label;
-  ASSERT_EQ(rebound.CellCount(), fresh.CellCount()) << label;
-  ASSERT_EQ(rebound.NodeCount(), fresh.NodeCount()) << label;
-  ASSERT_EQ(rebound.PathCount(), fresh.PathCount()) << label;
-  ASSERT_EQ(rebound.LeafEntryCount(), fresh.LeafEntryCount()) << label;
+  ASSERT_TRUE(over.ordering() == fresh.ordering()) << label;
+  ASSERT_EQ(over.CellCount(), fresh.CellCount()) << label;
+  ASSERT_EQ(over.NodeCount(), fresh.NodeCount()) << label;
+  ASSERT_EQ(over.PathCount(), fresh.PathCount()) << label;
+  ASSERT_EQ(over.LeafEntryCount(), fresh.LeafEntryCount()) << label;
   for (uint32_t leaf = 0; leaf < fresh.PathCount(); ++leaf) {
-    ExpectSameEntries(fresh.EntriesOf(leaf), rebound.EntriesOf(leaf),
-                      label + " rebound leaf " + std::to_string(leaf));
+    ExpectSameEntries(fresh.EntriesOf(leaf), over.EntriesOf(leaf),
+                      label + " over leaf " + std::to_string(leaf));
   }
-  EXPECT_EQ(rebound.MeasuredByteSize(), fresh.MeasuredByteSize()) << label;
+  EXPECT_EQ(over.MeasuredByteSize(), fresh.MeasuredByteSize()) << label;
 }
 
 /// A preference `attr = <value> : <score>` over `parts`.
@@ -718,26 +718,26 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
       ASSERT_OK(prefix.Insert(pref));
     }
 
-    // A random edit sequence: rescores (which move the preference to
-    // the back and can renumber cells and leaves), inserts and
-    // removals, with the arenas checked after every step. Edits
-    // a profile refuses (a Def. 6 conflict) leave it unchanged and are
-    // compared all the same. Every step's arena is also built over the
-    // previous step's, chaining re-binds across consecutive rescores: a
-    // step that keeps every body (a rescore, refused or not) re-binds
-    // the shape, a removal or a new body builds a new one.
+    // A random edit sequence: rescores (which keep the preference's
+    // index), inserts and removals, with the arenas checked after every
+    // step. Edits a profile refuses (a Def. 6 conflict) leave it
+    // unchanged and are compared all the same. Every step's arena is
+    // also built over the previous step's, chaining shares across
+    // consecutive rescores: a step that keeps every body at its index (a
+    // rescore, refused or not) shares the shape, a removal or a new body
+    // builds a new one.
     enum class Shape { kShared, kNew, kEither };
     FlatProfileTree previous = FlatProfileTree::Build(profile);
     auto check_step = [&](const std::string& label, Shape shape) {
       ExpectSameArenas(profile, world, label);
-      FlatProfileTree rebound = FlatProfileTree::Build(
+      FlatProfileTree over = FlatProfileTree::Build(
           std::make_shared<const Profile>(profile), &previous);
       if (shape != Shape::kEither) {
-        EXPECT_EQ(rebound.SharesShapeWith(previous), shape == Shape::kShared)
+        EXPECT_EQ(over.SharesShapeWith(previous), shape == Shape::kShared)
             << label;
       }
-      ExpectSameRebind(profile, rebound, world, label);
-      previous = std::move(rebound);
+      ExpectSameOverPrevious(profile, over, world, label);
+      previous = std::move(over);
     };
     for (int step = 0; step < 60; ++step) {
       const uint64_t op = rng.Uniform(3);
@@ -793,17 +793,17 @@ TEST_P(ServingDifferentialTest, DirectArenaEqualsFlattenedPointerTree) {
     // A refused rescore: `a` at another score conflicts with `b` at s.
     ASSERT_FALSE(profile.UpdateScore(IndexOf(profile, a), 0.75).ok());
     check_step(std::string(w.name) + " refused rescore", Shape::kShared);
-    // A same-score rescore moves `b` behind `a`: s's leaf now lists y,
-    // then x via `a`, the lowest index holding it.
+    // A same-score rescore keeps `b` before `a`: s's leaf still lists x
+    // via `b`, then y.
     ASSERT_OK(profile.UpdateScore(IndexOf(profile, b), 0.5));
     check_step(std::string(w.name) + " same-score rescore", Shape::kShared);
     // Two rescores in one step, of the first two preferences (at their
-    // own scores, so neither is refused): the same bodies, permuted by
-    // more than one move to the back, which no publish re-binds.
-    for (int k = 0; k < 2; ++k) {
-      ASSERT_OK(profile.UpdateScore(0, profile.preference(0).score()));
+    // own scores, so neither is refused): the same bodies at the same
+    // indices.
+    for (size_t k = 0; k < 2; ++k) {
+      ASSERT_OK(profile.UpdateScore(k, profile.preference(k).score()));
     }
-    check_step(std::string(w.name) + " two rescores", Shape::kNew);
+    check_step(std::string(w.name) + " two rescores", Shape::kShared);
     // `c` removed and a textually equal preference inserted: a new
     // body at the same states.
     ASSERT_OK(profile.Remove(IndexOf(profile, c)));

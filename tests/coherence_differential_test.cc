@@ -11,10 +11,16 @@
 //      snapshot's uncached oracle, the refuse path provably taken;
 //  (3) directed: the consume step's version-clock advance, the
 //      staleness-window reclamation bound, drop_all records, and the
-//      log's cursor/truncation bookkeeping.
+//      log's cursor/truncation bookkeeping;
+//  (4) every answer served through a one-replica cache, inline and
+//      background, bit-equal to an uncached Rank_CS on its own pinned
+//      snapshot, under random rescores, inserts, removals and
+//      remove + re-create.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -24,6 +30,8 @@
 #include "context/descriptor.h"
 #include "db/relation.h"
 #include "db/schema.h"
+#include "preference/contextual_query.h"
+#include "preference/resolution.h"
 #include "preference/query_cache.h"
 #include "preference/replicated_query_cache.h"
 #include "storage/profile_store.h"
@@ -540,6 +548,212 @@ TEST(ReplicatedQueryCacheTest, AttachAfterPublishServesHits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceDifferentialTest,
                          ::testing::Values(9101, 9102, 9103, 9104));
+
+// ---- (4) Served vs uncached under score and structure edits ---------
+//
+// Every answer served through a one-replica cache, consumed inline or
+// on a random schedule, must be bit-equal to an uncached `RankCS` over
+// the arena of the snapshot it was served from: tuples, trace states,
+// distance bits, entry clauses and score bits. The writer interleaves
+// rescores (changed, refused and same-score), inserts, removals and
+// remove + re-create with a profile holding the predecessor's bodies.
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+void ExpectBitEqual(const QueryResult& got, const QueryResult& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.tuples.size(), want.tuples.size()) << label;
+  for (size_t i = 0; i < got.tuples.size(); ++i) {
+    EXPECT_EQ(got.tuples[i].row_id, want.tuples[i].row_id)
+        << label << " tuple " << i;
+    EXPECT_EQ(Bits(got.tuples[i].score), Bits(want.tuples[i].score))
+        << label << " tuple " << i;
+  }
+  ASSERT_EQ(got.traces.size(), want.traces.size()) << label;
+  for (size_t i = 0; i < got.traces.size(); ++i) {
+    EXPECT_TRUE(got.traces[i].query_state == want.traces[i].query_state)
+        << label << " trace " << i;
+    const std::vector<CandidatePath>& g = *got.traces[i].candidates;
+    const std::vector<CandidatePath>& w = *want.traces[i].candidates;
+    ASSERT_EQ(g.size(), w.size()) << label << " trace " << i;
+    for (size_t j = 0; j < g.size(); ++j) {
+      const std::string at =
+          label + " trace " + std::to_string(i) + " candidate " +
+          std::to_string(j);
+      EXPECT_TRUE(g[j].state == w[j].state) << at;
+      EXPECT_EQ(Bits(g[j].distance), Bits(w[j].distance)) << at;
+      ASSERT_EQ(g[j].entries.size(), w[j].entries.size()) << at;
+      for (size_t k = 0; k < g[j].entries.size(); ++k) {
+        EXPECT_TRUE(g[j].entries[k].clause == w[j].entries[k].clause)
+            << at << " entry " << k;
+        EXPECT_EQ(Bits(g[j].entries[k].score), Bits(w[j].entries[k].score))
+            << at << " entry " << k;
+      }
+    }
+  }
+}
+
+constexpr size_t kEditAttrs = 4;  // Few clauses, so entries collide.
+
+double GridScore(Rng& rng) {
+  return 0.2 + static_cast<double>(rng.Uniform(4)) * 0.2;
+}
+
+/// A preference over one or two place values and an optional mood,
+/// with a clause and score drawn from small pools, so inserts and
+/// rescores meet Def. 6 conflicts and duplicate entries.
+ContextualPreference EditPref(Rng& rng, const ContextEnvironment& env,
+                              const std::vector<ContextState>& world) {
+  std::vector<ValueRef> places = {world[rng.Uniform(world.size())].value(0)};
+  if (rng.Bernoulli(0.3)) {
+    places.push_back(world[rng.Uniform(world.size())].value(0));
+  }
+  std::vector<ParameterDescriptor> parts;
+  StatusOr<ParameterDescriptor> place =
+      ParameterDescriptor::Set(env, 0, std::move(places));
+  EXPECT_TRUE(place.ok());
+  parts.push_back(std::move(*place));
+  if (rng.Bernoulli(0.6)) {
+    StatusOr<ParameterDescriptor> mood = ParameterDescriptor::Equals(
+        env, 1, world[rng.Uniform(world.size())].value(1));
+    EXPECT_TRUE(mood.ok());
+    parts.push_back(std::move(*mood));
+  }
+  StatusOr<CompositeDescriptor> cod =
+      CompositeDescriptor::Create(env, std::move(parts));
+  EXPECT_TRUE(cod.ok());
+  StatusOr<ContextualPreference> pref = ContextualPreference::Create(
+      std::move(*cod),
+      AttributeClause{"attr", db::CompareOp::kEq,
+                      db::Value(ValueName(rng.Uniform(kEditAttrs)))},
+      GridScore(rng));
+  EXPECT_TRUE(pref.ok());
+  return *pref;
+}
+
+Profile EditProfile(Rng& rng, EnvironmentPtr env,
+                    const std::vector<ContextState>& world) {
+  Profile profile(env);
+  for (int i = 0; i < 10; ++i) {
+    (void)profile.Insert(EditPref(rng, *env, world));  // Conflicts skip.
+  }
+  return profile;
+}
+
+/// One to three random query states, as one extended descriptor.
+ContextualQuery EditQuery(Rng& rng, const ContextEnvironment& env,
+                          const std::vector<ContextState>& world) {
+  ContextualQuery query;
+  const size_t n = 1 + rng.Uniform(3);
+  for (size_t i = 0; i < n; ++i) {
+    StatusOr<CompositeDescriptor> cod =
+        CompositeDescriptor::ForState(env, world[rng.Uniform(world.size())]);
+    EXPECT_TRUE(cod.ok());
+    query.context.AddDisjunct(std::move(*cod));
+  }
+  return query;
+}
+
+QueryOptions EditOptions(Rng& rng) {
+  QueryOptions options;
+  options.resolution.distance =
+      rng.Bernoulli(0.5) ? DistanceKind::kHierarchy : DistanceKind::kJaccard;
+  options.combine =
+      rng.Bernoulli(0.75) ? db::CombinePolicy::kMax : db::CombinePolicy::kMin;
+  options.top_k = rng.Bernoulli(0.5) ? 0 : 3;
+  return options;
+}
+
+class RescoreDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RescoreDifferentialTest, ServedAnswersMatchUncachedRankCS) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  const std::vector<std::string> users = {"u", "w"};
+
+  for (const ReplicatedQueryCache::ConsumeMode mode :
+       {ReplicatedQueryCache::ConsumeMode::kInlineAtLookup,
+        ReplicatedQueryCache::ConsumeMode::kBackground}) {
+    const bool inline_mode =
+        mode == ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+    Rng rng(GetParam() + (inline_mode ? 0 : 500));
+    ReplicatedQueryCache::Options ropt;
+    ropt.num_replicas = 1;
+    ropt.capacity_per_replica = 24;  // Below the 2 x 18 keys: evictions.
+    ropt.staleness_window = 2;
+    ropt.mode = mode;
+    ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
+    storage::ProfileStore store(env);
+    store.AttachCoherenceLog(&replicas.log());
+    for (const std::string& uid : users) {
+      ASSERT_OK(store.CreateUser(uid, EditProfile(rng, env, world)));
+    }
+
+    size_t served = 0;
+    for (int op = 0; op < 1500; ++op) {
+      const std::string& uid = users[rng.Uniform(users.size())];
+      const std::string label = std::string(inline_mode ? "inline" : "bg") +
+                                " op " + std::to_string(op) + " user " + uid;
+      const uint32_t dice = rng.Uniform(100);
+      if (dice < 20) {  // A rescore: changed, refused or same-score.
+        const uint32_t pick = rng.Uniform(1000);
+        const bool same = rng.Bernoulli(0.3);
+        const double fresh = GridScore(rng);
+        ASSERT_OK(store.UpdateUser(uid, [&](Profile& p) {
+          if (p.empty()) return Status::OK();
+          const size_t i = pick % p.size();
+          // A refused rescore publishes the profile unchanged.
+          (void)p.UpdateScore(i, same ? p.preference(i).score() : fresh);
+          return Status::OK();
+        }));
+      } else if (dice < 25) {  // Insert (refused ones publish unchanged).
+        ContextualPreference pref = EditPref(rng, *env, world);
+        ASSERT_OK(store.UpdateUser(uid, [&](Profile& p) {
+          (void)p.Insert(pref);
+          return Status::OK();
+        }));
+      } else if (dice < 29) {  // Remove.
+        const uint32_t pick = rng.Uniform(1000);
+        ASSERT_OK(store.UpdateUser(uid, [&](Profile& p) {
+          if (!p.empty()) {
+            EXPECT_OK(p.Remove(pick % p.size()));
+          }
+          return Status::OK();
+        }));
+      } else if (dice < 32) {  // Remove + re-create over the same bodies.
+        StatusOr<storage::SnapshotPtr> old = store.GetSnapshot(uid);
+        ASSERT_OK(old.status());
+        ASSERT_OK(store.RemoveUser(uid));
+        ASSERT_OK(store.CreateUser(uid, (*old)->profile()));
+      } else if (dice < 40 && !inline_mode) {
+        replicas.Consume(0);
+      } else {
+        const ContextualQuery query = EditQuery(rng, *env, world);
+        const QueryOptions options = EditOptions(rng);
+        StatusOr<storage::ServedQuery> got = storage::ServeQuery(
+            store, uid, relation, query, &replicas, options,
+            /*counter=*/nullptr, 0);
+        ASSERT_OK(got.status());
+        FlatResolver resolver(got->snapshot->flat_tree());
+        StatusOr<QueryResult> oracle =
+            RankCS(relation, query, resolver, options);
+        ASSERT_OK(oracle.status());
+        ExpectBitEqual(got->result, *oracle, label);
+        if (::testing::Test::HasFailure()) return;
+        ++served;
+      }
+    }
+    EXPECT_GT(served, 0u);
+    const CacheStats stats = replicas.Stats();
+    EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+    EXPECT_GT(stats.hits, 0u);
+    store.AttachCoherenceLog(nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RescoreDifferentialTest,
+                         ::testing::Values(9201, 9202, 9203, 9204));
 
 }  // namespace
 }  // namespace ctxpref

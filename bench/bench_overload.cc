@@ -200,17 +200,30 @@ struct World {
   }
 };
 
-/// One offered-load phase at `rate` requests/s.
-PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed) {
+/// The shed queue's depth: as many requests as the pool gets through
+/// in one deadline at the measured `capacity`, per worker — deadline ×
+/// probe rate / threads, and at least one per worker. A deeper queue
+/// only holds requests that expire before a worker reaches them.
+size_t ShedQueueDepth(const Flags& flags, double capacity) {
+  const double depth = static_cast<double>(flags.budget_us) * 1e-6 *
+                       capacity / static_cast<double>(flags.threads);
+  return std::max<size_t>(flags.threads,
+                          static_cast<size_t>(std::llround(depth)));
+}
+
+/// One offered-load phase at `rate` requests/s; a shed queue holds
+/// `shed_depth` requests.
+PhaseResult RunPhase(World& w, const Flags& flags, double rate, bool shed,
+                     size_t shed_depth) {
   PhaseResult r;
   std::atomic<uint64_t> good{0}, late{0}, expired{0}, unavailable{0},
       degraded{0}, torn{0};
   uint64_t offered = 0, rejected = 0;
 
-  // Shed: a queue two deep per worker, newest-first under backlog, and
-  // per-request deadlines enforced at dequeue. NoShed: FIFO, no bound,
-  // no deadlines — work is never refused, only delayed.
-  bench::ServerQueue queue(flags.threads, shed);
+  // Shed: a queue sized from the deadline, newest-first under backlog,
+  // and per-request deadlines enforced at dequeue. NoShed: FIFO, no
+  // bound, no deadlines — work is never refused, only delayed.
+  bench::ServerQueue queue(flags.threads, shed, shed_depth);
   storage::AdmissionController admission(
       storage::AdmissionPolicy{.max_in_flight = 2 * flags.threads});
 
@@ -394,9 +407,11 @@ int RunAttempt(World& w, const Flags& flags, std::vector<Row>& rows,
                bool& slow_probe) {
   slow_probe = false;
   const double capacity = MeasureCapacity(w, flags);
+  const size_t shed_depth = ShedQueueDepth(flags, capacity);
   std::printf("measured saturation: %.0f requests/s (median closed-loop "
-              "probe)\n\n",
-              capacity);
+              "probe); shed queue depth %zu (budget x probe rate / "
+              "threads)\n\n",
+              capacity, shed_depth);
   std::printf("%-8s %6s %12s %12s %8s %8s %8s %8s %8s %6s %8s\n", "config",
               "load", "offered/s", "goodput/s", "late", "reject", "expired",
               "unavail", "degraded", "torn", "qhigh");
@@ -408,7 +423,7 @@ int RunAttempt(World& w, const Flags& flags, std::vector<Row>& rows,
   uint64_t total_torn = 0;
   for (const bool shed : {true, false}) {
     for (const double mult : mults) {
-      PhaseResult r = RunPhase(w, flags, mult * capacity, shed);
+      PhaseResult r = RunPhase(w, flags, mult * capacity, shed, shed_depth);
       const char* config = shed ? "shed" : "noshed";
       std::printf("%-8s %5.0fx %12.0f %12.0f %8llu %8llu %8llu %8llu %8llu "
                   "%6llu %8zu\n",

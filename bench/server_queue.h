@@ -4,7 +4,8 @@
 // bench_overload's modeled server: a fixed set of worker threads over
 // one task queue, in one of the two shapes the overload study compares.
 //
-//   shed     bounded at 2 x threads, served newest-first (LIFO): under
+//   shed     bounded (bench_overload sizes it from the request deadline;
+//            2 x threads by default), served newest-first (LIFO): under
 //            a backlog the workers spend themselves on requests whose
 //            deadlines are still alive instead of on stale ones
 //   noshed   unbounded, served oldest-first (FIFO): work is never
@@ -34,9 +35,13 @@ namespace bench {
 
 class ServerQueue {
  public:
-  /// Starts `threads` (>= 1) workers over a shed or a noshed queue.
-  ServerQueue(size_t threads, bool shed)
-      : capacity_(shed ? 2 * threads : SIZE_MAX), lifo_(shed) {
+  /// Starts `threads` (>= 1) workers over a shed or a noshed queue. A
+  /// shed queue holds `shed_depth` tasks (0 = 2 x threads).
+  ServerQueue(size_t threads, bool shed, size_t shed_depth = 0)
+      : capacity_(!shed            ? SIZE_MAX
+                  : shed_depth > 0 ? shed_depth
+                                   : 2 * threads),
+        lifo_(shed) {
     try {
       for (size_t i = 0; i < threads; ++i) {
         workers_.emplace_back([this] { WorkerLoop(); });

@@ -113,10 +113,13 @@ fi
 
 if [[ "${RUN_TSAN}" == 1 ]]; then
   # ThreadSanitizer over the tests that exercise real concurrency:
-  # the resilient-source chaos tests, the cache/rank stress tests, the
-  # pool tests, the observability-layer concurrent recorders, and the
-  # profile store (snapshots shared with readers, preference bodies
-  # freed by whichever thread drops the last pin).
+  # the resilient-source chaos tests, the cache/rank stress tests,
+  # bench_overload's server queue (server_queue_test, whose suite is
+  # still named ThreadPoolTest), the observability-layer concurrent
+  # recorders, the coherence stress tests (re-score hits racing
+  # readers among them), and the profile store (snapshots shared with
+  # readers, preference bodies freed by whichever thread drops the
+  # last pin).
   # Test IDs are CamelCase suite names (gtest_discover_tests), so the
   # filter must match those, not source file names; --no-tests=error
   # above turns an empty match back into a failure instead of a silent

@@ -1,5 +1,7 @@
 #include "preference/contextual_query.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "preference/query_cache.h"
@@ -22,6 +24,7 @@ struct RankMetrics {
   Counter& tuples_scored;   ///< ctxpref_rank_cs_tuples_scored_total
   Counter& deadline_exceeded;  ///< ctxpref_rank_cs_deadline_exceeded_total
   Counter& states_abandoned;   ///< ctxpref_rank_cs_states_abandoned_total
+  Counter& rescore_rebuilds;   ///< ctxpref_rank_cs_rescore_rebuilds_total
   LatencyHistogram& latency;  ///< ctxpref_rank_cs_latency_ns
 
   static RankMetrics& Get();
@@ -44,6 +47,9 @@ RankMetrics& RankMetrics::Get() {
                      "Rank_CS evaluations aborted at a cancellation point"),
       reg.GetCounter("ctxpref_rank_cs_states_abandoned_total",
                      "Query states left unevaluated by deadline aborts"),
+      reg.GetCounter("ctxpref_rank_cs_rescore_rebuilds_total",
+                     "Re-score hits whose winners' scores had moved, so "
+                     "the state's list was rebuilt (the rest re-tag)"),
       reg.GetHistogram("ctxpref_rank_cs_latency_ns",
                        "End-to-end Rank_CS latency (plain and cached)"),
   };
@@ -67,6 +73,39 @@ Status AppendClauseSources(const db::Relation& relation,
   return Status::OK();
 }
 
+/// A re-score hit's winners at the pinned `arena`, which shares the
+/// shape they were resolved under: the same states and distances, with
+/// each leaf's entries as the arena holds them now. Returns `cached`
+/// itself when every entry's score is bit-equal to the arena's — no
+/// clause is copied and nothing is allocated — and null if a winner's
+/// leaf is missing, which a shared shape rules out.
+CandidateSetPtr Rescored(const FlatProfileTree& arena,
+                         const CandidateSetPtr& cached,
+                         AccessCounter* counter) {
+  bool same = true;
+  for (const CandidatePath& cand : *cached) {
+    const uint32_t leaf = arena.ExactLookup(cand.state, counter);
+    if (leaf == FlatProfileTree::kNoLeaf) return nullptr;
+    const size_t n = cand.entries.size();
+    same = arena.EntryCount(leaf) == n;
+    for (size_t k = 0; same && k < n; ++k) {
+      same = std::bit_cast<uint64_t>(arena.EntryAt(leaf, k).score()) ==
+             std::bit_cast<uint64_t>(cand.entries[k].score);
+    }
+    if (!same) break;
+  }
+  if (same) return cached;
+  auto rescored = std::make_shared<std::vector<CandidatePath>>();
+  rescored->reserve(cached->size());
+  for (const CandidatePath& cand : *cached) {
+    const uint32_t leaf = arena.ExactLookup(cand.state, counter);
+    if (leaf == FlatProfileTree::kNoLeaf) return nullptr;
+    rescored->push_back(
+        CandidatePath{cand.state, cand.distance, arena.EntriesOf(leaf)});
+  }
+  return rescored;
+}
+
 }  // namespace
 
 StatusOr<std::vector<ContextState>> QueryStates(const ContextualQuery& query,
@@ -79,12 +118,19 @@ StatusOr<std::vector<ContextState>> QueryStates(const ContextualQuery& query,
   return states;
 }
 
-StatusOr<QueryResult> RankCS(const db::Relation& relation,
-                             const ContextualQuery& query,
-                             const ContextEnvironment& env,
-                             const ResolveFn& resolve,
-                             const QueryOptions& options,
-                             AccessCounter* counter, const StateCache* cache) {
+namespace {
+
+/// Rank_CS over `resolve`. With `arena` (the `FlatResolver` overload:
+/// the pinned arena `resolve` reads), a cached entry resolved over the
+/// arena's shape at an older version is a re-score hit.
+StatusOr<QueryResult> RankOver(const db::Relation& relation,
+                               const ContextualQuery& query,
+                               const ContextEnvironment& env,
+                               const ResolveFn& resolve,
+                               const FlatProfileTree* arena,
+                               const QueryOptions& options,
+                               AccessCounter* counter,
+                               const StateCache* cache) {
   if (cache != nullptr) CTXPREF_RETURN_IF_ERROR(CheckCacheableOptions(options));
   RankMetrics& metrics = RankMetrics::Get();
   TraceSpan span(cache != nullptr ? "cached_rank_cs" : "rank_cs");
@@ -120,22 +166,37 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
   std::vector<std::shared_ptr<const ContextQueryTree::Entry>> entries;
   if (cache != nullptr) entries.reserve(states.size());
   const CacheConfig config = CacheConfig::Of(options);
+  const uint64_t shape_id = arena != nullptr ? arena->shape_id() : 0;
   for (ContextState& s : states) {
     // Cancellation point: one null check when no deadline is set, one
     // injected-clock read otherwise.
     if (options.deadline.Expired()) return deadline_exceeded();
     TraceSpan state_span(cache != nullptr ? "cached_rank_cs.state"
                                           : "rank_cs.state");
-    std::shared_ptr<const ContextQueryTree::Entry> entry;
+    ContextQueryTree::Hit hit;
     if (cache != nullptr) {
-      entry = cache->tree->Lookup(*cache->user, s, cache->version, config,
-                                  counter);
+      hit = cache->tree->LookupOrRescore(*cache->user, s, cache->version,
+                                         shape_id, config, counter);
     }
-    CandidateSetPtr best =
-        entry != nullptr
-            ? entry->candidates
-            : std::make_shared<const std::vector<CandidatePath>>(
-                  resolve(s, options.resolution, counter));
+    std::shared_ptr<const ContextQueryTree::Entry> entry = std::move(hit.entry);
+    CandidateSetPtr best = entry != nullptr ? entry->candidates : nullptr;
+    if (hit.rescore) {
+      // The winners hold under the shared shape; only scores may have
+      // moved. Unchanged scores re-tag the entry at this version as it
+      // is; changed ones rebuild the state's list below, as a miss
+      // would, from the winners' current entries.
+      best = Rescored(*arena, best, counter);
+      if (best == entry->candidates) {
+        cache->tree->PutEntry(*cache->user, s, cache->version, entry);
+      } else {
+        metrics.rescore_rebuilds.Increment();
+        entry = nullptr;
+      }
+    }
+    if (best == nullptr) {
+      best = std::make_shared<const std::vector<CandidatePath>>(
+          resolve(s, options.resolution, counter));
+    }
     if (cache == nullptr) {
       CTXPREF_RETURN_IF_ERROR(AppendClauseSources(relation, *best, sources));
     } else {
@@ -151,7 +212,7 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
             ContextQueryTree::Entry{
                 RankSources(relation, clauses, {}, options.combine,
                             /*top_k=*/0, &tuples_scored),
-                best, config});
+                best, config, shape_id});
         cache->tree->PutEntry(*cache->user, s, cache->version, entry);
       }
       sources.push_back(ScoredSource::List(entry->tuples));
@@ -179,6 +240,18 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
   return result;
 }
 
+}  // namespace
+
+StatusOr<QueryResult> RankCS(const db::Relation& relation,
+                             const ContextualQuery& query,
+                             const ContextEnvironment& env,
+                             const ResolveFn& resolve,
+                             const QueryOptions& options,
+                             AccessCounter* counter, const StateCache* cache) {
+  return RankOver(relation, query, env, resolve, /*arena=*/nullptr, options,
+                  counter, cache);
+}
+
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const TreeResolver& resolver,
@@ -196,11 +269,11 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const FlatResolver& resolver,
                              const QueryOptions& options,
                              AccessCounter* counter, const StateCache* cache) {
-  return RankCS(
+  return RankOver(
       relation, query, resolver.tree().env(),
       [&resolver](const ContextState& s, const ResolutionOptions& opts,
                   AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      options, counter, cache);
+      &resolver.tree(), options, counter, cache);
 }
 
 StatusOr<QueryResult> RankCS(const db::Relation& relation,

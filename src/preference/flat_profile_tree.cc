@@ -1,6 +1,7 @@
 #include "preference/flat_profile_tree.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <numeric>
 #include <utility>
@@ -14,6 +15,9 @@ namespace {
 /// linear scan must consult level_of per cell while a probe compares
 /// raw keys.
 constexpr uint32_t kLinearScanMax = 8;
+
+/// The last `Shape::id` handed out.
+std::atomic<uint64_t> last_shape_id{0};
 
 }  // namespace
 
@@ -88,6 +92,7 @@ FlatProfileTree FlatProfileTree::BuildOver(EnvironmentPtr env,
     return flat;
   }
   auto shape = std::make_shared<Shape>();
+  shape->id = last_shape_id.fetch_add(1, std::memory_order_relaxed) + 1;
   flat.BuildShape(order, *shape);
   flat.shape_ = std::move(shape);
   return flat;

@@ -112,6 +112,13 @@ class FlatProfileTree {
     return shape_ == other.shape_;
   }
 
+  /// The shape's process-wide identity: every newly built shape takes
+  /// the next value of one monotone counter (from 1), and an arena
+  /// sharing a shape reports its id. Two arenas report one id iff they
+  /// share a shape, across the life of the process: unlike the shape's
+  /// address, an id is never reused after its shape is freed.
+  uint64_t shape_id() const { return shape_->id; }
+
   /// Search_CS (paper Algorithm 1) over integer keys: descends from the
   /// root following every cell whose key is the query component or one
   /// of its ancestors, appending covering candidates to `out` in
@@ -143,6 +150,15 @@ class FlatProfileTree {
   /// Copies a leaf's entries (leaf ids are dense in [0, PathCount()))
   /// out of their preferences, in the pointer tree's entry form.
   std::vector<ProfileTree::LeafEntry> EntriesOf(uint32_t leaf) const;
+
+  /// A leaf's entry count, and the preference behind its `k`-th entry
+  /// in `EntriesOf` order, read in place (no clause is copied).
+  size_t EntryCount(uint32_t leaf) const {
+    return shape_->leaf_begin[leaf + 1] - shape_->leaf_begin[leaf];
+  }
+  const ContextualPreference& EntryAt(uint32_t leaf, size_t k) const {
+    return (*prefs_)[shape_->entries[shape_->leaf_begin[leaf] + k]];
+  }
 
   /// ---- Size accounting (satellite to paper Fig. 5) ----
 
@@ -179,6 +195,7 @@ class FlatProfileTree {
   /// What depends only on the indexed bodies, in list order, and the
   /// ordering; shared by every arena built over it.
   struct Shape {
+    uint64_t id = 0;  ///< See `shape_id()`.
     Ordering order;
     /// Built under the greedy ordering of its states, which the bodies
     /// alone fix, so `Build(profile, previous)` may share it; a shape

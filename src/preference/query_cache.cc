@@ -15,6 +15,7 @@ namespace {
 struct CacheMetrics {
   Counter& lookups;
   Counter& hits;
+  Counter& rescore_hits;
   Counter& misses;
   Counter& invalidations;
   Counter& evictions;
@@ -29,6 +30,9 @@ struct CacheMetrics {
                        "ContextQueryTree lookups (hits + misses)"),
         reg.GetCounter("ctxpref_query_cache_hits_total",
                        "ContextQueryTree lookup hits"),
+        reg.GetCounter("ctxpref_query_cache_rescore_hits_total",
+                       "Lookup hits found at an older version under the "
+                       "pinned arena's shape (also in hits_total)"),
         reg.GetCounter("ctxpref_query_cache_misses_total",
                        "ContextQueryTree lookup misses"),
         reg.GetCounter("ctxpref_query_cache_invalidations_total",
@@ -64,28 +68,39 @@ ContextQueryTree::Leaf* ContextQueryTree::Find(const std::string& user,
   return it == user_it->second.end() ? nullptr : &it->second;
 }
 
-std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Probe(
+ContextQueryTree::Hit ContextQueryTree::Probe(
     const std::string& user, const ContextState& state, uint64_t min_version,
-    uint64_t max_version, const CacheConfig& config, uint64_t* entry_version,
-    AccessCounter* counter) {
-  std::shared_ptr<const Entry> result;
+    uint64_t max_version, uint64_t shape_id, const CacheConfig& config,
+    uint64_t* entry_version, AccessCounter* counter) {
+  Hit hit;
   util::MutexLock lock(mu_);
   ++lookups_;
   if (counter != nullptr) counter->AddCell();
   Leaf* leaf = Find(user, state);
-  if (leaf != nullptr && leaf->version >= min_version &&
-      leaf->version <= max_version && leaf->entry->config == config) {
+  if (leaf != nullptr && leaf->entry->config == config) {
+    if (leaf->version >= min_version && leaf->version <= max_version) {
+      hit.entry = leaf->entry;
+    } else if (shape_id != 0 && leaf->version < min_version &&
+               leaf->entry->shape_id == shape_id) {
+      // Older, but resolved over the pinned arena's shape: the same
+      // winners, with scores the caller re-reads.
+      hit.entry = leaf->entry;
+      hit.rescore = true;
+      ++rescore_hits_;
+      ++pending_rescore_hits_;
+    }
+  }
+  if (hit.entry != nullptr) {
     // Refresh LRU position.
     lru_.splice(lru_.begin(), lru_, leaf->lru_it);
     ++hits_;
     ++pending_hits_;
     if (entry_version != nullptr) *entry_version = leaf->version;
-    result = leaf->entry;
   } else {
-    // Absent, outside the window or computed under other options: a
-    // plain miss, nothing dropped. The caller's recompute Puts over a
-    // skewed entry; until then it stays reachable for
-    // LookupAtOrBefore's staleness window.
+    // Absent, outside the window, of another shape or computed under
+    // other options: a plain miss, nothing dropped. The caller's
+    // recompute Puts over a skewed entry; until then it stays
+    // reachable for LookupAtOrBefore's staleness window.
     ++misses_;
     ++pending_misses_;
   }
@@ -93,35 +108,47 @@ std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Probe(
     CacheMetrics& metrics = CacheMetrics::Get();
     metrics.lookups.Increment(pending_lookups_);
     metrics.hits.Increment(pending_hits_);
+    metrics.rescore_hits.Increment(pending_rescore_hits_);
     metrics.misses.Increment(pending_misses_);
     pending_lookups_ = 0;
     pending_hits_ = 0;
+    pending_rescore_hits_ = 0;
     pending_misses_ = 0;
   }
-  return result;
+  return hit;
 }
 
 std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Lookup(
     const std::string& user, const ContextState& state,
     uint64_t profile_version, const CacheConfig& config,
     AccessCounter* counter) {
+  return LookupOrRescore(user, state, profile_version, /*shape_id=*/0, config,
+                         counter)
+      .entry;
+}
+
+ContextQueryTree::Hit ContextQueryTree::LookupOrRescore(
+    const std::string& user, const ContextState& state,
+    uint64_t profile_version, uint64_t shape_id, const CacheConfig& config,
+    AccessCounter* counter) {
   TraceSpan span("query_cache.lookup");
   // One clock pair serves the outcome-dependent hit/miss histograms;
   // reads happen only while timing is enabled.
   const bool timed = MetricsRegistry::TimingEnabled();
   const uint64_t start_nanos = timed ? MonotonicNanos() : 0;
-  std::shared_ptr<const Entry> result =
-      Probe(user, state, profile_version, profile_version, config,
-            /*entry_version=*/nullptr, counter);
+  Hit hit = Probe(user, state, profile_version, profile_version, shape_id,
+                  config, /*entry_version=*/nullptr, counter);
   if (timed) {
     CacheMetrics& metrics = CacheMetrics::Get();
-    (result != nullptr ? metrics.hit_latency : metrics.miss_latency)
+    (hit.entry != nullptr ? metrics.hit_latency : metrics.miss_latency)
         .Record(MonotonicNanos() - start_nanos);
   }
   if (span.active()) {
-    span.Tag("outcome", result != nullptr ? "hit" : "miss");
+    span.Tag("outcome", hit.entry == nullptr ? "miss"
+                        : hit.rescore        ? "rescore"
+                                             : "hit");
   }
-  return result;
+  return hit;
 }
 
 std::shared_ptr<const ContextQueryTree::Entry>
@@ -132,8 +159,10 @@ ContextQueryTree::LookupAtOrBefore(const std::string& user,
                                    uint64_t* entry_version,
                                    AccessCounter* counter) {
   TraceSpan span("query_cache.lookup_at_or_before");
-  std::shared_ptr<const Entry> result = Probe(
-      user, state, min_version, max_version, config, entry_version, counter);
+  std::shared_ptr<const Entry> result =
+      Probe(user, state, min_version, max_version, /*shape_id=*/0, config,
+            entry_version, counter)
+          .entry;
   if (span.active()) {
     span.Tag("outcome", result != nullptr ? "hit" : "miss");
   }
@@ -222,6 +251,7 @@ CacheStats ContextQueryTree::Stats() const {
   CacheStats stats;
   stats.lookups = lookups_;
   stats.hits = hits_;
+  stats.rescore_hits = rescore_hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;
   stats.invalidations = invalidations_;

@@ -21,11 +21,15 @@ struct CacheStats {
   /// `lookups == hits + misses` always holds.
   uint64_t lookups = 0;
   uint64_t hits = 0;
+  /// The hits `LookupOrRescore` found at an older version under the
+  /// pinned arena's shape (re-score hits); counted in `hits` too.
+  uint64_t rescore_hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
   /// Entries dropped by `InvalidateUserBelow` — the coherence consume
-  /// step's reclamation (docs/coherence.md). Lookups never drop
-  /// entries: a version-skewed entry is a plain miss.
+  /// step's reclamation on a structural or removal record
+  /// (docs/coherence.md); a rescore record drops nothing. Lookups never
+  /// drop entries: a version-skewed entry is a miss or a re-score hit.
   uint64_t invalidations = 0;
   size_t size = 0;
 
@@ -72,6 +76,15 @@ struct CacheConfig {
 /// (`InvalidateUserBelow`, docs/coherence.md), or LRU evicts it beyond
 /// the capacity.
 ///
+/// An entry also records the shape of the arena its candidates were
+/// resolved over (`FlatProfileTree::shape_id()`). Context resolution
+/// reads the shape only — cover and distance, never a score — so an
+/// entry's candidates hold at any later version whose arena shares that
+/// shape, and only their scores may have moved: `LookupOrRescore` calls
+/// such an entry a *re-score hit*, and `RankCS` re-reads the winners'
+/// scores from the pinned arena instead of resolving the state again
+/// (docs/serving.md).
+///
 /// The single-user entry points (no user id) are sugar for the empty
 /// user id "".
 ///
@@ -91,6 +104,17 @@ class ContextQueryTree {
     /// The options `tuples` were computed under; a lookup under other
     /// options misses (and the recomputed entry replaces this one).
     CacheConfig config;
+    /// `FlatProfileTree::shape_id()` of the arena `candidates` were
+    /// resolved over; 0 = none, never re-scored.
+    uint64_t shape_id = 0;
+  };
+
+  /// What `LookupOrRescore` found.
+  struct Hit {
+    std::shared_ptr<const Entry> entry;  ///< Null on a miss.
+    /// `entry` is from an older version under the lookup's shape: its
+    /// candidates hold at the lookup's version, their scores may not.
+    bool rescore = false;
   };
 
   /// `capacity` = number of cached states (0 = unbounded); the LRU
@@ -102,6 +126,7 @@ class ContextQueryTree {
 
   size_t size() const { return Stats().size; }
   uint64_t hits() const { return Stats().hits; }
+  uint64_t rescore_hits() const { return Stats().rescore_hits; }
   uint64_t misses() const { return Stats().misses; }
   uint64_t evictions() const { return Stats().evictions; }
   uint64_t invalidations() const { return Stats().invalidations; }
@@ -109,7 +134,8 @@ class ContextQueryTree {
   /// Returns the cached entry for `user`'s `state` if present, computed
   /// at `profile_version` and under `config`. An entry at another
   /// version or of another config is a plain miss and stays in place
-  /// (the caller's recompute `Put`s over it). Ticks `counter` once for
+  /// (the caller's recompute `Put`s over it); no entry is a re-score
+  /// hit (`LookupOrRescore`). Ticks `counter` once for
   /// the probe (the cache costs cells too). The returned snapshot
   /// stays valid after concurrent mutations.
   std::shared_ptr<const Entry> Lookup(const std::string& user,
@@ -117,6 +143,18 @@ class ContextQueryTree {
                                       uint64_t profile_version,
                                       const CacheConfig& config = {},
                                       AccessCounter* counter = nullptr);
+
+  /// `Lookup` under the pinned arena's `shape_id` (non-zero): the entry
+  /// at `profile_version` is a plain hit; an entry at an older version,
+  /// of `config`, whose `shape_id` is `shape_id` is a re-score hit,
+  /// counted in `hits` and `rescore_hits` and refreshed in the LRU —
+  /// the caller re-reads its winners' scores and `PutEntry`s the state
+  /// at `profile_version`; anything else is a miss. `shape_id` 0 makes
+  /// this `Lookup`.
+  Hit LookupOrRescore(const std::string& user, const ContextState& state,
+                      uint64_t profile_version, uint64_t shape_id,
+                      const CacheConfig& config = {},
+                      AccessCounter* counter = nullptr);
 
   /// Single-user sugar: `Lookup("", state, ...)`.
   std::shared_ptr<const Entry> Lookup(const ContextState& state,
@@ -163,12 +201,12 @@ class ContextQueryTree {
 
   /// Drops `user`'s cached entries whose version tag is strictly below
   /// `version`, leaving newer (and equal) entries in place — the one
-  /// drop call of the log-based coherence consumer: a record `{user, v}`
-  /// with a retention window `w` becomes `InvalidateUserBelow(user,
-  /// v - w)`, so entries inside the window survive for
-  /// `LookupAtOrBefore` while everything older is reclaimed; a user
-  /// removal (a `drop_all` record) passes the maximum version and drops
-  /// them all. Returns the number of entries dropped (each counted as
+  /// drop call of the log-based coherence consumer: a structural record
+  /// `{user, v}` with a retention window `w` becomes
+  /// `InvalidateUserBelow(user, v - w)`, so entries inside the window
+  /// survive for `LookupAtOrBefore` while everything older is
+  /// reclaimed; a removal record passes the maximum version and drops
+  /// them all; a rescore record calls nothing. Returns the number of entries dropped (each counted as
   /// an invalidation, not a miss). Safe to call concurrently with
   /// lookups: readers holding entry snapshots keep them.
   size_t InvalidateUserBelow(const std::string& user, uint64_t version);
@@ -191,16 +229,17 @@ class ContextQueryTree {
   Leaf* Find(const std::string& user, const ContextState& state)
       REQUIRES(mu_);
 
-  /// The locked probe behind `Lookup` and `LookupAtOrBefore`: a hit is
-  /// an entry whose version lies in `[min_version, max_version]` and
-  /// whose config is `config` (refreshed in the LRU, its version
-  /// written to `*entry_version` if set); anything else is a miss that
-  /// drops nothing. Ticks the counters and flushes them to the registry
-  /// every `kMetricsFlushStride` lookups.
-  std::shared_ptr<const Entry> Probe(
-      const std::string& user, const ContextState& state,
-      uint64_t min_version, uint64_t max_version, const CacheConfig& config,
-      uint64_t* entry_version, AccessCounter* counter) EXCLUDES(mu_);
+  /// The locked probe behind every lookup: a hit is an entry whose
+  /// version lies in `[min_version, max_version]` and whose config is
+  /// `config`, or, with a non-zero `shape_id`, one below `min_version`
+  /// of that shape and config (a re-score hit). A hit is refreshed in
+  /// the LRU, its version written to `*entry_version` if set; anything
+  /// else is a miss that drops nothing. Ticks the counters and flushes
+  /// them to the registry every `kMetricsFlushStride` lookups.
+  Hit Probe(const std::string& user, const ContextState& state,
+            uint64_t min_version, uint64_t max_version, uint64_t shape_id,
+            const CacheConfig& config, uint64_t* entry_version,
+            AccessCounter* counter) EXCLUDES(mu_);
 
   size_t capacity_;  ///< 0 = unbounded.
   /// Ranks `kCacheShard` — below the coherence locks (a replica's
@@ -216,6 +255,7 @@ class ContextQueryTree {
   std::list<EntryKey> lru_ GUARDED_BY(mu_);
   uint64_t lookups_ GUARDED_BY(mu_) = 0;
   uint64_t hits_ GUARDED_BY(mu_) = 0;
+  uint64_t rescore_hits_ GUARDED_BY(mu_) = 0;
   uint64_t misses_ GUARDED_BY(mu_) = 0;
   uint64_t evictions_ GUARDED_BY(mu_) = 0;
   uint64_t invalidations_ GUARDED_BY(mu_) = 0;
@@ -226,6 +266,7 @@ class ContextQueryTree {
   /// counters above by up to one stride.
   uint64_t pending_lookups_ GUARDED_BY(mu_) = 0;
   uint64_t pending_hits_ GUARDED_BY(mu_) = 0;
+  uint64_t pending_rescore_hits_ GUARDED_BY(mu_) = 0;
   uint64_t pending_misses_ GUARDED_BY(mu_) = 0;
 };
 

@@ -54,11 +54,11 @@ CoherenceLog::CoherenceLog(size_t num_consumers)
 }
 
 void CoherenceLog::Append(const std::string& user, uint64_t version,
-                          bool drop_all) {
+                          Kind kind) {
   CoherenceMetrics& metrics = CoherenceMetrics::Get();
   {
     util::MutexLock lock(mu_);
-    records_.push_back(Record{user, version, drop_all});
+    records_.push_back(Record{user, version, kind});
   }
   AdvanceWatermark(version);
   depth_.fetch_add(1, std::memory_order_relaxed);
@@ -148,13 +148,21 @@ size_t ReplicatedQueryCache::Consume(size_t r) {
   const uint64_t window = options_.staleness_window;
   const size_t applied =
       log_.Consume(r, [&replica, window](const CoherenceLog::Record& rec) {
-        // A user removal drops every entry of the user; a publish
-        // keeps the entries inside the staleness window.
-        uint64_t floor = std::numeric_limits<uint64_t>::max();
-        if (!rec.drop_all) {
-          floor = rec.version > window ? rec.version - window : 0;
+        // A rescore keeps every entry (re-score hits read them); a
+        // structural publish keeps the entries inside the staleness
+        // window; a user removal drops every entry of the user.
+        switch (rec.kind) {
+          case CoherenceLog::Kind::kRescore:
+            break;
+          case CoherenceLog::Kind::kStructural:
+            replica.tree.InvalidateUserBelow(
+                rec.user, rec.version > window ? rec.version - window : 0);
+            break;
+          case CoherenceLog::Kind::kRemoval:
+            replica.tree.InvalidateUserBelow(
+                rec.user, std::numeric_limits<uint64_t>::max());
+            break;
         }
-        replica.tree.InvalidateUserBelow(rec.user, floor);
       });
   uint64_t clock = replica.clock.load(std::memory_order_relaxed);
   if (clock < target) {
@@ -179,6 +187,7 @@ CacheStats ReplicatedQueryCache::Stats() const {
     const CacheStats s = replica->tree.Stats();
     total.lookups += s.lookups;
     total.hits += s.hits;
+    total.rescore_hits += s.rescore_hits;
     total.misses += s.misses;
     total.evictions += s.evictions;
     total.invalidations += s.invalidations;

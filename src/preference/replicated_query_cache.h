@@ -36,20 +36,36 @@ namespace ctxpref {
 ///      is >= V, every invalidation record with version <= V whose
 ///      append completed before the consume began has been applied, so
 ///      no entry older than `staleness_window` versions behind its
-///      user's publish at V survives in that replica.
+///      user's structural publish at V, and no entry of a user removed
+///      at V, survives in that replica. A rescore record drops nothing:
+///      its user's entries stay for re-score hits, since the arena they
+///      were resolved over keeps its shape (`ContextQueryTree`).
 ///
 /// The differential + chaos suites (tests/coherence_*_test.cc) pin
 /// both properties.
 class CoherenceLog {
  public:
+  /// What a record's publish did to the user's arena, which decides
+  /// what the consume step drops.
+  enum class Kind {
+    /// The new arena shares the previous one's shape (rescores): every
+    /// entry stays, for re-score hits.
+    kRescore,
+    /// A new shape: entries more than the staleness window behind the
+    /// record's version go.
+    kStructural,
+    /// A user removal: every entry of the user goes, regardless of any
+    /// retention window.
+    kRemoval,
+  };
+
   /// One invalidation record. `version` is the serving version the
   /// user's profile was published under (it doubles as the clock
-  /// watermark); `drop_all` marks a user removal — every entry of the
-  /// user dies regardless of any retention window.
+  /// watermark).
   struct Record {
     std::string user;
     uint64_t version = 0;
-    bool drop_all = false;
+    Kind kind = Kind::kStructural;
   };
 
   /// `num_consumers` cursors are tracked (one per replica); records
@@ -63,7 +79,7 @@ class CoherenceLog {
   /// in global append order) and advances the append watermark. O(1)
   /// amortized; takes only the log's mutex — never a cache lock.
   void Append(const std::string& user, uint64_t version,
-              bool drop_all = false);
+              Kind kind = Kind::kStructural);
 
   /// Consumer side: drains the log past consumer `id`'s cursor,
   /// invoking `apply` per record in append order, and truncates
@@ -188,8 +204,9 @@ class ReplicatedQueryCache {
 
   /// Runs replica `r`'s consume step: reads the append watermark,
   /// drains the log, drops dead entries from the replica's tree
-  /// (`InvalidateUserBelow` with the staleness window; removals drop
-  /// everything), then advances the clock to the watermark. Serialized
+  /// (`InvalidateUserBelow` with the staleness window on a structural
+  /// record, everything on a removal, nothing on a rescore), then
+  /// advances the clock to the watermark. Serialized
   /// per replica; safe to call from any thread. Returns the number of
   /// records applied.
   size_t Consume(size_t r);

@@ -144,6 +144,10 @@ void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
   auto published = std::make_shared<const Profile>(std::move(profile));
   auto flat = std::make_shared<const FlatProfileTree>(
       FlatProfileTree::Build(published, previous));
+  const CoherenceLog::Kind kind =
+      previous != nullptr && flat->SharesShapeWith(*previous)
+          ? CoherenceLog::Kind::kRescore
+          : CoherenceLog::Kind::kStructural;
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ProfileSnapshot>(
@@ -155,13 +159,15 @@ void ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
     metrics.snapshot_age.Set(
         static_cast<int64_t>(MonotonicNanos() - old->publish_nanos()));
   }
-  // The writer appends one `{user, serving_version}` record — touching
-  // only the log's mutex, never a cache lock — and replicated caches
-  // drain it on their own schedule (docs/coherence.md). A lookup racing
-  // ahead cannot be served stale data: entries are version-tagged and
-  // the new serving version never equals the old.
+  // The writer appends one `{user, serving_version, kind}` record —
+  // touching only the log's mutex, never a cache lock — and replicated
+  // caches drain it on their own schedule (docs/coherence.md). A rescore
+  // record drops nothing. A lookup racing ahead cannot be served stale
+  // data: entries are version-tagged, the new serving version never
+  // equals the old, and an older entry is re-scored only under the
+  // pinned arena's own shape.
   if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
-    log->Append(user_id, version);
+    log->Append(user_id, version, kind);
   }
 }
 
@@ -262,13 +268,14 @@ Status ProfileStore::RemoveUser(const std::string& user_id) {
     }
   }
   ServingMetrics::Get().users.Add(-1);
-  // The removal becomes a `drop_all` record: replicas drop every entry
-  // of the user when they consume it, staleness window notwithstanding.
-  // A later user with the same id gets fresh serving versions anyway
-  // (the counter never reuses values), so this is hygiene, not
-  // correctness.
+  // The removal becomes a removal record: replicas drop every entry of
+  // the user when they consume it, staleness window notwithstanding.
+  // A later user with the same id gets fresh serving versions and a
+  // freshly built shape anyway (the counters never reuse values), so
+  // none of its lookups can hit or re-score a predecessor's entry: this
+  // is hygiene, not correctness.
   if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
-    log->Append(user_id, serving_version(), /*drop_all=*/true);
+    log->Append(user_id, serving_version(), CoherenceLog::Kind::kRemoval);
   }
   return Status::OK();
 }

@@ -217,7 +217,52 @@ TEST_F(CoherenceConcurrentTest, BackgroundConsumersRefuseButNeverLie) {
   ExpectQuiesced(store, replicas);
 }
 
-// Remove/recreate churn: drop_all records race reads and ordinary
+// Rescores only: four readers serve through ONE replica while a writer
+// rescores both preferences 2 000 times, each score twice in a row. A
+// rescore keeps the arena's shape, so readers' lookups turn into
+// re-score hits — re-tags of the entry another reader may still hold,
+// and rebuilds — racing each other's reads of that entry. No rescore
+// record drops an entry.
+TEST_F(CoherenceConcurrentTest, RescoreRetagsRaceReadersOnOneReplica) {
+  storage::ProfileStore store(env_);
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;
+  ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
+  ReplicatedQueryCache replicas(env_, Ordering::Identity(env_->size()), ropt);
+  store.AttachCoherenceLog(&replicas.log());
+  ASSERT_OK(store.CreateUser("u", VersionedProfile(0)));
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> answered{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([this, &store, &replicas, &stop, &torn, &answered] {
+      ReadLoop(store, replicas, 0, stop, torn, answered,
+               /*tolerate_not_found=*/false);
+    });
+  }
+  for (uint64_t step = 1; step <= 2000; ++step) {
+    const double score = ScoreForStep(step / 2);
+    EXPECT_OK(store.UpdateUser("u", [score](Profile& p) {
+      CTXPREF_RETURN_IF_ERROR(p.UpdateScore(0, score));
+      return p.UpdateScore(1, score);
+    }));
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0u) << "version-inconsistent answers observed";
+  EXPECT_GT(answered.load(), 0u);
+  const CacheStats stats = replicas.Stats();
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+  EXPECT_GT(stats.rescore_hits, 0u);
+  EXPECT_EQ(stats.invalidations, 0u) << "a rescore record dropped entries";
+  ExpectQuiesced(store, replicas);
+}
+
+// Remove/recreate churn: removal records race reads and ordinary
 // invalidation records. A reader may see NotFound (the user is gone)
 // but never a removed generation's scores under a fresh snapshot.
 TEST_F(CoherenceConcurrentTest, RemoveRecreateChurnStaysCoherent) {

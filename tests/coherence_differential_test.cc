@@ -10,7 +10,7 @@
 //      steps, every served answer checked against its own pinned
 //      snapshot's uncached oracle, the refuse path provably taken;
 //  (3) directed: the consume step's version-clock advance, the
-//      staleness-window reclamation bound, drop_all records, and the
+//      staleness-window reclamation bound, removal records, and the
 //      log's cursor/truncation bookkeeping;
 //  (4) every answer served through a one-replica cache, inline and
 //      background, bit-equal to an uncached Rank_CS on its own pinned
@@ -155,6 +155,12 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
 uint64_t StaleRefuses() {
   return MetricsRegistry::Global()
       .GetCounter("ctxpref_coherence_stale_refuses_total")
+      .value();
+}
+
+uint64_t RescoreRebuilds() {
+  return MetricsRegistry::Global()
+      .GetCounter("ctxpref_rank_cs_rescore_rebuilds_total")
       .value();
 }
 
@@ -332,7 +338,7 @@ TEST_P(CoherenceDifferentialTest, ChaosChurnNeverServesTornAnswers) {
         if (p.size() > 0) (void)p.UpdateScore(0, score);
         return Status::OK();
       }));
-    } else if (dice < 34) {  // Remove + recreate: drop_all records.
+    } else if (dice < 34) {  // Remove + recreate: removal records.
       ASSERT_OK(store.RemoveUser(uid));
       ASSERT_OK(
           store.CreateUser(uid, NonEmptyRandomProfile(rng, env, world)));
@@ -376,7 +382,7 @@ TEST_P(CoherenceDifferentialTest, ChaosChurnNeverServesTornAnswers) {
   }
 }
 
-// ---- (3) Directed: clock, window, drop_all, cursors -----------------
+// ---- (3) Directed: clock, window, removals, cursors -----------------
 
 TEST(CoherenceLogTest, CursorsTruncationAndWatermark) {
   CoherenceLog log(/*num_consumers=*/2);
@@ -407,11 +413,11 @@ TEST(CoherenceLogTest, CursorsTruncationAndWatermark) {
   EXPECT_EQ(log.depth(), 0u);
 
   // Records appended after truncation land past both cursors.
-  log.Append("u", 6, /*drop_all=*/true);
+  log.Append("u", 6, CoherenceLog::Kind::kRemoval);
   size_t drops = 0;
   EXPECT_EQ(log.Consume(0,
                         [&drops](const CoherenceLog::Record& r) {
-                          if (r.drop_all) ++drops;
+                          if (r.kind == CoherenceLog::Kind::kRemoval) ++drops;
                         }),
             1u);
   EXPECT_EQ(drops, 1u);
@@ -483,7 +489,7 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
             nullptr)
       << "v" << v1 << " entry should be reclaimed, got v" << found_version;
 
-  // drop_all: a removal kills even in-window entries at consume time.
+  // A removal kills even in-window entries at consume time.
   ASSERT_OK(storage::ServeQuery(store, "u", relation, query, &replicas,
                                 QueryOptions{}, /*counter=*/nullptr, 0)
                 .status());  // Re-populate at the current version.
@@ -491,7 +497,72 @@ TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
   ASSERT_OK(store.RemoveUser("u"));
   replicas.Consume(0);
   EXPECT_EQ(replicas.replica(0).Stats().size, 0u)
-      << "drop_all must ignore the staleness window";
+      << "a removal must ignore the staleness window";
+}
+
+// A user removed and re-created under the same id, over the
+// predecessor's very bodies, gets a freshly built arena shape: while
+// the removal record is still unconsumed and every predecessor entry
+// sits in the replica, each lookup under the new snapshot misses —
+// never a hit, never a re-score hit.
+TEST(ReplicatedQueryCacheTest, RecreatedUserIsNeverRescoredFromPredecessor) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(6161);
+
+  storage::ProfileStore store(env);
+  ReplicatedQueryCache::Options ropt;
+  ropt.num_replicas = 1;
+  ropt.mode = ReplicatedQueryCache::ConsumeMode::kBackground;
+  ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
+  store.AttachCoherenceLog(&replicas.log());
+  ASSERT_OK(store.CreateUser("u", NonEmptyRandomProfile(rng, env, world)));
+  replicas.Consume(0);
+  for (const ContextState& s : world) {
+    ASSERT_OK(storage::ServeQuery(store, "u", relation, QueryForState(*env, s),
+                                  &replicas, QueryOptions{},
+                                  /*counter=*/nullptr, 0)
+                  .status());
+  }
+  ContextQueryTree& tree = replicas.replica(0);
+  const size_t filled = tree.Stats().size;
+  ASSERT_EQ(filled, world.size());
+
+  StatusOr<storage::SnapshotPtr> old = store.GetSnapshot("u");
+  ASSERT_OK(old.status());
+  ASSERT_OK(store.RemoveUser("u"));
+  ASSERT_OK(store.CreateUser("u", (*old)->profile()));
+  StatusOr<storage::SnapshotPtr> fresh = store.GetSnapshot("u");
+  ASSERT_OK(fresh.status());
+  const Profile& before = (*old)->profile();
+  const Profile& after = (*fresh)->profile();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after.preference(i).body_id(), before.preference(i).body_id());
+  }
+  EXPECT_NE((*fresh)->flat_tree()->shape_id(), (*old)->flat_tree()->shape_id());
+  EXPECT_GT((*fresh)->flat_tree()->shape_id(), (*old)->flat_tree()->shape_id());
+
+  // Straight into the replica's tree, past the gate the unconsumed
+  // removal keeps closed.
+  EXPECT_EQ(tree.Stats().size, filled);
+  const CacheStats start = tree.Stats();
+  for (const ContextState& s : world) {
+    const ContextualQuery query = QueryForState(*env, s);
+    StatusOr<QueryResult> got =
+        storage::ServeQuery(**fresh, relation, query, &tree, QueryOptions{});
+    ASSERT_OK(got.status());
+    StatusOr<QueryResult> oracle = storage::ServeQuery(
+        **fresh, relation, query, /*cache=*/nullptr, QueryOptions{});
+    ASSERT_OK(oracle.status());
+    ExpectSameResult(*got, *oracle, "state " + s.ToString(*env));
+  }
+  const CacheStats end = tree.Stats();
+  EXPECT_EQ(end.hits, start.hits);
+  EXPECT_EQ(end.rescore_hits, start.rescore_hits);
+  EXPECT_EQ(end.misses - start.misses, world.size());
+  store.AttachCoherenceLog(nullptr);
 }
 
 // A log attached to a store that already has users (`LoadDir` always
@@ -672,6 +743,8 @@ TEST_P(RescoreDifferentialTest, ServedAnswersMatchUncachedRankCS) {
   const db::Relation relation = MakeRelation();
   const std::vector<std::string> users = {"u", "w"};
 
+  const uint64_t rebuilds_before = RescoreRebuilds();
+  uint64_t rescore_hits = 0;
   for (const ReplicatedQueryCache::ConsumeMode mode :
        {ReplicatedQueryCache::ConsumeMode::kInlineAtLookup,
         ReplicatedQueryCache::ConsumeMode::kBackground}) {
@@ -691,12 +764,12 @@ TEST_P(RescoreDifferentialTest, ServedAnswersMatchUncachedRankCS) {
     }
 
     size_t served = 0;
-    for (int op = 0; op < 1500; ++op) {
+    for (int op = 0; op < 3000; ++op) {
       const std::string& uid = users[rng.Uniform(users.size())];
       const std::string label = std::string(inline_mode ? "inline" : "bg") +
                                 " op " + std::to_string(op) + " user " + uid;
       const uint32_t dice = rng.Uniform(100);
-      if (dice < 20) {  // A rescore: changed, refused or same-score.
+      if (dice < 30) {  // A rescore: changed, refused or same-score.
         const uint32_t pick = rng.Uniform(1000);
         const bool same = rng.Bernoulli(0.3);
         const double fresh = GridScore(rng);
@@ -707,13 +780,13 @@ TEST_P(RescoreDifferentialTest, ServedAnswersMatchUncachedRankCS) {
           (void)p.UpdateScore(i, same ? p.preference(i).score() : fresh);
           return Status::OK();
         }));
-      } else if (dice < 25) {  // Insert (refused ones publish unchanged).
+      } else if (dice < 40) {  // Insert (refused ones publish unchanged).
         ContextualPreference pref = EditPref(rng, *env, world);
         ASSERT_OK(store.UpdateUser(uid, [&](Profile& p) {
           (void)p.Insert(pref);
           return Status::OK();
         }));
-      } else if (dice < 29) {  // Remove.
+      } else if (dice < 45) {  // Remove.
         const uint32_t pick = rng.Uniform(1000);
         ASSERT_OK(store.UpdateUser(uid, [&](Profile& p) {
           if (!p.empty()) {
@@ -721,12 +794,12 @@ TEST_P(RescoreDifferentialTest, ServedAnswersMatchUncachedRankCS) {
           }
           return Status::OK();
         }));
-      } else if (dice < 32) {  // Remove + re-create over the same bodies.
+      } else if (dice < 47) {  // Remove + re-create over the same bodies.
         StatusOr<storage::SnapshotPtr> old = store.GetSnapshot(uid);
         ASSERT_OK(old.status());
         ASSERT_OK(store.RemoveUser(uid));
         ASSERT_OK(store.CreateUser(uid, (*old)->profile()));
-      } else if (dice < 40 && !inline_mode) {
+      } else if (dice < 67 && !inline_mode) {
         replicas.Consume(0);
       } else {
         const ContextualQuery query = EditQuery(rng, *env, world);
@@ -747,13 +820,20 @@ TEST_P(RescoreDifferentialTest, ServedAnswersMatchUncachedRankCS) {
     EXPECT_GT(served, 0u);
     const CacheStats stats = replicas.Stats();
     EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
-    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GT(stats.hits, stats.rescore_hits);
+    EXPECT_GT(stats.rescore_hits, 0u);
+    rescore_hits += stats.rescore_hits;
     store.AttachCoherenceLog(nullptr);
   }
+  // Both re-score branches ran: rebuilds and re-tags.
+  const uint64_t rebuilds = RescoreRebuilds() - rebuilds_before;
+  EXPECT_GT(rebuilds, 0u);
+  EXPECT_GT(rescore_hits, rebuilds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RescoreDifferentialTest,
-                         ::testing::Values(9201, 9202, 9203, 9204));
+                         ::testing::Values(9201, 9202, 9203, 9204, 9205, 9206,
+                                           9207, 9208));
 
 }  // namespace
 }  // namespace ctxpref

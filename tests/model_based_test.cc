@@ -8,12 +8,14 @@
 #include <limits>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "db/ranker.h"
 #include "preference/query_cache.h"
+#include "preference/resolution.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "workload/query_generator.h"
@@ -121,23 +123,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheModelTest,
 // ---------------------------------------------------------------------
 
 /// The multi-tenant reference: one recency list over (user, state)
-/// pairs, per-entry version tags, a bounded-staleness lookup and the
-/// per-user purge the coherence consume step applies (a user removal
-/// is a purge below the maximum version).
+/// pairs, per-entry version and shape tags, re-score hits, a
+/// bounded-staleness lookup and the per-user purge the coherence
+/// consume step applies (a user removal is a purge below the maximum
+/// version).
 class MultiUserReferenceLru {
  public:
   using Key = std::pair<std::string, ContextState>;
 
   explicit MultiUserReferenceLru(size_t capacity) : capacity_(capacity) {}
 
+  /// A hit at `version`, or, with a non-zero `shape`, a re-score hit on
+  /// an older entry of that shape (`*rescore` set); both refresh the
+  /// entry's recency. Anything else is a miss: kept, recency untouched.
   const std::vector<db::ScoredTuple>* Lookup(const std::string& user,
                                              const ContextState& s,
-                                             uint64_t version) {
+                                             uint64_t version,
+                                             uint64_t shape = 0,
+                                             bool* rescore = nullptr) {
     const Key k{user, s};
     auto it = entries_.find(k);
     if (it == entries_.end()) return nullptr;
-    // A version-skewed entry is a plain miss: kept, recency untouched.
-    if (it->second.version != version) return nullptr;
+    const bool older_same_shape = shape != 0 && it->second.shape == shape &&
+                                  it->second.version < version;
+    if (it->second.version != version && !older_same_shape) return nullptr;
+    if (older_same_shape) ++rescore_hits_;
+    if (rescore != nullptr) *rescore = older_same_shape;
     Touch(k);
     return &entries_.find(k)->second.tuples;
   }
@@ -159,16 +170,18 @@ class MultiUserReferenceLru {
     return &entries_.find(k)->second.tuples;
   }
 
+  /// Also a re-score hit's re-tag or rebuild: the entry is overwritten
+  /// in place and its recency refreshed.
   void Put(const std::string& user, const ContextState& s, uint64_t version,
-           std::vector<db::ScoredTuple> tuples) {
+           std::vector<db::ScoredTuple> tuples, uint64_t shape = 0) {
     const Key k{user, s};
     auto it = entries_.find(k);
     if (it != entries_.end()) {
-      it->second = Entry{std::move(tuples), version};
+      it->second = Entry{std::move(tuples), version, shape};
       Touch(k);
       return;
     }
-    entries_.emplace(k, Entry{std::move(tuples), version});
+    entries_.emplace(k, Entry{std::move(tuples), version, shape});
     recency_.push_front(k);
     if (capacity_ > 0 && entries_.size() > capacity_) {
       entries_.erase(recency_.back());
@@ -192,11 +205,13 @@ class MultiUserReferenceLru {
   }
 
   size_t size() const { return entries_.size(); }
+  uint64_t rescore_hits() const { return rescore_hits_; }
 
  private:
   struct Entry {
     std::vector<db::ScoredTuple> tuples;
     uint64_t version;
+    uint64_t shape;
   };
 
   void Touch(const Key& k) {
@@ -207,6 +222,7 @@ class MultiUserReferenceLru {
   size_t capacity_;
   std::map<Key, Entry> entries_;
   std::list<Key> recency_;
+  uint64_t rescore_hits_ = 0;
 };
 
 class MultiUserCacheModelTest : public ::testing::TestWithParam<uint64_t> {};
@@ -222,14 +238,28 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
       workload::RandomQueryBatch(*env, 16, GetParam() ^ 0x7777, 0.4);
   const std::vector<std::string> users = {"alice", "bob", "carol"};
   // Per-user serving versions, bumped independently — the store's
-  // publish model.
+  // publish model — and the shape of each user's current arena: a
+  // rescore publish keeps it, any other publish takes a new one.
   std::vector<uint64_t> versions(users.size(), 1);
+  uint64_t last_shape = 0;
+  std::vector<uint64_t> shapes(users.size());
+  for (uint64_t& shape : shapes) shape = ++last_shape;
+  auto put = [&](size_t u, const ContextState& s,
+                 std::vector<db::ScoredTuple> tuples) {
+    cache.PutEntry(users[u], s, versions[u],
+                   std::make_shared<const ContextQueryTree::Entry>(
+                       ContextQueryTree::Entry{
+                           tuples,
+                           std::make_shared<const std::vector<CandidatePath>>(),
+                           CacheConfig{}, shapes[u]}));
+    reference.Put(users[u], s, versions[u], std::move(tuples), shapes[u]);
+  };
 
   for (int step = 0; step < 3000; ++step) {
     const size_t u = rng.Uniform(users.size());
     const ContextState& s = pool[rng.Uniform(pool.size())];
     const double roll = rng.NextDouble();
-    if (roll < 0.3) {
+    if (roll < 0.15) {
       std::shared_ptr<const ContextQueryTree::Entry> a =
           cache.Lookup(users[u], s, versions[u]);
       const std::vector<db::ScoredTuple>* b =
@@ -238,6 +268,26 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
           << "step " << step << " user " << users[u];
       if (a != nullptr) {
         ASSERT_EQ(a->tuples, *b) << "step " << step;
+      }
+    } else if (roll < 0.3) {
+      // Under the user's shape: a re-score hit is re-tagged as it is or
+      // rebuilt with new tuples, as `RankCS` does.
+      ContextQueryTree::Hit a =
+          cache.LookupOrRescore(users[u], s, versions[u], shapes[u]);
+      bool b_rescore = false;
+      const std::vector<db::ScoredTuple>* b =
+          reference.Lookup(users[u], s, versions[u], shapes[u], &b_rescore);
+      ASSERT_EQ(a.entry != nullptr, b != nullptr)
+          << "step " << step << " user " << users[u];
+      if (a.entry != nullptr) {
+        ASSERT_EQ(a.entry->tuples, *b) << "step " << step;
+        ASSERT_EQ(a.rescore, b_rescore) << "step " << step;
+      }
+      if (a.rescore && rng.Bernoulli(0.5)) {
+        cache.PutEntry(users[u], s, versions[u], a.entry);
+        reference.Put(users[u], s, versions[u], a.entry->tuples, shapes[u]);
+      } else if (a.rescore) {
+        put(u, s, {{rng.Uniform(100), rng.NextDouble()}});
       }
     } else if (roll < 0.45) {
       // The stale rung: a window of up to three versions behind.
@@ -258,32 +308,40 @@ TEST_P(MultiUserCacheModelTest, RandomOpsMatchReference) {
         ASSERT_EQ(a_version, b_version) << "step " << step;
       }
     } else if (roll < 0.8) {
-      std::vector<db::ScoredTuple> tuples = {
-          {rng.Uniform(100), rng.NextDouble()}};
-      cache.Put(users[u], s, versions[u], tuples);
-      reference.Put(users[u], s, versions[u], tuples);
-    } else if (roll < 0.9) {
-      ++versions[u];  // Publish, not yet consumed: old entries miss.
-    } else if (roll < 0.97) {
-      // Publish plus a consume with a staleness window of up to two
-      // versions: both drop the same entries below the floor.
+      put(u, s, {{rng.Uniform(100), rng.NextDouble()}});
+    } else if (roll < 0.85) {
+      // A rescore publish, consumed or not: it drops nothing, and old
+      // entries become re-score hits.
       ++versions[u];
+    } else if (roll < 0.9) {
+      // A structural publish, not yet consumed: old entries miss.
+      ++versions[u];
+      shapes[u] = ++last_shape;
+    } else if (roll < 0.97) {
+      // A structural publish plus a consume with a staleness window of
+      // up to two versions: both drop the same entries below the floor.
+      ++versions[u];
+      shapes[u] = ++last_shape;
       const uint64_t window = rng.Uniform(3);
       const uint64_t floor = versions[u] > window ? versions[u] - window : 0;
       ASSERT_EQ(cache.InvalidateUserBelow(users[u], floor),
                 reference.InvalidateUserBelow(users[u], floor))
           << "step " << step << " user " << users[u];
     } else {
-      // Publish plus a drop_all consume, a drop below the maximum
-      // version: both drop every entry of the user.
+      // Remove + re-create plus a removal consume, a drop below the
+      // maximum version: both drop every entry of the user.
       ++versions[u];
+      shapes[u] = ++last_shape;
       constexpr uint64_t kAll = std::numeric_limits<uint64_t>::max();
       ASSERT_EQ(cache.InvalidateUserBelow(users[u], kAll),
                 reference.InvalidateUserBelow(users[u], kAll))
           << "step " << step << " user " << users[u];
     }
     ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+    ASSERT_EQ(cache.rescore_hits(), reference.rescore_hits())
+        << "step " << step;
   }
+  EXPECT_GT(reference.rescore_hits(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiUserCacheModelTest,
